@@ -5,8 +5,10 @@ cost; this one measures the *engine itself*.  A 100k-row, fully local
 scan → filter → hash-join → sort → group-by pipeline runs with no crowd
 operator anywhere, so wall time is pure Python data-plane overhead: row
 construction, schema name resolution, queue draining, and scheduler passes.
-A 16-query concurrent variant runs the same local pipeline shape through the
-engine scheduler to capture per-pass dispatch overhead on a busy engine.
+Both variants are driven by the engine scheduler, the only driver there is:
+the single query through ``submit`` + ``wait``, and a 16-query concurrent
+variant of the same pipeline shape that captures per-pass dispatch overhead
+on a busy engine.
 
 Reported as rows/sec; ``baseline`` fields carry the pre-vectorization
 numbers (measured on this benchmark before the batched data plane landed)
@@ -69,8 +71,12 @@ def _build_engine(n_rows: int) -> QurkEngine:
     return engine
 
 
-def _build_pipeline(engine: QurkEngine, query_id: str, *, join: bool = True) -> QueryExecutor:
-    """scan(items) → filter → [hash-join categories] → sort → group-by → sink."""
+def _build_pipeline(engine: QurkEngine, query_id: str, *, join: bool = True) -> QueryHandle:
+    """scan(items) → filter → [hash-join categories] → sort → group-by → sink.
+
+    Returns the plan as an unsubmitted handle: like every query, it runs by
+    being submitted to an :class:`EngineScheduler`.
+    """
     scan_items = ScanOperator(engine.database.table("items"))
     filt = LocalFilterOperator(
         Comparison(">", ColumnRef("score"), Literal(0.2)), scan_items.output_schema
@@ -112,17 +118,17 @@ def _build_pipeline(engine: QurkEngine, query_id: str, *, join: bool = True) -> 
         clock=engine.clock,
         config=QueryConfig(),
     )
-    return QueryExecutor(sink, context)
+    return QueryHandle(query_id, "<local pipeline>", QueryExecutor(sink, context), results)
 
 
 def run_engine_overhead_experiment(n_rows: int = 100_000) -> list[dict]:
     """The single-query 100k-row pipeline: rows/sec through five operators."""
     engine = _build_engine(n_rows)
-    executor = _build_pipeline(engine, "bench-e13")
+    handle = engine.scheduler.submit(_build_pipeline(engine, "bench-e13"))
     started = time.perf_counter()
-    executor.run()
+    handle.wait()
     wall = time.perf_counter() - started
-    results = executor.root.results_table
+    results = handle.results_table
     expected_groups = min(N_CATEGORIES, n_rows)
     if len(results) != expected_groups:
         raise AssertionError(f"expected {expected_groups} groups, got {len(results)}")
@@ -132,7 +138,7 @@ def run_engine_overhead_experiment(n_rows: int = 100_000) -> list[dict]:
         "rows": n_rows,
         "wall_seconds": round(wall, 3),
         "rows_per_sec": round(n_rows / wall),
-        "executor_passes": executor.metrics.passes,
+        "executor_passes": handle.executor.metrics.passes,
         "groups_out": len(results),
         "baseline_rows_per_sec": baseline["rows_per_sec"],
         "speedup_vs_baseline": (
@@ -150,13 +156,10 @@ def run_concurrent_overhead_experiment(n_queries: int = 16, n_rows: int = 20_000
     """16 concurrent local pipelines driven by the engine scheduler."""
     engine = _build_engine(n_rows)
     scheduler = EngineScheduler(engine.clock, engine.task_manager)
-    handles = []
-    for q in range(n_queries):
-        executor = _build_pipeline(engine, f"bench-e13-q{q}", join=False)
-        handle = QueryHandle(
-            f"bench-e13-q{q}", "<local pipeline>", executor, executor.root.results_table
-        )
-        handles.append(scheduler.submit(handle))
+    handles = [
+        scheduler.submit(_build_pipeline(engine, f"bench-e13-q{q}", join=False))
+        for q in range(n_queries)
+    ]
     started = time.perf_counter()
     while scheduler.step():
         pass

@@ -4,14 +4,12 @@ The executor is a *pure per-query stepper* over a tree of asynchronous
 operators: :meth:`QueryExecutor.step_local` steps every operator, propagates
 end-of-input signals, and lets the Task Manager fold the query's new tasks
 into (possibly cross-query) HIT batches.  It never advances the simulated
-clock — under the engine, that decision belongs to the
-:class:`~repro.core.exec.scheduler.EngineScheduler`, which advances time
+clock and never decides when a query is finished, over budget or stalled —
+there is one driver, the :class:`~repro.core.exec.scheduler.EngineScheduler`,
+and every plan, engine-planned or hand-built, runs by being submitted to it
+(``scheduler.submit(QueryHandle(...))`` then ``handle.wait()``).  The
+scheduler calls :meth:`step_local` on each runnable query and advances time
 exactly once, globally, when *no* active query can make local progress.
-
-For standalone use (unit tests, programmatic plans with no engine attached),
-:meth:`QueryExecutor.step` and :meth:`QueryExecutor.run` bundle the old
-self-driving loop: local stepping plus forced flushes plus clock advances for
-a single query that has the marketplace to itself.
 
 Results flow into the results table via the plan's sink operator; the
 executor itself never returns rows.
@@ -25,7 +23,6 @@ from repro.core.exec.context import ExecutionContext
 from repro.core.operators.base import Operator
 from repro.core.operators.sink import ResultSinkOperator
 from repro.errors import ExecutionError
-from repro.storage.batch import RowBatch
 
 __all__ = ["ExecutorMetrics", "QueryExecutor"]
 
@@ -35,7 +32,6 @@ class ExecutorMetrics:
     """Aggregate counters for one query execution."""
 
     passes: int = 0
-    clock_advances: int = 0
     started_at: float = 0.0
     finished_at: float | None = None
 
@@ -95,11 +91,11 @@ class QueryExecutor:
         """One pure local pass: step operators, propagate finishes, flush.
 
         Returns True when any local progress was made.  Never touches the
-        clock — the engine scheduler (or the standalone :meth:`step` wrapper)
-        decides when simulated time may advance.  The scheduler passes
-        ``flush=False`` so all concurrent queries deposit their tasks before
-        one shared flush builds cross-query HITs, and ``raise_on_budget=False``
-        so budget exhaustion is routed per-query instead of raised here.
+        clock — the engine scheduler decides when simulated time may advance.
+        The scheduler passes ``flush=False`` so all concurrent queries deposit
+        their tasks before one shared flush builds cross-query HITs, and
+        ``raise_on_budget=False`` so budget exhaustion is routed per-query
+        instead of raised here.
         """
         self.open()
         if self.is_complete():
@@ -118,55 +114,6 @@ class QueryExecutor:
             self.metrics.passes += 1
         return progress
 
-    def step(self) -> bool:
-        """Run one standalone executor pass.  Returns True on any progress.
-
-        A pass steps every operator, propagates end-of-input signals, and
-        flushes full task batches.  When nothing moved locally, it forces a
-        flush of partial batches and, failing that, advances the simulated
-        clock to the next crowd event.  This self-driving loop is the
-        standalone mode — engine-created queries are driven by the
-        :class:`~repro.core.exec.scheduler.EngineScheduler` instead, which
-        shares both the flush and the clock advance across all active queries.
-        """
-        if self.step_local():
-            return True
-        if self.is_complete():
-            return False
-        if self.context.task_manager.flush(force=True) > 0:
-            self.metrics.passes += 1
-            return True
-        next_event = self.context.clock.next_event_time()
-        if next_event is not None:
-            self.context.clock.run_next()
-            self.metrics.clock_advances += 1
-            self.metrics.passes += 1
-            return True
-        if self.context.task_manager.has_outstanding_work():
-            raise ExecutionError(
-                "query is stuck: tasks are outstanding but no crowd events are scheduled"
-            )
-        if not self.is_complete():
-            raise ExecutionError(
-                "query is stuck: no operator can make progress and no work is outstanding"
-            )
-        return False
-
-    def run(self, *, until_time: float | None = None, max_passes: int = 2_000_000) -> None:
-        """Run until the plan completes (or the simulated deadline is reached)."""
-        self.open()
-        passes = 0
-        while not self.is_complete():
-            if until_time is not None and self.context.clock.now >= until_time:
-                return
-            if not self.step():
-                break
-            passes += 1
-            if passes >= max_passes:
-                raise ExecutionError(f"query did not finish within {max_passes} executor passes")
-        if self.is_complete():
-            self.close()
-
     # -- adaptive re-planning --------------------------------------------------------
 
     def replace_operator(self, old: Operator, new: Operator) -> None:
@@ -175,9 +122,9 @@ class QueryExecutor:
         Used by the adaptive replanner to change a pending operator's
         strategy mid-query (e.g. a comparison sort for a rating sort).  The
         replacement inherits the old operator's position, input queues and
-        end-of-input signals, and any input rows the old operator had merely
-        buffered (:meth:`Operator.consumed_input`) are replayed in front of
-        the queues, so no tuple is lost or reordered.  Refuses to replace an
+        end-of-input signals, and any input batches the old operator had
+        merely buffered (:meth:`Operator.consumed_input`) go back to the front
+        of the queues, so no tuple is lost or reordered.  Refuses to replace an
         operator that has already submitted crowd work or emitted rows —
         money spent is never discarded.
         """
@@ -199,8 +146,8 @@ class QueryExecutor:
             child.parent = new
         new._in_queues = old._in_queues
         new._inputs_done = old._inputs_done
-        for row, slot in reversed(old.consumed_input()):
-            new._in_queues[slot].appendleft(RowBatch.single(row))
+        for batch, slot in reversed(old.consumed_input()):
+            new._in_queues[slot].appendleft(batch)
 
         new.parent = old.parent
         new.child_slot = old.child_slot

@@ -7,13 +7,12 @@ the executor, the results table and the per-query statistics, offering both
 the polling pattern and a convenience :meth:`wait` that drives the simulation
 to completion.
 
-Handles created through :class:`~repro.engine.QurkEngine` are registered with
-the engine's :class:`~repro.core.exec.scheduler.EngineScheduler`, so
-:meth:`step`, :meth:`run_until` and :meth:`wait` delegate to the shared
-scheduler: waiting on one handle also progresses every concurrent query on
-the same marketplace, and HITs may be shared across queries.  A handle built
-directly around a standalone executor (no scheduler) falls back to driving
-its own executor, which owns the clock for the single-query case.
+A handle is driven by the :class:`~repro.core.exec.scheduler.EngineScheduler`
+it was submitted to (:class:`~repro.engine.QurkEngine` submits every query it
+plans; a hand-built plan does the same with ``scheduler.submit(handle)``).
+:meth:`step`, :meth:`run_until` and :meth:`wait` delegate to that scheduler:
+waiting on one handle also progresses every concurrent query on the same
+marketplace, and HITs may be shared across queries.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from typing import TYPE_CHECKING
 
 from repro.core.exec.executor import QueryExecutor
 from repro.core.optimizer.statistics import QueryStats
-from repro.errors import BudgetExceededError, QueryStalledError
 from repro.storage.row import Row
 from repro.storage.table import Table
 
@@ -74,14 +72,13 @@ class QueryHandle:
         sql: str,
         executor: QueryExecutor,
         results_table: Table,
-        *,
-        scheduler: "EngineScheduler | None" = None,
     ):
         self.query_id = query_id
         self.sql = sql
         self.executor = executor
         self.results_table = results_table
-        self.scheduler = scheduler
+        #: Set by :meth:`EngineScheduler.submit`, the only way a query runs.
+        self.scheduler: "EngineScheduler | None" = None
         self.status = QueryStatus.PENDING
         self.error: Exception | None = None
         self._poll_watermark = results_table.last_row_id()
@@ -107,41 +104,17 @@ class QueryHandle:
     def step(self) -> bool:
         """Advance execution a little (used by the dashboard's live view).
 
-        Under a scheduler this runs one *global* scheduling pass — every
-        active query gets a slice, shared batches are flushed, and the clock
-        advances only if nobody moved.  Standalone handles step their own
-        executor.
+        This runs one *global* scheduling pass — every active query gets a
+        slice, shared batches are flushed, and the clock advances only if
+        nobody moved.
         """
         if self.is_terminal:
             return False
-        if self.scheduler is not None:
-            return self.scheduler.step()
-        self.status = QueryStatus.RUNNING
-        try:
-            progress = self.executor.step()
-        except BudgetExceededError as error:
-            self.status = QueryStatus.BUDGET_EXCEEDED
-            self.error = error
-            return False
-        except Exception as error:  # pragma: no cover - defensive
-            self.status = QueryStatus.FAILED
-            self.error = error
-            raise
-        if self.executor.is_complete():
-            self.executor.close()
-            self.status = QueryStatus.COMPLETED
-        return progress
+        return self.scheduler.step()
 
     def run_until(self, simulated_time: float) -> None:
         """Run the query until the simulated clock reaches ``simulated_time``."""
-        if self.scheduler is not None:
-            self.scheduler.run_until(simulated_time, watch=self)
-            return
-        while not self.is_terminal:
-            if self.executor.context.clock.now >= simulated_time:
-                return
-            if not self.step():
-                return
+        self.scheduler.run_until(simulated_time, watch=self)
 
     def wait(self) -> list[Row]:
         """Drive the query to completion and return every result row.
@@ -150,19 +123,7 @@ class QueryHandle:
         ``status = STALLED``) if execution stops making progress before the
         plan completes, rather than silently returning partial results.
         """
-        if self.scheduler is not None:
-            return self.scheduler.wait(self)
-        while not self.is_terminal:
-            if not self.step():
-                break
-        if self.status in (QueryStatus.RUNNING, QueryStatus.PENDING):
-            self.status = QueryStatus.STALLED
-            self.error = QueryStalledError(
-                f"query {self.query_id} stalled after emitting "
-                f"{len(self.results_table)} row(s): no further progress is possible"
-            )
-            raise self.error
-        return self.results()
+        return self.scheduler.wait(self)
 
     # -- introspection -----------------------------------------------------------------------
 
@@ -182,11 +143,10 @@ class QueryHandle:
         The first entry records the physical plan the optimizer chose; later
         entries are :class:`~repro.core.optimizer.adaptive.PlanChange`
         records for every strategy the adaptive replanner swapped while the
-        query ran.  Standalone handles (no scheduler) have no history.
+        query ran.  A scheduler without a replanner keeps no history.
         """
-        if self.scheduler is not None and self.scheduler.replanner is not None:
-            return self.scheduler.replanner.history(self.query_id)
-        return []
+        replanner = self.scheduler.replanner
+        return replanner.history(self.query_id) if replanner is not None else []
 
     @property
     def stats(self) -> QueryStats:

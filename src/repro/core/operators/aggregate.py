@@ -16,7 +16,6 @@ from repro.errors import OperatorError
 from repro.storage import accel
 from repro.storage.batch import RowBatch
 from repro.storage.expressions import Expression, compile_batch_expression
-from repro.storage.row import Row
 from repro.storage.schema import Column, Schema
 from repro.storage.types import DataType
 
@@ -101,7 +100,6 @@ class GroupByOperator(Operator):
         super().__init__("group-by")
         self.group_columns = list(group_columns)
         self.aggregates = list(aggregates)
-        self._input_schema = input_schema
         columns = [input_schema.column(name) for name in self.group_columns]
         columns += [Column(agg.alias, DataType.ANY) for agg in self.aggregates]
         self._schema = Schema(tuple(columns))
@@ -111,16 +109,11 @@ class GroupByOperator(Operator):
     def output_schema(self) -> Schema:
         return self._schema
 
-    def _process_batches(self, batch: RowBatch, slot: int) -> None:
+    def _process(self, batch: RowBatch, slot: int) -> None:
         self._batches.append(batch)
 
-    def _process(self, row: Row, slot: int) -> None:
-        self._batches.append(RowBatch.single(row))
-
     def _on_inputs_finished(self) -> None:
-        input_schema = (
-            self.children[0].output_schema if self.children else self._input_schema
-        )
+        input_schema = self.input_schema()
         combined = RowBatch.vstack(input_schema, self._batches)
         self._batches.clear()
         length = len(combined)
@@ -157,7 +150,7 @@ class GroupByOperator(Operator):
                     compile_batch_expression(aggregate.expression, input_schema)(combined)
                 )
 
-        out: list[Row] = []
+        out: list[list[Any]] = []
         for key in order:
             positions = groups[key]
             values: list[Any] = list(key)
@@ -168,8 +161,8 @@ class GroupByOperator(Operator):
                     group_values = [column[i] for i in positions]
                 function = AGGREGATE_FUNCTIONS[aggregate.function.lower()]
                 values.append(function(group_values))
-            out.append(Row(self._schema, values))
-        self.emit_batch(out)
+            out.append(values)
+        self.emit(RowBatch.from_values(self._schema, out))
 
     def _accel_finish(self, combined: RowBatch, input_schema: Schema) -> bool:
         """Dictionary-code grouping for count/sum/avg; True when it emitted.
@@ -228,7 +221,7 @@ class GroupByOperator(Operator):
 
         uniq, first_seen = np.unique(codes_array, return_index=True)
         ordered = uniq[np.argsort(first_seen, kind="stable")]
-        out: list[Row] = []
+        out: list[list[Any]] = []
         for code in ordered.tolist():
             values: list[Any] = [encoding.values[code]]
             n = int(counts[code])
@@ -239,8 +232,8 @@ class GroupByOperator(Operator):
                     values.append(float(sums[code]))
                 else:  # avg
                     values.append(float(sums[code]) / n)
-            out.append(Row(self._schema, values))
-        self.emit_batch(out)
+            out.append(values)
+        self.emit(RowBatch.from_values(self._schema, out))
         return True
 
 
@@ -259,16 +252,11 @@ class LimitOperator(Operator):
     def output_schema(self) -> Schema:
         return self._schema
 
-    def _process_batches(self, batch: RowBatch, slot: int) -> None:
+    def _process(self, batch: RowBatch, slot: int) -> None:
         remaining = self.limit - self._emitted
         if remaining <= 0:
             return
         if len(batch) > remaining:
             batch = batch.slice(0, remaining)
         self._emitted += len(batch)
-        self.emit_rowbatch(batch)
-
-    def _process(self, row: Row, slot: int) -> None:
-        if self._emitted < self.limit:
-            self._emitted += 1
-            self.emit(row)
+        self.emit(batch)

@@ -5,24 +5,22 @@ communicate asynchronously through input queues, as in the Volcano system...
 in contrast to the pull based iterator model, results are automatically
 emitted from the top-most operator and inserted into a results table."
 
-Each operator owns one input queue per child.  The executor repeatedly calls
-:meth:`Operator.step`, which drains a bounded amount of queued input, possibly
-submits crowd tasks, and pushes produced rows into its parent's queue.  Crowd
-operators keep a count of outstanding tasks; an operator is *done* only when
-its inputs are finished, its queues are drained, it has no outstanding tasks,
-and it has flushed any internal buffers.
+Each operator owns one input queue per child.  The engine scheduler's pass
+over a query calls :meth:`Operator.step` on every operator, which drains a
+bounded amount of queued input, possibly submits crowd tasks, and pushes
+produced rows into its parent's queue.  Crowd operators keep a count of
+outstanding tasks; an operator is *done* only when its inputs are finished,
+its queues are drained, it has no outstanding tasks, and it has flushed any
+internal buffers.
 
-Queues carry **column-major batches** (:class:`~repro.storage.batch.RowBatch`),
-not rows: the local data plane is columnar end-to-end, and rows materialize
-only at sinks, crowd-operator task-emission boundaries, and HIT compilation.
-Operators choose the abstraction level they need by overriding exactly one of
-three hooks, from most to least columnar:
-
-- :meth:`_process_batches` — batch in, batch out (local filter/project/
-  sort/join/aggregate); the default materializes rows and delegates down.
-- :meth:`_process_batch` — one slice of rows per call (sinks, crowd
-  operators that submit one task per row).
-- :meth:`_process` — one row per call (the simplest fallback).
+There is one protocol, and its unit is the column-major
+:class:`~repro.storage.batch.RowBatch`: a child hands its parent a batch with
+:meth:`Operator.emit`, which lands in the parent's queue through
+:meth:`Operator.push`, and :meth:`Operator.step` feeds each drained batch to
+the operator's single input hook, :meth:`Operator._process`.  A lone row — a
+crowd callback's answer, say — travels as a batch of one.  Rows materialize
+only where a consumer genuinely needs them: the results sink, crowd-operator
+task emission, and HIT compilation.
 
 The drain budget is counted in *rows* regardless of batch shape, and a batch
 larger than the remaining budget is split at the boundary, so per-step row
@@ -34,17 +32,20 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from itertools import repeat
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.errors import OperatorError
 from repro.storage.batch import RowBatch
+from repro.storage.expressions import Expression, compile_batch_expression
 from repro.storage.row import Row
 from repro.storage.schema import Schema
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from repro.core.exec.context import ExecutionContext
+    from repro.core.tasks.spec import TaskSpec
 
-__all__ = ["OperatorMetrics", "Operator"]
+__all__ = ["OperatorMetrics", "Operator", "PerRowCrowdOperator"]
 
 
 @dataclass
@@ -115,6 +116,14 @@ class Operator:
         """Schema of rows this operator emits."""
         raise NotImplementedError
 
+    def input_schema(self, slot: int = 0) -> Schema:
+        """Schema of the rows child ``slot`` emits."""
+        if slot >= len(self.children):
+            raise OperatorError(
+                f"operator {self.name} has no input {slot}: attach its child before open()"
+            )
+        return self.children[slot].output_schema
+
     # -- lifecycle ------------------------------------------------------------------------
 
     def open(self, context: "ExecutionContext") -> None:
@@ -132,30 +141,8 @@ class Operator:
 
     # -- data flow --------------------------------------------------------------------------
 
-    def push(self, row: Row, slot: int = 0) -> None:
-        """Enqueue one input row from child ``slot`` (wrapped as a 1-row batch)."""
-        self._in_queues[slot].append(RowBatch.single(row))
-
-    def push_batch(self, rows: list[Row], slot: int = 0) -> None:
-        """Enqueue several input rows from child ``slot`` in one call.
-
-        Consecutive rows sharing a schema object become one column-major
-        batch; schema derivations are memoized, so a homogeneous list (the
-        overwhelmingly common case) transposes into a single batch.
-        """
-        if not rows:
-            return
-        queue = self._in_queues[slot]
-        start = 0
-        schema = rows[0].schema
-        for i in range(1, len(rows)):
-            if rows[i].schema is not schema:
-                queue.append(RowBatch.from_rows(schema, rows[start:i]))
-                start, schema = i, rows[i].schema
-        queue.append(RowBatch.from_rows(schema, rows[start:]))
-
-    def push_rowbatch(self, batch: RowBatch, slot: int = 0) -> None:
-        """Enqueue an already-columnar batch from child ``slot`` as-is."""
+    def push(self, batch: RowBatch, slot: int = 0) -> None:
+        """Enqueue one input batch from child ``slot``."""
         if len(batch):
             self._in_queues[slot].append(batch)
 
@@ -171,35 +158,21 @@ class Operator:
         """Total rows waiting in this operator's input queues."""
         return sum(len(batch) for queue in self._in_queues for batch in queue)
 
-    def emit(self, row: Row) -> None:
-        """Push a produced row into the parent's input queue."""
-        self.metrics.rows_out += 1
-        if self.parent is not None:
-            self.parent.push(row, self.child_slot)
-
-    def emit_batch(self, rows: list[Row]) -> None:
-        """Push several produced rows into the parent's queue in one call."""
-        if not rows:
-            return
-        self.metrics.rows_out += len(rows)
-        if self.parent is not None:
-            self.parent.push_batch(rows, self.child_slot)
-
-    def emit_rowbatch(self, batch: RowBatch) -> None:
-        """Push a produced column-major batch into the parent's queue as-is."""
+    def emit(self, batch: RowBatch) -> None:
+        """Push a produced batch into the parent's input queue."""
         length = len(batch)
         if not length:
             return
         self.metrics.rows_out += length
         if self.parent is not None:
-            self.parent.push_rowbatch(batch, self.child_slot)
+            self.parent.push(batch, self.child_slot)
 
-    def consumed_input(self) -> list[tuple[Row, int]]:
-        """Input rows this operator has drained but not irrevocably acted on.
+    def consumed_input(self) -> list[tuple[RowBatch, int]]:
+        """Input batches (with their slot) drained but not irrevocably acted on.
 
         Operators that merely *buffer* their input before submitting crowd
         work (joins, sorts) override this so the adaptive replanner can
-        replay those rows into a replacement operator.  Operators that act
+        replay those batches into a replacement operator.  Operators that act
         on rows immediately return the empty list (the default), which makes
         them non-replaceable once any input has been processed.
         """
@@ -228,11 +201,10 @@ class Operator:
         """Perform a bounded amount of work.  Returns True when progress was made.
 
         Input queues hold column-major batches, drained one batch per
-        :meth:`_process_batches` call.  The drain budget counts *rows* and is
-        shared across slots; a batch straddling the budget boundary is split
-        there (the remainder goes back to the front of its queue), so the
-        rows drained per step match the old one-``popleft``-per-row loop
-        exactly, whatever the batch shapes.
+        :meth:`_process` call.  The drain budget counts *rows* and is shared
+        across slots; a batch straddling the budget boundary is split there
+        (the remainder goes back to the front of its queue), so the rows
+        drained per step are the same whatever the batch shapes.
         """
         progress = False
         budget = self._max_rows_per_step
@@ -246,7 +218,7 @@ class Operator:
                     size = budget
                 self.metrics.rows_in += size
                 budget -= size
-                self._process_batches(batch, slot)
+                self._process(batch, slot)
                 progress = True
             if budget <= 0:
                 break
@@ -256,30 +228,8 @@ class Operator:
             progress = True
         return progress
 
-    def _process_batches(self, batch: RowBatch, slot: int) -> None:
-        """Handle one column-major input batch.
-
-        Local operators with true batch-in/batch-out forms (column kernels,
-        selection vectors, gathers) override this.  The default materializes
-        the batch into rows and delegates to :meth:`_process_batch`, so
-        per-row operators — crowd operators above all — are untouched by the
-        columnar exchange format.
-        """
-        self._process_batch(batch.to_rows(), slot)
-
-    def _process_batch(self, rows: list[Row], slot: int) -> None:
-        """Handle one slice of input rows.
-
-        The default is the per-row loop; operators with a cheaper bulk form
-        (buffer extends, compiled-expression loops, batch table appends)
-        override this instead of :meth:`_process`.
-        """
-        process = self._process
-        for row in rows:
-            process(row, slot)
-
-    def _process(self, row: Row, slot: int) -> None:
-        """Handle one input row (override in subclasses)."""
+    def _process(self, batch: RowBatch, slot: int) -> None:
+        """Handle one input batch from child ``slot`` (the single input hook)."""
         raise NotImplementedError
 
     def _on_inputs_finished(self) -> None:
@@ -306,3 +256,45 @@ class Operator:
             f"{type(self).__name__}({self.name!r}, in={self.metrics.rows_in}, "
             f"out={self.metrics.rows_out}, outstanding={self._outstanding_tasks})"
         )
+
+
+class PerRowCrowdOperator(Operator):
+    """A crowd operator that asks one question per input row (filter, generate).
+
+    This is the task boundary: every argument expression runs once over the
+    drained batch as a column kernel, rows materialize because each one
+    becomes its own crowd task, and the tasks go out in batch order through
+    the subclass's :meth:`_submit`.
+    """
+
+    IS_CROWD = True
+
+    def __init__(self, name: str, spec: "TaskSpec", arg_expressions: list[Expression]):
+        super().__init__(name)
+        self.spec = spec
+        self.arg_expressions = list(arg_expressions)
+        self._arg_kernels: list[Callable[[RowBatch], Sequence[Any]]] = []
+
+    def open(self, context: "ExecutionContext") -> None:
+        super().open(context)
+        input_schema = self.input_schema()
+        self._arg_kernels = [
+            compile_batch_expression(expression, input_schema)
+            for expression in self.arg_expressions
+        ]
+
+    def _process(self, batch: RowBatch, slot: int) -> None:
+        columns = [kernel(batch) for kernel in self._arg_kernels]
+        for row, args in zip(batch.to_rows(), zip(*columns) if columns else repeat(())):
+            self._submit(row, args)
+
+    def _payload(self, row: Row, args: tuple[Any, ...]) -> dict[str, Any]:
+        """What workers (and the oracle) see: the row, and each argument by name."""
+        payload: dict[str, Any] = {"args": args, "row": row.to_dict()}
+        for parameter, value in zip(self.spec.parameters, args):
+            payload[parameter.name] = value
+        return payload
+
+    def _submit(self, row: Row, args: tuple[Any, ...]) -> None:
+        """Submit the one crowd task for ``row`` (override in subclasses)."""
+        raise NotImplementedError

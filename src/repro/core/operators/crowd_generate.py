@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core.operators.base import Operator
+from repro.core.operators.base import PerRowCrowdOperator
 from repro.core.tasks.spec import TaskSpec
 from repro.core.tasks.task import Task, TaskKind, TaskResult
+from repro.storage.batch import RowBatch
 from repro.storage.expressions import Expression
 from repro.storage.row import Row
 from repro.storage.schema import Column, Schema
@@ -22,7 +23,7 @@ from repro.storage.types import DataType
 __all__ = ["CrowdGenerateOperator"]
 
 
-class CrowdGenerateOperator(Operator):
+class CrowdGenerateOperator(PerRowCrowdOperator):
     """Widens each input row with the RETURNS fields of a Question task.
 
     Parameters
@@ -40,8 +41,6 @@ class CrowdGenerateOperator(Operator):
         ``findCEO.CEO`` / ``findCEO.Phone``.
     """
 
-    IS_CROWD = True
-
     def __init__(
         self,
         spec: TaskSpec,
@@ -50,9 +49,7 @@ class CrowdGenerateOperator(Operator):
         *,
         output_prefix: str | None = None,
     ):
-        super().__init__(f"crowd-generate({spec.name})")
-        self.spec = spec
-        self.arg_expressions = list(arg_expressions)
+        super().__init__(f"crowd-generate({spec.name})", spec, arg_expressions)
         prefix = output_prefix or spec.name
         self._new_columns = tuple(
             Column(f"{prefix}.{ret.name}", DataType.ANY) for ret in spec.returns
@@ -63,15 +60,11 @@ class CrowdGenerateOperator(Operator):
     def output_schema(self) -> Schema:
         return self._schema
 
-    def _process(self, row: Row, slot: int) -> None:
-        args = tuple(expression.evaluate(row) for expression in self.arg_expressions)
-        payload: dict[str, Any] = {"args": args, "row": row.to_dict()}
-        for parameter, value in zip(self.spec.parameters, args):
-            payload[parameter.name] = value
+    def _submit(self, row: Row, args: tuple[Any, ...]) -> None:
         task = Task(
             kind=TaskKind.GENERATE,
             spec=self.spec,
-            payload=payload,
+            payload=self._payload(row, args),
             callback=lambda result, row=row: self._on_result(row, result),
             cache_key=args,
             query_id=self.context.query_id,
@@ -83,5 +76,5 @@ class CrowdGenerateOperator(Operator):
     def _on_result(self, row: Row, result: TaskResult) -> None:
         reduced = result.reduced if isinstance(result.reduced, dict) else {}
         values = [reduced.get(ret.name) for ret in self.spec.returns]
-        self.emit(row.extended(self._new_columns, values))
+        self.emit(RowBatch.single(row.extended(self._new_columns, values)))
         self._task_finished()

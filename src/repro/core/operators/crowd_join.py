@@ -111,11 +111,16 @@ class CrowdJoinOperator(Operator):
         self.planned_left_rows: float | None = None
         self.planned_right_rows: float | None = None
 
-    def consumed_input(self) -> list[tuple[Row, int]]:
-        self._materialize_sides()
-        rows = [(row, 0) for row in self._left_rows]
-        rows += [(row, 1) for row in self._right_rows]
-        return rows
+    def consumed_input(self) -> list[tuple[RowBatch, int]]:
+        buffered = []
+        for slot, batches, rows in (
+            (0, self._left_batches, self._left_rows),
+            (1, self._right_batches, self._right_rows),
+        ):
+            buffered += [(batch, slot) for batch in batches]
+            if rows:  # pairwise keeps its sides row-major
+                buffered.append((RowBatch.from_rows(rows[0].schema, rows), slot))
+        return buffered
 
     @property
     def output_schema(self) -> Schema:
@@ -130,48 +135,33 @@ class CrowdJoinOperator(Operator):
 
     # -- streaming input ------------------------------------------------------------
 
-    def _process_batches(self, batch: RowBatch, slot: int) -> None:
+    def _process(self, batch: RowBatch, slot: int) -> None:
         if self.strategy is JoinStrategy.COLUMNS:
             # Build sides buffer until end-of-input: keep the columnar slice
             # as-is instead of materializing rows per drained batch.
             (self._left_batches if slot == 0 else self._right_batches).append(batch)
             return
-        # Pairwise streams tasks as rows arrive; keep per-row pair order.
-        self._process_batch(batch.to_rows(), slot)
-
-    def _process_batch(self, rows: list[Row], slot: int) -> None:
-        if self.strategy is JoinStrategy.COLUMNS:
-            # Row-major input (replanner replay) joins the same buffers.
-            if rows:
-                (self._left_batches if slot == 0 else self._right_batches).append(
-                    RowBatch.from_rows(rows[0].schema, rows)
-                )
-            return
-        for row in rows:
-            self._process(row, slot)
+        # Pairwise streams tasks as rows arrive, each new row against every
+        # row the other side has delivered so far.
+        for row in batch.to_rows():
+            if slot == 0:
+                self._left_rows.append(row)
+                for right in self._right_rows:
+                    self._consider_pair(row, right)
+            else:
+                self._right_rows.append(row)
+                for left in self._left_rows:
+                    self._consider_pair(left, row)
 
     def _materialize_sides(self) -> None:
         """Flush buffered columnar slices into the row-major build sides."""
-        if self._left_batches:
-            schema = self._left_batches[0].schema
-            self._left_rows.extend(RowBatch.vstack(schema, self._left_batches).to_rows())
-            self._left_batches.clear()
-        if self._right_batches:
-            schema = self._right_batches[0].schema
-            self._right_rows.extend(RowBatch.vstack(schema, self._right_batches).to_rows())
-            self._right_batches.clear()
-
-    def _process(self, row: Row, slot: int) -> None:
-        if slot == 0:
-            self._left_rows.append(row)
-            if self.strategy is JoinStrategy.PAIRWISE:
-                for right in self._right_rows:
-                    self._consider_pair(row, right)
-        else:
-            self._right_rows.append(row)
-            if self.strategy is JoinStrategy.PAIRWISE:
-                for left in self._left_rows:
-                    self._consider_pair(left, right=row)
+        for batches, rows in (
+            (self._left_batches, self._left_rows),
+            (self._right_batches, self._right_rows),
+        ):
+            if batches:
+                rows.extend(RowBatch.vstack(batches[0].schema, batches).to_rows())
+                batches.clear()
 
     def _on_inputs_finished(self) -> None:
         if self.strategy is JoinStrategy.COLUMNS:
@@ -206,7 +196,7 @@ class CrowdJoinOperator(Operator):
 
     def _on_pair_result(self, left: Row, right: Row, result: TaskResult) -> None:
         if bool(result.reduced):
-            self.emit(left.concat(right))
+            self.emit(RowBatch.single(left.concat(right)))
         self._task_finished()
 
     # -- column-block strategy ----------------------------------------------------------------
@@ -268,7 +258,7 @@ class CrowdJoinOperator(Operator):
             right = right_chunk[right_index]
             if self.prefilter is not None and not self.prefilter(left, right):
                 continue
-            self.emit(left.concat(right))
+            self.emit(RowBatch.single(left.concat(right)))
         self._task_finished()
 
 

@@ -87,9 +87,8 @@ class CrowdSortOperator(Operator):
         self.comparisons_asked = 0
         self.ratings_asked = 0
 
-    def consumed_input(self) -> list[tuple[Row, int]]:
-        self._materialize_rows()
-        return [(row, 0) for row in self._rows]
+    def consumed_input(self) -> list[tuple[RowBatch, int]]:
+        return [(batch, 0) for batch in self._batches]
 
     @property
     def output_schema(self) -> Schema:
@@ -107,28 +106,21 @@ class CrowdSortOperator(Operator):
 
     # -- input buffering --------------------------------------------------------------
 
-    def _process_batches(self, batch: RowBatch, slot: int) -> None:
+    def _process(self, batch: RowBatch, slot: int) -> None:
         # Buffer the columnar slice as-is; rows materialize once, when the
         # ranking tasks are submitted at end-of-input.
         self._batches.append(batch)
 
-    def _process(self, row: Row, slot: int) -> None:
-        self._rows.append(row)
-
-    def _materialize_rows(self) -> None:
-        """Flush buffered columnar slices into the row-major sort buffer."""
+    def _on_inputs_finished(self) -> None:
         if self._batches:
             schema = self._batches[0].schema
-            self._rows.extend(RowBatch.vstack(schema, self._batches).to_rows())
+            self._rows = RowBatch.vstack(schema, self._batches).to_rows()
             self._batches.clear()
-
-    def _on_inputs_finished(self) -> None:
-        self._materialize_rows()
         if not self._rows:
             self._emitted = True
             return
         if len(self._rows) == 1:
-            self.emit(self._rows[0])
+            self.emit(RowBatch.single(self._rows[0]))
             self._emitted = True
             return
         self._scores = {index: 0.0 for index in range(len(self._rows))}
@@ -195,8 +187,7 @@ class CrowdSortOperator(Operator):
             key=lambda index: self._scores.get(index, 0.0),
             reverse=self.descending,
         )
-        for index in order:
-            self.emit(self._rows[index])
+        self.emit(RowBatch.from_rows(self._schema, [self._rows[index] for index in order]))
         self._emitted = True
 
     def _internal_work_remaining(self) -> int:

@@ -22,7 +22,6 @@ from repro.storage import accel
 from repro.storage.batch import RowBatch
 from repro.storage.expressions import ColumnRef, Expression, compile_batch_expression
 from repro.storage.indexes import HashIndex
-from repro.storage.row import Row
 from repro.storage.schema import Schema
 
 __all__ = ["LocalHashJoinOperator"]
@@ -75,20 +74,13 @@ class LocalHashJoinOperator(Operator):
     def output_schema(self) -> Schema:
         return self._schema
 
-    def consumed_input(self) -> list[tuple[Row, int]]:
-        rows = [
-            (row, 0) for batch in self._left_batches for row in batch.to_rows()
-        ]
-        rows += [
-            (row, 1) for batch in self._right_batches for row in batch.to_rows()
-        ]
-        return rows
+    def consumed_input(self) -> list[tuple[RowBatch, int]]:
+        buffered = [(batch, 0) for batch in self._left_batches]
+        buffered += [(batch, 1) for batch in self._right_batches]
+        return buffered
 
-    def _process_batches(self, batch: RowBatch, slot: int) -> None:
+    def _process(self, batch: RowBatch, slot: int) -> None:
         (self._left_batches if slot == 0 else self._right_batches).append(batch)
-
-    def _process(self, row: Row, slot: int) -> None:
-        self._process_batches(RowBatch.single(row), slot)
 
     def _index_backed_build(
         self, build: RowBatch, build_key: Expression, build_child: int
@@ -104,10 +96,7 @@ class LocalHashJoinOperator(Operator):
         """
         from repro.core.operators.scan import ScanOperator
 
-        if (
-            len(self.children) <= build_child
-            or type(self.children[build_child]) is not ScanOperator
-        ):
+        if type(self.children[build_child]) is not ScanOperator:
             return None
         if not isinstance(build_key, ColumnRef):
             return None
@@ -183,12 +172,8 @@ class LocalHashJoinOperator(Operator):
         return True, (build_take, probe_take)
 
     def _on_inputs_finished(self) -> None:
-        left_schema = (
-            self.children[0].output_schema if self.children else self._schema
-        )
-        right_schema = (
-            self.children[1].output_schema if len(self.children) > 1 else self._schema
-        )
+        left_schema = self.input_schema(0)
+        right_schema = self.input_schema(1)
         left = RowBatch.vstack(left_schema, self._left_batches)
         right = RowBatch.vstack(right_schema, self._right_batches)
         self._left_batches.clear()
@@ -211,7 +196,7 @@ class LocalHashJoinOperator(Operator):
                     out = left._take_array(build_take).concat(right._take_array(probe_take))
                 else:
                     out = left._take_array(probe_take).concat(right._take_array(build_take))
-                self.emit_rowbatch(out)
+                self.emit(out)
             return
 
         buckets = self._index_backed_build(build, build_key, build_child)
@@ -241,4 +226,4 @@ class LocalHashJoinOperator(Operator):
             out = left.take(build_take).concat(right.take(probe_take))
         else:
             out = left.take(probe_take).concat(right.take(build_take))
-        self.emit_rowbatch(out)
+        self.emit(out)

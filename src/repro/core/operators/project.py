@@ -17,9 +17,7 @@ from repro.storage.expressions import (
     Literal,
     compile_batch_expression,
     compile_batch_predicate,
-    compile_expression,
 )
-from repro.storage.row import Row
 from repro.storage.schema import Column, Schema
 from repro.storage.types import DataType
 
@@ -103,10 +101,9 @@ class ProjectOperator(Operator):
     """Evaluates a list of expressions against each input batch.
 
     The expressions are compiled once per open against the child's output
-    schema — both as per-row callables (kept for the row fallback) and as
-    column kernels: one kernel call per output column evaluates the whole
-    batch, and the resulting columns bind directly into the output batch
-    without ever materializing intermediate rows.
+    schema as column kernels: one kernel call per output column evaluates
+    the whole batch, and the resulting columns bind directly into the output
+    batch without ever materializing intermediate rows.
     """
 
     def __init__(self, items: list[ProjectionItem]):
@@ -118,8 +115,7 @@ class ProjectOperator(Operator):
         self._trusted_output = all(
             c.data_type is DataType.ANY and c.nullable for c in self._schema.columns
         )
-        self._compiled: list[Callable[[Row], Any]] | None = None
-        self._kernels: list[Callable[[RowBatch], Sequence[Any]]] | None = None
+        self._kernels: list[Callable[[RowBatch], Sequence[Any]]] = []
 
     @property
     def output_schema(self) -> Schema:
@@ -127,49 +123,18 @@ class ProjectOperator(Operator):
 
     def open(self, context: "ExecutionContext") -> None:
         super().open(context)
-        if self.children:
-            input_schema = self.children[0].output_schema
-            self._compiled = [
-                compile_expression(item.expression, input_schema) for item in self.items
-            ]
-            self._kernels = [
-                compile_batch_expression(item.expression, input_schema)
-                for item in self.items
-            ]
+        input_schema = self.input_schema()
+        self._kernels = [
+            compile_batch_expression(item.expression, input_schema) for item in self.items
+        ]
 
-    def _process_batches(self, batch: RowBatch, slot: int) -> None:
-        kernels = self._kernels
-        if kernels is None:  # hand-built plan stepped without children/open
-            self._process_batch(batch.to_rows(), slot)
-            return
-        columns = tuple(tuple(kernel(batch)) for kernel in kernels)
+    def _process(self, batch: RowBatch, slot: int) -> None:
+        columns = tuple(tuple(kernel(batch)) for kernel in self._kernels)
         if self._trusted_output:
             out = RowBatch.of_columns(self._schema, columns, len(batch))
         else:
             out = RowBatch.from_values(self._schema, zip(*columns))
-        self.emit_rowbatch(out)
-
-    def _process_batch(self, rows: list[Row], slot: int) -> None:
-        compiled = self._compiled
-        if compiled is None:  # hand-built plan stepped without children/open
-            for row in rows:
-                self._process(row, slot)
-            return
-        schema = self._schema
-        if self._trusted_output:
-            out = [
-                Row.unchecked(schema, tuple(evaluate(row) for evaluate in compiled))
-                for row in rows
-            ]
-        else:
-            out = [
-                Row(schema, [evaluate(row) for evaluate in compiled]) for row in rows
-            ]
-        self.emit_batch(out)
-
-    def _process(self, row: Row, slot: int) -> None:
-        values = [item.expression.evaluate(row) for item in self.items]
-        self.emit(Row(self._schema, values))
+        self.emit(out)
 
 
 class LocalFilterOperator(Operator):
@@ -180,16 +145,14 @@ class LocalFilterOperator(Operator):
     crowd operator directly reduces monetary cost (Section 4.1:
     "filtering-based reduction in cross-product size").  The predicate is
     compiled once per open as a selection-vector kernel: one kernel call per
-    batch produces the mask, and the surviving rows leave as one compressed
-    batch — the per-row compiled path remains as fallback for hand-built
-    plans, with identical strict-True WHERE semantics.
+    batch produces the mask (strict-True WHERE semantics), and the surviving
+    rows leave as one compressed batch.
     """
 
     def __init__(self, predicate: Expression, input_schema: Schema):
         super().__init__("filter(local)")
         self.predicate = predicate
         self._schema = input_schema
-        self._predicate_fn: Callable[[Row], Any] | None = None
         self._mask_kernel: Callable[[RowBatch], Sequence[Any]] | None = None
 
     @property
@@ -198,26 +161,12 @@ class LocalFilterOperator(Operator):
 
     def open(self, context: "ExecutionContext") -> None:
         super().open(context)
-        input_schema = self.children[0].output_schema if self.children else self._schema
-        self._predicate_fn = compile_expression(self.predicate, input_schema)
-        self._mask_kernel = compile_batch_predicate(self.predicate, input_schema)
+        self._mask_kernel = compile_batch_predicate(self.predicate, self.input_schema())
 
-    def _process_batches(self, batch: RowBatch, slot: int) -> None:
-        kernel = self._mask_kernel
-        if kernel is None:  # hand-built plan stepped without open
-            self._process_batch(batch.to_rows(), slot)
-            return
+    def _process(self, batch: RowBatch, slot: int) -> None:
         if accel.HAVE_NUMPY and len(batch) >= _ACCEL_MIN_ROWS:
             mask = _comparison_mask(batch, self.predicate)
             if mask is not None:
-                self.emit_rowbatch(batch._compress_array(mask))
+                self.emit(batch._compress_array(mask))
                 return
-        self.emit_rowbatch(batch.compress(kernel(batch)))
-
-    def _process_batch(self, rows: list[Row], slot: int) -> None:
-        predicate = self._predicate_fn or self.predicate.evaluate
-        self.emit_batch([row for row in rows if predicate(row) is True])
-
-    def _process(self, row: Row, slot: int) -> None:
-        if self.predicate.evaluate(row) is True:
-            self.emit(row)
+        self.emit(batch.compress(self._mask_kernel(batch)))

@@ -7,7 +7,6 @@ from typing import Any
 from repro.core.operators.base import Operator
 from repro.errors import OperatorError
 from repro.storage.batch import RowBatch
-from repro.storage.row import Row
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 
@@ -54,15 +53,12 @@ class _TableAccessOperator(Operator):
                 self._position = end
                 emitted = end - start
                 self.metrics.rows_in += emitted
-                self.emit_rowbatch(self._batch.slice(start, end))
+                self.emit(self._batch.slice(start, end))
             if self._position >= len(self._batch):
                 self._exhausted = True
         # Let the base class run the finalisation hook once exhausted.
         base_progress = super().step() if self._exhausted else False
         return emitted > 0 or base_progress
-
-    def _process(self, row: Row, slot: int) -> None:  # pragma: no cover - leaf operator
-        raise AssertionError("table access operators have no inputs")
 
     def is_done(self) -> bool:
         return self._exhausted and super().is_done()

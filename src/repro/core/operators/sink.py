@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from repro.core.operators.base import Operator
 from repro.storage.batch import RowBatch
-from repro.storage.row import Row
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 
@@ -34,18 +33,10 @@ class ResultSinkOperator(Operator):
     def output_schema(self) -> Schema:
         return self.results_table.schema
 
-    def _process_batches(self, batch: RowBatch, slot: int) -> None:
+    def _process(self, batch: RowBatch, slot: int) -> None:
         inserted = self.results_table.insert_batch(batch)
         self.metrics.rows_out += inserted
         self.context.statistics.record_result_emitted(self.context.query_id, inserted)
 
-    def _process_batch(self, rows: list[Row], slot: int) -> None:
-        inserted = self.results_table.append_rows(rows)
-        self.metrics.rows_out += inserted
-        self.context.statistics.record_result_emitted(self.context.query_id, inserted)
-
-    def _process(self, row: Row, slot: int) -> None:
-        self._process_batch([row], slot)
-
-    def emit(self, row: Row) -> None:  # pragma: no cover - sinks never emit upward
+    def emit(self, batch: RowBatch) -> None:  # pragma: no cover - sinks never emit upward
         raise AssertionError("the results sink is the top-most operator")

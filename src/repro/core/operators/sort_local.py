@@ -6,7 +6,6 @@ from repro.core.operators.base import Operator
 from repro.storage import accel
 from repro.storage.batch import RowBatch
 from repro.storage.expressions import Expression, compile_batch_expression
-from repro.storage.row import Row
 from repro.storage.schema import Schema
 
 __all__ = ["LocalSortOperator"]
@@ -37,14 +36,11 @@ class LocalSortOperator(Operator):
     def output_schema(self) -> Schema:
         return self._schema
 
-    def _process_batches(self, batch: RowBatch, slot: int) -> None:
+    def _process(self, batch: RowBatch, slot: int) -> None:
         self._batches.append(batch)
 
-    def _process(self, row: Row, slot: int) -> None:
-        self._batches.append(RowBatch.single(row))
-
     def _on_inputs_finished(self) -> None:
-        input_schema = self.children[0].output_schema if self.children else self._schema
+        input_schema = self.input_schema()
         combined = RowBatch.vstack(input_schema, self._batches)
         self._batches.clear()
         if not len(combined):
@@ -62,7 +58,7 @@ class LocalSortOperator(Operator):
                 if not self.ascending:
                     key_array = -key_array
                 order = accel.np.argsort(key_array, kind="stable")
-                self.emit_rowbatch(combined._take_array(order))
+                self.emit(combined._take_array(order))
                 return
         keys = compile_batch_expression(self.key, input_schema)(combined)
         if accel.HAVE_NUMPY and len(combined) >= _ACCEL_MIN_ROWS:
@@ -71,7 +67,7 @@ class LocalSortOperator(Operator):
                 if not self.ascending:
                     key_array = -key_array
                 order = accel.np.argsort(key_array, kind="stable")
-                self.emit_rowbatch(combined._take_array(order))
+                self.emit(combined._take_array(order))
                 return
         non_null = [i for i, key in enumerate(keys) if key is not None]
         nulls = [i for i, key in enumerate(keys) if key is None]
@@ -81,4 +77,4 @@ class LocalSortOperator(Operator):
             # Mixed types that cannot be compared directly: sort by text.
             non_null.sort(key=lambda i: str(keys[i]), reverse=not self.ascending)
         order = non_null + nulls if nulls else non_null
-        self.emit_rowbatch(combined.take(order))
+        self.emit(combined.take(order))

@@ -334,12 +334,11 @@ class TaskManager:
     def flush(self, *, force: bool = False, raise_on_budget: bool = True) -> int:
         """Turn pending tasks into HITs.  Returns the number of HITs posted.
 
-        ``force`` flushes partially filled batches; the driver (the engine
-        scheduler, or a standalone executor) forces a flush once no query can
-        make local progress.
+        ``force`` flushes partially filled batches; the engine scheduler
+        forces a flush once no query can make local progress.
 
         ``raise_on_budget`` controls how a failed budget authorisation
-        surfaces: when True (the legacy/standalone behaviour) a batch whose
+        surfaces: when True (a caller flushing for a single query) a batch whose
         tasks all belong to one query raises :class:`BudgetExceededError`;
         when False every failure is recorded per-query and retrievable via
         :meth:`take_budget_errors`, so one exhausted query never aborts a

@@ -2,7 +2,7 @@
 
 Everything latency-related in the crowd substrate (HIT acceptance delays,
 per-item work time, platform polling) is expressed in *simulated seconds* on a
-:class:`SimulationClock`.  The executor advances the clock while HITs are
+:class:`SimulationClock`.  The engine scheduler advances the clock while HITs are
 outstanding, which makes end-to-end latency experiments (E10) deterministic
 and fast regardless of how long real turkers would take.
 """

@@ -115,7 +115,7 @@ class TestReplaceOperator:
         executor.step_local(flush=False, raise_on_budget=False)
         old = next(op for op in executor.operators() if isinstance(op, CrowdSortOperator))
         assert old.metrics.tasks_created == 0
-        buffered = len(old.consumed_input()) + old.queued_rows()
+        buffered = sum(len(batch) for batch, _slot in old.consumed_input()) + old.queued_rows()
         assert buffered > 0
         replacement = CrowdSortOperator(
             old.spec,

@@ -5,6 +5,7 @@ import pytest
 from repro.core.exec.context import ExecutionContext, QueryConfig
 from repro.core.exec.executor import QueryExecutor
 from repro.core.exec.handle import QueryHandle, QueryStatus
+from repro.core.exec.scheduler import EngineScheduler
 from repro.core.operators import ProjectOperator, ProjectionItem, ResultSinkOperator, ScanOperator
 from repro.core.optimizer.budget import BudgetLedger
 from repro.core.optimizer.statistics import StatisticsManager
@@ -34,6 +35,13 @@ def local_plan():
     return sink, results, context
 
 
+def submit(sink, results, context):
+    """Hand a hand-built plan to a scheduler, the one driver there is."""
+    scheduler = EngineScheduler(context.clock, context.task_manager)
+    handle = QueryHandle("q1", "SELECT x FROM t", QueryExecutor(sink, context), results)
+    return scheduler.submit(handle), scheduler
+
+
 class TestQueryExecutor:
     def test_root_must_be_a_sink(self):
         _sink, _results, context = local_plan()
@@ -41,35 +49,50 @@ class TestQueryExecutor:
             QueryExecutor(ScanOperator(Table("t", Schema.of("a"))), context)
 
     def test_local_plan_completes_without_crowd_events(self):
-        sink, results, context = local_plan()
-        executor = QueryExecutor(sink, context)
-        executor.run()
+        handle, scheduler = submit(*local_plan())
+        handle.wait()
+        executor = handle.executor
         assert executor.is_complete()
-        assert len(results) == 5
+        assert len(handle.results_table) == 5
         assert executor.metrics.passes > 0
-        assert context.statistics.query("q1").results_emitted == 5
+        assert executor.metrics.finished_at is not None
+        assert executor.context.statistics.query("q1").results_emitted == 5
+        assert scheduler.metrics.clock_advances == 0
 
     def test_step_after_completion_is_a_noop(self):
-        sink, _results, context = local_plan()
-        executor = QueryExecutor(sink, context)
-        executor.run()
-        assert executor.step() is False
+        handle, scheduler = submit(*local_plan())
+        handle.wait()
+        assert handle.executor.step_local() is False
+        assert scheduler.step() is False
 
     def test_run_with_deadline_stops_early(self):
         run = build_companies_engine(n_companies=5, seed=77)
         handle = run.engine.query(QUERY1_SQL)
-        handle.executor.run(until_time=1.0)
+        handle.run_until(1.0)
         assert not handle.executor.is_complete()
+        # Reaching the deadline took clock advances, and the scheduler — the
+        # only thing that may move the shared clock — accounted for them.
+        advances = run.engine.scheduler.metrics.clock_advances
+        assert advances > 0
+        assert run.engine.clock.now >= 1.0
         handle.wait()
         assert handle.is_complete
+        assert run.engine.scheduler.metrics.clock_advances > advances
+
+    def test_the_executor_cannot_drive_itself(self):
+        # One driver: nothing on the executor forces flushes or moves the clock.
+        assert not hasattr(QueryExecutor, "step")
+        assert not hasattr(QueryExecutor, "run")
+        sink, _results, context = local_plan()
+        assert not hasattr(QueryExecutor(sink, context).metrics, "clock_advances")
 
 
 class TestQueryHandle:
     def test_handle_lifecycle_and_plan_description(self):
         sink, results, context = local_plan()
-        executor = QueryExecutor(sink, context)
-        handle = QueryHandle("q1", "SELECT x FROM t", executor, results)
+        handle = QueryHandle("q1", "SELECT x FROM t", QueryExecutor(sink, context), results)
         assert handle.status is QueryStatus.PENDING
+        EngineScheduler(context.clock, context.task_manager).submit(handle)
         rows = handle.wait()
         assert handle.status is QueryStatus.COMPLETED
         assert len(rows) == len(handle) == 5

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.exec.context import ExecutionContext, QueryConfig
 from repro.core.exec.executor import QueryExecutor
+from repro.core.exec.handle import QueryHandle
 from repro.core.operators.aggregate import AggregateSpec, GroupByOperator
 from repro.core.operators.base import Operator
 from repro.core.operators.join_local import LocalHashJoinOperator
@@ -36,6 +37,25 @@ def build_engine(n_rows=500, n_groups=10):
     return engine
 
 
+def submit_plan(engine, query_id, top):
+    """Sink ``top`` and submit the hand-built plan to the engine's scheduler."""
+    results = engine.database.create_results_table(top.output_schema, query_id=query_id)
+    sink = ResultSinkOperator(results)
+    sink.add_child(top)
+    engine.budget_ledger.register(query_id, None)
+    context = ExecutionContext(
+        query_id=query_id,
+        database=engine.database,
+        task_manager=engine.task_manager,
+        statistics=engine.statistics,
+        budget=engine.budget_ledger,
+        clock=engine.clock,
+        config=QueryConfig(),
+    )
+    handle = QueryHandle(query_id, "<hand-built plan>", QueryExecutor(sink, context), results)
+    return engine.scheduler.submit(handle)
+
+
 def build_local_plan(engine, query_id="local-q"):
     scan_items = ScanOperator(engine.database.table("items"))
     filt = LocalFilterOperator(
@@ -56,20 +76,7 @@ def build_local_plan(engine, query_id="local-q"):
         sort.output_schema,
     )
     group.add_child(sort)
-    results = engine.database.create_results_table(group.output_schema, query_id=query_id)
-    sink = ResultSinkOperator(results)
-    sink.add_child(group)
-    engine.budget_ledger.register(query_id, None)
-    context = ExecutionContext(
-        query_id=query_id,
-        database=engine.database,
-        task_manager=engine.task_manager,
-        statistics=engine.statistics,
-        budget=engine.budget_ledger,
-        clock=engine.clock,
-        config=QueryConfig(),
-    )
-    return QueryExecutor(sink, context)
+    return submit_plan(engine, query_id, group)
 
 
 def reference_result(engine):
@@ -92,10 +99,9 @@ def reference_result(engine):
 class TestLocalHashJoinPipeline:
     def test_pipeline_matches_reference_computation(self):
         engine = build_engine()
-        executor = build_local_plan(engine)
-        executor.run()
+        handle = build_local_plan(engine)
         expected = reference_result(engine)
-        rows = executor.root.results_table.rows()
+        rows = handle.wait()
         assert len(rows) == len(expected)
         for row in rows:
             n, total = expected[row["grp"]]
@@ -114,28 +120,15 @@ class TestLocalHashJoinPipeline:
         )
         join.add_child(scan_l)
         join.add_child(scan_r)
-        results = engine.database.create_results_table(join.output_schema, query_id="j")
-        sink = ResultSinkOperator(results)
-        sink.add_child(join)
-        engine.budget_ledger.register("j", None)
-        context = ExecutionContext(
-            query_id="j",
-            database=engine.database,
-            task_manager=engine.task_manager,
-            statistics=engine.statistics,
-            budget=engine.budget_ledger,
-            clock=engine.clock,
-            config=QueryConfig(),
-        )
-        QueryExecutor(sink, context).run()
-        assert [(row["l.k"], row["w"]) for row in results.scan()] == [("a", 10)]
+        results = submit_plan(engine, "j", join).wait()
+        assert [(row["l.k"], row["w"]) for row in results] == [("a", 10)]
 
 
 class TestDrainBounds:
     def test_local_only_plans_get_the_big_bound(self):
         engine = build_engine(n_rows=50)
-        executor = build_local_plan(engine, query_id="bounds")
-        for operator in executor.operators():
+        handle = build_local_plan(engine, query_id="bounds")
+        for operator in handle.executor.operators():
             assert operator._max_rows_per_step == Operator.LOCAL_MAX_ROWS_PER_STEP
 
     def test_crowd_plans_keep_the_small_bound(self):

@@ -4,6 +4,8 @@ import pytest
 
 from repro.core.exec.context import ExecutionContext, QueryConfig
 from repro.core.exec.executor import QueryExecutor
+from repro.core.exec.handle import QueryHandle
+from repro.core.exec.scheduler import EngineScheduler
 from repro.core.operators import (
     AggregateSpec,
     CrowdFilterOperator,
@@ -67,8 +69,11 @@ def build_runtime(oracles, seed=3, mix=None):
 
 
 def execute(root, context):
+    """Run a hand-built plan the way every query runs: submitted to a scheduler."""
     executor = QueryExecutor(root, context)
-    executor.run()
+    scheduler = EngineScheduler(context.clock, context.task_manager)
+    handle = QueryHandle(context.query_id, "<hand-built plan>", executor, root.results_table)
+    scheduler.submit(handle).wait()
     return executor
 
 

@@ -325,32 +325,21 @@ class TestLifecycleAndDashboard:
         run = build_products_engine(n_products=10, filter_batch=5, seed=5)
         handle = run.engine.query(FILTER_SQL)
         handle.wait()
-        assert handle.executor.metrics.clock_advances == 0
+        # Every advance of the shared clock is the scheduler's, accounted
+        # there; the executor only stamps when its query finished.
         assert run.engine.scheduler.metrics.clock_advances > 0
+        assert run.engine.clock.now == handle.executor.metrics.finished_at
 
 
 class TestStallSurfacing:
     class _StuckExecutor:
         """An executor whose step never progresses and never completes."""
 
-        def step(self):
-            return False
-
         def step_local(self, **_kwargs):
             return False
 
         def is_complete(self):
             return False
-
-    def test_legacy_wait_raises_instead_of_returning_partial_results(self):
-        table = Table("r", Schema.of(("x", DataType.INTEGER)))
-        handle = QueryHandle("q1", "SELECT ...", self._StuckExecutor(), table)
-        with pytest.raises(QueryStalledError):
-            handle.wait()
-        assert handle.status is QueryStatus.STALLED
-        assert isinstance(handle.error, QueryStalledError)
-        # A stalled handle is terminal: further driving is refused.
-        assert handle.step() is False
 
     def test_scheduler_marks_stuck_queries_stalled_before_raising(self):
         from repro.core.exec.scheduler import EngineScheduler
@@ -366,3 +355,7 @@ class TestStallSurfacing:
         assert isinstance(handle.error, QueryStalledError)
         assert scheduler.state_of("q1") == "finished"
         assert any(event.event == "stalled" for event in scheduler.events_for("q1"))
+        # A stalled handle is terminal: waiting re-raises, stepping is refused.
+        with pytest.raises(QueryStalledError):
+            handle.wait()
+        assert handle.step() is False

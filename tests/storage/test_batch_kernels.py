@@ -309,6 +309,7 @@ def _run_local_pipeline(seed: int) -> list[tuple]:
 
     from repro.core.exec.context import ExecutionContext, QueryConfig
     from repro.core.exec.executor import QueryExecutor
+    from repro.core.exec.handle import QueryHandle
     from repro.core.operators.sink import ResultSinkOperator
 
     results = engine.database.create_results_table(group.output_schema, query_id="prop")
@@ -324,8 +325,8 @@ def _run_local_pipeline(seed: int) -> list[tuple]:
         clock=engine.clock,
         config=QueryConfig(),
     )
-    QueryExecutor(sink, context).run()
-    return [tuple(row.values) for row in results.scan()]
+    handle = QueryHandle("prop", "<hand-built plan>", QueryExecutor(sink, context), results)
+    return [tuple(row.values) for row in engine.scheduler.submit(handle).wait()]
 
 
 # -- 3. index scan ≡ scan-then-filter over the workload tables ---------------
