@@ -18,6 +18,12 @@ same queries.
 Broadcast ops (``drain``, ``stats``, ``fingerprint``) send to every shard
 *before* collecting any reply, so shards genuinely run concurrently — on a
 drain of an N-shard cluster all N engines make progress at once.
+
+Who advances the shards: by default only the coordinator's own ``drain()``
+and ``pump()`` calls do, which is the batch mode the contract above is stated
+for.  :meth:`ShardCoordinator.set_live` hands that job to the workers —
+each then runs scheduling passes between messages on its own — which is what
+a serving front end (:class:`~repro.cluster.server.ClusterServer`) turns on.
 """
 
 from __future__ import annotations
@@ -265,6 +271,7 @@ class ShardCoordinator:
         self._routes: dict[str, int] = {}
         self._admitted = 0
         self._closed = False
+        self._live = False
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -430,6 +437,11 @@ class ShardCoordinator:
                 f"healed shard {shard_id} failed its ping: "
                 f"{reply.get('error', 'unknown failure')}"
             )
+        if self._live:
+            # The respawned worker starts like any other, waiting to be
+            # driven; a live cluster's recovered queries must resume unasked.
+            self._send(shard, {"op": "live", "on": True})
+            self._recv(shard, "live")
 
     def _observe(self, shard_id: int, started: float) -> None:
         """Record one successful op round-trip in the shard's health."""
@@ -644,14 +656,27 @@ class ShardCoordinator:
 
     # -- cluster-wide ops --------------------------------------------------
 
+    def set_live(self, on: bool) -> None:
+        """Have every worker advance its own scheduler between messages.
+
+        Live workers finish submitted queries with nobody calling
+        :meth:`pump` or :meth:`drain` — interleaved with requests as they
+        arrive, so not reproducibly; a cluster never set live is driven by
+        those two calls alone and stays deterministic.  A worker respawned
+        by :meth:`heal` is told again.
+        """
+        self._live = on
+        self._broadcast({"op": "live", "on": on})
+
     def pump(self, *, max_passes: int = 1) -> bool:
-        """One bounded scheduling slice on every shard; True if any moved."""
+        """One bounded scheduling slice on every shard; True if any moved.
+
+        The manual lever for a cluster that is not live: a caller that wants
+        incremental progress without :meth:`drain` running everything to
+        completion steps the shards itself, ``max_passes`` at a time.
+        """
         replies = self._broadcast({"op": "pump", "max_passes": max_passes})
         return any(reply["progressed"] for reply in replies)
-
-    def has_work(self) -> bool:
-        replies = self._broadcast({"op": "pump", "max_passes": 0})
-        return any(reply["has_work"] for reply in replies)
 
     def sync_answers(self) -> dict[str, int]:
         """One pull/merge/push round of the cross-shard answer directory.

@@ -23,6 +23,15 @@ class Transport(Protocol):
 
     def send(self, message: dict[str, Any]) -> None: ...
 
+    def poll(self, timeout: float = 0.0) -> bool:
+        """Whether a message is ready within ``timeout`` seconds.
+
+        Lets a caller wait in bounded slices — the coordinator checks peer
+        liveness between them, a live worker runs a scheduling pass — instead
+        of blocking in :meth:`recv` forever.
+        """
+        ...
+
     def recv(self) -> dict[str, Any]: ...
 
     def close(self) -> None: ...
@@ -42,11 +51,6 @@ class PipeTransport:
         self._connection.send_bytes(encode_message(message))
 
     def poll(self, timeout: float = 0.0) -> bool:
-        """Whether a message is ready within ``timeout`` seconds.
-
-        Lets callers wait in short slices and check peer liveness between
-        them instead of blocking forever on a dead process.
-        """
         return self._connection.poll(timeout)
 
     def recv(self) -> dict[str, Any]:

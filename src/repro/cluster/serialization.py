@@ -64,7 +64,8 @@ def decode_message(payload: bytes) -> dict[str, Any]:
     """Parse one protocol message; raises :class:`ClusterError` on junk."""
     try:
         message = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as error:
+        # RecursionError: a body nested deeper than the parser's stack.
         raise ClusterError(f"undecodable cluster message: {error}") from error
     if not isinstance(message, dict):
         raise ClusterError(f"cluster message must be an object, got {type(message).__name__}")

@@ -13,12 +13,18 @@ plain TCP socket:
 ``{"op": "stats"}``
     → merged cluster totals.
 
+A request that cannot be served — malformed JSON, an unknown op, a missing
+or wrong-typed field, an oversized frame — gets ``{"ok": false, "error":
+..., "error_type": ...}`` back; only the oversized frame also costs the
+client its connection, since its body is never read.
+
+The server does not drive the shards.  :meth:`ClusterServer.start` tells the
+coordinator to go live (:meth:`ShardCoordinator.set_live`), after which each
+shard worker advances its own scheduler between messages: submitted queries
+progress while nobody is polling, and on a
+:class:`~repro.crowd.wallclock.WallClock` engine they progress in real time.
 The coordinator's pipe protocol is synchronous, so every coordinator call
-runs in the default executor under one lock; a background pump task keeps
-the shards' schedulers moving between requests (this is what makes the
-server *live*: submitted queries progress while nobody is polling, and on a
-:class:`~repro.crowd.wallclock.WallClock` engine they progress in real
-time).
+runs in the default executor under one lock — held for client requests only.
 """
 
 from __future__ import annotations
@@ -28,18 +34,41 @@ import random
 from typing import Any
 
 from repro.cluster.coordinator import ShardCoordinator
-from repro.cluster.serialization import decode_message, encode_rows, frame_message
+from repro.cluster.serialization import (
+    MAX_FRAME_BYTES,
+    decode_message,
+    encode_rows,
+    frame_message,
+)
 from repro.errors import ClusterError, EngineOverloadedError, QurkError
 
 __all__ = ["ClusterServer", "raise_for_reply", "request"]
 
 _HEADER_BYTES = 4
-#: Idle delay between pump slices when no shard reported progress.
-_IDLE_PUMP_DELAY = 0.05
+
+
+async def _read_frame(reader: asyncio.StreamReader) -> bytes:
+    """The body of the next frame; refuses a prefix above ``MAX_FRAME_BYTES``.
+
+    Raises :class:`asyncio.IncompleteReadError` when the peer closes first
+    (``partial`` is empty on a clean close between frames).
+    """
+    length = int.from_bytes(await reader.readexactly(_HEADER_BYTES), "big")
+    if length > MAX_FRAME_BYTES:
+        raise ClusterError(f"cluster frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
+    return await reader.readexactly(length)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 class ClusterServer:
-    """Serve a :class:`ShardCoordinator` over asyncio TCP."""
+    """Serve a :class:`ShardCoordinator` over asyncio TCP.
+
+    Between :meth:`start` and :meth:`close` the coordinator is live: its
+    workers drive themselves, and this class only relays client requests.
+    """
 
     def __init__(
         self,
@@ -52,27 +81,22 @@ class ClusterServer:
         self.host = host
         self.port = port
         self._server: asyncio.AbstractServer | None = None
-        self._pump_task: asyncio.Task | None = None
         self._lock = asyncio.Lock()
 
     async def start(self) -> None:
-        """Bind the listening socket and start the background pump."""
+        """Set the shards live, then bind the listening socket."""
+        await self._coordinator_call(self.coordinator.set_live, True)
         self._server = await asyncio.start_server(self._serve_client, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
-        self._pump_task = asyncio.get_running_loop().create_task(self._pump_loop())
 
     async def close(self) -> None:
-        if self._pump_task is not None:
-            self._pump_task.cancel()
-            try:
-                await self._pump_task
-            except asyncio.CancelledError:
-                pass
-            self._pump_task = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        """Stop listening, then hand the shards back to the coordinator's caller."""
+        if self._server is None:
+            return
+        self._server.close()
+        await self._server.wait_closed()
+        self._server = None
+        await self._coordinator_call(self.coordinator.set_live, False)
 
     async def __aenter__(self) -> "ClusterServer":
         await self.start()
@@ -89,24 +113,14 @@ class ClusterServer:
             loop = asyncio.get_running_loop()
             return await loop.run_in_executor(None, lambda: fn(*args, **kwargs))
 
-    async def _pump_loop(self) -> None:
-        while True:
-            progressed = await self._coordinator_call(self.coordinator.pump, max_passes=4)
-            if not progressed:
-                await asyncio.sleep(_IDLE_PUMP_DELAY)
-
     # -- request handling --------------------------------------------------
 
     async def _serve_client(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
         try:
             while True:
+                body = None
                 try:
-                    header = await reader.readexactly(_HEADER_BYTES)
-                except asyncio.IncompleteReadError:
-                    break
-                length = int.from_bytes(header, "big")
-                body = await reader.readexactly(length)
-                try:
+                    body = await _read_frame(reader)
                     reply = await self._dispatch(decode_message(body))
                 except EngineOverloadedError as error:
                     # Backpressure is a structured, terminal response: the
@@ -126,6 +140,10 @@ class ClusterServer:
                     }
                 writer.write(frame_message(reply))
                 await writer.drain()
+                if body is None:
+                    break  # oversized frame: its body was never read, the stream is lost
+        except (asyncio.IncompleteReadError, ConnectionError):
+            pass  # the client hung up, between frames or in the middle of one
         finally:
             writer.close()
             try:
@@ -134,33 +152,39 @@ class ClusterServer:
                 pass
 
     async def _dispatch(self, message: dict[str, Any]) -> dict[str, Any]:
+        """Validate one request — it comes from outside — and relay it.
+
+        A missing or wrong-typed field is the client's structured
+        :class:`ClusterError` here, never a ``KeyError`` that drops the
+        connection or a ``TypeError`` inside a shard worker.
+        """
         op = message.get("op")
         if op == "submit":
-            if "sql" not in message:
-                raise ClusterError("submit requires 'sql'")
+            sql = message.get("sql")
+            budget = message.get("budget")
+            priority = message.get("priority", 1.0)
+            if not isinstance(sql, str):
+                raise ClusterError("submit requires 'sql' (a string)")
+            if budget is not None and not _is_number(budget):
+                raise ClusterError("submit takes 'budget' as a number or null")
+            if not _is_number(priority):
+                raise ClusterError("submit takes 'priority' as a number")
             handle = (
                 await self._coordinator_call(
                     self.coordinator.submit_many,
-                    [
-                        {
-                            "sql": message["sql"],
-                            "budget": message.get("budget"),
-                            "priority": message.get("priority", 1.0),
-                        }
-                    ],
+                    [{"sql": sql, "budget": budget, "priority": priority}],
                 )
             )[0]
             return {"ok": True, "query_id": handle.query_id, "shard": handle.shard}
-        if op == "status":
-            status = await self._coordinator_call(
-                self.coordinator.status, message["query_id"]
-            )
-            return {"ok": True, **status}
-        if op == "poll":
-            rows = await self._coordinator_call(self.coordinator.poll, message["query_id"])
-            return {"ok": True, "rows": encode_rows(rows)}
-        if op == "results":
-            rows = await self._coordinator_call(self.coordinator.results, message["query_id"])
+        if op in ("status", "poll", "results"):
+            query_id = message.get("query_id")
+            if not isinstance(query_id, str):
+                raise ClusterError(f"{op} requires 'query_id' (a string)")
+            if op == "status":
+                status = await self._coordinator_call(self.coordinator.status, query_id)
+                return {"ok": True, **status}
+            fetch = self.coordinator.poll if op == "poll" else self.coordinator.results
+            rows = await self._coordinator_call(fetch, query_id)
             return {"ok": True, "rows": encode_rows(rows)}
         if op == "stats":
             stats = await self._coordinator_call(self.coordinator.stats)
@@ -183,9 +207,7 @@ async def _request_once(host: str, port: int, message: dict[str, Any]) -> dict[s
     try:
         writer.write(frame_message(message))
         await writer.drain()
-        header = await reader.readexactly(_HEADER_BYTES)
-        body = await reader.readexactly(int.from_bytes(header, "big"))
-        return decode_message(body)
+        return decode_message(await _read_frame(reader))
     finally:
         writer.close()
         try:

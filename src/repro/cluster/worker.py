@@ -12,8 +12,15 @@ process boundary.  The factory may return either a ``QurkEngine`` or an
 is a pure dict→dict dispatch, which is what ``python -m repro.profile``
 uses to profile a single named shard, and what the determinism tests use to
 compare a 1-shard cluster against an in-process engine without forking.
-:func:`worker_main` wraps it in the recv → handle → send loop that runs in
-each child process.
+:meth:`ShardWorker.serve` is the recv → handle → send loop around it, and
+:func:`worker_main` runs that loop over the pipe in each child process.
+
+A worker drives itself.  Until it is told to go *live* (``{"op": "live",
+"on": true}``) it only ever acts on a message — ``drain`` and ``pump`` are
+the coordinator's levers, which is what keeps batch runs byte-identical to
+the in-process engine.  Once live, ``serve`` runs one scheduling pass
+whenever no message is waiting, so submitted queries finish with nobody
+pumping them, and blocks in ``recv()`` as soon as nothing is left to do.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import resource
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.cluster.messages import PipeTransport, reply_error, reply_ok
+from repro.cluster.messages import PipeTransport, Transport, reply_error, reply_ok
 from repro.cluster.serialization import decode_query, encode_rows
 from repro.crowd.wallclock import WallClock
 from repro.dashboard import QueryDashboard
@@ -32,6 +39,13 @@ from repro.errors import ClusterError, EngineOverloadedError, QurkError
 from repro.testing.chaos import fingerprint_engine
 
 __all__ = ["EngineSpec", "ShardWorker", "worker_main"]
+
+#: The slice a live worker runs between messages: one pass, so a waiting
+#: message is never delayed by more than that.
+_ONE_PASS = {"op": "pump", "max_passes": 1}
+#: How long a live worker whose pass moved nothing (its engine is waiting on
+#: real time) waits for a message before trying another pass.
+_STALL_TICK = 0.05
 
 
 @dataclass(frozen=True)
@@ -82,7 +96,9 @@ class ShardWorker:
     Coordinator-assigned query ids (``cq1``, ``cq2``, ...) are mapped to the
     shard's own handles in submission order; every op addresses queries by
     the coordinator id, so the coordinator never needs to know shard-local
-    ids.
+    ids.  :meth:`handle` serves one message and never steps the scheduler on
+    its own; :meth:`serve` is the loop that, once the ``live`` op turned it
+    on, also advances the scheduler between messages.
     """
 
     def __init__(
@@ -100,6 +116,8 @@ class ShardWorker:
         # Original submission payloads, kept so the coordinator can withdraw
         # a still-pending query and replay it verbatim on another shard.
         self._submissions: dict[str, dict[str, Any]] = {}
+        # Whether :meth:`serve` advances the scheduler between messages.
+        self._live = False
         if durability is None:
             self.engine = spec.build()
             return
@@ -264,11 +282,14 @@ class ShardWorker:
         handle = self._handle_of(message["query_id"])
         return reply_ok(plan=handle.describe_plan())
 
+    def _op_live(self, message: dict[str, Any]) -> dict[str, Any]:
+        """Start (or stop) advancing the scheduler between messages."""
+        self._live = bool(message.get("on"))
+        return reply_ok(shard=self.shard_id, live=self._live)
+
     def _op_pump(self, message: dict[str, Any]) -> dict[str, Any]:
-        max_passes = int(message.get("max_passes", 1))
-        if max_passes <= 0:  # a pure has_work probe; must not mutate anything
-            return reply_ok(progressed=False, has_work=self.engine.scheduler.has_work())
-        progressed = self.engine.scheduler.pump(max_passes=max_passes)
+        """One bounded scheduling slice — also what a live worker runs itself."""
+        progressed = self.engine.scheduler.pump(max_passes=int(message.get("max_passes", 1)))
         if not progressed and not self.engine.scheduler.has_work():
             # Between queries nothing schedules, but the marketplace may
             # still owe events (expiries of unclaimed HITs).  Draining them
@@ -402,6 +423,36 @@ class ShardWorker:
     def _op_shutdown(self, message: dict[str, Any]) -> dict[str, Any]:
         return reply_ok(bye=True)
 
+    # -- the message loop --------------------------------------------------
+
+    def serve(self, transport: Transport) -> None:
+        """recv → handle → send until ``shutdown`` or the peer goes away.
+
+        A worker that is not live blocks in ``recv()`` between messages.  A
+        live one follows every message with scheduling passes
+        (:meth:`_op_pump`, the same slice the ``pump`` op runs) until a pass
+        finds nothing to do and nothing left — then it blocks in ``recv()``
+        again — or another message is waiting.  So a pass runs between any
+        two served messages (a client polling ``status`` in a tight loop
+        cannot starve the query it polls), a waiting message is delayed by
+        at most one pass, and a pass that moved nothing while work remains
+        waits ``_STALL_TICK`` for a message rather than spinning.
+        """
+        while True:
+            try:
+                message = transport.recv()
+            except ClusterError:
+                return  # coordinator went away; exit quietly
+            transport.send(self.handle(message))
+            if message.get("op") == "shutdown":
+                return
+            while self._live:
+                ran = self._op_pump(_ONE_PASS)
+                if not ran["progressed"] and not ran["has_work"]:
+                    break
+                if transport.poll(0 if ran["progressed"] else _STALL_TICK):
+                    break
+
 
 def _peak_rss_kb() -> int:
     """This process's peak resident set size in KiB."""
@@ -434,18 +485,15 @@ def worker_main(
     except Exception as error:  # noqa: BLE001 - reported via the transport
         build_error = f"shard {shard_id} failed to build its engine: {error}"
     try:
-        while True:
-            try:
-                message = transport.recv()
-            except ClusterError:
-                break  # coordinator went away; exit quietly
-            if worker is None:
+        if worker is not None:
+            worker.serve(transport)
+        else:
+            while True:
+                try:
+                    transport.recv()
+                except ClusterError:
+                    break
                 transport.send(reply_error(build_error or "worker has no engine"))
-                continue
-            reply = worker.handle(message)
-            transport.send(reply)
-            if message.get("op") == "shutdown":
-                break
     finally:
         if worker is not None and getattr(worker.engine, "journal", None) is not None:
             worker.engine.journal.close()

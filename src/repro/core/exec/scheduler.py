@@ -744,8 +744,9 @@ class EngineScheduler:
     def pump(self, *, max_passes: int = 1) -> bool:
         """Run up to ``max_passes`` scheduling passes without blocking policy.
 
-        The live-traffic entry point: a cluster worker serving a request/
-        response front end calls this between messages, so queries progress
+        The live-traffic entry point: a live cluster worker calls this, one
+        pass at a time, whenever no message is waiting for it
+        (:meth:`repro.cluster.worker.ShardWorker.serve`), so queries progress
         incrementally instead of monopolising the worker until completion.
         Global stalls are absorbed — :meth:`step` has already marked every
         stuck query ``STALLED`` and retired it before raising, and a server

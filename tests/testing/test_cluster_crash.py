@@ -4,7 +4,9 @@ Without durability a killed worker must surface as a diagnosed
 :class:`~repro.errors.ShardCrashedError` (never a hang on the pipe).  With a
 ``durability_root``, the coordinator heals the dead shard in place — the
 fresh process replays its own WAL, the interrupted op is retried exactly
-once, and the cluster's final fingerprints match an uncrashed run.
+once, and the cluster's final fingerprints match an uncrashed run.  A *live*
+cluster's healed worker is set live again, so its recovered queries finish
+with nobody pumping them.
 """
 
 import asyncio
@@ -92,6 +94,31 @@ class TestDurableHeal:
             more = cluster.submit_many([{"sql": FILTER_SQL}])
             statuses = cluster.drain()
             assert statuses[more[0].query_id] == "completed"
+
+
+class TestLiveHeal:
+    def test_killed_live_worker_heals_and_finishes_unpumped(self, tmp_path):
+        # Every coordinator call is bounded by call_timeout and the wait by a
+        # deadline, so a worker that stops advancing fails here in a minute.
+        with ShardCoordinator(SPEC, 2, durability_root=tmp_path, call_timeout=20) as cluster:
+            cluster.set_live(True)
+            handles = cluster.submit_many([{"sql": FILTER_SQL} for _ in range(N_QUERIES)])
+            _kill_shard(cluster, 0)
+            # The next op addressed to the dead shard heals it: the respawned
+            # worker replays its WAL and is told to go live again.
+            assert handles[0].shard == 0
+            assert handles[0].status()["status"] in ("pending", "running", "completed")
+            assert cluster.heals == 1
+            deadline = time.monotonic() + 60
+            waiting = {handle.query_id: handle for handle in handles}
+            while waiting:
+                assert time.monotonic() < deadline, f"never finished: {sorted(waiting)}"
+                for query_id, handle in list(waiting.items()):
+                    if handle.status()["status"] == "completed":
+                        del waiting[query_id]
+                time.sleep(0.01)
+            assert cluster.heals == 1
+            assert all(len(handle.results()) > 0 for handle in handles)
 
 
 class TestClientRetry:

@@ -1,7 +1,8 @@
-"""The asyncio TCP front end: submit → pump-driven progress → results.
+"""The asyncio TCP front end: submit → self-driven progress → results.
 
-The server's background pump loop is what makes the cluster *live*: a
-submitted query completes without any client calling ``drain``.  This test
+Starting the server sets the cluster *live*: each shard worker advances its
+own scheduler between messages, so a submitted query completes without
+anyone calling ``drain`` or ``pump`` — the server sends neither.  This test
 runs a real 1-shard cluster behind the server, submits over TCP, polls
 status until completion and reads the rows back — the whole external
 protocol in one round trip.
@@ -23,8 +24,23 @@ SPEC = EngineSpec(
 )
 
 
+def _record_ops(cluster: ShardCoordinator) -> list[str]:
+    """Every op the coordinator sends its (only) shard from here on."""
+    ops: list[str] = []
+    transport = cluster._shards[0].transport
+    send = transport.send
+
+    def recording_send(message):
+        ops.append(message["op"])
+        send(message)
+
+    transport.send = recording_send
+    return ops
+
+
 async def _exercise_server() -> None:
-    with ShardCoordinator(SPEC, 1) as cluster:
+    with ShardCoordinator(SPEC, 1, call_timeout=20) as cluster:
+        ops = _record_ops(cluster)
         async with ClusterServer(cluster) as server:
             assert server.port != 0  # bound to a real ephemeral port
             host, port = server.host, server.port
@@ -34,7 +50,7 @@ async def _exercise_server() -> None:
             query_id = submitted["query_id"]
             assert query_id == "cq1" and submitted["shard"] == 0
 
-            # The pump loop drives the shard; nobody ever calls drain().
+            # The shard drives itself; nobody ever calls drain() or pump().
             for _ in range(400):
                 status = await request(host, port, {"op": "status", "query_id": query_id})
                 assert status["ok"], status
@@ -61,9 +77,32 @@ async def _exercise_server() -> None:
             missing = await request(host, port, {"op": "submit"})
             assert not missing["ok"] and "requires 'sql'" in missing["error"]
 
+        # Live on at start, off at close, and in between only what clients
+        # asked for: the server never ticks the shards.
+        assert ops[0] == "live" and ops[-1] == "live"
+        assert set(ops) == {"live", "submit_many", "status", "results", "stats"}
+        assert ops.count("live") == 2
+
+        # Handed back not live, the cluster is a batch cluster again.
+        handle = cluster.submit(FILTER_SQL)
+        await asyncio.sleep(0.2)
+        assert handle.status()["status"] == "pending"
+        assert cluster.drain()[handle.query_id] == "completed"
+
 
 def test_server_round_trip():
     asyncio.run(asyncio.wait_for(_exercise_server(), timeout=60))
+
+
+def test_batch_coordinator_sends_no_live_op():
+    """Never set live, a coordinator puts exactly today's frames on the pipe."""
+    with ShardCoordinator(SPEC, 1, call_timeout=20) as cluster:
+        ops = _record_ops(cluster)
+        cluster.submit(FILTER_SQL)
+        cluster.pump(max_passes=2)
+        cluster.drain()
+        cluster.fingerprint()
+    assert ops == ["submit_many", "pump", "drain", "fingerprint", "shutdown"]
 
 
 def test_request_helper_rejects_dead_port():
