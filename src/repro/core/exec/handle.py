@@ -5,7 +5,10 @@ result set; they run asynchronously and append tuples to a results table that
 "the user can periodically poll" (Section 2).  A :class:`QueryHandle` wraps
 the executor, the results table and the per-query statistics, offering both
 the polling pattern and a convenience :meth:`wait` that drives the simulation
-to completion.
+to completion.  The results table holds columns; the ``Row`` objects that
+:meth:`QueryHandle.poll`, :meth:`QueryHandle.results` and
+:meth:`QueryHandle.wait` return are built fresh on each call, for the rows
+asked for.
 
 A handle is driven by the :class:`~repro.core.exec.scheduler.EngineScheduler`
 it was submitted to (:class:`~repro.engine.QurkEngine` submits every query it
@@ -86,14 +89,17 @@ class QueryHandle:
     # -- polling ------------------------------------------------------------------------
 
     def poll(self) -> list[Row]:
-        """Return result rows that arrived since the previous poll."""
+        """Return result rows that arrived since the previous poll.
+
+        Costs the new rows only: row ids are positions in the results table.
+        """
         new = self.results_table.rows_since(self._poll_watermark)
         if new:
             self._poll_watermark = new[-1][0]
         return [row for _, row in new]
 
     def results(self) -> list[Row]:
-        """All result rows produced so far."""
+        """All result rows produced so far (built for this call, never cached)."""
         return self.results_table.rows()
 
     def __len__(self) -> int:

@@ -174,9 +174,10 @@ class GroupByOperator(Operator):
         Python sum over ints stays int).  ``np.bincount`` accumulates each
         bin sequentially in input order — the same left-to-right additions
         from 0.0 the Python per-group ``sum`` performs — so sums are
-        bit-identical; group order is first arrival, recovered from
-        ``np.unique``'s first-occurrence indices.  Anything else returns
-        False and the reference bucketing loop runs.
+        bit-identical; group order is first arrival: one O(n) scatter-min
+        finds each code's first position, and only the codes present (a
+        handful) are sorted, never the input.  Anything else returns False
+        and the reference bucketing loop runs.
         """
         if not (accel.HAVE_NUMPY and len(combined) >= _ACCEL_MIN_ROWS):
             return False
@@ -219,8 +220,12 @@ class GroupByOperator(Operator):
             sums = np.bincount(codes_array, weights=array, minlength=len(encoding))
             plans.append((function, sums))
 
-        uniq, first_seen = np.unique(codes_array, return_index=True)
-        ordered = uniq[np.argsort(first_seen, kind="stable")]
+        # ufunc.at is unbuffered, so repeated codes are well defined (a plain
+        # fancy assignment leaves "which write wins" unspecified).
+        first_seen = np.full(len(encoding), len(codes_array), dtype=np.intp)
+        np.minimum.at(first_seen, codes_array, np.arange(len(codes_array), dtype=np.intp))
+        present = np.flatnonzero(counts)
+        ordered = present[np.argsort(first_seen[present], kind="stable")]
         out: list[list[Any]] = []
         for code in ordered.tolist():
             values: list[Any] = [encoding.values[code]]

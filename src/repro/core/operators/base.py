@@ -19,8 +19,9 @@ There is one protocol, and its unit is the column-major
 :meth:`Operator.push`, and :meth:`Operator.step` feeds each drained batch to
 the operator's single input hook, :meth:`Operator._process`.  A lone row — a
 crowd callback's answer, say — travels as a batch of one.  Rows materialize
-only where a consumer genuinely needs them: the results sink, crowd-operator
-task emission, and HIT compilation.
+only where a consumer genuinely needs them: crowd-operator task emission and
+HIT compilation inside a plan, and the user reading results off the handle
+(the results sink lands batches as columns).
 
 The drain budget is counted in *rows* regardless of batch shape, and a batch
 larger than the remaining budget is split at the boundary, so per-step row

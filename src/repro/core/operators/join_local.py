@@ -6,8 +6,8 @@ joining crowd results back to a dimension table, or the crowd-free
 engine-overhead benchmark (E13).  This is a classic blocking hash join:
 both inputs are buffered as column-major batches, the build (left) side is
 hashed on its key — or, when the build child is a base-table scan whose key
-column already carries a hash index, the table's index buckets are reused
-verbatim — and the probe side drives one gather per side to assemble the
+column already carries a hash index, the probe goes straight through that
+index — and the probe side drives one gather per side to assemble the
 output batch.
 
 NULL keys never match, following SQL equi-join semantics.
@@ -15,7 +15,7 @@ NULL keys never match, following SQL equi-join semantics.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable, Sequence
 
 from repro.core.operators.base import Operator
 from repro.storage import accel
@@ -84,15 +84,14 @@ class LocalHashJoinOperator(Operator):
 
     def _index_backed_build(
         self, build: RowBatch, build_key: Expression, build_child: int
-    ) -> dict[Any, list[int]] | None:
-        """The build table's existing hash-index buckets, when reusable.
+    ) -> Callable[[Any], Sequence[int]] | None:
+        """The build table's existing hash index as the probe, when reusable.
 
         Reusable means: the build child is a base-table scan (positions in
         the buffered batch equal table positions), the build key is a bare
         column reference, that column carries a hash index, and the scan saw
-        every current row of the table.  The bucket lists are position lists
-        in ascending order — exactly the build structure the loop below
-        would produce.
+        every current row of the table.  The index answers ascending
+        position lists — exactly what the build loop below would produce.
         """
         from repro.core.operators.scan import ScanOperator
 
@@ -106,7 +105,7 @@ class LocalHashJoinOperator(Operator):
             return None
         if len(build) != len(scan.table):
             return None
-        return index.buckets
+        return index.positions
 
     def _accel_join(
         self,
@@ -199,24 +198,24 @@ class LocalHashJoinOperator(Operator):
                 self.emit(out)
             return
 
-        buckets = self._index_backed_build(build, build_key, build_child)
-        if buckets is None:
+        matches_of = self._index_backed_build(build, build_key, build_child)
+        if matches_of is None:
             build_schema = left_schema if self.build_side == "left" else right_schema
             build_keys = compile_batch_expression(build_key, build_schema)(build)
-            buckets = {}
+            buckets: dict[Any, list[int]] = {}
             setdefault = buckets.setdefault
             for position, key in enumerate(build_keys):
                 if key is not None:
                     setdefault(key, []).append(position)
+            matches_of = buckets.get
 
         probe_keys = compile_batch_expression(probe_key, probe_schema)(probe)
         build_take: list[int] = []
         probe_take: list[int] = []
-        get = buckets.get
         for position, key in enumerate(probe_keys):
             if key is None:
                 continue
-            matches = get(key)
+            matches = matches_of(key)
             if matches:
                 build_take.extend(matches)
                 probe_take.extend([position] * len(matches))

@@ -16,13 +16,15 @@ __all__ = ["ResultSinkOperator"]
 
 
 class ResultSinkOperator(Operator):
-    """Appends every produced row to the query's results table.
+    """Appends every produced batch to the query's results table.
 
-    This is one of the places rows genuinely materialize: results tables are
-    row stores that users poll.  Result rows were validated when they entered
-    the plan and every derivation kept them validated, so batches land via
-    the table's trusted bulk append instead of one re-validating insert per
-    row.
+    Nothing row-shaped happens here: a results table is a column store like
+    any other, so a batch lands by extending the table's columns with its
+    own (:meth:`Table.insert_batch`).  Result values were validated when they
+    entered the plan and every derivation kept them validated, so nothing is
+    re-coerced either.  ``Row`` objects are built later and only on request,
+    when the user polls the handle (:meth:`QueryHandle.poll` /
+    :meth:`QueryHandle.results`).
     """
 
     def __init__(self, results_table: Table):

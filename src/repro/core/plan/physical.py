@@ -20,7 +20,7 @@ demo lets the audience explore:
 * **local-join build side** — for machine equi-joins (``FROM a, b WHERE
   a.id = b.id`` with no crowd join predicate), which input the hash join
   builds on; a base table with a hash index on its join key makes that
-  build free (the operator reuses the index buckets verbatim).
+  build free (the operator probes straight through the index).
 
 Every candidate is costed through the optimizer's per-node logical costing
 and the cost-minimal candidate (dollars, then HITs, then tasks, then local

@@ -13,9 +13,10 @@ The design follows the encode-once / answer-many shape:
   and aggregation), and the dictionary codes (below).  Derivations — slice,
   take, compress, vstack — propagate these caches with O(selected) ndarray
   ops instead of rebuilding from the Python tuples.
-- **String columns are dictionary-encoded at insert time.**
+- **String columns are dictionary-encoded on first scan.**
   :class:`ColumnEncoding` assigns each distinct value a small integer code
-  when it first enters a table; scans expose the codes as an int ndarray.
+  the first time a snapshot (or a statistic) needs the column, and only the
+  new tail after that; scans expose the codes as an int ndarray.
   Joins then bucket the build side by sorting codes (pure numpy) instead of
   hashing 100k Python strings, and group-bys aggregate with ``bincount``
   over codes instead of bucketing rows.
@@ -34,7 +35,7 @@ from typing import Any, Sequence
 
 try:  # pragma: no cover - exercised implicitly by every accelerated path
     import numpy as _np
-except ImportError:  # pragma: no cover - the CI image always has numpy
+except ImportError:  # pragma: no cover - CI installs numpy (ci.yml, pyproject's test extra)
     _np = None
 
 __all__ = [
@@ -69,14 +70,19 @@ class ColumnEncoding:
         self.values: list[Any] = []
         self.index: dict[Any, int] = {}
 
-    def encode(self, value: Any) -> int:
-        """The code for ``value``, assigning the next code on first sight."""
-        code = self.index.get(value)
-        if code is None:
-            code = len(self.values)
-            self.index[value] = code
-            self.values.append(value)
-        return code
+    def encode_many(self, values: Sequence[Any]) -> list[int]:
+        """The codes of ``values``, in order; unseen values get the next codes.
+
+        Tables encode a column's un-encoded tail in one call: new values are
+        registered in first-appearance order, then every code is one dict
+        lookup driven from C.
+        """
+        index = self.index
+        for value in dict.fromkeys(values):
+            if value not in index:
+                index[value] = len(self.values)
+                self.values.append(value)
+        return list(map(index.__getitem__, values))
 
     def code_of(self, value: Any) -> int | None:
         """The existing code for ``value``, or None (never assigns)."""

@@ -5,9 +5,10 @@ tuple of columns (one value-tuple per column).  Since the columnar execution
 PR, operator input queues carry ``RowBatch`` objects end-to-end: scans emit
 slices of a table's cached column snapshot, filters apply selection vectors
 (:meth:`compress`), joins and sorts gather columns by index (:meth:`take`),
+the results sink extends the results table's columns with the batch's own,
 and rows are materialized only at the boundaries that genuinely need
-row-major data — result sinks, crowd-operator task emission, and HIT
-compilation.
+row-major data — crowd-operator task emission, HIT compilation, and a caller
+reading a table or polling a query handle.
 
 Batches are immutable, like rows, and round-trip losslessly:
 ``RowBatch.from_rows(schema, rows).to_rows() == rows``.  Materializing rows
@@ -78,7 +79,7 @@ class _LazyGather:
 class RowBatch:
     """An immutable, column-major block of rows sharing one schema."""
 
-    __slots__ = ("_schema", "_columns", "_length", "_accel")
+    __slots__ = ("_schema", "_columns", "_length", "_accel", "_origin")
 
     def __init__(self, schema: Schema, columns: Sequence[Sequence[Any]]):
         columns = tuple(tuple(column) for column in columns)
@@ -93,6 +94,8 @@ class RowBatch:
         self._columns = columns
         self._length = lengths.pop() if lengths else 0
         self._accel: dict | None = None
+        #: Set by :meth:`slice`: ``(columns sliced from, offset into them)``.
+        self._origin: tuple[tuple, int] | None = None
 
     # -- construction -------------------------------------------------------
 
@@ -112,6 +115,7 @@ class RowBatch:
         batch._columns = columns
         batch._length = length
         batch._accel = None
+        batch._origin = None
         return batch
 
     @classmethod
@@ -181,9 +185,10 @@ class RowBatch:
         """One vstacked column as a lazy ndarray (see :class:`_LazyGather`).
 
         Parts that are lazy gathers off the *same* source array — the usual
-        case for the per-step slices of one filtered scan — stay lazy with
-        their index arrays concatenated; anything else concatenates the
-        parts' object ndarrays.
+        case for the per-step slices of one filtered scan, whose gathers are
+        rebased onto the snapshot's own arrays (see :meth:`_take_array`) —
+        stay lazy with their index arrays concatenated; anything else
+        concatenates the parts' object ndarrays.
         """
         parts = [batch._columns[i] for batch in batches]
         if all(type(part) is _LazyGather for part in parts):
@@ -308,8 +313,9 @@ class RowBatch:
     @property
     def columns(self) -> tuple[tuple[Any, ...], ...]:
         """The underlying column tuples, in schema order."""
-        for i in range(len(self._columns)):
-            self._materialized(i)
+        for i, column in enumerate(self._columns):
+            if type(column) is not tuple:
+                self._materialized(i)
         return self._columns
 
     # -- derivation ---------------------------------------------------------
@@ -321,6 +327,10 @@ class RowBatch:
         columns = tuple(column[start:stop] for column in self._columns)
         length = len(columns[0]) if columns else max(min(stop, self._length) - start, 0)
         sliced = RowBatch.of_columns(self._schema, columns, length)
+        origin = self._origin
+        sliced._origin = (
+            (self._columns, start) if origin is None else (origin[0], origin[1] + start)
+        )
         if self._accel:
             sliced._accel = {
                 key: (
@@ -351,14 +361,23 @@ class RowBatch:
 
         Gathered columns stay as object ndarrays (lazy — see
         :meth:`_materialized`), so a batch that flows straight into another
-        accelerated operator never round-trips through Python tuples.
+        accelerated operator never round-trips through Python tuples.  A
+        slice gathers from the arrays it was sliced *from*, indices shifted
+        by its offset: every per-step slice of one snapshot then shares the
+        snapshot's arrays as its source and :meth:`vstack` can keep the
+        stacked column lazy.
         """
         columns = []
         taken_accel: dict = {}
+        origin = self._origin
+        if origin is not None:
+            origin_columns, origin_indices = origin[0], index_array + origin[1]
         for i in range(len(self._columns)):
             column = self._columns[i]
             if type(column) is _LazyGather:  # compose index arrays, no gather
                 columns.append(_LazyGather(column.source, column.indices[index_array]))
+            elif origin is not None and type(origin_columns[i]) is accel.np.ndarray:
+                columns.append(_LazyGather(origin_columns[i], origin_indices))
             else:
                 columns.append(_LazyGather(self._obj_array(i), index_array))
             entry = self._accel.get(("num", i)) if self._accel else None
@@ -409,6 +428,7 @@ class RowBatch:
         if schema is self._schema or schema.same_shape_as(self._schema):
             rebound = RowBatch.of_columns(schema, self._columns, self._length)
             rebound._accel = self._accel
+            rebound._origin = self._origin
             return rebound
         return RowBatch.from_rows(
             schema, [Row(schema, values) for values in zip(*self._columns)]

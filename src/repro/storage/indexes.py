@@ -7,8 +7,8 @@ Two index shapes cover the workload's access paths:
 - :class:`SortedIndex` — a bisect-maintained ``(value, position)`` list, for
   range predicates.
 
-Both are maintained incrementally by ``Table.insert`` / ``append_rows`` /
-``insert_batch`` (an ``add`` per new row) and answer **positions**, not rows:
+Both are maintained incrementally by every ``Table`` insert path (one
+``add_many`` over the new rows' key column) and answer **positions**, not rows:
 the :class:`~repro.core.operators.scan.IndexScanOperator` gathers the matched
 positions out of the table's cached column snapshot, so an index probe feeds
 straight into the columnar pipeline.  Position lists are always returned in
@@ -26,7 +26,7 @@ is empty.)
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from typing import Any
+from typing import Any, Iterable
 
 from repro.errors import StorageError
 
@@ -34,19 +34,43 @@ __all__ = ["HashIndex", "SortedIndex", "INDEX_KINDS"]
 
 
 class HashIndex:
-    """An equality index: value → list of row positions (insertion order)."""
+    """An equality index: value → row positions (ascending).
+
+    A key seen once costs one dict slot holding the bare position; the slot
+    is promoted to a list on the key's second row, so an index on a unique
+    column (the common case: primary keys) allocates nothing per key.
+    """
 
     kind = "hash"
 
-    __slots__ = ("column", "_buckets")
+    __slots__ = ("column", "_slots")
 
     def __init__(self, column: str):
         self.column = column
-        self._buckets: dict[Any, list[int]] = {}
+        self._slots: dict[Any, int | list[int]] = {}
 
-    def add(self, value: Any, position: int) -> None:
-        """Record that ``position`` holds ``value`` (positions arrive ascending)."""
-        self._buckets.setdefault(value, []).append(position)
+    def add_many(self, values: Iterable[Any], start: int) -> None:
+        """Record ``values`` as the rows at positions ``start``, ``start + 1``, ..."""
+        slots = self._slots
+        for position, value in enumerate(values, start):
+            held = slots.get(value)
+            if held is None:
+                slots[value] = position
+            elif type(held) is list:
+                held.append(position)
+            else:
+                slots[value] = [held, position]
+
+    def positions(self, value: Any) -> list[int]:
+        """Row positions holding exactly ``value`` (NULL included), ascending.
+
+        The raw accessor join build sides probe through; predicates go
+        through :meth:`positions_equal`, which adds SQL's NULL rule.
+        """
+        held = self._slots.get(value)
+        if held is None:
+            return []
+        return held if type(held) is list else [held]
 
     def positions_equal(self, value: Any) -> list[int]:
         """Row positions where the column equals ``value``, ascending.
@@ -55,22 +79,17 @@ class HashIndex:
         """
         if value is None:
             return []
-        return self._buckets.get(value, [])
-
-    @property
-    def buckets(self) -> dict[Any, list[int]]:
-        """The raw value → positions mapping (join build sides reuse it)."""
-        return self._buckets
+        return self.positions(value)
 
     def distinct_count(self) -> int:
         """Number of distinct non-NULL key values."""
-        return len(self._buckets) - (1 if None in self._buckets else 0)
+        return len(self._slots) - (1 if None in self._slots else 0)
 
     def clear(self) -> None:
-        self._buckets.clear()
+        self._slots.clear()
 
     def __repr__(self) -> str:
-        return f"HashIndex({self.column!r}, {len(self._buckets)} keys)"
+        return f"HashIndex({self.column!r}, {len(self._slots)} keys)"
 
 
 class SortedIndex:
@@ -90,18 +109,20 @@ class SortedIndex:
         self._entries: list[tuple[Any, int]] = []
         self._null_count = 0
 
-    def add(self, value: Any, position: int) -> None:
-        """Insert one key; NULLs are counted but never enter the order."""
-        if value is None:
-            self._null_count += 1
-            return
-        try:
-            insort(self._entries, (value, position))
-        except TypeError as exc:
-            raise StorageError(
-                f"sorted index on {self.column!r} requires mutually orderable "
-                f"values; cannot place {value!r}"
-            ) from exc
+    def add_many(self, values: Iterable[Any], start: int) -> None:
+        """Insert the keys of rows ``start``, ``start + 1``, ...; NULLs are
+        counted but never enter the order."""
+        for position, value in enumerate(values, start):
+            if value is None:
+                self._null_count += 1
+                continue
+            try:
+                insort(self._entries, (value, position))
+            except TypeError as exc:
+                raise StorageError(
+                    f"sorted index on {self.column!r} requires mutually orderable "
+                    f"values; cannot place {value!r}"
+                ) from exc
 
     def positions_equal(self, value: Any) -> list[int]:
         """Row positions where the column equals ``value``, ascending."""

@@ -1,27 +1,37 @@
-"""In-memory heap tables with optional secondary indexes.
+"""In-memory column-store tables with optional secondary indexes.
 
-Crowd workloads "rarely approach hundreds of thousands of tuples" (Section 2
-of the paper), so a simple row-store with secondary indexes is a faithful and
-sufficient Storage Engine.  Tables also serve as the *results tables* that
-queries emit into and users poll (Section 2), so they support append +
-versioned reads (``rows_since``).
+The paper's Storage Engine holds the base tables and the *results tables*
+that queries emit into and "the user can periodically poll" (Section 2).
+Every local operator exchanges column-major
+:class:`~repro.storage.batch.RowBatch` objects, so a table holds exactly
+that shape: **one Python list per column**, nothing per row.
 
-Two structures make tables first-class citizens of the columnar data plane:
-
-- a **cached column snapshot** (:meth:`to_batch`): the table's rows
-  transposed into a :class:`~repro.storage.batch.RowBatch` once per version;
-  every scan of an unchanged table reuses the same snapshot, so repeated
-  queries pay the transpose once.
-- **secondary indexes** (:mod:`repro.storage.indexes`): hash for equality,
-  sorted for range, maintained incrementally by every insert path and
-  answering row *positions* that an index scan gathers straight out of the
-  column snapshot.
+- **Inserts extend columns.**  :meth:`insert_batch` extends each list
+  straight from the batch's columns; the row-shaped entry points
+  (:meth:`insert`, :meth:`insert_many`, :meth:`append_rows`) transpose once
+  and do the same.
+- **Row ids are positions.**  Tables only append and truncate, so the id of
+  the row at ``position`` is ``first_id + position`` and :meth:`truncate`
+  advances ``first_id``; :meth:`rows_since` is a slice, not a scan.
+- **Rows exist when a caller asks.**  :meth:`rows`, :meth:`rows_since`,
+  :meth:`lookup`, :meth:`select` and iteration build fresh
+  :class:`~repro.storage.row.Row` objects bound to the table's schema;
+  nothing row-shaped is stored or cached.
+- **Scans share one snapshot.**  :meth:`to_batch` binds the columns into a
+  ``RowBatch`` once per version; STRING columns are dictionary-encoded
+  (:class:`~repro.storage.accel.ColumnEncoding`) only when a snapshot or a
+  statistic first needs the codes, and from then on incrementally — a
+  results table that nobody scans never pays for encoding.
+- **Statistics are read.**  :meth:`distinct_count` answers from an index,
+  from a STRING column's dictionary, or from a count cached per version.
+- **Secondary indexes** (:mod:`repro.storage.indexes`) are maintained by
+  every insert path and answer row *positions*, which an index scan gathers
+  out of the column snapshot.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import SchemaError, StorageError
 from repro.storage import accel
@@ -49,23 +59,16 @@ class Table:
             raise StorageError("table name must be non-empty")
         self.name = name
         self.schema = schema
-        self._rows: list[Row] = []
-        self._row_ids = itertools.count()
-        self._ids: list[int] = []
+        self._columns: list[list[Any]] = [[] for _ in schema]
+        self._length = 0
+        self._first_id = 0  # the row at position p has id _first_id + p
         self._indexes: dict[str, HashIndex | SortedIndex] = {}
         self._version = 0
         self._batch_cache: tuple[int, "RowBatch"] | None = None
-        # Native column store, filled alongside _rows by every insert path:
-        # to_batch() then assembles the snapshot without a row transpose.
-        self._column_store: list[list[Any]] = [[] for _ in schema]
-        # Dictionary encodings for string columns (encode once at insert;
-        # scans expose the codes so joins/group-bys answer many times).
-        self._encodings: dict[int, accel.ColumnEncoding] = {
-            i: accel.ColumnEncoding()
-            for i, column in enumerate(schema)
-            if column.data_type is DataType.STRING
-        }
-        self._code_columns: dict[int, list[int]] = {i: [] for i in self._encodings}
+        # Both filled on first use, keyed by column position: a STRING
+        # column's (dictionary, codes so far), and (version, distinct count).
+        self._encoded: dict[int, tuple[accel.ColumnEncoding, list[int]]] = {}
+        self._distinct: dict[int, tuple[int, int | None]] = {}
 
     # -- mutation ------------------------------------------------------------
 
@@ -75,172 +78,160 @@ class Table:
         Accepts a :class:`Row`, a mapping of column names to values, or a
         bare sequence of values in schema order.
         """
-        row = self._as_row(row)
-        row_id = next(self._row_ids)
-        position = len(self._rows)
-        self._rows.append(row)
-        self._ids.append(row_id)
-        self._store_values(row.values)
-        self._version += 1
-        for column, index in self._indexes.items():
-            index.add(row[column], position)
-        return row_id
+        values = self._validated(row)
+        return self._first_id + self._extend([(value,) for value in values], 1)
 
     def insert_many(self, rows: Iterable[Row | Mapping[str, Any] | Iterable[Any]]) -> list[int]:
-        """Insert several rows, returning their row ids."""
-        return [self.insert(row) for row in rows]
+        """Insert several rows, returning their row ids.
+
+        The rows are validated first and land together with one transpose;
+        a row that fails validation leaves the table unchanged.
+        """
+        values = [self._validated(row) for row in rows]
+        first = self._first_id + self._extend(list(zip(*values)), len(values))
+        return list(range(first, first + len(values)))
 
     def append_rows(self, rows: Iterable[Row]) -> int:
-        """Append already-validated rows in bulk, returning the count.
+        """Append rows in bulk, returning the count.
 
-        The fast path for the results sink: rows whose schema matches this
-        table's column layout are appended without re-validation.  Rows with
-        a different layout fall back to :meth:`insert`.
+        Rows whose schema matches this table's column layout were validated
+        when they entered the engine and are appended as they are; rows with
+        a different layout are validated like :meth:`insert`.
         """
-        count = 0
-        names = self.schema.names
-        append_row = self._rows.append
-        append_id = self._ids.append
-        row_ids = self._row_ids
-        indexes = self._indexes
-        for row in rows:
-            if row.schema.names != names:
-                self.insert(row)
-                count += 1
-                continue
-            position = len(self._rows)
-            append_row(row)
-            append_id(next(row_ids))
-            self._store_values(row.values)
-            for column, index in indexes.items():
-                index.add(row[column], position)
-            count += 1
-        if count:
-            self._version += 1
-        return count
-
-    def _store_values(self, values: tuple) -> None:
-        """Mirror one validated row into the column store (+ string codes)."""
-        for column, value in zip(self._column_store, values):
-            column.append(value)
-        for i, codes in self._code_columns.items():
-            codes.append(self._encodings[i].encode(values[i]))
+        return len(self.insert_many(rows))
 
     def insert_batch(self, batch: "RowBatch") -> int:
         """Insert a column-major batch; validated when schemas differ."""
-        if batch.schema.names == self.schema.names:
-            return self.append_rows(batch.to_rows())
-        inserted = 0
-        for row in batch.to_rows():
-            self.insert(row)
-            inserted += 1
-        return inserted
+        if batch.schema.names != self.schema.names:
+            return len(self.insert_many(batch.to_rows()))
+        count = len(batch)
+        self._extend(batch.columns, count)
+        return count
+
+    def _extend(self, columns: Sequence[Sequence[Any]], count: int) -> int:
+        """Append ``count`` validated rows given as columns; returns the first's position."""
+        start = self._length
+        if count:
+            for column, values in zip(self._columns, columns):
+                column.extend(values)
+            self._length = start + count
+            self._version += 1
+            for name, index in self._indexes.items():
+                index.add_many(columns[self.schema.index_of(name)], start)
+        return start
+
+    def _validated(self, row: Row | Mapping[str, Any] | Iterable[Any]) -> tuple[Any, ...]:
+        """The values of ``row`` coerced to this table's schema."""
+        if isinstance(row, Row):
+            if row.schema.names == self.schema.names:
+                return row.values
+            # Re-validate against our schema (allows unqualified inserts).
+            return Row(self.schema, row.values).values
+        if isinstance(row, Mapping):
+            return Row.from_mapping(self.schema, row).values
+        return Row(self.schema, row).values
+
+    def truncate(self) -> None:
+        """Remove every row (row ids keep counting up)."""
+        self._first_id += self._length
+        self._length = 0
+        for column in self._columns:
+            column.clear()
+        self._encoded.clear()  # a dictionary must not outlive the values it counted
+        self._version += 1
+        for index in self._indexes.values():
+            index.clear()
+
+    # -- columns -------------------------------------------------------------
+
+    def _codes(self, position: int) -> tuple[accel.ColumnEncoding, list[int]]:
+        """A STRING column's dictionary and codes, brought up to date."""
+        entry = self._encoded.get(position)
+        if entry is None:
+            entry = self._encoded[position] = (accel.ColumnEncoding(), [])
+        encoding, codes = entry
+        column = self._columns[position]
+        if len(codes) < len(column):
+            codes.extend(encoding.encode_many(column[len(codes):]))
+        return entry
 
     def to_batch(self) -> "RowBatch":
         """The table as a column-major :class:`RowBatch`, cached per version.
 
         Until the next mutation, every caller gets the *same* snapshot
-        object, so N queries scanning an unchanged table pay one transpose.
+        object, so N queries scanning an unchanged table share its arrays.
         """
         cached = self._batch_cache
         if cached is not None and cached[0] == self._version:
             return cached[1]
         from repro.storage.batch import RowBatch
 
-        if accel.HAVE_NUMPY and len(self._rows) >= 256:
-            # Bind columns as object ndarrays directly (lazy tuples) and
-            # seed the numeric/codes caches — one conversion per version,
-            # shared by every query that scans this snapshot.
-            batch = RowBatch.of_columns(
-                self.schema,
-                tuple(
-                    accel.object_array(column) for column in self._column_store
-                ),
-                len(self._rows),
-            )
-            for i, codes in self._code_columns.items():
-                batch._set_codes(
-                    i,
-                    accel.np.asarray(codes, dtype=accel.np.intp),
-                    self._encodings[i],
-                )
+        # Above the size switch columns bind as object ndarrays and the
+        # numeric caches are seeded — one conversion per version, shared by
+        # every query that scans this snapshot.
+        arrays = accel.HAVE_NUMPY and self._length >= 256
+        bind = accel.object_array if arrays else tuple
+        batch = RowBatch.of_columns(
+            self.schema, tuple(bind(column) for column in self._columns), self._length
+        )
+        if accel.HAVE_NUMPY:
             for i, column in enumerate(self.schema):
-                if column.data_type in (DataType.FLOAT, DataType.INTEGER):
+                if column.data_type is DataType.STRING:
+                    encoding, codes = self._codes(i)
+                    batch._set_codes(i, accel.np.asarray(codes, dtype=accel.np.intp), encoding)
+                elif arrays and column.data_type in (DataType.FLOAT, DataType.INTEGER):
                     array = accel.numeric_array(
-                        self._column_store[i],
-                        assume_floats=column.data_type is DataType.FLOAT,
+                        self._columns[i], assume_floats=column.data_type is DataType.FLOAT
                     )
                     if array is not None:
                         batch._set_num(i, array)
-        else:
-            batch = RowBatch.of_columns(
-                self.schema,
-                tuple(tuple(column) for column in self._column_store),
-                len(self._rows),
-            )
-            if accel.HAVE_NUMPY:
-                for i, codes in self._code_columns.items():
-                    batch._set_codes(
-                        i,
-                        accel.np.asarray(codes, dtype=accel.np.intp),
-                        self._encodings[i],
-                    )
         self._batch_cache = (self._version, batch)
         return batch
-
-    def truncate(self) -> None:
-        """Remove every row (row ids keep counting up)."""
-        self._rows.clear()
-        self._ids.clear()
-        for column in self._column_store:
-            column.clear()
-        for codes in self._code_columns.values():
-            codes.clear()  # encodings keep their dictionaries; codes stay valid
-        self._version += 1
-        for index in self._indexes.values():
-            index.clear()
-
-    def _as_row(self, row: Row | Mapping[str, Any] | Iterable[Any]) -> Row:
-        if isinstance(row, Row):
-            if row.schema.names != self.schema.names:
-                # Re-validate against our schema (allows unqualified inserts).
-                return Row(self.schema, row.values)
-            return row
-        if isinstance(row, Mapping):
-            return Row.from_mapping(self.schema, row)
-        return Row(self.schema, row)
 
     # -- reads ---------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self._length
+
+    def _rows_from(self, start: int) -> list[Row]:
+        """Fresh rows for positions ``start:``, bound to the table's schema."""
+        schema = self.schema
+        if not self._columns:
+            return [Row.unchecked(schema, ()) for _ in range(start, self._length)]
+        columns = [column[start:] for column in self._columns] if start else self._columns
+        return [Row.unchecked(schema, values) for values in zip(*columns)]
+
+    def _row_at(self, position: int) -> Row:
+        return Row.unchecked(self.schema, tuple(column[position] for column in self._columns))
 
     def __iter__(self) -> Iterator[Row]:
-        return iter(self._rows)
+        return iter(self._rows_from(0))
 
     def scan(self) -> Iterator[Row]:
         """Iterate over every row in insertion order."""
-        return iter(self._rows)
+        return iter(self)
 
     def rows(self) -> list[Row]:
         """Return a snapshot list of all rows."""
-        return list(self._rows)
+        return self._rows_from(0)
 
     def rows_since(self, row_id: int) -> list[tuple[int, Row]]:
         """Return ``(row_id, row)`` pairs for rows inserted after ``row_id``.
 
         Pass ``-1`` to read everything.  This is the polling primitive used
-        by :class:`repro.core.exec.handle.QueryHandle`.
+        by :class:`repro.core.exec.handle.QueryHandle`; it costs the new
+        rows only, because ids are positions.
         """
-        return [(rid, row) for rid, row in zip(self._ids, self._rows) if rid > row_id]
+        start = max(row_id + 1 - self._first_id, 0)
+        return list(enumerate(self._rows_from(start), self._first_id + start))
 
     def last_row_id(self) -> int:
         """The id of the most recently inserted row, or -1 when empty."""
-        return self._ids[-1] if self._ids else -1
+        return self._first_id + self._length - 1 if self._length else -1
 
     def select(self, predicate: Callable[[Row], bool]) -> list[Row]:
         """Return rows satisfying a Python predicate (used by tests/examples)."""
-        return [row for row in self._rows if predicate(row)]
+        return [row for row in self._rows_from(0) if predicate(row)]
 
     # -- indexes -------------------------------------------------------------
 
@@ -260,9 +251,7 @@ class Table:
             )
         qualified = self.schema.column(column).name
         index = index_type(qualified)
-        column_index = self.schema.index_of(qualified)
-        for position, row in enumerate(self._rows):
-            index.add(row._values[column_index], position)
+        index.add_many(self._columns[self.schema.index_of(qualified)], 0)
         self._indexes[qualified] = index
 
     def index_on(self, column: str) -> HashIndex | SortedIndex | None:
@@ -276,8 +265,11 @@ class Table:
         """Return rows where ``column == value``, via index when available."""
         index = self.index_on(column)
         if index is not None and value is not None:
-            return [self._rows[pos] for pos in index.positions_equal(value)]
-        return [row for row in self._rows if row[column] == value]
+            positions = index.positions_equal(value)
+        else:
+            held = self._columns[self.schema.index_of(column)]
+            positions = [position for position, item in enumerate(held) if item == value]
+        return [self._row_at(position) for position in positions]
 
     @property
     def indexed_columns(self) -> tuple[str, ...]:
@@ -285,24 +277,29 @@ class Table:
         return tuple(self._indexes)
 
     def distinct_count(self, column: str) -> int | None:
-        """Distinct non-NULL values in ``column``: from an index when one
-        exists (O(1) for hash), computed otherwise, None for unhashable data.
+        """Distinct non-NULL values in ``column``, None for unhashable data.
+
+        Read, not scanned: an index knows its keys, a STRING column's
+        dictionary has one entry per distinct value, and anything else is
+        counted once and remembered until the table next changes.
         """
         index = self.index_on(column)
-        if isinstance(index, HashIndex):
-            return index.distinct_count()
-        if isinstance(index, SortedIndex):
+        if index is not None:
             return index.distinct_count()
         position = self.schema.try_index_of(column)
         if position is None:
             return None
-        try:
-            return len(
-                {row._values[position] for row in self._rows}
-                - {None}
-            )
-        except TypeError:
-            return None
+        if self.schema.columns[position].data_type is DataType.STRING:
+            encoding = self._codes(position)[0]
+            return len(encoding) - (encoding.code_of(None) is not None)
+        cached = self._distinct.get(position)
+        if cached is None or cached[0] != self._version:
+            try:
+                count = len(set(self._columns[position]) - {None})
+            except TypeError:
+                count = None
+            cached = self._distinct[position] = (self._version, count)
+        return cached[1]
 
     def __repr__(self) -> str:
         return f"Table({self.name!r}, {len(self)} rows, schema={self.schema})"

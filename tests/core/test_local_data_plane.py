@@ -20,7 +20,7 @@ from repro.core.operators.sink import ResultSinkOperator
 from repro.core.operators.sort_local import LocalSortOperator
 from repro.crowd.clock import SimulationClock
 from repro.engine import QurkEngine
-from repro.storage import ColumnRef, Comparison, DataType, Literal
+from repro.storage import ColumnRef, Comparison, DataType, Literal, Row
 
 
 def build_engine(n_rows=500, n_groups=10):
@@ -122,6 +122,94 @@ class TestLocalHashJoinPipeline:
         join.add_child(scan_r)
         results = submit_plan(engine, "j", join).wait()
         assert [(row["l.k"], row["w"]) for row in results] == [("a", 10)]
+
+JOIN_SQL = "SELECT items.id, groups.w FROM items, groups WHERE items.grp = groups.name"
+
+
+class Name(str):
+    """A string whose hashing is counted: how a test sees a column being read."""
+
+    hashed = 0
+
+    def __hash__(self) -> int:
+        Name.hashed += 1
+        return str.__hash__(self)
+
+
+class TestRowsExistOnlyAtTheCaller:
+    """Results land as columns; a ``Row`` is built when somebody asks for one."""
+
+    def test_columnar_join_builds_no_row_before_results_are_read(self, monkeypatch):
+        n_rows = 10_000
+        engine = build_engine(n_rows=n_rows, n_groups=20)
+        built = []
+        unchecked, init = Row.unchecked.__func__, Row.__init__
+
+        def counting_unchecked(cls, schema, values):
+            built.append(values)
+            return unchecked(cls, schema, values)
+
+        def counting_init(self, schema, values):
+            built.append(values)
+            init(self, schema, values)
+
+        monkeypatch.setattr(Row, "unchecked", classmethod(counting_unchecked))
+        monkeypatch.setattr(Row, "__init__", counting_init)
+
+        handle = engine.query(JOIN_SQL)
+        engine.scheduler.drain()
+        assert handle.is_complete and len(handle) == n_rows
+        assert built == []  # scan → join → project → sink: columns all the way
+
+        rows = handle.results()
+        assert len(built) == n_rows
+        assert sorted(row.values for row in rows) == [(i, float(i % 20)) for i in range(n_rows)]
+        assert len(handle.poll()) == n_rows and handle.poll() == []
+
+    def test_replanning_on_an_unchanged_table_reads_no_base_column(self):
+        engine = QurkEngine(seed=3)
+        items = engine.create_table(
+            "items", [("id", DataType.INTEGER), ("grp", DataType.STRING)]
+        )
+        groups = engine.create_table("groups", [("name", DataType.STRING), ("w", DataType.FLOAT)])
+        items.insert_many((i, Name(f"g{i % 7}")) for i in range(400))
+        groups.insert_many((Name(f"g{i}"), float(i)) for i in range(7))
+
+        first = engine.explain(JOIN_SQL)  # may count: nobody has asked yet
+        hashed = Name.hashed
+        assert engine.explain(JOIN_SQL) == first
+        assert Name.hashed == hashed  # distinct counts were read, not recomputed
+
+        items.insert((400, Name("g7")))
+        assert items.distinct_count("grp") == 8  # ... and follow the table
+
+
+class TestGroupByFirstArrivalOrder:
+    def test_accel_group_by_keeps_arrival_order_not_code_order(self):
+        """≥ 256 rows, so the dictionary-code kernel runs.  Codes are handed
+        out in table order (g0, g1, ...); the rows arrive score-descending, so
+        arrival order is a different permutation — and it must be the output's.
+        """
+        engine = build_engine(n_rows=600, n_groups=9)
+        scan = ScanOperator(engine.database.table("items"))
+        sort = LocalSortOperator(ColumnRef("score"), scan.output_schema, ascending=False)
+        sort.add_child(scan)
+        group = GroupByOperator(
+            ["grp"],
+            [AggregateSpec("n", "count", None), AggregateSpec("total", "sum", ColumnRef("score"))],
+            sort.output_schema,
+        )
+        group.add_child(sort)
+        rows = submit_plan(engine, "order", group).wait()
+
+        arrival = sorted(engine.database.table("items").scan(), key=lambda r: -r["score"])
+        expected: dict[str, list[float]] = {}
+        for row in arrival:  # dicts keep first-insertion order
+            expected.setdefault(row["grp"], []).append(row["score"])
+        assert list(expected) != sorted(expected)  # not code order
+        assert [row.values for row in rows] == [
+            (grp, len(scores), sum(scores)) for grp, scores in expected.items()
+        ]
 
 
 class TestDrainBounds:

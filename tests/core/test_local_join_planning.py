@@ -3,7 +3,7 @@
 ``FROM a, b WHERE a.id = b.id`` with no crowd join predicate lowers to a
 :class:`LogicalLocalJoin`.  The physical planner enumerates both hash-build
 sides; a base table carrying a hash index on its join key makes that build
-free (the operator reuses the index buckets verbatim), so the index-backed
+free (the operator probes straight through the index), so the index-backed
 side wins on estimated machine work.
 """
 
@@ -19,6 +19,7 @@ from repro.core.plan.registry import TaskRegistry
 from repro.engine import QurkEngine
 from repro.errors import PlanError
 from repro.storage import Database, DataType, Schema, Table
+from repro.storage.indexes import HashIndex
 
 JOIN_SQL = (
     "SELECT orders.order_id, products.name "
@@ -148,3 +149,38 @@ class TestLocalJoinExecution:
         expected = sorted((i, f"prod{i % 12}") for i in range(40) if i > i % 12)
         assert rows == expected
         assert rows  # the filter keeps the 28 rows where order_id > pid
+
+    def test_index_backed_build_with_unique_duplicate_and_null_keys(self, monkeypatch):
+        """The join probes through the hash index: a key held once (a bare
+        position in the index), a key held twice (a list) and NULL keys on
+        both sides give exactly what the dict build gives."""
+        probed = []
+        positions = HashIndex.positions
+
+        def counting_positions(self, value):
+            probed.append(value)
+            return positions(self, value)
+
+        monkeypatch.setattr(HashIndex, "positions", counting_positions)
+
+        def run(index: bool) -> list[tuple]:
+            engine = QurkEngine()
+            orders = engine.create_table(
+                "orders", [("order_id", DataType.INTEGER), ("product_id", DataType.INTEGER)]
+            )
+            products = engine.create_table(
+                "products", [("pid", DataType.INTEGER), ("name", DataType.STRING)]
+            )
+            products.insert_many([(1, "once"), (2, "twice"), (None, "null"), (2, "twice again")])
+            orders.insert_many([(10, 1), (11, 2), (12, None), (13, 3), (14, 2)])
+            if index:
+                products.create_index("pid")
+            handle = engine.query(JOIN_SQL)
+            engine.scheduler.drain()
+            return sorted(tuple(row.values) for row in handle.results())
+
+        expected = [
+            (10, "once"), (11, "twice"), (11, "twice again"), (14, "twice"), (14, "twice again"),
+        ]
+        assert run(index=False) == expected and probed == []
+        assert run(index=True) == expected and probed == [1, 2, 3, 2]  # NULL never probes

@@ -30,7 +30,8 @@ from hypothesis import strategies as st
 from repro.core.operators.scan import IndexScanOperator, ScanOperator
 from repro.core.operators.project import _comparison_mask
 from repro.errors import ExpressionError
-from repro.storage import DataType, Schema, Table, accel
+from repro.storage import DataType, RowBatch, Schema, Table, accel
+from repro.storage.batch import _ACCEL_MIN_ROWS, _LazyGather
 from repro.storage.expressions import (
     Arithmetic,
     BooleanOp,
@@ -117,10 +118,10 @@ predicate = st.recursive(
 any_expression = st.one_of(numeric_expression, predicate)
 
 
-def build_batch(rows):
+def build_batch(rows, size=ACCEL_ROWS):
     """Tile ``rows`` to accel size through a Table so codes/arrays exist."""
     table = Table("t", SCHEMA)
-    table.insert_many(rows[i % len(rows)] for i in range(ACCEL_ROWS))
+    table.insert_many(rows[i % len(rows)] for i in range(size))
     return table.to_batch()
 
 
@@ -256,6 +257,56 @@ class TestAccelPaths:
                 ), f"{left} != {right}"
             # Aggregates must in fact be bit-identical, not merely close.
             assert left == right and list(map(type, left)) == list(map(type, right))
+
+
+class TestSlicedScanStaysLazy:
+    N_ROWS = 4 * ACCEL_ROWS
+
+    @given(
+        rows_strategy(),
+        st.integers(1, N_ROWS),
+        st.integers(0, N_ROWS),
+        st.lists(st.booleans(), min_size=1, max_size=7),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_filtered_slices_of_one_snapshot_stack_into_one_lazy_gather(
+        self, rows, step, split, pattern
+    ):
+        """A scan hands a filter one slice per step; the blocking operator
+        above vstacks the survivors.  Every slice remembers the snapshot it
+        was cut from, so the stack is ONE lazy gather over the snapshot's own
+        arrays — equal to filtering the whole snapshot, with no object column
+        realized on the way (the lazy vstack never fired before: each slice
+        gathered from its own fresh view).
+        """
+        if not accel.HAVE_NUMPY:
+            return
+        np = accel.np
+        snapshot = build_batch(rows, self.N_ROWS).with_schema(SCHEMA.qualified("scan"))
+        mask = np.resize(np.asarray(pattern, dtype=bool), self.N_ROWS)
+        parts = []
+        for start in range(0, self.N_ROWS, step):
+            piece = snapshot.slice(start, start + step)
+            cuts = sorted({0, min(split, len(piece)), len(piece)})
+            for low, high in zip(cuts, cuts[1:]):  # a slice of a slice: the budget split
+                kept = mask[start + low : start + high]
+                parts.append(piece.slice(low, high)._compress_array(kept))
+        stacked = RowBatch.vstack(snapshot.schema, parts)
+        whole = snapshot._compress_array(mask)
+
+        if len(stacked) >= _ACCEL_MIN_ROWS and sum(1 for part in parts if len(part)) > 1:
+            for i, column in enumerate(stacked._columns):
+                assert type(column) is _LazyGather
+                assert column.source is snapshot._columns[i]
+        for i in range(len(SCHEMA) if len(stacked) else 0):  # accel caches ride along
+            assert (stacked._codes(i) is None) == (whole._codes(i) is None)
+            if whole._codes(i) is not None:
+                assert np.array_equal(stacked._codes(i)[0], whole._codes(i)[0])
+                assert stacked._codes(i)[1] is whole._codes(i)[1]
+        assert [r.values for r in stacked.to_rows()] == [r.values for r in whole.to_rows()]
+        assert [r.values for r in whole.to_rows()] == [
+            r.values for r, keep in zip(snapshot.to_rows(), mask) if keep
+        ]
 
 
 def _run_local_pipeline(seed: int) -> list[tuple]:

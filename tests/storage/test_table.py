@@ -73,3 +73,25 @@ class TestIndexes:
         table.insert_many([["A", 1], ["B", 20]])
         big = table.select(lambda row: row["employees"] > 10)
         assert [row["name"] for row in big] == ["B"]
+
+    def test_hash_index_unique_duplicate_and_null_keys(self, table):
+        """A key seen once holds a bare position, a repeated key a list; both
+        answer ascending position lists, and NULL is counted out."""
+        table.insert_many([["A", 1], ["B", 2], [None, 3], ["A", 4], [None, 5]])
+        table.create_index("name")
+        index = table.index_on("name")
+        assert index.positions_equal("B") == [1]  # unique: one slot, no list behind it
+        assert index.positions_equal("A") == [0, 3]
+        assert index.positions_equal("missing") == []
+        assert index.positions_equal(None) == []  # NULL = NULL is not True ...
+        assert index.positions(None) == [2, 4]  # ... but the rows are on record
+        assert index.distinct_count() == table.distinct_count("name") == 2
+
+        table.insert(["B", 6])  # the second row of a key promotes its slot
+        table.insert_batch(table.to_batch().slice(0, 1))  # columnar path maintains it too
+        assert index.positions_equal("B") == [1, 5]
+        assert index.positions_equal("A") == [0, 3, 6]
+        assert [row["employees"] for row in table.lookup("name", "A")] == [1, 4, 1]
+
+        table.truncate()
+        assert index.positions_equal("A") == [] and index.distinct_count() == 0
