@@ -129,10 +129,12 @@ class ClusterQueryHandle:
 class ClusterStats:
     """Cross-shard aggregation of engine statistics.
 
-    ``totals`` sums every numeric counter across shards (HIT-batching stats,
-    budget spend, scheduler passes); ``per_shard`` keeps each worker's own
-    report, including its ``peak_rss_kb``; ``peak_rss_kb_sum`` /
-    ``peak_rss_kb_max`` summarize worker memory across the fleet.
+    ``totals`` sums every number in the shards' ``stats`` replies — each
+    engine's :meth:`~repro.engine.QurkEngine.counters` plus its query count,
+    queue depth and spend — except ``simulated_time``, which keeps the
+    furthest shard clock; ``per_shard`` keeps each worker's own report,
+    including its ``peak_rss_kb``; ``peak_rss_kb_sum`` / ``peak_rss_kb_max``
+    summarize worker memory across the fleet.
     """
 
     totals: dict[str, float] = field(default_factory=dict)
@@ -748,6 +750,8 @@ class ShardCoordinator:
             merged.per_shard.append(shard_report)
             merged.queries.update(reply["queries"])
             for key, value in reply["totals"].items():
+                if not isinstance(value, (int, float)):
+                    continue  # per-engine descriptions (breaker state, fault profile)
                 if key == "simulated_time":
                     merged.totals[key] = max(merged.totals.get(key, 0.0), value)
                 else:

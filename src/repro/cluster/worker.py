@@ -332,10 +332,6 @@ class ShardWorker:
         return reply_ok(finished=finished, statuses=statuses)
 
     def _op_stats(self, message: dict[str, Any]) -> dict[str, Any]:
-        manager = self.engine.task_manager.stats
-        platform = self.engine.platform.stats
-        scheduler = self.engine.scheduler.metrics
-        cache = self.engine.task_cache.stats
         queries = {}
         for qid in self._order:
             stats = self._handles[qid].stats
@@ -352,41 +348,15 @@ class ShardWorker:
                 "dollars_saved_cache": stats.dollars_saved_cache,
                 "dollars_saved_model": stats.dollars_saved_model,
             }
+        scheduler = self.engine.scheduler
         return reply_ok(
             shard=self.shard_id,
             queries=queries,
             totals={
+                **self.engine.counters(),
                 "queries": len(self._order),
+                "queue_depth": len(scheduler.active_queries()) + len(scheduler.queued_queries()),
                 "total_cost": self.engine.total_crowd_cost,
-                "hits_created": platform.hits_created,
-                "hits_expired": platform.hits_expired,
-                "assignments_submitted": platform.assignments_submitted,
-                "tasks_submitted": manager.tasks_submitted,
-                "tasks_completed": manager.tasks_completed,
-                "cache_answers": manager.cache_answers,
-                "model_answers": manager.model_answers,
-                "cache_entries": cache.entries,
-                "cache_entries_imported": cache.entries_imported,
-                "cross_shard_hits": cache.cross_shard_hits,
-                "cache_expirations": cache.expirations,
-                "cache_admissions_rejected": cache.admissions_rejected,
-                "hits_posted": manager.hits_posted,
-                "cross_query_hits": manager.cross_query_hits,
-                "scheduler_passes": scheduler.passes,
-                "clock_advances": scheduler.clock_advances,
-                "simulated_time": self.engine.clock.now,
-                "queue_depth": len(self.engine.scheduler.active_queries())
-                + len(self.engine.scheduler.queued_queries()),
-                "queries_rejected": scheduler.queries_rejected,
-                "queries_shed": scheduler.queries_shed,
-                "deadline_misses": scheduler.deadline_misses,
-                "queries_degraded": scheduler.queries_degraded,
-                "queries_pressured": scheduler.queries_pressured,
-                "breaker_trips": (
-                    self.engine.breaker.stats.trips
-                    if getattr(self.engine, "breaker", None) is not None
-                    else 0
-                ),
             },
             peak_rss_kb=_peak_rss_kb(),
         )

@@ -40,7 +40,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from typing import TYPE_CHECKING
 
@@ -80,7 +80,7 @@ class SchedulerEvent:
 class SchedulerMetrics:
     """Aggregate counters for the shared run loop."""
 
-    passes: int = 0
+    passes: int = field(default=0, metadata={"counter": "scheduler_passes"})
     clock_advances: int = 0
     #: Clock advances that woke no query and queued no work — marketplace
     #: bookkeeping only (e.g. one of several assignments submitted).  With

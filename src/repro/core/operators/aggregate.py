@@ -21,9 +21,6 @@ from repro.storage.types import DataType
 
 __all__ = ["AggregateSpec", "GroupByOperator", "LimitOperator", "AGGREGATE_FUNCTIONS"]
 
-#: Below this many rows the Python bucketing loop wins over ndarray setup.
-_ACCEL_MIN_ROWS = 256
-
 
 def _count(values: list[Any]) -> int:
     return len([v for v in values if v is not None])
@@ -179,7 +176,7 @@ class GroupByOperator(Operator):
         handful) are sorted, never the input.  Anything else returns False
         and the reference bucketing loop runs.
         """
-        if not (accel.HAVE_NUMPY and len(combined) >= _ACCEL_MIN_ROWS):
+        if len(combined) < accel.MIN_ROWS:
             return False
         if len(self.group_columns) != 1:
             return False

@@ -26,9 +26,6 @@ from repro.storage.schema import Schema
 
 __all__ = ["LocalHashJoinOperator"]
 
-#: Below this many build rows the Python dict build wins over argsort setup.
-_ACCEL_MIN_ROWS = 256
-
 
 class LocalHashJoinOperator(Operator):
     """Joins its two inputs on locally evaluable equi-join keys.
@@ -127,7 +124,7 @@ class LocalHashJoinOperator(Operator):
         dict keyed by value; NULL build keys carry a code but no probe key
         can reach it (probe NULLs are skipped before the code lookup).
         """
-        if not (accel.HAVE_NUMPY and len(build) >= _ACCEL_MIN_ROWS):
+        if len(build) < accel.MIN_ROWS:
             return False, None
         if not isinstance(build_key, ColumnRef):
             return False, None

@@ -26,8 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
 
 __all__ = ["ProjectionItem", "ProjectOperator", "LocalFilterOperator"]
 
-#: Batches below this size filter faster through the plain Python kernel.
-_ACCEL_MIN_ROWS = 256
 
 _MASK_OPS = {
     "=": _operator.eq,
@@ -164,7 +162,7 @@ class LocalFilterOperator(Operator):
         self._mask_kernel = compile_batch_predicate(self.predicate, self.input_schema())
 
     def _process(self, batch: RowBatch, slot: int) -> None:
-        if accel.HAVE_NUMPY and len(batch) >= _ACCEL_MIN_ROWS:
+        if len(batch) >= accel.MIN_ROWS:
             mask = _comparison_mask(batch, self.predicate)
             if mask is not None:
                 self.emit(batch._compress_array(mask))

@@ -10,9 +10,6 @@ from repro.storage.schema import Schema
 
 __all__ = ["LocalSortOperator"]
 
-#: Below this many rows Python's timsort wins over ndarray setup.
-_ACCEL_MIN_ROWS = 256
-
 
 class LocalSortOperator(Operator):
     """Buffers its input and emits it ordered by a locally evaluable key.
@@ -45,7 +42,7 @@ class LocalSortOperator(Operator):
         self._batches.clear()
         if not len(combined):
             return
-        if accel.HAVE_NUMPY and len(combined) >= _ACCEL_MIN_ROWS:
+        if len(combined) >= accel.MIN_ROWS:
             # Numeric keys (NaN/NULL-free): a stable argsort on the key array
             # (negated for DESC) is order-identical to the stable Python sort.
             # array_kernel computes the key column without materializing any
@@ -61,7 +58,7 @@ class LocalSortOperator(Operator):
                 self.emit(combined._take_array(order))
                 return
         keys = compile_batch_expression(self.key, input_schema)(combined)
-        if accel.HAVE_NUMPY and len(combined) >= _ACCEL_MIN_ROWS:
+        if len(combined) >= accel.MIN_ROWS:
             key_array = accel.sortable_array(keys)
             if key_array is not None:
                 if not self.ascending:

@@ -176,31 +176,20 @@ class AdaptiveReplanner:
         planned = operator.planned_input_rows
         if not _misestimated(planned, observed, self.MISESTIMATE_FACTOR):
             return None
-        assignments = executor.context.assignments_for(operator.spec)
-        comparison = self.optimizer.cost_model.sort_cost_comparison(
+        costs = self.optimizer.cost_model.sort_strategy_costs(
             operator.spec,
             observed,
-            assignments=assignments,
-            comparisons_per_hit=operator.items_per_hit,
+            assignments=executor.context.assignments_for(operator.spec),
+            items_per_hit=operator.items_per_hit,
         )
-        rating = self.optimizer.cost_model.sort_cost_rating(
-            operator.spec,
-            observed,
-            assignments=assignments,
-            ratings_per_hit=operator.items_per_hit,
-        )
-        current, alternative = (
-            (comparison, rating)
-            if operator.strategy is SortStrategy.COMPARISON
-            else (rating, comparison)
-        )
-        if alternative.dollars >= current.dollars:
-            return None
         new_strategy = (
             SortStrategy.RATING
             if operator.strategy is SortStrategy.COMPARISON
             else SortStrategy.COMPARISON
         )
+        current, alternative = costs[operator.strategy], costs[new_strategy]
+        if alternative.dollars >= current.dollars:
+            return None
         replacement = CrowdSortOperator(
             operator.spec,
             operator.output_schema,
@@ -234,34 +223,23 @@ class AdaptiveReplanner:
             or _misestimated(operator.planned_right_rows, n_right, self.MISESTIMATE_FACTOR)
         ):
             return None
-        assignments = executor.context.assignments_for(operator.spec)
-        pairwise = self.optimizer.cost_model.join_cost_pairwise(
+        costs = self.optimizer.cost_model.join_strategy_costs(
             operator.spec,
             n_left,
             n_right,
-            assignments=assignments,
+            assignments=executor.context.assignments_for(operator.spec),
             pairs_per_hit=operator.pairs_per_hit,
-        )
-        columns = self.optimizer.cost_model.join_cost_columns(
-            operator.spec,
-            n_left,
-            n_right,
-            assignments=assignments,
             left_per_hit=operator.left_per_hit,
             right_per_hit=operator.right_per_hit,
         )
-        current, alternative = (
-            (pairwise, columns)
-            if operator.strategy is JoinStrategy.PAIRWISE
-            else (columns, pairwise)
-        )
-        if alternative.dollars >= current.dollars:
-            return None
         new_strategy = (
             JoinStrategy.COLUMNS
             if operator.strategy is JoinStrategy.PAIRWISE
             else JoinStrategy.PAIRWISE
         )
+        current, alternative = costs[operator.strategy], costs[new_strategy]
+        if alternative.dollars >= current.dollars:
+            return None
         left_schema = operator.children[0].output_schema
         right_schema = operator.children[1].output_schema
         replacement = CrowdJoinOperator(

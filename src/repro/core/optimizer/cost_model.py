@@ -14,7 +14,9 @@ import functools
 import math
 from dataclasses import dataclass
 
-from repro.core.tasks.spec import TaskSpec
+from repro.core.operators.crowd_join import JoinStrategy
+from repro.core.operators.crowd_sort import SortStrategy
+from repro.core.tasks.spec import JoinColumnsResponse, TaskSpec
 from repro.crowd.pricing import DEFAULT_PRICING, PricingPolicy
 
 __all__ = ["CostEstimate", "CostModel", "majority_accuracy"]
@@ -71,6 +73,14 @@ class CostEstimate:
             latency_seconds=max(self.latency_seconds, other.latency_seconds),
             local_work=self.local_work + other.local_work,
         )
+
+
+def cheaper_join_strategy(costs: dict[JoinStrategy, CostEstimate]) -> JoinStrategy:
+    """The cost-minimal join interface; COLUMNS wins ties (the enumerator's order)."""
+    columns = costs.get(JoinStrategy.COLUMNS)
+    if columns is not None and columns.dollars <= costs[JoinStrategy.PAIRWISE].dollars:
+        return JoinStrategy.COLUMNS
+    return JoinStrategy.PAIRWISE
 
 
 class CostModel:
@@ -175,3 +185,60 @@ class CostModel:
     ) -> CostEstimate:
         """Cost of rating-based crowd sort: one rating question per tuple."""
         return self._estimate(spec, n_rows, ratings_per_hit, assignments)
+
+    # -- per-decision comparisons ------------------------------------------------------------
+
+    def join_strategy_costs(
+        self,
+        spec: TaskSpec,
+        n_left: float,
+        n_right: float,
+        *,
+        assignments: int,
+        pairs_per_hit: int,
+        left_per_hit: int,
+        right_per_hit: int,
+        candidate_fraction: float = 1.0,
+    ) -> dict[JoinStrategy, CostEstimate]:
+        """Every interface ``spec`` can render, costed for the same inputs.
+
+        The one place the pairwise-vs-columns comparison is priced: plan
+        enumeration, :meth:`QueryOptimizer.choose_join_strategy` and the
+        adaptive replanner all decide from this mapping.  A plain yes/no
+        Response cannot render the two-column interface, so only JoinColumns
+        specs get a COLUMNS entry.
+        """
+        costs = {
+            JoinStrategy.PAIRWISE: self.join_cost_pairwise(
+                spec,
+                n_left,
+                n_right,
+                assignments=assignments,
+                pairs_per_hit=pairs_per_hit,
+                candidate_fraction=candidate_fraction,
+            )
+        }
+        if isinstance(spec.response, JoinColumnsResponse):
+            costs[JoinStrategy.COLUMNS] = self.join_cost_columns(
+                spec,
+                n_left,
+                n_right,
+                assignments=assignments,
+                left_per_hit=left_per_hit,
+                right_per_hit=right_per_hit,
+                candidate_fraction=candidate_fraction,
+            )
+        return costs
+
+    def sort_strategy_costs(
+        self, spec: TaskSpec, n_rows: float, *, assignments: int, items_per_hit: int
+    ) -> dict[SortStrategy, CostEstimate]:
+        """Comparison and rating sort costed for the same input (see above)."""
+        return {
+            SortStrategy.COMPARISON: self.sort_cost_comparison(
+                spec, n_rows, assignments=assignments, comparisons_per_hit=items_per_hit
+            ),
+            SortStrategy.RATING: self.sort_cost_rating(
+                spec, n_rows, assignments=assignments, ratings_per_hit=items_per_hit
+            ),
+        }

@@ -32,7 +32,12 @@ from dataclasses import dataclass
 from repro.core.operators.base import Operator
 from repro.core.operators.crowd_join import JoinStrategy
 from repro.core.operators.crowd_sort import SortStrategy
-from repro.core.optimizer.cost_model import CostEstimate, CostModel, majority_accuracy
+from repro.core.optimizer.cost_model import (
+    CostEstimate,
+    CostModel,
+    cheaper_join_strategy,
+    majority_accuracy,
+)
 from repro.core.optimizer.statistics import SpecStats, StatisticsManager, blend_selectivity
 from repro.core.tasks.spec import JoinColumnsResponse, RatingResponse, TaskSpec
 from repro.crowd.quality import WorkerReputation
@@ -309,51 +314,31 @@ class QueryOptimizer:
         according to its ``batch_size``); only JoinColumns specs compete on
         cost.
         """
-        assignments = self.choose_assignments(spec)
         if pairs_per_hit is None:
             pairs_per_hit = max(spec.batch_size, 1)
         response = spec.response
-        if not isinstance(response, JoinColumnsResponse):
-            estimate = self.cost_model.join_cost_pairwise(
-                spec,
-                n_left,
-                n_right,
-                assignments=assignments,
-                pairs_per_hit=pairs_per_hit,
-                candidate_fraction=candidate_fraction,
-            )
-            return JoinChoice(
-                strategy=JoinStrategy.PAIRWISE, pairs_per_hit=pairs_per_hit, estimate=estimate
-            )
-        left_per_hit = response.left_per_hit
-        right_per_hit = response.right_per_hit
-        pairwise = self.cost_model.join_cost_pairwise(
+        block = response if isinstance(response, JoinColumnsResponse) else None
+        left_per_hit = block.left_per_hit if block else 3
+        right_per_hit = block.right_per_hit if block else 3
+        costs = self.cost_model.join_strategy_costs(
             spec,
             n_left,
             n_right,
-            assignments=assignments,
+            assignments=self.choose_assignments(spec),
             pairs_per_hit=pairs_per_hit,
-            candidate_fraction=candidate_fraction,
-        )
-        columns = self.cost_model.join_cost_columns(
-            spec,
-            n_left,
-            n_right,
-            assignments=assignments,
             left_per_hit=left_per_hit,
             right_per_hit=right_per_hit,
             candidate_fraction=candidate_fraction,
         )
-        if columns.dollars <= pairwise.dollars:
+        strategy = cheaper_join_strategy(costs)
+        if strategy is JoinStrategy.COLUMNS:
             return JoinChoice(
-                strategy=JoinStrategy.COLUMNS,
+                strategy=strategy,
                 left_per_hit=left_per_hit,
                 right_per_hit=right_per_hit,
-                estimate=columns,
+                estimate=costs[strategy],
             )
-        return JoinChoice(
-            strategy=JoinStrategy.PAIRWISE, pairs_per_hit=pairs_per_hit, estimate=pairwise
-        )
+        return JoinChoice(strategy=strategy, pairs_per_hit=pairs_per_hit, estimate=costs[strategy])
 
     # -- sort strategy ------------------------------------------------------------------------
 
@@ -361,9 +346,12 @@ class QueryOptimizer:
         """Rating-based sort beyond a small input size; the spec can force rating."""
         if isinstance(spec.response, RatingResponse):
             return SortStrategy.RATING
-        comparison = self.cost_model.sort_cost_comparison(spec, n_rows)
-        rating = self.cost_model.sort_cost_rating(spec, n_rows)
-        return SortStrategy.COMPARISON if comparison.dollars <= rating.dollars else SortStrategy.RATING
+        costs = self.cost_model.sort_strategy_costs(
+            spec, n_rows, assignments=spec.assignments, items_per_hit=1
+        )
+        if costs[SortStrategy.COMPARISON].dollars <= costs[SortStrategy.RATING].dollars:
+            return SortStrategy.COMPARISON
+        return SortStrategy.RATING
 
     # -- plan-level estimation ---------------------------------------------------------------------
 

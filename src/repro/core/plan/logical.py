@@ -28,6 +28,7 @@ has committed to it.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
@@ -42,7 +43,7 @@ from repro.core.operators.join_local import LocalHashJoinOperator
 from repro.core.operators.project import LocalFilterOperator, ProjectOperator
 from repro.core.operators.scan import IndexScanOperator, ScanOperator
 from repro.core.operators.sort_local import LocalSortOperator
-from repro.core.optimizer.cost_model import CostEstimate
+from repro.core.optimizer.cost_model import CostEstimate, cheaper_join_strategy
 from repro.core.tasks.spec import JoinColumnsResponse, RatingResponse, TaskSpec
 from repro.storage.expressions import Expression, FunctionCall
 from repro.storage.table import Table
@@ -96,14 +97,16 @@ class LogicalNode:
         yield self
 
     def clone(self) -> "LogicalNode":
-        """A deep copy of this subtree (annotations reset, decisions kept)."""
-        node = self._clone_shallow()
-        for child in self.children:
-            node.add_child(child.clone())
-        return node
+        """A deep copy of this subtree (annotations reset, decisions kept).
 
-    def _clone_shallow(self) -> "LogicalNode":
-        raise NotImplementedError
+        Nodes are copied, what they point at (tables, specs, expressions,
+        select items) is shared: none of it is mutated by planning.
+        """
+        node = copy.copy(self)
+        node.children = [child.clone() for child in self.children]
+        node.estimated_rows = None
+        node.estimated_cost = None
+        return node
 
     # -- costing protocol ----------------------------------------------------------
 
@@ -152,9 +155,6 @@ class LogicalScan(LogicalNode):
         self.alias = alias
         self.binding = binding or alias or table.name
 
-    def _clone_shallow(self) -> "LogicalScan":
-        return LogicalScan(self.table, alias=self.alias, binding=self.binding)
-
     def label(self) -> str:
         return f"scan({self.binding})"
 
@@ -194,16 +194,6 @@ class LogicalIndexScan(LogicalNode):
         self.value = value
         self.alias = alias
         self.binding = binding or alias or table.name
-
-    def _clone_shallow(self) -> "LogicalIndexScan":
-        return LogicalIndexScan(
-            self.table,
-            column=self.column,
-            op=self.op,
-            value=self.value,
-            alias=self.alias,
-            binding=self.binding,
-        )
 
     def label(self) -> str:
         return f"index-scan({self.binding}.{self.column} {self.op} {self.value!r})"
@@ -257,15 +247,6 @@ class LogicalFilter(LogicalNode):
     @property
     def is_crowd(self) -> bool:
         return self.spec is not None
-
-    def _clone_shallow(self) -> "LogicalFilter":
-        return LogicalFilter(
-            predicate=self.predicate,
-            spec=self.spec,
-            call=self.call,
-            entry=self.entry,
-            negate=self.negate,
-        )
 
     def label(self) -> str:
         if self.is_crowd:
@@ -330,65 +311,28 @@ class LogicalJoin(LogicalNode):
     def supports_columns(self) -> bool:
         return isinstance(self.spec.response, JoinColumnsResponse)
 
-    def _clone_shallow(self) -> "LogicalJoin":
-        return LogicalJoin(
-            self.spec,
-            call=self.call,
-            entry=self.entry,
-            left_binding=self.left_binding,
-            right_binding=self.right_binding,
-            strategy=self.strategy,
-            pairs_per_hit=self.pairs_per_hit,
-            left_per_hit=self.left_per_hit,
-            right_per_hit=self.right_per_hit,
-        )
-
     def label(self) -> str:
         decided = f",{self.strategy.value}" if self.strategy is not None else ""
         return f"crowd-join({self.spec.name}{decided})"
 
-    def _strategy_costs(self, n_left: float, n_right: float, costing) -> dict[JoinStrategy, CostEstimate]:
-        assignments = costing.assignments_for(self.spec)
-        costs = {
-            JoinStrategy.PAIRWISE: costing.cost_model.join_cost_pairwise(
-                self.spec,
-                n_left,
-                n_right,
-                assignments=assignments,
-                pairs_per_hit=self.pairs_per_hit,
-            )
-        }
-        if self.supports_columns:
-            costs[JoinStrategy.COLUMNS] = costing.cost_model.join_cost_columns(
-                self.spec,
-                n_left,
-                n_right,
-                assignments=assignments,
-                left_per_hit=self.left_per_hit,
-                right_per_hit=self.right_per_hit,
-            )
+    def estimate_cost(self, child_rows: list[float], costing) -> CostEstimate:
+        costs = costing.cost_model.join_strategy_costs(
+            self.spec,
+            child_rows[0] if child_rows else 0.0,
+            child_rows[1] if len(child_rows) > 1 else 0.0,
+            assignments=costing.assignments_for(self.spec),
+            pairs_per_hit=self.pairs_per_hit,
+            left_per_hit=self.left_per_hit,
+            right_per_hit=self.right_per_hit,
+        )
+        # Undecided: assume the interface enumeration will pick — the cheaper
+        # one, with COLUMNS winning ties exactly as the enumerator orders them.
+        strategy = self.strategy if self.strategy in costs else cheaper_join_strategy(costs)
         # A trusted learned model answers pair judgements instead of the
         # crowd — every interface shrinks by the same residual, so the
         # strategy choice itself is unchanged but join placement competes
         # on the ~zero escalated cost.
-        return {
-            strategy: costing.discount_for_model(self.spec, estimate)
-            for strategy, estimate in costs.items()
-        }
-
-    def estimate_cost(self, child_rows: list[float], costing) -> CostEstimate:
-        n_left = child_rows[0] if child_rows else 0.0
-        n_right = child_rows[1] if len(child_rows) > 1 else 0.0
-        costs = self._strategy_costs(n_left, n_right, costing)
-        if self.strategy is not None:
-            return costs.get(self.strategy, costs[JoinStrategy.PAIRWISE])
-        # Undecided: assume the interface enumeration will pick — the cheaper
-        # one, with COLUMNS winning ties exactly as the enumerator orders them.
-        if JoinStrategy.COLUMNS in costs and (
-            costs[JoinStrategy.COLUMNS].dollars <= costs[JoinStrategy.PAIRWISE].dollars
-        ):
-            return costs[JoinStrategy.COLUMNS]
-        return costs[JoinStrategy.PAIRWISE]
+        return costing.discount_for_model(self.spec, costs[strategy])
 
     def estimate_output_rows(self, child_rows: list[float], costing) -> float:
         n_left = child_rows[0] if child_rows else 0.0
@@ -442,19 +386,6 @@ class LogicalLocalJoin(LogicalNode):
         self.left_column = left_column
         self.right_column = right_column
         self.build_side = build_side
-
-    def _clone_shallow(self) -> "LogicalLocalJoin":
-        return LogicalLocalJoin(
-            left_key=self.left_key,
-            right_key=self.right_key,
-            left_binding=self.left_binding,
-            right_binding=self.right_binding,
-            left_table=self.left_table,
-            right_table=self.right_table,
-            left_column=self.left_column,
-            right_column=self.right_column,
-            build_side=self.build_side,
-        )
 
     def label(self) -> str:
         decided = f",build={self.build_side}" if self.build_side is not None else ""
@@ -522,11 +453,6 @@ class LogicalGenerate(LogicalNode):
         self.entry = entry
         self.output_prefix = output_prefix or spec.name
 
-    def _clone_shallow(self) -> "LogicalGenerate":
-        return LogicalGenerate(
-            self.spec, call=self.call, entry=self.entry, output_prefix=self.output_prefix
-        )
-
     def label(self) -> str:
         return f"crowd-generate({self.spec.name})"
 
@@ -580,39 +506,22 @@ class LogicalSort(LogicalNode):
             return SortStrategy.RATING
         return SortStrategy.COMPARISON
 
-    def _clone_shallow(self) -> "LogicalSort":
-        return LogicalSort(
-            spec=self.spec,
-            call=self.call,
-            entry=self.entry,
-            key=self.key,
-            ascending=self.ascending,
-            strategy=self.strategy,
-            items_per_hit=self.items_per_hit,
-        )
-
     def label(self) -> str:
         if not self.is_crowd:
             return "sort(local)"
         decided = f",{self.strategy.value}" if self.strategy is not None else ""
         return f"crowd-sort({self.spec.name}{decided})"
 
-    def strategy_cost(self, strategy: SortStrategy, rows: float, costing) -> CostEstimate:
-        assignments = costing.assignments_for(self.spec)
-        if strategy is SortStrategy.COMPARISON:
-            return costing.cost_model.sort_cost_comparison(
-                self.spec, rows, assignments=assignments, comparisons_per_hit=self.items_per_hit
-            )
-        return costing.cost_model.sort_cost_rating(
-            self.spec, rows, assignments=assignments, ratings_per_hit=self.items_per_hit
-        )
-
     def estimate_cost(self, child_rows: list[float], costing) -> CostEstimate:
         if not self.is_crowd:
             return CostEstimate()
-        rows = child_rows[0] if child_rows else 0.0
-        strategy = self.strategy if self.strategy is not None else self.preferred_strategy
-        return self.strategy_cost(strategy, rows, costing)
+        costs = costing.cost_model.sort_strategy_costs(
+            self.spec,
+            child_rows[0] if child_rows else 0.0,
+            assignments=costing.assignments_for(self.spec),
+            items_per_hit=self.items_per_hit,
+        )
+        return costs[self.strategy if self.strategy is not None else self.preferred_strategy]
 
 
 class LogicalProject(LogicalNode):
@@ -621,9 +530,6 @@ class LogicalProject(LogicalNode):
     def __init__(self, items: "tuple[SelectItem, ...] | list[SelectItem]" = ()):
         super().__init__()
         self.items = tuple(items)
-
-    def _clone_shallow(self) -> "LogicalProject":
-        return LogicalProject(self.items)
 
     def label(self) -> str:
         return "project"
@@ -637,9 +543,6 @@ class LogicalGroupBy(LogicalNode):
         self.group_columns = list(group_columns)
         self.aggregates = list(aggregates)
 
-    def _clone_shallow(self) -> "LogicalGroupBy":
-        return LogicalGroupBy(self.group_columns, self.aggregates)
-
     def label(self) -> str:
         return "group-by"
 
@@ -652,9 +555,6 @@ class LogicalLimit(LogicalNode):
         super().__init__()
         self.limit = limit
 
-    def _clone_shallow(self) -> "LogicalLimit":
-        return LogicalLimit(self.limit)
-
     def label(self) -> str:
         return f"limit({self.limit})"
 
@@ -665,9 +565,6 @@ class _Passthrough(LogicalNode):
     def __init__(self, name: str = "passthrough"):
         super().__init__()
         self._name = name
-
-    def _clone_shallow(self) -> "_Passthrough":
-        return _Passthrough(self._name)
 
     def label(self) -> str:
         return self._name

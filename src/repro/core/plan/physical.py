@@ -511,20 +511,12 @@ class PhysicalPlanner:
                 )
             return LocalFilterOperator(node.predicate, input_schema)
         if isinstance(node, LogicalJoin):
-            strategy = node.strategy
-            if strategy is None:
-                choice = self.optimizer.choose_join_strategy(
-                    node.spec,
-                    int(node.children[0].estimated_rows or 0),
-                    int(node.children[1].estimated_rows or 0),
-                )
-                strategy = choice.strategy
             entry = node.entry
             return CrowdJoinOperator(
                 node.spec,
                 children[0].output_schema,
                 children[1].output_schema,
-                strategy=strategy,
+                strategy=node.strategy,
                 pairs_per_hit=node.pairs_per_hit,
                 left_per_hit=node.left_per_hit,
                 right_per_hit=node.right_per_hit,
@@ -553,7 +545,7 @@ class PhysicalPlanner:
                 return CrowdSortOperator(
                     node.spec,
                     input_schema,
-                    strategy=node.strategy or node.preferred_strategy,
+                    strategy=node.strategy,
                     descending=not node.ascending,
                     items_per_hit=node.items_per_hit,
                     payload=entry.payload if entry else None,

@@ -29,8 +29,10 @@ from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Any, Hashable
+
+from repro.storage.snapshot import pack_value, unpack_value
 
 __all__ = ["CacheEntry", "CachePolicy", "CacheStats", "TaskCache"]
 
@@ -45,6 +47,37 @@ class CacheEntry:
     #: Aggregate confidence in the stored answer (mean worker posterior for
     #: crowd answers, model confidence for escalated answers, 1.0 legacy).
     confidence: float = 1.0
+
+    def pack(self, name: str, cache_key: Hashable) -> dict:
+        """The entry as its one JSON-safe record.
+
+        The same item is an ``answer_stored`` WAL record and snapshot entry
+        of the durable tier, a cross-shard export, and an engine-snapshot
+        entry.  Keys and reduced answers contain tuples (JOIN_BLOCK
+        reductions are lists of id pairs) that plain JSON would lower to
+        lists, breaking dict-key equality on restore, so both go through the
+        tagged :func:`~repro.storage.snapshot.pack_value` encoding — which
+        *raises* on anything it cannot round-trip.
+        """
+        return {
+            "name": name,
+            "key": pack_value(cache_key),
+            "reduced": pack_value(self.reduced),
+            "original_cost": self.original_cost,
+            "stored_at": self.stored_at,
+            "confidence": self.confidence,
+        }
+
+    @classmethod
+    def unpack(cls, item: dict) -> tuple[tuple[str, Hashable], "CacheEntry"]:
+        """``((task name, cache key), entry)`` back from :meth:`pack`'s record."""
+        entry = cls(
+            reduced=unpack_value(item["reduced"]),
+            original_cost=item["original_cost"],
+            stored_at=item["stored_at"],
+            confidence=item.get("confidence", 1.0),
+        )
+        return (item["name"], unpack_value(item["key"])), entry
 
 
 @dataclass(frozen=True)
@@ -83,7 +116,7 @@ class CacheStats:
     #: Entries received from other shards via the coordinator directory.
     entries_imported: int = 0
     #: Hits served from an imported (answered-on-another-shard) entry.
-    cross_shard_hits: int = 0
+    cross_shard_hits: int = field(default=0, metadata={"counter": "cross_shard_hits"})
 
     @property
     def hit_rate(self) -> float:
@@ -244,8 +277,6 @@ class TaskCache:
         only entries stored since.  Invalidated or superseded keys are
         skipped (their current entry is exported at its own log position).
         """
-        from repro.storage.snapshot import pack_value
-
         items: list[dict] = []
         log = self._store_log
         for position in range(min(cursor, len(log)), len(log)):
@@ -256,16 +287,7 @@ class TaskCache:
             # A key re-stored later appears at multiple log positions; every
             # occurrence exports the *current* entry, which is harmless (the
             # import side is idempotent and local entries win).
-            items.append(
-                {
-                    "name": key[0],
-                    "key": pack_value(key[1]),
-                    "reduced": pack_value(entry.reduced),
-                    "original_cost": entry.original_cost,
-                    "stored_at": entry.stored_at,
-                    "confidence": entry.confidence,
-                }
-            )
+            items.append(entry.pack(*key))
         return len(log), items
 
     def import_entries(self, items: list[dict]) -> int:
@@ -275,21 +297,13 @@ class TaskCache:
         authority), imports never credit hit/savings counters, and imported
         keys are remembered so hits on them can be attributed cross-shard.
         """
-        from repro.storage.snapshot import unpack_value
-
         if not self.enabled:
             return 0
         imported = 0
         for item in items:
-            key = (item["name"], unpack_value(item["key"]))
+            key, entry = CacheEntry.unpack(item)
             if key in self._entries:
                 continue
-            entry = CacheEntry(
-                reduced=unpack_value(item["reduced"]),
-                original_cost=item["original_cost"],
-                stored_at=item["stored_at"],
-                confidence=item.get("confidence", 1.0),
-            )
             self._entries[key] = entry
             self._imported.add(key)
             imported += 1
@@ -303,47 +317,15 @@ class TaskCache:
     # -- durability -----------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """Entries + counters with exact-round-trip key/value packing.
-
-        Cache keys and reduced answers contain tuples (JOIN_BLOCK
-        reductions are lists of id pairs); plain JSON would lower them to
-        lists and break dict-key equality on restore, so both sides go
-        through the tagged :func:`~repro.storage.snapshot.pack_value`
-        encoding — which *raises* on anything it cannot round-trip, since
-        a silently-dropped entry would diverge recovery fingerprints.
-        """
-        from dataclasses import asdict
-
-        from repro.storage.snapshot import pack_value
-
+        """Entries (as :meth:`CacheEntry.pack` records) + counters."""
         return {
             "stats": asdict(self.stats),
-            "entries": [
-                {
-                    "name": name,
-                    "key": pack_value(cache_key),
-                    "reduced": pack_value(entry.reduced),
-                    "original_cost": entry.original_cost,
-                    "stored_at": entry.stored_at,
-                    "confidence": entry.confidence,
-                }
-                for (name, cache_key), entry in self._entries.items()
-            ],
+            "entries": [entry.pack(*key) for key, entry in self._entries.items()],
         }
 
     def load_state_dict(self, state: dict) -> None:
-        from repro.storage.snapshot import unpack_value
-
         self.stats = CacheStats(**state["stats"])
-        self._entries = {
-            (item["name"], unpack_value(item["key"])): CacheEntry(
-                reduced=unpack_value(item["reduced"]),
-                original_cost=item["original_cost"],
-                stored_at=item["stored_at"],
-                confidence=item.get("confidence", 1.0),
-            )
-            for item in state["entries"]
-        }
+        self._entries = dict(CacheEntry.unpack(item) for item in state["entries"])
         # Restored entries are local again (insertion order approximates the
         # original store order; exact for snapshots without invalidations).
         self._store_log = list(self._entries)

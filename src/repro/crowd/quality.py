@@ -243,18 +243,16 @@ class WorkerReputation:
         self._version += 1
         self._population_memo = None
 
-    def summary(self) -> dict[str, Any]:
-        """Aggregate view for the dashboard."""
+    def summary(self) -> dict[str, float]:
+        """Engine-wide quality gauges, each additive across shards.
+
+        Mean worker accuracy is ``worker_accuracy_sum / workers_tracked``.
+        """
         tracked = self.tracked_workers()
-        mean = (
-            sum(self.accuracy(worker_id) for worker_id in tracked) / len(tracked)
-            if tracked
-            else None
-        )
         return {
             "workers_tracked": len(tracked),
-            "mean_accuracy": mean,
-            "flagged": len(self.flagged_workers()),
+            "worker_accuracy_sum": sum(self.accuracy(worker_id) for worker_id in tracked),
+            "flagged_workers": len(self.flagged_workers()),
             "gold_observations": sum(self._gold_observations.values()),
         }
 

@@ -28,8 +28,10 @@ def _count_statuses(queries: dict[str, dict[str, Any]]) -> dict[str, int]:
 def render_cluster(stats: "ClusterStats", panels: list[dict[str, Any]]) -> str:
     """One text dashboard for the whole cluster.
 
-    ``stats`` is the coordinator's merged :class:`ClusterStats`; ``panels``
-    are the per-shard ``dashboard`` op replies (``{"shard", "text"}``).
+    ``stats`` is the coordinator's merged :class:`ClusterStats` — its
+    ``totals`` hold every engine counter summed across shards, so a header
+    line reads any of them by name; ``panels`` are the per-shard
+    ``dashboard`` op replies (``{"shard", "text"}``).
     """
     totals = stats.totals
     statuses = _count_statuses(stats.queries)
@@ -39,36 +41,36 @@ def render_cluster(stats: "ClusterStats", panels: list[dict[str, Any]]) -> str:
     )
     lines = [
         f"=== Qurk cluster: {len(stats.per_shard)} shard(s), "
-        f"{int(totals.get('queries', 0))} query(ies) ===",
+        f"{totals['queries']} query(ies) ===",
         f"queries: {status_line}",
-        f"crowd spend: ${totals.get('total_cost', 0.0):.2f}  "
-        f"HITs posted: {int(totals.get('hits_posted', 0))} "
-        f"(cross-query {int(totals.get('cross_query_hits', 0))}, "
-        f"expired {int(totals.get('hits_expired', 0))})",
-        f"tasks: {int(totals.get('tasks_submitted', 0))} submitted, "
-        f"{int(totals.get('tasks_completed', 0))} completed, "
-        f"{int(totals.get('cache_answers', 0))} from cache, "
-        f"{int(totals.get('model_answers', 0))} from task models",
-        f"scheduler: {int(totals.get('scheduler_passes', 0))} passes, "
-        f"{int(totals.get('clock_advances', 0))} clock advances  "
-        f"simulated time: {totals.get('simulated_time', 0.0):.1f}s",
+        f"crowd spend: ${totals['total_cost']:.2f}  "
+        f"HITs posted: {totals['hits_posted']} "
+        f"(cross-query {totals['cross_query_hits']}, "
+        f"expired {totals['hits_expired']})",
+        f"tasks: {totals['tasks_submitted']} submitted, "
+        f"{totals['tasks_completed']} completed, "
+        f"{totals['cache_answers']} from cache, "
+        f"{totals['model_answers']} from task models",
+        f"scheduler: {totals['scheduler_passes']} passes, "
+        f"{totals['clock_advances']} clock advances  "
+        f"simulated time: {totals['simulated_time']:.1f}s",
         f"memory: {stats.peak_rss_kb_sum} KiB across workers "
         f"(max shard {stats.peak_rss_kb_max} KiB)",
     ]
     overload = (
-        int(totals.get("queries_rejected", 0))
-        + int(totals.get("queries_shed", 0))
-        + int(totals.get("deadline_misses", 0))
-        + int(totals.get("queries_degraded", 0))
-        + int(totals.get("breaker_trips", 0))
+        totals["queries_rejected"]
+        + totals["queries_shed"]
+        + totals["deadline_misses"]
+        + totals["queries_degraded"]
+        + totals["breaker_trips"]
     )
     if overload or stats.rebalanced:
         lines.append(
-            f"overload: rejected {int(totals.get('queries_rejected', 0))}, "
-            f"shed {int(totals.get('queries_shed', 0))}, "
-            f"deadline misses {int(totals.get('deadline_misses', 0))}, "
-            f"degraded {int(totals.get('queries_degraded', 0))}, "
-            f"breaker trips {int(totals.get('breaker_trips', 0))}, "
+            f"overload: rejected {totals['queries_rejected']}, "
+            f"shed {totals['queries_shed']}, "
+            f"deadline misses {totals['deadline_misses']}, "
+            f"degraded {totals['queries_degraded']}, "
+            f"breaker trips {totals['breaker_trips']}, "
             f"rebalanced {stats.rebalanced}"
         )
     for record in stats.health:

@@ -24,8 +24,8 @@ class QueryDashboard:
 
     def __init__(self, engine) -> None:
         # Typed loosely to avoid an import cycle with repro.engine; the
-        # engine exposes .queries, .statistics, .budget_ledger, .platform,
-        # .optimizer, .task_models and .clock.
+        # engine exposes .queries, .budget_ledger, .optimizer, .scheduler,
+        # .task_models, .clock and counters().
         self.engine = engine
 
     # -- snapshots ------------------------------------------------------------------------
@@ -36,50 +36,18 @@ class QueryDashboard:
         if handle is None:
             known = ", ".join(sorted(self.engine.queries)) or "<none>"
             raise DashboardError(f"unknown query {query_id!r}; known queries: {known}")
-        return self._snapshot_of(handle)
+        return self._snapshot_of(handle, self.engine.counters())
 
     def snapshots(self) -> list[QueryDashboardSnapshot]:
         """Snapshots of every query the engine has started, oldest first."""
-        return [self._snapshot_of(handle) for handle in self.engine.queries.values()]
+        counters = self.engine.counters()
+        return [self._snapshot_of(handle, counters) for handle in self.engine.queries.values()]
 
-    def _snapshot_of(self, handle: QueryHandle) -> QueryDashboardSnapshot:
+    def _snapshot_of(self, handle: QueryHandle, counters) -> QueryDashboardSnapshot:
         stats = handle.stats
         estimate = self.engine.optimizer.estimate_plan_cost(handle.executor.root)
         budget = self.engine.budget_ledger.budget(handle.query_id)
-        model_savings = self.engine.task_models.total_savings()
-        operators = tuple(self._operator_snapshots(handle))
-        scheduler = getattr(self.engine, "scheduler", None)
-        scheduler_state = ""
-        lifecycle: tuple[str, ...] = ()
-        scheduler_passes = clock_advances = noop_clock_advances = 0
-        if scheduler is not None:
-            scheduler_state = scheduler.state_of(handle.query_id)
-            lifecycle = tuple(
-                event.describe() for event in scheduler.events_for(handle.query_id)
-            )
-            scheduler_passes = scheduler.metrics.passes
-            clock_advances = scheduler.metrics.clock_advances
-            noop_clock_advances = scheduler.metrics.noop_clock_advances
-        plan_changes = tuple(change.describe() for change in handle.plan_history())
-        platform_stats = self.engine.platform.stats
-        manager_stats = self.engine.task_manager.stats
-        reputation = getattr(self.engine, "reputation", None)
-        workers_tracked = 0
-        mean_worker_accuracy = None
-        flagged_workers = 0
-        if reputation is not None:
-            quality_summary = reputation.summary()
-            workers_tracked = quality_summary["workers_tracked"]
-            mean_worker_accuracy = quality_summary["mean_accuracy"]
-            flagged_workers = quality_summary["flagged"]
-        fault_profile = getattr(self.engine.platform, "faults", None)
-        breaker = getattr(self.engine, "breaker", None)
-        cache_stats = self.engine.task_cache.stats
-        trusted_models = sum(
-            1
-            for model in self.engine.task_models.models().values()
-            if getattr(model, "is_trusted", False)
-        )
+        scheduler = self.engine.scheduler
         return QueryDashboardSnapshot(
             query_id=handle.query_id,
             sql=handle.sql,
@@ -94,60 +62,19 @@ class QueryDashboard:
             hits_posted=stats.hits_posted,
             tasks_submitted=stats.tasks_submitted,
             tasks_completed=stats.tasks_completed,
-            open_hits=self.engine.platform.open_hit_count(),
             cache_hits=stats.cache_hits,
             cache_savings=stats.dollars_saved_cache,
             model_answers=stats.model_answers,
-            model_savings=model_savings,
+            model_savings=self.engine.task_models.total_savings(),
             elapsed_seconds=self.engine.clock.now - stats.started_at,
             estimated_latency=estimate.latency_seconds,
-            operators=operators,
-            scheduler_state=scheduler_state,
-            lifecycle=lifecycle,
-            scheduler_passes=scheduler_passes,
-            clock_advances=clock_advances,
-            noop_clock_advances=noop_clock_advances,
-            plan_changes=plan_changes,
-            workers_tracked=workers_tracked,
-            mean_worker_accuracy=mean_worker_accuracy,
-            flagged_workers=flagged_workers,
-            gold_probes_posted=manager_stats.gold_probes_posted,
-            early_stopped_tasks=manager_stats.early_stopped_tasks,
-            fault_profile=(
-                fault_profile.describe()
-                if fault_profile is not None and fault_profile.enabled
-                else ""
+            operators=tuple(self._operator_snapshots(handle)),
+            scheduler_state=scheduler.state_of(handle.query_id),
+            lifecycle=tuple(
+                event.describe() for event in scheduler.events_for(handle.query_id)
             ),
-            hits_expired=platform_stats.hits_expired,
-            assignments_abandoned=platform_stats.assignments_abandoned,
-            late_submissions_dropped=platform_stats.late_submissions_dropped,
-            duplicate_submissions_ignored=platform_stats.duplicate_submissions_ignored,
-            tasks_requeued=manager_stats.tasks_requeued,
-            tasks_exhausted=manager_stats.tasks_exhausted,
-            cache_entries=cache_stats.entries,
-            cache_expirations=cache_stats.expirations,
-            cache_admissions_rejected=cache_stats.admissions_rejected,
-            cache_entries_imported=cache_stats.entries_imported,
-            cross_shard_hits=cache_stats.cross_shard_hits,
-            trusted_models=trusted_models,
-            queries_rejected=(
-                scheduler.metrics.queries_rejected if scheduler is not None else 0
-            ),
-            queries_shed=scheduler.metrics.queries_shed if scheduler is not None else 0,
-            deadline_misses=(
-                scheduler.metrics.deadline_misses if scheduler is not None else 0
-            ),
-            queries_degraded=(
-                scheduler.metrics.queries_degraded if scheduler is not None else 0
-            ),
-            queries_pressured=(
-                scheduler.metrics.queries_pressured if scheduler is not None else 0
-            ),
-            breaker_state=breaker.state if breaker is not None else "",
-            breaker_trips=breaker.stats.trips if breaker is not None else 0,
-            breaker_posts_blocked=(
-                breaker.stats.posts_blocked if breaker is not None else 0
-            ),
+            plan_changes=tuple(change.describe() for change in handle.plan_history()),
+            engine=counters,
         )
 
     def _operator_snapshots(self, handle: QueryHandle) -> list[OperatorSnapshot]:
@@ -183,6 +110,7 @@ class QueryDashboard:
 
     @staticmethod
     def render_snapshot(snapshot: QueryDashboardSnapshot) -> str:
+        engine = snapshot.engine
         lines = [
             f"=== Qurk Query Status: {snapshot.query_id} [{snapshot.status}] ===",
             f"SQL: {snapshot.sql.strip()}" if snapshot.sql else "SQL: <programmatic plan>",
@@ -193,7 +121,7 @@ class QueryDashboard:
             ),
             (
                 f"results emitted: {snapshot.results_emitted}"
-                f" | HITs posted: {snapshot.hits_posted} (open: {snapshot.open_hits})"
+                f" | HITs posted: {snapshot.hits_posted} (open: {engine['open_hits']})"
                 f" | tasks {snapshot.tasks_completed}/{snapshot.tasks_submitted}"
             ),
         ]
@@ -210,77 +138,72 @@ class QueryDashboard:
             f"savings — cache: ${snapshot.cache_savings:,.2f} ({snapshot.cache_hits} hits)"
             f" | classifier: ${snapshot.model_savings:,.2f} ({snapshot.model_answers} answers)"
         )
-        if snapshot.cache_entries or snapshot.trusted_models or snapshot.cross_shard_hits:
+        if engine["cache_entries"] or engine["trusted_models"] or engine["cross_shard_hits"]:
             tier = (
-                f"answer tier (engine-wide): {snapshot.cache_entries} entries"
-                f" | expired {snapshot.cache_expirations}"
-                f" | rejected {snapshot.cache_admissions_rejected}"
+                f"answer tier (engine-wide): {engine['cache_entries']} entries"
+                f" | expired {engine['cache_expirations']}"
+                f" | rejected {engine['cache_admissions_rejected']}"
             )
-            if snapshot.cache_entries_imported or snapshot.cross_shard_hits:
+            if engine["cache_entries_imported"] or engine["cross_shard_hits"]:
                 tier += (
-                    f" | imported {snapshot.cache_entries_imported}"
-                    f" | cross-shard hits {snapshot.cross_shard_hits}"
+                    f" | imported {engine['cache_entries_imported']}"
+                    f" | cross-shard hits {engine['cross_shard_hits']}"
                 )
-            if snapshot.trusted_models:
-                tier += f" | trusted models {snapshot.trusted_models}"
+            if engine["trusted_models"]:
+                tier += f" | trusted models {engine['trusted_models']}"
             lines.append(tier)
-        if snapshot.workers_tracked:
-            accuracy = (
-                f"{snapshot.mean_worker_accuracy:.0%}"
-                if snapshot.mean_worker_accuracy is not None
-                else "n/a"
-            )
+        if engine["workers_tracked"]:
+            accuracy = engine["worker_accuracy_sum"] / engine["workers_tracked"]
             lines.append(
-                f"worker quality (engine-wide): {snapshot.workers_tracked} tracked"
-                f" | mean accuracy {accuracy}"
-                f" | flagged {snapshot.flagged_workers}"
-                f" | gold probes {snapshot.gold_probes_posted}"
-                f" | early-stopped tasks {snapshot.early_stopped_tasks}"
+                f"worker quality (engine-wide): {engine['workers_tracked']} tracked"
+                f" | mean accuracy {accuracy:.0%}"
+                f" | flagged {engine['flagged_workers']}"
+                f" | gold probes {engine['gold_probes_posted']}"
+                f" | early-stopped tasks {engine['early_stopped_tasks']}"
             )
-        if snapshot.fault_profile:
+        if engine["fault_profile"]:
             lines.append(
-                f"faults, engine-wide ({snapshot.fault_profile}):"
-                f" expired HITs {snapshot.hits_expired}"
-                f" | abandoned {snapshot.assignments_abandoned}"
-                f" | late dropped {snapshot.late_submissions_dropped}"
-                f" | duplicates ignored {snapshot.duplicate_submissions_ignored}"
-                f" | requeued tasks {snapshot.tasks_requeued}"
-                f" | exhausted {snapshot.tasks_exhausted}"
+                f"faults, engine-wide ({engine['fault_profile']}):"
+                f" expired HITs {engine['hits_expired']}"
+                f" | abandoned {engine['assignments_abandoned']}"
+                f" | late dropped {engine['late_submissions_dropped']}"
+                f" | duplicates ignored {engine['duplicate_submissions_ignored']}"
+                f" | requeued tasks {engine['tasks_requeued']}"
+                f" | exhausted {engine['tasks_exhausted']}"
             )
         overload_counts = (
-            snapshot.queries_rejected
-            or snapshot.queries_shed
-            or snapshot.deadline_misses
-            or snapshot.queries_degraded
-            or snapshot.queries_pressured
+            engine["queries_rejected"]
+            or engine["queries_shed"]
+            or engine["deadline_misses"]
+            or engine["queries_degraded"]
+            or engine["queries_pressured"]
             # A recovered breaker (closed again, but with trips on record)
             # is still part of the run's story.
-            or snapshot.breaker_trips
-            or snapshot.breaker_posts_blocked
+            or engine["breaker_trips"]
+            or engine["breaker_posts_blocked"]
         )
-        if overload_counts or snapshot.breaker_state not in ("", "closed"):
+        if overload_counts or engine["breaker_state"] not in ("", "closed"):
             line = (
-                f"overload (engine-wide): rejected {snapshot.queries_rejected}"
-                f" | shed {snapshot.queries_shed}"
-                f" | deadline misses {snapshot.deadline_misses}"
-                f" | degraded {snapshot.queries_degraded}"
-                f" | pressured {snapshot.queries_pressured}"
+                f"overload (engine-wide): rejected {engine['queries_rejected']}"
+                f" | shed {engine['queries_shed']}"
+                f" | deadline misses {engine['deadline_misses']}"
+                f" | degraded {engine['queries_degraded']}"
+                f" | pressured {engine['queries_pressured']}"
             )
-            if snapshot.breaker_state:
+            if engine["breaker_state"]:
                 line += (
-                    f" | breaker {snapshot.breaker_state}"
-                    f" (trips {snapshot.breaker_trips},"
-                    f" blocked {snapshot.breaker_posts_blocked})"
+                    f" | breaker {engine['breaker_state']}"
+                    f" (trips {engine['breaker_trips']},"
+                    f" blocked {engine['breaker_posts_blocked']})"
                 )
             lines.append(line)
-        if snapshot.scheduler_state:
-            lifecycle = " -> ".join(snapshot.lifecycle) or "<no events>"
-            lines.append(f"scheduler: {snapshot.scheduler_state} | {lifecycle}")
-            lines.append(
-                f"run loop (engine-wide): {snapshot.scheduler_passes} passes"
-                f" | {snapshot.clock_advances} clock advances"
-                f" ({snapshot.noop_clock_advances} absorbed as no-ops)"
-            )
+        lifecycle = " -> ".join(snapshot.lifecycle) or "<no events>"
+        lines.append(f"scheduler: {snapshot.scheduler_state} | {lifecycle}")
+        lines.append(
+            f"run loop (engine-wide): {engine['scheduler_passes']} passes"
+            f" | {engine['clock_advances']} clock advances"
+            f" ({engine['noop_clock_advances']} absorbed as no-ops)"
+        )
         for change in snapshot.plan_changes:
             lines.append(f"plan change: {change}")
         lines.append("plan:")

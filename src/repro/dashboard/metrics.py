@@ -10,7 +10,8 @@ captures those numbers for one query at one instant; the rendering layer in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Mapping
 
 __all__ = ["OperatorSnapshot", "QueryDashboardSnapshot"]
 
@@ -47,7 +48,6 @@ class QueryDashboardSnapshot:
     hits_posted: int
     tasks_submitted: int
     tasks_completed: int
-    open_hits: int
     # Optimization benefits (Section 4.1)
     cache_hits: int
     cache_savings: float
@@ -57,58 +57,19 @@ class QueryDashboardSnapshot:
     elapsed_seconds: float
     estimated_latency: float
     # Plan progress
-    operators: tuple[OperatorSnapshot, ...] = field(default_factory=tuple)
+    operators: tuple[OperatorSnapshot, ...]
     # Engine scheduler view: admission state ("active" / "queued" /
     # "finished") and the query's lifecycle events ("submitted@0s", ...).
-    scheduler_state: str = ""
-    lifecycle: tuple[str, ...] = field(default_factory=tuple)
-    # Engine-wide run-loop counters: scheduling passes, clock advances, and
-    # how many of those advances were no-ops (marketplace bookkeeping events
-    # that woke no query) — the event-driven control plane absorbs those
-    # without a full pass, so a high no-op share is healthy, not wasteful.
-    scheduler_passes: int = 0
-    clock_advances: int = 0
-    noop_clock_advances: int = 0
+    scheduler_state: str
+    lifecycle: tuple[str, ...]
     # Adaptive re-optimization: the initial plan choice plus every mid-query
     # strategy swap the replanner applied, oldest first.
-    plan_changes: tuple[str, ...] = field(default_factory=tuple)
-    # Worker quality control.  Reputations and probe/wave counters describe
-    # the whole marketplace (engine-wide), not this query alone — workers and
-    # HITs are shared across concurrent queries.  Zero / None while quality
-    # control is off.
-    workers_tracked: int = 0
-    mean_worker_accuracy: float | None = None
-    flagged_workers: int = 0
-    gold_probes_posted: int = 0
-    early_stopped_tasks: int = 0
-    # Fault tolerance (engine-wide counters; zero without fault injection).
-    fault_profile: str = ""
-    hits_expired: int = 0
-    assignments_abandoned: int = 0
-    late_submissions_dropped: int = 0
-    duplicate_submissions_ignored: int = 0
-    tasks_requeued: int = 0
-    tasks_exhausted: int = 0
-    # Answer tier (engine-wide): the shared cache's population and churn,
-    # plus how many learned models are trusted to answer in place of the
-    # crowd.  Zero while the cache is empty and no model has earned trust.
-    cache_entries: int = 0
-    cache_expirations: int = 0
-    cache_admissions_rejected: int = 0
-    cache_entries_imported: int = 0
-    cross_shard_hits: int = 0
-    trusted_models: int = 0
-    # Overload protection (engine-wide; all zero/empty with the knobs off).
-    # Admission rejections and sheds, deadline outcomes, pressure-mode
-    # entries, and the marketplace circuit breaker's state line.
-    queries_rejected: int = 0
-    queries_shed: int = 0
-    deadline_misses: int = 0
-    queries_degraded: int = 0
-    queries_pressured: int = 0
-    breaker_state: str = ""
-    breaker_trips: int = 0
-    breaker_posts_blocked: int = 0
+    plan_changes: tuple[str, ...]
+    # Everything that describes the whole marketplace rather than this query
+    # (workers, HITs, the cache and the run loop are shared by concurrent
+    # queries): :meth:`repro.engine.QurkEngine.counters` at the same instant,
+    # keyed by published counter name.
+    engine: Mapping[str, float | str]
 
     @property
     def budget_utilisation(self) -> float | None:

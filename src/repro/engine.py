@@ -29,6 +29,7 @@ simulation to completion.
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 
 from repro.core.exec.context import ExecutionContext, QueryConfig
@@ -52,7 +53,7 @@ from repro.core.tasks.task import TaskKind
 from repro.core.tasks.task_cache import CachePolicy, TaskCache
 from repro.core.tasks.task_manager import TaskManager
 from repro.core.tasks.task_model import TaskModelRegistry
-from repro.crowd.breaker import BreakerConfig, MarketplaceCircuitBreaker
+from repro.crowd.breaker import BreakerConfig, BreakerStats, MarketplaceCircuitBreaker
 from repro.crowd.clock import SimulationClock
 from repro.crowd.faults import FaultProfile
 from repro.crowd.mturk import MTurkSimulator
@@ -547,3 +548,49 @@ class QurkEngine:
     def total_crowd_cost(self) -> float:
         """Total dollars paid to the (simulated) crowd across all queries."""
         return self.platform.total_cost
+
+    # -- telemetry ---------------------------------------------------------------------------------
+
+    def counter_sources(self) -> tuple[tuple[str, object], ...]:
+        """The registry: every engine-wide stats dataclass, with its name prefix.
+
+        A numeric field is published as ``prefix + field name`` unless the
+        field declares ``metadata={"counter": name}``.  Adding a field to any
+        of these dataclasses is all it takes to publish a new counter: the
+        dashboard, the shard ``stats`` op and the cluster merge read
+        :meth:`counters`.  Looked up per call because snapshot recovery
+        replaces the stats objects.
+        """
+        breaker = self.breaker.stats if self.breaker is not None else BreakerStats()
+        return (
+            ("", self.platform.stats),
+            ("", self.task_manager.stats),
+            ("", self.scheduler.metrics),
+            ("cache_", self.task_cache.stats),
+            ("breaker_", breaker),
+        )
+
+    def counters(self) -> dict[str, float | str]:
+        """Every engine-wide counter and gauge by published name, right now.
+
+        Numbers are additive across shards except ``simulated_time`` (shards
+        share no clock; the cluster keeps the furthest); strings
+        (``breaker_state``, ``fault_profile``) describe this engine only.
+        """
+        counters: dict[str, float | str] = {}
+        for prefix, stats in self.counter_sources():
+            for spec in dataclasses.fields(stats):
+                value = getattr(stats, spec.name)
+                if isinstance(value, (int, float)):
+                    counters[spec.metadata.get("counter", prefix + spec.name)] = value
+        reputation = self.reputation if self.reputation is not None else WorkerReputation()
+        counters.update(reputation.summary())
+        counters["simulated_time"] = self.clock.now
+        counters["open_hits"] = self.platform.open_hit_count()
+        counters["trusted_models"] = sum(
+            1 for model in self.task_models.models().values() if model.is_trusted
+        )
+        counters["breaker_state"] = self.breaker.state if self.breaker is not None else ""
+        faults = self.platform.faults
+        counters["fault_profile"] = faults.describe() if faults.enabled else ""
+        return counters

@@ -6,12 +6,11 @@ Public surface::
 
 The engine is deliberately small — crowd workloads are thousands of tuples,
 not millions — but fully typed, with schemas, expression evaluation, hash
-indexes, CSV import/export and results tables supporting incremental polling.
+indexes and results tables supporting incremental polling.
 """
 
 from repro.storage.batch import RowBatch
 from repro.storage.catalog import Catalog
-from repro.storage.csv_io import dump_csv, dumps_csv, load_csv, loads_csv
 from repro.storage.database import Database
 from repro.storage.expressions import (
     Arithmetic,
@@ -23,7 +22,6 @@ from repro.storage.expressions import (
     FunctionCall,
     Literal,
     Not,
-    compile_expression,
     find_calls,
     walk,
 )
@@ -54,9 +52,4 @@ __all__ = [
     "Arithmetic",
     "walk",
     "find_calls",
-    "compile_expression",
-    "load_csv",
-    "loads_csv",
-    "dump_csv",
-    "dumps_csv",
 ]

@@ -1,10 +1,11 @@
-"""Optional numpy acceleration for the columnar data plane.
+"""numpy acceleration for the columnar data plane.
 
 The pure-Python column kernels in :mod:`repro.storage.expressions` and the
 tuple-based :class:`~repro.storage.batch.RowBatch` derivations are the
-*reference* semantics: everything in this module is a guarded fast path that
-must produce value-identical results and silently steps aside when numpy is
-unavailable or a column is not eligible (mixed types, NULLs, objects).
+*reference* semantics and the small-batch path: everything in this module is
+a fast path for batches past the :data:`MIN_ROWS` size switch
+that must produce value-identical results and silently steps aside when a
+column is not eligible (mixed types, NULLs, objects).
 
 The design follows the encode-once / answer-many shape:
 
@@ -33,13 +34,10 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-try:  # pragma: no cover - exercised implicitly by every accelerated path
-    import numpy as _np
-except ImportError:  # pragma: no cover - CI installs numpy (ci.yml, pyproject's test extra)
-    _np = None
+import numpy as np
 
 __all__ = [
-    "HAVE_NUMPY",
+    "MIN_ROWS",
     "np",
     "ColumnEncoding",
     "object_array",
@@ -48,12 +46,9 @@ __all__ = [
     "array_kernel",
 ]
 
-#: Whether the accelerated paths are available at all.
-HAVE_NUMPY = _np is not None
-
-#: The numpy module (or None) — importers use ``accel.np`` so every numpy
-#: touch point stays behind the single HAVE_NUMPY guard.
-np = _np
+#: The size switch: below this many rows the plain tuple/dict/timsort paths
+#: beat ndarray setup costs, so every accelerated site checks it first.
+MIN_ROWS = 256
 
 
 class ColumnEncoding:
@@ -98,7 +93,7 @@ def object_array(column: Sequence[Any]) -> "Any":
     ``np.empty + fill`` keeps nested sequences (tuple/list values) as single
     elements where ``np.asarray`` would try to build a 2-D array.
     """
-    arr = _np.empty(len(column), dtype=object)
+    arr = np.empty(len(column), dtype=object)
     try:
         arr[:] = column
     except ValueError:  # ragged/nested values broke broadcasting; fill one by one
@@ -119,7 +114,7 @@ def numeric_array(column: Sequence[Any], *, assume_floats: bool = False) -> "Any
     already guarantee it (FLOAT table columns are coerced on insert).
     """
     try:
-        arr = _np.asarray(column)
+        arr = np.asarray(column)
     except (TypeError, ValueError):
         return None
     if arr.ndim != 1 or arr.dtype.kind not in "if":
@@ -142,7 +137,7 @@ def sortable_array(column: Sequence[Any]) -> "Any | None":
     arr = numeric_array(column)
     if arr is None:
         return None
-    if arr.dtype.kind == "f" and _np.isnan(arr).any():
+    if arr.dtype.kind == "f" and np.isnan(arr).any():
         return None
     return arr
 
@@ -160,8 +155,6 @@ def array_kernel(expression: Any, batch: Any) -> "Any | None":
     is IEEE-identical to Python float arithmetic, so eligible results are
     bit-equal to the reference kernel's.
     """
-    if not HAVE_NUMPY:
-        return None
     from repro.storage.expressions import Arithmetic, ColumnRef
 
     if isinstance(expression, ColumnRef):
@@ -177,7 +170,7 @@ def array_kernel(expression: Any, batch: Any) -> "Any | None":
         if isinstance(left, (int, float)) and isinstance(right, (int, float)):
             return None  # constant expression: nothing columnar to compute
         try:
-            result = {"+": _np.add, "-": _np.subtract, "*": _np.multiply}[
+            result = {"+": np.add, "-": np.subtract, "*": np.multiply}[
                 expression.op
             ](left, right)
         except (OverflowError, TypeError):  # e.g. a literal beyond int64

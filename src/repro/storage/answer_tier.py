@@ -24,17 +24,13 @@ from __future__ import annotations
 from pathlib import Path
 from typing import TYPE_CHECKING, Hashable
 
+from repro.core.tasks.task_cache import CacheEntry
 from repro.errors import StorageError, WALCorruptionError
-from repro.storage.snapshot import (
-    load_latest_snapshot,
-    pack_value,
-    unpack_value,
-    write_snapshot,
-)
+from repro.storage.snapshot import load_latest_snapshot, write_snapshot
 from repro.storage.wal import WriteAheadLog
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.tasks.task_cache import CacheEntry, TaskCache
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.tasks.task_cache import TaskCache
 
 __all__ = ["ANSWERS_WAL_FILENAME", "DurableAnswerTier"]
 
@@ -44,17 +40,6 @@ ANSWERS_WAL_FILENAME = "answers.log"
 #: an engine journal home, which the answer tier must not share (snapshot
 #: files of the two layers would clobber each other).
 _ENGINE_WAL_FILENAME = "wal.log"
-
-
-def _packed_entry(name: str, cache_key: Hashable, entry: "CacheEntry") -> dict:
-    return {
-        "name": name,
-        "key": pack_value(cache_key),
-        "reduced": pack_value(entry.reduced),
-        "original_cost": entry.original_cost,
-        "stored_at": entry.stored_at,
-        "confidence": entry.confidence,
-    }
 
 
 class DurableAnswerTier:
@@ -82,15 +67,13 @@ class DurableAnswerTier:
             )
         # In-memory view of the durable state, rebuilt on open: snapshot
         # first, then the surviving log tail, last write wins.
-        self._entries: dict[tuple[str, Hashable], "CacheEntry"] = {}
+        self._entries: dict[tuple[str, Hashable], CacheEntry] = {}
         path = self.directory / ANSWERS_WAL_FILENAME
         snapshot = load_latest_snapshot(self.directory)
         base_lsn = 0
         if snapshot is not None:
             base_lsn, state = snapshot
-            for item in state["entries"]:
-                key, entry = self._decode(item)
-                self._entries[key] = entry
+            self._entries.update(map(CacheEntry.unpack, state["entries"]))
         if path.exists():
             try:
                 self.wal, info = WriteAheadLog.open(
@@ -113,21 +96,9 @@ class DurableAnswerTier:
 
     # -- replay ---------------------------------------------------------------
 
-    def _decode(self, item: dict) -> tuple[tuple[str, Hashable], "CacheEntry"]:
-        from repro.core.tasks.task_cache import CacheEntry
-
-        key = (item["name"], unpack_value(item["key"]))
-        entry = CacheEntry(
-            reduced=unpack_value(item["reduced"]),
-            original_cost=item["original_cost"],
-            stored_at=item["stored_at"],
-            confidence=item.get("confidence", 1.0),
-        )
-        return key, entry
-
     def _apply(self, record_type: str, data: dict) -> None:
         if record_type == "answer_stored":
-            key, entry = self._decode(data)
+            key, entry = CacheEntry.unpack(data)
             self._entries[key] = entry
         elif record_type == "answers_invalidated":
             name = data["name"]
@@ -141,10 +112,10 @@ class DurableAnswerTier:
 
     # -- the TaskCache listener protocol ---------------------------------------
 
-    def record_store(self, name: str, cache_key: Hashable, entry: "CacheEntry") -> None:
+    def record_store(self, name: str, cache_key: Hashable, entry: CacheEntry) -> None:
         """Journal one admitted store (called by the attached TaskCache)."""
         self._entries[(name, cache_key)] = entry
-        self.wal.append("answer_stored", _packed_entry(name, cache_key, entry))
+        self.wal.append("answer_stored", entry.pack(name, cache_key))
 
     def record_invalidate(self, name: str | None) -> None:
         """Journal an invalidation of one task name (or everything)."""
@@ -180,10 +151,7 @@ class DurableAnswerTier:
             self.directory,
             {
                 "layer": "answer-tier",
-                "entries": [
-                    _packed_entry(name, cache_key, entry)
-                    for (name, cache_key), entry in self._entries.items()
-                ],
+                "entries": [entry.pack(*key) for key, entry in self._entries.items()],
             },
             lsn=lsn,
         )

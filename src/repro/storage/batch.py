@@ -40,9 +40,6 @@ from repro.storage.schema import Schema
 
 __all__ = ["RowBatch"]
 
-#: Below this many rows the plain tuple paths beat ndarray setup costs.
-_ACCEL_MIN_ROWS = 256
-
 
 class _LazyGather:
     """A deferred gather: ``source[indices]``, composed instead of executed.
@@ -169,7 +166,7 @@ class RowBatch:
                     f"{width}-column schema"
                 )
         length = sum(batch._length for batch in batches)
-        if accel.HAVE_NUMPY and length >= _ACCEL_MIN_ROWS:
+        if length >= accel.MIN_ROWS:
             columns = tuple(cls._stack_column(batches, i) for i in range(width))
         else:
             columns = tuple(
@@ -208,8 +205,6 @@ class RowBatch:
         views; re-joining them here keeps codes/numeric caches flowing into
         blocking operators without ever rebuilding from Python tuples.
         """
-        if not accel.HAVE_NUMPY:
-            return
         parts = [batch._accel for batch in batches]
         if any(part is None for part in parts):
             return
@@ -344,11 +339,7 @@ class RowBatch:
 
     def take(self, indices: Sequence[int]) -> "RowBatch":
         """Gather the rows at ``indices`` (in that order) into a new batch."""
-        if (
-            accel.HAVE_NUMPY
-            and self._length >= _ACCEL_MIN_ROWS
-            and len(indices) >= _ACCEL_MIN_ROWS
-        ):
+        if self._length >= accel.MIN_ROWS and len(indices) >= accel.MIN_ROWS:
             index_array = accel.np.asarray(indices, dtype=accel.np.intp)
             return self._take_array(index_array)
         columns = tuple(

@@ -31,7 +31,6 @@ __all__ = [
     "BooleanOp",
     "Not",
     "Arithmetic",
-    "compile_expression",
     "compile_batch_expression",
     "compile_batch_predicate",
     "walk",
@@ -276,100 +275,6 @@ class Arithmetic(Expression):
         return f"({self.left} {self.op} {self.right})"
 
 
-def compile_expression(expression: Expression, schema: "Schema") -> Callable[[Row], Any]:
-    """Compile an expression to a callable with all column names pre-resolved.
-
-    :meth:`Expression.evaluate` resolves every :class:`ColumnRef` by name on
-    every call — a per-row dict lookup (and, pre-vectorization, a linear
-    scan).  Operators on the local hot path instead compile their expressions
-    once per open against their input schema; the compiled callable reads row
-    values positionally and raises the same errors as interpretation for
-    unknown/ambiguous names (at compile time) and type failures (at run
-    time).
-    """
-    if isinstance(expression, Literal):
-        value = expression.value
-        return lambda row: value
-    if isinstance(expression, ColumnRef):
-        index = schema.index_of(expression.name)
-        return lambda row: row._values[index]
-    if isinstance(expression, Comparison):
-        left = compile_expression(expression.left, schema)
-        right = compile_expression(expression.right, schema)
-        comparator = _COMPARATORS[expression.op]
-        op = expression.op
-
-        def compare(row: Row) -> bool | None:
-            lhs = left(row)
-            rhs = right(row)
-            if lhs is None or rhs is None:
-                return None
-            try:
-                return comparator(lhs, rhs)
-            except TypeError as exc:
-                raise ExpressionError(f"cannot compare {lhs!r} {op} {rhs!r}") from exc
-
-        return compare
-    if isinstance(expression, BooleanOp):
-        left = compile_expression(expression.left, schema)
-        right = compile_expression(expression.right, schema)
-        if expression.op == "and":
-
-            def conjoin(row: Row) -> bool | None:
-                lhs = left(row)
-                rhs = right(row)
-                if lhs is False or rhs is False:
-                    return False
-                if lhs is None or rhs is None:
-                    return None
-                return bool(lhs) and bool(rhs)
-
-            return conjoin
-
-        def disjoin(row: Row) -> bool | None:
-            lhs = left(row)
-            rhs = right(row)
-            if lhs is True or rhs is True:
-                return True
-            if lhs is None or rhs is None:
-                return None
-            return bool(lhs) or bool(rhs)
-
-        return disjoin
-    if isinstance(expression, Not):
-        operand = compile_expression(expression.operand, schema)
-
-        def negate(row: Row) -> bool | None:
-            value = operand(row)
-            return None if value is None else not value
-
-        return negate
-    if isinstance(expression, Arithmetic):
-        left = compile_expression(expression.left, schema)
-        right = compile_expression(expression.right, schema)
-        arith = _ARITHMETIC[expression.op]
-        op = expression.op
-
-        def apply(row: Row) -> Any:
-            lhs = left(row)
-            rhs = right(row)
-            if lhs is None or rhs is None:
-                return None
-            try:
-                return arith(lhs, rhs)
-            except (TypeError, ZeroDivisionError) as exc:
-                raise ExpressionError(f"cannot compute {lhs!r} {op} {rhs!r}") from exc
-
-        return apply
-    if isinstance(expression, FunctionCall) and expression.implementation is not None:
-        args = tuple(compile_expression(arg, schema) for arg in expression.args)
-        implementation = expression.implementation
-        return lambda row: implementation(*(arg(row) for arg in args))
-    # Anything else (FieldAccess over crowd results, unimplemented calls,
-    # future node types) falls back to tree interpretation.
-    return expression.evaluate
-
-
 #: C-implemented counterparts of the comparison lambdas, for the column
 #: fast paths (``map(operator.gt, col, const_col)`` runs the loop in C).
 _FAST_COMPARATORS: dict[str, Callable[[Any, Any], Any]] = {
@@ -402,8 +307,8 @@ def compile_batch_expression(
 
     The returned callable maps a :class:`~repro.storage.batch.RowBatch` to a
     sequence holding the expression's value for each row, in order — exactly
-    the values the per-row :func:`compile_expression` callable would produce
-    row by row, including NULL propagation and :class:`ExpressionError`
+    the values per-row :meth:`Expression.evaluate` would produce row by row,
+    including NULL propagation and :class:`ExpressionError`
     messages for type failures (property-tested in
     ``tests/storage/test_batch_kernels.py``).
 
@@ -423,14 +328,13 @@ def compile_batch_expression(
     the success path pays one try frame.
     """
     kernel = _compile_batch_node(expression, schema)
-    compiled_row = compile_expression(expression, schema)
 
     def with_row_major_errors(batch: "RowBatch") -> Sequence[Any]:
         try:
             return kernel(batch)
         except ExpressionError:
             for row in batch.to_rows():
-                compiled_row(row)
+                expression.evaluate(row)
             raise  # per-row found no error: keep the kernel's diagnosis
 
     return with_row_major_errors
@@ -557,8 +461,7 @@ def _compile_batch_node(
             implementation(*values) for values in zip(*(arg(batch) for arg in args))
         ]
     # Anything else (FieldAccess over crowd results, unimplemented calls,
-    # future node types) interprets the tree per materialized row — same
-    # fallback as compile_expression.
+    # future node types) interprets the tree per materialized row.
     return lambda batch: [expression.evaluate(row) for row in batch.to_rows()]
 
 

@@ -169,22 +169,21 @@ class Table:
         # Above the size switch columns bind as object ndarrays and the
         # numeric caches are seeded — one conversion per version, shared by
         # every query that scans this snapshot.
-        arrays = accel.HAVE_NUMPY and self._length >= 256
+        arrays = self._length >= accel.MIN_ROWS
         bind = accel.object_array if arrays else tuple
         batch = RowBatch.of_columns(
             self.schema, tuple(bind(column) for column in self._columns), self._length
         )
-        if accel.HAVE_NUMPY:
-            for i, column in enumerate(self.schema):
-                if column.data_type is DataType.STRING:
-                    encoding, codes = self._codes(i)
-                    batch._set_codes(i, accel.np.asarray(codes, dtype=accel.np.intp), encoding)
-                elif arrays and column.data_type in (DataType.FLOAT, DataType.INTEGER):
-                    array = accel.numeric_array(
-                        self._columns[i], assume_floats=column.data_type is DataType.FLOAT
-                    )
-                    if array is not None:
-                        batch._set_num(i, array)
+        for i, column in enumerate(self.schema):
+            if column.data_type is DataType.STRING:
+                encoding, codes = self._codes(i)
+                batch._set_codes(i, accel.np.asarray(codes, dtype=accel.np.intp), encoding)
+            elif arrays and column.data_type in (DataType.FLOAT, DataType.INTEGER):
+                array = accel.numeric_array(
+                    self._columns[i], assume_floats=column.data_type is DataType.FLOAT
+                )
+                if array is not None:
+                    batch._set_num(i, array)
         self._batch_cache = (self._version, batch)
         return batch
 

@@ -136,6 +136,41 @@ class TestCostModel:
         assert rating.tasks == 20
         assert rating.dollars < comparison.dollars
 
+    def test_strategy_costs_price_each_decision_once(self):
+        """The per-strategy mappings are what plan enumeration, the
+        ``choose_*`` methods and the adaptive replanner all decide from."""
+        from repro.core.operators.crowd_sort import SortStrategy
+        from repro.core.optimizer.cost_model import cheaper_join_strategy
+
+        sizes = {"assignments": 5, "pairs_per_hit": 4, "left_per_hit": 3, "right_per_hit": 2}
+        joins = self.model.join_strategy_costs(JOIN_COLUMNS, 30, 12, **sizes)
+        assert joins == {
+            JoinStrategy.PAIRWISE: self.model.join_cost_pairwise(
+                JOIN_COLUMNS, 30, 12, assignments=5, pairs_per_hit=4
+            ),
+            JoinStrategy.COLUMNS: self.model.join_cost_columns(
+                JOIN_COLUMNS, 30, 12, assignments=5, left_per_hit=3, right_per_hit=2
+            ),
+        }
+        assert cheaper_join_strategy(joins) is JoinStrategy.COLUMNS
+        # A yes/no Response cannot render the two-column interface.
+        yes_no = self.model.join_strategy_costs(JOIN_PAIRS, 30, 12, **sizes)
+        assert list(yes_no) == [JoinStrategy.PAIRWISE]
+        assert cheaper_join_strategy(yes_no) is JoinStrategy.PAIRWISE
+        # Equal cost keeps the two-column interface, as the enumerator orders them.
+        tie = {JoinStrategy.PAIRWISE: CostEstimate(dollars=1.0), JoinStrategy.COLUMNS: CostEstimate(dollars=1.0)}
+        assert cheaper_join_strategy(tie) is JoinStrategy.COLUMNS
+
+        sorts = self.model.sort_strategy_costs(RANK, 20, assignments=3, items_per_hit=5)
+        assert sorts == {
+            SortStrategy.COMPARISON: self.model.sort_cost_comparison(
+                RANK, 20, assignments=3, comparisons_per_hit=5
+            ),
+            SortStrategy.RATING: self.model.sort_cost_rating(
+                RANK, 20, assignments=3, ratings_per_hit=5
+            ),
+        }
+
     def test_zero_rows_cost_nothing(self):
         assert self.model.filter_cost(FILTER, 0).dollars == 0.0
         assert self.model.join_cost_columns(JOIN_COLUMNS, 0, 10).dollars == 0.0

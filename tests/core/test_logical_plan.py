@@ -190,3 +190,26 @@ class TestPhysicalBridge:
         optimizer.estimate_logical_cost(copy)
         assert copy.estimated_rows == 12
         assert original.estimated_rows is None
+
+    def test_clone_keeps_decisions_and_resets_annotations_for_every_node_type(self, environment):
+        planner, optimizer, _stats = environment
+        planned = planner.plan(
+            parse_select(
+                "SELECT celebrities.name FROM celebrities, spottedstars "
+                "WHERE samePerson(celebrities.image, spottedstars.image) LIMIT 3"
+            ),
+            query_id="q3",
+        )
+        original = planned.chosen.root
+        copy = original.clone()
+        pairs = list(zip(original.walk(), copy.walk()))
+        assert len(pairs) >= 5
+        for before, after in pairs:
+            assert type(after) is type(before) and after is not before
+            assert after.label() == before.label()  # decisions (strategy, ...) carried
+            assert before.estimated_rows is not None
+            assert after.estimated_rows is None and after.estimated_cost is None
+            assert after.children is not before.children
+            kept = {k: v for k, v in vars(before).items() if not k.startswith(("children", "estimated_"))}
+            assert {k: vars(after)[k] for k in kept} == kept
+        assert optimizer.estimate_logical_cost(copy).dollars == planned.chosen.cost.dollars

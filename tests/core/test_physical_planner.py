@@ -88,6 +88,42 @@ class TestJoinEnumeration:
         }
         assert len(orders) == 2  # both left-deep orders were costed
 
+    def test_every_enumerated_candidate_decides_every_strategy(self):
+        """``PhysicalPlanner.build`` has no undecided-strategy fallback: the
+        only trees it is handed are enumerated candidates, and enumeration
+        commits every crowd join interface, crowd sort interface and local
+        join build side."""
+        from repro.core.plan.logical import LogicalJoin, LogicalLocalJoin, LogicalSort
+
+        database, registry = build_three_table_db()
+        for name in ("l", "r"):
+            table = Table(name, Schema.of(("id", DataType.INTEGER)))
+            table.insert_many([i] for i in range(6))
+            database.catalog.register(table)
+        products = ProductsWorkload(n_products=6, seed=3)
+        products.install(database)
+        registry.register(products.size_compare_spec())
+        planner, _stats = build_planner(database, registry, sort_policy="cost")
+        queries = (
+            TWO_JOIN_SQL,
+            "SELECT l.id FROM l, r WHERE l.id = r.id",
+            "SELECT name FROM products ORDER BY biggerItem(name)",
+        )
+        for number, sql in enumerate(queries):
+            planned = planner.plan(parse_select(sql), query_id=f"q{number}")
+            decided = 0
+            for candidate in planned.candidates:
+                for node in candidate.root.walk():
+                    if isinstance(node, LogicalJoin) or (
+                        isinstance(node, LogicalSort) and node.is_crowd
+                    ):
+                        assert node.strategy is not None, (sql, candidate.decisions)
+                        decided += 1
+                    elif isinstance(node, LogicalLocalJoin):
+                        assert node.build_side in ("left", "right"), (sql, candidate.decisions)
+                        decided += 1
+            assert decided >= len(planned.candidates)
+
     def test_built_plan_carries_chosen_interfaces(self):
         database, registry = build_three_table_db()
         planner, _stats = build_planner(database, registry)

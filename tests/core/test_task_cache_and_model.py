@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.tasks.spec import Parameter, TaskSpec, TaskType, YesNoResponse
 from repro.core.tasks.task import Task, TaskKind
-from repro.core.tasks.task_cache import TaskCache
+from repro.core.tasks.task_cache import CacheEntry, TaskCache
 from repro.core.tasks.task_model import LearnedTaskModel, TaskModelRegistry
 from repro.errors import TaskError
 
@@ -60,6 +60,42 @@ class TestTaskCache:
         cache.store("f", ("x",), True, cost=0.1, now=0.0)
         cache.lookup("f", ("x",))
         assert cache.stats.hit_rate == pytest.approx(0.5)
+
+
+    def test_one_record_format_for_export_snapshot_and_tier(self, tmp_path):
+        """``CacheEntry.pack`` / ``unpack`` is the only codec: the cross-shard
+        export, the engine-snapshot state and the durable tier's WAL all
+        carry the same JSON-safe item, and it round-trips tuples exactly."""
+        import json
+
+        from repro.storage.answer_tier import DurableAnswerTier
+
+        cache = TaskCache()
+        tier = DurableAnswerTier(tmp_path)
+        cache.attach_tier(tier)
+        key = (("a", 1), ("b", 2))  # JOIN_BLOCK-style nested tuples
+        reduced = [(1, 2), (3, 4)]
+        cache.store("samePerson", key, reduced, cost=0.3, now=12.5, confidence=0.8)
+        entry = cache.lookup("samePerson", key)
+
+        item = entry.pack("samePerson", key)
+        assert list(item) == ["name", "key", "reduced", "original_cost", "stored_at", "confidence"]
+        assert CacheEntry.unpack(json.loads(json.dumps(item))) == (("samePerson", key), entry)
+        assert cache.export_since(0) == (1, [item])
+        assert cache.state_dict()["entries"] == [item]
+        tier.close()
+        reopened = DurableAnswerTier(tmp_path)
+        warmed = TaskCache()
+        assert reopened.load_into(warmed) == 1
+        assert warmed.lookup("samePerson", key) == entry
+        reopened.close()
+
+        restored = TaskCache()
+        restored.load_state_dict(cache.state_dict())
+        assert restored.lookup("samePerson", key) == entry
+        sink = TaskCache()
+        assert sink.import_entries([item]) == 1
+        assert sink.lookup("samePerson", key) == entry
 
 
 def _filter_spec(extractor):

@@ -5,8 +5,8 @@ with hypothesis:
 
 1. :func:`compile_batch_expression` produces, for every expression the
    workloads use (comparisons over every operator, arithmetic, boolean
-   combinations, string equality), exactly the values the per-row
-   :func:`compile_expression` callable produces — bit-identical, including
+   combinations, string equality), exactly the values per-row
+   :meth:`Expression.evaluate` produces — bit-identical, including
    NULL propagation, mixed int/float comparisons (beyond 2**53, where a
    float64 round-trip would lie), and the :class:`ExpressionError` raised for
    type failures.
@@ -23,7 +23,9 @@ with hypothesis:
 from __future__ import annotations
 
 import math
+import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,7 +33,7 @@ from repro.core.operators.scan import IndexScanOperator, ScanOperator
 from repro.core.operators.project import _comparison_mask
 from repro.errors import ExpressionError
 from repro.storage import DataType, RowBatch, Schema, Table, accel
-from repro.storage.batch import _ACCEL_MIN_ROWS, _LazyGather
+from repro.storage.batch import _LazyGather
 from repro.storage.expressions import (
     Arithmetic,
     BooleanOp,
@@ -41,7 +43,6 @@ from repro.storage.expressions import (
     Not,
     compile_batch_expression,
     compile_batch_predicate,
-    compile_expression,
 )
 from repro.workloads import CelebrityWorkload, CompaniesWorkload, ProductsWorkload
 
@@ -131,12 +132,11 @@ def identical(x, y) -> bool:
 
 
 def per_row_reference(expression, batch):
-    """(values, error_message) from the per-row compiled path."""
-    compiled = compile_expression(expression, batch.schema)
+    """(values, error_message) from per-row tree interpretation."""
     values = []
     try:
         for row in batch.to_rows():
-            values.append(compiled(row))
+            values.append(expression.evaluate(row))
     except ExpressionError as error:
         return None, str(error)
     return values, None
@@ -218,8 +218,6 @@ class TestAccelPaths:
     @given(rows_strategy(), numeric_expression)
     @settings(max_examples=100, deadline=None)
     def test_array_kernel_matches_per_row(self, rows, expression):
-        if not accel.HAVE_NUMPY:
-            return
         batch = build_batch(rows)
         array = accel.array_kernel(expression, batch)
         if array is None:
@@ -238,16 +236,15 @@ class TestAccelPaths:
     @given(st.integers(0, 2**16))
     @settings(max_examples=8, deadline=None)
     def test_local_pipeline_identical_with_accel_disabled(self, seed):
-        """filter → join → sort → group-by: accel plane ≡ pure-Python plane."""
-        if not accel.HAVE_NUMPY:
-            return
+        """filter → join → sort → group-by: accel plane ≡ pure-Python plane.
+
+        Raising the size switch past any batch sends every operator (and the
+        table snapshot) down the small-batch path, which is the reference.
+        """
         accelerated = _run_local_pipeline(seed)
-        saved = accel.HAVE_NUMPY
-        accel.HAVE_NUMPY = False
-        try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(accel, "MIN_ROWS", sys.maxsize)
             plain = _run_local_pipeline(seed)
-        finally:
-            accel.HAVE_NUMPY = saved
         assert len(accelerated) == len(plain)
         for left, right in zip(accelerated, plain):
             assert len(left) == len(right)
@@ -279,8 +276,6 @@ class TestSlicedScanStaysLazy:
         realized on the way (the lazy vstack never fired before: each slice
         gathered from its own fresh view).
         """
-        if not accel.HAVE_NUMPY:
-            return
         np = accel.np
         snapshot = build_batch(rows, self.N_ROWS).with_schema(SCHEMA.qualified("scan"))
         mask = np.resize(np.asarray(pattern, dtype=bool), self.N_ROWS)
@@ -294,7 +289,7 @@ class TestSlicedScanStaysLazy:
         stacked = RowBatch.vstack(snapshot.schema, parts)
         whole = snapshot._compress_array(mask)
 
-        if len(stacked) >= _ACCEL_MIN_ROWS and sum(1 for part in parts if len(part)) > 1:
+        if len(stacked) >= accel.MIN_ROWS and sum(1 for part in parts if len(part)) > 1:
             for i, column in enumerate(stacked._columns):
                 assert type(column) is _LazyGather
                 assert column.source is snapshot._columns[i]
@@ -420,13 +415,10 @@ class TestIndexScanEquivalence:
         )
         table.create_index(column, kind=kind)
         index_rows = IndexScanOperator(table, column, op, value)._load_batch().to_rows()
-        compiled = compile_expression(
-            Comparison(op, ColumnRef(column), Literal(value)),
-            ScanOperator(table).output_schema,
-        )
+        predicate = Comparison(op, ColumnRef(column), Literal(value))
         scan_rows = [
             row
             for row in ScanOperator(table)._load_batch().to_rows()
-            if compiled(row) is True
+            if predicate.evaluate(row) is True
         ]
         assert [r.values for r in index_rows] == [r.values for r in scan_rows]

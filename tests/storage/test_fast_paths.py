@@ -25,9 +25,8 @@ from repro.storage import (
     Row,
     RowBatch,
     Schema,
-    compile_expression,
 )
-from repro.storage.expressions import Arithmetic, BooleanOp, Not
+from repro.storage.expressions import Arithmetic, BooleanOp, Not, compile_batch_expression
 from repro.workloads.celebrities import CelebrityWorkload
 from repro.workloads.companies import CompaniesWorkload
 from repro.workloads.products import ProductsWorkload
@@ -225,12 +224,14 @@ class TestCompiledExpressions:
             for a in (0, 1, 2, 5, None)
             for b in (0, 2, 3, None)
         ]
+        batch = RowBatch.from_rows(schema, rows)
         for expression in expressions:
-            compiled = compile_expression(expression, schema)
-            for row in rows:
-                assert compiled(row) == expression.evaluate(row), str(expression)
+            kernel = compile_batch_expression(expression, schema)
+            assert list(kernel(batch)) == [
+                expression.evaluate(row) for row in rows
+            ], str(expression)
 
     def test_compiled_unknown_column_raises_at_compile_time(self):
         schema = Schema.of("a")
         with pytest.raises(SchemaError):
-            compile_expression(ColumnRef("missing"), schema)
+            compile_batch_expression(ColumnRef("missing"), schema)

@@ -40,7 +40,7 @@ any_rows = hashable_rows | st.tuples(keys, numbers, st.just([1]))
 small = st.lists(any_rows, min_size=0, max_size=5)
 #: Short lists tiled past 256 rows exercise the ndarray side of every switch.
 sizes = st.sampled_from((None, None, None, 256, 300))
-BATCH_KINDS = ("tuple", "ndarray", "lazy") if accel.HAVE_NUMPY else ("tuple",)
+BATCH_KINDS = ("tuple", "ndarray", "lazy")
 
 
 def tiled(rows: list[tuple], size: int | None) -> list[tuple]:
