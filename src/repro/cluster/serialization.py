@@ -160,14 +160,20 @@ def decode_schema(payload: Iterable[Iterable[Any]]) -> Schema:
 
 
 def encode_rows(rows: Iterable[Row]) -> dict[str, Any]:
-    """Rows (sharing one schema) as a JSON-safe ``{"schema", "values"}`` pair."""
-    rows = list(rows)
-    if not rows:
+    """Rows (sharing one schema) as a JSON-safe ``{"schema", "values"}`` pair.
+
+    Iterates ``rows`` once, so a :class:`~repro.storage.table.RowsView`
+    builds each row as it is encoded and no list of rows is ever held.
+    """
+    schema = None
+    values = []
+    for row in rows:
+        if schema is None:
+            schema = row.schema
+        values.append([_encode_value(value) for value in row.values])
+    if schema is None:
         return {"schema": [], "values": []}
-    return {
-        "schema": encode_schema(rows[0].schema),
-        "values": [[_encode_value(value) for value in row.values] for row in rows],
-    }
+    return {"schema": encode_schema(schema), "values": values}
 
 
 def decode_rows(payload: dict[str, Any]) -> list[Row]:

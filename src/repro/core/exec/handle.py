@@ -5,10 +5,10 @@ result set; they run asynchronously and append tuples to a results table that
 "the user can periodically poll" (Section 2).  A :class:`QueryHandle` wraps
 the executor, the results table and the per-query statistics, offering both
 the polling pattern and a convenience :meth:`wait` that drives the simulation
-to completion.  The results table holds columns; the ``Row`` objects that
-:meth:`QueryHandle.poll`, :meth:`QueryHandle.results` and
-:meth:`QueryHandle.wait` return are built fresh on each call, for the rows
-asked for.
+to completion.  The results table holds columns; :meth:`QueryHandle.poll`,
+:meth:`QueryHandle.results` and :meth:`QueryHandle.wait` return a
+:class:`~repro.storage.table.RowsView` over them, which builds each ``Row``
+when it is read.
 
 A handle is driven by the :class:`~repro.core.exec.scheduler.EngineScheduler`
 it was submitted to (:class:`~repro.engine.QurkEngine` submits every query it
@@ -25,8 +25,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.exec.executor import QueryExecutor
 from repro.core.optimizer.statistics import QueryStats
-from repro.storage.row import Row
-from repro.storage.table import Table
+from repro.storage.table import RowsView, Table
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle: scheduler imports handle
     from repro.core.exec.scheduler import EngineScheduler
@@ -88,18 +87,19 @@ class QueryHandle:
 
     # -- polling ------------------------------------------------------------------------
 
-    def poll(self) -> list[Row]:
-        """Return result rows that arrived since the previous poll.
+    def poll(self) -> RowsView:
+        """A view of the result rows that arrived since the previous poll.
 
-        Costs the new rows only: row ids are positions in the results table.
+        Costs the new rows only, when they are read: row ids are positions
+        in the results table.
         """
-        new = self.results_table.rows_since(self._poll_watermark)
-        if new:
-            self._poll_watermark = new[-1][0]
-        return [row for _, row in new]
+        table = self.results_table
+        new = table.rows(self._poll_watermark)
+        self._poll_watermark = max(self._poll_watermark, table.last_row_id())
+        return new
 
-    def results(self) -> list[Row]:
-        """All result rows produced so far (built for this call, never cached)."""
+    def results(self) -> RowsView:
+        """A view of every result row produced so far; rows are built as read."""
         return self.results_table.rows()
 
     def __len__(self) -> int:
@@ -122,8 +122,8 @@ class QueryHandle:
         """Run the query until the simulated clock reaches ``simulated_time``."""
         self.scheduler.run_until(simulated_time, watch=self)
 
-    def wait(self) -> list[Row]:
-        """Drive the query to completion and return every result row.
+    def wait(self) -> RowsView:
+        """Drive the query to completion and return a view of every result row.
 
         Raises :class:`~repro.errors.QueryStalledError` (and sets
         ``status = STALLED``) if execution stops making progress before the

@@ -54,7 +54,7 @@ from repro.errors import (
     QueryDeadlineError,
     QueryStalledError,
 )
-from repro.storage.row import Row
+from repro.storage.table import RowsView
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.core.optimizer.adaptive import AdaptiveReplanner
@@ -807,8 +807,8 @@ class EngineScheduler:
             if not self.step(until=simulated_time):
                 return
 
-    def wait(self, handle: QueryHandle) -> list[Row]:
-        """Drive the run loop until ``handle`` finishes; return its rows.
+    def wait(self, handle: QueryHandle) -> RowsView:
+        """Drive the run loop until ``handle`` finishes; return a view of its rows.
 
         Every scheduling pass also progresses the other active queries, so
         waiting on one handle naturally advances the whole marketplace.

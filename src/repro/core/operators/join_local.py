@@ -4,17 +4,24 @@ The paper's joins are crowd-powered (``samePerson``), but the engine also
 needs a conventional join for the purely-local parts of a workload — e.g.
 joining crowd results back to a dimension table, or the crowd-free
 engine-overhead benchmark (E13).  This is a classic blocking hash join:
-both inputs are buffered as column-major batches, the build (left) side is
-hashed on its key — or, when the build child is a base-table scan whose key
-column already carries a hash index, the probe goes straight through that
-index — and the probe side drives one gather per side to assemble the
-output batch.
+both inputs are buffered as column-major batches and joined in one of two
+ways, which produce the same rows in the same order:
+
+- **By dictionary code**, when the larger input reaches
+  :data:`~repro.storage.accel.MIN_ROWS` and either key is a string column
+  scanned out of a table (it already carries codes): both keys become codes
+  of one dictionary and numpy builds and probes (:meth:`_coded_join`).
+- **By value** otherwise, the reference: the build (left) side is hashed on
+  its key — or, when the build child is a base-table scan whose key column
+  already carries a hash index, the probe goes straight through that index
+  — and the probe side drives one gather per side to assemble the output.
 
 NULL keys never match, following SQL equi-join semantics.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Any, Callable, Sequence
 
 from repro.core.operators.base import Operator
@@ -104,68 +111,53 @@ class LocalHashJoinOperator(Operator):
             return None
         return index.positions
 
-    def _accel_join(
+    def _coded_join(
         self,
         build: RowBatch,
         probe: RowBatch,
         build_key: Expression,
         probe_key: Expression,
+        build_schema: Schema,
         probe_schema: Schema,
-    ) -> tuple[bool, tuple[Any, Any] | None]:
-        """Dictionary-code build+probe: ``(handled, (build_take, probe_take))``.
+    ) -> tuple[Any, Any] | None:
+        """Join by dictionary code: ``(build_take, probe_take)`` ndarrays.
 
-        Eligible when the build key is a bare column reference whose batch
-        column carries dictionary codes (string columns scanned out of a
-        table).  A stable argsort on the codes groups build positions by key
-        with ascending positions inside each group — exactly the bucket lists
-        the Python dict build produces — and each probe hit contributes one
-        contiguous slice of that order instead of a per-match list append.
-        Key equality semantics are identical because the encoding *is* a
-        dict keyed by value; NULL build keys carry a code but no probe key
-        can reach it (probe NULLs are skipped before the code lookup).
+        Eligible (otherwise None) when either key is a bare column reference
+        whose batch column carries dictionary codes (string columns scanned
+        out of a table).  The other side's keys are encoded into that
+        dictionary — one C-driven dict lookup per key, or per dictionary entry
+        when that side is coded too — so no Python loop runs per row.  A
+        stable argsort groups build positions by code with ascending positions
+        inside each group (a CSR: ``order`` plus per-code ``starts`` and
+        ``counts``), and every probe row expands to its code's slice of
+        ``order`` with ``np.repeat``: exactly the probe-major, ascending-build
+        order of the dict build below.  Key equality is identical because the
+        encoding *is* a dict keyed by value; NULL keys (on either side they
+        land in one code) get a zero count, so they match nothing.
         """
-        if len(build) < accel.MIN_ROWS:
-            return False, None
-        if not isinstance(build_key, ColumnRef):
-            return False, None
-        key_index = build.schema.try_index_of(build_key.name)
-        if key_index is None:
-            return False, None
-        codes = build._codes(key_index)
-        if codes is None:
-            return False, None
-        codes_array, encoding = codes
+        build_coded = _key_codes(build, build_key)
+        probe_coded = _key_codes(probe, probe_key)
+        if build_coded is None and probe_coded is None:
+            return None
+        encoding = (build_coded or probe_coded)[1]
         np = accel.np
-        order = np.argsort(codes_array, kind="stable")
-        counts = np.bincount(codes_array, minlength=len(encoding))
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        # Shifted by one: bucket 0 holds the keys the dictionary lacks, which
+        # only the side encoded into another's dictionary can have — so the
+        # two sides never meet there.
+        build_codes = _codes_in(encoding, build, build_key, build_schema, build_coded) + 1
+        probe_codes = _codes_in(encoding, probe, probe_key, probe_schema, probe_coded) + 1
 
-        probe_keys = compile_batch_expression(probe_key, probe_schema)(probe)
-        code_of = encoding.code_of
-        slices = []
-        positions: list[int] = []
-        match_counts: list[int] = []
-        for position, key in enumerate(probe_keys):
-            if key is None:
-                continue
-            code = code_of(key)
-            if code is None:
-                continue
-            n = int(counts[code])
-            if not n:
-                continue
-            start = int(starts[code])
-            slices.append(order[start : start + n])
-            positions.append(position)
-            match_counts.append(n)
-        if not slices:
-            return True, None
-        build_take = np.concatenate(slices)
-        probe_take = np.repeat(
-            np.asarray(positions, dtype=np.intp),
-            np.asarray(match_counts),
-        )
-        return True, (build_take, probe_take)
+        order = np.argsort(build_codes, kind="stable")
+        counts = np.bincount(build_codes, minlength=len(encoding) + 1)
+        starts = np.cumsum(counts) - counts
+        null = encoding.code_of(None)
+        if null is not None:
+            counts[null + 1] = 0  # NULL build rows stay in ``order`` but match nothing
+        matches = counts[probe_codes]
+        probe_take = np.repeat(np.arange(len(probe_codes)), matches)
+        block_starts = np.cumsum(matches) - matches
+        offsets = np.repeat(starts[probe_codes] - block_starts, matches)
+        return order[np.arange(len(probe_take)) + offsets], probe_take
 
     def _on_inputs_finished(self) -> None:
         left_schema = self.input_schema(0)
@@ -178,16 +170,20 @@ class LocalHashJoinOperator(Operator):
         if self.build_side == "left":
             build, probe = left, right
             build_key, probe_key = self.left_key, self.right_key
-            probe_schema, build_child = right_schema, 0
+            build_schema, probe_schema, build_child = left_schema, right_schema, 0
         else:
             build, probe = right, left
             build_key, probe_key = self.right_key, self.left_key
-            probe_schema, build_child = left_schema, 1
+            build_schema, probe_schema, build_child = right_schema, left_schema, 1
 
-        handled, takes = self._accel_join(build, probe, build_key, probe_key, probe_schema)
-        if handled:
-            if takes is not None:
-                build_take, probe_take = takes
+        takes = None
+        if max(len(build), len(probe)) >= accel.MIN_ROWS:
+            takes = self._coded_join(
+                build, probe, build_key, probe_key, build_schema, probe_schema
+            )
+        if takes is not None:
+            build_take, probe_take = takes
+            if len(probe_take):
                 if self.build_side == "left":
                     out = left._take_array(build_take).concat(right._take_array(probe_take))
                 else:
@@ -197,7 +193,6 @@ class LocalHashJoinOperator(Operator):
 
         matches_of = self._index_backed_build(build, build_key, build_child)
         if matches_of is None:
-            build_schema = left_schema if self.build_side == "left" else right_schema
             build_keys = compile_batch_expression(build_key, build_schema)(build)
             buckets: dict[Any, list[int]] = {}
             setdefault = buckets.setdefault
@@ -223,3 +218,33 @@ class LocalHashJoinOperator(Operator):
         else:
             out = left.take(probe_take).concat(right.take(build_take))
         self.emit(out)
+
+
+def _key_codes(batch: RowBatch, key: Expression) -> tuple[Any, Any] | None:
+    """``(codes, encoding)`` when ``key`` is a bare column carrying dictionary codes."""
+    if not isinstance(key, ColumnRef):
+        return None
+    index = batch.schema.try_index_of(key.name)
+    return None if index is None else batch._codes(index)
+
+
+def _codes_in(
+    encoding: accel.ColumnEncoding,
+    batch: RowBatch,
+    key: Expression,
+    schema: Schema,
+    coded: tuple[Any, Any] | None,
+) -> Any:
+    """``batch``'s join keys as codes of ``encoding``: -1 where it has no entry."""
+    if coded is not None:
+        codes, own = coded
+        if own is encoding:
+            return codes
+        if len(own) <= len(batch):  # translate the smaller thing: the dictionary
+            return _encoded(encoding, own.values)[codes]
+    return _encoded(encoding, compile_batch_expression(key, schema)(batch))
+
+
+def _encoded(encoding: accel.ColumnEncoding, keys: Sequence[Any]) -> Any:
+    np = accel.np
+    return np.fromiter(map(encoding.index.get, keys, repeat(-1)), dtype=np.intp, count=len(keys))

@@ -20,11 +20,12 @@ API:
         "SELECT companyName, findCEO(companyName).CEO, findCEO(companyName).Phone "
         "FROM companies"
     )
-    rows = handle.wait()
+    rows = handle.wait()  # a RowsView: each Row is built when it is read
 
 Queries run asynchronously against simulated time: ``handle.poll()`` mirrors
 the paper's "poll the results table" pattern, ``handle.wait()`` drives the
-simulation to completion.
+simulation to completion.  Both return a read-only
+:class:`~repro.storage.table.RowsView` over the results table's columns.
 """
 
 from __future__ import annotations
@@ -76,6 +77,7 @@ from repro.storage.durability import (
     recover_engine,
 )
 from repro.storage.snapshot import write_snapshot
+from repro.storage.table import RowsView
 from repro.storage.wal import WriteAheadLog
 from repro.workloads.oracles import CompositeOracle
 
@@ -372,8 +374,8 @@ class QurkEngine:
         self.scheduler.submit(handle, priority=priority)
         return handle
 
-    def run(self, sql: str | SelectStatement, **kwargs):
-        """Convenience wrapper: start a query and wait for every result row."""
+    def run(self, sql: str | SelectStatement, **kwargs) -> RowsView:
+        """Convenience wrapper: start a query, wait, and return a view of its rows."""
         return self.query(sql, **kwargs).wait()
 
     def estimate_query_cost(self, handle: QueryHandle) -> CostEstimate:

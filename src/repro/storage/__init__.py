@@ -27,7 +27,7 @@ from repro.storage.expressions import (
 )
 from repro.storage.row import Row
 from repro.storage.schema import Column, Schema
-from repro.storage.table import Table
+from repro.storage.table import RowsView, Table
 from repro.storage.types import DataType, coerce_value, is_null
 
 __all__ = [
@@ -38,6 +38,7 @@ __all__ = [
     "Column",
     "Row",
     "RowBatch",
+    "RowsView",
     "DataType",
     "coerce_value",
     "is_null",

@@ -13,10 +13,14 @@ that shape: **one Python list per column**, nothing per row.
 - **Row ids are positions.**  Tables only append and truncate, so the id of
   the row at ``position`` is ``first_id + position`` and :meth:`truncate`
   advances ``first_id``; :meth:`rows_since` is a slice, not a scan.
-- **Rows exist when a caller asks.**  :meth:`rows`, :meth:`rows_since`,
-  :meth:`lookup`, :meth:`select` and iteration build fresh
-  :class:`~repro.storage.row.Row` objects bound to the table's schema;
-  nothing row-shaped is stored or cached.
+- **Rows exist when a caller reads one.**  :meth:`rows` returns a
+  :class:`RowsView` — a read-only sequence over the column lists whose
+  length is fixed when it is taken — and a :class:`~repro.storage.row.Row`
+  is built per element read, never stored or cached.  :meth:`rows_since`,
+  :meth:`select`, :meth:`lookup` and iteration read through the same view.
+  A list of rows held while it is built outlives young collections, and
+  the cyclic collector's full passes then walk every retained results
+  table; rows built one at a time and dropped never get that far.
 - **Scans share one snapshot.**  :meth:`to_batch` binds the columns into a
   ``RowBatch`` once per version; STRING columns are dictionary-encoded
   (:class:`~repro.storage.accel.ColumnEncoding`) only when a snapshot or a
@@ -31,7 +35,11 @@ that shape: **one Python list per column**, nothing per row.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Sequence
+from functools import partial
+from itertools import islice
+from operator import eq
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
 
 from repro.errors import SchemaError, StorageError
 from repro.storage import accel
@@ -43,7 +51,74 @@ from repro.storage.types import DataType
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import (cycle guard)
     from repro.storage.batch import RowBatch
 
-__all__ = ["Table"]
+__all__ = ["RowsView", "Table"]
+
+
+class RowsView(Sequence):
+    """Read-only rows over a table's column lists, built when read.
+
+    A snapshot: the positions it covers are fixed when the view is taken, and
+    tables only append (and :meth:`Table.truncate` binds fresh lists), so the
+    values behind those positions never change.  ``len`` is free, iteration
+    builds one :meth:`Row.unchecked` per step, ``view[i]`` builds one row,
+    slicing returns a narrower view, and ``==`` compares element-wise with any
+    sequence of rows.
+    """
+
+    __slots__ = ("_schema", "_columns", "_positions")
+
+    def __init__(self, schema: Schema, columns: Sequence[list[Any]], positions: range):
+        self._schema = schema
+        self._columns = columns
+        self._positions = positions
+
+    def __len__(self) -> int:
+        return len(self._positions)
+
+    def __getitem__(self, index: int | slice) -> Any:
+        position = self._positions[index]  # range checks bounds and slices
+        if isinstance(position, range):
+            return RowsView(self._schema, self._columns, position)
+        return Row.unchecked(self._schema, tuple(column[position] for column in self._columns))
+
+    def __iter__(self) -> Iterator[Row]:
+        positions, schema = self._positions, self._schema
+        if not self._columns:
+            return (Row.unchecked(schema, ()) for _ in positions)
+        if positions.step == 1:
+            columns = [islice(column, positions.start, positions.stop) for column in self._columns]
+        else:
+            columns = [map(column.__getitem__, positions) for column in self._columns]
+        return map(partial(Row.unchecked, schema), zip(*columns))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"RowsView({list(self)!r})"
+
+
+class _NumberedRows(Sequence):
+    """``(row id, row)`` pairs over a :class:`RowsView` (see :meth:`Table.rows_since`)."""
+
+    __slots__ = ("_rows", "_ids")
+
+    def __init__(self, rows: RowsView, ids: range):
+        self._rows = rows
+        self._ids = ids
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __getitem__(self, index: int | slice) -> Any:
+        if isinstance(index, slice):
+            return _NumberedRows(self._rows[index], self._ids[index])
+        return self._ids[index], self._rows[index]
+
+    def __iter__(self) -> Iterator[tuple[int, Row]]:
+        return zip(self._ids, self._rows)
 
 
 class Table:
@@ -132,11 +207,14 @@ class Table:
         return Row(self.schema, row).values
 
     def truncate(self) -> None:
-        """Remove every row (row ids keep counting up)."""
+        """Remove every row (row ids keep counting up).
+
+        Fresh column lists are bound rather than the old ones cleared, so a
+        :class:`RowsView` taken before keeps reading the rows it covered.
+        """
         self._first_id += self._length
         self._length = 0
-        for column in self._columns:
-            column.clear()
+        self._columns = [[] for _ in self.schema]
         self._encoded.clear()  # a dictionary must not outlive the values it counted
         self._version += 1
         for index in self._indexes.values():
@@ -192,37 +270,31 @@ class Table:
     def __len__(self) -> int:
         return self._length
 
-    def _rows_from(self, start: int) -> list[Row]:
-        """Fresh rows for positions ``start:``, bound to the table's schema."""
-        schema = self.schema
-        if not self._columns:
-            return [Row.unchecked(schema, ()) for _ in range(start, self._length)]
-        columns = [column[start:] for column in self._columns] if start else self._columns
-        return [Row.unchecked(schema, values) for values in zip(*columns)]
-
-    def _row_at(self, position: int) -> Row:
-        return Row.unchecked(self.schema, tuple(column[position] for column in self._columns))
-
     def __iter__(self) -> Iterator[Row]:
-        return iter(self._rows_from(0))
+        return iter(self.rows())
 
     def scan(self) -> Iterator[Row]:
         """Iterate over every row in insertion order."""
-        return iter(self)
+        return iter(self.rows())
 
-    def rows(self) -> list[Row]:
-        """Return a snapshot list of all rows."""
-        return self._rows_from(0)
+    def rows(self, since: int = -1) -> RowsView:
+        """A view of the rows inserted after row id ``since`` (all by default).
 
-    def rows_since(self, row_id: int) -> list[tuple[int, Row]]:
-        """Return ``(row_id, row)`` pairs for rows inserted after ``row_id``.
-
-        Pass ``-1`` to read everything.  This is the polling primitive used
-        by :class:`repro.core.exec.handle.QueryHandle`; it costs the new
-        rows only, because ids are positions.
+        Costs nothing until read: see :class:`RowsView`.  Rows inserted
+        after the call are not in the view.
         """
-        start = max(row_id + 1 - self._first_id, 0)
-        return list(enumerate(self._rows_from(start), self._first_id + start))
+        start = max(since + 1 - self._first_id, 0)
+        return RowsView(self.schema, self._columns, range(start, max(start, self._length)))
+
+    def rows_since(self, row_id: int) -> Sequence[tuple[int, Row]]:
+        """``(row_id, row)`` pairs for rows inserted after ``row_id``, as a view.
+
+        Pass ``-1`` to read everything.  Ids are positions, so this costs the
+        new rows only, and only when they are read.
+        """
+        rows = self.rows(row_id)
+        end = self._first_id + self._length  # every view ends at the last row
+        return _NumberedRows(rows, range(end - len(rows), end))
 
     def last_row_id(self) -> int:
         """The id of the most recently inserted row, or -1 when empty."""
@@ -230,7 +302,7 @@ class Table:
 
     def select(self, predicate: Callable[[Row], bool]) -> list[Row]:
         """Return rows satisfying a Python predicate (used by tests/examples)."""
-        return [row for row in self._rows_from(0) if predicate(row)]
+        return [row for row in self.rows() if predicate(row)]
 
     # -- indexes -------------------------------------------------------------
 
@@ -268,7 +340,8 @@ class Table:
         else:
             held = self._columns[self.schema.index_of(column)]
             positions = [position for position, item in enumerate(held) if item == value]
-        return [self._row_at(position) for position in positions]
+        rows = self.rows()
+        return [rows[position] for position in positions]
 
     @property
     def indexed_columns(self) -> tuple[str, ...]:

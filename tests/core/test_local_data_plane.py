@@ -6,6 +6,8 @@ crowd plans keep the small interleaving bound, and the simulation clock
 tracks pending events in O(1) with lazy heap compaction.
 """
 
+import gc
+
 import pytest
 
 from repro.core.exec.context import ExecutionContext, QueryConfig
@@ -157,14 +159,44 @@ class TestRowsExistOnlyAtTheCaller:
         monkeypatch.setattr(Row, "__init__", counting_init)
 
         handle = engine.query(JOIN_SQL)
-        engine.scheduler.drain()
-        assert handle.is_complete and len(handle) == n_rows
-        assert built == []  # scan → join → project → sink: columns all the way
+        rows = handle.wait()
+        assert handle.is_complete and len(rows) == len(handle) == n_rows
+        # scan → join → project → sink: columns all the way, and wait()
+        # hands back a view, not rows.
+        assert built == []
 
-        rows = handle.results()
-        assert len(built) == n_rows
         assert sorted(row.values for row in rows) == [(i, float(i % 20)) for i in range(n_rows)]
+        assert len(built) == n_rows  # one row per element read
         assert len(handle.poll()) == n_rows and handle.poll() == []
+        assert len(built) == n_rows  # taking and sizing views builds nothing
+
+    def test_reading_big_joins_through_wait_triggers_no_full_collection(self):
+        """Results read through ``wait()`` are never promoted to the oldest
+        generation, so they never add up to a full collection.
+
+        A list of rows held while it is built survives the young
+        collections that its own allocations trigger; enough promoted
+        objects trigger a full pass over everything the process holds.
+        Freezing the heap first zeroes that threshold's base, so four
+        20k-row joins read as lists are well past it.
+        """
+        engine = build_engine(n_rows=20_000, n_groups=20)
+        full = []
+
+        def on_collect(phase, info):
+            if phase == "start" and info["generation"] == 2:
+                full.append(info)
+
+        gc.freeze()
+        gc.collect()
+        gc.callbacks.append(on_collect)
+        try:
+            for _ in range(4):
+                assert sum(len(row.values) for row in engine.query(JOIN_SQL).wait()) == 40_000
+        finally:
+            gc.callbacks.remove(on_collect)
+            gc.unfreeze()
+        assert full == []
 
     def test_replanning_on_an_unchanged_table_reads_no_base_column(self):
         engine = QurkEngine(seed=3)

@@ -7,10 +7,15 @@ free (the operator probes straight through the index), so the index-backed
 side wins on estimated machine work.
 """
 
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.lang.sql_parser import parse_select
 from repro.core.operators.join_local import LocalHashJoinOperator
+from repro.core.operators.scan import ScanOperator
 from repro.core.optimizer.cost_model import CostModel
 from repro.core.optimizer.optimizer import QueryOptimizer
 from repro.core.optimizer.statistics import StatisticsManager
@@ -18,7 +23,7 @@ from repro.core.plan.planner import QueryPlanner
 from repro.core.plan.registry import TaskRegistry
 from repro.engine import QurkEngine
 from repro.errors import PlanError
-from repro.storage import Database, DataType, Schema, Table
+from repro.storage import ColumnRef, Database, DataType, Schema, Table, accel
 from repro.storage.indexes import HashIndex
 
 JOIN_SQL = (
@@ -184,3 +189,87 @@ class TestLocalJoinExecution:
         ]
         assert run(index=False) == expected and probed == []
         assert run(index=True) == expected and probed == [1, 2, 3, 2]  # NULL never probes
+
+
+#: Keys of an uncoded (ANY) column: NULL, strings, and 1 / 1.0 / True, which
+#: are one dict key.  A STRING column — the coded kind — holds the strings.
+ANY_KEYS = st.sampled_from([None, "a", "b", "1", "True", 1, 1.0, True, 2])
+STRING_KEYS = st.sampled_from([None, "a", "b", "c", "1", "True"])
+
+
+def keyed_table(name: str, coded: bool, keys: list) -> Table:
+    """``(k, v)`` rows: ``k`` the join key, ``v`` the row's position."""
+    key_type = DataType.STRING if coded else DataType.ANY
+    table = Table(name, Schema.of(("k", key_type), ("v", DataType.INTEGER)))
+    table.insert_many([key, position] for position, key in enumerate(keys))
+    return table
+
+
+def join_rows(left: Table, right: Table, build_side: str) -> list[tuple]:
+    """Run the operator over full scans of both tables; its output, in order."""
+    scans = (ScanOperator(left, "l"), ScanOperator(right, "r"))
+    join = LocalHashJoinOperator(
+        ColumnRef("l.k"), ColumnRef("r.k"), scans[0].output_schema, scans[1].output_schema,
+        build_side=build_side,
+    )
+    emitted = []
+    join.emit = emitted.append
+    for slot, scan in enumerate(scans):
+        join.add_child(scan)
+        join._process(scan.table.to_batch().with_schema(scan.output_schema), slot)
+    join._on_inputs_finished()
+    return [row.values for batch in emitted for row in batch.to_rows()]
+
+
+class TestCodedJoinMatchesReference:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_same_rows_in_the_same_order(self, data):
+        """NULLs and duplicates on both sides, keys the dictionary lacks,
+        1 / 1.0 / True, either build side, a coded build or probe key (or
+        both, from one dictionary or two), with and without an index on the
+        build key: the dictionary-coded join emits exactly what the
+        reference dict / index build emits, in the same order."""
+        left_coded, right_coded = data.draw(st.tuples(st.booleans(), st.booleans()))
+        self_join = left_coded and right_coded and data.draw(st.booleans(), label="self join")
+        build_side = data.draw(st.sampled_from(["left", "right"]), label="build side")
+        tiled = "left" if self_join else data.draw(
+            st.sampled_from(["left", "right"]), label="side past MIN_ROWS"
+        )
+        index = data.draw(st.booleans(), label="index on build key")
+
+        def draw_keys(side: str, coded: bool) -> list:
+            keys = data.draw(
+                st.lists(STRING_KEYS if coded else ANY_KEYS, min_size=1, max_size=12), label=side
+            )
+            return keys * -(-accel.MIN_ROWS // len(keys)) if side == tiled else keys
+
+        left_keys = draw_keys("left", left_coded)
+        right_keys = left_keys if self_join else draw_keys("right", right_coded)
+
+        def run() -> list[tuple]:
+            left = keyed_table("left", left_coded, left_keys)
+            right = left if self_join else keyed_table("right", right_coded, right_keys)
+            if index:
+                (left if build_side == "left" else right).create_index("k")
+            return join_rows(left, right, build_side)
+
+        coded_runs = []
+        coded_join = LocalHashJoinOperator._coded_join
+
+        def spy(self, *args):
+            takes = coded_join(self, *args)
+            coded_runs.append(takes is not None)
+            return takes
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(LocalHashJoinOperator, "_coded_join", spy)
+            coded = run()
+        assert coded_runs == [left_coded or right_coded]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(accel, "MIN_ROWS", sys.maxsize)
+            reference = run()
+        assert coded == reference
+        assert [tuple(map(type, row)) for row in coded] == [
+            tuple(map(type, row)) for row in reference
+        ]

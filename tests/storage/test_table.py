@@ -1,9 +1,11 @@
 """Unit tests for heap tables, indexes and results-table polling."""
 
+from collections.abc import Sequence
+
 import pytest
 
 from repro.errors import SchemaError, StorageError
-from repro.storage import DataType, Row, Schema, Table
+from repro.storage import DataType, Row, RowsView, Schema, Table
 
 
 @pytest.fixture
@@ -95,3 +97,63 @@ class TestIndexes:
 
         table.truncate()
         assert index.positions_equal("A") == [] and index.distinct_count() == 0
+
+
+class TestRowsView:
+    """``Table.rows()`` is a fixed-length, read-only view; rows are built as read."""
+
+    @pytest.fixture
+    def filled(self, table):
+        table.insert_many([[f"c{i}", i] for i in range(10)])
+        return table
+
+    def test_is_a_sequence_of_fixed_length(self, filled):
+        view = filled.rows()
+        assert isinstance(view, RowsView) and isinstance(view, Sequence)
+        filled.insert(["late", 99])
+        filled.insert_many([["later", 100]])
+        assert len(view) == 10
+        assert [row["employees"] for row in view] == list(range(10))
+        assert len(filled.rows()) == 12
+
+    def test_survives_truncate(self, filled):
+        view = filled.rows()
+        filled.truncate()
+        filled.insert(["after", 7])
+        assert [row.values for row in view] == [(f"c{i}", i) for i in range(10)]
+        assert [row.values for row in filled.rows()] == [("after", 7)]
+
+    def test_indexing_and_slicing(self, filled):
+        view = filled.rows()
+        assert view[0]["employees"] == 0 and view[-1]["employees"] == 9
+        assert view[-10]["employees"] == 0
+        for bad in (10, -11):
+            with pytest.raises(IndexError):
+                view[bad]
+        assert [row["employees"] for row in view[2:5]] == [2, 3, 4]
+        assert [row["employees"] for row in view[::3]] == [0, 3, 6, 9]
+        assert [row["employees"] for row in view[::-4]] == [9, 5, 1]
+        assert [row["employees"] for row in view[3:5][1:]] == [4]
+        assert view[7:2] == [] and len(view[5:]) == 5
+
+    def test_equality_in_both_directions(self, filled):
+        view = filled.rows()
+        rows = [Row(filled.schema, [f"c{i}", i]) for i in range(10)]
+        assert view == rows and rows == view
+        assert view == tuple(rows) and view == filled.rows()
+        assert view != rows[:-1] and rows[1:] != view
+        assert view[:0] == [] and [] == view[:0]
+
+    def test_reading_one_element_builds_one_row(self, filled, monkeypatch):
+        built = []
+        unchecked = Row.unchecked.__func__
+
+        def counting_unchecked(cls, schema, values):
+            built.append(values)
+            return unchecked(cls, schema, values)
+
+        monkeypatch.setattr(Row, "unchecked", classmethod(counting_unchecked))
+        view = filled.rows()
+        assert len(view) == 10 and built == []
+        assert view[5].values == ("c5", 5)
+        assert built == [("c5", 5)]

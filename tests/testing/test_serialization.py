@@ -24,7 +24,7 @@ from repro.cluster.serialization import (
 from repro.core.exec.context import QueryConfig
 from repro.errors import ClusterError
 from repro.experiments import build_products_engine
-from repro.storage import DataType, Schema
+from repro.storage import DataType, Schema, Table
 from repro.storage.row import Row
 
 
@@ -98,6 +98,37 @@ class TestSchemaAndRows:
             assert copy.schema is not None
             assert copy.values == original.values
             assert copy.to_dict() == original.to_dict()
+
+    def test_encoded_rows_are_pinned_byte_for_byte(self):
+        """Empty, one-row and multi-row replies encode to fixed bytes, read
+        from a view (one pass, no row list) as they were from a list."""
+        table = Table(
+            "t",
+            Schema.of(
+                ("name", DataType.STRING),
+                ("n", DataType.INTEGER),
+                ("score", DataType.FLOAT),
+                ("answer", DataType.ANY),
+            ),
+        )
+        schema = (
+            b'"schema":[["name","string",true],["n","integer",true],'
+            b'["score","float",true],["answer","any",true]]'
+        )
+        first = b'["\xc3\xa4",1,0.5,{"__tuple__":["yes",2]}]'
+        assert encode_message(encode_rows(table.rows())) == b'{"schema":[],"values":[]}'
+        table.insert(["\u00e4", 1, 0.5, ("yes", 2)])
+        one = b"{" + schema + b',"values":[' + first + b"]}"
+        assert encode_message(encode_rows(table.rows())) == one
+        assert encode_message(encode_rows(list(table.rows()))) == one
+        table.insert_many([["b", None, 2.0, [1, (2, 3)]], [None, 3, -1.25, {"k": (None,)}]])
+        many = (
+            b"{" + schema + b',"values":[' + first
+            + b',["b",null,2.0,[1,{"__tuple__":[2,3]}]]'
+            + b',[null,3,-1.25,{"k":{"__tuple__":[null]}}]]}'
+        )
+        assert encode_message(encode_rows(table.rows())) == many
+        assert encode_message(encode_rows(iter(table.rows()))) == many
 
     def test_schema_round_trip_preserves_types_and_nullability(self):
         engine = build_products_engine(n_products=2, seed=7).engine
