@@ -21,19 +21,17 @@ __all__ = ["QueryConfig", "ExecutionContext"]
 
 @dataclass
 class QueryConfig:
-    """Per-query tuning knobs, mostly set by the optimizer.
+    """Per-query knobs, set by the caller (or the engine's default config).
 
-    ``default_assignments`` is the redundancy used when a task spec does not
-    override it; ``target_confidence`` drives the adaptive assignment rule
-    (see :class:`repro.core.optimizer.optimizer.QueryOptimizer`).
+    ``budget`` caps the query's spend.  ``adaptive`` picks each task's
+    redundancy with the optimizer's majority-vote rule (see
+    :class:`repro.core.optimizer.optimizer.QueryOptimizer`) and lets the
+    adaptive replanner swap pending strategies; with it off, tasks take their
+    spec's own ``assignments`` and the plan never changes mid-query.
     """
 
     budget: float | None = None
-    default_assignments: int | None = None
-    target_confidence: float = 0.9
     adaptive: bool = True
-    use_cache: bool = True
-    use_task_model: bool = True
     #: Seconds (on the engine clock, simulated or wall) the query may run
     #: after admission before the deadline fires.  ``None`` disables it.
     deadline: float | None = None
@@ -73,15 +71,10 @@ class ExecutionContext:
     def assignments_for(self, spec: TaskSpec) -> int:
         """Redundancy to use for a task of ``spec``.
 
-        Resolution order: an explicit per-query override, then the adaptive
-        optimizer choice (re-evaluated per task, so it tightens as statistics
-        accumulate mid-query — Section 2's adaptive requirement), then the
-        spec's own default.
+        The adaptive optimizer choice (re-evaluated per task, so it tightens
+        as statistics accumulate mid-query — Section 2's adaptive
+        requirement), else the spec's own default.
         """
-        if self.config.default_assignments is not None:
-            return self.config.default_assignments
         if self.config.adaptive and self.optimizer is not None:
-            return self.optimizer.choose_assignments(
-                spec, target_confidence=self.config.target_confidence
-            )
+            return self.optimizer.choose_assignments(spec)
         return spec.assignments

@@ -26,6 +26,13 @@ fire when the observed cardinality differs from the planner's estimate by
 left alone.  Every change is returned to the scheduler, which emits a
 ``replanned`` lifecycle event the dashboard surfaces;
 ``QueryHandle.plan_history()`` exposes the full record.
+
+The observed cardinality comes from the same per-node estimators EXPLAIN
+uses: at a barrier the running tree is mirrored into the logical IR
+(:func:`~repro.core.plan.logical.from_physical`), every finished operator's
+node is pinned to the rows it actually emitted, and one costing pass
+annotates the rest with observed selectivities.  The mirror is transient:
+nothing is kept on the operators or the query handle.
 """
 
 from __future__ import annotations
@@ -33,12 +40,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.operators.base import Operator
-from repro.core.operators.crowd_filter import CrowdFilterOperator
 from repro.core.operators.crowd_join import CrowdJoinOperator, JoinStrategy
 from repro.core.operators.crowd_sort import CrowdSortOperator, SortStrategy
-from repro.core.operators.scan import ScanOperator
 from repro.core.optimizer.optimizer import QueryOptimizer
-from repro.core.optimizer.statistics import StatisticsManager
+from repro.core.plan.logical import annotate_plan, from_physical
 from repro.core.tasks.spec import ComparisonResponse, JoinColumnsResponse
 
 __all__ = ["PlanChange", "AdaptiveReplanner"]
@@ -76,9 +81,8 @@ class AdaptiveReplanner:
     #: whose estimates held up are never churned.
     MISESTIMATE_FACTOR = 2.0
 
-    def __init__(self, optimizer: QueryOptimizer, statistics: StatisticsManager) -> None:
+    def __init__(self, optimizer: QueryOptimizer) -> None:
         self.optimizer = optimizer
-        self.statistics = statistics
         self._seen_done: dict[str, set[int]] = {}
         self._history: dict[str, list[PlanChange]] = {}
         self._redundancy_seen: dict[tuple[str, int], int] = {}
@@ -137,6 +141,7 @@ class AdaptiveReplanner:
 
         changes: list[PlanChange] = []
         now = context.clock.now
+        rows: dict[int, float] | None = None  # estimated once per plan shape
         for operator in list(executor.operators()):
             if not operator.is_done():
                 # Redundancy recommendations shift while operators run (the
@@ -145,15 +150,20 @@ class AdaptiveReplanner:
                 redundancy = self._reconsider_redundancy(operator, context, now, query_id)
                 if redundancy is not None:
                     changes.append(redundancy)
+            crowd_sort = isinstance(operator, CrowdSortOperator)
+            if not (crowd_sort or isinstance(operator, CrowdJoinOperator)):
+                continue
             if not _is_pending(operator):
                 continue
-            change = None
-            if isinstance(operator, CrowdSortOperator):
-                change = self._reconsider_sort(operator, executor, now, query_id)
-            elif isinstance(operator, CrowdJoinOperator):
-                change = self._reconsider_join(operator, executor, now, query_id)
+            if rows is None:
+                rows = self._estimate_rows(executor.root)
+            if crowd_sort:
+                change = self._reconsider_sort(operator, executor, rows, now, query_id)
+            else:
+                change = self._reconsider_join(operator, executor, rows, now, query_id)
             if change is not None:
                 changes.append(change)
+                rows = None  # the swap changed the tree
                 # The swapped-out operator may be garbage collected and its
                 # id() recycled by a later replacement; drop its baseline so
                 # a recycled id can never inherit it.
@@ -164,15 +174,35 @@ class AdaptiveReplanner:
 
     # -- per-operator reconsideration -------------------------------------------------------
 
+    def _estimate_rows(self, root: Operator) -> dict[int, float]:
+        """Rows each operator will have emitted when it finishes, by ``id``.
+
+        Finished operators report their exact output; running ones are
+        estimated by their logical node over observed selectivities, which
+        is what makes the replanner's estimates tighter than plan time.
+        """
+        tree = from_physical(root)
+        pairs = list(zip(root.walk(), tree.walk()))
+        for operator, node in pairs:
+            if operator.is_done():
+                node.observed_rows = float(operator.metrics.rows_out)
+        annotate_plan(tree, self.optimizer.costing_pass())
+        return {id(operator): node.estimated_rows for operator, node in pairs}
+
     def _reconsider_sort(
-        self, operator: CrowdSortOperator, executor, now: float, query_id: str
+        self,
+        operator: CrowdSortOperator,
+        executor,
+        rows: dict[int, float],
+        now: float,
+        query_id: str,
     ) -> PlanChange | None:
         if not isinstance(operator.spec.response, ComparisonResponse):
             # A Rating response cannot run as comparisons (and vice versa the
             # response stays authoritative) — only Comparison tasks, which
             # degrade gracefully to per-item ratings, may switch interfaces.
             return None
-        observed = _expected_rows(operator.children[0], self.statistics)
+        observed = rows[id(operator.children[0])]
         planned = operator.planned_input_rows
         if not _misestimated(planned, observed, self.MISESTIMATE_FACTOR):
             return None
@@ -212,12 +242,17 @@ class AdaptiveReplanner:
         )
 
     def _reconsider_join(
-        self, operator: CrowdJoinOperator, executor, now: float, query_id: str
+        self,
+        operator: CrowdJoinOperator,
+        executor,
+        rows: dict[int, float],
+        now: float,
+        query_id: str,
     ) -> PlanChange | None:
         if not isinstance(operator.spec.response, JoinColumnsResponse):
             return None  # yes/no join specs can only render pairwise
-        n_left = _expected_rows(operator.children[0], self.statistics)
-        n_right = _expected_rows(operator.children[1], self.statistics)
+        n_left = rows[id(operator.children[0])]
+        n_right = rows[id(operator.children[1])]
         if not (
             _misestimated(operator.planned_left_rows, n_left, self.MISESTIMATE_FACTOR)
             or _misestimated(operator.planned_right_rows, n_right, self.MISESTIMATE_FACTOR)
@@ -322,32 +357,3 @@ def _misestimated(planned: float | None, observed: float, factor: float) -> bool
     low = max(min(planned, observed), 1e-9)
     high = max(planned, observed)
     return high / low >= factor
-
-
-def _expected_rows(operator: Operator, statistics: StatisticsManager) -> float:
-    """Rows ``operator`` will have emitted when it finishes, best estimate.
-
-    Finished subtrees report their exact output; running subtrees blend the
-    statistics manager's *observed* selectivities over the base cardinalities,
-    which is what makes the replanner's estimates tighter than plan time.
-    """
-    if operator.is_done():
-        return float(operator.metrics.rows_out)
-    if isinstance(operator, ScanOperator):
-        return float(len(operator.table))
-    if isinstance(operator, CrowdFilterOperator):
-        rows = _expected_rows(operator.children[0], statistics)
-        selectivity = statistics.estimate_selectivity(operator.spec.name)
-        if operator.negate:
-            selectivity = 1.0 - selectivity
-        return rows * selectivity
-    if isinstance(operator, CrowdJoinOperator):
-        n_left = _expected_rows(operator.children[0], statistics)
-        n_right = _expected_rows(operator.children[1], statistics)
-        selectivity = statistics.estimate_selectivity(
-            operator.spec.name, prior=min(1.0 / max(n_right, 1.0), 1.0)
-        )
-        return max(n_left * n_right * selectivity, 0.0)
-    if operator.children:
-        return _expected_rows(operator.children[0], statistics)
-    return float(operator.metrics.rows_out)

@@ -10,7 +10,7 @@ performance."
 Decisions implemented here:
 
 * **redundancy** — the number of assignments per HIT, chosen as the smallest
-  odd k whose majority vote reaches the query's target confidence given the
+  odd k whose majority vote reaches :data:`TARGET_CONFIDENCE` given the
   observed single-worker agreement (re-evaluated during execution, so the
   choice adapts as statistics accumulate);
 * **join interface** — pairwise yes/no HITs (optionally batched) versus the
@@ -18,11 +18,18 @@ Decisions implemented here:
 * **sort strategy** — comparison-based versus rating-based crowd sort;
 * **plan cost estimation** — dollars / HITs / latency for the dashboard.
 
+The optimizer has no configuration: the redundancy target, the candidate
+redundancies and the prior worker accuracy are module constants, and the
+per-query switches (``adaptive``, ``budget``, deadlines) live on
+:class:`~repro.core.exec.context.QueryConfig`.
+
 Plan-level costing runs over the logical IR: every logical node prices
 itself (:meth:`~repro.core.plan.logical.LogicalNode.estimate_cost`) against a
 :class:`CostingPass`, which snapshots each task spec's statistics exactly
 once per pass.  Physical plans are costed through the structural bridge in
 :func:`repro.core.plan.logical.from_physical`.
+
+``choose_join_strategy``/``choose_sort_strategy`` have no engine caller; ROADMAP 9(a) drops them.
 """
 
 from __future__ import annotations
@@ -41,10 +48,9 @@ from repro.core.optimizer.cost_model import (
 from repro.core.optimizer.statistics import SpecStats, StatisticsManager, blend_selectivity
 from repro.core.tasks.spec import JoinColumnsResponse, RatingResponse, TaskSpec
 from repro.crowd.quality import WorkerReputation
-from repro.errors import OptimizerError
 
 __all__ = [
-    "OptimizerConfig",
+    "TARGET_CONFIDENCE",
     "JoinChoice",
     "CostingPass",
     "QueryOptimizer",
@@ -53,58 +59,17 @@ __all__ = [
 ]
 
 
-#: How the initial physical plan chooses a crowd sort's interface.
-#: ``response`` — the TASK's Response type is authoritative (a Comparison
-#: response sorts by pairwise comparisons, a Rating response by ratings);
-#: ``cost`` — the physical planner enumerates both interfaces for Comparison
-#: tasks and keeps the cost-minimal one.
-SORT_POLICIES = ("response", "cost")
+#: The majority-vote confidence the redundancy rule aims for, at plan time
+#: (costing) and at run time (per task) alike.
+TARGET_CONFIDENCE = 0.9
 
+#: Redundancies the rule chooses from, smallest first.  Odd counts only:
+#: majority voting over an even worker count wastes the tying assignment
+#: (ties count as failures).
+CANDIDATE_ASSIGNMENTS = (1, 3, 5, 7)
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Optimizer-wide tuning knobs.
-
-    ``candidate_assignments`` must contain odd counts only: majority voting
-    over an even worker count wastes the tying assignment (ties count as
-    failures), so even values silently degrade accuracy per dollar.
-    """
-
-    target_confidence: float = 0.9
-    max_assignments: int = 7
-    candidate_assignments: tuple[int, ...] = (1, 3, 5, 7)
-    default_worker_accuracy: float = 0.85
-    adaptive: bool = True
-    sort_policy: str = "response"
-
-    def __post_init__(self) -> None:
-        if not self.candidate_assignments:
-            raise OptimizerError("candidate_assignments must not be empty")
-        for candidate in self.candidate_assignments:
-            if candidate < 1:
-                raise OptimizerError(
-                    f"candidate assignment counts must be >= 1, got {candidate}"
-                )
-            if candidate % 2 == 0:
-                raise OptimizerError(
-                    f"candidate assignment counts must be odd (majority voting over an "
-                    f"even count wastes the tying vote), got {candidate}"
-                )
-        if self.max_assignments < 1:
-            raise OptimizerError(f"max_assignments must be >= 1, got {self.max_assignments}")
-        if min(self.candidate_assignments) > self.max_assignments:
-            raise OptimizerError(
-                f"max_assignments ({self.max_assignments}) excludes every candidate "
-                f"assignment count {self.candidate_assignments}"
-            )
-        if not 0.0 < self.target_confidence <= 1.0:
-            raise OptimizerError(
-                f"target_confidence must be in (0, 1], got {self.target_confidence}"
-            )
-        if self.sort_policy not in SORT_POLICIES:
-            raise OptimizerError(
-                f"sort_policy must be one of {SORT_POLICIES}, got {self.sort_policy!r}"
-            )
+#: Single-worker accuracy assumed before anything has been observed.
+DEFAULT_WORKER_ACCURACY = 0.85
 
 
 @dataclass(frozen=True)
@@ -127,7 +92,7 @@ MODEL_RESIDUAL_FRACTION = 0.05
 
 
 class CostingPass:
-    """One plan-costing pass: cached statistics plus shared knobs.
+    """One plan-costing pass: cached statistics plus the cost model.
 
     Logical nodes cost themselves against this object.  Spec statistics are
     fetched from the :class:`StatisticsManager` exactly once per spec per
@@ -139,13 +104,11 @@ class CostingPass:
         self,
         statistics: StatisticsManager,
         cost_model: CostModel,
-        config: OptimizerConfig,
         reputation: WorkerReputation | None = None,
         models=None,
     ) -> None:
         self.statistics = statistics
         self.cost_model = cost_model
-        self.config = config
         self.reputation = reputation
         # Optional TaskModelRegistry: trusted models escalate — they answer
         # instead of the crowd — so costing discounts their specs to ~zero.
@@ -161,13 +124,11 @@ class CostingPass:
 
     def worker_accuracy(self, spec: TaskSpec) -> float:
         """Single-worker accuracy proxy from the cached snapshot."""
-        return _worker_accuracy(self.spec_stats(spec.name), self.config, self.reputation)
+        return _worker_accuracy(self.spec_stats(spec.name), self.reputation)
 
     def assignments_for(self, spec: TaskSpec) -> int:
         """Redundancy the adaptive rule would pick for ``spec`` right now."""
-        return _pick_assignments(
-            self.worker_accuracy(spec), self.config, self.config.target_confidence
-        )
+        return _pick_assignments(self.worker_accuracy(spec))
 
     def selectivity(self, name: str, *, prior: float | None = None) -> float:
         """Blended selectivity estimate from the cached statistics snapshot."""
@@ -210,9 +171,7 @@ class CostingPass:
         )
 
 
-def _worker_accuracy(
-    stats: SpecStats, config: OptimizerConfig, reputation: WorkerReputation | None = None
-) -> float:
+def _worker_accuracy(stats: SpecStats, reputation: WorkerReputation | None = None) -> float:
     """Single-worker accuracy proxy for the redundancy rule.
 
     The one heuristic shared by plan-time costing (CostingPass) and the
@@ -226,7 +185,7 @@ def _worker_accuracy(
     * the spec's observed agreement with the majority (an optimistic proxy,
       but *per spec* — an easy filter and a hard join have genuinely
       different judgement accuracy);
-    * the configured default.
+    * :data:`DEFAULT_WORKER_ACCURACY`.
 
     When both observations exist they are averaged: the reputation estimate
     anchors the optimistic agreement proxy to probed ground truth without
@@ -241,23 +200,19 @@ def _worker_accuracy(
     elif spec_signal is not None:
         observed = spec_signal
     else:
-        return config.default_worker_accuracy
+        return DEFAULT_WORKER_ACCURACY
     return min(max(observed, 0.55), 0.99)
 
 
-def _pick_assignments(accuracy: float, config: OptimizerConfig, target: float) -> int:
+def _pick_assignments(accuracy: float, target: float = TARGET_CONFIDENCE) -> int:
     """Smallest candidate redundancy whose majority vote meets ``target``.
 
-    The fallback is the largest *candidate* within ``max_assignments`` —
-    never ``max_assignments`` itself, which may be even and would silently
-    waste the tying vote the odd-only validation exists to prevent.
+    When none does, the largest candidate.
     """
-    for candidate in config.candidate_assignments:
-        if candidate > config.max_assignments:
-            break
+    for candidate in CANDIDATE_ASSIGNMENTS:
         if majority_accuracy(accuracy, candidate) >= target:
             return candidate
-    return max(c for c in config.candidate_assignments if c <= config.max_assignments)
+    return CANDIDATE_ASSIGNMENTS[-1]
 
 
 class QueryOptimizer:
@@ -267,14 +222,12 @@ class QueryOptimizer:
         self,
         statistics: StatisticsManager,
         cost_model: CostModel | None = None,
-        config: OptimizerConfig | None = None,
         *,
         reputation: WorkerReputation | None = None,
         models=None,
     ) -> None:
         self.statistics = statistics
         self.cost_model = cost_model if cost_model is not None else CostModel()
-        self.config = config if config is not None else OptimizerConfig()
         # With a tracker attached, estimate_worker_accuracy — and so
         # choose_assignments and every plan-costing pass — uses the accuracy
         # observed from gold probes and vote agreement, which re-costs
@@ -289,12 +242,11 @@ class QueryOptimizer:
 
     def estimate_worker_accuracy(self, spec: TaskSpec) -> float:
         """Single-worker accuracy proxy (observed reputation, then agreement)."""
-        return _worker_accuracy(self.statistics.spec(spec.name), self.config, self.reputation)
+        return _worker_accuracy(self.statistics.spec(spec.name), self.reputation)
 
-    def choose_assignments(self, spec: TaskSpec, *, target_confidence: float | None = None) -> int:
+    def choose_assignments(self, spec: TaskSpec) -> int:
         """Smallest candidate redundancy whose majority vote meets the target."""
-        target = target_confidence if target_confidence is not None else self.config.target_confidence
-        return _pick_assignments(self.estimate_worker_accuracy(spec), self.config, target)
+        return _pick_assignments(self.estimate_worker_accuracy(spec))
 
     # -- join interface ----------------------------------------------------------------------
 
@@ -357,9 +309,7 @@ class QueryOptimizer:
 
     def costing_pass(self) -> CostingPass:
         """A fresh costing context (statistics snapshotted once per spec)."""
-        return CostingPass(
-            self.statistics, self.cost_model, self.config, self.reputation, self.models
-        )
+        return CostingPass(self.statistics, self.cost_model, self.reputation, self.models)
 
     def estimate_logical_cost(self, root) -> CostEstimate:
         """Cost a logical plan; annotates every node's rows/cost en route.

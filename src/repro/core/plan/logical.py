@@ -16,7 +16,10 @@ what the plan means.  This module provides that representation:
   ``estimated_rows`` / ``estimated_cost`` on every node;
 * a structural bridge from physical operator trees back into the IR
   (:func:`from_physical`), so running plans are re-costed through the same
-  per-node code path the enumerator uses;
+  per-node code path the enumerator uses — by the dashboard's cost estimate
+  and by the adaptive replanner, which pins finished operators' nodes to the
+  rows they emitted (:attr:`LogicalNode.observed_rows`) and reads the
+  cardinalities flowing into the pending ones;
 * a compact text rendering (:func:`render_tree`) used by ``EXPLAIN``.
 
 Physical *decisions* (join interface, sort strategy, filter placement) are
@@ -45,7 +48,7 @@ from repro.core.operators.scan import IndexScanOperator, ScanOperator
 from repro.core.operators.sort_local import LocalSortOperator
 from repro.core.optimizer.cost_model import CostEstimate, cheaper_join_strategy
 from repro.core.tasks.spec import JoinColumnsResponse, RatingResponse, TaskSpec
-from repro.storage.expressions import Expression, FunctionCall
+from repro.storage.expressions import ColumnRef, Expression, FunctionCall
 from repro.storage.table import Table
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
@@ -76,8 +79,12 @@ class LogicalNode:
 
     Nodes form a tree via :attr:`children`.  After :func:`annotate_plan`
     runs, :attr:`estimated_rows` holds the bottom-up output-cardinality
-    estimate and :attr:`estimated_cost` this node's own crowd cost.
+    estimate and :attr:`estimated_cost` this node's own crowd cost.  A node
+    whose :attr:`observed_rows` is set (a finished operator, mirrored by
+    :func:`from_physical`) reports that count instead of estimating one.
     """
+
+    observed_rows: float | None = None
 
     def __init__(self) -> None:
         self.children: list[LogicalNode] = []
@@ -595,10 +602,6 @@ class LogicalPlan:
     upper: list[LogicalNode] = field(default_factory=list)
     select_items: tuple = ()
 
-    def crowd_sorts(self) -> list[LogicalSort]:
-        """The crowd-ranked sorts of the upper chain, bottom-up."""
-        return [n for n in self.upper if isinstance(n, LogicalSort) and n.is_crowd]
-
 
 # -- annotation and rendering ------------------------------------------------------------
 
@@ -617,7 +620,9 @@ def annotate_plan(root: LogicalNode, costing) -> CostEstimate:
         cost = node.estimate_cost(child_rows, costing)
         node.estimated_cost = cost
         total = total.plus(cost)
-        rows = node.estimate_output_rows(child_rows, costing)
+        rows = node.observed_rows
+        if rows is None:
+            rows = node.estimate_output_rows(child_rows, costing)
         node.estimated_rows = rows
         return rows
 
@@ -651,7 +656,9 @@ def from_physical(operator: Operator) -> LogicalNode:
     Decisions already taken by the physical plan (join interface, sort
     strategy, batching) are carried over, so re-costing a running plan prices
     exactly the plan that is executing.  This is a structural mapping only —
-    all costing lives on the logical nodes.
+    all costing lives on the logical nodes.  Each operator becomes exactly
+    one node with its children in the same order, so
+    ``zip(operator.walk(), node.walk())`` pairs every operator with its node.
     """
     if isinstance(operator, ScanOperator):
         return LogicalScan(operator.table, alias=operator.alias, binding=operator.alias)
@@ -688,9 +695,15 @@ def from_physical(operator: Operator) -> LogicalNode:
             items_per_hit=operator.items_per_hit,
         )
     elif isinstance(operator, LocalHashJoinOperator):
+        left_table, left_column = _join_key_source(operator.left_key, children[0])
+        right_table, right_column = _join_key_source(operator.right_key, children[1])
         node = LogicalLocalJoin(
             left_key=operator.left_key,
             right_key=operator.right_key,
+            left_table=left_table,
+            right_table=right_table,
+            left_column=left_column,
+            right_column=right_column,
             build_side=operator.build_side,
         )
     elif isinstance(operator, LocalFilterOperator):
@@ -709,3 +722,20 @@ def from_physical(operator: Operator) -> LogicalNode:
     for child in children:
         node.add_child(child)
     return node
+
+
+def _join_key_source(key: Expression, side: LogicalNode) -> tuple[Table | None, str | None]:
+    """The base table and bare column a local-join key reads, or ``(None, None)``.
+
+    Resolved the way the planner resolves a join key against its FROM
+    bindings, so a mirrored local join estimates its output with the same
+    ``distinct_count`` statistics as the planned one.
+    """
+    if not isinstance(key, ColumnRef):
+        return None, None
+    for node in side.walk():
+        if isinstance(node, (LogicalScan, LogicalIndexScan)) and (
+            key.name in node.table.schema.qualified(node.binding)
+        ):
+            return node.table, key.name.rsplit(".", 1)[-1]
+    return None, None

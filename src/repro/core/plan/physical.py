@@ -8,9 +8,10 @@ demo lets the audience explore:
   the join predicates keep the joined tables connected;
 * **join interface** — pairwise yes/no HITs versus the two-column Figure 3
   interface (only JoinColumns specs can render the latter);
-* **sort interface** — pairwise comparisons versus per-item ratings, when
-  ``OptimizerConfig.sort_policy`` is ``"cost"`` (under the default
-  ``"response"`` policy the TASK's Response type is authoritative);
+* **sort interface** — not an axis: the TASK's Response type is
+  authoritative (comparisons for a Comparison response, ratings for a Rating
+  one), and the adaptive replanner revisits a pending comparison sort once
+  its real input size is known;
 * **crowd-filter placement** — on the filtered table below the joins, or
   above the joins over the (usually smaller) join result, plus the order in
   which several filters on one table run;
@@ -39,7 +40,7 @@ from repro.core.operators.base import Operator
 from repro.core.operators.crowd_filter import CrowdFilterOperator
 from repro.core.operators.crowd_generate import CrowdGenerateOperator
 from repro.core.operators.crowd_join import CrowdJoinOperator, JoinStrategy
-from repro.core.operators.crowd_sort import CrowdSortOperator, SortStrategy
+from repro.core.operators.crowd_sort import CrowdSortOperator
 from repro.core.operators.join_local import LocalHashJoinOperator
 from repro.core.operators.project import LocalFilterOperator, ProjectOperator, ProjectionItem
 from repro.core.operators.scan import IndexScanOperator, ScanOperator
@@ -87,8 +88,8 @@ class PhysicalPlanner:
     """Enumerates physical plans for a logical plan and builds the winner."""
 
     #: Upper bound on costed candidates; the axes are enumerated in stable
-    #: order (join orders, then interfaces, then sorts, then placements), so
-    #: truncation keeps the earliest — default-most — alternatives.
+    #: order (join orders, interfaces, placements, access paths, build
+    #: sides), so truncation keeps the earliest — default-most — alternatives.
     MAX_CANDIDATES = 64
 
     def __init__(self, optimizer: QueryOptimizer) -> None:
@@ -114,7 +115,6 @@ class PhysicalPlanner:
         """All physical alternatives (capped at :attr:`MAX_CANDIDATES`), costed."""
         join_orders = self._join_orders(plan)
         interface_axes = [self._join_interfaces(join) for join in plan.join_predicates]
-        sort_axes = [self._sort_strategies(sort) for sort in plan.crowd_sorts()]
         filter_bindings = sorted(plan.crowd_filters)
         placement_axes = [
             self._filter_placements(plan, binding) for binding in filter_bindings
@@ -130,35 +130,25 @@ class PhysicalPlanner:
         build_axes = [["left", "right"] for _ in plan.local_joins]
 
         combos = itertools.product(
-            join_orders, *interface_axes, *sort_axes, *placement_axes, *access_axes, *build_axes
+            join_orders, *interface_axes, *placement_axes, *access_axes, *build_axes
         )
         candidates: list[PhysicalCandidate] = []
         n_joins = len(plan.join_predicates)
-        n_sorts = len(sort_axes)
         n_placements = len(placement_axes)
         n_accesses = len(access_bindings)
         for combo in itertools.islice(combos, self.MAX_CANDIDATES):
             order = combo[0]
             interfaces = combo[1 : 1 + n_joins]
-            sorts = combo[1 + n_joins : 1 + n_joins + n_sorts]
-            placements = dict(
-                zip(filter_bindings, combo[1 + n_joins + n_sorts : 1 + n_joins + n_sorts + n_placements])
-            )
+            placements = dict(zip(filter_bindings, combo[1 + n_joins : 1 + n_joins + n_placements]))
             accesses = dict(
                 zip(
                     access_bindings,
-                    combo[
-                        1 + n_joins + n_sorts + n_placements : 1
-                        + n_joins
-                        + n_sorts
-                        + n_placements
-                        + n_accesses
-                    ],
+                    combo[1 + n_joins + n_placements : 1 + n_joins + n_placements + n_accesses],
                 )
             )
-            builds = list(combo[1 + n_joins + n_sorts + n_placements + n_accesses :])
+            builds = list(combo[1 + n_joins + n_placements + n_accesses :])
             root, decisions = self._compose(
-                plan, order, interfaces, sorts, placements, accesses, builds
+                plan, order, interfaces, placements, accesses, builds, decide_sorts=True
             )
             cost = self.optimizer.estimate_logical_cost(root)
             candidates.append(PhysicalCandidate(root=root, cost=cost, decisions=decisions))
@@ -174,7 +164,6 @@ class PhysicalPlanner:
             plan,
             orders[0],
             [None] * len(plan.join_predicates),
-            [None] * len(plan.crowd_sorts()),
             {
                 binding: ("below", tuple(filters))
                 for binding, filters in plan.crowd_filters.items()
@@ -245,15 +234,6 @@ class PhysicalPlanner:
             # COLUMNS first so equal-cost ties keep the two-column interface.
             return [JoinStrategy.COLUMNS, JoinStrategy.PAIRWISE]
         return [JoinStrategy.PAIRWISE]
-
-    def _sort_strategies(self, sort: LogicalSort) -> list[SortStrategy]:
-        if sort.preferred_strategy is SortStrategy.RATING:
-            return [SortStrategy.RATING]
-        if self.optimizer.config.sort_policy == "cost":
-            # COMPARISON first so equal-cost ties keep the response-preferred
-            # interface.
-            return [SortStrategy.COMPARISON, SortStrategy.RATING]
-        return [SortStrategy.COMPARISON]
 
     def _filter_placements(
         self, plan: LogicalPlan, binding: str
@@ -356,10 +336,11 @@ class PhysicalPlanner:
         plan: LogicalPlan,
         join_order: tuple[int, ...],
         join_strategies,
-        sort_strategies,
         filter_choices: dict[str, tuple[str, tuple[LogicalFilter, ...]]],
         access_choices: dict[str, tuple[LogicalNode | None, str | None]],
         build_choices: list[str | None] | None = None,
+        *,
+        decide_sorts: bool = False,
     ) -> tuple[LogicalNode, tuple[str, ...]]:
         decisions: list[str] = []
         pipelines: dict[str, LogicalNode] = {}
@@ -461,15 +442,11 @@ class PhysicalPlanner:
                 node.add_child(current)
                 current = node
 
-        sort_index = 0
         for template in plan.upper:
             node = template.clone()
-            if isinstance(node, LogicalSort) and node.is_crowd:
-                strategy = sort_strategies[sort_index] if sort_strategies else None
-                sort_index += 1
-                node.strategy = strategy
-                if strategy is not None:
-                    decisions.append(f"sort[{node.spec.name}]: {strategy.value}")
+            if decide_sorts and isinstance(node, LogicalSort) and node.is_crowd:
+                node.strategy = node.preferred_strategy
+                decisions.append(f"sort[{node.spec.name}]: {node.strategy.value}")
             node.add_child(current)
             current = node
         return current, tuple(decisions)

@@ -11,7 +11,7 @@ statement into the logical IR of :mod:`repro.core.plan.logical`:
 * ``WHERE samePerson(a.image, b.image)`` over two tables → a
   :class:`LogicalJoin` predicate (multi-join queries produce several);
 * ``ORDER BY biggerItem(...)`` / a Rank UDF → a crowd
-  :class:`LogicalSort`.
+  :class:`LogicalSort`, whose interface the TASK's Response type fixes.
 
 Locally evaluable predicates are pushed onto their tables *below* the crowd
 operators, because a free machine filter that removes tuples before they
@@ -19,16 +19,18 @@ reach the crowd directly reduces monetary cost.
 
 **Phase 2 — physical planning** hands the logical plan to the
 :class:`~repro.core.plan.physical.PhysicalPlanner`, which enumerates join
-orders, join and sort interfaces and crowd-filter placements, costs every
-candidate through the optimizer's per-node logical costing, and builds the
-cost-minimal tree of physical operators.
+orders, join interfaces, crowd-filter placements, access paths and local-join
+build sides, costs every candidate through the optimizer's per-node logical
+costing, and builds the cost-minimal tree of physical operators.
+
+A planner keeps no per-query state: the engine builds one and plans (and
+EXPLAINs) every query with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.exec.context import QueryConfig
 from repro.core.lang.ast import SelectItem, SelectStatement
 from repro.core.operators.aggregate import AGGREGATE_FUNCTIONS, AggregateSpec
 from repro.core.operators.sink import ResultSinkOperator
@@ -91,13 +93,10 @@ class QueryPlanner:
         database: Database,
         registry: TaskRegistry,
         optimizer: QueryOptimizer,
-        *,
-        config: QueryConfig | None = None,
     ) -> None:
         self.database = database
         self.registry = registry
         self.optimizer = optimizer
-        self.config = config if config is not None else QueryConfig()
         self.physical = PhysicalPlanner(optimizer)
 
     # -- entry points -------------------------------------------------------------------
@@ -381,11 +380,10 @@ class QueryPlanner:
                 if candidate is not None and candidate.is_rank:
                     entry = candidate
             if entry is not None:
-                # The TASK's Response type is authoritative by default: a
-                # Rating response sorts by per-item ratings, a Comparison
-                # response by pairwise comparisons.  Under the optimizer's
-                # "cost" sort policy the physical planner enumerates both
-                # interfaces for Comparison tasks and keeps the cheaper one.
+                # The TASK's Response type is authoritative: a Rating
+                # response sorts by per-item ratings, a Comparison response
+                # by pairwise comparisons (the replanner may still swap a
+                # pending comparison sort that receives many more rows).
                 nodes.append(
                     LogicalSort(
                         spec=entry.spec,

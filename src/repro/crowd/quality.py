@@ -105,8 +105,9 @@ class WorkerReputation:
     their single-judgement accuracy.  Gold-standard observations update it
     with weight 1; agreement-with-majority observations update it with the
     (smaller) weight the caller passes, since the majority itself can be
-    wrong.  The prior mean (0.8 by default) matches the optimizer's default
-    worker-accuracy assumption.
+    wrong.  The prior mean is 0.8 by default; it is independent of the
+    optimizer's 0.85 prior for a spec with no observations
+    (:data:`~repro.core.optimizer.optimizer.DEFAULT_WORKER_ACCURACY`).
     """
 
     #: Workers whose posterior mean falls below this are flagged as spammers.

@@ -43,7 +43,7 @@ from repro.core.lang.task_parser import parse_task
 from repro.core.optimizer.adaptive import AdaptiveReplanner
 from repro.core.optimizer.budget import BudgetLedger
 from repro.core.optimizer.cost_model import CostEstimate, CostModel
-from repro.core.optimizer.optimizer import OptimizerConfig, QueryOptimizer
+from repro.core.optimizer.optimizer import QueryOptimizer
 from repro.core.optimizer.statistics import StatisticsManager
 from repro.core.plan.planner import QueryPlanner
 from repro.core.plan.registry import RegisteredTask, TaskRegistry
@@ -103,9 +103,9 @@ class QurkEngine:
         TTL expiry and reputation-gated admission to the Task Cache.
         ``None`` (the default) keeps the legacy never-expiring,
         admit-everything cache byte-identical.
-    optimizer_config, default_query_config:
-        Tuning knobs for the optimizer and for queries that do not override
-        them.
+    default_query_config:
+        The :class:`~repro.core.exec.context.QueryConfig` (budget, adaptive
+        optimization, deadline) for queries that do not pass their own.
     max_concurrent_queries:
         Admission-control limit for the engine scheduler: at most this many
         queries run concurrently; later queries wait in a FIFO admission
@@ -154,7 +154,6 @@ class QurkEngine:
         enable_cache: bool = True,
         enable_task_model: bool = True,
         cache_policy: CachePolicy | None = None,
-        optimizer_config: OptimizerConfig | None = None,
         default_query_config: QueryConfig | None = None,
         max_concurrent_queries: int | None = None,
         fault_profile: FaultProfile | None = None,
@@ -204,11 +203,10 @@ class QurkEngine:
         self.optimizer = QueryOptimizer(
             self.statistics,
             self.cost_model,
-            optimizer_config,
             reputation=self.reputation,
             models=self.task_models,
         )
-        self.replanner = AdaptiveReplanner(self.optimizer, self.statistics)
+        self.replanner = AdaptiveReplanner(self.optimizer)
         self.scheduler = EngineScheduler(
             self.clock,
             self.task_manager,
@@ -219,6 +217,7 @@ class QurkEngine:
             overload_retry_after=overload_retry_after,
         )
         self.registry = TaskRegistry()
+        self.planner = QueryPlanner(self.database, self.registry, self.optimizer)
         self.default_query_config = default_query_config or QueryConfig()
         self.queries: dict[str, QueryHandle] = {}
         # Plain int (not itertools.count) so recovery can restore it from a
@@ -351,8 +350,7 @@ class QurkEngine:
                 },
             )
         self.budget_ledger.register(query_id, effective_budget)
-        planner = QueryPlanner(self.database, self.registry, self.optimizer, config=query_config)
-        planned = planner.plan(statement, query_id=query_id)
+        planned = self.planner.plan(statement, query_id=query_id)
         context = ExecutionContext(
             query_id=query_id,
             database=self.database,
@@ -382,7 +380,7 @@ class QurkEngine:
         """The optimizer's current cost estimate for a (possibly running) query."""
         return self.optimizer.estimate_plan_cost(handle.executor.root)
 
-    def explain(self, sql: str | SelectStatement, *, config: QueryConfig | None = None) -> str:
+    def explain(self, sql: str | SelectStatement) -> str:
         """EXPLAIN a query without running it (or paying for anything).
 
         Renders the logical plan with current cardinality estimates, every
@@ -390,13 +388,7 @@ class QurkEngine:
         results table is created and no task is submitted.
         """
         statement = parse_select(sql) if isinstance(sql, str) else sql
-        planner = QueryPlanner(
-            self.database,
-            self.registry,
-            self.optimizer,
-            config=(config or self.default_query_config).clone(),
-        )
-        return planner.explain(statement)
+        return self.planner.explain(statement)
 
     # -- durability --------------------------------------------------------------------------------
 

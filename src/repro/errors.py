@@ -35,7 +35,6 @@ __all__ = [
     "TaskError",
     "TaskCompilationError",
     "AggregateError",
-    "OptimizerError",
     "WorkloadError",
     "DashboardError",
     "ClusterError",
@@ -228,10 +227,6 @@ class TaskCompilationError(TaskError):
 
 class AggregateError(QurkError):
     """A user-defined aggregate received input it cannot reduce."""
-
-
-class OptimizerError(QurkError):
-    """The query optimizer could not produce or revise a plan."""
 
 
 class WorkloadError(QurkError):

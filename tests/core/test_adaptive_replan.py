@@ -3,14 +3,21 @@
 import pytest
 
 from repro.core.exec.context import QueryConfig
-from repro.core.operators import CrowdSortOperator
+from repro.core.lang.sql_parser import parse_select
+from repro.core.operators import CrowdFilterOperator, CrowdSortOperator, LocalHashJoinOperator
 from repro.core.operators.crowd_sort import SortStrategy
+from repro.core.plan.planner import QueryPlanner
 from repro.engine import QurkEngine
 from repro.errors import ExecutionError
+from repro.storage.types import DataType
 from repro.workloads.products import ProductsWorkload
 
 MISESTIMATED_SQL = (
     "SELECT name FROM products WHERE isTargetColor(name) ORDER BY biggerItem(name)"
+)
+LOCAL_JOIN_SQL = (
+    "SELECT products.name FROM products, tags "
+    "WHERE products.name = tags.tag_name ORDER BY biggerItem(products.name)"
 )
 
 
@@ -37,6 +44,12 @@ def build_engine(*, adaptive: bool, n_products: int = 10, misestimate: bool = Tr
         stats.boolean_total = 36
         stats.boolean_true = 0
     return engine, workload
+
+
+def add_tags(engine, workload, n_tags: int, copies: int = 1) -> None:
+    """A ``tags`` table naming each of the first ``n_tags`` products ``copies`` times."""
+    names = [[record.name] for record in workload.records[:n_tags] for _ in range(copies)]
+    engine.create_table("tags", [("tag_name", DataType.STRING)], rows=names)
 
 
 class TestMidQueryReplan:
@@ -68,10 +81,28 @@ class TestMidQueryReplan:
         assert adaptive.stats.hits_posted < static.stats.hits_posted
         assert adaptive.total_cost < static.total_cost
 
-    def test_accurate_estimates_are_left_alone(self):
-        engine, _workload = build_engine(adaptive=True, misestimate=False)
-        # No crowd filter: the sort input is the exact scan cardinality.
-        handle = engine.query("SELECT name FROM products ORDER BY biggerItem(name)")
+    @pytest.mark.parametrize(
+        "n_products, n_tags, copies, sql",
+        [
+            # No crowd filter: the sort input is the exact scan cardinality.
+            (10, 0, 1, "SELECT name FROM products ORDER BY biggerItem(name)"),
+            # A machine join emits exactly its planned 20 rows; while it runs
+            # it must not be read as its 200-row left input.
+            (200, 20, 1, LOCAL_JOIN_SQL),
+            # Duplicate keys on the larger side (four tags for each of five
+            # products): 10 x 20 / 10 = 20 rows planned and emitted; while the
+            # join runs it must not be read as its 10-row smaller input.
+            (10, 5, 4, LOCAL_JOIN_SQL),
+        ],
+        ids=["scan", "local-join", "local-join-fk"],
+    )
+    def test_accurate_estimates_are_left_alone(self, n_products, n_tags, copies, sql):
+        engine, workload = build_engine(
+            adaptive=True, n_products=n_products, misestimate=False
+        )
+        if n_tags:
+            add_tags(engine, workload, n_tags, copies)
+        handle = engine.query(sql)
         handle.wait()
         swaps = [c for c in handle.plan_history() if c.kind == "sort-strategy"]
         assert swaps == []
@@ -102,6 +133,35 @@ class TestMidQueryReplan:
         handle.wait()
         shifts = [c for c in handle.plan_history() if c.kind == "redundancy"]
         assert any(c.operator == "biggerItem" and c.after == "1" for c in shifts)
+
+
+class TestReplannerEstimates:
+    def test_running_local_join_is_estimated_by_its_logical_node(self):
+        engine, workload = build_engine(adaptive=True, n_products=200, misestimate=False)
+        add_tags(engine, workload, 20)
+        planned = engine.planner.plan(parse_select(LOCAL_JOIN_SQL), query_id="est")
+        rows = engine.replanner._estimate_rows(planned.root)
+        sort = next(op for op in planned.root.walk() if isinstance(op, CrowdSortOperator))
+        join = next(op for op in planned.root.walk() if isinstance(op, LocalHashJoinOperator))
+        # Nothing has run: the join is read as the rows it will emit, which
+        # is what the sort was planned against — not its 200-row left input.
+        assert rows[id(join)] == pytest.approx(20.0)
+        assert rows[id(sort.children[0])] == pytest.approx(sort.planned_input_rows)
+
+    def test_finished_operators_report_the_rows_they_emitted(self):
+        # The poisoned statistics estimate the filter at ~0 rows; once it
+        # has run, the replanner must read what it actually emitted.
+        engine, _workload = build_engine(adaptive=False)
+        handle = engine.query(MISESTIMATED_SQL)
+        handle.wait()
+        root = handle.executor.root
+        rows = engine.replanner._estimate_rows(root)
+        done = [op for op in root.walk() if op.is_done()]
+        assert done
+        for operator in done:
+            assert rows[id(operator)] == float(operator.metrics.rows_out)
+        crowd_filter = next(op for op in done if isinstance(op, CrowdFilterOperator))
+        assert rows[id(crowd_filter)] >= 6
 
 
 class TestReplaceOperator:
@@ -151,3 +211,19 @@ class TestExplainOnEngine:
         assert "physical candidates" in text and "(chosen)" in text
         assert len(engine.database.catalog) == tables_before
         assert engine.total_crowd_cost == 0.0
+
+    def test_every_query_plans_through_the_engine_planner(self, monkeypatch):
+        # The engine keeps one planner and looks ``plan`` up on each query,
+        # so a wrapper patched onto the class (as tracers do) sees every call.
+        engine, _workload = build_engine(adaptive=True, misestimate=False)
+        original = QueryPlanner.plan
+        planners = []
+
+        def traced(self, statement, **kwargs):
+            planners.append(self)
+            return original(self, statement, **kwargs)
+
+        monkeypatch.setattr(QueryPlanner, "plan", traced)
+        for _ in range(2):
+            engine.query("SELECT name FROM products ORDER BY biggerItem(name)").wait()
+        assert planners == [engine.planner, engine.planner]

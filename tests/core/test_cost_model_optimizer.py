@@ -10,9 +10,8 @@ from repro.core.operators import (
     ScanOperator,
 )
 from repro.core.optimizer.cost_model import CostEstimate, CostModel
-from repro.core.optimizer.optimizer import OptimizerConfig, QueryOptimizer, majority_accuracy
+from repro.core.optimizer.optimizer import QueryOptimizer, _pick_assignments, majority_accuracy
 from repro.core.optimizer.statistics import StatisticsManager
-from repro.errors import OptimizerError
 from repro.core.tasks.spec import (
     ComparisonResponse,
     JoinColumnsResponse,
@@ -34,49 +33,6 @@ JOIN_PAIRS = TaskSpec(
     price=0.02, assignments=3,
 )
 RANK = TaskSpec(name="r", task_type=TaskType.RANK, text="?", response=ComparisonResponse(), price=0.01)
-
-
-class TestOptimizerConfigValidation:
-    def test_even_candidate_assignments_rejected(self):
-        with pytest.raises(OptimizerError, match="odd"):
-            OptimizerConfig(candidate_assignments=(1, 2, 3))
-
-    def test_non_positive_candidates_rejected(self):
-        with pytest.raises(OptimizerError):
-            OptimizerConfig(candidate_assignments=(0, 3))
-
-    def test_empty_candidates_rejected(self):
-        with pytest.raises(OptimizerError, match="empty"):
-            OptimizerConfig(candidate_assignments=())
-
-    def test_bad_target_confidence_rejected(self):
-        with pytest.raises(OptimizerError, match="target_confidence"):
-            OptimizerConfig(target_confidence=0.0)
-
-    def test_bad_sort_policy_rejected(self):
-        with pytest.raises(OptimizerError, match="sort_policy"):
-            OptimizerConfig(sort_policy="vibes")
-
-    def test_odd_candidates_accepted(self):
-        config = OptimizerConfig(candidate_assignments=(1, 3, 9), max_assignments=9)
-        assert config.candidate_assignments == (1, 3, 9)
-
-    def test_max_assignments_must_cover_a_candidate(self):
-        with pytest.raises(OptimizerError, match="excludes"):
-            OptimizerConfig(candidate_assignments=(5, 7), max_assignments=4)
-
-    def test_fallback_redundancy_stays_odd(self):
-        # max_assignments caps below the largest candidate; the fallback must
-        # return the largest odd *candidate* within the cap, never the even cap.
-        statistics = StatisticsManager()
-        optimizer = QueryOptimizer(
-            statistics,
-            CostModel(),
-            OptimizerConfig(
-                default_worker_accuracy=0.6, target_confidence=0.99, max_assignments=4
-            ),
-        )
-        assert optimizer.choose_assignments(FILTER) == 3
 
 
 class TestMajorityAccuracyMemoization:
@@ -190,24 +146,39 @@ class TestCostModel:
 
 
 class TestQueryOptimizer:
-    def build(self, **config):
+    def build(self):
         statistics = StatisticsManager()
-        optimizer = QueryOptimizer(statistics, CostModel(), OptimizerConfig(**config))
-        return statistics, optimizer
+        return statistics, QueryOptimizer(statistics, CostModel())
 
     def test_choose_assignments_meets_target(self):
-        _stats, optimizer = self.build(default_worker_accuracy=0.85, target_confidence=0.9)
+        assert _pick_assignments(0.85, 0.9) == 3
+        assert _pick_assignments(0.99, 0.9) == 1
+        assert _pick_assignments(0.7, 0.95) == 7
+        # Before any observation: the 0.85 prior against the 0.9 target.
+        _stats, optimizer = self.build()
         assert optimizer.choose_assignments(FILTER) == 3
-        _stats, optimizer = self.build(default_worker_accuracy=0.99, target_confidence=0.9)
-        assert optimizer.choose_assignments(FILTER) == 1
-        _stats, optimizer = self.build(default_worker_accuracy=0.7, target_confidence=0.95)
-        assert optimizer.choose_assignments(FILTER) == 7
+
+    def test_fallback_redundancy_stays_odd(self):
+        # No candidate reaches the target: the largest (odd) candidate.
+        assert _pick_assignments(0.6, 0.99) == 7
 
     def test_choose_assignments_adapts_to_observed_agreement(self):
-        statistics, optimizer = self.build(default_worker_accuracy=0.7, target_confidence=0.9)
+        statistics, optimizer = self.build()
         spec_stats = statistics.spec(FILTER.name)
         spec_stats.crowd_tasks = 50
         spec_stats.total_agreement = 50 * 0.99
+        assert optimizer.choose_assignments(FILTER) == 1
+
+    def test_plan_time_and_run_time_redundancy_agree(self):
+        # Costing prices the redundancy the run-time rule will post: one
+        # target, one accuracy model, before and after observations.
+        statistics, optimizer = self.build()
+        assert optimizer.costing_pass().assignments_for(FILTER) == 3
+        assert optimizer.choose_assignments(FILTER) == 3
+        spec_stats = statistics.spec(FILTER.name)
+        spec_stats.crowd_tasks = 50
+        spec_stats.total_agreement = 50 * 0.99
+        assert optimizer.costing_pass().assignments_for(FILTER) == 1
         assert optimizer.choose_assignments(FILTER) == 1
 
     def test_join_strategy_prefers_columns_for_large_inputs(self):

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.exec.context import QueryConfig
 from repro.core.lang.sql_parser import parse_select
 from repro.core.optimizer.cost_model import CostModel
 from repro.core.optimizer.optimizer import QueryOptimizer
@@ -46,7 +45,7 @@ def environment():
     registry.register(products.size_compare_spec(), payload=lambda row: {"name": row["name"]})
     statistics = StatisticsManager()
     optimizer = QueryOptimizer(statistics, CostModel())
-    planner = QueryPlanner(database, registry, optimizer, config=QueryConfig())
+    planner = QueryPlanner(database, registry, optimizer)
     return planner, optimizer, statistics
 
 

@@ -6,7 +6,7 @@ from repro.core.lang.sql_parser import parse_select
 from repro.core.operators import CrowdJoinOperator, CrowdSortOperator, JoinStrategy
 from repro.core.operators.crowd_sort import SortStrategy
 from repro.core.optimizer.cost_model import CostModel
-from repro.core.optimizer.optimizer import OptimizerConfig, QueryOptimizer
+from repro.core.optimizer.optimizer import QueryOptimizer
 from repro.core.optimizer.statistics import StatisticsManager
 from repro.core.plan.planner import QueryPlanner
 from repro.core.plan.registry import TaskRegistry
@@ -53,9 +53,9 @@ def build_three_table_db():
     return database, registry
 
 
-def build_planner(database, registry, **config):
+def build_planner(database, registry):
     statistics = StatisticsManager()
-    optimizer = QueryOptimizer(statistics, CostModel(), OptimizerConfig(**config))
+    optimizer = QueryOptimizer(statistics, CostModel())
     return QueryPlanner(database, registry, optimizer), statistics
 
 
@@ -103,7 +103,7 @@ class TestJoinEnumeration:
         products = ProductsWorkload(n_products=6, seed=3)
         products.install(database)
         registry.register(products.size_compare_spec())
-        planner, _stats = build_planner(database, registry, sort_policy="cost")
+        planner, _stats = build_planner(database, registry)
         queries = (
             TWO_JOIN_SQL,
             "SELECT l.id FROM l, r WHERE l.id = r.id",
@@ -151,7 +151,7 @@ class TestJoinEnumeration:
             planner.plan(statement)
 
 
-def build_products_planner(**config):
+def build_products_planner():
     database = Database()
     products = ProductsWorkload(n_products=12, seed=3)
     products.install(database)
@@ -159,13 +159,13 @@ def build_products_planner(**config):
     registry.register(products.color_filter_spec())
     registry.register(products.size_compare_spec(), payload=lambda row: {"name": row["name"]})
     registry.register(products.size_rating_spec(), payload=lambda row: {"name": row["name"]})
-    planner, statistics = build_planner(database, registry, **config)
+    planner, statistics = build_planner(database, registry)
     return planner, statistics
 
 
 class TestSortEnumeration:
     def test_response_policy_keeps_comparison(self):
-        planner, _stats = build_products_planner(sort_policy="response")
+        planner, _stats = build_products_planner()
         planned = planner.plan(
             parse_select("SELECT name FROM products ORDER BY biggerItem(name)"), query_id="q1"
         )
@@ -173,23 +173,8 @@ class TestSortEnumeration:
         assert sorts[0].strategy is SortStrategy.COMPARISON
         assert len(planned.candidates) == 1
 
-    def test_cost_policy_enumerates_both_and_picks_cheaper(self):
-        planner, _stats = build_products_planner(sort_policy="cost")
-        planned = planner.plan(
-            parse_select("SELECT name FROM products ORDER BY biggerItem(name)"), query_id="q1"
-        )
-        assert len(planned.candidates) == 2
-        strategies = {
-            decision for c in planned.candidates for decision in c.decisions
-        }
-        assert "sort[biggerItem]: comparison" in strategies
-        assert "sort[biggerItem]: rating" in strategies
-        # 12 rows: 66 comparisons versus 12 ratings — rating is cheaper.
-        sorts = [op for op in planned.root.walk() if isinstance(op, CrowdSortOperator)]
-        assert sorts[0].strategy is SortStrategy.RATING
-
     def test_rating_response_is_never_enumerated_as_comparison(self):
-        planner, _stats = build_products_planner(sort_policy="cost")
+        planner, _stats = build_products_planner()
         planned = planner.plan(
             parse_select("SELECT name FROM products ORDER BY rateSize(name)"), query_id="q1"
         )

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.exec.context import QueryConfig
 from repro.core.lang.sql_parser import parse_select
 from repro.core.operators import (
     CrowdFilterOperator,
@@ -47,7 +46,7 @@ def environment():
     registry.register(products.size_rating_spec(), payload=lambda row: {"name": row["name"]})
     registry.register(products.size_compare_spec(), payload=lambda row: {"name": row["name"]})
     optimizer = QueryOptimizer(StatisticsManager(), CostModel())
-    planner = QueryPlanner(database, registry, optimizer, config=QueryConfig())
+    planner = QueryPlanner(database, registry, optimizer)
     return planner, database
 
 

@@ -24,7 +24,7 @@ from repro.core.answers import (
     WeightedMeanRating,
     weighted_confidence,
 )
-from repro.core.optimizer.optimizer import OptimizerConfig, _pick_assignments
+from repro.core.optimizer.optimizer import CANDIDATE_ASSIGNMENTS, _pick_assignments
 from repro.crowd.quality import WorkerReputation
 
 worker_ids = st.lists(
@@ -113,17 +113,12 @@ def test_skewed_weights_follow_the_trusted_worker(workers, data):
 @given(
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
     st.floats(min_value=0.01, max_value=1.0, exclude_max=False, allow_nan=False),
-    st.integers(min_value=1, max_value=15).filter(lambda n: n % 2 == 1),
 )
 @settings(max_examples=200)
-def test_adaptive_redundancy_never_exceeds_the_configured_maximum(accuracy, target, max_odd):
-    config = OptimizerConfig(
-        max_assignments=max_odd,
-        candidate_assignments=tuple(k for k in (1, 3, 5, 7, 9, 11, 13, 15) if k <= max_odd),
-    )
-    chosen = _pick_assignments(accuracy, config, target)
-    assert 1 <= chosen <= config.max_assignments
-    assert chosen in config.candidate_assignments
+def test_adaptive_redundancy_is_always_an_odd_candidate(accuracy, target):
+    chosen = _pick_assignments(accuracy, target)
+    assert chosen in CANDIDATE_ASSIGNMENTS
+    assert chosen % 2 == 1
 
 
 @given(

@@ -161,7 +161,7 @@ class TestQuerySubmissions:
         assert submission["config"] is None
 
     def test_config_rehydrates_as_query_config(self):
-        config = QueryConfig(budget=12.5, default_assignments=5, adaptive=False)
+        config = QueryConfig(budget=12.5, adaptive=False, deadline=600.0, degradation="partial")
         payload = encode_query(
             "SELECT name FROM products",
             query_id="cq2",
@@ -182,3 +182,18 @@ class TestQuerySubmissions:
             decode_query(
                 {"query_id": "cq1", "sql": "SELECT 1", "config": {"no_such_field": 1}}
             )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("use_cache", True),
+            ("use_task_model", True),
+            ("default_assignments", 5),
+            ("target_confidence", 0.9),
+        ],
+    )
+    def test_removed_config_knob_raises_cluster_error(self, field, value):
+        # A client still sending a knob QueryConfig no longer has gets the
+        # structured error, not a TypeError from the dataclass constructor.
+        with pytest.raises(ClusterError, match="undecodable query config"):
+            decode_query({"query_id": "cq1", "sql": "SELECT 1", "config": {field: value}})
