@@ -26,11 +26,12 @@ def run_filter_reduction():
             seed=701,
         )
         handle = run.engine.query(QUERY2_SQL)
-        results = handle.wait()
-        score = run.workload.score_results(results)
+        # Held before waiting: a finished query's executor drops its tree.
         join = next(
             op for op in handle.executor.root.walk() if isinstance(op, CrowdJoinOperator)
         )
+        results = handle.wait()
+        score = run.workload.score_results(results)
         rows.append(
             {
                 "prefilter": "none" if threshold is None else f"distance<={threshold}",

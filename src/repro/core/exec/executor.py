@@ -15,18 +15,44 @@ exactly once, globally, when *no* active query can make local progress.
 
 Results flow into the results table via the plan's sink operator; the
 executor itself never returns rows.
+
+Once its query has ended and none of its crowd work is in flight, the
+scheduler retires the executor (:meth:`QueryExecutor.retire`): the operator
+tree, its compiled kernels and queues and the execution context are
+dropped, and what a finished query is still asked about — its statistics,
+per-operator progress rows and a logical mirror of the plan — stays as a
+record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.exec.context import ExecutionContext
 from repro.core.operators.base import Operator
 from repro.core.operators.sink import ResultSinkOperator
+from repro.core.optimizer.statistics import QueryStats
+from repro.core.plan.logical import LogicalNode, from_physical
 from repro.errors import ExecutionError
 
-__all__ = ["ExecutorMetrics", "QueryExecutor"]
+__all__ = ["ExecutorMetrics", "OperatorSnapshot", "QueryExecutor"]
+
+
+class OperatorSnapshot(NamedTuple):
+    """Progress counters for one operator in the running plan.
+
+    A named tuple, not a frozen dataclass: every finished query builds one
+    per operator, and a tuple is built in about half the time.
+    """
+
+    name: str
+    depth: int
+    rows_in: int
+    rows_out: int
+    tasks_created: int
+    tasks_completed: int
+    outstanding_tasks: int
 
 
 @dataclass
@@ -58,6 +84,10 @@ class QueryExecutor:
         self._finish_signalled: set[int] = set()
         self._opened = False
         self._closed = False
+        # The record a retired executor answers from (all None while live).
+        self._stats: QueryStats | None = None
+        self._rows: tuple[OperatorSnapshot, ...] | None = None
+        self._mirror: LogicalNode | None = None
         self._apply_drain_bounds()
 
     # -- lifecycle ----------------------------------------------------------------
@@ -87,7 +117,7 @@ class QueryExecutor:
 
     def is_complete(self) -> bool:
         """Whether the plan has produced every result it ever will."""
-        return self.root.is_done()
+        return self.root is None or self.root.is_done()
 
     def step_local(self) -> bool:
         """One pure local pass: step every operator, propagate finishes.
@@ -99,6 +129,8 @@ class QueryExecutor:
         raised by an operator propagates; the scheduler ends the query
         ``FAILED``.
         """
+        if self.root is None:
+            return False
         self.open()
         if self.is_complete():
             return False
@@ -111,6 +143,66 @@ class QueryExecutor:
         if progress:
             self.metrics.passes += 1
         return progress
+
+    # -- the finished query's record ---------------------------------------------------
+
+    def retire(self) -> None:
+        """Drop the operator tree of an ended query, keeping what is read of it.
+
+        Kept: :attr:`metrics`, the query's statistics, the operator rows and
+        the plan's logical mirror (re-costed on every read, so an estimate is
+        as current as the statistics).  Dropped: the operators with their
+        compiled kernels and queues, and the execution context.  The caller
+        makes sure no task of the query can still call back into the tree
+        (the scheduler asks :meth:`TaskManager.has_live_tasks`).
+        """
+        if self.root is None:
+            return
+        self._stats = self.stats
+        self._rows = self.operator_rows()
+        self._mirror = from_physical(self.root)
+        self.root = None
+        self.context = None
+        self._operators = []
+        self._finish_signalled.clear()
+
+    @property
+    def stats(self) -> QueryStats:
+        """The query's statistics (spend, HITs, cache/model savings, ...)."""
+        if self._stats is not None:
+            return self._stats
+        return self.context.statistics.query(self.context.query_id)
+
+    def operator_rows(self) -> tuple[OperatorSnapshot, ...]:
+        """Every operator's name, depth and progress, root first (pre-order)."""
+        if self._rows is not None:
+            return self._rows
+        rows: list[OperatorSnapshot] = []
+
+        def visit(operator: Operator, depth: int) -> None:
+            metrics = operator.metrics
+            rows.append(
+                OperatorSnapshot(
+                    name=operator.name,
+                    depth=depth,
+                    rows_in=metrics.rows_in,
+                    rows_out=metrics.rows_out,
+                    tasks_created=metrics.tasks_created,
+                    tasks_completed=metrics.tasks_completed,
+                    outstanding_tasks=operator.outstanding_tasks,
+                )
+            )
+            for child in operator.children:
+                visit(child, depth + 1)
+
+        visit(self.root, 0)
+        return tuple(rows)
+
+    def plan_mirror(self) -> LogicalNode:
+        """The plan as logical nodes, carrying the decisions it committed to."""
+        if self._mirror is not None:
+            return self._mirror
+        return from_physical(self.root)
 
     # -- adaptive re-planning --------------------------------------------------------
 

@@ -16,6 +16,13 @@ plans; a hand-built plan does the same with ``scheduler.submit(handle)``).
 :meth:`step`, :meth:`run_until` and :meth:`wait` delegate to that scheduler:
 waiting on one handle also progresses every concurrent query on the same
 marketplace, and HITs may be shared across queries.
+
+A finished query is a record, not a live plan: once it has left the
+scheduler and none of its crowd work is in flight, its executor is retired
+(:meth:`~repro.core.exec.executor.QueryExecutor.retire`).  The handle still
+answers :attr:`stats`, :meth:`describe_plan`, :meth:`plan_history` and the
+engine's cost estimate, and ``executor.metrics`` stays; the operator tree,
+its kernels and queues and the execution context are gone.
 """
 
 from __future__ import annotations
@@ -158,7 +165,7 @@ class QueryHandle:
     @property
     def stats(self) -> QueryStats:
         """Per-query statistics (spend, HITs, cache/model savings, ...)."""
-        return self.executor.context.statistics.query(self.query_id)
+        return self.executor.stats
 
     @property
     def total_cost(self) -> float:
@@ -167,12 +174,4 @@ class QueryHandle:
 
     def describe_plan(self) -> str:
         """A compact, indented rendering of the physical plan."""
-        lines: list[str] = []
-
-        def visit(operator, depth: int) -> None:
-            lines.append("  " * depth + operator.name)
-            for child in operator.children:
-                visit(child, depth + 1)
-
-        visit(self.executor.root, 0)
-        return "\n".join(lines)
+        return "\n".join("  " * row.depth + row.name for row in self.executor.operator_rows())

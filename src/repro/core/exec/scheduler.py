@@ -38,7 +38,8 @@ active query on one simulated marketplace:
   :meth:`EngineScheduler._end`, which sets the status and error, cancels the
   query's queued crowd tasks, records the lifecycle event and queues the
   query for the reap.  Terminal queries are reaped from that event-fed
-  list, not by scanning the active set every pass.
+  list, not by scanning the active set every pass, and the reap retires
+  each one's operator tree, leaving the handle a record.
 """
 
 from __future__ import annotations
@@ -706,7 +707,10 @@ class EngineScheduler:
 
         Fed by :meth:`_end` at every terminal transition, so it only ever
         touches queries that actually finished — no per-pass scan.  Ids of
-        queries that were never admitted are skipped.
+        queries that were never admitted are skipped.  Each reaped query's
+        executor is retired to a record (:meth:`QueryExecutor.retire`), so a
+        finished handle no longer holds its operator tree — unless one of
+        its tasks is still in a HIT in flight.
         """
         if not self._to_reap:
             return 0
@@ -720,6 +724,10 @@ class EngineScheduler:
             self.metrics.queries_finished += 1
             if self.replanner is not None:
                 self.replanner.release(query_id)
+            # Task callbacks point into the operator tree, so a query with
+            # a HIT still in flight keeps it.
+            if not self.task_manager.has_live_tasks(query_id):
+                record.handle.executor.retire()
         self._to_reap.clear()
         if finished:
             self._admit()

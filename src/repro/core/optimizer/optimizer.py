@@ -29,7 +29,8 @@ itself (:meth:`~repro.core.plan.logical.LogicalNode.estimate_cost`) against a
 once per pass.  Physical plans are costed through the structural bridge in
 :func:`repro.core.plan.logical.from_physical`.
 
-``choose_join_strategy``/``choose_sort_strategy`` have no engine caller; ROADMAP 9(a) drops them.
+``choose_join_strategy``/``choose_sort_strategy``/``estimate_plan_cost`` have no engine caller;
+ROADMAP 9(a) drops them.
 """
 
 from __future__ import annotations
@@ -328,8 +329,7 @@ class QueryOptimizer:
 
         The physical tree is mirrored into the logical IR (carrying the
         decisions the plan has already committed to) and costed per-node.
-        The estimate is refreshed by the dashboard while the query runs, so
-        it tightens as observed selectivities replace priors.
+        The engine costs ``executor.plan_mirror()`` the same way instead.
         """
         from repro.core.plan.logical import from_physical
 

@@ -309,7 +309,11 @@ class TaskManager:
     def _pop_pending(self, key: GroupKey) -> Task:
         task = self._pending[key].popleft()
         self._pending_total -= 1
-        self._pending_by_query[task.query_id] -= 1
+        # A query's entry lives only while it has pending tasks.
+        counts = self._pending_by_query
+        counts[task.query_id] -= 1
+        if not counts[task.query_id]:
+            del counts[task.query_id]
         return task
 
     def _drop_group(self, key: GroupKey) -> None:
@@ -959,6 +963,20 @@ class TaskManager:
         """Whether any task is still queued or any HIT is still in flight."""
         return self._pending_total > 0 or bool(self._inflight)
 
+    def has_live_tasks(self, query_id: str) -> bool:
+        """Whether one of the query's tasks may still deliver a result.
+
+        True while the query has a task queued or in a HIT in flight.  After
+        :meth:`cancel_query` only the in-flight ones are left.
+        """
+        if self._pending_by_query.get(query_id, 0):
+            return True
+        return any(
+            task.query_id == query_id
+            for inflight in self._inflight.values()
+            for task in inflight.compiled.tasks
+        )
+
     def take_budget_errors(self) -> dict[str, BudgetExceededError]:
         """Drain budget failures recorded since the last call, keyed by query.
 
@@ -1000,7 +1018,7 @@ class TaskManager:
                     self._pending[key] = kept
                 else:
                     self._drop_group(key)
-            self._pending_by_query[query_id] = 0
+        self._pending_by_query.pop(query_id, None)
         self._pending_groups_by_query.pop(query_id, None)
         return removed
 

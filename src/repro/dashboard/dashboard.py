@@ -13,7 +13,7 @@ demo's web dashboard.
 from __future__ import annotations
 
 from repro.core.exec.handle import QueryHandle
-from repro.dashboard.metrics import OperatorSnapshot, QueryDashboardSnapshot
+from repro.dashboard.metrics import QueryDashboardSnapshot
 from repro.errors import DashboardError
 
 __all__ = ["QueryDashboard"]
@@ -24,8 +24,8 @@ class QueryDashboard:
 
     def __init__(self, engine) -> None:
         # Typed loosely to avoid an import cycle with repro.engine; the
-        # engine exposes .queries, .budget_ledger, .optimizer, .scheduler,
-        # .task_models, .clock and counters().
+        # engine exposes .queries, .budget_ledger, .scheduler, .task_models,
+        # .clock, estimate_query_cost() and counters().
         self.engine = engine
 
     # -- snapshots ------------------------------------------------------------------------
@@ -45,7 +45,7 @@ class QueryDashboard:
 
     def _snapshot_of(self, handle: QueryHandle, counters) -> QueryDashboardSnapshot:
         stats = handle.stats
-        estimate = self.engine.optimizer.estimate_plan_cost(handle.executor.root)
+        estimate = self.engine.estimate_query_cost(handle)
         budget = self.engine.budget_ledger.budget(handle.query_id)
         scheduler = self.engine.scheduler
         return QueryDashboardSnapshot(
@@ -68,7 +68,7 @@ class QueryDashboard:
             model_savings=self.engine.task_models.total_savings(),
             elapsed_seconds=self.engine.clock.now - stats.started_at,
             estimated_latency=estimate.latency_seconds,
-            operators=tuple(self._operator_snapshots(handle)),
+            operators=handle.executor.operator_rows(),
             scheduler_state=scheduler.state_of(handle.query_id),
             lifecycle=tuple(
                 event.describe() for event in scheduler.events_for(handle.query_id)
@@ -76,27 +76,6 @@ class QueryDashboard:
             plan_changes=tuple(change.describe() for change in handle.plan_history()),
             engine=counters,
         )
-
-    def _operator_snapshots(self, handle: QueryHandle) -> list[OperatorSnapshot]:
-        snapshots: list[OperatorSnapshot] = []
-
-        def visit(operator, depth: int) -> None:
-            snapshots.append(
-                OperatorSnapshot(
-                    name=operator.name,
-                    depth=depth,
-                    rows_in=operator.metrics.rows_in,
-                    rows_out=operator.metrics.rows_out,
-                    tasks_created=operator.metrics.tasks_created,
-                    tasks_completed=operator.metrics.tasks_completed,
-                    outstanding_tasks=operator.outstanding_tasks,
-                )
-            )
-            for child in operator.children:
-                visit(child, depth + 1)
-
-        visit(handle.executor.root, 0)
-        return snapshots
 
     # -- rendering --------------------------------------------------------------------------
 

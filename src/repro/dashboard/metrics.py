@@ -13,20 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+# The executor's per-operator rows are the dashboard's: a finished query
+# keeps them after its operator tree is gone.
+from repro.core.exec.executor import OperatorSnapshot
+
 __all__ = ["OperatorSnapshot", "QueryDashboardSnapshot"]
-
-
-@dataclass(frozen=True)
-class OperatorSnapshot:
-    """Progress counters for one operator in the running plan."""
-
-    name: str
-    depth: int
-    rows_in: int
-    rows_out: int
-    tasks_created: int
-    tasks_completed: int
-    outstanding_tasks: int
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ simulation to completion.  Both return a read-only
 from __future__ import annotations
 
 import dataclasses
+import functools
 from pathlib import Path
 
 from repro.core.exec.context import ExecutionContext, QueryConfig
@@ -82,6 +83,19 @@ from repro.storage.wal import WriteAheadLog
 from repro.workloads.oracles import CompositeOracle
 
 __all__ = ["QurkEngine"]
+
+#: How many parsed statements an engine keeps by SQL text, least recently
+#: used dropped first.  The cache pays only when the same text repeats, as
+#: in a dashboard's point lookups: the end-to-end benchmark's lookup_warm
+#: repeats 200 distinct texts, which fit with room to spare.  Texts that never
+#: repeat (ad-hoc thresholds, price windows) just pass through it.
+PARSED_STATEMENTS = 256
+
+
+def _parse(sql: str) -> SelectStatement:
+    # ``parse_select`` is looked up per call, so a wrapper installed on this
+    # module (the end-to-end benchmark's tracer) sees every cache miss.
+    return parse_select(sql)
 
 
 class QurkEngine:
@@ -219,6 +233,8 @@ class QurkEngine:
         self.registry = TaskRegistry()
         self.planner = QueryPlanner(self.database, self.registry, self.optimizer)
         self.default_query_config = default_query_config or QueryConfig()
+        # A ParseError propagates uncached: malformed text raises every time.
+        self._parsed = functools.lru_cache(maxsize=PARSED_STATEMENTS)(_parse)
         self.queries: dict[str, QueryHandle] = {}
         # Plain int (not itertools.count) so recovery can restore it from a
         # snapshot and replayed queries get their original ids back.
@@ -323,7 +339,7 @@ class QurkEngine:
                     "a durable engine does not accept per-query config overrides; "
                     "set default_query_config on the engine instead"
                 )
-        statement = parse_select(sql) if isinstance(sql, str) else sql
+        statement = self._statement(sql)
         # Clone so per-query budget resolution never mutates the caller's (or
         # the engine's default) config, and new QueryConfig fields carry over.
         query_config = (config or self.default_query_config).clone()
@@ -377,8 +393,12 @@ class QurkEngine:
         return self.query(sql, **kwargs).wait()
 
     def estimate_query_cost(self, handle: QueryHandle) -> CostEstimate:
-        """The optimizer's current cost estimate for a (possibly running) query."""
-        return self.optimizer.estimate_plan_cost(handle.executor.root)
+        """The optimizer's cost estimate for a running or finished query, right now.
+
+        Costs the plan's logical mirror against today's statistics, so a
+        finished query's estimate moves as the statistics do.
+        """
+        return self.optimizer.estimate_logical_cost(handle.executor.plan_mirror())
 
     def explain(self, sql: str | SelectStatement) -> str:
         """EXPLAIN a query without running it (or paying for anything).
@@ -387,8 +407,15 @@ class QurkEngine:
         physical candidate the enumerator costed, and the chosen plan.  No
         results table is created and no task is submitted.
         """
-        statement = parse_select(sql) if isinstance(sql, str) else sql
-        return self.planner.explain(statement)
+        return self.planner.explain(self._statement(sql))
+
+    def _statement(self, sql: str | SelectStatement) -> SelectStatement:
+        """``sql`` parsed, through the engine's cache of parsed statements.
+
+        Statements are immutable, so every query with the same text shares
+        one.  A pre-parsed statement is used as it is.
+        """
+        return self._parsed(sql) if isinstance(sql, str) else sql
 
     # -- durability --------------------------------------------------------------------------------
 

@@ -56,6 +56,8 @@ class TestMidQueryReplan:
     def test_misestimated_sort_is_swapped_to_rating(self):
         engine, _workload = build_engine(adaptive=True)
         handle = engine.query(MISESTIMATED_SQL)
+        # The finished query's executor is retired: hold the plan's root.
+        root = handle.executor.root
         rows = handle.wait()
         assert len(rows) >= 6  # ~90% of 10 products pass the filter
         swaps = [c for c in handle.plan_history() if c.kind == "sort-strategy"]
@@ -63,9 +65,7 @@ class TestMidQueryReplan:
         assert swaps[0].before == "comparison" and swaps[0].after == "rating"
         assert swaps[0].estimated_savings > 0
         # The running plan now contains the rating sort.
-        sorts = [
-            op for op in handle.executor.operators() if isinstance(op, CrowdSortOperator)
-        ]
+        sorts = [op for op in root.walk() if isinstance(op, CrowdSortOperator)]
         assert sorts[0].strategy is SortStrategy.RATING
         # The scheduler surfaced the swap as a lifecycle event.
         events = engine.scheduler.events_for(handle.query_id)
@@ -153,8 +153,8 @@ class TestReplannerEstimates:
         # has run, the replanner must read what it actually emitted.
         engine, _workload = build_engine(adaptive=False)
         handle = engine.query(MISESTIMATED_SQL)
-        handle.wait()
         root = handle.executor.root
+        handle.wait()
         rows = engine.replanner._estimate_rows(root)
         done = [op for op in root.walk() if op.is_done()]
         assert done
@@ -195,9 +195,10 @@ class TestReplaceOperator:
     def test_replace_started_operator_is_refused(self):
         engine, _workload = build_engine(adaptive=False, misestimate=False)
         handle = engine.query("SELECT name FROM products ORDER BY rateSize(name)")
-        handle.wait()
         executor = handle.executor
         old = next(op for op in executor.operators() if isinstance(op, CrowdSortOperator))
+        while old.metrics.tasks_created == 0:
+            engine.scheduler.step()
         replacement = CrowdSortOperator(old.spec, old.output_schema)
         with pytest.raises(ExecutionError, match="already started"):
             executor.replace_operator(old, replacement)

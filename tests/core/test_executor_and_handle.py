@@ -49,14 +49,16 @@ class TestQueryExecutor:
             QueryExecutor(ScanOperator(Table("t", Schema.of("a"))), context)
 
     def test_local_plan_completes_without_crowd_events(self):
-        handle, scheduler = submit(*local_plan())
+        sink, results, context = local_plan()
+        handle, scheduler = submit(sink, results, context)
         handle.wait()
         executor = handle.executor
         assert executor.is_complete()
         assert len(handle.results_table) == 5
         assert executor.metrics.passes > 0
         assert executor.metrics.finished_at is not None
-        assert executor.context.statistics.query("q1").results_emitted == 5
+        assert context.statistics.query("q1").results_emitted == 5
+        assert handle.stats is context.statistics.query("q1")
         assert scheduler.metrics.clock_advances == 0
 
     def test_step_after_completion_is_a_noop(self):

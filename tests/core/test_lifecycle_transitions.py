@@ -49,6 +49,9 @@ class _StuckExecutor:
     def is_complete(self):
         return False
 
+    def retire(self):
+        pass
+
 
 def _stuck_handle(query_id: str) -> QueryHandle:
     table = Table(query_id, Schema.of(("x", DataType.INTEGER)))

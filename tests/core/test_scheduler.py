@@ -343,6 +343,9 @@ class TestStallSurfacing:
         def is_complete(self):
             return False
 
+        def retire(self):
+            pass
+
     def test_scheduler_marks_stuck_queries_stalled_before_raising(self):
         from repro.core.exec.scheduler import EngineScheduler
 

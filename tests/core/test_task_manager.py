@@ -223,3 +223,19 @@ class TestGenerateTasks:
         manager.flush()
         clock.run_until_idle()
         assert results[0].reduced == {"CEO": "CEO of Acme"}
+
+
+class TestPendingIndex:
+    def test_a_drained_engine_keeps_no_per_query_pending_entries(self):
+        from repro.experiments import build_products_engine
+
+        engine = build_products_engine(n_products=12, filter_batch=5, seed=42).engine
+        sql = "SELECT name FROM products WHERE isTargetColor(name)"
+        handles = [engine.query(sql, budget=0.05), engine.query(sql), engine.query(sql)]
+        engine.scheduler.drain()
+        # The budgeted query ended with tasks still queued: cancel_query
+        # dropped them; the others emptied their entries task by task.
+        assert handles[0].status.value == "budget_exceeded"
+        assert engine.task_manager.stats.tasks_submitted > 0
+        assert engine.task_manager._pending_by_query == {}
+        assert all(engine.task_manager.pending_tasks(h.query_id) == 0 for h in handles)

@@ -41,6 +41,9 @@ class _StuckExecutor:
     def is_complete(self):
         return False
 
+    def retire(self):
+        pass
+
 
 def _ceo_engine(n_companies=6):
     return build_companies_engine(n_companies=n_companies, seed=21, enable_cache=False).engine
