@@ -15,9 +15,14 @@ which ``EngineScheduler.drain`` reproduces, followed by
 :func:`repro.testing.chaos.fingerprint_engine` over an in-process run of the
 same queries.
 
-Broadcast ops (``drain``, ``stats``, ``fingerprint``) send to every shard
-*before* collecting any reply, so shards genuinely run concurrently — on a
-drain of an N-shard cluster all N engines make progress at once.
+Every op travels one exchange path, :meth:`ShardCoordinator._broadcast`; a
+single-shard op is its one-shard case.  Broadcast ops (``drain``,
+``stats``, ``fingerprint``) send to every shard *before* collecting any
+reply, so shards genuinely run concurrently — on a drain of an N-shard
+cluster all N engines make progress at once.  The same path heals a crashed
+shard of a durable cluster and retries the op once; without durability it
+reads every reply still owed by the other shards before it raises the
+crash, so the surviving shards keep serving in step.
 
 Who advances the shards: by default only the coordinator's own ``drain()``
 and ``pump()`` calls do, which is the batch mode the contract above is stated
@@ -35,12 +40,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.cluster.messages import PipeTransport
+from repro.cluster.messages import PipeTransport, raise_for_reply
 from repro.cluster.placement import HealthAwarePlacement, Placement, make_placement
 from repro.cluster.serialization import decode_rows, encode_query
 from repro.cluster.worker import EngineSpec, worker_main
 from repro.core.exec.context import QueryConfig
-from repro.errors import ClusterError, EngineOverloadedError, ShardCrashedError
+from repro.errors import ClusterError, QurkError, ShardCrashedError
+from repro.storage.durability import DurabilityConfig
 
 __all__ = ["ClusterQueryHandle", "ClusterStats", "ShardCoordinator", "ShardHealth"]
 
@@ -277,21 +283,22 @@ class ShardCoordinator:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def _shard_durability(self, shard_id: int) -> dict[str, Any] | None:
-        if self.durability_root is None:
-            return None
-        return {
-            "directory": str(self.durability_root / f"shard-{shard_id}"),
-            "fsync": self._durability_fsync,
-            "fsync_every": self._durability_fsync_every,
-        }
-
     def _spawn(self, shard_id: int) -> _Shard:
+        durability = None
+        if self.durability_root is not None:
+            # No auto-checkpoints: a worker rebuilds its cluster-id map from
+            # the whole log when it heals.
+            durability = DurabilityConfig(
+                directory=str(self.durability_root / f"shard-{shard_id}"),
+                fsync=self._durability_fsync,
+                fsync_every=self._durability_fsync_every,
+                snapshot_every=None,
+            )
         context = multiprocessing.get_context(self._start_method)
         parent_end, child_end = context.Pipe()
         process = context.Process(
             target=worker_main,
-            args=(child_end, self.spec.payload(), shard_id, self._shard_durability(shard_id)),
+            args=(child_end, self.spec.payload(), shard_id, durability),
             name=f"qurk-shard-{shard_id}",
             daemon=True,
         )
@@ -337,6 +344,17 @@ class ShardCoordinator:
 
     # -- messaging ---------------------------------------------------------
 
+    @staticmethod
+    def _crashed(shard: _Shard, op: Any, what: str) -> ShardCrashedError:
+        """The diagnosed error for a worker that stopped answering ``op``."""
+        return ShardCrashedError(
+            f"shard {shard.shard_id} (pid {shard.process.pid}) {what}",
+            shard_id=shard.shard_id,
+            pid=shard.process.pid,
+            exitcode=shard.process.exitcode,
+            op=str(op),
+        )
+
     def _send(self, shard: _Shard, message: dict[str, Any]) -> None:
         """Send one op, converting a dead peer into :class:`ShardCrashedError`.
 
@@ -345,17 +363,11 @@ class ShardCoordinator:
         is why :meth:`_recv` also checks liveness).  Either way the caller
         sees the same diagnosed crash error, never a raw socket traceback.
         """
+        op = message.get("op")
         try:
             shard.transport.send(message)
         except (ClusterError, OSError) as error:
-            raise ShardCrashedError(
-                f"shard {shard.shard_id} (pid {shard.process.pid}) was unreachable "
-                f"for {message.get('op')!r}: {error}",
-                shard_id=shard.shard_id,
-                pid=shard.process.pid,
-                exitcode=shard.process.exitcode,
-                op=str(message.get("op")),
-            ) from error
+            raise self._crashed(shard, op, f"was unreachable for {op!r}: {error}") from error
 
     def _recv(self, shard: _Shard, op: Any) -> dict[str, Any]:
         """Receive one reply, failing fast if the worker process died.
@@ -372,30 +384,14 @@ class ShardCoordinator:
                 if shard.transport.poll(self.poll_interval):
                     return shard.transport.recv()
             except (ClusterError, OSError, EOFError) as error:
-                raise ShardCrashedError(
-                    f"shard {shard.shard_id} closed its pipe during {op!r}: {error}",
-                    shard_id=shard.shard_id,
-                    pid=shard.process.pid,
-                    exitcode=shard.process.exitcode,
-                    op=str(op),
-                ) from error
+                raise self._crashed(shard, op, f"closed its pipe during {op!r}: {error}") from error
             if not shard.process.is_alive():
-                raise ShardCrashedError(
-                    f"shard {shard.shard_id} (pid {shard.process.pid}) died during "
-                    f"{op!r} with exit code {shard.process.exitcode}",
-                    shard_id=shard.shard_id,
-                    pid=shard.process.pid,
-                    exitcode=shard.process.exitcode,
-                    op=str(op),
+                raise self._crashed(
+                    shard, op, f"died during {op!r} with exit code {shard.process.exitcode}"
                 )
             if time.monotonic() >= deadline:
-                raise ShardCrashedError(
-                    f"shard {shard.shard_id} (pid {shard.process.pid}) sent no reply to "
-                    f"{op!r} within {self.call_timeout:.0f}s",
-                    shard_id=shard.shard_id,
-                    pid=shard.process.pid,
-                    exitcode=shard.process.exitcode,
-                    op=str(op),
+                raise self._crashed(
+                    shard, op, f"sent no reply to {op!r} within {self.call_timeout:.0f}s"
                 )
 
     def heal(self, shard_id: int) -> None:
@@ -433,12 +429,7 @@ class ShardCoordinator:
         self._pushed[shard_id] = 0
         shard = self._shards[shard_id]
         self._send(shard, {"op": "ping"})
-        reply = self._recv(shard, "ping")
-        if not reply.get("ok"):
-            raise ClusterError(
-                f"healed shard {shard_id} failed its ping: "
-                f"{reply.get('error', 'unknown failure')}"
-            )
+        raise_for_reply(self._recv(shard, "ping"), f"healed shard {shard_id} failed its ping: ")
         if self._live:
             # The respawned worker starts like any other, waiting to be
             # driven; a live cluster's recovered queries must resume unasked.
@@ -450,70 +441,75 @@ class ShardCoordinator:
         now = time.monotonic()
         self.health[shard_id].observe(now - started, now)
 
-    def _raise_reply(self, shard_id: int, reply: dict[str, Any]) -> None:
-        """Rebuild the typed error carried by a structured failure reply."""
-        message = f"shard {shard_id}: {reply.get('error', 'unknown failure')}"
-        if reply.get("error_type") == "overloaded":
-            raise EngineOverloadedError(
-                message, retry_after=float(reply.get("retry_after", 1.0))
-            )
-        raise ClusterError(message)
-
     def _call(self, shard_id: int, message: dict[str, Any]) -> dict[str, Any]:
-        if not self._shards:
-            raise ClusterError("coordinator not started (use start() or a with-block)")
-        shard = self._shards[shard_id]
-        op = message.get("op")
-        started = time.monotonic()
-        try:
-            self._send(shard, message)
-            reply = self._recv(shard, op)
-        except ShardCrashedError:
-            if self.durability_root is None:
-                raise
-            # Heal in place and retry the interrupted op exactly once.  The
-            # worker's durable records make the retry idempotent (already-
-            # applied submissions are acknowledged, drains re-run to the
-            # same state), so crash-during-op is exactly-once overall.
-            self.heal(shard_id)
-            shard = self._shards[shard_id]
-            started = time.monotonic()
-            self._send(shard, message)
-            reply = self._recv(shard, op)
-        self._observe(shard_id, started)
-        if not reply.get("ok"):
-            self._raise_reply(shard_id, reply)
-        return reply
+        """One op on one shard: the one-shard case of :meth:`_broadcast`."""
+        return self._broadcast(message, [shard_id])[0]
 
-    def _broadcast(self, message: dict[str, Any]) -> list[dict[str, Any]]:
-        """Send to all shards, then collect — shards overlap their work."""
+    def _broadcast(
+        self, message: dict[str, Any], shard_ids: list[int] | None = None
+    ) -> list[dict[str, Any]]:
+        """Send to every shard (or ``shard_ids``), then collect each reply.
+
+        Every send goes out before the first receive, so shards overlap
+        their work.  A failure — a crash :meth:`_reply` could not heal, or
+        an error reply — is raised only after every other shard's reply
+        has been read, so no pipe is left holding a stale reply for the
+        next op to misread.
+        """
         if not self._shards:
             raise ClusterError("coordinator not started (use start() or a with-block)")
-        for shard in list(self._shards):
-            try:
-                self._send(shard, message)
-            except ShardCrashedError:
-                if self.durability_root is None:
-                    raise
-                self.heal(shard.shard_id)
-                self._send(self._shards[shard.shard_id], message)
+        if shard_ids is None:
+            shard_ids = list(range(len(self._shards)))
         started = time.monotonic()
-        replies = []
-        for shard in self._shards:
+        unsent: dict[int, ShardCrashedError] = {}
+        for shard_id in shard_ids:
             try:
-                reply = self._recv(shard, message.get("op"))
-            except ShardCrashedError:
-                if self.durability_root is None:
-                    raise
-                self.heal(shard.shard_id)
-                healed = self._shards[shard.shard_id]
-                self._send(healed, message)
-                reply = self._recv(healed, message.get("op"))
-            self._observe(shard.shard_id, started)
-            if not reply.get("ok"):
-                self._raise_reply(shard.shard_id, reply)
-            replies.append(reply)
+                self._send(self._shards[shard_id], message)
+            except ShardCrashedError as error:
+                unsent[shard_id] = error
+        replies: list[dict[str, Any]] = []
+        failure: QurkError | None = None
+        for shard_id in shard_ids:
+            try:
+                reply = self._reply(shard_id, message, started, unsent.get(shard_id))
+                replies.append(raise_for_reply(reply, f"shard {shard_id}: "))
+            except QurkError as error:
+                failure = failure or error
+        if failure is not None:
+            raise failure
         return replies
+
+    def _reply(
+        self,
+        shard_id: int,
+        message: dict[str, Any],
+        started: float,
+        crash: ShardCrashedError | None,
+    ) -> dict[str, Any]:
+        """One shard's reply to ``message``; ``crash`` if sending it failed.
+
+        Without a ``durability_root`` a crash is raised.  With one, the
+        shard is healed in place and the op retried exactly once: the
+        worker's durable records make the retry idempotent (already-applied
+        submissions are acknowledged, drains re-run to the same state), so
+        crash-during-op is exactly-once overall.
+        """
+        op = message.get("op")
+        if crash is None:
+            try:
+                reply = self._recv(self._shards[shard_id], op)
+                self._observe(shard_id, started)
+                return reply
+            except ShardCrashedError as error:
+                crash = error
+        if self.durability_root is None:
+            raise crash
+        self.heal(shard_id)
+        started = time.monotonic()
+        self._send(self._shards[shard_id], message)
+        reply = self._recv(self._shards[shard_id], op)
+        self._observe(shard_id, started)
+        return reply
 
     def _route(self, query_id: str) -> int:
         try:

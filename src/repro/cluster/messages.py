@@ -1,4 +1,4 @@
-"""Message transports for coordinator ↔ worker traffic.
+"""Message transports and replies for coordinator ↔ worker traffic.
 
 A :class:`Transport` is anything that can send and receive whole protocol
 messages (dicts).  The default :class:`PipeTransport` runs over a
@@ -6,6 +6,12 @@ messages (dicts).  The default :class:`PipeTransport` runs over a
 :mod:`repro.cluster.serialization` — never pickled Python objects — so the
 wire format is identical to what a socket transport would carry, and the
 serialization round-trip is exercised on every single call.
+
+Every reply is a dict with an ``ok`` flag.  The error codec lives here
+once: :func:`reply_error` is where an exception becomes a reply (in the
+shard worker and in the TCP server alike), and :func:`raise_for_reply` is
+where a reply becomes a typed exception again (in the coordinator and in
+TCP clients).
 """
 
 from __future__ import annotations
@@ -13,9 +19,9 @@ from __future__ import annotations
 from typing import Any, Protocol
 
 from repro.cluster.serialization import decode_message, encode_message
-from repro.errors import ClusterError
+from repro.errors import ClusterError, EngineOverloadedError, QurkError
 
-__all__ = ["Transport", "PipeTransport", "reply_ok", "reply_error"]
+__all__ = ["Transport", "PipeTransport", "reply_ok", "reply_error", "raise_for_reply"]
 
 
 class Transport(Protocol):
@@ -71,22 +77,40 @@ def reply_ok(**fields: Any) -> dict[str, Any]:
     return reply
 
 
-def reply_error(
-    message: str,
-    *,
-    error_type: str | None = None,
-    retry_after: float | None = None,
-) -> dict[str, Any]:
-    """A failed reply; the coordinator re-raises it as a typed error.
+def reply_error(error: str | QurkError) -> dict[str, Any]:
+    """A failed reply: the one place an error becomes a message.
 
-    ``error_type`` lets the receiving side rebuild the right exception class
-    instead of a generic :class:`ClusterError`; ``retry_after`` carries the
-    backpressure hint of an ``"overloaded"`` rejection so clients can pace
-    their retry instead of hammering a saturated shard.
+    A plain string travels as it is.  A typed error carries its class name
+    as ``error_type`` so :func:`raise_for_reply` can rebuild it on the far
+    side; an overload becomes ``"overloaded"`` plus its ``retry_after``
+    hint, so clients can pace their retry instead of hammering a saturated
+    shard.
     """
-    reply: dict[str, Any] = {"ok": False, "error": message}
-    if error_type is not None:
-        reply["error_type"] = error_type
-    if retry_after is not None:
-        reply["retry_after"] = retry_after
+    if isinstance(error, str):
+        return {"ok": False, "error": error}
+    reply: dict[str, Any] = {
+        "ok": False,
+        "error": f"{type(error).__name__}: {error}",
+        "error_type": type(error).__name__,
+    }
+    if isinstance(error, EngineOverloadedError):
+        reply.update(error_type="overloaded", retry_after=error.retry_after)
     return reply
+
+
+def raise_for_reply(reply: dict[str, Any], prefix: str = "") -> dict[str, Any]:
+    """Convert a structured error reply back into its typed exception.
+
+    Successful replies pass straight through.  An ``"overloaded"`` reply
+    becomes :class:`~repro.errors.EngineOverloadedError` with its
+    ``retry_after`` hint intact; anything else raises
+    :class:`~repro.errors.ClusterError`.  ``prefix`` names where the reply
+    came from (the coordinator's ``"shard N: "``).  Clients that prefer
+    inspecting the dict can simply not call this.
+    """
+    if reply.get("ok"):
+        return reply
+    message = f"{prefix}{reply.get('error', 'unknown failure')}"
+    if reply.get("error_type") == "overloaded":
+        raise EngineOverloadedError(message, retry_after=float(reply.get("retry_after", 1.0)))
+    raise ClusterError(message)

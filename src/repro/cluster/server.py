@@ -34,13 +34,14 @@ import random
 from typing import Any
 
 from repro.cluster.coordinator import ShardCoordinator
+from repro.cluster.messages import raise_for_reply, reply_error
 from repro.cluster.serialization import (
     MAX_FRAME_BYTES,
     decode_message,
     encode_rows,
     frame_message,
 )
-from repro.errors import ClusterError, EngineOverloadedError, QurkError
+from repro.errors import ClusterError, QurkError
 
 __all__ = ["ClusterServer", "raise_for_reply", "request"]
 
@@ -122,22 +123,8 @@ class ClusterServer:
                 try:
                     body = await _read_frame(reader)
                     reply = await self._dispatch(decode_message(body))
-                except EngineOverloadedError as error:
-                    # Backpressure is a structured, terminal response: the
-                    # client gets the class name and a retry-after hint so
-                    # it can pace itself instead of retrying blind.
-                    reply = {
-                        "ok": False,
-                        "error": f"EngineOverloadedError: {error}",
-                        "error_type": "overloaded",
-                        "retry_after": error.retry_after,
-                    }
                 except QurkError as error:
-                    reply = {
-                        "ok": False,
-                        "error": f"{type(error).__name__}: {error}",
-                        "error_type": type(error).__name__,
-                    }
+                    reply = reply_error(error)
                 writer.write(frame_message(reply))
                 await writer.drain()
                 if body is None:
@@ -214,33 +201,6 @@ async def _request_once(host: str, port: int, message: dict[str, Any]) -> dict[s
             await writer.wait_closed()
         except (ConnectionError, OSError):  # pragma: no cover
             pass
-
-
-#: Terminal ``error_type`` values a retry can never fix: the server took the
-#: request and rejected it deliberately (overload backpressure) or the
-#: request itself is malformed (validation).  Retrying would re-offer the
-#: same load to a saturated cluster — exactly what backpressure exists to
-#: prevent.
-_TERMINAL_ERROR_TYPES = frozenset({"overloaded", "ClusterError", "ParseError"})
-
-
-def raise_for_reply(reply: dict[str, Any]) -> dict[str, Any]:
-    """Convert a structured error reply into its typed exception.
-
-    Successful replies pass straight through.  An ``"overloaded"`` reply
-    becomes :class:`~repro.errors.EngineOverloadedError` with its
-    ``retry_after`` hint intact; anything else raises
-    :class:`~repro.errors.ClusterError`.  Clients that prefer inspecting the
-    dict can simply not call this.
-    """
-    if reply.get("ok"):
-        return reply
-    message = str(reply.get("error", "unknown failure"))
-    if reply.get("error_type") == "overloaded":
-        raise EngineOverloadedError(
-            message, retry_after=float(reply.get("retry_after", 1.0))
-        )
-    raise ClusterError(message)
 
 
 async def request(

@@ -4,9 +4,17 @@ Each shard of the cluster runs a complete :class:`~repro.engine.QurkEngine`
 (its own storage, marketplace, scheduler, budget ledger) built from an
 :class:`EngineSpec` — a ``"module:callable"`` factory path plus kwargs,
 resolved *inside* the worker process so no live engine ever crosses the
-process boundary.  The factory may return either a ``QurkEngine`` or an
+process boundary.  The recipe is resolved by the one engine resolver,
+:func:`repro.storage.durability.build_engine_from_payload`, the same one
+WAL recovery uses: the factory may return either a ``QurkEngine`` or an
 :class:`~repro.experiments.harness.ExperimentRun` (anything with an
-``.engine`` attribute).
+``.engine`` attribute).  A durable shard is handed its
+:class:`~repro.storage.durability.DurabilityConfig` whole and journals
+(or recovers) under exactly that config.
+
+The worker keeps one ordered map from cluster query id to the shard's
+handle and the submission payload it came from; every op that lists
+queries reads it in submission order.
 
 :class:`ShardWorker` is deliberately usable in-process: ``handle(message)``
 is a pure dict→dict dispatch, which is what ``python -m repro.profile``
@@ -25,17 +33,18 @@ pumping them, and blocks in ``recv()`` as soon as nothing is left to do.
 
 from __future__ import annotations
 
-import importlib
 import os
 import resource
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any
 
 from repro.cluster.messages import PipeTransport, Transport, reply_error, reply_ok
 from repro.cluster.serialization import decode_query, encode_rows
 from repro.crowd.wallclock import WallClock
 from repro.dashboard import QueryDashboard
-from repro.errors import ClusterError, EngineOverloadedError, QurkError
+from repro.errors import ClusterError, QurkError
+from repro.storage.durability import DurabilityConfig, build_engine_from_payload
 from repro.testing.chaos import fingerprint_engine
 
 __all__ = ["EngineSpec", "ShardWorker", "worker_main"]
@@ -69,36 +78,20 @@ class EngineSpec:
         return cls(factory=payload["factory"], kwargs=dict(payload.get("kwargs", {})))
 
     def build(self):
-        """Import the factory and build the engine (or ExperimentRun)."""
-        module_name, _, attr = self.factory.partition(":")
-        if not module_name or not attr:
-            raise ClusterError(
-                f"engine factory must be 'module:callable', got {self.factory!r}"
-            )
-        try:
-            module = importlib.import_module(module_name)
-            factory = getattr(module, attr)
-        except (ImportError, AttributeError) as error:
-            raise ClusterError(f"cannot resolve engine factory {self.factory!r}: {error}")
-        built = factory(**self.kwargs)
-        engine = getattr(built, "engine", built)
-        if not hasattr(engine, "scheduler") or not hasattr(engine, "query"):
-            raise ClusterError(
-                f"engine factory {self.factory!r} returned {type(built).__name__}, "
-                "which is neither a QurkEngine nor an object with an .engine"
-            )
-        return engine
+        """Import the factory and build the engine (unwrapping an ExperimentRun)."""
+        return build_engine_from_payload(self.payload())
 
 
 class ShardWorker:
     """One shard: a full engine plus the op dispatch the coordinator speaks.
 
-    Coordinator-assigned query ids (``cq1``, ``cq2``, ...) are mapped to the
-    shard's own handles in submission order; every op addresses queries by
-    the coordinator id, so the coordinator never needs to know shard-local
-    ids.  :meth:`handle` serves one message and never steps the scheduler on
-    its own; :meth:`serve` is the loop that, once the ``live`` op turned it
-    on, also advances the scheduler between messages.
+    Coordinator-assigned query ids (``cq1``, ``cq2``, ...) map, in
+    submission order, to the shard's own handle and the submission payload
+    it came from; every op addresses queries by the coordinator id, so the
+    coordinator never needs to know shard-local ids.  :meth:`handle` serves
+    one message and never steps the scheduler on its own; :meth:`serve` is
+    the loop that, once the ``live`` op turned it on, also advances the
+    scheduler between messages.
     """
 
     def __init__(
@@ -106,16 +99,16 @@ class ShardWorker:
         spec: EngineSpec,
         shard_id: int = 0,
         *,
-        durability: dict[str, Any] | None = None,
+        durability: DurabilityConfig | None = None,
     ):
         self.spec = spec
         self.shard_id = shard_id
         self.durability = durability
-        self._handles: dict[str, Any] = {}
-        self._order: list[str] = []
-        # Original submission payloads, kept so the coordinator can withdraw
-        # a still-pending query and replay it verbatim on another shard.
-        self._submissions: dict[str, dict[str, Any]] = {}
+        # Cluster id → (handle, submission payload), in submission order.
+        # The payload lets the coordinator withdraw a still-pending query
+        # and replay it verbatim on another shard; a query recovered from
+        # the WAL has none and stays where it is.
+        self._queries: dict[str, tuple[Any, dict[str, Any] | None]] = {}
         # Whether :meth:`serve` advances the scheduler between messages.
         self._live = False
         if durability is None:
@@ -123,20 +116,16 @@ class ShardWorker:
             return
         # Durable shard: recover in place when a WAL already exists (the
         # worker is a restart after a crash), otherwise start journalling.
-        # Workers never auto-checkpoint (snapshot_every=None): the full log
-        # is what lets a restart rebuild the coordinator-id → handle map
-        # below, and per-shard logs stay short-lived anyway.
-        from pathlib import Path
-
+        # The coordinator's config never auto-checkpoints, so the log still
+        # holds every alias the cluster-id map below is rebuilt from.
         from repro.engine import QurkEngine
-        from repro.storage.durability import WAL_FILENAME, DurabilityConfig
 
-        directory = Path(durability["directory"])
-        fsync = durability.get("fsync", "interval")
-        fsync_every = int(durability.get("fsync_every", 256))
-        if (directory / WAL_FILENAME).exists():
+        if durability.wal_path().exists():
             result = QurkEngine.recover(
-                directory, fsync=fsync, fsync_every=fsync_every, snapshot_every=None
+                durability.directory,
+                fsync=durability.fsync,
+                fsync_every=durability.fsync_every,
+                snapshot_every=durability.snapshot_every,
             )
             self.engine = result.engine
             # Replay in LSN order restores submission order; an alias whose
@@ -148,22 +137,13 @@ class ShardWorker:
                     continue
                 cluster_id = record.data["cluster_id"]
                 engine_id = record.data["query_id"]
-                if cluster_id in self._handles or engine_id not in self.engine.queries:
+                if cluster_id in self._queries or engine_id not in self.engine.queries:
                     continue
-                self._handles[cluster_id] = self.engine.queries[engine_id]
-                self._order.append(cluster_id)
+                self._queries[cluster_id] = (self.engine.queries[engine_id], None)
         else:
             self.engine = spec.build()
-            directory.mkdir(parents=True, exist_ok=True)
-            self.engine.enable_durability(
-                DurabilityConfig(
-                    directory=str(directory),
-                    fsync=fsync,
-                    fsync_every=fsync_every,
-                    snapshot_every=None,
-                ),
-                spec=spec.payload(),
-            )
+            Path(durability.directory).mkdir(parents=True, exist_ok=True)
+            self.engine.enable_durability(durability, spec=spec.payload())
 
     # -- dispatch ----------------------------------------------------------
 
@@ -175,24 +155,12 @@ class ShardWorker:
             return reply_error(f"unknown cluster op {op!r}")
         try:
             return handler(message)
-        except EngineOverloadedError as error:
-            # Backpressure is structured, not a generic fault: the reply
-            # names the class and carries the retry-after hint so the
-            # coordinator (and the TCP server beyond it) can rebuild the
-            # typed error for the client instead of a bare ClusterError.
-            return reply_error(
-                f"EngineOverloadedError: {error}",
-                error_type="overloaded",
-                retry_after=error.retry_after,
-            )
         except QurkError as error:
-            return reply_error(
-                f"{type(error).__name__}: {error}", error_type=type(error).__name__
-            )
+            return reply_error(error)
 
     def _handle_of(self, query_id: str):
         try:
-            return self._handles[query_id]
+            return self._queries[query_id][0]
         except KeyError:
             raise ClusterError(f"shard {self.shard_id} does not own query {query_id!r}")
 
@@ -204,7 +172,7 @@ class ShardWorker:
     def _submit_one(self, payload: dict[str, Any]) -> str:
         submission = decode_query(payload)
         query_id = submission["query_id"]
-        if query_id in self._handles:
+        if query_id in self._queries:
             if self.durability is not None:
                 # A healed coordinator retries the whole op; submissions
                 # that already survived the crash are simply acknowledged,
@@ -234,9 +202,7 @@ class ShardWorker:
             priority=submission["priority"],
             config=submission["config"],
         )
-        self._handles[query_id] = handle
-        self._order.append(query_id)
-        self._submissions[query_id] = dict(payload)
+        self._queries[query_id] = (handle, dict(payload))
         return query_id
 
     def _flush_journal(self) -> None:
@@ -312,31 +278,25 @@ class ShardWorker:
         where they are.
         """
         withdrawn: list[dict[str, Any]] = []
-        for cluster_id in list(self._order):
-            payload = self._submissions.get(cluster_id)
-            if payload is None:
-                continue
-            handle = self._handles[cluster_id]
-            if not self.engine.scheduler.withdraw(handle.query_id):
+        for cluster_id, (handle, payload) in list(self._queries.items()):
+            if payload is None or not self.engine.scheduler.withdraw(handle.query_id):
                 continue
             withdrawn.append(payload)
-            del self._handles[cluster_id]
-            self._order.remove(cluster_id)
-            del self._submissions[cluster_id]
+            del self._queries[cluster_id]
         return reply_ok(shard=self.shard_id, queries=withdrawn)
 
     def _op_drain(self, message: dict[str, Any]) -> dict[str, Any]:
         finished = self.engine.scheduler.drain()
         self.engine.clock.run_until_idle()
-        statuses = {qid: self._handles[qid].status.value for qid in self._order}
+        statuses = {qid: handle.status.value for qid, (handle, _) in self._queries.items()}
         return reply_ok(finished=finished, statuses=statuses)
 
     def _op_stats(self, message: dict[str, Any]) -> dict[str, Any]:
         queries = {}
-        for qid in self._order:
-            stats = self._handles[qid].stats
+        for qid, (handle, _) in self._queries.items():
+            stats = handle.stats
             queries[qid] = {
-                "status": self._handles[qid].status.value,
+                "status": handle.status.value,
                 "budget": stats.budget,
                 "spent": stats.spent,
                 "hits_posted": stats.hits_posted,
@@ -354,7 +314,7 @@ class ShardWorker:
             queries=queries,
             totals={
                 **self.engine.counters(),
-                "queries": len(self._order),
+                "queries": len(self._queries),
                 "queue_depth": len(scheduler.active_queries()) + len(scheduler.queued_queries()),
                 "total_cost": self.engine.total_crowd_cost,
             },
@@ -381,10 +341,9 @@ class ShardWorker:
         return reply_ok(shard=self.shard_id, text=dashboard.render_all())
 
     def _op_fingerprint(self, message: dict[str, Any]) -> dict[str, Any]:
-        statuses = [self._handles[qid].status.value for qid in self._order]
-        rows = [
-            [row.to_dict() for row in self._handles[qid].results()] for qid in self._order
-        ]
+        handles = [handle for handle, _ in self._queries.values()]
+        statuses = [handle.status.value for handle in handles]
+        rows = [[row.to_dict() for row in handle.results()] for handle in handles]
         return reply_ok(
             shard=self.shard_id,
             fingerprint=fingerprint_engine(self.engine, statuses, rows),
@@ -435,12 +394,11 @@ def worker_main(
     connection,
     spec_payload: dict[str, Any],
     shard_id: int,
-    durability: dict[str, Any] | None = None,
+    durability: DurabilityConfig | None = None,
 ) -> None:
     """Child-process entry point: build the engine, then serve the pipe.
 
-    With ``durability`` (a ``{"directory", "fsync", "fsync_every"}`` dict)
-    the worker recovers from an existing WAL or starts journalling to a
+    With ``durability`` the worker recovers from an existing WAL or starts journalling to a
     fresh one, so a respawned worker heals in place.  A failed engine build
     is reported as an error reply to the first request rather than a silent
     child death, so the coordinator's ping surfaces a readable message.

@@ -22,10 +22,6 @@ class SelectItem:
     expression: Expression
     alias: str | None = None
 
-    def output_name(self) -> str:
-        """Column name this item produces in the result schema."""
-        return self.alias if self.alias else str(self.expression)
-
 
 @dataclass(frozen=True)
 class TableRef:

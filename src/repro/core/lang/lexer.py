@@ -1,4 +1,4 @@
-"""Tokenizer shared by the SQL and TASK-definition parsers."""
+"""Tokenizer and token cursor shared by the SQL and TASK-definition parsers."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from repro.errors import ParseError
 
-__all__ = ["TokenType", "Token", "tokenize"]
+__all__ = ["TokenType", "Token", "TokenCursor", "tokenize"]
 
 
 class TokenType(enum.Enum):
@@ -128,3 +128,37 @@ def tokenize(text: str) -> list[Token]:
         raise error(f"unexpected character {char!r}")
     tokens.append(Token(TokenType.EOF, "", line, column))
     return tokens
+
+
+class TokenCursor:
+    """A read position over :func:`tokenize`'s output, shared by both parsers."""
+
+    def __init__(self, text: str):
+        self.tokens = tokenize(text)
+        self.position = 0
+
+    def _peek(self, offset: int = 0) -> Token:
+        index = min(self.position + offset, len(self.tokens) - 1)
+        return self.tokens[index]
+
+    def _advance(self) -> Token:
+        token = self._peek()
+        if token.type is not TokenType.EOF:
+            self.position += 1
+        return token
+
+    def _error(self, message: str, token: Token | None = None) -> ParseError:
+        token = token or self._peek()
+        return ParseError(message, line=token.line, column=token.column)
+
+    def _expect_symbol(self, symbol: str) -> Token:
+        token = self._peek()
+        if not token.matches(TokenType.SYMBOL, symbol):
+            raise self._error(f"expected {symbol!r}, found {token.value!r}")
+        return self._advance()
+
+    def _accept_symbol(self, symbol: str) -> bool:
+        if self._peek().matches(TokenType.SYMBOL, symbol):
+            self._advance()
+            return True
+        return False

@@ -18,8 +18,7 @@ extension ``BUDGET <dollars>``.
 from __future__ import annotations
 
 from repro.core.lang.ast import OrderItem, SelectItem, SelectStatement, TableRef
-from repro.core.lang.lexer import Token, TokenType, tokenize
-from repro.errors import ParseError
+from repro.core.lang.lexer import Token, TokenCursor, TokenType
 from repro.storage.expressions import (
     Arithmetic,
     BooleanOp,
@@ -45,27 +44,12 @@ def parse_select(sql: str) -> SelectStatement:
     return _Parser(sql).parse()
 
 
-class _Parser:
+class _Parser(TokenCursor):
     def __init__(self, sql: str):
+        super().__init__(sql)
         self.sql = sql
-        self.tokens = tokenize(sql)
-        self.position = 0
 
     # -- token helpers -----------------------------------------------------------
-
-    def _peek(self, offset: int = 0) -> Token:
-        index = min(self.position + offset, len(self.tokens) - 1)
-        return self.tokens[index]
-
-    def _advance(self) -> Token:
-        token = self._peek()
-        if token.type is not TokenType.EOF:
-            self.position += 1
-        return token
-
-    def _error(self, message: str, token: Token | None = None) -> ParseError:
-        token = token or self._peek()
-        return ParseError(message, line=token.line, column=token.column)
 
     def _expect_keyword(self, keyword: str) -> Token:
         token = self._peek()
@@ -73,20 +57,8 @@ class _Parser:
             raise self._error(f"expected {keyword}, found {token.value!r}")
         return self._advance()
 
-    def _expect_symbol(self, symbol: str) -> Token:
-        token = self._peek()
-        if not token.matches(TokenType.SYMBOL, symbol):
-            raise self._error(f"expected {symbol!r}, found {token.value!r}")
-        return self._advance()
-
     def _accept_keyword(self, keyword: str) -> bool:
         if self._peek().matches(TokenType.IDENT, keyword):
-            self._advance()
-            return True
-        return False
-
-    def _accept_symbol(self, symbol: str) -> bool:
-        if self._peek().matches(TokenType.SYMBOL, symbol):
             self._advance()
             return True
         return False

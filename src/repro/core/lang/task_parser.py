@@ -23,7 +23,7 @@ fields beyond the paper's examples; they map onto the corresponding
 
 from __future__ import annotations
 
-from repro.core.lang.lexer import Token, TokenType, tokenize
+from repro.core.lang.lexer import Token, TokenCursor, TokenType
 from repro.core.tasks.spec import (
     ComparisonResponse,
     FormResponse,
@@ -54,26 +54,8 @@ def parse_tasks(text: str) -> list[TaskSpec]:
     return _TaskParser(text).parse_all()
 
 
-class _TaskParser:
-    def __init__(self, text: str):
-        self.tokens = tokenize(text)
-        self.position = 0
-
+class _TaskParser(TokenCursor):
     # -- token helpers ------------------------------------------------------------
-
-    def _peek(self, offset: int = 0) -> Token:
-        index = min(self.position + offset, len(self.tokens) - 1)
-        return self.tokens[index]
-
-    def _advance(self) -> Token:
-        token = self._peek()
-        if token.type is not TokenType.EOF:
-            self.position += 1
-        return token
-
-    def _error(self, message: str, token: Token | None = None) -> ParseError:
-        token = token or self._peek()
-        return ParseError(message, line=token.line, column=token.column)
 
     def _expect_ident(self, value: str | None = None) -> Token:
         token = self._peek()
@@ -83,18 +65,6 @@ class _TaskParser:
             expected = value or "an identifier"
             raise self._error(f"expected {expected}, found {token.value!r}")
         return self._advance()
-
-    def _expect_symbol(self, symbol: str) -> Token:
-        token = self._peek()
-        if not token.matches(TokenType.SYMBOL, symbol):
-            raise self._error(f"expected {symbol!r}, found {token.value!r}")
-        return self._advance()
-
-    def _accept_symbol(self, symbol: str) -> bool:
-        if self._peek().matches(TokenType.SYMBOL, symbol):
-            self._advance()
-            return True
-        return False
 
     # -- grammar ----------------------------------------------------------------------
 

@@ -155,12 +155,6 @@ class StatisticsManager:
         """Statistics bucket for a query (created on first use)."""
         return self._queries.setdefault(query_id, QueryStats(query_id=query_id))
 
-    def all_specs(self) -> dict[str, SpecStats]:
-        return dict(self._specs)
-
-    def all_queries(self) -> dict[str, QueryStats]:
-        return dict(self._queries)
-
     def worker_weights(self) -> dict[str, float]:
         """Per-worker vote weights for :class:`~repro.core.answers.WeightedVote`."""
         return {worker_id: stats.agreement_rate for worker_id, stats in self._workers.items()}

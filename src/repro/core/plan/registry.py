@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.core.tasks.spec import RatingResponse, TaskSpec, TaskType
+from repro.core.tasks.spec import TaskSpec, TaskType
 from repro.errors import PlanError
 from repro.storage.row import Row
 
@@ -43,20 +43,12 @@ class RegisteredTask:
         return self.spec.task_type is TaskType.QUESTION
 
     @property
-    def is_filter(self) -> bool:
-        return self.spec.task_type is TaskType.FILTER
-
-    @property
     def is_join_predicate(self) -> bool:
         return self.spec.task_type is TaskType.JOIN_PREDICATE
 
     @property
     def is_rank(self) -> bool:
         return self.spec.task_type in (TaskType.RANK, TaskType.RATING)
-
-    @property
-    def prefers_rating_sort(self) -> bool:
-        return isinstance(self.spec.response, RatingResponse)
 
 
 class TaskRegistry:

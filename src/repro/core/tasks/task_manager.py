@@ -191,6 +191,8 @@ class TaskManager:
         self._progress: dict[str, _TaskProgress] = {}
         self._budget_errors: dict[str, BudgetExceededError] = {}
         self._exhausted_errors: dict[str, TaskError] = {}
+        # Ended queries that still have a task in a HIT in flight; an id
+        # leaves once the last such HIT settles.
         self._cancelled_queries: set[str] = set()
         #: Queries the scheduler marked as under deadline/budget pressure:
         #: their waves shrink to one assignment, any received answer
@@ -636,6 +638,9 @@ class TaskManager:
                 # Confidence not yet reached: buy another redundancy wave.
                 self.stats.wave_continuations += 1
                 self._requeue(task, count_attempt=False)
+        for query_id in self._cancelled_queries.intersection(inflight.compiled.query_ids()):
+            if not self._has_inflight_tasks(query_id):
+                self._cancelled_queries.discard(query_id)
 
     def _merge_answers(
         self, hit: HIT, inflight: _InflightHIT, submissions: list[Assignment]
@@ -971,6 +976,9 @@ class TaskManager:
         """
         if self._pending_by_query.get(query_id, 0):
             return True
+        return self._has_inflight_tasks(query_id)
+
+    def _has_inflight_tasks(self, query_id: str) -> bool:
         return any(
             task.query_id == query_id
             for inflight in self._inflight.values()
@@ -993,11 +1001,12 @@ class TaskManager:
 
         Returns the number of tasks removed.  HITs already in flight are left
         alone — their cost is committed and their answers still feed the Task
-        Cache and statistics, plus any co-batched queries.  The query is also
-        remembered as cancelled, so a later fault (an in-flight HIT expiring)
-        can never requeue — and re-bill — work on its behalf.
+        Cache and statistics, plus any co-batched queries.  While such a HIT
+        is in flight the query is remembered as cancelled, so a fault (the
+        HIT expiring) can never requeue — and re-bill — work on its behalf.
         """
-        self._cancelled_queries.add(query_id)
+        if self._has_inflight_tasks(query_id):
+            self._cancelled_queries.add(query_id)
         self._pressured.discard(query_id)
         removed = 0
         if self._pending_by_query.get(query_id, 0):
@@ -1025,12 +1034,13 @@ class TaskManager:
     # -- durability -----------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """Cumulative counters + the cancellation set + the quality stream.
+        """Cumulative counters + the quality stream.
 
-        Pending queues, in-flight HITs and wave progress are *not*
-        captured: snapshots are only taken at quiescence (nothing queued,
-        nothing in flight — enforced by the engine's checkpoint), so the
-        only live state is what accumulates across queries.
+        Pending queues, in-flight HITs, wave progress and the cancellation
+        set are *not* captured: snapshots are only taken at quiescence
+        (nothing queued, nothing in flight — enforced by the engine's
+        checkpoint), where all of them are empty, so the only live state is
+        what accumulates across queries.
         """
         from dataclasses import asdict
 
@@ -1040,7 +1050,6 @@ class TaskManager:
             raise TaskError("cannot snapshot the Task Manager with work outstanding")
         return {
             "stats": asdict(self.stats),
-            "cancelled_queries": sorted(self._cancelled_queries),
             "quality_rng": (
                 pack_rng_state(self._quality_rng.getstate())
                 if self._quality_rng is not None
@@ -1052,7 +1061,6 @@ class TaskManager:
         from repro.storage.snapshot import unpack_rng_state
 
         self.stats = TaskManagerStats(**state["stats"])
-        self._cancelled_queries = set(state["cancelled_queries"])
         if state["quality_rng"] is not None:
             if self._quality_rng is None:
                 raise TaskError(

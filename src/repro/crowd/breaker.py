@@ -116,10 +116,6 @@ class MarketplaceCircuitBreaker:
         self._probes_in_flight = 0
         self._rng = random.Random(self.config.seed)
 
-    def bind_clock(self, clock) -> None:
-        """Attach the engine clock (done by the engine during wiring)."""
-        self.clock = clock
-
     # -- posting decisions ----------------------------------------------------
 
     def allow_posting(self) -> bool:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.crowd.clock import ScheduledEvent, SimulationClock
 from repro.crowd.faults import FaultProfile
@@ -454,7 +454,3 @@ class MTurkSimulator:
             f"submitted={self.stats.assignments_submitted}, "
             f"cost=${self.total_cost:.2f})"
         )
-
-
-def _unused(_: Iterable) -> None:  # pragma: no cover - keeps imports tidy
-    return None

@@ -10,7 +10,7 @@ concerns matches the real system.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Callable
 
 from repro.crowd.hit import FormField, HITItem
 from repro.errors import WorkerError
@@ -109,7 +109,3 @@ class CallbackOracle(AnswerOracle):
         if self._wrong_form is None:
             return super().plausible_wrong_form_answer(item, field)
         return self._wrong_form(item, field)
-
-
-def _unused(*_args: Any) -> None:  # pragma: no cover - keeps linters quiet
-    return None

@@ -359,10 +359,6 @@ class GoldStandardPool:
             raise CrowdError(f"gold pool for {spec_name!r} needs at least one question")
         self._questions[spec_name] = tuple(questions)
 
-    def for_spec(self, spec_name: str) -> tuple[GoldQuestion, ...]:
-        """All gold questions registered for a spec (possibly empty)."""
-        return self._questions.get(spec_name, ())
-
     def pick(self, spec_name: str, rng: random.Random) -> GoldQuestion | None:
         """Choose one gold question for the next HIT (None when unregistered)."""
         questions = self._questions.get(spec_name)

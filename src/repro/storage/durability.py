@@ -126,10 +126,6 @@ class EngineJournal:
             return False
         return self._records_since_snapshot >= snapshot_every
 
-    @property
-    def records_since_snapshot(self) -> int:
-        return self._records_since_snapshot
-
     def close(self) -> None:
         if self.wal.is_open:
             self.wal.flush()
@@ -250,31 +246,35 @@ def restore_engine_state(engine, state: dict) -> None:
 
 
 def build_engine_from_payload(spec: dict):
-    """Rebuild an engine from a WAL-header recipe ``{"factory", "kwargs"}``.
+    """Build an engine from a recipe ``{"factory", "kwargs"}``.
 
-    Mirrors the cluster's ``EngineSpec.build`` contract: ``factory`` is a
-    ``"module:callable"`` path whose result is either an engine or an
-    object exposing one via an ``engine`` attribute (the testing
-    harnesses return such wrappers).
+    The one engine resolver: a cluster ``EngineSpec``, a WAL header and
+    :func:`recover_engine`'s ``factory=`` all build through it.
+    ``factory`` is a callable or a ``"module:callable"`` path; it is called
+    with ``kwargs``, and a result exposing an ``engine`` attribute (the
+    testing harnesses return such wrappers) is unwrapped.  A bad recipe
+    raises :class:`~repro.errors.RecoveryError` naming the factory.
     """
     if not isinstance(spec, dict) or "factory" not in spec:
         raise RecoveryError(
             "WAL header carries no engine recipe; pass factory= to recover explicitly"
         )
-    factory_path = spec["factory"]
-    kwargs = spec.get("kwargs") or {}
-    module_name, _, attr = factory_path.partition(":")
-    if not module_name or not attr:
-        raise RecoveryError(f"invalid engine factory path {factory_path!r}")
-    try:
-        module = importlib.import_module(module_name)
-        factory = getattr(module, attr)
-    except (ImportError, AttributeError) as error:
-        raise RecoveryError(f"cannot import engine factory {factory_path!r}: {error}") from error
-    built = factory(**kwargs)
+    factory = name = spec["factory"]
+    if isinstance(name, str):
+        module_name, _, attr = name.partition(":")
+        if not module_name or not attr:
+            raise RecoveryError(f"engine factory must be 'module:callable', got {name!r}")
+        try:
+            factory = getattr(importlib.import_module(module_name), attr)
+        except (ImportError, AttributeError) as error:
+            raise RecoveryError(f"cannot import engine factory {name!r}: {error}") from error
+    built = factory(**(spec.get("kwargs") or {}))
     engine = getattr(built, "engine", built)
     if not hasattr(engine, "scheduler") or not hasattr(engine, "query"):
-        raise RecoveryError(f"factory {factory_path!r} did not produce a query engine")
+        raise RecoveryError(
+            f"engine factory {name!r} returned {type(built).__name__}, "
+            "which is neither a QurkEngine nor an object with an .engine"
+        )
     return engine
 
 
@@ -320,11 +320,7 @@ def recover_engine(
         raise RecoveryError(f"no WAL at {wal_path}; nothing to recover")
     wal, info = WriteAheadLog.open(wal_path, fsync=fsync, fsync_every=fsync_every)
     try:
-        if factory is not None:
-            built = factory()
-            engine = getattr(built, "engine", built)
-        else:
-            engine = build_engine_from_payload(info.spec)
+        engine = build_engine_from_payload(info.spec if factory is None else {"factory": factory})
         if getattr(engine, "journal", None) is not None:
             raise RecoveryError(
                 "engine recipe enabled durability itself; recovery must own the WAL"

@@ -239,3 +239,7 @@ class TestPendingIndex:
         assert engine.task_manager.stats.tasks_submitted > 0
         assert engine.task_manager._pending_by_query == {}
         assert all(engine.task_manager.pending_tasks(h.query_id) == 0 for h in handles)
+        # An ended query is remembered only while one of its HITs is in
+        # flight; once the marketplace is idle, nothing is kept.
+        engine.clock.run_until_idle()
+        assert engine.task_manager._cancelled_queries == set()

@@ -65,6 +65,29 @@ class TestCrashDetection:
         # Detected via liveness polling, not by waiting out call_timeout.
         assert elapsed < 30
 
+    def test_surviving_shard_answers_in_step_after_a_failed_broadcast(self):
+        queries = [{"sql": FILTER_SQL} for _ in range(N_QUERIES)]
+        with ShardCoordinator(SPEC, 2) as reference:
+            reference.submit_many(queries)
+            reference.drain()
+            expected = {qid: reference.results(qid) for qid in ("cq1", "cq3")}
+        with ShardCoordinator(SPEC, 2) as cluster:
+            handles = cluster.submit_many(queries)
+            _kill_shard(cluster, 1)
+            with pytest.raises(ShardCrashedError) as excinfo:
+                cluster.drain()
+            assert (excinfo.value.shard_id, excinfo.value.op) == (1, "drain")
+            # Shard 0 finished the drain; its reply was read before the
+            # raise, so the next op on its pipe reads its own reply.
+            for handle in handles:
+                if handle.shard != 0:
+                    continue
+                status = handle.status()
+                rows = handle.results()
+                assert status["status"] == "completed"
+                assert status["results_emitted"] == len(rows) > 0
+                assert rows == expected[handle.query_id]
+
     def test_heal_without_durability_root_rejected(self):
         with ShardCoordinator(SPEC, 1) as cluster:
             with pytest.raises(ClusterError):
