@@ -42,7 +42,7 @@ from typing import Any
 
 from repro.cluster.messages import PipeTransport, raise_for_reply
 from repro.cluster.placement import HealthAwarePlacement, Placement, make_placement
-from repro.cluster.serialization import decode_rows, encode_query
+from repro.cluster.serialization import WireRows, decode_rows, encode_query
 from repro.cluster.worker import EngineSpec, worker_main
 from repro.core.exec.context import QueryConfig
 from repro.errors import ClusterError, QurkError, ShardCrashedError
@@ -119,12 +119,12 @@ class ClusterQueryHandle:
         """Current lifecycle status plus result count and any error text."""
         return self.coordinator.status(self.query_id)
 
-    def poll(self):
-        """Result rows that arrived since the previous poll."""
+    def poll(self) -> WireRows:
+        """A view of the result rows that arrived since the previous poll."""
         return self.coordinator.poll(self.query_id)
 
-    def results(self):
-        """All result rows produced so far."""
+    def results(self) -> WireRows:
+        """A view of every result row produced so far; rows are built as read."""
         return self.coordinator.results(self.query_id)
 
     def describe_plan(self) -> str:
@@ -640,11 +640,11 @@ class ShardCoordinator:
             "error": reply["error"],
         }
 
-    def poll(self, query_id: str):
+    def poll(self, query_id: str) -> WireRows:
         reply = self._call(self._route(query_id), {"op": "poll", "query_id": query_id})
         return decode_rows(reply["rows"])
 
-    def results(self, query_id: str):
+    def results(self, query_id: str) -> WireRows:
         reply = self._call(self._route(query_id), {"op": "results", "query_id": query_id})
         return decode_rows(reply["rows"])
 

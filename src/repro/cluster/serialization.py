@@ -10,10 +10,21 @@ TCP transport can slot in without touching the protocol.
 
 JSON cannot represent every storage value directly (crowd answers include
 tuples and answer lists), so values are encoded with a small tagging scheme:
-tuples become ``{"__tuple__": [...]}`` recursively.  Decoding rebuilds rows
-with :meth:`Row.unchecked` against the decoded schema, which makes the round
-trip exact: a row encoded on a worker and decoded on the coordinator compares
-equal to the original.
+tuples become ``{"__tuple__": [...]}`` recursively.
+
+Result rows are encoded once, on the shard.  :func:`encode_rows` reads a
+results table's :class:`~repro.storage.table.RowsView` column by column:
+INTEGER, FLOAT, STRING and BOOLEAN columns go out as they are and only the
+other columns are tagged, value by value, so no row is built.
+:func:`decode_rows` returns a :class:`WireRows` view that keeps the payload
+it came from and builds a row (:meth:`Row.unchecked` against the decoded
+schema) only when one is read, which makes the round trip exact: a row
+encoded on a worker and read on the coordinator compares equal to the
+original.  :func:`encode_rows` of such a view returns its payload unchanged,
+so the TCP server forwards a shard's rows to its client without building a
+row or re-tagging a value.  A value JSON cannot carry (an IMAGE, say) is a
+:class:`ClusterError` naming its column and type, which the shard answers
+as an error reply instead of dying on the send.
 """
 
 from __future__ import annotations
@@ -21,12 +32,15 @@ from __future__ import annotations
 import dataclasses
 import json
 import struct
-from typing import Any, Iterable
+from collections.abc import Sequence
+from operator import eq
+from typing import Any, Iterable, Iterator
 
 from repro.core.exec.context import QueryConfig
 from repro.errors import ClusterError
 from repro.storage.row import Row
 from repro.storage.schema import Column, Schema
+from repro.storage.table import RowsView
 from repro.storage.types import DataType
 
 __all__ = [
@@ -38,6 +52,7 @@ __all__ = [
     "decode_schema",
     "encode_rows",
     "decode_rows",
+    "WireRows",
     "encode_query",
     "decode_query",
 ]
@@ -64,8 +79,10 @@ def decode_message(payload: bytes) -> dict[str, Any]:
     """Parse one protocol message; raises :class:`ClusterError` on junk."""
     try:
         message = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as error:
-        # RecursionError: a body nested deeper than the parser's stack.
+    except (ValueError, RecursionError) as error:
+        # ValueError: bad UTF-8, bad JSON, or an integer literal longer than
+        # the interpreter converts; RecursionError: a body nested deeper
+        # than the parser's stack.
         raise ClusterError(f"undecodable cluster message: {error}") from error
     if not isinstance(message, dict):
         raise ClusterError(f"cluster message must be an object, got {type(message).__name__}")
@@ -121,15 +138,29 @@ class FrameDecoder:
 # Values, schemas, rows
 # ---------------------------------------------------------------------------
 
+#: Column types whose values JSON carries as they are: encoded untouched.
+_JSON_NATIVE = frozenset({DataType.INTEGER, DataType.FLOAT, DataType.STRING, DataType.BOOLEAN})
+#: Values JSON carries as they are (``bool`` is an ``int``).
+_JSON_SCALARS = (str, int, float, type(None))
+
 
 def _encode_value(value: Any) -> Any:
+    """``value`` made JSON-safe; ``TypeError`` for a value JSON cannot carry."""
+    if isinstance(value, _JSON_SCALARS):
+        return value
     if isinstance(value, tuple):
         return {"__tuple__": [_encode_value(item) for item in value]}
     if isinstance(value, list):
         return [_encode_value(item) for item in value]
     if isinstance(value, dict):
-        return {key: _encode_value(item) for key, item in value.items()}
-    return value
+        return {_encode_key(key): _encode_value(item) for key, item in value.items()}
+    raise TypeError(type(value).__name__)
+
+
+def _encode_key(key: Any) -> Any:
+    if isinstance(key, _JSON_SCALARS):
+        return key
+    raise TypeError(f"{type(key).__name__} (as a dict key)")
 
 
 def _decode_value(value: Any) -> Any:
@@ -159,33 +190,85 @@ def decode_schema(payload: Iterable[Iterable[Any]]) -> Schema:
     return Schema.of(*columns)
 
 
+def _encode_column(column: Column, values: Sequence[Any]) -> Sequence[Any]:
+    """One column's values as JSON carries them, tagged unless native."""
+    if column.data_type in _JSON_NATIVE:
+        return values
+    try:
+        return [_encode_value(value) for value in values]
+    except TypeError as error:
+        raise ClusterError(
+            f"result column {column.name!r} holds a value of type {error}, "
+            "which JSON cannot carry"
+        ) from None
+
+
 def encode_rows(rows: Iterable[Row]) -> dict[str, Any]:
     """Rows (sharing one schema) as a JSON-safe ``{"schema", "values"}`` pair.
 
-    Iterates ``rows`` once, so a :class:`~repro.storage.table.RowsView`
-    builds each row as it is encoded and no list of rows is ever held.
+    A :class:`WireRows` returns the payload it was decoded from.  A
+    :class:`~repro.storage.table.RowsView` is read column by column, so no
+    row is built; any other iterable of rows is transposed first.  Raises
+    :class:`ClusterError` for a value JSON cannot carry.
     """
-    schema = None
-    values = []
-    for row in rows:
-        if schema is None:
-            schema = row.schema
-        values.append([_encode_value(value) for value in row.values])
-    if schema is None:
+    if isinstance(rows, WireRows):
+        return rows.payload
+    if isinstance(rows, RowsView):
+        count, schema, columns = len(rows), rows.schema, rows.columns()
+    else:
+        held = list(rows)
+        count = len(held)
+        schema = held[0].schema if held else None
+        columns = list(zip(*(row.values for row in held)))
+    if not count:
         return {"schema": [], "values": []}
+    columns = [_encode_column(column, values) for column, values in zip(schema.columns, columns)]
+    values = list(map(list, zip(*columns))) if columns else [[] for _ in range(count)]
     return {"schema": encode_schema(schema), "values": values}
 
 
-def decode_rows(payload: dict[str, Any]) -> list[Row]:
-    """Rebuild rows from :func:`encode_rows` output (exact round trip)."""
-    values = payload.get("values", [])
-    if not values:
-        return []
-    schema = decode_schema(payload["schema"])
-    return [
-        Row.unchecked(schema, tuple(_decode_value(value) for value in row_values))
-        for row_values in values
-    ]
+def decode_rows(payload: dict[str, Any]) -> "WireRows":
+    """The rows of :func:`encode_rows` output, as a view (exact round trip)."""
+    return WireRows(payload)
+
+
+class WireRows(Sequence):
+    """Read-only rows over an :func:`encode_rows` payload, built when read.
+
+    ``len`` is free, iteration and ``rows[i]`` build one :meth:`Row.unchecked`
+    per element, slicing returns a list of rows, and ``==`` compares
+    element-wise with any sequence of rows.  ``payload`` is the dict the view
+    came from, which :func:`encode_rows` hands back as it is.
+    """
+
+    __slots__ = ("payload", "_schema", "_values")
+
+    def __init__(self, payload: dict[str, Any]):
+        self.payload = payload
+        self._values = payload.get("values", [])
+        self._schema = decode_schema(payload["schema"]) if self._values else None
+
+    def _row(self, values: list[Any]) -> Row:
+        return Row.unchecked(self._schema, tuple(map(_decode_value, values)))
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __getitem__(self, index: int | slice) -> Any:
+        if isinstance(index, slice):
+            return [self._row(values) for values in self._values[index]]
+        return self._row(self._values[index])
+
+    def __iter__(self) -> Iterator[Row]:
+        return map(self._row, self._values)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"WireRows({list(self)!r})"
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,14 @@ plain TCP socket:
 ``{"op": "stats"}``
     → merged cluster totals.
 
+Result rows are encoded once, on the shard that produced them.  The
+coordinator hands back a :class:`~repro.cluster.serialization.WireRows` view
+of the shard's reply, and :func:`encode_rows` of that view is the shard's
+payload itself, so the server forwards ``rows`` without building a row or
+re-tagging a value.  A result value JSON cannot carry fails on the shard as
+a :class:`~repro.errors.ClusterError` and reaches the client as an error
+reply.
+
 A request that cannot be served — malformed JSON, an unknown op, a missing
 or wrong-typed field, an oversized frame — gets ``{"ok": false, "error":
 ..., "error_type": ...}`` back; only the oversized frame also costs the

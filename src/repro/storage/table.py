@@ -62,7 +62,8 @@ class RowsView(Sequence):
     values behind those positions never change.  ``len`` is free, iteration
     builds one :meth:`Row.unchecked` per step, ``view[i]`` builds one row,
     slicing returns a narrower view, and ``==`` compares element-wise with any
-    sequence of rows.
+    sequence of rows.  :meth:`columns` hands the covered values over column
+    by column, for a reader that needs no rows (the cluster's wire encoder).
     """
 
     __slots__ = ("_schema", "_columns", "_positions")
@@ -98,6 +99,17 @@ class RowsView(Sequence):
 
     def __repr__(self) -> str:
         return f"RowsView({list(self)!r})"
+
+    @property
+    def schema(self) -> Schema:
+        return self._schema
+
+    def columns(self) -> list[list[Any]]:
+        """The values the view covers, one new list per column; builds no row."""
+        positions = self._positions
+        if positions.step == 1:
+            return [column[positions.start : positions.stop] for column in self._columns]
+        return [[column[position] for position in positions] for column in self._columns]
 
 
 class _NumberedRows(Sequence):

@@ -16,6 +16,7 @@ from repro.cluster import EngineSpec, ShardCoordinator
 from repro.cluster.serialization import decode_rows
 from repro.cluster.server import ClusterServer, raise_for_reply, request
 from repro.errors import ClusterError, EngineOverloadedError
+from repro.storage.row import Row
 
 FILTER_SQL = "SELECT name FROM products WHERE isTargetColor(name)"
 SPEC = EngineSpec(
@@ -92,6 +93,43 @@ async def _exercise_server() -> None:
 
 def test_server_round_trip():
     asyncio.run(asyncio.wait_for(_exercise_server(), timeout=60))
+
+
+def test_server_forwards_result_rows_without_building_one(monkeypatch):
+    """The shard encodes a result once; the server process builds no ``Row``."""
+    n_rows = 1_200
+    spec = EngineSpec(
+        "repro.experiments.harness:build_products_engine", {"n_products": n_rows, "seed": 13}
+    )
+    built = []
+    unchecked, init = Row.unchecked.__func__, Row.__init__
+
+    def counting_unchecked(cls, schema, values):
+        built.append(values)
+        return unchecked(cls, schema, values)
+
+    def counting_init(self, schema, values):
+        built.append(values)
+        init(self, schema, values)
+
+    async def exercise() -> dict:
+        with ShardCoordinator(spec, 1, call_timeout=60) as cluster:
+            # Patched after the fork: only this process's rows are counted.
+            monkeypatch.setattr(Row, "unchecked", classmethod(counting_unchecked))
+            monkeypatch.setattr(Row, "__init__", counting_init)
+            async with ClusterServer(cluster) as server:
+                ask = lambda message: request(server.host, server.port, message)  # noqa: E731
+                query_id = (await ask({"op": "submit", "sql": "SELECT name, price FROM products"}))[
+                    "query_id"
+                ]
+                status = {"op": "status", "query_id": query_id}
+                while (await ask(status))["status"] in ("pending", "running"):
+                    await asyncio.sleep(0.01)
+                return await ask({"op": "results", "query_id": query_id})
+
+    reply = asyncio.run(asyncio.wait_for(exercise(), timeout=60))
+    assert reply["ok"] and len(reply["rows"]["values"]) == n_rows
+    assert built == []
 
 
 def test_batch_coordinator_sends_no_live_op():

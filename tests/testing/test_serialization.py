@@ -3,10 +3,14 @@
 The shard protocol is length-prefixed JSON, with tuples tagged
 ``{"__tuple__": [...]}`` so crowd answers survive the trip.  These tests pin
 the exactness guarantee the coordinator relies on: anything a worker encodes
-decodes back to an equal value on the other side.
+decodes back to an equal value on the other side.  The column-wise row
+encoder is checked byte for byte against a row-wise reference, and the frame
+codec is fuzzed with random frames, chunkings and bytes.
 """
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.serialization import (
     MAX_FRAME_BYTES,
@@ -61,6 +65,47 @@ class TestFraming:
             decoder.feed(huge)
 
 
+#: JSON values that survive a round trip unchanged (NaN compares unequal).
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=10,
+)
+
+
+class TestCodecFuzzing:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.dictionaries(st.text(max_size=8), _JSON_VALUES, max_size=4), max_size=5),
+        st.lists(st.integers(min_value=0), max_size=10),
+    )
+    def test_frame_decoder_returns_exactly_the_frames_fed_in_any_chunking(self, messages, cuts):
+        stream = b"".join(frame_message(message) for message in messages)
+        bounds = sorted({0, len(stream), *(cut % (len(stream) + 1) for cut in cuts)})
+        decoder = FrameDecoder()
+        received = []
+        for start, end in zip(bounds, bounds[1:]):
+            received.extend(decoder.feed(stream[start:end]))
+        assert received == messages
+        assert decoder.pending_bytes == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=64))
+    @example(b"9" * 5000)  # an integer literal longer than int() converts
+    @example(b"[" * 100_000)  # nested deeper than the parser's stack
+    def test_arbitrary_bytes_raise_only_cluster_error(self, data):
+        framed = len(data).to_bytes(4, "big") + data
+        for decode, payload in (
+            (decode_message, data),
+            (FrameDecoder().feed, data),
+            (FrameDecoder().feed, framed),
+        ):
+            try:
+                decode(payload)
+            except ClusterError:
+                pass
+
+
 class TestValueTagging:
     def test_tuples_survive_json(self):
         schema = Schema.of(("answer", DataType.ANY))
@@ -83,6 +128,59 @@ class TestValueTagging:
         row = Row.unchecked(schema, (value,))
         (decoded,) = decode_rows(encode_rows([row]))
         assert decoded.values[0] == value
+
+
+def _reference_value(value):
+    if isinstance(value, tuple):
+        return {"__tuple__": [_reference_value(item) for item in value]}
+    if isinstance(value, list):
+        return [_reference_value(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _reference_value(item) for key, item in value.items()}
+    return value
+
+
+def _reference_encode_rows(rows):
+    """The row-wise encoder: one row at a time, every value tagged."""
+    schema, values = None, []
+    for row in rows:
+        if schema is None:
+            schema = row.schema
+        values.append([_reference_value(value) for value in row.values])
+    if schema is None:
+        return {"schema": [], "values": []}
+    return {"schema": encode_schema(schema), "values": values}
+
+
+#: Nested values for the tagged columns; keys stay shorter than "__tuple__".
+_NESTED = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+#: Every DataType JSON can carry (IMAGE cannot), and values it accepts.
+_COLUMN_VALUES = {
+    DataType.INTEGER: st.integers(),
+    DataType.FLOAT: st.floats(allow_nan=False),
+    DataType.STRING: st.text(max_size=6),
+    DataType.BOOLEAN: st.booleans(),
+    DataType.TUPLE: st.lists(_NESTED, max_size=3).map(tuple),
+    DataType.ANSWER_LIST: st.lists(_NESTED, max_size=3),
+    DataType.ANY: _NESTED,
+}
+
+
+@st.composite
+def _result_views(draw):
+    """A results-table view: any JSON-safe columns (or none), NULLs, any window."""
+    types = draw(st.lists(st.sampled_from(list(_COLUMN_VALUES)), max_size=5))
+    table = Table("results", Schema.of(*((f"c{i}", kind) for i, kind in enumerate(types))))
+    cells = [st.none() | _COLUMN_VALUES[kind] for kind in types]
+    table.insert_many(draw(st.lists(st.tuples(*cells), max_size=8)))
+    view = table.rows(draw(st.integers(min_value=-1, max_value=len(table))))
+    return view[:: draw(st.integers(min_value=1, max_value=3))]
 
 
 class TestSchemaAndRows:
@@ -129,6 +227,16 @@ class TestSchemaAndRows:
         )
         assert encode_message(encode_rows(table.rows())) == many
         assert encode_message(encode_rows(iter(table.rows()))) == many
+
+    @settings(max_examples=150, deadline=None)
+    @given(_result_views())
+    def test_column_wise_encoding_matches_the_row_wise_reference(self, view):
+        wire = encode_message(encode_rows(view))
+        assert wire == encode_message(_reference_encode_rows(view))
+        received = decode_rows(decode_message(wire))
+        assert received == view  # exact round trip
+        # What the server does with a shard's reply: forward it unchanged.
+        assert encode_message(encode_rows(received)) == wire
 
     def test_schema_round_trip_preserves_types_and_nullability(self):
         engine = build_products_engine(n_products=2, seed=7).engine

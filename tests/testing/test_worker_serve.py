@@ -10,7 +10,7 @@ blocks, which in a single thread means "skip ahead to the next message".
 
 from repro.cluster import EngineSpec, ShardWorker
 from repro.cluster import worker as worker_module
-from repro.cluster.serialization import encode_query
+from repro.cluster.serialization import decode_message, encode_message, encode_query
 from repro.crowd.wallclock import WallClock
 from repro.errors import ClusterError
 from repro.experiments import build_products_engine
@@ -70,6 +70,13 @@ class ScriptedTransport:
 
     def close(self) -> None:
         pass
+
+
+class WireTransport(ScriptedTransport):
+    """Replies cross JSON on their way to the peer, as they do on the pipe."""
+
+    def send(self, reply: dict) -> None:
+        super().send(decode_message(encode_message(reply)))
 
 
 def serve(peer, worker: ShardWorker | None = None) -> tuple[ShardWorker, ScriptedTransport]:
@@ -249,6 +256,30 @@ class TestLive:
         # A closed pipe reads as "message waiting", so the worker meets the
         # failing recv() after one owed pass instead of finishing an orphan.
         assert passes(worker) == 1 and worker.engine.scheduler.has_work()
+
+
+def test_result_json_cannot_carry_is_an_error_reply_and_the_worker_keeps_serving():
+    """An IMAGE column in a ``results`` reply must not kill the shard."""
+    worker = ShardWorker(
+        EngineSpec(
+            "repro.experiments.harness:build_celebrity_engine",
+            {"n_celebrities": 3, "n_spotted": 3},
+        )
+    )
+    sql = "SELECT name, image FROM celebrities"
+
+    def peer(worker):
+        yield {"op": "submit", "query": encode_query(sql, query_id="cq1")}
+        yield {"op": "drain"}
+        failed = yield {"op": "results", "query_id": "cq1"}
+        assert not failed["ok"] and failed["error_type"] == "ClusterError"
+        assert "image" in failed["error"] and "SyntheticImage" in failed["error"]
+        assert (yield status(1))["status"] == "completed"
+        assert (yield {"op": "shutdown"})["bye"] is True
+
+    transport = WireTransport(peer(worker))
+    worker.serve(transport)
+    assert transport.served == ["submit", "drain", "results", "status", "shutdown"]
 
 
 class FakeTime:
