@@ -66,8 +66,8 @@ def run_async_experiment():
     return rows, streaming
 
 
-def test_e10_async_pipeline(once):
-    rows, streaming = once(run_async_experiment)
+def test_e10_async_pipeline():
+    rows, streaming = run_async_experiment()
     print_table(
         "E10: asynchronous execution — query latency vs serial HIT latency",
         ["query", "hits", "mean_hit_latency_s", "query_latency_s", "serial_sum_s",

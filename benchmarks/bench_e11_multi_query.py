@@ -36,8 +36,8 @@ def run_multi_query_experiment():
     return rows
 
 
-def test_e11_multi_query(once):
-    rows = once(run_multi_query_experiment)
+def test_e11_multi_query():
+    rows = run_multi_query_experiment()
     print_table(
         "E11: 1 vs 8 concurrent queries on one marketplace (crowd filter, 12 products)",
         ["queries", "hits", "shared_hits", "hits_per_query", "makespan_min", "cost_usd", "clock_advances"],

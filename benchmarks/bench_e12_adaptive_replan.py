@@ -84,8 +84,8 @@ def run_adaptive_replan():
     return rows
 
 
-def test_e12_adaptive_replan(once):
-    rows = once(run_adaptive_replan)
+def test_e12_adaptive_replan():
+    rows = run_adaptive_replan()
     print_table(
         "E12: mid-query re-planning under a misestimated filter selectivity",
         ["mode", "results", "hits", "cost_usd", "rank_correlation", "plan_changes"],

@@ -1,25 +1,20 @@
 """E13 — engine overhead on a crowd-free data plane.
 
 The crowd benchmarks (E1–E12) are dominated by simulated HIT latency and
-cost; this one measures the *engine itself*.  A 100k-row, fully local
+cost; this one exercises the *engine itself*.  A 100k-row, fully local
 scan → filter → hash-join → sort → group-by pipeline runs with no crowd
-operator anywhere, so wall time is pure Python data-plane overhead: row
-construction, schema name resolution, queue draining, and scheduler passes.
+operator anywhere, so the work is the Python data plane alone: columnar
+batches, expression evaluation, queue draining and scheduler passes.
 Both variants are driven by the engine scheduler, the only driver there is:
 the single query through ``submit`` + ``wait``, and a 16-query concurrent
-variant of the same pipeline shape that captures per-pass dispatch overhead
-on a busy engine.
+variant of the same pipeline shape on a busy engine.
 
-Reported as rows/sec; ``baseline`` fields carry the pre-vectorization
-numbers (measured on this benchmark before the batched data plane landed)
-and ``pr3`` fields carry the batched-but-row-exchanging numbers recorded by
-the PR 3 sweep, so ``BENCH_SUMMARY.json`` shows the whole tier ladder:
-row-at-a-time → batched drain → columnar execution.
+Reported: rows in, groups out and scheduler passes.  The wall-clock cost of
+the data plane is measured by the end-to-end benchmark's ``analytic_local``
+workload (``benchmarks/e2e``).
 """
 
 from __future__ import annotations
-
-import time
 
 from repro.core.exec.context import ExecutionContext, QueryConfig
 from repro.core.exec.executor import QueryExecutor
@@ -35,22 +30,6 @@ from repro.engine import QurkEngine
 from repro.experiments import print_table
 from repro.storage.expressions import Arithmetic, ColumnRef, Comparison, Literal
 from repro.storage.types import DataType
-
-#: Pre-PR numbers for the same pipelines, measured on the row-at-a-time data
-#: plane immediately before the vectorized one replaced it (commit 06efce8,
-#: same machine as the recorded "after" run in BENCH_SUMMARY.json).
-PRE_PR_BASELINE = {
-    "pipeline_100k": {"rows_per_sec": 36_950, "wall_seconds": 2.706},
-    "concurrent_16q": {"rows_per_sec": 56_851, "wall_seconds": 5.629},
-}
-
-#: The numbers the PR 3 sweep recorded in BENCH_SUMMARY.json for the batched
-#: (but still row-exchanging) data plane — the baseline the columnar tier is
-#: gated against (the columnar PR's acceptance bar is ≥5x these).
-PR3_BATCHED_BASELINE = {
-    "pipeline_100k": {"rows_per_sec": 274_291, "wall_seconds": 0.365},
-    "concurrent_16q": {"rows_per_sec": 423_960, "wall_seconds": 0.755},
-}
 
 N_CATEGORIES = 100
 
@@ -122,34 +101,21 @@ def _build_pipeline(engine: QurkEngine, query_id: str, *, join: bool = True) -> 
 
 
 def run_engine_overhead_experiment(n_rows: int = 100_000) -> list[dict]:
-    """The single-query 100k-row pipeline: rows/sec through five operators."""
+    """The single-query 100k-row pipeline through five operators."""
     engine = _build_engine(n_rows)
     handle = engine.scheduler.submit(_build_pipeline(engine, "bench-e13"))
-    started = time.perf_counter()
     handle.wait()
-    wall = time.perf_counter() - started
     results = handle.results_table
     expected_groups = min(N_CATEGORIES, n_rows)
     if len(results) != expected_groups:
         raise AssertionError(f"expected {expected_groups} groups, got {len(results)}")
-    baseline = PRE_PR_BASELINE["pipeline_100k"]
-    pr3 = PR3_BATCHED_BASELINE["pipeline_100k"]
-    row = {
-        "rows": n_rows,
-        "wall_seconds": round(wall, 3),
-        "rows_per_sec": round(n_rows / wall),
-        "executor_passes": handle.executor.metrics.passes,
-        "groups_out": len(results),
-        "baseline_rows_per_sec": baseline["rows_per_sec"],
-        "speedup_vs_baseline": (
-            round((n_rows / wall) / baseline["rows_per_sec"], 2)
-            if baseline["rows_per_sec"]
-            else None
-        ),
-        "pr3_rows_per_sec": pr3["rows_per_sec"],
-        "speedup_vs_pr3": round((n_rows / wall) / pr3["rows_per_sec"], 2),
-    }
-    return [row]
+    return [
+        {
+            "rows": n_rows,
+            "executor_passes": handle.executor.metrics.passes,
+            "groups_out": len(results),
+        }
+    ]
 
 
 def run_concurrent_overhead_experiment(n_queries: int = 16, n_rows: int = 20_000) -> list[dict]:
@@ -160,61 +126,25 @@ def run_concurrent_overhead_experiment(n_queries: int = 16, n_rows: int = 20_000
         scheduler.submit(_build_pipeline(engine, f"bench-e13-q{q}", join=False))
         for q in range(n_queries)
     ]
-    started = time.perf_counter()
     while scheduler.step():
         pass
-    wall = time.perf_counter() - started
     if not all(handle.is_complete for handle in handles):
         raise AssertionError("not every concurrent query completed")
-    total_rows = n_queries * n_rows
-    baseline = PRE_PR_BASELINE["concurrent_16q"]
-    pr3 = PR3_BATCHED_BASELINE["concurrent_16q"]
-    row = {
-        "queries": n_queries,
-        "rows_per_query": n_rows,
-        "total_rows": total_rows,
-        "wall_seconds": round(wall, 3),
-        "rows_per_sec": round(total_rows / wall),
-        "scheduler_passes": scheduler.metrics.passes,
-        "baseline_rows_per_sec": baseline["rows_per_sec"],
-        "speedup_vs_baseline": (
-            round((total_rows / wall) / baseline["rows_per_sec"], 2)
-            if baseline["rows_per_sec"]
-            else None
-        ),
-        "pr3_rows_per_sec": pr3["rows_per_sec"],
-        "speedup_vs_pr3": round((total_rows / wall) / pr3["rows_per_sec"], 2),
-    }
-    return [row]
+    return [
+        {
+            "queries": n_queries,
+            "rows_per_query": n_rows,
+            "total_rows": n_queries * n_rows,
+            "scheduler_passes": scheduler.metrics.passes,
+        }
+    ]
 
 
-# -- pytest entry points (the CI wall-clock regression gate) ------------------
-
-#: Wall-clock budgets for the columnar tier, run at the *recorded* benchmark
-#: sizes so the gates guard the new level: both sit well below the PR 3
-#: batched-plane walls (0.365s / 0.755s) with ~5x headroom over the columnar
-#: walls (~0.06s each).  Tripping one means the engine fell off the columnar
-#: fast path — e.g. an operator silently falling back to per-row exchange.
-COLUMNAR_PIPELINE_GATE_SECONDS = 0.30
-COLUMNAR_CONCURRENT_GATE_SECONDS = 0.50
-
-
-def test_e13_engine_overhead_quick(once):
-    rows = once(run_engine_overhead_experiment)
+def test_e13_engine_overhead_quick():
+    rows = run_engine_overhead_experiment()
     print_table(
-        "E13: crowd-free scan→filter→join→sort→aggregate (columnar tier: 100k rows)",
-        ["rows", "wall_seconds", "rows_per_sec", "executor_passes", "groups_out"],
+        "E13: crowd-free scan→filter→join→sort→aggregate (100k rows)",
+        ["rows", "executor_passes", "groups_out"],
         rows,
     )
     assert rows[0]["groups_out"] == N_CATEGORIES
-    assert rows[0]["wall_seconds"] < COLUMNAR_PIPELINE_GATE_SECONDS
-
-
-def test_e13_concurrent_quick(once):
-    rows = once(run_concurrent_overhead_experiment)
-    print_table(
-        "E13: 16 concurrent local pipelines (columnar tier: 20k rows each)",
-        ["queries", "total_rows", "wall_seconds", "rows_per_sec", "scheduler_passes"],
-        rows,
-    )
-    assert rows[0]["wall_seconds"] < COLUMNAR_CONCURRENT_GATE_SECONDS

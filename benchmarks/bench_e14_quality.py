@@ -65,8 +65,8 @@ def run_quality_experiment():
     return rows
 
 
-def test_e14_quality(once):
-    rows = once(run_quality_experiment)
+def test_e14_quality():
+    rows = run_quality_experiment()
     print_table(
         "E14: quality control on a 35%-spammer marketplace (target redundancy 5)",
         [

@@ -55,8 +55,8 @@ def run_end_to_end():
     return rows, (handle1, results1, accuracy), (handle2, results2, score), dashboard_text
 
 
-def test_e1_end_to_end(once):
-    rows, q1, q2, dashboard_text = once(run_end_to_end)
+def test_e1_end_to_end():
+    rows, q1, q2, dashboard_text = run_end_to_end()
     print_table(
         "E1: end-to-end demo queries (Figure 1 stack)",
         ["query", "rows", "accuracy", "hits", "cost_usd", "minutes"],

@@ -38,8 +38,8 @@ def run_caching_experiment():
     return rows
 
 
-def test_e2_query1_caching(once):
-    rows = once(run_caching_experiment)
+def test_e2_query1_caching():
+    rows = run_caching_experiment()
     print_table(
         "E2: Query 1 with and without the Task Cache",
         ["companies", "cache", "first_cost", "rerun_cost", "rerun_cache_hits", "dollars_saved"],

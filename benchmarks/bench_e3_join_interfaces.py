@@ -42,8 +42,8 @@ def run_join_interfaces():
     return rows
 
 
-def test_e3_join_interfaces(once):
-    rows = once(run_join_interfaces)
+def test_e3_join_interfaces():
+    rows = run_join_interfaces()
     print_table(
         "E3: join interface comparison (cost / accuracy / latency)",
         ["table_size", "interface", "cross_product", "hits", "cost_usd", "precision", "recall", "minutes"],

@@ -53,8 +53,8 @@ def run_dashboard_experiment():
     return samples, rendered, handle, rerun
 
 
-def test_e4_dashboard_metrics(once):
-    samples, rendered, handle, rerun = once(run_dashboard_experiment)
+def test_e4_dashboard_metrics():
+    samples, rendered, handle, rerun = run_dashboard_experiment()
     print_table(
         "E4: dashboard samples while Query 1 runs (budget $5.00)",
         ["sim_time_s", "status", "results", "budget", "spent", "estimated_total",

@@ -38,8 +38,8 @@ def run_redundancy_experiment():
     return rows
 
 
-def test_e5_redundancy(once):
-    rows = once(run_redundancy_experiment)
+def test_e5_redundancy():
+    rows = run_redundancy_experiment()
     print_table(
         "E5: assignments per HIT vs filter accuracy and cost",
         ["population", "assignments", "precision", "recall", "cost_usd", "hits"],

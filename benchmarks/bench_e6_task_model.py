@@ -41,8 +41,8 @@ def run_task_model_experiment():
     return rows
 
 
-def test_e6_task_model(once):
-    rows = once(run_task_model_experiment)
+def test_e6_task_model():
+    rows = run_task_model_experiment()
     print_table(
         "E6: the learned Task Model replacing crowd workers over successive passes",
         ["pass", "crowd_tasks", "model_tasks", "cost_usd", "precision", "recall",

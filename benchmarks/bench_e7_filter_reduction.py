@@ -47,8 +47,8 @@ def run_filter_reduction():
     return rows
 
 
-def test_e7_filter_reduction(once):
-    rows = once(run_filter_reduction)
+def test_e7_filter_reduction():
+    rows = run_filter_reduction()
     print_table(
         "E7: machine pre-filtering before the crowd join",
         ["prefilter", "cross_product", "pairs_asked", "pairs_prefiltered", "hits",

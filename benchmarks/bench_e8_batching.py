@@ -33,8 +33,8 @@ def run_batching_experiment():
     return rows
 
 
-def test_e8_batching(once):
-    rows = once(run_batching_experiment)
+def test_e8_batching():
+    rows = run_batching_experiment()
     print_table(
         "E8: tasks per HIT vs cost, accuracy and latency (crowd filter, 40 products)",
         ["batch_size", "hits", "cost_usd", "precision", "recall", "minutes"],

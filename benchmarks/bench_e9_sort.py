@@ -34,8 +34,8 @@ def run_sort_experiment():
     return rows
 
 
-def test_e9_sort(once):
-    rows = once(run_sort_experiment)
+def test_e9_sort():
+    rows = run_sort_experiment()
     print_table(
         "E9: crowd ORDER BY — pairwise comparisons vs ratings",
         ["items", "strategy", "hits", "cost_usd", "rank_correlation", "minutes"],

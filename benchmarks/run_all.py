@@ -1,16 +1,19 @@
-"""Run every benchmark experiment and write a ``BENCH_*.json`` summary.
+"""Run the e1–e19 experiments and print their results as JSON on stdout.
 
 The ``bench_e*.py`` modules are pytest files, but each one keeps its workload
-in plain ``run_*`` functions; this driver imports those functions directly,
-times them, and writes the collected metric rows to ``BENCH_SUMMARY.json`` at
-the repository root so the performance trajectory of the engine is recorded
-per change, not just eyeballed from pytest output.
+in plain ``run_*`` functions; this driver imports those functions directly
+and prints what they return.  The experiments run on the simulated clock, so
+the output is a fingerprint: the same seed gives the same HITs, dollars and
+rows on every host.  Wall-clock performance is measured by the end-to-end
+benchmark (``benchmarks/e2e``), not here.
 
 Usage::
 
-    python benchmarks/run_all.py            # all benchmarks
+    python benchmarks/run_all.py            # all experiments
     python benchmarks/run_all.py e8 e11     # only the named experiments
-    python benchmarks/run_all.py --quick    # CI smoke subset (plan layer + caching)
+    python benchmarks/run_all.py --quick    # CI smoke subset at reduced sizes
+
+Progress goes to stderr.  The exit status is 1 when any experiment raised.
 """
 
 from __future__ import annotations
@@ -19,28 +22,22 @@ import importlib
 import inspect
 import json
 import sys
-import time
 from pathlib import Path
-
-try:  # POSIX-only stdlib module; absent on Windows
-    import resource
-except ImportError:  # pragma: no cover - POSIX CI/dev images always have it
-    resource = None  # type: ignore[assignment]
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_DIR = REPO_ROOT / "benchmarks"
-SUMMARY_PATH = REPO_ROOT / "BENCH_SUMMARY.json"
 
 sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(BENCH_DIR))
 
 #: The ``--quick`` smoke subset: one cheap end-to-end caching experiment, the
-#: adaptive re-planning experiment, the engine-overhead benchmark, the
-#: worker quality-control experiment, the control-plane scaling benchmark,
-#: the sharded scale-out curve, the traffic-replay amortization check and
-#: the overload-protection goodput gate, so plan-layer, data-plane,
-#: quality-control, control-plane, cluster-runtime, durability, answer-tier
-#: and overload regressions surface in CI without paying for the full sweep.
+#: adaptive re-planning experiment, the engine-overhead pipelines, the
+#: worker quality-control experiment, the control-plane scaling curve,
+#: the sharded scale-out curve, the durability experiments, the
+#: traffic-replay amortization check and the overload burst, so plan-layer,
+#: data-plane, quality-control, control-plane, cluster-runtime, durability,
+#: answer-tier and overload regressions surface in CI without paying for the
+#: full sweep.
 QUICK_SELECTORS = ("e2", "e12", "e13", "e14", "e15", "e16", "e17", "e18", "e19")
 
 #: Quick-mode size overrides for benchmarks whose full curve is minutes
@@ -54,8 +51,8 @@ QUICK_OVERRIDES = {
         "n_queries": 128,
         "tasks_per_query": 10,
     },
-    # Halved e15 sizes, as in the module's own quick pytest gate; the full
-    # 64x40 overhead sweep stays the default for `run_all.py e17`.
+    # Halved e15 sizes; the full 64x40 workload stays the default for
+    # `run_all.py e17`.
     "bench_e17_durability": {
         "n_queries": 32,
         "tasks_per_query": 20,
@@ -92,46 +89,6 @@ def discover(selectors: list[str]) -> list[Path]:
     return wanted
 
 
-def peak_rss_kb(who: str = "self") -> int | None:
-    """Peak RSS in KiB (``ru_maxrss``), or None off-POSIX.
-
-    ``who="self"`` is this process's high-water mark; ``who="children"`` is
-    the largest mark among *exited* child processes — which is how cluster
-    benchmarks' shard workers show up, since each worker's engine lives in
-    its own process and never inflates the driver's own RSS.
-
-    The kernel reports a high-water mark, so per-benchmark values are
-    monotone across a sweep: a benchmark's own footprint shows up as the
-    *increase* over the previous entry.  Recording the mark after each
-    module makes columnar-memory wins and regressions visible in the
-    summary trajectory.
-    """
-    if resource is None:
-        return None
-    which = resource.RUSAGE_CHILDREN if who == "children" else resource.RUSAGE_SELF
-    usage = resource.getrusage(which).ru_maxrss
-    # Linux reports KiB; macOS reports bytes.
-    return usage // 1024 if sys.platform == "darwin" else usage
-
-
-def shard_rss_kb(result) -> tuple[int, int] | None:
-    """``(sum, max)`` of per-shard worker RSS reported inside result rows.
-
-    Cluster benchmarks put each level's worker-fleet memory into
-    ``rss_sum_kb`` / ``rss_max_kb`` row fields (self-reported by every
-    worker before it exits).  Aggregating them here — sum of the largest
-    level's fleet, max of any single worker — gives the summary a real
-    cluster memory figure; ``RUSAGE_CHILDREN`` alone only sees the single
-    biggest child.
-    """
-    rows = result if isinstance(result, list) else [result]
-    sums = [row["rss_sum_kb"] for row in rows if isinstance(row, dict) and "rss_sum_kb" in row]
-    maxes = [row["rss_max_kb"] for row in rows if isinstance(row, dict) and "rss_max_kb" in row]
-    if not sums and not maxes:
-        return None
-    return max(sums, default=0), max(maxes, default=0)
-
-
 def run_module(path: Path, overrides: dict | None = None) -> dict:
     module = importlib.import_module(path.stem)
     runners = {
@@ -139,11 +96,7 @@ def run_module(path: Path, overrides: dict | None = None) -> dict:
         for name, fn in vars(module).items()
         if name.startswith("run_") and callable(fn)
     }
-    entry: dict = {
-        "status": "ok",
-        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "experiments": {},
-    }
+    entry: dict = {"status": "ok", "experiments": {}}
     if overrides:
         entry["overrides"] = dict(overrides)
     for name, fn in sorted(runners.items()):
@@ -151,27 +104,16 @@ def run_module(path: Path, overrides: dict | None = None) -> dict:
         if overrides:
             accepted = inspect.signature(fn).parameters
             kwargs = {key: value for key, value in overrides.items() if key in accepted}
-        started = time.perf_counter()
         try:
             result = fn(**kwargs)
         except Exception as error:  # keep the sweep going; record the failure
             entry["status"] = "error"
             entry["experiments"][name] = {"error": f"{type(error).__name__}: {error}"}
             continue
-        experiment = {
-            "wall_seconds": round(time.perf_counter() - started, 3),
-            "peak_rss_kb": peak_rss_kb(),
-            "results": result,
-        }
-        shard_rss = shard_rss_kb(result)
-        if shard_rss is not None:
-            experiment["shard_rss_sum_kb"], experiment["shard_rss_max_kb"] = shard_rss
-        entry["experiments"][name] = experiment
+        entry["experiments"][name] = {"results": result}
     if not runners:
         entry["status"] = "skipped"
         entry["reason"] = "no run_* functions found"
-    entry["peak_rss_kb"] = peak_rss_kb()
-    entry["children_peak_rss_kb"] = peak_rss_kb("children")
     return entry
 
 
@@ -183,35 +125,17 @@ def main(argv: list[str]) -> int:
     if not modules:
         print(f"no benchmarks match {argv!r}", file=sys.stderr)
         return 2
-    started = time.perf_counter()
-    # Subset runs merge into the existing summary instead of erasing the
-    # other benchmarks' recorded results — the summary tracks the whole
-    # suite's trajectory even when only a few experiments are re-run.
-    previous: dict = {}
-    if SUMMARY_PATH.exists():
-        try:
-            previous = json.loads(SUMMARY_PATH.read_text()).get("benchmarks", {})
-        except (json.JSONDecodeError, OSError):
-            previous = {}
-    # ``ran`` and the per-entry ``recorded_at`` stamps make clear which
-    # entries this invocation refreshed; ``total_wall_seconds`` covers only
-    # the modules run this time.
-    summary = {
-        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "ran": [path.stem for path in modules],
-        "benchmarks": dict(previous),
-    }
+    summary: dict = {"ran": [path.stem for path in modules], "benchmarks": {}}
     failures = 0
     for path in modules:
-        print(f"running {path.stem} ...", flush=True)
+        print(f"running {path.stem} ...", file=sys.stderr, flush=True)
         overrides = QUICK_OVERRIDES.get(path.stem) if quick else None
         entry = run_module(path, overrides)
         summary["benchmarks"][path.stem] = entry
         if entry["status"] == "error":
             failures += 1
-    summary["total_wall_seconds"] = round(time.perf_counter() - started, 3)
-    SUMMARY_PATH.write_text(json.dumps(summary, indent=2, default=str) + "\n")
-    print(f"wrote {SUMMARY_PATH} ({len(modules)} benchmark module(s), {failures} failure(s))")
+    print(json.dumps(summary, indent=2, default=str))
+    print(f"{len(modules)} benchmark module(s), {failures} failure(s)", file=sys.stderr)
     return 1 if failures else 0
 
 

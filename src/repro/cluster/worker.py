@@ -17,8 +17,7 @@ handle and the submission payload it came from; every op that lists
 queries reads it in submission order.
 
 :class:`ShardWorker` is deliberately usable in-process: ``handle(message)``
-is a pure dict→dict dispatch, which is what ``python -m repro.profile``
-uses to profile a single named shard, and what the determinism tests use to
+is a pure dict→dict dispatch, which is what the determinism tests use to
 compare a 1-shard cluster against an in-process engine without forking.
 :meth:`ShardWorker.serve` is the recv → handle → send loop around it, and
 :func:`worker_main` runs that loop over the pipe in each child process.

@@ -112,6 +112,9 @@ class QueryHandle:
     def __len__(self) -> int:
         return len(self.results_table)
 
+    def __repr__(self) -> str:
+        return f"<QueryHandle {self.query_id} {self.status.value}>"
+
     # -- driving execution -----------------------------------------------------------------
 
     def step(self) -> bool:

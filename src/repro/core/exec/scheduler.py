@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -65,7 +66,17 @@ from repro.storage.table import RowsView
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.core.optimizer.adaptive import AdaptiveReplanner
 
-__all__ = ["SchedulerEvent", "SchedulerMetrics", "EngineScheduler"]
+__all__ = ["SchedulerEvent", "SchedulerMetrics", "EngineScheduler", "check_priority"]
+
+
+def check_priority(priority: float) -> None:
+    """Refuse a priority the pass loop cannot weight: it must be finite and > 0.
+
+    NaN slips past ``priority <= 0`` and +inf past any sign test; either would
+    only fail later, inside a scheduling pass, as ``ValueError``/``OverflowError``.
+    """
+    if not (priority > 0 and math.isfinite(priority)):
+        raise ExecutionError(f"query priority must be positive and finite, got {priority}")
 
 
 @dataclass(frozen=True)
@@ -219,8 +230,7 @@ class EngineScheduler:
         ``shed`` policy, the lowest-priority waiting query is evicted to
         make room when the newcomer outranks it.
         """
-        if priority <= 0:
-            raise ExecutionError(f"query priority must be positive, got {priority}")
+        check_priority(priority)
         record = _ScheduledQuery(handle=handle, priority=priority)
         # Stub executors (tests, tooling) may not carry an execution context;
         # they simply cannot opt into deadlines or pressure shedding.

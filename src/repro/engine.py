@@ -37,7 +37,7 @@ from pathlib import Path
 from repro.core.exec.context import ExecutionContext, QueryConfig
 from repro.core.exec.executor import QueryExecutor
 from repro.core.exec.handle import QueryHandle
-from repro.core.exec.scheduler import EngineScheduler
+from repro.core.exec.scheduler import EngineScheduler, check_priority
 from repro.core.lang.ast import SelectStatement
 from repro.core.lang.sql_parser import parse_select
 from repro.core.lang.task_parser import parse_task
@@ -329,6 +329,9 @@ class QurkEngine:
         query on this marketplace; ``priority`` weights this query's share of
         scheduler passes.
         """
+        # Before any side effect: a refused priority consumes no query id and
+        # leaves no record in the WAL for recovery to trip over.
+        check_priority(priority)
         if self.journal is not None:
             # Replay re-submits the logged SQL text; anything that cannot
             # travel through the log verbatim would make recovery diverge.

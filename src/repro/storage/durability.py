@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.errors import RecoveryError
+from repro.errors import EngineOverloadedError, RecoveryError
 from repro.storage.snapshot import load_latest_snapshot
 from repro.storage.wal import WALRecord, WriteAheadLog
 
@@ -348,18 +348,23 @@ def recover_engine(
                     continue
                 if record.type == "query_submitted":
                     data = record.data
-                    handle = engine.query(
-                        data["sql"],
-                        budget=data.get("budget"),
-                        priority=data.get("priority", 1.0),
-                    )
-                    if handle.query_id != data["query_id"]:
+                    try:
+                        query_id = engine.query(
+                            data["sql"],
+                            budget=data.get("budget"),
+                            priority=data.get("priority", 1.0),
+                        ).query_id
+                    except EngineOverloadedError as refused:
+                        # The logged submission overflowed the admission queue
+                        # the same way: its SHED outcome is what happened.
+                        query_id = refused.query_id
+                    if query_id != data["query_id"]:
                         raise RecoveryError(
-                            f"replay produced query id {handle.query_id!r} where the log "
+                            f"replay produced query id {query_id!r} where the log "
                             f"recorded {data['query_id']!r}; the engine recipe is not the "
                             "one that wrote this WAL"
                         )
-                    replayed.append(handle.query_id)
+                    replayed.append(query_id)
                 elif record.type == "drain":
                     # Reproduce the original drain grouping: a drain that had
                     # started when the process died is re-run to completion,

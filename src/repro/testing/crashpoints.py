@@ -29,7 +29,7 @@ from pathlib import Path
 from repro.crowd.faults import FaultProfile
 from repro.crowd.quality import QualityConfig
 from repro.crowd.worker_pool import PopulationMix
-from repro.errors import QurkError
+from repro.errors import EngineOverloadedError, QurkError
 from repro.experiments.harness import build_products_engine
 from repro.storage.durability import (
     DurabilityConfig,
@@ -290,11 +290,14 @@ def run_phases(engine, scenario: CrashScenario, *, limit: int | None = None, che
         for submission in phase:
             if limit is not None and submitted >= limit:
                 break
-            engine.query(
-                submission["sql"],
-                budget=submission.get("budget"),
-                priority=submission.get("priority", 1.0),
-            )
+            try:
+                engine.query(
+                    submission["sql"],
+                    budget=submission.get("budget"),
+                    priority=submission.get("priority", 1.0),
+                )
+            except EngineOverloadedError:
+                pass  # refused at admission: its query id and SHED outcome still count
             submitted += 1
         engine.scheduler.drain()
         engine.clock.run_until_idle()

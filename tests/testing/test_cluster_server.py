@@ -132,6 +132,23 @@ def test_server_forwards_result_rows_without_building_one(monkeypatch):
     assert built == []
 
 
+def test_non_finite_priority_is_refused_and_the_shard_keeps_serving():
+    """stdlib ``json`` parses ``NaN``; the shard refuses it before scheduling it."""
+
+    async def exercise() -> tuple[dict, dict]:
+        with ShardCoordinator(SPEC, 1, call_timeout=20) as cluster:
+            async with ClusterServer(cluster) as server:
+                ask = lambda message: request(server.host, server.port, message)  # noqa: E731
+                query_id = (await ask({"op": "submit", "sql": FILTER_SQL}))["query_id"]
+                refused = await ask({"op": "submit", "sql": FILTER_SQL, "priority": float("nan")})
+                await asyncio.sleep(0.1)  # live passes run between the two requests
+                return refused, await ask({"op": "status", "query_id": query_id})
+
+    refused, status = asyncio.run(asyncio.wait_for(exercise(), timeout=60))
+    assert not refused["ok"] and "priority" in refused["error"]
+    assert status["ok"] and status["error"] is None
+
+
 def test_batch_coordinator_sends_no_live_op():
     """Never set live, a coordinator puts exactly today's frames on the pipe."""
     with ShardCoordinator(SPEC, 1, call_timeout=20) as cluster:

@@ -8,12 +8,17 @@ into the log.  Determinism turns "recovery looks right" into "recovery is
 bit-exact".
 """
 
+import math
 import random
 
 import pytest
 
 from repro.engine import QurkEngine
+from repro.errors import QurkError
+from repro.storage.durability import DurabilityConfig
 from repro.testing.crashpoints import (
+    PRODUCTS_SQL,
+    CrashScenario,
     all_crash_scenarios,
     corrupt_tail,
     count_wal_events,
@@ -117,6 +122,51 @@ class TestCrashSmoke:
         assert result.truncated_bytes > 0
         n = recovered_query_count(result)
         assert recovered_fingerprint(result) == reference_fingerprint(scenario, n)
+
+
+class TestRefusedSubmissions:
+    """A submission refused at ``query()`` and what recovery makes of it.
+
+    CI's crash-matrix job runs this class with the fixed crash points.
+    """
+
+    @pytest.mark.parametrize("priority", [0.0, math.nan, math.inf])
+    def test_invalid_priority_leaves_no_record(self, priority, tmp_path):
+        scenario = plain_crash_scenario()
+        engine = scenario.build_engine()
+        engine.enable_durability(
+            DurabilityConfig(directory=str(tmp_path), fsync="always"),
+            spec=scenario.spec_payload(),
+        )
+        with pytest.raises(QurkError):
+            engine.query(PRODUCTS_SQL, priority=priority)
+        assert engine.query(PRODUCTS_SQL).query_id == "q1"  # no id was consumed
+        engine.scheduler.drain()
+        engine.clock.run_until_idle()
+        engine.journal.wal.simulate_crash()
+
+        result = QurkEngine.recover(tmp_path)
+        logged = [r.data["query_id"] for r in result.records if r.type == "query_submitted"]
+        assert logged == ["q1"]
+        assert recovered_fingerprint(result) == reference_fingerprint(scenario, 1)
+
+    def test_admission_refusal_replays_as_its_outcome(self, tmp_path):
+        """The second query overflows a zero-length admission queue; replay agrees."""
+        scenario = CrashScenario(
+            name="admission-refusal",
+            factory="repro.experiments.harness:build_products_engine",
+            kwargs={
+                "n_products": 12,
+                "seed": 13,
+                "engine_kwargs": {"max_concurrent_queries": 1, "admission_queue_limit": 0},
+            },
+            phases=(({"sql": PRODUCTS_SQL}, {"sql": PRODUCTS_SQL}),),
+        )
+        run_durable(scenario, tmp_path, fsync="always")
+        result = QurkEngine.recover(tmp_path)
+        assert result.replayed_query_ids == ["q1", "q2"]
+        assert recovered_fingerprint(result) == reference_fingerprint(scenario, 2)
+        assert result.engine.queries["q2"].status.value == "shed"
 
 
 class TestCorruptedTails:
