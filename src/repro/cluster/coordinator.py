@@ -602,13 +602,15 @@ class ShardCoordinator:
 
         Each entry is ``{"sql": ..., "budget"?, "priority"?, "config"?}``.
         Handles come back in submission order; per-shard admission order
-        matches submission order, so placement is reproducible.
+        matches submission order, so placement is reproducible.  A batch
+        with an entry a shard refuses (a statement it cannot plan, say) is
+        admitted nowhere: the :class:`ClusterError` names the entry, and no
+        cluster id is consumed.
         """
+        first = self._admitted
         placed: list[tuple[int, str, dict[str, Any]]] = []
-        for entry in queries:
-            query_id = f"cq{self._admitted + 1}"
-            shard_id = self.placement.shard_of(self._admitted, query_id)
-            self._admitted += 1
+        for position, entry in enumerate(queries):
+            query_id = f"cq{first + position + 1}"
             payload = encode_query(
                 entry["sql"],
                 query_id=query_id,
@@ -616,13 +618,31 @@ class ShardCoordinator:
                 priority=entry.get("priority", 1.0),
                 config=entry.get("config"),
             )
-            placed.append((shard_id, query_id, payload))
+            placed.append((self.placement.shard_of(first + position, query_id), query_id, payload))
 
-        by_shard: dict[int, list[dict[str, Any]]] = {}
-        for shard_id, _, payload in placed:
-            by_shard.setdefault(shard_id, []).append(payload)
-        for shard_id, payloads in by_shard.items():
-            self._call(shard_id, {"op": "submit_many", "queries": payloads})
+        by_shard: dict[int, list[int]] = {}
+        for position, (shard_id, _, _) in enumerate(placed):
+            by_shard.setdefault(shard_id, []).append(position)
+
+        def send(op: str) -> None:
+            for shard_id, positions in by_shard.items():
+                payloads = [placed[position][2] for position in positions]
+                refused = self._call(shard_id, {"op": op, "queries": payloads}).get("refused")
+                if refused is not None:
+                    # A shard admits nothing of a batch it refuses, and a
+                    # batch spread over several shards passed every shard's
+                    # check first: nothing of it was admitted anywhere.
+                    self._admitted = first
+                    position = positions[refused["entry"]]
+                    raise ClusterError(
+                        f"batch entry {position} refused by shard {shard_id}: {refused['error']}"
+                    )
+
+        if len(by_shard) > 1:
+            # Every shard checks its entries before any shard admits one.
+            send("check")
+        self._admitted = first + len(queries)
+        send("submit_many")
 
         handles = []
         for shard_id, query_id, _ in placed:

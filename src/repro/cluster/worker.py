@@ -168,8 +168,29 @@ class ShardWorker:
     def _op_ping(self, message: dict[str, Any]) -> dict[str, Any]:
         return reply_ok(shard=self.shard_id, pid=os.getpid())
 
-    def _submit_one(self, payload: dict[str, Any]) -> str:
-        submission = decode_query(payload)
+    def _refusal(self, submissions: list[dict[str, Any]]) -> dict[str, Any] | None:
+        """The first submission the engine would refuse, or None.
+
+        Returns ``{"entry": position, "error": text}``.  Checking comes
+        before any alias is journaled: a refused statement consumes no
+        engine id, so an alias written for it would name the next accepted
+        query.  Submissions this shard already holds are skipped (a retried
+        op acknowledges them).
+        """
+        for position, submission in enumerate(submissions):
+            if submission["query_id"] in self._queries:
+                continue
+            try:
+                self.engine.validate(
+                    submission["sql"],
+                    config=submission["config"],
+                    priority=submission["priority"],
+                )
+            except QurkError as error:
+                return {"entry": position, "error": f"{type(error).__name__}: {error}"}
+        return None
+
+    def _submit_one(self, submission: dict[str, Any], payload: dict[str, Any]) -> str:
         query_id = submission["query_id"]
         if query_id in self._queries:
             if self.durability is not None:
@@ -181,11 +202,12 @@ class ShardWorker:
         journal = getattr(self.engine, "journal", None)
         if journal is not None:
             # The alias is logged *before* the engine's own query_submitted
-            # record and names the engine id the submission is about to get.
-            # On recovery, an alias whose engine query is missing marks a
-            # submission that died in between — it is dropped, and the retry
-            # recreates the same id.  Durability is group-committed: the
-            # submit op fsyncs once before acking the batch (see
+            # record and names the engine id the submission is about to get
+            # (:meth:`_refusal` has already checked that the engine accepts
+            # it).  On recovery, an alias whose engine query is missing marks
+            # a submission that died in between — it is dropped, and the
+            # retry recreates the same id.  Durability is group-committed:
+            # the submit op fsyncs once before acking the batch (see
             # :meth:`_flush_journal`), so "acked to the coordinator" still
             # implies "on disk".
             journal.record(
@@ -218,14 +240,30 @@ class ShardWorker:
             journal.wal.flush()
 
     def _op_submit(self, message: dict[str, Any]) -> dict[str, Any]:
-        query_id = self._submit_one(message["query"])
-        self._flush_journal()
-        return reply_ok(query_id=query_id)
+        reply = self._op_submit_many({"queries": [message["query"]]})
+        if "refused" in reply:
+            return reply_error(reply["refused"]["error"])
+        return reply_ok(query_id=reply["query_ids"][0])
 
     def _op_submit_many(self, message: dict[str, Any]) -> dict[str, Any]:
-        accepted = [self._submit_one(payload) for payload in message["queries"]]
+        """Admit a batch whole, or refuse it whole.
+
+        A refusal is an ``ok`` reply carrying ``refused`` (see
+        :meth:`_refusal`), so the coordinator can name the batch entry.
+        """
+        payloads = message["queries"]
+        submissions = [decode_query(payload) for payload in payloads]
+        refused = self._refusal(submissions)
+        if refused is not None:
+            return reply_ok(refused=refused)
+        accepted = [self._submit_one(*pair) for pair in zip(submissions, payloads)]
         self._flush_journal()
         return reply_ok(query_ids=accepted)
+
+    def _op_check(self, message: dict[str, Any]) -> dict[str, Any]:
+        """:meth:`_op_submit_many`'s refusal, without admitting anything."""
+        submissions = [decode_query(payload) for payload in message["queries"]]
+        return reply_ok(refused=self._refusal(submissions))
 
     def _op_status(self, message: dict[str, Any]) -> dict[str, Any]:
         handle = self._handle_of(message["query_id"])

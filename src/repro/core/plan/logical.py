@@ -586,7 +586,7 @@ class LogicalPlan:
     the crowd filters whose placement the physical planner may move above the
     joins, the join predicates whose order and interface are enumerated, and
     the fixed upper chain (generates, sorts, grouping, limit, projection —
-    bottom-up).  :meth:`~repro.core.plan.physical.PhysicalPlanner.choose`
+    bottom-up).  :meth:`~repro.core.plan.physical.PhysicalPlanner.enumerate_trees`
     composes candidate trees out of these pieces.
     """
 

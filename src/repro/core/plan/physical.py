@@ -23,8 +23,9 @@ demo lets the audience explore:
   builds on; a base table with a hash index on its join key makes that
   build free (the operator probes straight through the index).
 
-Every candidate is costed through the optimizer's per-node logical costing
-and the cost-minimal candidate (dollars, then HITs, then tasks, then local
+Enumeration composes the candidate trees; :meth:`PhysicalPlanner.pick` then
+costs every one through the optimizer's per-node logical costing, and the
+cost-minimal candidate (dollars, then HITs, then tasks, then local
 machine work) is built into a tree of physical operators.  The chosen candidate's cardinality
 annotations are stamped onto the physical operators (``planned_input_rows``)
 so the adaptive replanner can later detect misestimation.
@@ -99,7 +100,22 @@ class PhysicalPlanner:
 
     def choose(self, plan: LogicalPlan) -> tuple[PhysicalCandidate, tuple[PhysicalCandidate, ...]]:
         """Enumerate and cost candidates; return (winner, all candidates)."""
-        candidates = self.enumerate_candidates(plan)
+        return self.pick(self.enumerate_trees(plan))
+
+    def pick(
+        self, trees: tuple[tuple[LogicalNode, tuple[str, ...]], ...]
+    ) -> tuple[PhysicalCandidate, tuple[PhysicalCandidate, ...]]:
+        """Cost composed trees against today's statistics; return (winner, all).
+
+        Costing annotates each tree in place, so a tree picked again (a plan
+        template's) carries the annotations of its latest pick.
+        """
+        candidates = tuple(
+            PhysicalCandidate(
+                root=root, cost=self.optimizer.estimate_logical_cost(root), decisions=decisions
+            )
+            for root, decisions in trees
+        )
         chosen = min(
             candidates,
             key=lambda c: (
@@ -109,10 +125,11 @@ class PhysicalPlanner:
                 c.cost.local_work,
             ),
         )
-        return chosen, tuple(candidates)
+        return chosen, candidates
 
-    def enumerate_candidates(self, plan: LogicalPlan) -> list[PhysicalCandidate]:
-        """All physical alternatives (capped at :attr:`MAX_CANDIDATES`), costed."""
+    def enumerate_trees(self, plan: LogicalPlan) -> tuple[tuple[LogicalNode, tuple[str, ...]], ...]:
+        """Every physical alternative (capped at :attr:`MAX_CANDIDATES`) as
+        ``(tree, decisions)``, composed but not costed."""
         join_orders = self._join_orders(plan)
         interface_axes = [self._join_interfaces(join) for join in plan.join_predicates]
         filter_bindings = sorted(plan.crowd_filters)
@@ -132,7 +149,7 @@ class PhysicalPlanner:
         combos = itertools.product(
             join_orders, *interface_axes, *placement_axes, *access_axes, *build_axes
         )
-        candidates: list[PhysicalCandidate] = []
+        trees: list[tuple[LogicalNode, tuple[str, ...]]] = []
         n_joins = len(plan.join_predicates)
         n_placements = len(placement_axes)
         n_accesses = len(access_bindings)
@@ -147,12 +164,12 @@ class PhysicalPlanner:
                 )
             )
             builds = list(combo[1 + n_joins + n_placements + n_accesses :])
-            root, decisions = self._compose(
-                plan, order, interfaces, placements, accesses, builds, decide_sorts=True
+            trees.append(
+                self._compose(
+                    plan, order, interfaces, placements, accesses, builds, decide_sorts=True
+                )
             )
-            cost = self.optimizer.estimate_logical_cost(root)
-            candidates.append(PhysicalCandidate(root=root, cost=cost, decisions=decisions))
-        return candidates
+        return tuple(trees)
 
     def default_tree(self, plan: LogicalPlan) -> LogicalNode:
         """The canonical undecided tree (declared join order, filters below).

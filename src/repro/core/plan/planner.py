@@ -23,8 +23,17 @@ orders, join interfaces, crowd-filter placements, access paths and local-join
 build sides, costs every candidate through the optimizer's per-node logical
 costing, and builds the cost-minimal tree of physical operators.
 
-A planner keeps no per-query state: the engine builds one and plans (and
-EXPLAINs) every query with it.
+**Plan templates.**  Lowering and enumeration depend only on the statement,
+the FROM tables (with their indexes) and the crowd UDFs its calls name, never
+on statistics.  A :class:`PlanTemplate` keeps their output — the logical plan
+and every candidate's composed tree and decision strings — in a
+:class:`TemplateSlot` the caller hands in, from the statement's second
+planning on; the engine keeps one slot beside each statement in its cache of
+parsed SQL texts.  A plan through a slot whose
+template still matches those inputs skips lowering and enumeration, but costs
+every candidate against today's statistics and builds fresh operators, so
+its choice, costs and EXPLAIN text are a miss's by construction.  Without a
+slot the planner keeps no state between plans.
 """
 
 from __future__ import annotations
@@ -42,6 +51,7 @@ from repro.core.plan.logical import (
     LogicalJoin,
     LogicalLimit,
     LogicalLocalJoin,
+    LogicalNode,
     LogicalPlan,
     LogicalProject,
     LogicalScan,
@@ -50,7 +60,7 @@ from repro.core.plan.logical import (
 )
 from repro.core.plan.physical import PhysicalCandidate, PhysicalPlanner
 from repro.core.plan.registry import RegisteredTask, TaskRegistry
-from repro.errors import PlanError
+from repro.errors import CatalogError, PlanError
 from repro.storage.database import Database
 from repro.storage.expressions import (
     BooleanOp,
@@ -65,7 +75,7 @@ from repro.storage.expressions import (
 )
 from repro.storage.schema import Schema
 
-__all__ = ["PlannedQuery", "QueryPlanner"]
+__all__ = ["PlanTemplate", "PlannedQuery", "QueryPlanner", "TemplateSlot"]
 
 
 @dataclass
@@ -74,7 +84,10 @@ class PlannedQuery:
 
     ``logical``, ``candidates`` and ``chosen`` expose the optimizer's work —
     the logical plan, every costed physical alternative, and the winner —
-    for ``EXPLAIN`` and the dashboard.
+    for ``EXPLAIN`` and the dashboard.  A plan made through a template shares
+    the template's logical plan and candidate trees: the next plan of the
+    same statement re-annotates those trees with its own estimates.  The
+    operator tree, the costs and the decisions are this plan's alone.
     """
 
     root: ResultSinkOperator
@@ -83,6 +96,36 @@ class PlannedQuery:
     logical: LogicalPlan | None = None
     candidates: tuple[PhysicalCandidate, ...] = ()
     chosen: PhysicalCandidate | None = None
+
+
+@dataclass(frozen=True)
+class PlanTemplate:
+    """What planning one statement computes regardless of statistics.
+
+    ``inputs`` is everything lowering and enumeration read besides the
+    statement (see :meth:`QueryPlanner.template`); ``called`` the function
+    names the statement calls, which ``inputs`` resolves.
+    """
+
+    inputs: tuple
+    called: tuple[str, ...]
+    logical: LogicalPlan
+    trees: tuple[tuple[LogicalNode, tuple[str, ...]], ...]
+
+
+class TemplateSlot:
+    """Where one statement's :class:`PlanTemplate` is kept between plans.
+
+    A template is kept from the statement's second planning on, so a text
+    planned only once (an ad-hoc threshold, say) leaves no template behind
+    (see :meth:`QueryPlanner.template` for the one exception).
+    """
+
+    __slots__ = ("template", "seen")
+
+    def __init__(self) -> None:
+        self.template: PlanTemplate | None = None
+        self.seen = False
 
 
 class QueryPlanner:
@@ -101,10 +144,20 @@ class QueryPlanner:
 
     # -- entry points -------------------------------------------------------------------
 
-    def plan(self, statement: SelectStatement, *, query_id: str = "") -> PlannedQuery:
-        """Plan a statement; the results table is created by the caller."""
-        logical = self.lower(statement)
-        chosen, candidates = self.physical.choose(logical)
+    def plan(
+        self,
+        statement: SelectStatement,
+        *,
+        query_id: str = "",
+        slot: TemplateSlot | None = None,
+    ) -> PlannedQuery:
+        """Plan a statement and create its results table.
+
+        With a ``slot``, lowering and enumeration come from its template
+        while that is valid (see :meth:`template`).
+        """
+        template = self.template(statement, slot)
+        chosen, candidates = self.physical.pick(template.trees)
         top = self.physical.build(chosen.root)
         results_table = self.database.create_results_table(
             top.output_schema, query_id=query_id or None
@@ -115,21 +168,22 @@ class QueryPlanner:
             root=sink,
             output_schema=top.output_schema,
             statement=statement,
-            logical=logical,
+            logical=template.logical,
             candidates=candidates,
             chosen=chosen,
         )
 
-    def explain(self, statement: SelectStatement) -> str:
+    def explain(self, statement: SelectStatement, *, slot: TemplateSlot | None = None) -> str:
         """Render the logical plan, every costed candidate and the winner.
 
         Side-effect free: no results table is created and no operator is
-        built, so EXPLAIN can be called on a live engine without cost.
+        built, so EXPLAIN can be called on a live engine without cost.  A
+        ``slot`` is used as :meth:`plan` uses it.
         """
-        logical = self.lower(statement)
-        default = self.physical.default_tree(logical)
+        template = self.template(statement, slot)
+        default = self.physical.default_tree(template.logical)
         self.optimizer.estimate_logical_cost(default)
-        chosen, candidates = self.physical.choose(logical)
+        chosen, candidates = self.physical.pick(template.trees)
         lines = [
             "== logical plan (cardinalities from current statistics) ==",
             render_tree(default),
@@ -145,6 +199,46 @@ class QueryPlanner:
         lines.append("== chosen physical plan ==")
         lines.append(render_tree(chosen.root))
         return "\n".join(lines)
+
+    def template(
+        self, statement: SelectStatement, slot: TemplateSlot | None = None, *, keep: bool = False
+    ) -> PlanTemplate:
+        """Lowering plus enumeration for ``statement``, reused from ``slot``.
+
+        The slot's template is reused only while its inputs are the ones
+        lowering and enumeration would read now: each FROM table (a drop and
+        re-create is another object) with its indexes (``create_index`` puts
+        a new one in place), and the registry entry each called name
+        resolves to (``define_task`` registers a new one).  Otherwise the
+        statement is lowered and enumerated afresh, and the slot keeps the
+        new template unless this is the statement's first planning and
+        ``keep`` is false (a caller about to plan the statement right away
+        passes ``keep=True``).  Raises what lowering and enumeration raise,
+        and then leaves the slot as it was.
+        """
+        template = slot.template if slot is not None else None
+        if template is None or template.inputs != self._inputs(statement, template.called):
+            logical = self.lower(statement)
+            trees = self.physical.enumerate_trees(logical)
+            called = _called_names(statement)
+            template = PlanTemplate(self._inputs(statement, called), called, logical, trees)
+            if slot is not None:
+                if keep or slot.seen:
+                    slot.template = template
+                slot.seen = True
+        return template
+
+    def _inputs(self, statement: SelectStatement, called: tuple[str, ...]) -> tuple | None:
+        """What lowering and enumeration read besides ``statement``, or None
+        when a FROM table is missing (lowering raises for it)."""
+        try:
+            tables = [self.database.table(ref.name) for ref in statement.from_tables]
+        except CatalogError:
+            return None
+        return (
+            *((table, table.indexes) for table in tables),
+            *(self.registry.lookup(name) for name in called),
+        )
 
     # -- phase 1: logical lowering ----------------------------------------------------------
 
@@ -439,6 +533,16 @@ class QueryPlanner:
 
 
 # -- helpers -------------------------------------------------------------------------------------------
+
+
+def _called_names(statement: SelectStatement) -> tuple[str, ...]:
+    """Every function name the statement calls, each once, lower-cased."""
+    expressions = [item.expression for item in statement.select_items]
+    expressions.extend(item.expression for item in statement.order_by)
+    if statement.where is not None:
+        expressions.append(statement.where)
+    names = (call.name.lower() for e in expressions for call in find_calls(e))
+    return tuple(dict.fromkeys(names))
 
 
 def _split_conjuncts(expression: Expression | None) -> list[Expression]:

@@ -46,7 +46,7 @@ from repro.core.optimizer.budget import BudgetLedger
 from repro.core.optimizer.cost_model import CostEstimate, CostModel
 from repro.core.optimizer.optimizer import QueryOptimizer
 from repro.core.optimizer.statistics import StatisticsManager
-from repro.core.plan.planner import QueryPlanner
+from repro.core.plan.planner import QueryPlanner, TemplateSlot
 from repro.core.plan.registry import RegisteredTask, TaskRegistry
 from repro.core.tasks.batching import BatchingPolicy
 from repro.core.tasks.hit_compiler import HITCompiler
@@ -84,18 +84,19 @@ from repro.workloads.oracles import CompositeOracle
 
 __all__ = ["QurkEngine"]
 
-#: How many parsed statements an engine keeps by SQL text, least recently
-#: used dropped first.  The cache pays only when the same text repeats, as
-#: in a dashboard's point lookups: the end-to-end benchmark's lookup_warm
-#: repeats 200 distinct texts, which fit with room to spare.  Texts that never
-#: repeat (ad-hoc thresholds, price windows) just pass through it.
+#: How many SQL texts an engine keeps parsed, each with its plan template,
+#: least recently used dropped first.  The cache pays only when the same text
+#: repeats, as in a dashboard's point lookups: the end-to-end benchmark's
+#: lookup_warm repeats 200 distinct texts, which fit with room to spare.
+#: Texts that never repeat (ad-hoc thresholds, price windows) just pass
+#: through it, and their templates leave with them.
 PARSED_STATEMENTS = 256
 
 
-def _parse(sql: str) -> SelectStatement:
+def _parse(sql: str) -> tuple[SelectStatement, TemplateSlot]:
     # ``parse_select`` is looked up per call, so a wrapper installed on this
     # module (the end-to-end benchmark's tracer) sees every cache miss.
-    return parse_select(sql)
+    return parse_select(sql), TemplateSlot()
 
 
 class QurkEngine:
@@ -234,6 +235,7 @@ class QurkEngine:
         self.planner = QueryPlanner(self.database, self.registry, self.optimizer)
         self.default_query_config = default_query_config or QueryConfig()
         # A ParseError propagates uncached: malformed text raises every time.
+        # The planner fills each text's TemplateSlot on its first plan.
         self._parsed = functools.lru_cache(maxsize=PARSED_STATEMENTS)(_parse)
         self.queries: dict[str, QueryHandle] = {}
         # Plain int (not itertools.count) so recovery can restore it from a
@@ -327,22 +329,11 @@ class QurkEngine:
         The query is registered with the engine scheduler, so driving any
         handle (``step``/``run_until``/``wait``) progresses every concurrent
         query on this marketplace; ``priority`` weights this query's share of
-        scheduler passes.
+        scheduler passes.  A refused submission (see :meth:`validate`) raises
+        before any side effect: it consumes no query id and leaves no WAL
+        record or budget entry.
         """
-        # Before any side effect: a refused priority consumes no query id and
-        # leaves no record in the WAL for recovery to trip over.
-        check_priority(priority)
-        if self.journal is not None:
-            # Replay re-submits the logged SQL text; anything that cannot
-            # travel through the log verbatim would make recovery diverge.
-            if not isinstance(sql, str):
-                raise QurkError("a durable engine requires SQL text, not a pre-parsed statement")
-            if config is not None:
-                raise QurkError(
-                    "a durable engine does not accept per-query config overrides; "
-                    "set default_query_config on the engine instead"
-                )
-        statement = self._statement(sql)
+        statement, slot = self._admissible(sql, config, priority)
         # Clone so per-query budget resolution never mutates the caller's (or
         # the engine's default) config, and new QueryConfig fields carry over.
         query_config = (config or self.default_query_config).clone()
@@ -351,8 +342,12 @@ class QurkEngine:
             effective_budget = query_config.budget
         query_config.budget = effective_budget
 
+        # Planned under the id the query is about to get, before any side
+        # effect: a statement that cannot be planned consumes no id and leaves
+        # no record for recovery to trip over.
+        query_id = f"q{self._next_query_seq + 1}"
+        planned = self.planner.plan(statement, query_id=query_id, slot=slot)
         self._next_query_seq += 1
-        query_id = f"q{self._next_query_seq}"
         if self.journal is not None:
             # Submissions are the replay source, but they group-commit: the
             # WAL's append ordering plus the forced-durable record at drain
@@ -369,7 +364,6 @@ class QurkEngine:
                 },
             )
         self.budget_ledger.register(query_id, effective_budget)
-        planned = self.planner.plan(statement, query_id=query_id)
         context = ExecutionContext(
             query_id=query_id,
             database=self.database,
@@ -410,15 +404,54 @@ class QurkEngine:
         physical candidate the enumerator costed, and the chosen plan.  No
         results table is created and no task is submitted.
         """
-        return self.planner.explain(self._statement(sql))
+        statement, slot = self._statement(sql)
+        return self.planner.explain(statement, slot=slot)
 
-    def _statement(self, sql: str | SelectStatement) -> SelectStatement:
-        """``sql`` parsed, through the engine's cache of parsed statements.
+    def validate(
+        self,
+        sql: str | SelectStatement,
+        *,
+        config: QueryConfig | None = None,
+        priority: float = 1.0,
+    ) -> None:
+        """Raise what :meth:`query` would refuse ``sql`` with; no side effect.
+
+        Makes query()'s own checks, through planning's lowering and
+        enumeration, and keeps their work in the statement's template for
+        the query() that follows.  A shard checks a whole batch this way
+        before it admits any of it.
+        """
+        statement, slot = self._admissible(sql, config, priority)
+        self.planner.template(statement, slot, keep=True)
+
+    def _admissible(
+        self, sql: str | SelectStatement, config: QueryConfig | None, priority: float
+    ) -> tuple[SelectStatement, TemplateSlot | None]:
+        """``sql`` parsed, once the checks that need no plan have passed."""
+        check_priority(priority)
+        if self.journal is not None:
+            # Replay re-submits the logged SQL text; anything that cannot
+            # travel through the log verbatim would make recovery diverge.
+            if not isinstance(sql, str):
+                raise QurkError("a durable engine requires SQL text, not a pre-parsed statement")
+            if config is not None:
+                raise QurkError(
+                    "a durable engine does not accept per-query config overrides; "
+                    "set default_query_config on the engine instead"
+                )
+        return self._statement(sql)
+
+    def _statement(
+        self, sql: str | SelectStatement
+    ) -> tuple[SelectStatement, TemplateSlot | None]:
+        """``sql`` parsed, with its plan-template slot, through the engine's
+        cache of parsed statements.
 
         Statements are immutable, so every query with the same text shares
-        one.  A pre-parsed statement is used as it is.
+        one, and its slot.  A pre-parsed statement is used as it is, with no
+        slot: it is planned afresh every time.
         """
-        return self._parsed(sql) if isinstance(sql, str) else sql
+        return self._parsed(sql) if isinstance(sql, str) else (sql, None)
 
     # -- durability --------------------------------------------------------------------------------
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Mapping
 
-from repro.storage.catalog import Catalog
+from repro.storage.catalog import RESULTS_TABLE_PREFIX, Catalog
 from repro.storage.row import Row
 from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
@@ -68,7 +68,7 @@ class Database:
         """Create a fresh results table for a query (Section 2: users poll it)."""
         self._results_counter += 1
         suffix = query_id or str(self._results_counter)
-        name = f"__results_{suffix}"
+        name = f"{RESULTS_TABLE_PREFIX}{suffix}"
         return self.catalog.create_table(name, schema, if_not_exists=False)
 
     def __repr__(self) -> str:

@@ -38,6 +38,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.errors import EngineOverloadedError, RecoveryError
+from repro.storage.catalog import RESULTS_TABLE_PREFIX
 from repro.storage.snapshot import load_latest_snapshot
 from repro.storage.wal import WALRecord, WriteAheadLog
 
@@ -152,7 +153,7 @@ def _base_table_counts(engine) -> dict[str, int]:
     """Row counts for base tables (results tables are per-query artefacts)."""
     counts: dict[str, int] = {}
     for name in engine.database.catalog.table_names():
-        if name.startswith("__results_"):
+        if name.startswith(RESULTS_TABLE_PREFIX):
             continue
         counts[name] = len(engine.database.table(name))
     return counts

@@ -360,6 +360,12 @@ class Table:
         """Names of columns that currently have an index."""
         return tuple(self._indexes)
 
+    @property
+    def indexes(self) -> tuple[HashIndex | SortedIndex, ...]:
+        """The index objects themselves; :meth:`create_index` puts a new one
+        in place, so a changed tuple means a changed set of access paths."""
+        return tuple(self._indexes.values())
+
     def distinct_count(self, column: str) -> int | None:
         """Distinct non-NULL values in ``column``, None for unhashable data.
 

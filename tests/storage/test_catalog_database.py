@@ -79,6 +79,15 @@ class TestDatabase:
         table = db.create_results_table(Schema.of("a"), query_id="q42")
         assert "q42" in table.name
 
+    def test_unknown_table_hint_lists_base_tables_only(self):
+        db = Database()
+        db.create_table("companies", ["name"])
+        for number in range(3):
+            db.create_results_table(Schema.of("a"), query_id=f"q{number}")
+        with pytest.raises(CatalogError) as excinfo:
+            db.table("missing")
+        assert str(excinfo.value) == "unknown table 'missing'; known tables: companies"
+
     def test_drop_table(self):
         db = Database()
         db.create_table("t", ["a"])

@@ -118,6 +118,17 @@ class TestDurableHeal:
             statuses = cluster.drain()
             assert statuses[more[0].query_id] == "completed"
 
+    def test_refused_submission_does_not_stop_a_heal(self, tmp_path):
+        """An unplannable statement leaves nothing in the WAL for the heal to replay."""
+        with ShardCoordinator(SPEC, 1, durability_root=tmp_path) as cluster:
+            with pytest.raises(ClusterError, match="unknown table 'missing'"):
+                cluster.submit("SELECT nope FROM missing")
+            # The next submit's group commit puts the shard's WAL on disk.
+            assert cluster.submit(FILTER_SQL).query_id == "cq1"
+            _kill_shard(cluster, 0)
+            assert cluster.drain() == {"cq1": "completed"}
+            assert cluster.heals == 1
+
 
 class TestLiveHeal:
     def test_killed_live_worker_heals_and_finishes_unpumped(self, tmp_path):

@@ -27,6 +27,8 @@ from repro.cluster import (
 from repro.cluster.serialization import encode_query
 from repro.errors import ClusterError
 from repro.experiments import build_products_engine
+from repro.storage.durability import DurabilityConfig
+from repro.storage.wal import WriteAheadLog
 from repro.testing.chaos import fingerprint_engine
 
 FILTER_SQL = "SELECT name FROM products WHERE isTargetColor(name)"
@@ -126,3 +128,52 @@ class TestPlacement:
                 return cluster.fingerprint()
 
         assert run() == run()
+
+
+class TestRefusedBatch:
+    """A batch holding an entry its shard cannot plan is admitted nowhere."""
+
+    BATCH = [{"sql": FILTER_SQL}, {"sql": "SELECT x FROM missing"}, {"sql": FILTER_SQL}]
+
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_refused_entry_admits_none_of_the_batch(self, n_shards):
+        with ShardCoordinator(SPEC, n_shards) as cluster:
+            with pytest.raises(ClusterError, match="batch entry 1 refused.*unknown table 'missing'"):
+                cluster.submit_many(self.BATCH)
+            handles = cluster.submit_many([{"sql": FILTER_SQL}] * 2)
+            assert [handle.query_id for handle in handles] == ["cq1", "cq2"]
+            cluster.drain()
+            fingerprints = cluster.fingerprint()
+        assert fingerprints == cluster_fingerprints(n_shards, 2)
+
+    def test_a_durable_shard_journals_aliases_for_accepted_statements_only(self, tmp_path):
+        durability = DurabilityConfig(directory=str(tmp_path), fsync="always")
+        worker = ShardWorker(SPEC, shard_id=0, durability=durability)
+        refused = worker.handle(
+            {
+                "op": "submit_many",
+                "queries": [
+                    encode_query(entry["sql"], query_id=f"cq{number}")
+                    for number, entry in enumerate(self.BATCH, 1)
+                ],
+            }
+        )
+        assert refused["refused"]["entry"] == 1
+        accepted = worker.handle(
+            {"op": "submit_many", "queries": [encode_query(FILTER_SQL, query_id="cq4")]}
+        )
+        assert accepted["query_ids"] == ["cq4"]
+        info, _ = WriteAheadLog.scan(durability.wal_path())
+        aliases = [
+            (record.data["cluster_id"], record.data["query_id"])
+            for record in info.records
+            if record.type == "cluster_alias"
+        ]
+        assert aliases == [("cq4", "q1")]
+        worker.engine.journal.close()
+
+        recovered = ShardWorker(SPEC, shard_id=0, durability=durability)
+        assert {cid: handle.query_id for cid, (handle, _) in recovered._queries.items()} == {
+            "cq4": "q1"
+        }
+        recovered.engine.journal.close()

@@ -150,6 +150,54 @@ class TestRefusedSubmissions:
         assert logged == ["q1"]
         assert recovered_fingerprint(result) == reference_fingerprint(scenario, 1)
 
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT nope FROM missing",
+            "SELECT name FROM products WHERE nope > 1",
+            "SELECT name FROM products WHERE unknownFn(name)",
+        ],
+    )
+    def test_unplannable_statement_leaves_no_trace(self, sql, tmp_path):
+        """Refused at planning: no id, no WAL record, no ledger entry, no table."""
+        scenario = plain_crash_scenario()
+        engine = scenario.build_engine()
+        engine.enable_durability(
+            DurabilityConfig(directory=str(tmp_path), fsync="always"),
+            spec=scenario.spec_payload(),
+        )
+        tables = engine.database.catalog.table_names()
+        with pytest.raises(QurkError):
+            engine.query(sql)
+        assert engine.database.catalog.table_names() == tables
+        assert engine.budget_ledger._budgets == {}
+        assert engine.query(PRODUCTS_SQL).query_id == "q1"  # no id was consumed
+        engine.scheduler.drain()
+        engine.clock.run_until_idle()
+        engine.journal.wal.simulate_crash()
+
+        result = QurkEngine.recover(tmp_path)
+        logged = [r.data["query_id"] for r in result.records if r.type == "query_submitted"]
+        assert logged == ["q1"]
+        assert recovered_fingerprint(result) == reference_fingerprint(scenario, 1)
+
+    def test_a_bad_select_column_still_runs_and_fails(self, tmp_path):
+        """Only planning refuses: a SELECT-list column is resolved when the query runs."""
+        scenario = plain_crash_scenario()
+        engine = scenario.build_engine()
+        engine.enable_durability(
+            DurabilityConfig(directory=str(tmp_path), fsync="always"),
+            spec=scenario.spec_payload(),
+        )
+        handle = engine.query("SELECT nope FROM products")
+        assert handle.query_id == "q1"
+        engine.scheduler.drain()
+        assert handle.status.value == "failed"
+        engine.journal.wal.simulate_crash()
+        result = QurkEngine.recover(tmp_path)
+        assert result.replayed_query_ids == ["q1"]
+        assert result.engine.queries["q1"].status.value == "failed"
+
     def test_admission_refusal_replays_as_its_outcome(self, tmp_path):
         """The second query overflows a zero-length admission queue; replay agrees."""
         scenario = CrashScenario(

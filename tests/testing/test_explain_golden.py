@@ -7,17 +7,22 @@ the paper's three workloads, a warm ``findCEO`` point lookup (the
 ``lookup_warm`` benchmark's query shape), a machine equi-join, an index scan and the
 adaptive scenarios (a misestimated sort swapped to ratings, a redundancy
 shift, a forced join-interface swap), and must stay byte-identical to
-``golden/explain.txt``.  Regenerate the file (only when the text is *meant*
-to change) with::
+``golden/explain.txt``.  The text is rendered twice: once with every EXPLAIN
+and plan a template miss, once with each a hit on the statement's plan
+template, and both renderings must equal the file.  Regenerate the file
+(only when the text is *meant* to change) with::
 
     PYTHONPATH=src python tests/testing/test_explain_golden.py
 """
 
 from pathlib import Path
 
+import pytest
+
 from repro.core.exec.context import QueryConfig
 from repro.core.lang.sql_parser import parse_select
 from repro.core.operators.crowd_join import CrowdJoinOperator, JoinStrategy
+from repro.core.plan.planner import TemplateSlot
 from repro.engine import QurkEngine
 from repro.experiments import (
     QUERY1_SQL,
@@ -59,13 +64,22 @@ MISESTIMATED_SQL = (
 )
 
 
-def explain(engine, sql: str) -> str:
-    """EXPLAIN text plus the decisions of the plan the engine would build."""
-    decisions = engine.planner.plan(parse_select(sql)).chosen.decisions
-    return (
-        f"-- explain: {sql}\n{engine.explain(sql)}\n"
-        f"-- decisions: {', '.join(decisions) or 'default'}"
-    )
+def explain(engine, sql: str, *, hit: bool = False) -> str:
+    """EXPLAIN text plus the decisions of the plan the engine would build.
+
+    ``hit=False`` plans a freshly parsed statement with no template slot;
+    ``hit=True`` uses the engine's own slot for the text, after
+    :meth:`~repro.engine.QurkEngine.validate` has put a template in it.
+    """
+    if hit:
+        engine.validate(sql)
+        statement, slot = engine._statement(sql)
+        assert slot.template is not None
+    else:
+        statement, slot = parse_select(sql), None
+    decisions = engine.planner.plan(statement, slot=slot).chosen.decisions
+    text = engine.explain(sql) if hit else engine.planner.explain(statement)
+    return f"-- explain: {sql}\n{text}\n-- decisions: {', '.join(decisions) or 'default'}"
 
 
 def ran(engine, handle) -> str:
@@ -88,39 +102,39 @@ def add_tags(engine, workload, n_tags: int) -> None:
     )
 
 
-def render_workloads() -> list[str]:
+def render_workloads(hit: bool) -> list[str]:
     parts = []
     run = build_companies_engine(n_companies=12)
     companies = run.engine
-    parts.append(explain(companies, QUERY1_SQL))
+    parts.append(explain(companies, QUERY1_SQL, hit=hit))
     parts.append(ran(companies, companies.query(QUERY1_SQL)))
-    parts.append(explain(companies, QUERY1_SQL))
+    parts.append(explain(companies, QUERY1_SQL, hit=hit))
     # The benchmark's warm point lookup: every findCEO answer is cached by now.
     lookup = LOOKUP_SQL.format(company=run.workload.records[3].name)
-    parts.append(explain(companies, lookup))
+    parts.append(explain(companies, lookup, hit=hit))
     parts.append(ran(companies, companies.query(lookup)))
-    parts.append(explain(companies, lookup))
+    parts.append(explain(companies, lookup, hit=hit))
 
     celebrities = build_celebrity_engine(n_celebrities=8, n_spotted=8).engine
-    parts.append(explain(celebrities, QUERY2_SQL))
+    parts.append(explain(celebrities, QUERY2_SQL, hit=hit))
     parts.append(ran(celebrities, celebrities.query(QUERY2_SQL)))
 
     products = build_products_engine(n_products=10).engine
-    parts.extend(explain(products, sql) for sql in PRODUCTS_QUERIES)
+    parts.extend(explain(products, sql, hit=hit) for sql in PRODUCTS_QUERIES)
     parts.append(ran(products, products.query(PRODUCTS_QUERIES[0])))
     parts.append(ran(products, products.query(PRODUCTS_QUERIES[3])))
-    parts.append(explain(products, PRODUCTS_QUERIES[0]))
+    parts.append(explain(products, PRODUCTS_QUERIES[0], hit=hit))
     return parts
 
 
-def render_local_join_and_index() -> list[str]:
+def render_local_join_and_index(hit: bool) -> list[str]:
     run = build_products_engine(n_products=40)
     engine = run.engine
     add_tags(engine, run.workload, 8)
     products = engine.database.table("products")
     products.create_index("category")
     products.create_index("price", kind="sorted")
-    parts = [explain(engine, sql) for sql in LOCAL_JOIN_QUERIES + INDEX_QUERIES]
+    parts = [explain(engine, sql, hit=hit) for sql in LOCAL_JOIN_QUERIES + INDEX_QUERIES]
     parts.append(ran(engine, engine.query(LOCAL_JOIN_QUERIES[0])))
     parts.append(ran(engine, engine.query(INDEX_QUERIES[0])))
     parts.append(ran(engine, engine.query(INDEX_QUERIES[1])))
@@ -151,11 +165,11 @@ def build_misestimated_engine() -> QurkEngine:
     return engine
 
 
-def render_adaptive() -> list[str]:
+def render_adaptive(hit: bool) -> list[str]:
     # The misestimated sort: the planner expects a tiny ORDER BY input and
     # the replanner swaps the comparison sort for ratings.
     engine = build_misestimated_engine()
-    parts = [explain(engine, MISESTIMATED_SQL)]
+    parts = [explain(engine, MISESTIMATED_SQL, hit=hit)]
     parts.append(ran(engine, engine.query(MISESTIMATED_SQL)))
 
     # A redundancy shift: observed agreement jumps after the first barrier.
@@ -191,13 +205,14 @@ def render_adaptive() -> list[str]:
     return parts
 
 
-def render() -> str:
-    parts = render_workloads() + render_local_join_and_index() + render_adaptive()
+def render(*, hit: bool = False) -> str:
+    parts = render_workloads(hit) + render_local_join_and_index(hit) + render_adaptive(hit)
     return "\n\n".join(parts) + "\n"
 
 
-def test_explain_and_plan_history_text_is_unchanged():
-    assert render() == (GOLDEN / "explain.txt").read_text()
+@pytest.mark.parametrize("hit", [False, True], ids=["template-miss", "template-hit"])
+def test_explain_and_plan_history_text_is_unchanged(hit):
+    assert render(hit=hit) == (GOLDEN / "explain.txt").read_text()
 
 
 if __name__ == "__main__":
