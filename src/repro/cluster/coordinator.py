@@ -33,7 +33,6 @@ a serving front end (:class:`~repro.cluster.server.ClusterServer`) turns on.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import time
 from dataclasses import dataclass, field
@@ -46,6 +45,7 @@ from repro.cluster.serialization import WireRows, decode_rows, encode_query
 from repro.cluster.worker import EngineSpec, worker_main
 from repro.core.exec.context import QueryConfig
 from repro.errors import ClusterError, QurkError, ShardCrashedError
+from repro.storage.codec import unpack
 from repro.storage.durability import DurabilityConfig
 
 __all__ = ["ClusterQueryHandle", "ClusterStats", "ShardCoordinator", "ShardHealth"]
@@ -271,7 +271,7 @@ class ShardCoordinator:
         # keep-first in shard order (deterministic), plus per-shard export
         # cursors and per-shard push positions into the directory.
         self._answer_directory: list[dict[str, Any]] = []
-        self._answer_keys: set[str] = set()
+        self._answer_keys: set[tuple[str, Any]] = set()
         self._cache_cursors: dict[int, int] = {}
         self._pushed: dict[int, int] = {}
         self.answers_pushed: int = 0
@@ -719,7 +719,7 @@ class ShardCoordinator:
             self._cache_cursors[shard_id] = reply["cursor"]
             for item in reply["entries"]:
                 pulled += 1
-                dedup = json.dumps([item["name"], item["key"]], sort_keys=True)
+                dedup = (item["name"], unpack(item["key"]))
                 if dedup in self._answer_keys:
                     continue
                 self._answer_keys.add(dedup)

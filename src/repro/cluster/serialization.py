@@ -9,20 +9,22 @@ socket front end (:mod:`repro.cluster.server`) share one codec, and a plain
 TCP transport can slot in without touching the protocol.
 
 JSON cannot represent every storage value directly (crowd answers include
-tuples and answer lists), so values are encoded with a small tagging scheme:
-tuples become ``{"__tuple__": [...]}`` recursively.
+tuples and answer lists), so values go through the one value codec,
+:mod:`repro.storage.codec`: tuples become ``{"__tuple__": [...]}`` and a
+dict with a non-``str`` key ``{"__dict__": [[key, value], ...]}``, so
+every value it accepts comes back exactly.
 
 Result rows are encoded once, on the shard.  :func:`encode_rows` reads a
 results table's :class:`~repro.storage.table.RowsView` column by column:
 INTEGER, FLOAT, STRING and BOOLEAN columns go out as they are and only the
-other columns are tagged, value by value, so no row is built.
+other columns are packed, value by value, so no row is built.
 :func:`decode_rows` returns a :class:`WireRows` view that keeps the payload
 it came from and builds a row (:meth:`Row.unchecked` against the decoded
 schema) only when one is read, which makes the round trip exact: a row
 encoded on a worker and read on the coordinator compares equal to the
 original.  :func:`encode_rows` of such a view returns its payload unchanged,
 so the TCP server forwards a shard's rows to its client without building a
-row or re-tagging a value.  A value JSON cannot carry (an IMAGE, say) is a
+row or re-packing a value.  A value JSON cannot carry (an IMAGE, say) is a
 :class:`ClusterError` naming its column and type, which the shard answers
 as an error reply instead of dying on the send.
 """
@@ -30,14 +32,14 @@ as an error reply instead of dying on the send.
 from __future__ import annotations
 
 import dataclasses
-import json
 import struct
 from collections.abc import Sequence
 from operator import eq
 from typing import Any, Iterable, Iterator
 
 from repro.core.exec.context import QueryConfig
-from repro.errors import ClusterError
+from repro.errors import ClusterError, CodecError
+from repro.storage.codec import dumps, loads, pack, unpack
 from repro.storage.row import Row
 from repro.storage.schema import Column, Schema
 from repro.storage.table import RowsView
@@ -72,17 +74,14 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 def encode_message(message: dict[str, Any]) -> bytes:
     """Serialize one protocol message to compact UTF-8 JSON."""
-    return json.dumps(message, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+    return dumps(message)
 
 
 def decode_message(payload: bytes) -> dict[str, Any]:
     """Parse one protocol message; raises :class:`ClusterError` on junk."""
     try:
-        message = json.loads(payload.decode("utf-8"))
-    except (ValueError, RecursionError) as error:
-        # ValueError: bad UTF-8, bad JSON, or an integer literal longer than
-        # the interpreter converts; RecursionError: a body nested deeper
-        # than the parser's stack.
+        message = loads(payload)
+    except CodecError as error:
         raise ClusterError(f"undecodable cluster message: {error}") from error
     if not isinstance(message, dict):
         raise ClusterError(f"cluster message must be an object, got {type(message).__name__}")
@@ -140,37 +139,6 @@ class FrameDecoder:
 
 #: Column types whose values JSON carries as they are: encoded untouched.
 _JSON_NATIVE = frozenset({DataType.INTEGER, DataType.FLOAT, DataType.STRING, DataType.BOOLEAN})
-#: Values JSON carries as they are (``bool`` is an ``int``).
-_JSON_SCALARS = (str, int, float, type(None))
-
-
-def _encode_value(value: Any) -> Any:
-    """``value`` made JSON-safe; ``TypeError`` for a value JSON cannot carry."""
-    if isinstance(value, _JSON_SCALARS):
-        return value
-    if isinstance(value, tuple):
-        return {"__tuple__": [_encode_value(item) for item in value]}
-    if isinstance(value, list):
-        return [_encode_value(item) for item in value]
-    if isinstance(value, dict):
-        return {_encode_key(key): _encode_value(item) for key, item in value.items()}
-    raise TypeError(type(value).__name__)
-
-
-def _encode_key(key: Any) -> Any:
-    if isinstance(key, _JSON_SCALARS):
-        return key
-    raise TypeError(f"{type(key).__name__} (as a dict key)")
-
-
-def _decode_value(value: Any) -> Any:
-    if isinstance(value, dict):
-        if "__tuple__" in value and len(value) == 1:
-            return tuple(_decode_value(item) for item in value["__tuple__"])
-        return {key: _decode_value(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_decode_value(item) for item in value]
-    return value
 
 
 def encode_schema(schema: Schema) -> list[list[Any]]:
@@ -191,16 +159,13 @@ def decode_schema(payload: Iterable[Iterable[Any]]) -> Schema:
 
 
 def _encode_column(column: Column, values: Sequence[Any]) -> Sequence[Any]:
-    """One column's values as JSON carries them, tagged unless native."""
+    """One column's values as JSON carries them, packed unless native."""
     if column.data_type in _JSON_NATIVE:
         return values
     try:
-        return [_encode_value(value) for value in values]
-    except TypeError as error:
-        raise ClusterError(
-            f"result column {column.name!r} holds a value of type {error}, "
-            "which JSON cannot carry"
-        ) from None
+        return [pack(value) for value in values]
+    except CodecError as error:
+        raise ClusterError(f"result column {column.name!r}: {error}") from None
 
 
 def encode_rows(rows: Iterable[Row]) -> dict[str, Any]:
@@ -249,7 +214,7 @@ class WireRows(Sequence):
         self._schema = decode_schema(payload["schema"]) if self._values else None
 
     def _row(self, values: list[Any]) -> Row:
-        return Row.unchecked(self._schema, tuple(map(_decode_value, values)))
+        return Row.unchecked(self._schema, tuple(map(unpack, values)))
 
     def __len__(self) -> int:
         return len(self._values)

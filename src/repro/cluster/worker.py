@@ -185,6 +185,7 @@ class ShardWorker:
                     submission["sql"],
                     config=submission["config"],
                     priority=submission["priority"],
+                    budget=submission["budget"],
                 )
             except QurkError as error:
                 return {"entry": position, "error": f"{type(error).__name__}: {error}"}
@@ -361,8 +362,9 @@ class ShardWorker:
     def _op_cache_export(self, message: dict[str, Any]) -> dict[str, Any]:
         """Ship cache stores made since the coordinator's cursor.
 
-        Entries arrive pack_value-encoded (JSON-safe), so the reply crosses
-        the pipe without any engine object leaking across the boundary.
+        Entries arrive as :meth:`CacheEntry.record` records packed by the
+        value codec, so the reply crosses the pipe without any engine object
+        leaking across the boundary.
         """
         cursor, entries = self.engine.task_cache.export_since(
             int(message.get("since", 0))

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Any, Hashable
 
-from repro.storage.snapshot import pack_value, unpack_value
+from repro.storage.codec import pack, unpack
 
 __all__ = ["CacheEntry", "CachePolicy", "CacheStats", "TaskCache"]
 
@@ -48,36 +48,35 @@ class CacheEntry:
     #: crowd answers, model confidence for escalated answers, 1.0 legacy).
     confidence: float = 1.0
 
-    def pack(self, name: str, cache_key: Hashable) -> dict:
-        """The entry as its one JSON-safe record.
+    def record(self, name: str, cache_key: Hashable) -> dict:
+        """The entry as its one record, before any encoding.
 
-        The same item is an ``answer_stored`` WAL record and snapshot entry
-        of the durable tier, a cross-shard export, and an engine-snapshot
-        entry.  Keys and reduced answers contain tuples (JOIN_BLOCK
-        reductions are lists of id pairs) that plain JSON would lower to
-        lists, breaking dict-key equality on restore, so both go through the
-        tagged :func:`~repro.storage.snapshot.pack_value` encoding — which
-        *raises* on anything it cannot round-trip.
+        The same record is an ``answer_stored`` WAL record and snapshot
+        entry of the durable tier, an engine-snapshot entry and, packed by
+        :func:`repro.storage.codec.pack`, a cross-shard export.  Keys and
+        reduced answers contain tuples (JOIN_BLOCK reductions are lists of
+        id pairs) that the codec round-trips exactly; each boundary packs
+        the record once, and the codec raises on anything it cannot carry.
         """
         return {
             "name": name,
-            "key": pack_value(cache_key),
-            "reduced": pack_value(self.reduced),
+            "key": cache_key,
+            "reduced": self.reduced,
             "original_cost": self.original_cost,
             "stored_at": self.stored_at,
             "confidence": self.confidence,
         }
 
     @classmethod
-    def unpack(cls, item: dict) -> tuple[tuple[str, Hashable], "CacheEntry"]:
-        """``((task name, cache key), entry)`` back from :meth:`pack`'s record."""
+    def from_record(cls, item: dict) -> tuple[tuple[str, Hashable], "CacheEntry"]:
+        """``((task name, cache key), entry)`` back from :meth:`record`'s output."""
         entry = cls(
-            reduced=unpack_value(item["reduced"]),
+            reduced=item["reduced"],
             original_cost=item["original_cost"],
             stored_at=item["stored_at"],
             confidence=item.get("confidence", 1.0),
         )
-        return (item["name"], unpack_value(item["key"])), entry
+        return (item["name"], item["key"]), entry
 
 
 @dataclass(frozen=True)
@@ -287,7 +286,7 @@ class TaskCache:
             # A key re-stored later appears at multiple log positions; every
             # occurrence exports the *current* entry, which is harmless (the
             # import side is idempotent and local entries win).
-            items.append(entry.pack(*key))
+            items.append(pack(entry.record(*key)))
         return len(log), items
 
     def import_entries(self, items: list[dict]) -> int:
@@ -301,7 +300,7 @@ class TaskCache:
             return 0
         imported = 0
         for item in items:
-            key, entry = CacheEntry.unpack(item)
+            key, entry = CacheEntry.from_record(unpack(item))
             if key in self._entries:
                 continue
             self._entries[key] = entry
@@ -317,15 +316,15 @@ class TaskCache:
     # -- durability -----------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """Entries (as :meth:`CacheEntry.pack` records) + counters."""
+        """Entries (as :meth:`CacheEntry.record` records) + counters."""
         return {
             "stats": asdict(self.stats),
-            "entries": [entry.pack(*key) for key, entry in self._entries.items()],
+            "entries": [entry.record(*key) for key, entry in self._entries.items()],
         }
 
     def load_state_dict(self, state: dict) -> None:
         self.stats = CacheStats(**state["stats"])
-        self._entries = dict(CacheEntry.unpack(item) for item in state["entries"])
+        self._entries = dict(map(CacheEntry.from_record, state["entries"]))
         # Restored entries are local again (insertion order approximates the
         # original store order; exact for snapshots without invalidations).
         self._store_log = list(self._entries)

@@ -1044,26 +1044,18 @@ class TaskManager:
         """
         from dataclasses import asdict
 
-        from repro.storage.snapshot import pack_rng_state
-
         if self.has_outstanding_work():
             raise TaskError("cannot snapshot the Task Manager with work outstanding")
         return {
             "stats": asdict(self.stats),
-            "quality_rng": (
-                pack_rng_state(self._quality_rng.getstate())
-                if self._quality_rng is not None
-                else None
-            ),
+            "quality_rng": None if self._quality_rng is None else self._quality_rng.getstate(),
         }
 
     def load_state_dict(self, state: dict) -> None:
-        from repro.storage.snapshot import unpack_rng_state
-
         self.stats = TaskManagerStats(**state["stats"])
         if state["quality_rng"] is not None:
             if self._quality_rng is None:
                 raise TaskError(
                     "snapshot has a quality stream but this engine has quality disabled"
                 )
-            self._quality_rng.setstate(unpack_rng_state(state["quality_rng"]))
+            self._quality_rng.setstate(state["quality_rng"])

@@ -424,21 +424,13 @@ class MTurkSimulator:
         """
         from dataclasses import asdict
 
-        from repro.storage.snapshot import pack_rng_state
-
         return {
             "stats": asdict(self.stats),
             "hit_seq": self._hit_seq,
-            "fault_rng": (
-                pack_rng_state(self._fault_rng.getstate())
-                if self._fault_rng is not None
-                else None
-            ),
+            "fault_rng": None if self._fault_rng is None else self._fault_rng.getstate(),
         }
 
     def load_state_dict(self, state: dict) -> None:
-        from repro.storage.snapshot import unpack_rng_state
-
         self.stats = PlatformStats(**state["stats"])
         self._hit_seq = int(state["hit_seq"])
         if state["fault_rng"] is not None:
@@ -446,7 +438,7 @@ class MTurkSimulator:
                 raise CrowdError(
                     "snapshot has a fault stream but this simulator has faults disabled"
                 )
-            self._fault_rng.setstate(unpack_rng_state(state["fault_rng"]))
+            self._fault_rng.setstate(state["fault_rng"])
 
     def __repr__(self) -> str:
         return (

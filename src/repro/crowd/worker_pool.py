@@ -214,15 +214,11 @@ class WorkerPool:
         spec.  What evolves during a run is the shared random stream and
         the assignment-id counter.
         """
-        from repro.storage.snapshot import pack_rng_state
-
         return {
-            "rng": pack_rng_state(self._rng.getstate()),
+            "rng": self._rng.getstate(),
             "assignment_counter": self._assignment_counter,
         }
 
     def load_state_dict(self, state: dict) -> None:
-        from repro.storage.snapshot import unpack_rng_state
-
-        self._rng.setstate(unpack_rng_state(state["rng"]))
+        self._rng.setstate(state["rng"])
         self._assignment_counter = int(state["assignment_counter"])

@@ -68,7 +68,7 @@ from repro.crowd.quality import (
     WorkerReputation,
 )
 from repro.crowd.worker_pool import PopulationMix, WorkerPool
-from repro.errors import QurkError, SnapshotError
+from repro.errors import ExecutionError, QurkError, SnapshotError
 from repro.storage.database import Database
 from repro.storage.durability import (
     DurabilityConfig,
@@ -333,13 +333,10 @@ class QurkEngine:
         before any side effect: it consumes no query id and leaves no WAL
         record or budget entry.
         """
-        statement, slot = self._admissible(sql, config, priority)
+        statement, slot, effective_budget = self._admissible(sql, config, priority, budget)
         # Clone so per-query budget resolution never mutates the caller's (or
         # the engine's default) config, and new QueryConfig fields carry over.
         query_config = (config or self.default_query_config).clone()
-        effective_budget = budget if budget is not None else statement.budget
-        if effective_budget is None:
-            effective_budget = query_config.budget
         query_config.budget = effective_budget
 
         # Planned under the id the query is about to get, before any side
@@ -413,6 +410,7 @@ class QurkEngine:
         *,
         config: QueryConfig | None = None,
         priority: float = 1.0,
+        budget: float | None = None,
     ) -> None:
         """Raise what :meth:`query` would refuse ``sql`` with; no side effect.
 
@@ -421,13 +419,24 @@ class QurkEngine:
         the query() that follows.  A shard checks a whole batch this way
         before it admits any of it.
         """
-        statement, slot = self._admissible(sql, config, priority)
+        statement, slot, _ = self._admissible(sql, config, priority, budget)
         self.planner.template(statement, slot, keep=True)
 
     def _admissible(
-        self, sql: str | SelectStatement, config: QueryConfig | None, priority: float
-    ) -> tuple[SelectStatement, TemplateSlot | None]:
-        """``sql`` parsed, once the checks that need no plan have passed."""
+        self,
+        sql: str | SelectStatement,
+        config: QueryConfig | None,
+        priority: float,
+        budget: float | None,
+    ) -> tuple[SelectStatement, TemplateSlot | None, float | None]:
+        """``sql`` parsed, with its slot and effective budget, once the checks
+        that need no plan have passed.
+
+        The effective budget is ``budget``, else the statement's ``BUDGET``
+        clause, else the config's.  It must be None or a number >= 0 (+inf
+        is unlimited): a NaN budget fails every ledger comparison, so it is
+        refused here, before any side effect, as a negative one is.
+        """
         check_priority(priority)
         if self.journal is not None:
             # Replay re-submits the logged SQL text; anything that cannot
@@ -439,7 +448,14 @@ class QurkEngine:
                     "a durable engine does not accept per-query config overrides; "
                     "set default_query_config on the engine instead"
                 )
-        return self._statement(sql)
+        statement, slot = self._statement(sql)
+        if budget is None:
+            budget = statement.budget
+        if budget is None:
+            budget = (config or self.default_query_config).budget
+        if budget is not None and not budget >= 0:
+            raise ExecutionError(f"query budget must be a number >= 0 or None, got {budget}")
+        return statement, slot, budget
 
     def _statement(
         self, sql: str | SelectStatement

@@ -20,6 +20,7 @@ __all__ = [
     "WALCorruptionError",
     "SnapshotError",
     "RecoveryError",
+    "CodecError",
     "ParseError",
     "PlanError",
     "ExecutionError",
@@ -90,6 +91,15 @@ class SnapshotError(StorageError):
 
 class RecoveryError(StorageError):
     """Snapshot + WAL replay could not reconstruct a consistent engine."""
+
+
+class CodecError(QurkError):
+    """A value the value codec cannot carry, or bytes it cannot decode.
+
+    One error for every boundary a value crosses (shard frames, WAL
+    records, snapshots, the answer log); each boundary reports it in its
+    own terms.
+    """
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,13 @@ engine without a tier is byte-identical to one that never had the feature.
 The tier wants its *own* directory — snapshot filenames would collide with
 the engine WAL's checkpoints if they shared one — and that is enforced at
 open time by refusing a directory that already holds an engine ``wal.log``.
+
+Both files hold :meth:`CacheEntry.record` records, packed once by the WAL
+and the snapshot through the one value codec.  The log's header names its
+layer and format version (:data:`ANSWERS_LOG_SPEC`).  Opening the tier
+refuses any other header, and the snapshot loader any other snapshot
+version, so files in the version 1 format (keys and answers tagged
+``{"t", "v"}``) are never mis-decoded.
 """
 
 from __future__ import annotations
@@ -32,9 +39,13 @@ from repro.storage.wal import WriteAheadLog
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.tasks.task_cache import TaskCache
 
-__all__ = ["ANSWERS_WAL_FILENAME", "DurableAnswerTier"]
+__all__ = ["ANSWERS_LOG_SPEC", "ANSWERS_WAL_FILENAME", "DurableAnswerTier"]
 
 ANSWERS_WAL_FILENAME = "answers.log"
+
+#: The answer log's WAL header spec.  Version 2: records are packed once by
+#: the value codec (version 1 tagged each value ``{"t", "v"}`` itself).
+ANSWERS_LOG_SPEC = {"layer": "answer-tier", "version": 2}
 
 #: The engine durability WAL's filename — its presence marks a directory as
 #: an engine journal home, which the answer tier must not share (snapshot
@@ -73,7 +84,7 @@ class DurableAnswerTier:
         base_lsn = 0
         if snapshot is not None:
             base_lsn, state = snapshot
-            self._entries.update(map(CacheEntry.unpack, state["entries"]))
+            self._entries.update(map(CacheEntry.from_record, state["entries"]))
         if path.exists():
             try:
                 self.wal, info = WriteAheadLog.open(
@@ -81,6 +92,12 @@ class DurableAnswerTier:
                 )
             except WALCorruptionError as error:
                 raise StorageError(f"unreadable answer log {path}: {error}") from error
+            if info.spec != ANSWERS_LOG_SPEC:
+                self.wal.close()
+                raise StorageError(
+                    f"answer log {path} has header {info.spec!r}; this tier reads "
+                    f"version {ANSWERS_LOG_SPEC['version']} only"
+                )
             for record in info.records:
                 if record.lsn <= base_lsn:
                     continue
@@ -88,7 +105,7 @@ class DurableAnswerTier:
         else:
             self.wal = WriteAheadLog.create(
                 path,
-                spec={"layer": "answer-tier", "version": 1},
+                spec=ANSWERS_LOG_SPEC,
                 base_lsn=base_lsn,
                 fsync=fsync,
                 fsync_every=fsync_every,
@@ -98,7 +115,7 @@ class DurableAnswerTier:
 
     def _apply(self, record_type: str, data: dict) -> None:
         if record_type == "answer_stored":
-            key, entry = CacheEntry.unpack(data)
+            key, entry = CacheEntry.from_record(data)
             self._entries[key] = entry
         elif record_type == "answers_invalidated":
             name = data["name"]
@@ -115,7 +132,7 @@ class DurableAnswerTier:
     def record_store(self, name: str, cache_key: Hashable, entry: CacheEntry) -> None:
         """Journal one admitted store (called by the attached TaskCache)."""
         self._entries[(name, cache_key)] = entry
-        self.wal.append("answer_stored", entry.pack(name, cache_key))
+        self.wal.append("answer_stored", entry.record(name, cache_key))
 
     def record_invalidate(self, name: str | None) -> None:
         """Journal an invalidation of one task name (or everything)."""
@@ -151,7 +168,7 @@ class DurableAnswerTier:
             self.directory,
             {
                 "layer": "answer-tier",
-                "entries": [entry.pack(*key) for key, entry in self._entries.items()],
+                "entries": [entry.record(*key) for key, entry in self._entries.items()],
             },
             lsn=lsn,
         )

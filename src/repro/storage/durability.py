@@ -39,6 +39,7 @@ from typing import Any, Callable
 
 from repro.errors import EngineOverloadedError, RecoveryError
 from repro.storage.catalog import RESULTS_TABLE_PREFIX
+from repro.storage.codec import lower
 from repro.storage.snapshot import load_latest_snapshot
 from repro.storage.wal import WALRecord, WriteAheadLog
 
@@ -138,17 +139,6 @@ class EngineJournal:
 # ---------------------------------------------------------------------------
 
 
-def _jsonify(value: Any) -> Any:
-    """Lower tuples to lists, exactly as JSON round-tripping would."""
-    if isinstance(value, tuple):
-        return [_jsonify(item) for item in value]
-    if isinstance(value, list):
-        return [_jsonify(item) for item in value]
-    if isinstance(value, dict):
-        return {key: _jsonify(item) for key, item in value.items()}
-    return value
-
-
 def _base_table_counts(engine) -> dict[str, int]:
     """Row counts for base tables (results tables are per-query artefacts)."""
     counts: dict[str, int] = {}
@@ -180,7 +170,7 @@ def capture_engine_state(engine) -> dict:
                 "sql": handle.sql,
                 "status": handle.status.value,
                 "error": None if handle.error is None else str(handle.error),
-                "rows": [_jsonify(row.to_dict()) for row in handle.results()],
+                "rows": [lower(row.to_dict()) for row in handle.results()],
             }
         )
     reputation = engine.task_manager.reputation

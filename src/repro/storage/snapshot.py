@@ -1,109 +1,48 @@
-"""Versioned, atomic engine snapshots + exact-round-trip value packing.
+"""Versioned, atomic engine snapshots.
 
-A snapshot is one JSON file, ``snapshot-<LSN 12 digits>.json``, written
-with the classic temp-then-rename dance (write, flush, fsync, rename,
-fsync directory) so a crash mid-write leaves either the previous
-snapshot or a complete new one — never a half file.  Each file carries a
-format version, the WAL LSN it is consistent with, and a CRC32 over the
-canonical JSON encoding of the state; :func:`load_latest_snapshot` walks
-snapshots newest-first and falls back to an older file when the newest
-fails its checksum or decode.
+A snapshot is one file, ``snapshot-<LSN 12 digits>.json``, written with
+the classic temp-then-rename dance (write, flush, fsync, rename, fsync
+directory) so a crash mid-write leaves either the previous snapshot or a
+complete new one — never a half file.  Its first line is a JSON header —
+the format version, the WAL LSN the state is consistent with, and a CRC32
+of the body — and the rest of the file is the body: the state, encoded
+once through the one value codec (:mod:`repro.storage.codec`).  Engine
+state holds dict keys and cached values built from tuples (task-cache
+keys, JOIN_BLOCK reductions, rng states), and the codec round-trips them
+exactly — and raises on anything it cannot, because a silently-dropped
+cache entry would diverge recovery fingerprints.
 
-Because engine state includes dict keys and cached values built from
-tuples (task-cache keys, JOIN_BLOCK reductions), plain JSON would
-silently lower tuples to lists and break key equality on restore.
-:func:`pack_value` / :func:`unpack_value` tag every value with its
-concrete type so the round trip is *exact* — and raise
-:class:`~repro.errors.SnapshotError` on anything unsupported, because a
-silently-dropped cache entry would diverge recovery fingerprints.
+:func:`load_latest_snapshot` checks the version and the checksum before it
+decodes the body, and walks snapshots newest-first, falling back to an
+older file when the newest fails either check or its decode.  Version 1
+files (one JSON document, the state tagged ``{"t", "v"}`` value by value)
+are refused like any other unknown version.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import zlib
 from pathlib import Path
 from typing import Any
 
-from repro.errors import SnapshotError
+from repro.errors import CodecError, SnapshotError
+from repro.storage.codec import dumps, loads, pack, unpack
 
 __all__ = [
     "SNAPSHOT_VERSION",
-    "pack_value",
-    "unpack_value",
-    "pack_rng_state",
-    "unpack_rng_state",
     "write_snapshot",
     "load_latest_snapshot",
     "snapshot_path",
 ]
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 _SNAPSHOT_GLOB = "snapshot-*.json"
-
-#: JSON-native scalars that survive a round trip unchanged (bool before
-#: int matters only for isinstance checks; json keeps them distinct).
-_SCALARS = (bool, int, float, str)
-
-
-def pack_value(value: Any) -> Any:
-    """Encode ``value`` as a JSON-safe tagged structure; exact round trip."""
-    if value is None or isinstance(value, _SCALARS):
-        return {"t": "s", "v": value}
-    if isinstance(value, tuple):
-        return {"t": "t", "v": [pack_value(item) for item in value]}
-    if isinstance(value, list):
-        return {"t": "l", "v": [pack_value(item) for item in value]}
-    if isinstance(value, dict):
-        pairs = []
-        for key, item in value.items():
-            pairs.append([pack_value(key), pack_value(item)])
-        return {"t": "d", "v": pairs}
-    raise SnapshotError(
-        f"cannot snapshot a value of type {type(value).__name__!r}: {value!r}"
-    )
-
-
-def unpack_value(packed: Any) -> Any:
-    """Inverse of :func:`pack_value`."""
-    try:
-        tag, value = packed["t"], packed["v"]
-    except (TypeError, KeyError) as error:
-        raise SnapshotError(f"malformed packed value: {packed!r}") from error
-    if tag == "s":
-        return value
-    if tag == "t":
-        return tuple(unpack_value(item) for item in value)
-    if tag == "l":
-        return [unpack_value(item) for item in value]
-    if tag == "d":
-        return {unpack_value(key): unpack_value(item) for key, item in value}
-    raise SnapshotError(f"unknown pack tag {tag!r}")
-
-
-def pack_rng_state(state: tuple) -> list:
-    """``random.Random.getstate()`` -> JSON-safe list."""
-    version, internal, gauss = state
-    return [version, list(internal), gauss]
-
-
-def unpack_rng_state(packed: list) -> tuple:
-    """Inverse of :func:`pack_rng_state` (for ``Random.setstate``)."""
-    version, internal, gauss = packed
-    return (version, tuple(internal), gauss)
 
 
 def snapshot_path(directory: str | Path, lsn: int) -> Path:
     return Path(directory) / f"snapshot-{lsn:012d}.json"
-
-
-def _canonical(state: dict[str, Any]) -> str:
-    try:
-        return json.dumps(state, sort_keys=True, separators=(",", ":"))
-    except (TypeError, ValueError) as error:
-        raise SnapshotError(f"snapshot state is not JSON-serialisable: {error}") from error
 
 
 def write_snapshot(
@@ -116,17 +55,15 @@ def write_snapshot(
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    body = _canonical(state)
-    document = {
-        "version": SNAPSHOT_VERSION,
-        "lsn": lsn,
-        "checksum": zlib.crc32(body.encode("utf-8")),
-        "state": state,
-    }
+    try:
+        body = dumps(pack(state))
+    except CodecError as error:
+        raise SnapshotError(f"cannot snapshot the state: {error}") from error
+    header = dumps({"version": SNAPSHOT_VERSION, "lsn": lsn, "checksum": zlib.crc32(body)})
     target = snapshot_path(directory, lsn)
     tmp_path = target.with_suffix(".tmp")
-    with open(tmp_path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, sort_keys=True, separators=(",", ":"))
+    with open(tmp_path, "wb") as handle:
+        handle.write(header + b"\n" + body)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp_path, target)
@@ -150,15 +87,14 @@ def load_latest_snapshot(directory: str | Path) -> tuple[int, dict[str, Any]] | 
     failures: list[str] = []
     for path in candidates:
         try:
-            document = json.loads(path.read_text(encoding="utf-8"))
-            if document["version"] != SNAPSHOT_VERSION:
-                raise SnapshotError(f"unsupported snapshot version {document['version']}")
-            state = document["state"]
-            body = _canonical(state)
-            if zlib.crc32(body.encode("utf-8")) != document["checksum"]:
+            head, _, body = path.read_bytes().partition(b"\n")
+            header = loads(head)
+            if header["version"] != SNAPSHOT_VERSION:
+                raise SnapshotError(f"unsupported snapshot version {header['version']}")
+            if zlib.crc32(body) != header["checksum"]:
                 raise SnapshotError("checksum mismatch")
-            return int(document["lsn"]), state
-        except (OSError, ValueError, KeyError, TypeError, SnapshotError) as error:
+            return int(header["lsn"]), unpack(loads(body))
+        except (OSError, CodecError, KeyError, TypeError, ValueError, SnapshotError) as error:
             failures.append(f"{path.name}: {error}")
     raise SnapshotError(
         "no readable snapshot in "

@@ -5,10 +5,14 @@ Record framing is length-prefixed and CRC-checked::
     [length: u32 BE] [crc32(payload): u32 BE] [payload: length bytes]
 
 where the payload is compact JSON — ``{"lsn": n, "type": t, "data":
-{...}}``, with data keys in (deterministic) insertion order.  The first record of every file is a *header* record
-carrying the format version, the base LSN (the LSN the log was truncated
-up to; 0 for a fresh log) and an optional engine-spec payload describing
-how to rebuild the engine the log belongs to.
+{...}}``, with data keys in (deterministic) insertion order.  The data goes
+through the one value codec (:mod:`repro.storage.codec`), so whatever it
+accepts — tuples, ints beyond 64 bits, NaN and ±inf, non-ASCII text —
+:meth:`WriteAheadLog.scan` reads back equal.  The first record of every
+file is a *header* record carrying the format version, the base LSN (the
+LSN the log was truncated up to; 0 for a fresh log) and an optional
+engine-spec payload describing how to rebuild the engine the log belongs
+to.
 
 Durability is modelled honestly enough for the crash tests to mean
 something: appended records sit in an application-level buffer until
@@ -43,7 +47,6 @@ the returned :class:`WALRecoveryInfo` rather than raised.
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 import zlib
@@ -51,7 +54,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
-from repro.errors import WALCorruptionError, WALError
+from repro.errors import CodecError, WALCorruptionError, WALError
+from repro.storage.codec import dumps, loads, pack, unpack
 
 __all__ = [
     "WAL_VERSION",
@@ -107,44 +111,32 @@ class WALRecoveryInfo:
         return self.records[-1].lsn if self.records else self.base_lsn
 
 
-def _encode_payload(payload: dict[str, Any]) -> bytes:
-    try:
-        body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    except (TypeError, ValueError) as error:
-        raise WALError(f"WAL payload is not JSON-serialisable: {error}") from error
-    return _FRAME.pack(len(body), zlib.crc32(body)) + body
-
-
 #: ``'{"lsn":%d,"type":%s,"data":%s}'`` assembled by hand on the append hot
-#: path: journaling sits on every crowd event, so one ``json.dumps`` over
-#: just the data dict (keys in deterministic insertion order) beats dumping
-#: a freshly-built wrapper dict with ``sort_keys`` — the scan side decodes
-#: either framing identically.
+#: path: journaling sits on every crowd event, so one encode of just the
+#: data dict (keys in deterministic insertion order) beats encoding a
+#: freshly-built wrapper dict.
 _RECORD_TEMPLATE = b'{"lsn":%d,"type":%s,"data":%s}'
-#: One shared compact encoder: ``json.dumps(..., separators=...)`` builds a
-#: fresh ``JSONEncoder`` per call, which roughly triples encode cost.
-_encode_json = json.JSONEncoder(separators=(",", ":")).encode
-
-try:  # pragma: no cover - exercised whenever orjson is installed
-    import orjson as _orjson
-
-    _ORJSON_OPTS = _orjson.OPT_NON_STR_KEYS  # match stdlib's int-key coercion
-
-    def _encode_data(data: Any) -> bytes:
-        """Compact JSON bytes for one record's data dict (orjson, ~10x)."""
-        return _orjson.dumps(data, option=_ORJSON_OPTS)
-
-except ImportError:  # pragma: no cover - stdlib fallback
-
-    def _encode_data(data: Any) -> bytes:
-        return _encode_json(data).encode("utf-8")
-
 
 #: Record-type strings are drawn from a handful of event names; cache their
 #: JSON-quoted bytes instead of re-encoding the same string per append.
 _TYPE_CACHE: dict[str, bytes] = {}
 _crc32 = zlib.crc32
 _pack_frame = _FRAME.pack
+
+
+def _record_body(lsn: int, record_type: str, data: dict[str, Any]) -> bytes:
+    """One record's payload bytes; :class:`WALError` for data the codec refuses."""
+    encoded_type = _TYPE_CACHE.get(record_type)
+    if encoded_type is None:
+        encoded_type = _TYPE_CACHE.setdefault(record_type, dumps(record_type))
+    try:
+        return _RECORD_TEMPLATE % (lsn, encoded_type, dumps(pack(data)))
+    except CodecError as error:
+        raise WALError(f"WAL payload cannot be encoded: {error}") from error
+
+
+def _frame(body: bytes) -> bytes:
+    return _pack_frame(len(body), _crc32(body)) + body
 
 
 class WriteAheadLog:
@@ -187,7 +179,7 @@ class WriteAheadLog:
         wal.spec = spec
         wal.path.parent.mkdir(parents=True, exist_ok=True)
         handle = open(wal.path, "wb")
-        handle.write(_encode_payload(wal._header_payload()))
+        handle.write(_frame(wal._header_body()))
         handle.flush()
         os.fsync(handle.fileno())
         wal._file = handle
@@ -254,9 +246,9 @@ class WriteAheadLog:
                 corruption = f"CRC mismatch at byte {offset}"
                 break
             try:
-                payload = json.loads(body.decode("utf-8"))
-                lsn, rtype, data = payload["lsn"], payload["type"], payload["data"]
-            except (ValueError, KeyError, TypeError, UnicodeDecodeError):
+                payload = loads(body)
+                lsn, rtype, data = payload["lsn"], payload["type"], unpack(payload["data"])
+            except (CodecError, KeyError, TypeError, ValueError):
                 corruption = f"undecodable record at byte {offset}"
                 break
             if header is None:
@@ -283,12 +275,9 @@ class WriteAheadLog:
         )
         return info, offset
 
-    def _header_payload(self) -> dict[str, Any]:
-        return {
-            "lsn": self._base_lsn,
-            "type": "header",
-            "data": {"version": WAL_VERSION, "base_lsn": self._base_lsn, "spec": self.spec},
-        }
+    def _header_body(self) -> bytes:
+        data = {"version": WAL_VERSION, "base_lsn": self._base_lsn, "spec": self.spec}
+        return _record_body(self._base_lsn, "header", data)
 
     # -- appends --------------------------------------------------------------
 
@@ -323,15 +312,7 @@ class WriteAheadLog:
         if record_type == "header":
             raise WALError("'header' is reserved for the file header record")
         lsn = self._last_lsn + 1
-        encoded_type = _TYPE_CACHE.get(record_type)
-        if encoded_type is None:
-            encoded_type = _TYPE_CACHE.setdefault(
-                record_type, _encode_json(record_type).encode("utf-8")
-            )
-        try:
-            body = _RECORD_TEMPLATE % (lsn, encoded_type, _encode_data(data))
-        except (TypeError, ValueError) as error:
-            raise WALError(f"WAL payload is not JSON-serialisable: {error}") from error
+        body = _record_body(lsn, record_type, data)
         self._last_lsn = lsn
         # Frame and body appended separately: the flush-time join copies
         # once either way, and skipping the per-record concat is measurable
@@ -403,11 +384,9 @@ class WriteAheadLog:
         self._base_lsn = lsn
         tmp_path = self.path.with_suffix(self.path.suffix + ".tmp")
         with open(tmp_path, "wb") as handle:
-            handle.write(_encode_payload(self._header_payload()))
+            handle.write(_frame(self._header_body()))
             for record in keep:
-                handle.write(
-                    _encode_payload({"lsn": record.lsn, "type": record.type, "data": record.data})
-                )
+                handle.write(_frame(_record_body(record.lsn, record.type, record.data)))
             handle.flush()
             os.fsync(handle.fileno())
         self._file.close()

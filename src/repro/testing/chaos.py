@@ -17,6 +17,7 @@ from typing import Any, Callable
 
 from repro.errors import QueryStalledError
 from repro.experiments.harness import ExperimentRun
+from repro.storage.codec import lower
 from repro.testing.invariants import check_invariants
 
 __all__ = [
@@ -124,15 +125,6 @@ def run_scenario(scenario: ChaosScenario) -> ScenarioResult:
     )
 
 
-def _jsonify(value: Any) -> Any:
-    """Lower tuples to lists recursively, matching a JSON round trip."""
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(item) for item in value]
-    if isinstance(value, dict):
-        return {key: _jsonify(item) for key, item in value.items()}
-    return value
-
-
 def fingerprint_engine(
     engine, statuses: list[str], rows: list[list[dict[str, Any]]]
 ) -> dict[str, Any]:
@@ -149,7 +141,7 @@ def fingerprint_engine(
     return {
         "statuses": list(statuses),
         "rows": [
-            [[_jsonify(item) for item in sorted(row.items())] for row in query_rows]
+            [[lower(item) for item in sorted(row.items())] for row in query_rows]
             for query_rows in rows
         ],
         "hits_created": stats.hits_created,

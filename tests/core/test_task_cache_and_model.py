@@ -63,12 +63,12 @@ class TestTaskCache:
 
 
     def test_one_record_format_for_export_snapshot_and_tier(self, tmp_path):
-        """``CacheEntry.pack`` / ``unpack`` is the only codec: the cross-shard
-        export, the engine-snapshot state and the durable tier's WAL all
-        carry the same JSON-safe item, and it round-trips tuples exactly."""
-        import json
-
+        """``CacheEntry.record`` is the one record: the engine-snapshot state
+        and the durable tier's WAL carry it and pack it at their boundary,
+        the cross-shard export carries it packed, and it round-trips tuples
+        exactly."""
         from repro.storage.answer_tier import DurableAnswerTier
+        from repro.storage.codec import dumps, loads, pack, unpack
 
         cache = TaskCache()
         tier = DurableAnswerTier(tmp_path)
@@ -78,11 +78,13 @@ class TestTaskCache:
         cache.store("samePerson", key, reduced, cost=0.3, now=12.5, confidence=0.8)
         entry = cache.lookup("samePerson", key)
 
-        item = entry.pack("samePerson", key)
-        assert list(item) == ["name", "key", "reduced", "original_cost", "stored_at", "confidence"]
-        assert CacheEntry.unpack(json.loads(json.dumps(item))) == (("samePerson", key), entry)
+        record = entry.record("samePerson", key)
+        assert list(record) == ["name", "key", "reduced", "original_cost", "stored_at", "confidence"]
+        assert CacheEntry.from_record(record) == (("samePerson", key), entry)
+        item = pack(record)
+        assert CacheEntry.from_record(unpack(loads(dumps(item)))) == (("samePerson", key), entry)
         assert cache.export_since(0) == (1, [item])
-        assert cache.state_dict()["entries"] == [item]
+        assert cache.state_dict()["entries"] == [record]
         tier.close()
         reopened = DurableAnswerTier(tmp_path)
         warmed = TaskCache()

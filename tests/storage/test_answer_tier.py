@@ -111,6 +111,47 @@ class TestDurableAnswerTier:
         reopened.close()
 
 
+class TestAnswerLogVersion:
+    def test_version_1_log_is_refused_by_version(self, tmp_path):
+        """A version 1 log tagged each value ``{"t", "v"}`` itself; read with
+        today's codec its key would come back as a dict, so it is refused."""
+        with WriteAheadLog.create(
+            tmp_path / ANSWERS_WAL_FILENAME, spec={"layer": "answer-tier", "version": 1}
+        ) as wal:
+            wal.append(
+                "answer_stored",
+                {
+                    "name": "findCEO",
+                    "key": {"t": "t", "v": [{"t": "s", "v": "Acme"}]},
+                    "reduced": {"t": "s", "v": "Jane"},
+                    "original_cost": 0.075,
+                    "stored_at": 1.0,
+                    "confidence": 1.0,
+                },
+            )
+        with pytest.raises(StorageError, match="'version': 1"):
+            DurableAnswerTier(tmp_path)
+
+    def test_a_log_of_another_layer_is_refused(self, tmp_path):
+        WriteAheadLog.create(tmp_path / ANSWERS_WAL_FILENAME, spec={"factory": "m:f"}).close()
+        with pytest.raises(StorageError, match="'factory'"):
+            DurableAnswerTier(tmp_path)
+
+    def test_tuple_keys_and_answers_round_trip_through_log_and_snapshot(self, tmp_path):
+        tier = DurableAnswerTier(tmp_path)
+        cache = TaskCache()
+        cache.attach_tier(tier)
+        cache.store("samePerson", (("a", 1), ("b", 2)), [(1, 2)], cost=0.3, now=1.0)
+        tier.checkpoint()
+        cache.store("samePerson", (("c", 3),), [(3, 4)], cost=0.3, now=2.0)
+        tier.close()
+        warmed, reopened = TaskCache(), DurableAnswerTier(tmp_path)
+        assert reopened.load_into(warmed) == 2
+        reopened.close()
+        assert warmed.lookup("samePerson", (("a", 1), ("b", 2))).reduced == [(1, 2)]
+        assert type(warmed.lookup("samePerson", (("c", 3),)).reduced[0]) is tuple
+
+
 class TestEngineWarmRestart:
     def test_second_engine_answers_from_the_shared_tier(self, tmp_path):
         from repro.experiments import build_companies_engine

@@ -1,21 +1,14 @@
 """Snapshot round-trips and engine checkpoint/recover correctness."""
 
 import json
+import zlib
 
 import pytest
 
 from repro.engine import QurkEngine
 from repro.errors import QurkError, RecoveryError, SnapshotError
 from repro.storage.durability import DurabilityConfig
-from repro.storage.snapshot import (
-    load_latest_snapshot,
-    pack_rng_state,
-    pack_value,
-    snapshot_path,
-    unpack_rng_state,
-    unpack_value,
-    write_snapshot,
-)
+from repro.storage.snapshot import load_latest_snapshot, snapshot_path, write_snapshot
 from repro.testing.crashpoints import (
     plain_crash_scenario,
     recovered_fingerprint,
@@ -23,46 +16,6 @@ from repro.testing.crashpoints import (
     reference_fingerprint,
     run_durable,
 )
-
-
-class TestValuePacking:
-    @pytest.mark.parametrize(
-        "value",
-        [
-            None,
-            True,
-            42,
-            3.5,
-            "text",
-            (1, 2),
-            [1, (2, 3), "x"],
-            {"k": (1, [2, (3, None)])},
-            ((1, "a"), (2, "b")),
-            {},
-            [],
-        ],
-    )
-    def test_round_trip_is_exact(self, value):
-        packed = pack_value(value)
-        json.dumps(packed)  # must be JSON-able as-is
-        restored = unpack_value(json.loads(json.dumps(packed)))
-        assert restored == value
-        assert type(restored) is type(value)
-
-    def test_unsupported_type_raises_not_skips(self):
-        with pytest.raises(SnapshotError):
-            pack_value({"bad": object()})
-
-    def test_rng_state_round_trip(self):
-        import random
-
-        rng = random.Random(99)
-        rng.random()
-        state = rng.getstate()
-        restored = unpack_rng_state(json.loads(json.dumps(pack_rng_state(state))))
-        twin = random.Random()
-        twin.setstate(restored)
-        assert [twin.random() for _ in range(5)] == [rng.random() for _ in range(5)]
 
 
 class TestSnapshotFiles:
@@ -90,10 +43,32 @@ class TestSnapshotFiles:
     def test_checksum_mismatch_is_detected(self, tmp_path):
         write_snapshot(tmp_path, {"v": 1}, lsn=5)
         path = snapshot_path(tmp_path, 5)
-        document = json.loads(path.read_text())
-        document["state"]["v"] = 2  # tampered without recomputing the checksum
-        path.write_text(json.dumps(document))
-        with pytest.raises(SnapshotError):
+        tampered = path.read_bytes().replace(b'{"v":1}', b'{"v":2}')
+        path.write_bytes(tampered)  # without recomputing the checksum
+        with pytest.raises(SnapshotError, match="checksum mismatch"):
+            load_latest_snapshot(tmp_path)
+
+    def test_state_round_trips_exactly(self, tmp_path):
+        """Packed once at the boundary: tuples, non-str keys and rng states."""
+        import random
+
+        rng = random.Random(99)
+        state = {"rng": rng.getstate(), "keys": {(1, "a"): [2, (3,)], 7: None}}
+        write_snapshot(tmp_path, state, lsn=3)
+        assert load_latest_snapshot(tmp_path) == (3, state)
+
+    def test_unsupported_value_is_refused_at_write(self, tmp_path):
+        with pytest.raises(SnapshotError, match="object"):
+            write_snapshot(tmp_path, {"bad": object()}, lsn=1)
+        assert load_latest_snapshot(tmp_path) is None
+
+    def test_version_1_file_is_refused_by_version(self, tmp_path):
+        """The version 1 format (one JSON document, values tagged ``{"t", "v"}``)."""
+        state = {"entries": [{"key": {"t": "t", "v": [{"t": "s", "v": 1}]}}]}
+        body = json.dumps(state, sort_keys=True, separators=(",", ":"))
+        document = {"version": 1, "lsn": 5, "checksum": zlib.crc32(body.encode()), "state": state}
+        snapshot_path(tmp_path, 5).write_text(json.dumps(document, sort_keys=True))
+        with pytest.raises(SnapshotError, match="unsupported snapshot version 1"):
             load_latest_snapshot(tmp_path)
 
     def test_empty_directory_is_no_snapshot(self, tmp_path):

@@ -1,6 +1,10 @@
 """WAL unit tests: framing, fsync semantics, torn tails, truncation."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import WALCorruptionError, WALError
 from repro.storage.wal import WALRecord, WriteAheadLog
@@ -52,6 +56,60 @@ class TestFramingRoundTrip:
         with pytest.raises(WALError):
             wal.append("header", {})
         wal.close()
+
+
+#: Record data the value codec accepts: str-keyed like every journal record,
+#: with ints beyond 64 bits, NaN and ±inf, any text and nested tuples inside.
+_DATA = st.dictionaries(
+    st.text(max_size=5),
+    st.recursive(
+        st.none()
+        | st.booleans()
+        | st.integers(min_value=-(2**100), max_value=2**100)
+        | st.floats()
+        | st.text(max_size=6),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(st.integers() | st.text(max_size=3), inner, max_size=3),
+        max_leaves=8,
+    ),
+    max_size=4,
+)
+
+
+def _same(a, b) -> bool:
+    """Equal type for type, with NaN equal to itself."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float) and math.isnan(a):
+        return math.isnan(b)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[key], b[key]) for key in a)
+    return a == b
+
+
+class TestRecordDataRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_DATA, min_size=1, max_size=4))
+    def test_append_then_scan_reads_back_equal(self, tmp_path_factory, records):
+        path = tmp_path_factory.mktemp("wal") / "wal.log"
+        with WriteAheadLog.create(path, spec={"kwargs": {"pair": (1, 2)}}) as wal:
+            for data in records:
+                wal.append("event", data)
+        info, _ = WriteAheadLog.scan(path)
+        assert info.spec == {"kwargs": {"pair": (1, 2)}}
+        assert len(info.records) == len(records)
+        assert all(_same(r.data, data) for r, data in zip(info.records, records))
+
+    def test_values_beyond_64_bits_and_non_finite_floats(self, tmp_path):
+        data = {"big": 2**70, "nan": math.nan, "inf": -math.inf, "text": "ä漢", "t": ((1,),)}
+        with WriteAheadLog.create(tmp_path / "wal.log") as wal:
+            wal.append("event", data)
+            wal.truncate_to(0)  # re-encodes the kept record
+        info, _ = WriteAheadLog.scan(tmp_path / "wal.log")
+        assert _same(info.records[0].data, data)
 
 
 class TestFsyncPolicies:

@@ -132,7 +132,8 @@ def test_server_forwards_result_rows_without_building_one(monkeypatch):
     assert built == []
 
 
-def test_non_finite_priority_is_refused_and_the_shard_keeps_serving():
+@pytest.mark.parametrize("field", ["priority", "budget"])
+def test_nan_priority_or_budget_is_refused_and_the_shard_keeps_serving(field):
     """stdlib ``json`` parses ``NaN``; the shard refuses it before scheduling it."""
 
     async def exercise() -> tuple[dict, dict]:
@@ -140,12 +141,12 @@ def test_non_finite_priority_is_refused_and_the_shard_keeps_serving():
             async with ClusterServer(cluster) as server:
                 ask = lambda message: request(server.host, server.port, message)  # noqa: E731
                 query_id = (await ask({"op": "submit", "sql": FILTER_SQL}))["query_id"]
-                refused = await ask({"op": "submit", "sql": FILTER_SQL, "priority": float("nan")})
+                refused = await ask({"op": "submit", "sql": FILTER_SQL, field: float("nan")})
                 await asyncio.sleep(0.1)  # live passes run between the two requests
                 return refused, await ask({"op": "status", "query_id": query_id})
 
     refused, status = asyncio.run(asyncio.wait_for(exercise(), timeout=60))
-    assert not refused["ok"] and "priority" in refused["error"]
+    assert not refused["ok"] and field in refused["error"]
     assert status["ok"] and status["error"] is None
 
 

@@ -150,6 +150,48 @@ class TestRefusedSubmissions:
         assert logged == ["q1"]
         assert recovered_fingerprint(result) == reference_fingerprint(scenario, 1)
 
+    @pytest.mark.parametrize("budget", [math.nan, -1.0])
+    def test_invalid_budget_leaves_no_record(self, budget, tmp_path):
+        """Refused before any side effect: no id, no WAL record, no ledger entry."""
+        scenario = plain_crash_scenario()
+        engine = scenario.build_engine()
+        engine.enable_durability(
+            DurabilityConfig(directory=str(tmp_path), fsync="always"),
+            spec=scenario.spec_payload(),
+        )
+        with pytest.raises(QurkError, match="budget"):
+            engine.query(PRODUCTS_SQL, budget=budget)
+        assert engine.journal.wal.last_lsn == 0
+        assert engine.budget_ledger._budgets == {}
+        assert engine.query(PRODUCTS_SQL).query_id == "q1"  # no id was consumed
+        engine.scheduler.drain()
+        engine.clock.run_until_idle()
+        engine.journal.wal.simulate_crash()
+
+        result = QurkEngine.recover(tmp_path)
+        logged = [r.data["query_id"] for r in result.records if r.type == "query_submitted"]
+        assert logged == ["q1"]
+        assert recovered_fingerprint(result) == reference_fingerprint(scenario, 1)
+
+    def test_budget_beyond_64_bits_is_journaled_and_recovers(self, tmp_path):
+        """A budget no 64-bit integer holds journals, snapshots and replays exactly."""
+        scenario = CrashScenario(
+            name="huge-budget",
+            factory="repro.testing.crashpoints:build_plain_products_engine",
+            kwargs={"n_products": 12, "seed": 13},
+            phases=(
+                ({"sql": PRODUCTS_SQL, "budget": 2**70, "priority": 1.0},),
+                ({"sql": PRODUCTS_SQL, "budget": 2**70 + 1, "priority": 1.0},),
+            ),
+            checkpoint_after=(0,),
+        )
+        run_durable(scenario, tmp_path, fsync="always")
+        result = QurkEngine.recover(tmp_path)
+        assert result.snapshot_lsn is not None
+        assert result.replayed_query_ids == ["q2"]
+        assert result.engine.budget_ledger.state_dict()["budgets"]["q2"]["limit"] == 2**70 + 1
+        assert recovered_fingerprint(result) == reference_fingerprint(scenario, 2)
+
     @pytest.mark.parametrize(
         "sql",
         [
