@@ -57,7 +57,7 @@ QUICK_OVERRIDES = {
         "n_queries": 32,
         "tasks_per_query": 20,
         "query_counts": (8, 32),
-        "intervals": (None, 100),
+        "intervals": (None, 16),
         "batches": 4,
     },
     # The quick pytest gate's trace sizes; the 10k-query replay stays the

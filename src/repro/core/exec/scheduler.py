@@ -206,8 +206,9 @@ class EngineScheduler:
         #: pressured — the only ones the per-pass pressure check visits.
         self._pressure_watch: dict[str, _ScheduledQuery] = {}
         # Durability wiring (both set by QurkEngine.enable_durability): the
-        # journal receives every lifecycle event; the checkpoint hook runs
-        # after a drain quiesces the engine, the natural snapshot point.
+        # journal logs drain barriers and offers every lifecycle event as a
+        # crash point; the checkpoint hook runs after a drain quiesces the
+        # engine, the natural snapshot point.
         self._journal = None
         self._checkpoint_hook = None
         task_manager.on_result_delivered(self._on_result_delivered)
@@ -423,12 +424,9 @@ class EngineScheduler:
         self._events_by_query.setdefault(query_id, []).append(record)
         # The single choke point every lifecycle transition passes through
         # (admitted/started/completed/stalled/budget_exceeded/replanned/...),
-        # so one hook journals them all.
+        # so one hook makes them all crash points.
         if self._journal is not None:
-            self._journal.record(
-                "query_event",
-                {"query_id": query_id, "event": event, "detail": detail, "time": record.time},
-            )
+            self._journal.crash_point("query_event")
 
     # -- deadlines and pressure -----------------------------------------------------------
 

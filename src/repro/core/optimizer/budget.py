@@ -51,8 +51,7 @@ class BudgetLedger:
     def __init__(self) -> None:
         self._budgets: dict[str, QueryBudget] = {}
         # Optional durability journal (an EngineJournal); every commit and
-        # release is an externally-visible money movement, so both are
-        # logged when the engine is durable.
+        # release is a crash point when the engine is durable.
         self._journal = None
 
     def attach_journal(self, journal) -> None:
@@ -81,10 +80,7 @@ class BudgetLedger:
             )
         budget.commit(amount)
         if self._journal is not None:
-            self._journal.record(
-                "budget_commit",
-                {"query_id": query_id, "amount": amount, "description": description},
-            )
+            self._journal.crash_point("budget_commit")
 
     def release(self, query_id: str, amount: float) -> None:
         """Give back committed spend that will never be collected.
@@ -98,9 +94,7 @@ class BudgetLedger:
         """
         self.budget(query_id).release(amount)
         if self._journal is not None:
-            self._journal.record(
-                "budget_release", {"query_id": query_id, "amount": amount}
-            )
+            self._journal.crash_point("budget_release")
 
     def would_exceed(self, query_id: str, amount: float) -> bool:
         """Whether committing ``amount`` would exceed the query's budget."""

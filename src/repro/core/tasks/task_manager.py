@@ -201,9 +201,9 @@ class TaskManager:
         self._delivery_listeners: list = []
         self._error_listeners: list = []
         self._quality_rng = random.Random(quality.seed) if quality is not None else None
-        # Optional durability journal (an EngineJournal) recording the
-        # externally-visible lifecycle events: HIT posts, settlements and
-        # answer deliveries.
+        # Optional durability journal (an EngineJournal): HIT posts,
+        # settlements and answer deliveries are crash points, not records —
+        # replay regenerates them.
         self._journal = None
         platform.on_assignment_submitted(self._on_assignment_submitted)
         platform.on_hit_expired(self._on_hit_expired)
@@ -565,16 +565,7 @@ class TaskManager:
             compiled=compiled, cost_committed=cost, needs=needs, shares=dict(shares)
         )
         if self._journal is not None:
-            self._journal.record(
-                "hit_posted",
-                {
-                    "hit_id": hit.hit_id,
-                    "spec": spec_name,
-                    "tasks": len(tasks),
-                    "cost": cost,
-                    "shares": dict(shares),
-                },
-            )
+            self._journal.crash_point("hit_posted")
         return 1
 
     # -- completion handling ---------------------------------------------------------
@@ -598,14 +589,7 @@ class TaskManager:
         """
         submissions = hit.submitted_assignments
         if self._journal is not None:
-            self._journal.record(
-                "hit_settled",
-                {
-                    "hit_id": hit.hit_id,
-                    "expired": expired,
-                    "submissions": len(submissions),
-                },
-            )
+            self._journal.crash_point("hit_settled")
         if self.breaker is not None:
             # Breaker feedback: an expiry is a fault-driven failure, a fully
             # submitted HIT is proof the market is serving.
@@ -875,14 +859,7 @@ class TaskManager:
         self.stats.tasks_completed += 1
         self.statistics.record_result(result)
         if self._journal is not None:
-            self._journal.record(
-                "answer_delivered",
-                {
-                    "task_id": result.task.task_id,
-                    "query_id": result.task.query_id,
-                    "source": result.source.value,
-                },
-            )
+            self._journal.crash_point("answer_delivered")
         result.task.callback(result)
         for listener in self._delivery_listeners:
             listener(result)

@@ -609,14 +609,6 @@ class QurkEngine:
             factory=factory,
         )
 
-    # -- simulation control ------------------------------------------------------------------------
-
-    def advance_time(self, seconds: float) -> None:
-        """Advance simulated time, letting outstanding HITs complete."""
-        if seconds < 0:
-            raise QurkError("cannot advance time backwards")
-        self.clock.advance_by(seconds)
-
     @property
     def total_crowd_cost(self) -> float:
         """Total dollars paid to the (simulated) crowd across all queries."""

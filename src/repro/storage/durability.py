@@ -3,25 +3,24 @@
 The engine is deterministic: a same-seed run replays byte-identically.
 Recovery leans on that instead of trying to serialise in-flight crowd
 state (open HITs are closures on the simulated clock's event heap and
-cannot meaningfully travel through JSON).  The write-ahead log records
-every externally-visible event, but only one record type drives replay:
-``query_submitted``.  Recovery rebuilds a fresh engine from the same
-recipe, restores the latest quiescent snapshot, re-submits the logged
-queries in their original order, and lets the deterministic machinery
-regenerate everything that happened after the snapshot.  The remaining
-event types (HIT postings, settlements, budget movements, deliveries,
-lifecycle transitions) exist for crash-point injection, audit, and
-debugging — they are the evidence that the replayed run retraces the
-original, not the mechanism that drives it.
+cannot meaningfully travel through JSON).  So the write-ahead log holds
+only what replay reads: ``query_submitted`` records and the ``drain``
+barriers that group them (a shard worker adds its ``cluster_alias``
+records).  Recovery rebuilds a fresh engine from the same recipe,
+restores the latest quiescent snapshot, re-submits the logged queries in
+their original order, and lets the deterministic machinery regenerate
+everything that happened after the snapshot — HIT postings, settlements,
+budget movements, deliveries and lifecycle transitions included.  Those
+crowd events write nothing; each is a *crash point*
+(:meth:`EngineJournal.crash_point`) that fault injection can kill the
+process at.
 
 ``query_submitted`` records group-commit: the WAL's strict append order
 plus the forced-durable record at every ``drain()`` entry put each
-submission on disk before any of its crowd effects happen.  Event tails
-lost by ``interval`` or ``off`` fsyncing are therefore always
-regenerable: any submission whose effects survived is itself on disk,
-and replay recreates the lost tail bit-for-bit.  (A crash before the
-first drain barrier can lose not-yet-flushed submissions — a bounded,
-policy-chosen window; ``always`` closes it by fsyncing every append.)
+submission on disk before any of its crowd effects happen.  A crash under
+``interval`` or ``off`` fsyncing can lose only the submissions logged
+since the last drain barrier — a bounded, policy-chosen window; ``always``
+closes it by fsyncing every append.
 
 Snapshots are only taken at quiescent points (no pending clock events,
 no runnable queries, no outstanding HITs) — exactly the states from
@@ -74,12 +73,13 @@ class DurabilityConfig:
         Submissions group-commit: the forced-durable record at drain
         entry persists every pending submission before any crowd work
         happens, so recovery is exact under every policy.  The policy
-        bounds how much *tail* (post-drain audit records, and pre-drain
-        submissions not yet flushed) a crash may lose.
+        bounds how many submissions a crash may lose before the next
+        drain barrier commits them.
     fsync_every:
         Records between fsyncs under the ``"interval"`` policy.
     snapshot_every:
-        Auto-checkpoint after this many journal records, at the next
+        Auto-checkpoint after this many journal records — units of replay
+        work: submissions, drain barriers and shard aliases — at the next
         quiescent point (end of a completed drain).  ``None`` disables
         auto-checkpointing entirely — recovery then replays the whole
         log from its base LSN.
@@ -97,28 +97,40 @@ class DurabilityConfig:
 class EngineJournal:
     """The engine's single gateway to its write-ahead log.
 
-    Components (ledger, task manager, scheduler) call :meth:`record`
-    without knowing whether durability is even enabled — during replay
-    the journal is *suspended* (``replaying`` is True) so the re-executed
-    run does not re-log events that are already on disk.
+    Components (ledger, task manager, scheduler) call :meth:`record` and
+    :meth:`crash_point` without knowing whether durability is even enabled
+    — during replay the journal is *suspended* (``replaying`` is True) so
+    the re-executed run neither re-logs records already on disk nor
+    offers crash instants.  Crash-instant listeners (fault injection) are
+    called with the instant's kind after every record is appended and at
+    every crash point.
     """
 
     def __init__(self, wal: WriteAheadLog) -> None:
         self.wal = wal
         self.replaying = False
         self._records_since_snapshot = 0
+        self._listeners: list[Callable[[str], None]] = []
 
-    def record(self, record_type: str, data: dict, *, durable: bool = False) -> int | None:
-        """Append one event; returns its LSN, or None while replaying."""
+    def record(self, record_type: str, data: dict, *, durable: bool = False) -> None:
+        """Append one record replay reads (nothing while replaying)."""
         if self.replaying:
-            return None
-        lsn = self.wal.append(record_type, data, durable=durable)
+            return
+        self.wal.append(record_type, data, durable=durable)
         self._records_since_snapshot += 1
-        return lsn
+        # Listeners fire *after* the flush-policy decision so a simulated
+        # crash at this instant loses exactly what a real crash would.
+        self.crash_point(record_type)
 
-    def on_append(self, listener: Callable[[int, str], None]) -> None:
-        """Register a post-append hook ``(lsn, type)`` (fault injection)."""
-        self.wal.on_append(listener)
+    def crash_point(self, kind: str) -> None:
+        """Offer a crash instant that writes nothing (a crowd event replay regenerates)."""
+        if self._listeners and not self.replaying:
+            for listener in list(self._listeners):
+                listener(kind)
+
+    def on_crash_point(self, listener: Callable[[str], None]) -> None:
+        """Register a crash-instant hook, called with the instant's kind."""
+        self._listeners.append(listener)
 
     def snapshot_taken(self) -> None:
         self._records_since_snapshot = 0

@@ -35,8 +35,8 @@ under *every* policy.  The engine uses this as a group-commit barrier at
 scheduler drain entry: because appends are strictly ordered, that one
 durable record drags every buffered submission to disk before any of its
 crowd effects happen, and recovery reproduces the full run even when an
-``interval``/``off`` crash loses the trailing event records (which replay
-regenerates deterministically).
+``interval``/``off`` crash loses the submissions buffered since the last
+barrier (whose crowd effects have not happened yet).
 
 Opening an existing log scans it record by record and **cleanly
 truncates** at the first torn or corrupt record boundary — a short
@@ -52,7 +52,7 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import Any, NamedTuple
 
 from repro.errors import CodecError, WALCorruptionError, WALError
 from repro.storage.codec import dumps, loads, pack, unpack
@@ -112,8 +112,8 @@ class WALRecoveryInfo:
 
 
 #: ``'{"lsn":%d,"type":%s,"data":%s}'`` assembled by hand on the append hot
-#: path: journaling sits on every crowd event, so one encode of just the
-#: data dict (keys in deterministic insertion order) beats encoding a
+#: path: the answer tier logs every admitted crowd answer, so one encode of
+#: just the data dict (keys in deterministic insertion order) beats encoding a
 #: freshly-built wrapper dict.
 _RECORD_TEMPLATE = b'{"lsn":%d,"type":%s,"data":%s}'
 
@@ -157,9 +157,6 @@ class WriteAheadLog:
         self._since_flush = 0
         self._base_lsn = 0
         self._last_lsn = 0
-        #: Fired after every append (post flush-policy handling) with
-        #: ``(lsn, record_type)`` — the crash-point injector's hook.
-        self._append_listeners: list[Callable[[int, str], None]] = []
 
     # -- construction ---------------------------------------------------------
 
@@ -297,10 +294,6 @@ class WriteAheadLog:
     def unflushed_records(self) -> int:
         return self._buffered_records
 
-    def on_append(self, callback: Callable[[int, str], None]) -> None:
-        """Register a post-append hook (``(lsn, type)``); crash injection."""
-        self._append_listeners.append(callback)
-
     def append(self, record_type: str, data: dict[str, Any], *, durable: bool = False) -> int:
         """Append one record; returns its LSN.
 
@@ -329,11 +322,6 @@ class WriteAheadLog:
                 self.flush()
         elif self._buffered_records >= OFF_POLICY_BUFFER_CAP:
             self.flush()
-        # Listeners fire *after* the flush-policy decision so a simulated
-        # crash at this LSN loses exactly what a real crash would.
-        if self._append_listeners:
-            for callback in list(self._append_listeners):
-                callback(lsn, record_type)
         return lsn
 
     def flush(self) -> None:

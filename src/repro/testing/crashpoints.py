@@ -3,13 +3,17 @@
 The durability claim worth testing is not "the engine restarts" but "the
 recovered engine is *indistinguishable* from one that never crashed".  The
 engine is deterministic, so that claim is checkable to the byte: kill a
-durable run at WAL append K, recover from disk, and compare
+durable run at crash instant K, recover from disk, and compare
 ``fingerprint_engine`` output against an uninterrupted same-seed run of the
-submissions that made it into the log.  Sweeping K over the whole log turns
-one scenario into hundreds of distinct crash experiments.
+submissions that made it into the log.  Sweeping K over every instant of a
+run turns one scenario into hundreds of distinct crash experiments.
 
-The injector piggybacks on the WAL's ``on_append`` hook: the listener fires
-*after* the flush-policy decision for the record, so raising there and then
+A crash instant is either a WAL append (a submission, a drain barrier) or
+a crash point — a crowd event the engine regenerates on replay and so does
+not log: a HIT posted or settled, a budget commit or release, an answer
+delivered, a lifecycle transition.  The injector is a crash-instant
+listener on the engine's journal (``EngineJournal.on_crash_point``): it
+fires *after* an append's flush-policy decision, so raising there and then
 calling ``simulate_crash()`` loses exactly the unflushed suffix a real
 process death would lose.  A scheduled crash therefore exercises every
 interesting instant — mid-submission, mid-drain, mid-settlement — without
@@ -51,7 +55,7 @@ __all__ = [
     "all_crash_scenarios",
     "run_phases",
     "run_durable",
-    "count_wal_events",
+    "crash_instants",
     "crash_points",
     "recovered_fingerprint",
     "recovered_query_count",
@@ -63,7 +67,7 @@ PRODUCTS_SQL = "SELECT name FROM products WHERE isTargetColor(name)"
 
 
 class SimulatedCrashError(QurkError):
-    """Raised by the injector at the scheduled WAL append to kill the run."""
+    """Raised by the injector at the scheduled crash instant to kill the run."""
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +319,11 @@ def run_durable(
     snapshot_every: int | None = None,
     crash_at: int | None = None,
 ) -> bool:
-    """Run the scenario durably, optionally dying at WAL append ``crash_at``.
+    """Run the scenario durably, optionally dying at crash instant ``crash_at``.
 
-    Returns whether the injected crash actually fired (a ``crash_at``
-    beyond the end of the log means the run completed).  Either way the
+    Instants count from 1 in :func:`crash_instants` order.  Returns whether
+    the injected crash actually fired (a ``crash_at`` beyond the last
+    instant means the run completed).  Either way the
     engine's WAL ends in the crashed state — unflushed records lost —
     ready for :meth:`QurkEngine.recover`.
     """
@@ -334,16 +339,14 @@ def run_durable(
         spec=scenario.spec_payload(),
     )
     if crash_at is not None:
-        appends = [0]
+        instants = [0]
 
-        def _kill(lsn: int, record_type: str) -> None:
-            appends[0] += 1
-            if appends[0] == crash_at:
-                raise SimulatedCrashError(
-                    f"scheduled crash at append #{crash_at} (lsn {lsn}, {record_type})"
-                )
+        def _kill(kind: str) -> None:
+            instants[0] += 1
+            if instants[0] == crash_at:
+                raise SimulatedCrashError(f"scheduled crash at instant #{crash_at} ({kind})")
 
-        engine.journal.on_append(_kill)
+        engine.journal.on_crash_point(_kill)
     crashed = False
     try:
         run_phases(engine, scenario, checkpoint=True)
@@ -353,10 +356,15 @@ def run_durable(
     return crashed
 
 
-def count_wal_events(scenario: CrashScenario, *, fsync: str = "interval") -> int:
-    """Total WAL appends an uninterrupted durable run of the scenario makes."""
+def crash_instants(scenario: CrashScenario, *, fsync: str = "interval") -> list[str]:
+    """The kinds of every crash instant of an uninterrupted durable run, in order.
+
+    ``len()`` of the list is the sweep's total, and
+    ``run_durable(crash_at=K)`` dies at instant ``kinds[K - 1]``.
+    """
     import tempfile
 
+    kinds: list[str] = []
     with tempfile.TemporaryDirectory() as directory:
         built = scenario.build_engine()
         engine = getattr(built, "engine", built)
@@ -364,14 +372,14 @@ def count_wal_events(scenario: CrashScenario, *, fsync: str = "interval") -> int
             DurabilityConfig(directory=directory, fsync=fsync, snapshot_every=None),
             spec=scenario.spec_payload(),
         )
+        engine.journal.on_crash_point(kinds.append)
         run_phases(engine, scenario, checkpoint=True)
-        total = engine.journal.wal.last_lsn
         engine.journal.close()
-    return total
+    return kinds
 
 
 def crash_points(total_events: int, n_points: int, *, seed: int = 0) -> list[int]:
-    """A seeded sample of crash appends, always including the first and last."""
+    """A seeded sample of crash instants, always including the first and last."""
     if total_events <= 0:
         return []
     points = {1, total_events}

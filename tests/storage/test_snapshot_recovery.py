@@ -130,7 +130,8 @@ class TestEngineCheckpoint:
 
     def test_auto_checkpoint_fires_at_drain_quiescence(self, tmp_path):
         scenario, engine = _durable_engine(tmp_path, snapshot_every=5)
-        engine.query(scenario.phases[0][0]["sql"])
+        for _ in range(5):  # the journal counts replay records: 5 submissions
+            engine.query(scenario.phases[0][0]["sql"])
         engine.scheduler.drain()
         assert load_latest_snapshot(tmp_path) is not None
 

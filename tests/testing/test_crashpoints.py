@@ -1,27 +1,31 @@
-"""Kill-at-K recovery invariants: every crash point recovers byte-identically.
+"""Kill-at-K recovery invariants: every crash instant recovers byte-identically.
 
 The invariant under test is the strongest the engine can offer: for ANY
-WAL append K and ANY fsync policy, killing a durable run at K and
-recovering from disk yields an engine whose ``fingerprint_engine`` output
-equals an uninterrupted, non-durable run of the submissions that made it
-into the log.  Determinism turns "recovery looks right" into "recovery is
-bit-exact".
+crash instant K (a WAL append, or a crowd event that replay regenerates
+and so writes nothing) and ANY fsync policy, killing a durable run at K
+and recovering from disk yields an engine whose ``fingerprint_engine``
+output equals an uninterrupted, non-durable run of the submissions that
+made it into the log.  Determinism turns "recovery looks right" into
+"recovery is bit-exact".
 """
 
+import hashlib
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from repro.engine import QurkEngine
 from repro.errors import QurkError
 from repro.storage.durability import DurabilityConfig
+from repro.storage.wal import WriteAheadLog
 from repro.testing.crashpoints import (
     PRODUCTS_SQL,
     CrashScenario,
     all_crash_scenarios,
     corrupt_tail,
-    count_wal_events,
+    crash_instants,
     crash_points,
     faulty_crash_scenario,
     plain_crash_scenario,
@@ -30,6 +34,7 @@ from repro.testing.crashpoints import (
     recovered_query_count,
     reference_fingerprint,
     run_durable,
+    run_phases,
 )
 
 SCENARIOS = {scenario.name: scenario for scenario in all_crash_scenarios()}
@@ -49,7 +54,7 @@ class TestKillAtKSweep:
     @pytest.mark.parametrize("name", list(SCENARIOS))
     def test_sweep(self, name, tmp_path):
         scenario = SCENARIOS[name]
-        total = count_wal_events(scenario)
+        total = len(crash_instants(scenario))
         assert total > 20, "scenario too small to be an interesting sweep"
         rng = random.Random(hash(name) & 0xFFFF)
         for crash_at in crash_points(total, 5, seed=rng.randint(0, 1_000)):
@@ -78,21 +83,13 @@ class TestKillAtKSweep:
     def test_drain_barrier_commits_pending_submissions(self, tmp_path):
         """Crashing right past a drain record never loses its submissions."""
         scenario = plain_crash_scenario()
-        # Find the first drain record's LSN, then crash just after it.
-        probe = tmp_path / "probe"
-        run_durable(scenario, probe, fsync="off")
-        from repro.storage.wal import WriteAheadLog
-
-        info, _ = WriteAheadLog.scan(probe / "wal.log")
-        drain_lsn = next(r.lsn for r in info.records if r.type == "drain")
-        n_before = sum(
-            1
-            for r in info.records
-            if r.type == "query_submitted" and r.lsn < drain_lsn
-        )
+        # Find the first drain instant, then crash at the instant after it.
+        kinds = crash_instants(scenario, fsync="off")
+        drain = kinds.index("drain")
+        n_before = kinds[:drain].count("query_submitted")
         assert n_before >= 1
         result = _assert_crash_recovers_exactly(
-            scenario, tmp_path / "crash", crash_at=drain_lsn + 1, fsync="off"
+            scenario, tmp_path / "crash", crash_at=drain + 2, fsync="off"
         )
         assert recovered_query_count(result) >= n_before
 
@@ -102,6 +99,91 @@ class TestKillAtKSweep:
             scenario, tmp_path, crash_at=10_000, fsync="off"
         )
         assert recovered_query_count(result) == scenario.total_submissions
+
+
+class TestReplayOnlyLog:
+    """The WAL holds only what replay reads; crowd events stay crash instants.
+
+    CI's crash-matrix job runs this class by name.
+    """
+
+    @pytest.mark.parametrize("name", list(SCENARIOS))
+    def test_a_durable_run_logs_only_submissions_and_drains(self, name, tmp_path):
+        scenario = SCENARIOS[name]
+        engine = scenario.build_engine()
+        engine.enable_durability(
+            DurabilityConfig(directory=str(tmp_path), snapshot_every=None),
+            spec=scenario.spec_payload(),
+        )
+        run_phases(engine, scenario)
+        engine.journal.close()
+        info, _ = WriteAheadLog.scan(tmp_path / "wal.log")
+        expected = []
+        for phase in scenario.phases:
+            expected += ["query_submitted"] * len(phase) + ["drain"]
+        assert [record.type for record in info.records] == expected
+
+    #: Per scenario: how many crash instants a durable run offers, how many
+    #: of each kind, and the first 16 hex digits of the sha256 of the kinds
+    #: joined by commas — the instants the sweep killed at when every crowd
+    #: event was still a WAL record, so every K keeps its moment.
+    INSTANTS = {
+        "plain-products": (
+            161,
+            {"query_submitted": 3, "drain": 2, "query_event": 12, "budget_commit": 36,
+             "hit_posted": 36, "hit_settled": 36, "answer_delivered": 36},
+            "6d628bd81fa9a59f",
+        ),
+        "cached-companies": (
+            53,
+            {"query_submitted": 3, "drain": 2, "query_event": 12, "budget_commit": 6,
+             "hit_posted": 6, "hit_settled": 6, "answer_delivered": 18},
+            "092b7ca3b99260e3",
+        ),
+        "faulty-products": (
+            78,
+            {"query_submitted": 2, "drain": 2, "query_event": 8, "budget_commit": 12,
+             "hit_posted": 12, "hit_settled": 12, "answer_delivered": 24,
+             "budget_release": 6},
+            "94e5fee4d50879c8",
+        ),
+        "quality-products": (
+            65,
+            {"query_submitted": 2, "drain": 2, "query_event": 8, "budget_commit": 11,
+             "hit_posted": 11, "hit_settled": 11, "answer_delivered": 20},
+            "3f926808d7a03fb5",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(SCENARIOS))
+    def test_crash_instants_keep_their_kinds_and_order(self, name):
+        kinds = crash_instants(SCENARIOS[name])
+        total, counts, digest = self.INSTANTS[name]
+        assert len(kinds) == total
+        assert Counter(kinds) == counts
+        assert hashlib.sha256(",".join(kinds).encode()).hexdigest()[:16] == digest
+
+    def test_a_log_with_audit_records_still_recovers(self, tmp_path):
+        """Logs written when crowd events were records replay unchanged."""
+        scenario = plain_crash_scenario()
+        run_durable(scenario, tmp_path, fsync="always")
+        wal, _ = WriteAheadLog.open(tmp_path / "wal.log")
+        wal.append(
+            "hit_posted",
+            {"hit_id": "HIT-1", "spec": "isTargetColor", "tasks": 1, "cost": 0.03,
+             "shares": {"q3": 1}},
+        )
+        wal.append(
+            "query_event",
+            {"query_id": "q3", "event": "completed", "detail": "", "time": 60.0},
+        )
+        wal.close()
+        result = QurkEngine.recover(tmp_path)
+        assert [record.type for record in result.records[-2:]] == ["hit_posted", "query_event"]
+        assert recovered_query_count(result) == scenario.total_submissions
+        assert recovered_fingerprint(result) == reference_fingerprint(
+            scenario, scenario.total_submissions
+        )
 
 
 class TestCrashSmoke:
