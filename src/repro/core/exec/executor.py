@@ -20,8 +20,8 @@ Once its query has ended and none of its crowd work is in flight, the
 scheduler retires the executor (:meth:`QueryExecutor.retire`): the operator
 tree, its compiled kernels and queues and the execution context are
 dropped, and what a finished query is still asked about — its statistics,
-per-operator progress rows and a logical mirror of the plan — stays as a
-record.
+per-operator progress rows and the logical tree the plan was built from —
+stays as a record.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from repro.core.exec.context import ExecutionContext
 from repro.core.operators.base import Operator
 from repro.core.operators.sink import ResultSinkOperator
 from repro.core.optimizer.statistics import QueryStats
-from repro.core.plan.logical import LogicalNode, from_physical
+from repro.core.plan.logical import LogicalNode
 from repro.errors import ExecutionError
 
 __all__ = ["ExecutorMetrics", "OperatorSnapshot", "QueryExecutor"]
@@ -81,13 +81,18 @@ class QueryExecutor:
         self.context = context
         self.metrics = ExecutorMetrics()
         self._operators: list[Operator] = list(root.walk())
+        #: The logical tree the plan under the sink was built from, each node
+        #: kept by its operator (None for a hand-built plan).  A plan made
+        #: from a template shares the template's tree until its first swap
+        #: (:meth:`replace_operator`) takes a private copy.
+        self.plan_tree: LogicalNode | None = root.children[0].node if root.children else None
+        self._owns_plan_tree = False
         self._finish_signalled: set[int] = set()
         self._opened = False
         self._closed = False
         # The record a retired executor answers from (all None while live).
         self._stats: QueryStats | None = None
         self._rows: tuple[OperatorSnapshot, ...] | None = None
-        self._mirror: LogicalNode | None = None
         self._apply_drain_bounds()
 
     # -- lifecycle ----------------------------------------------------------------
@@ -150,8 +155,8 @@ class QueryExecutor:
         """Drop the operator tree of an ended query, keeping what is read of it.
 
         Kept: :attr:`metrics`, the query's statistics, the operator rows and
-        the plan's logical mirror (re-costed on every read, so an estimate is
-        as current as the statistics).  Dropped: the operators with their
+        :attr:`plan_tree` (re-costed on every read, so an estimate is as
+        current as the statistics).  Dropped: the operators with their
         compiled kernels and queues, and the execution context.  The caller
         makes sure no task of the query can still call back into the tree
         (the scheduler asks :meth:`TaskManager.has_live_tasks`).
@@ -160,7 +165,6 @@ class QueryExecutor:
             return
         self._stats = self.stats
         self._rows = self.operator_rows()
-        self._mirror = from_physical(self.root)
         self.root = None
         self.context = None
         self._operators = []
@@ -198,12 +202,6 @@ class QueryExecutor:
         visit(self.root, 0)
         return tuple(rows)
 
-    def plan_mirror(self) -> LogicalNode:
-        """The plan as logical nodes, carrying the decisions it committed to."""
-        if self._mirror is not None:
-            return self._mirror
-        return from_physical(self.root)
-
     # -- adaptive re-planning --------------------------------------------------------
 
     def replace_operator(self, old: Operator, new: Operator) -> None:
@@ -217,6 +215,11 @@ class QueryExecutor:
         of the queues, so no tuple is lost or reordered.  Refuses to replace an
         operator that has already submitted crowd work or emitted rows —
         money spent is never discarded.
+
+        ``new.node`` takes the old operator's place in :attr:`plan_tree`
+        (the query's first swap copies the tree, so a template's tree is
+        never rewritten).  A replacement built by hand, with no node, keeps
+        the old operator's node.
         """
         if old not in self._operators:
             raise ExecutionError(f"operator {old.name} is not part of this plan")
@@ -239,6 +242,17 @@ class QueryExecutor:
         for batch, slot in reversed(old.consumed_input()):
             new._in_queues[slot].appendleft(batch)
 
+        if old.node is not None:
+            self._own_plan_tree()
+            if new.node is None:
+                new.node = old.node
+            new.node.children = old.node.children
+            parent = old.parent.node
+            if parent is None:
+                self.plan_tree = new.node
+            else:
+                parent.children[old.child_slot] = new.node
+
         new.parent = old.parent
         new.child_slot = old.child_slot
         old.parent.children[old.child_slot] = new
@@ -249,6 +263,19 @@ class QueryExecutor:
         self._apply_drain_bounds()
 
     # -- helpers ---------------------------------------------------------------------
+
+    def _own_plan_tree(self) -> None:
+        """Before the first swap, pair every operator with a private copy of its node.
+
+        The copy is made in walk order, which the physical planner built the
+        operators in, so operator and node trees keep the same shape.
+        """
+        if self._owns_plan_tree:
+            return
+        self.plan_tree = self.plan_tree.clone()
+        for operator, node in zip(self.root.children[0].walk(), self.plan_tree.walk()):
+            operator.node = node
+        self._owns_plan_tree = True
 
     def _apply_drain_bounds(self) -> None:
         """Let purely local plans take big steps.

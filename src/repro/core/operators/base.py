@@ -44,6 +44,7 @@ from repro.storage.schema import Schema
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from repro.core.exec.context import ExecutionContext
+    from repro.core.plan.logical import LogicalNode
     from repro.core.tasks.spec import TaskSpec
 
 __all__ = ["OperatorMetrics", "Operator", "PerRowCrowdOperator"]
@@ -86,6 +87,10 @@ class Operator:
         #: input (None for hand-built plans).  The adaptive replanner compares
         #: it against observed cardinalities to detect misestimation.
         self.planned_input_rows: float | None = None
+        #: The logical node the physical planner built this operator from
+        #: (None for hand-built plans): the optimizer re-costs a running
+        #: plan on its operators' nodes.
+        self.node: "LogicalNode | None" = None
         self._max_rows_per_step = self.MAX_ROWS_PER_STEP
         self._in_queues: list[deque[RowBatch]] = []
         self._inputs_done: list[bool] = []

@@ -28,22 +28,26 @@ left alone.  Every change is returned to the scheduler, which emits a
 ``QueryHandle.plan_history()`` exposes the full record.
 
 The observed cardinality comes from the same per-node estimators EXPLAIN
-uses: at a barrier the running tree is mirrored into the logical IR
-(:func:`~repro.core.plan.logical.from_physical`), every finished operator's
-node is pinned to the rows it actually emitted, and one costing pass
-annotates the rest with observed selectivities.  The mirror is transient:
-nothing is kept on the operators or the query handle.
+uses: at a barrier one costing pass annotates the nodes the running
+operators were built from (:attr:`~repro.core.operators.base.Operator.node`),
+taking every finished operator's node at the rows it actually emitted and
+estimating the rest with observed selectivities.  A swap builds its
+replacement from a copy of the old operator's node with the new strategy,
+through the physical planner's
+:func:`~repro.core.plan.physical.make_operator`.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 from repro.core.operators.base import Operator
 from repro.core.operators.crowd_join import CrowdJoinOperator, JoinStrategy
 from repro.core.operators.crowd_sort import CrowdSortOperator, SortStrategy
 from repro.core.optimizer.optimizer import QueryOptimizer
-from repro.core.plan.logical import annotate_plan, from_physical
+from repro.core.plan.logical import annotate_plan
+from repro.core.plan.physical import make_operator
 from repro.core.tasks.spec import ComparisonResponse, JoinColumnsResponse
 
 __all__ = ["PlanChange", "AdaptiveReplanner"]
@@ -153,8 +157,8 @@ class AdaptiveReplanner:
             crowd_sort = isinstance(operator, CrowdSortOperator)
             if not (crowd_sort or isinstance(operator, CrowdJoinOperator)):
                 continue
-            if not _is_pending(operator):
-                continue
+            if operator.node is None or not _is_pending(operator):
+                continue  # a hand-built operator has no node to re-cost
             if rows is None:
                 rows = self._estimate_rows(executor.root)
             if crowd_sort:
@@ -180,14 +184,17 @@ class AdaptiveReplanner:
         Finished operators report their exact output; running ones are
         estimated by their logical node over observed selectivities, which
         is what makes the replanner's estimates tighter than plan time.
+        ``root`` is the plan's results sink, which has no node and is left
+        out.
         """
-        tree = from_physical(root)
-        pairs = list(zip(root.walk(), tree.walk()))
-        for operator, node in pairs:
-            if operator.is_done():
-                node.observed_rows = float(operator.metrics.rows_out)
-        annotate_plan(tree, self.optimizer.costing_pass())
-        return {id(operator): node.estimated_rows for operator, node in pairs}
+        planned = [operator for operator in root.walk() if operator.node is not None]
+        observed = {
+            id(operator.node): float(operator.metrics.rows_out)
+            for operator in planned
+            if operator.is_done()
+        }
+        annotate_plan(root.children[0].node, self.optimizer.costing_pass(), observed)
+        return {id(operator): operator.node.estimated_rows for operator in planned}
 
     def _reconsider_sort(
         self,
@@ -220,14 +227,7 @@ class AdaptiveReplanner:
         current, alternative = costs[operator.strategy], costs[new_strategy]
         if alternative.dollars >= current.dollars:
             return None
-        replacement = CrowdSortOperator(
-            operator.spec,
-            operator.output_schema,
-            strategy=new_strategy,
-            descending=operator.descending,
-            items_per_hit=operator.items_per_hit,
-            payload=operator.payload,
-        )
+        replacement = _replacement(operator, new_strategy)
         replacement.planned_input_rows = observed
         executor.replace_operator(operator, replacement)
         return PlanChange(
@@ -275,20 +275,7 @@ class AdaptiveReplanner:
         current, alternative = costs[operator.strategy], costs[new_strategy]
         if alternative.dollars >= current.dollars:
             return None
-        left_schema = operator.children[0].output_schema
-        right_schema = operator.children[1].output_schema
-        replacement = CrowdJoinOperator(
-            operator.spec,
-            left_schema,
-            right_schema,
-            strategy=new_strategy,
-            pairs_per_hit=operator.pairs_per_hit,
-            left_per_hit=operator.left_per_hit,
-            right_per_hit=operator.right_per_hit,
-            left_payload=operator.left_payload,
-            right_payload=operator.right_payload,
-            prefilter=operator.prefilter,
-        )
+        replacement = _replacement(operator, new_strategy)
         replacement.planned_left_rows = n_left
         replacement.planned_right_rows = n_right
         executor.replace_operator(operator, replacement)
@@ -340,6 +327,17 @@ class AdaptiveReplanner:
 
 
 # -- helpers ------------------------------------------------------------------------------
+
+
+def _replacement(operator: Operator, strategy: SortStrategy | JoinStrategy) -> Operator:
+    """A fresh operator for a copy of ``operator``'s node with ``strategy``.
+
+    The copy's children are re-linked when the executor swaps it in
+    (:meth:`~repro.core.exec.executor.QueryExecutor.replace_operator`).
+    """
+    node = copy.copy(operator.node)
+    node.strategy = strategy
+    return make_operator(node, operator.children)
 
 
 def _is_pending(operator: Operator) -> bool:

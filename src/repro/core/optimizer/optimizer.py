@@ -26,8 +26,8 @@ per-query switches (``adaptive``, ``budget``, deadlines) live on
 Plan-level costing runs over the logical IR: every logical node prices
 itself (:meth:`~repro.core.plan.logical.LogicalNode.estimate_cost`) against a
 :class:`CostingPass`, which snapshots each task spec's statistics exactly
-once per pass.  Physical plans are costed through the structural bridge in
-:func:`repro.core.plan.logical.from_physical`.
+once per pass.  A running plan is costed on the nodes its operators were
+built from (:attr:`~repro.core.operators.base.Operator.node`).
 
 ``choose_join_strategy``/``choose_sort_strategy``/``estimate_plan_cost`` have no engine caller;
 ROADMAP 9(a) drops them.
@@ -325,12 +325,8 @@ class QueryOptimizer:
         return annotate_plan(root, self.costing_pass())
 
     def estimate_plan_cost(self, root: Operator) -> CostEstimate:
-        """Walk a physical plan and estimate its total crowd cost.
+        """Cost a planned operator tree, given its results sink, on its nodes.
 
-        The physical tree is mirrored into the logical IR (carrying the
-        decisions the plan has already committed to) and costed per-node.
-        The engine costs ``executor.plan_mirror()`` the same way instead.
+        The engine costs ``executor.plan_tree`` the same way instead.
         """
-        from repro.core.plan.logical import from_physical
-
-        return self.estimate_logical_cost(from_physical(root))
+        return self.estimate_logical_cost(root.children[0].node)

@@ -14,19 +14,19 @@ what the plan means.  This module provides that representation:
   optimizer no longer owns an ``isinstance`` ladder);
 * bottom-up cardinality annotation (:func:`annotate_plan`), which stamps
   ``estimated_rows`` / ``estimated_cost`` on every node;
-* a structural bridge from physical operator trees back into the IR
-  (:func:`from_physical`), so running plans are re-costed through the same
-  per-node code path the enumerator uses — by the dashboard's cost estimate
-  and by the adaptive replanner, which pins finished operators' nodes to the
-  rows they emitted (:attr:`LogicalNode.observed_rows`) and reads the
-  cardinalities flowing into the pending ones;
+* one tree per running plan: every physical operator keeps the node it was
+  built from (:attr:`~repro.core.operators.base.Operator.node`), so a running
+  plan is re-costed through the same per-node code path the enumerator uses
+  — by the dashboard's cost estimate and by the adaptive replanner, which
+  passes finished operators' row counts to :func:`annotate_plan` and reads
+  the cardinalities flowing into the pending ones;
 * a compact text rendering (:func:`render_tree`) used by ``EXPLAIN``.
 
 Physical *decisions* (join interface, sort strategy, filter placement) are
 carried as optional annotations on the logical nodes: ``None`` means
 "undecided — cost the preferred default", a concrete value means the
-:class:`~repro.core.plan.physical.PhysicalPlanner` (or a running operator)
-has committed to it.
+:class:`~repro.core.plan.physical.PhysicalPlanner` (or, mid-query, the
+adaptive replanner) has committed to it.
 """
 
 from __future__ import annotations
@@ -36,19 +36,12 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
-from repro.core.operators.aggregate import AggregateSpec, GroupByOperator, LimitOperator
-from repro.core.operators.base import Operator
-from repro.core.operators.crowd_filter import CrowdFilterOperator
-from repro.core.operators.crowd_generate import CrowdGenerateOperator
-from repro.core.operators.crowd_join import CrowdJoinOperator, JoinStrategy
-from repro.core.operators.crowd_sort import CrowdSortOperator, SortStrategy
-from repro.core.operators.join_local import LocalHashJoinOperator
-from repro.core.operators.project import LocalFilterOperator, ProjectOperator
-from repro.core.operators.scan import IndexScanOperator, ScanOperator
-from repro.core.operators.sort_local import LocalSortOperator
+from repro.core.operators.aggregate import AggregateSpec
+from repro.core.operators.crowd_join import JoinStrategy
+from repro.core.operators.crowd_sort import SortStrategy
 from repro.core.optimizer.cost_model import CostEstimate, cheaper_join_strategy
 from repro.core.tasks.spec import JoinColumnsResponse, RatingResponse, TaskSpec
-from repro.storage.expressions import ColumnRef, Expression, FunctionCall
+from repro.storage.expressions import Expression, FunctionCall
 from repro.storage.table import Table
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
@@ -70,7 +63,6 @@ __all__ = [
     "LogicalPlan",
     "annotate_plan",
     "render_tree",
-    "from_physical",
 ]
 
 
@@ -79,12 +71,8 @@ class LogicalNode:
 
     Nodes form a tree via :attr:`children`.  After :func:`annotate_plan`
     runs, :attr:`estimated_rows` holds the bottom-up output-cardinality
-    estimate and :attr:`estimated_cost` this node's own crowd cost.  A node
-    whose :attr:`observed_rows` is set (a finished operator, mirrored by
-    :func:`from_physical`) reports that count instead of estimating one.
+    estimate and :attr:`estimated_cost` this node's own crowd cost.
     """
-
-    observed_rows: float | None = None
 
     def __init__(self) -> None:
         self.children: list[LogicalNode] = []
@@ -566,17 +554,6 @@ class LogicalLimit(LogicalNode):
         return f"limit({self.limit})"
 
 
-class _Passthrough(LogicalNode):
-    """Costing stand-in for sinks and any operator the IR has no word for."""
-
-    def __init__(self, name: str = "passthrough"):
-        super().__init__()
-        self._name = name
-
-    def label(self) -> str:
-        return self._name
-
-
 @dataclass
 class LogicalPlan:
     """The output of lowering: the query's pieces, before physical choices.
@@ -606,13 +583,19 @@ class LogicalPlan:
 # -- annotation and rendering ------------------------------------------------------------
 
 
-def annotate_plan(root: LogicalNode, costing) -> CostEstimate:
+def annotate_plan(
+    root: LogicalNode, costing, observed: dict[int, float] | None = None
+) -> CostEstimate:
     """Cost a logical plan bottom-up, annotating every node.
 
     ``costing`` is the optimizer's per-pass costing context (cached spec
-    statistics, cost model, redundancy choices).  Returns the plan total.
+    statistics, cost model, redundancy choices).  ``observed`` maps
+    ``id(node)`` to the rows a finished operator actually emitted; such a
+    node reports that count instead of estimating one.  Returns the plan
+    total.
     """
     total = CostEstimate()
+    observed = observed or {}
 
     def visit(node: LogicalNode) -> float:
         nonlocal total
@@ -620,7 +603,7 @@ def annotate_plan(root: LogicalNode, costing) -> CostEstimate:
         cost = node.estimate_cost(child_rows, costing)
         node.estimated_cost = cost
         total = total.plus(cost)
-        rows = node.observed_rows
+        rows = observed.get(id(node))
         if rows is None:
             rows = node.estimate_output_rows(child_rows, costing)
         node.estimated_rows = rows
@@ -645,97 +628,3 @@ def render_tree(root: LogicalNode) -> str:
 
     visit(root, 0)
     return "\n".join(lines)
-
-
-# -- physical -> logical bridge -----------------------------------------------------------
-
-
-def from_physical(operator: Operator) -> LogicalNode:
-    """Mirror a physical operator tree as logical nodes for re-costing.
-
-    Decisions already taken by the physical plan (join interface, sort
-    strategy, batching) are carried over, so re-costing a running plan prices
-    exactly the plan that is executing.  This is a structural mapping only —
-    all costing lives on the logical nodes.  Each operator becomes exactly
-    one node with its children in the same order, so
-    ``zip(operator.walk(), node.walk())`` pairs every operator with its node.
-    """
-    if isinstance(operator, ScanOperator):
-        return LogicalScan(operator.table, alias=operator.alias, binding=operator.alias)
-    if isinstance(operator, IndexScanOperator):
-        return LogicalIndexScan(
-            operator.table,
-            column=operator.column,
-            op=operator.op,
-            value=operator.value,
-            alias=operator.alias,
-            binding=operator.alias,
-        )
-
-    children = [from_physical(child) for child in operator.children]
-
-    node: LogicalNode
-    if isinstance(operator, CrowdFilterOperator):
-        node = LogicalFilter(spec=operator.spec, negate=operator.negate)
-    elif isinstance(operator, CrowdGenerateOperator):
-        node = LogicalGenerate(operator.spec)
-    elif isinstance(operator, CrowdJoinOperator):
-        node = LogicalJoin(
-            operator.spec,
-            strategy=operator.strategy,
-            pairs_per_hit=operator.pairs_per_hit,
-            left_per_hit=operator.left_per_hit,
-            right_per_hit=operator.right_per_hit,
-        )
-    elif isinstance(operator, CrowdSortOperator):
-        node = LogicalSort(
-            spec=operator.spec,
-            strategy=operator.strategy,
-            ascending=not operator.descending,
-            items_per_hit=operator.items_per_hit,
-        )
-    elif isinstance(operator, LocalHashJoinOperator):
-        left_table, left_column = _join_key_source(operator.left_key, children[0])
-        right_table, right_column = _join_key_source(operator.right_key, children[1])
-        node = LogicalLocalJoin(
-            left_key=operator.left_key,
-            right_key=operator.right_key,
-            left_table=left_table,
-            right_table=right_table,
-            left_column=left_column,
-            right_column=right_column,
-            build_side=operator.build_side,
-        )
-    elif isinstance(operator, LocalFilterOperator):
-        node = LogicalFilter(predicate=operator.predicate)
-    elif isinstance(operator, LocalSortOperator):
-        node = LogicalSort(key=operator.key, ascending=operator.ascending)
-    elif isinstance(operator, GroupByOperator):
-        node = LogicalGroupBy(operator.group_columns, operator.aggregates)
-    elif isinstance(operator, LimitOperator):
-        node = LogicalLimit(operator.limit)
-    elif isinstance(operator, ProjectOperator):
-        node = LogicalProject()
-    else:
-        node = _Passthrough(operator.name)
-
-    for child in children:
-        node.add_child(child)
-    return node
-
-
-def _join_key_source(key: Expression, side: LogicalNode) -> tuple[Table | None, str | None]:
-    """The base table and bare column a local-join key reads, or ``(None, None)``.
-
-    Resolved the way the planner resolves a join key against its FROM
-    bindings, so a mirrored local join estimates its output with the same
-    ``distinct_count`` statistics as the planned one.
-    """
-    if not isinstance(key, ColumnRef):
-        return None, None
-    for node in side.walk():
-        if isinstance(node, (LogicalScan, LogicalIndexScan)) and (
-            key.name in node.table.schema.qualified(node.binding)
-        ):
-            return node.table, key.name.rsplit(".", 1)[-1]
-    return None, None

@@ -26,9 +26,11 @@ demo lets the audience explore:
 Enumeration composes the candidate trees; :meth:`PhysicalPlanner.pick` then
 costs every one through the optimizer's per-node logical costing, and the
 cost-minimal candidate (dollars, then HITs, then tasks, then local
-machine work) is built into a tree of physical operators.  The chosen candidate's cardinality
-annotations are stamped onto the physical operators (``planned_input_rows``)
-so the adaptive replanner can later detect misestimation.
+machine work) is built into a tree of physical operators.  Each operator keeps
+the node it was built from (``operator.node``), and the chosen candidate's
+cardinality annotations are stamped onto the operators
+(``planned_input_rows``) so the adaptive replanner can later detect
+misestimation.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from repro.errors import PlanError
 from repro.storage.expressions import ColumnRef, Comparison, Expression, Literal
 from repro.storage.indexes import SortedIndex
 
-__all__ = ["PhysicalCandidate", "PhysicalPlanner"]
+__all__ = ["PhysicalCandidate", "PhysicalPlanner", "make_operator"]
 
 
 @dataclass(frozen=True)
@@ -471,12 +473,16 @@ class PhysicalPlanner:
     # -- physical construction -------------------------------------------------------------
 
     def build(self, root: LogicalNode) -> Operator:
-        """Turn a decided (and annotated) logical tree into physical operators."""
+        """Turn a decided (and annotated) logical tree into physical operators.
+
+        Each operator keeps the node it was built from, so the tree that was
+        costed is the tree that runs.
+        """
         return self._build_node(root)
 
     def _build_node(self, node: LogicalNode) -> Operator:
         children = [self._build_node(child) for child in node.children]
-        operator = self._make_operator(node, children)
+        operator = make_operator(node, children)
         for child in children:
             operator.add_child(child)
         operator.planned_input_rows = (
@@ -487,71 +493,79 @@ class PhysicalPlanner:
             operator.planned_right_rows = node.children[1].estimated_rows
         return operator
 
-    def _make_operator(self, node: LogicalNode, children: list[Operator]) -> Operator:
-        input_schema = children[0].output_schema if children else None
-        if isinstance(node, LogicalScan):
-            return ScanOperator(node.table, alias=node.alias)
-        if isinstance(node, LogicalIndexScan):
-            return IndexScanOperator(
-                node.table, node.column, node.op, node.value, alias=node.alias
-            )
-        if isinstance(node, LogicalFilter):
-            if node.is_crowd:
-                return CrowdFilterOperator(
-                    node.spec,
-                    list(node.call.args) if node.call is not None else [],
-                    input_schema,
-                    negate=node.negate,
-                )
-            return LocalFilterOperator(node.predicate, input_schema)
-        if isinstance(node, LogicalJoin):
-            entry = node.entry
-            return CrowdJoinOperator(
-                node.spec,
-                children[0].output_schema,
-                children[1].output_schema,
-                strategy=node.strategy,
-                pairs_per_hit=node.pairs_per_hit,
-                left_per_hit=node.left_per_hit,
-                right_per_hit=node.right_per_hit,
-                left_payload=entry.left_payload if entry else None,
-                right_payload=entry.right_payload if entry else None,
-                prefilter=entry.prefilter if entry else None,
-            )
-        if isinstance(node, LogicalLocalJoin):
-            return LocalHashJoinOperator(
-                node.left_key,
-                node.right_key,
-                children[0].output_schema,
-                children[1].output_schema,
-                build_side=node.build_side or "left",
-            )
-        if isinstance(node, LogicalGenerate):
-            return CrowdGenerateOperator(
-                node.spec,
-                list(node.call.args) if node.call is not None else [],
-                input_schema,
-                output_prefix=node.output_prefix,
-            )
-        if isinstance(node, LogicalSort):
-            if node.is_crowd:
-                entry = node.entry
-                return CrowdSortOperator(
-                    node.spec,
-                    input_schema,
-                    strategy=node.strategy,
-                    descending=not node.ascending,
-                    items_per_hit=node.items_per_hit,
-                    payload=entry.payload if entry else None,
-                )
-            return LocalSortOperator(node.key, input_schema, ascending=node.ascending)
-        if isinstance(node, LogicalGroupBy):
-            return GroupByOperator(node.group_columns, node.aggregates, input_schema)
-        if isinstance(node, LogicalLimit):
-            return LimitOperator(node.limit, input_schema)
-        if isinstance(node, LogicalProject):
-            return _build_projection(node.items)
+
+def make_operator(node: LogicalNode, children: list[Operator]) -> Operator:
+    """The physical operator for one decided node; the operator keeps ``node``.
+
+    ``children`` are the operators that will feed it.  Only their output
+    schemas are read: they are not attached.
+    """
+    input_schema = children[0].output_schema if children else None
+    operator: Operator
+    if isinstance(node, LogicalScan):
+        operator = ScanOperator(node.table, alias=node.alias)
+    elif isinstance(node, LogicalIndexScan):
+        operator = IndexScanOperator(node.table, node.column, node.op, node.value, alias=node.alias)
+    elif isinstance(node, LogicalFilter) and node.is_crowd:
+        operator = CrowdFilterOperator(
+            node.spec,
+            list(node.call.args) if node.call is not None else [],
+            input_schema,
+            negate=node.negate,
+        )
+    elif isinstance(node, LogicalFilter):
+        operator = LocalFilterOperator(node.predicate, input_schema)
+    elif isinstance(node, LogicalJoin):
+        entry = node.entry
+        operator = CrowdJoinOperator(
+            node.spec,
+            children[0].output_schema,
+            children[1].output_schema,
+            strategy=node.strategy,
+            pairs_per_hit=node.pairs_per_hit,
+            left_per_hit=node.left_per_hit,
+            right_per_hit=node.right_per_hit,
+            left_payload=entry.left_payload if entry else None,
+            right_payload=entry.right_payload if entry else None,
+            prefilter=entry.prefilter if entry else None,
+        )
+    elif isinstance(node, LogicalLocalJoin):
+        operator = LocalHashJoinOperator(
+            node.left_key,
+            node.right_key,
+            children[0].output_schema,
+            children[1].output_schema,
+            build_side=node.build_side or "left",
+        )
+    elif isinstance(node, LogicalGenerate):
+        operator = CrowdGenerateOperator(
+            node.spec,
+            list(node.call.args) if node.call is not None else [],
+            input_schema,
+            output_prefix=node.output_prefix,
+        )
+    elif isinstance(node, LogicalSort) and node.is_crowd:
+        entry = node.entry
+        operator = CrowdSortOperator(
+            node.spec,
+            input_schema,
+            strategy=node.strategy,
+            descending=not node.ascending,
+            items_per_hit=node.items_per_hit,
+            payload=entry.payload if entry else None,
+        )
+    elif isinstance(node, LogicalSort):
+        operator = LocalSortOperator(node.key, input_schema, ascending=node.ascending)
+    elif isinstance(node, LogicalGroupBy):
+        operator = GroupByOperator(node.group_columns, node.aggregates, input_schema)
+    elif isinstance(node, LogicalLimit):
+        operator = LimitOperator(node.limit, input_schema)
+    elif isinstance(node, LogicalProject):
+        operator = _build_projection(node.items)
+    else:
         raise PlanError(f"cannot build a physical operator for {node.label()}")
+    operator.node = node
+    return operator
 
 
 def _build_projection(select_items) -> ProjectOperator:

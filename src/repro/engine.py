@@ -389,10 +389,14 @@ class QurkEngine:
     def estimate_query_cost(self, handle: QueryHandle) -> CostEstimate:
         """The optimizer's cost estimate for a running or finished query, right now.
 
-        Costs the plan's logical mirror against today's statistics, so a
-        finished query's estimate moves as the statistics do.
+        Costs the logical tree the plan was built from (the executor's
+        :attr:`~repro.core.exec.executor.QueryExecutor.plan_tree`, swaps
+        included) against today's statistics, so a finished query's estimate
+        moves as the statistics do.  A hand-built plan has no tree and costs
+        nothing.
         """
-        return self.optimizer.estimate_logical_cost(handle.executor.plan_mirror())
+        tree = handle.executor.plan_tree
+        return CostEstimate() if tree is None else self.optimizer.estimate_logical_cost(tree)
 
     def explain(self, sql: str | SelectStatement) -> str:
         """EXPLAIN a query without running it (or paying for anything).

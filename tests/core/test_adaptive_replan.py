@@ -1,11 +1,15 @@
 """Tests for mid-query adaptive re-optimization (AdaptiveReplanner)."""
 
+import copy
+
 import pytest
 
 from repro.core.exec.context import QueryConfig
 from repro.core.lang.sql_parser import parse_select
 from repro.core.operators import CrowdFilterOperator, CrowdSortOperator, LocalHashJoinOperator
 from repro.core.operators.crowd_sort import SortStrategy
+from repro.core.plan.logical import LogicalSort
+from repro.core.plan.physical import make_operator
 from repro.core.plan.planner import QueryPlanner
 from repro.engine import QurkEngine
 from repro.errors import ExecutionError
@@ -156,7 +160,8 @@ class TestReplannerEstimates:
         root = handle.executor.root
         handle.wait()
         rows = engine.replanner._estimate_rows(root)
-        done = [op for op in root.walk() if op.is_done()]
+        # The results sink has no node and is not estimated.
+        done = [op for op in root.children[0].walk() if op.is_done()]
         assert done
         for operator in done:
             assert rows[id(operator)] == float(operator.metrics.rows_out)
@@ -177,16 +182,14 @@ class TestReplaceOperator:
         assert old.metrics.tasks_created == 0
         buffered = sum(len(batch) for batch, _slot in old.consumed_input()) + old.queued_rows()
         assert buffered > 0
-        replacement = CrowdSortOperator(
-            old.spec,
-            old.output_schema,
-            strategy=SortStrategy.RATING,
-            descending=old.descending,
-            items_per_hit=old.items_per_hit,
-            payload=old.payload,
-        )
+        node = copy.copy(old.node)
+        node.strategy = SortStrategy.RATING
+        replacement = make_operator(node, old.children)
         executor.replace_operator(old, replacement)
         assert replacement.parent is old.parent or replacement.parent is not None
+        # The plan tree carries the replacement's node over the old children.
+        assert executor.plan_tree.children[0] is node
+        assert node.children[0] is old.children[0].node
         rows = handle.wait()
         assert len(rows) == 10  # nothing lost in the swap
         assert replacement.ratings_asked == 10
@@ -199,9 +202,45 @@ class TestReplaceOperator:
         old = next(op for op in executor.operators() if isinstance(op, CrowdSortOperator))
         while old.metrics.tasks_created == 0:
             engine.scheduler.step()
-        replacement = CrowdSortOperator(old.spec, old.output_schema)
+        replacement = make_operator(copy.copy(old.node), old.children)
         with pytest.raises(ExecutionError, match="already started"):
             executor.replace_operator(old, replacement)
+
+
+class TestTemplateTreesStayReadOnly:
+    def test_a_swap_copies_the_plan_tree_and_leaves_the_template_alone(self):
+        engine, _workload = build_engine(adaptive=True)
+        # A text planned twice keeps a plan template; the query plans from it.
+        engine.explain(MISESTIMATED_SQL)
+        engine.explain(MISESTIMATED_SQL)
+        template = engine._statement(MISESTIMATED_SQL)[1].template
+        assert template is not None
+
+        def snapshot():
+            return [
+                [(node, getattr(node, "strategy", None)) for node in tree.walk()]
+                for tree, _decisions in template.trees
+            ]
+
+        before = snapshot()
+        handle = engine.query(MISESTIMATED_SQL)
+        executor = handle.executor
+        # Until a swap, the query shares the template's chosen tree.
+        assert any(executor.plan_tree is tree for tree, _decisions in template.trees)
+        top = executor.root.children[0]
+        handle.wait()
+        assert [c.after for c in handle.plan_history() if c.kind == "sort-strategy"] == [
+            "rating"
+        ]
+
+        assert snapshot() == before
+        kept = executor.plan_tree
+        assert all(kept is not tree for tree, _decisions in template.trees)
+        sort = next(node for node in kept.walk() if isinstance(node, LogicalSort))
+        assert sort.strategy is SortStrategy.RATING
+        operators, nodes = list(top.walk()), list(kept.walk())
+        assert len(operators) == len(nodes)
+        assert all(operator.node is node for operator, node in zip(operators, nodes))
 
 
 class TestExplainOnEngine:

@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.core.operators import (
-    CrowdFilterOperator,
-    CrowdJoinOperator,
-    JoinStrategy,
-    ResultSinkOperator,
-    ScanOperator,
-)
+from repro.core.operators import JoinStrategy
 from repro.core.optimizer.cost_model import CostEstimate, CostModel
 from repro.core.optimizer.optimizer import QueryOptimizer, _pick_assignments, majority_accuracy
 from repro.core.optimizer.statistics import StatisticsManager
@@ -19,7 +13,6 @@ from repro.core.tasks.spec import (
     TaskType,
     YesNoResponse,
 )
-from repro.storage import ColumnRef, DataType, Schema, Table
 
 
 FILTER = TaskSpec(name="f", task_type=TaskType.FILTER, text="?", response=YesNoResponse(), price=0.01, assignments=3)
@@ -193,23 +186,3 @@ class TestQueryOptimizer:
 
         assert optimizer.choose_sort_strategy(RANK, 3) is SortStrategy.COMPARISON
         assert optimizer.choose_sort_strategy(RANK, 100) is SortStrategy.RATING
-
-    def test_estimate_plan_cost_walks_operators(self):
-        statistics, optimizer = self.build()
-        table_a = Table("a", Schema.of(("x", DataType.STRING)))
-        table_b = Table("b", Schema.of(("y", DataType.STRING)))
-        for i in range(12):
-            table_a.insert([f"a{i}"])
-            table_b.insert([f"b{i}"])
-        scan_a, scan_b = ScanOperator(table_a), ScanOperator(table_b)
-        filter_a = CrowdFilterOperator(FILTER, [ColumnRef("a.x")], scan_a.output_schema)
-        filter_a.add_child(scan_a)
-        join = CrowdJoinOperator(JOIN_COLUMNS, filter_a.output_schema, scan_b.output_schema)
-        join.add_child(filter_a)
-        join.add_child(scan_b)
-        results = Table("__results", join.output_schema)
-        sink = ResultSinkOperator(results)
-        sink.add_child(join)
-        estimate = optimizer.estimate_plan_cost(sink)
-        assert estimate.dollars > 0
-        assert estimate.hits >= 12  # 12 filter HITs plus join blocks

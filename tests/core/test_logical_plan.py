@@ -15,7 +15,6 @@ from repro.core.plan.logical import (
     LogicalProject,
     LogicalScan,
     LogicalSort,
-    from_physical,
     render_tree,
 )
 from repro.core.plan.planner import QueryPlanner
@@ -156,17 +155,21 @@ class TestAnnotation:
         assert "scan(products)" in text and "rows]" in text
 
 
-class TestPhysicalBridge:
-    def test_from_physical_mirrors_plan_shape(self, environment):
+class TestPlanTree:
+    def test_operators_keep_the_nodes_that_planned_them(self, environment):
         planner, optimizer, _stats = environment
         planned = planner.plan(
             parse_select("SELECT name FROM products WHERE isTargetColor(name)"),
             query_id="q1",
         )
-        logical = from_physical(planned.root)
-        labels = [node.label() for node in logical.walk()]
-        assert "scan(products)" in labels
-        assert any(label.startswith("crowd-filter") for label in labels)
+        sink = planned.root
+        assert sink.node is None
+        operators = list(sink.children[0].walk())
+        nodes = list(planned.chosen.root.walk())
+        assert len(operators) == len(nodes)
+        assert all(op.node is node for op, node in zip(operators, nodes))
+        labels = [node.label() for node in nodes]
+        assert labels == ["scan(products)", "crowd-filter(isTargetColor)", "project"]
 
     def test_estimate_plan_cost_matches_logical_costing(self, environment):
         planner, optimizer, _stats = environment

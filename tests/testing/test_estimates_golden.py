@@ -31,7 +31,7 @@ def estimates(engine, handle) -> str:
     """One line per operator of a finished query: actuals, then estimates."""
     handle.wait()
     engine.estimate_query_cost(handle)
-    tree = handle.executor.plan_mirror().children[0]
+    tree = handle.executor.plan_tree
     operators = handle.executor.operator_rows()[1:]
     nodes = list(preorder(tree))
     assert len(nodes) == len(operators)
