@@ -338,9 +338,21 @@ class RowBatch:
         return sliced
 
     def take(self, indices: Sequence[int]) -> "RowBatch":
-        """Gather the rows at ``indices`` (in that order) into a new batch."""
+        """Gather the rows at ``indices`` (in that order) into a new batch.
+
+        Indices count from this batch's first row, negative ones from its
+        end, as a tuple's do; one outside the batch raises ``IndexError``.
+        """
         if self._length >= accel.MIN_ROWS and len(indices) >= accel.MIN_ROWS:
             index_array = accel.np.asarray(indices, dtype=accel.np.intp)
+            # _take_array gathers a slice's rows from the snapshot it was
+            # sliced from, so an index must be checked and wrapped here.
+            n = self._length
+            low, high = index_array.min(), index_array.max()
+            if low < -n or high >= n:
+                raise IndexError(f"row index out of range for a batch of {n} rows")
+            if low < 0:
+                index_array = accel.np.where(index_array < 0, index_array + n, index_array)
             return self._take_array(index_array)
         columns = tuple(
             tuple(map(column.__getitem__, indices)) for column in self._columns

@@ -304,6 +304,32 @@ class TestSlicedScanStaysLazy:
         ]
 
 
+class TestTakeOnASlice:
+    """``take`` on a slice indexes the slice's rows, on the tuple path below
+    :data:`accel.MIN_ROWS` indices and on the numpy path from it, although
+    the numpy path gathers from the snapshot the slice was cut from."""
+
+    @staticmethod
+    def sliced():
+        table = Table("t", Schema.of(("v", DataType.ANY)))
+        table.insert_many([i] for i in range(1000))
+        return table.to_batch().slice(300, 600)
+
+    @pytest.mark.parametrize("n", [8, accel.MIN_ROWS])
+    def test_indices_count_from_the_slice(self, n):
+        piece = self.sliced()
+        assert piece.take([-1] * n).column("v") == (599,) * n
+        assert piece.take([-300, 0, 299, 5] * (n // 4)).column("v") == (300, 300, 599, 305) * (
+            n // 4
+        )
+
+    @pytest.mark.parametrize("n", [8, accel.MIN_ROWS])
+    @pytest.mark.parametrize("index", [300, -301])
+    def test_an_index_outside_the_slice_raises(self, n, index):
+        with pytest.raises(IndexError):
+            self.sliced().take([index] * n)
+
+
 def _run_local_pipeline(seed: int) -> list[tuple]:
     """The e13 pipeline shape at accel size, returning the result rows."""
     from repro.core.operators.aggregate import AggregateSpec, GroupByOperator
