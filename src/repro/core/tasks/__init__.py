@@ -4,13 +4,7 @@ This package implements the middle boxes of Figure 1 — everything between the
 query operators and the (simulated) MTurk platform.
 """
 
-from repro.core.tasks.batching import (
-    AdaptiveBatching,
-    BatchingPolicy,
-    FixedBatching,
-    NoBatching,
-    batches_of,
-)
+from repro.core.tasks.batching import BatchingPolicy, FixedBatching, NoBatching
 from repro.core.tasks.hit_compiler import CompiledHIT, HITCompiler
 from repro.core.tasks.spec import (
     ComparisonResponse,
@@ -62,8 +56,6 @@ __all__ = [
     "BatchingPolicy",
     "NoBatching",
     "FixedBatching",
-    "AdaptiveBatching",
-    "batches_of",
     "TaskManager",
     "TaskManagerStats",
 ]

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.tasks.task import Task
 from repro.errors import TaskError
 
-__all__ = ["BatchingPolicy", "FixedBatching", "NoBatching", "AdaptiveBatching"]
+__all__ = ["BatchingPolicy", "FixedBatching", "NoBatching"]
 
 
 class BatchingPolicy:
@@ -79,56 +78,3 @@ class FixedBatching(BatchingPolicy):
 
     def describe(self) -> str:
         return f"fixed batching ({self.size} tasks/HIT)"
-
-
-@dataclass
-class AdaptiveBatching(BatchingPolicy):
-    """Grow the batch size while observed answer quality stays high.
-
-    The Statistics Manager feeds back the recent agreement rate for the task
-    group; the batch size increases toward ``max_size`` while agreement stays
-    above ``target_agreement`` and shrinks when workers start disagreeing
-    (a symptom of fatigue on long HITs).
-    """
-
-    initial_size: int = 2
-    max_size: int = 10
-    target_agreement: float = 0.8
-
-    def __post_init__(self) -> None:
-        if self.initial_size < 1 or self.max_size < self.initial_size:
-            raise TaskError("adaptive batching sizes must satisfy 1 <= initial <= max")
-        self._current = self.initial_size
-
-    @property
-    def current_size(self) -> int:
-        """The batch size currently in force."""
-        return self._current
-
-    def observe_agreement(self, agreement: float) -> None:
-        """Feed back observed worker agreement for the latest completed HIT."""
-        if agreement >= self.target_agreement and self._current < self.max_size:
-            self._current += 1
-        elif agreement < self.target_agreement and self._current > 1:
-            self._current = max(1, self._current - 2)
-
-    def batch_size(self, pending: int) -> int:
-        return min(self._current, max(pending, 1))
-
-    def should_flush(self, pending: int, *, force: bool) -> bool:
-        if pending <= 0:
-            return False
-        return pending >= self._current or force
-
-    def describe(self) -> str:
-        return (
-            f"adaptive batching (currently {self._current} tasks/HIT, "
-            f"max {self.max_size}, target agreement {self.target_agreement:.0%})"
-        )
-
-
-def batches_of(tasks: list[Task], size: int) -> list[list[Task]]:
-    """Split ``tasks`` into consecutive batches of at most ``size``."""
-    if size < 1:
-        raise TaskError("batch size must be >= 1")
-    return [tasks[start:start + size] for start in range(0, len(tasks), size)]

@@ -2,17 +2,8 @@
 
 import pytest
 
-from repro.core.tasks.batching import AdaptiveBatching, FixedBatching, NoBatching, batches_of
-from repro.core.tasks.spec import TaskSpec, TaskType, YesNoResponse
-from repro.core.tasks.task import Task, TaskKind
+from repro.core.tasks.batching import FixedBatching, NoBatching
 from repro.errors import TaskError
-
-
-SPEC = TaskSpec(name="f", task_type=TaskType.FILTER, text="?", response=YesNoResponse())
-
-
-def make_tasks(n):
-    return [Task(kind=TaskKind.FILTER, spec=SPEC, payload={}, callback=lambda r: None) for _ in range(n)]
 
 
 class TestNoBatching:
@@ -39,39 +30,3 @@ class TestFixedBatching:
 
     def test_describe_mentions_size(self):
         assert "7 tasks/HIT" in FixedBatching(7).describe()
-
-
-class TestAdaptiveBatching:
-    def test_grows_on_agreement_and_shrinks_on_disagreement(self):
-        policy = AdaptiveBatching(initial_size=2, max_size=6, target_agreement=0.8)
-        for _ in range(10):
-            policy.observe_agreement(0.95)
-        assert policy.current_size == 6
-        policy.observe_agreement(0.4)
-        assert policy.current_size == 4
-        for _ in range(10):
-            policy.observe_agreement(0.1)
-        assert policy.current_size == 1
-
-    def test_invalid_configuration(self):
-        with pytest.raises(TaskError):
-            AdaptiveBatching(initial_size=5, max_size=2)
-
-    def test_flush_behaviour_uses_current_size(self):
-        policy = AdaptiveBatching(initial_size=3, max_size=5)
-        assert not policy.should_flush(2, force=False)
-        assert policy.should_flush(3, force=False)
-        assert policy.should_flush(1, force=True)
-        assert not policy.should_flush(0, force=True)
-
-
-class TestBatchesOf:
-    def test_splits_into_consecutive_chunks(self):
-        tasks = make_tasks(7)
-        batches = batches_of(tasks, 3)
-        assert [len(b) for b in batches] == [3, 3, 1]
-        assert batches[0][0] is tasks[0]
-
-    def test_invalid_size(self):
-        with pytest.raises(TaskError):
-            batches_of(make_tasks(2), 0)
