@@ -3,11 +3,14 @@
 For each finished query of ``test_explain_golden``'s workloads (the paper's
 three, the warm lookup, the machine join, the index scans and the adaptive
 scenarios, the misestimated sort that is swapped to ratings among them),
-one line per plan operator, pre-order and without the results sink: the
-operator's name, the rows it emitted and the tasks it created, and the rows
-and dollars ``engine.estimate_query_cost`` estimated for it right after the
-query finished.  The file pins the optimizer's per-operator estimates: a
-change that should move no estimate must leave it byte-identical.
+a line of the HITs and dollars the query was billed beside the HITs and
+dollars ``engine.estimate_query_cost`` gives the whole plan, then one line
+per plan operator, pre-order and without the results sink: the operator's
+name, the rows it emitted and the tasks it created, and the rows and
+dollars the estimate gives it, all taken right after the query finished.
+The file pins the optimizer's estimates and how execution batched the
+tasks they priced: a change that should move neither must leave it
+byte-identical.
 Regenerate it (only when an estimate is *meant* to move) with::
 
     PYTHONPATH=src python tests/testing/test_estimates_golden.py
@@ -28,14 +31,19 @@ def preorder(node):
 
 
 def estimates(engine, handle) -> str:
-    """One line per operator of a finished query: actuals, then estimates."""
+    """A finished query's bill beside its estimate, then one line per operator."""
     handle.wait()
-    engine.estimate_query_cost(handle)
+    total = engine.estimate_query_cost(handle)
     tree = handle.executor.plan_tree
     operators = handle.executor.operator_rows()[1:]
     nodes = list(preorder(tree))
     assert len(nodes) == len(operators)
-    lines = [f"-- ran: {handle.sql}"]
+    billed = handle.stats
+    lines = [
+        f"-- ran: {handle.sql}",
+        f"billed hits={billed.hits_posted} usd={billed.spent:.6f}"
+        f"  estimated hits={total.hits:.6f} usd={total.dollars:.6f}",
+    ]
     for operator, node in zip(operators, nodes):
         lines.append(
             f"{'  ' * (operator.depth - 1)}{operator.name}"
