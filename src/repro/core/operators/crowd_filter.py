@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Hashable
+from typing import Any
 
 from repro.core.operators.base import PerRowCrowdOperator
 from repro.core.tasks.spec import TaskSpec
@@ -26,10 +26,6 @@ class CrowdFilterOperator(PerRowCrowdOperator):
         Expressions producing the values substituted into the question text.
     input_schema:
         Schema of the child operator.
-    cache_key_fn:
-        Optional function deriving a stable cache key from the row; defaults
-        to the rendered argument tuple, which makes identical questions about
-        identical values cacheable.
     negate:
         When True, emit rows the crowd answered "no" for (``WHERE NOT f(x)``).
     """
@@ -40,11 +36,9 @@ class CrowdFilterOperator(PerRowCrowdOperator):
         arg_expressions: list[Expression],
         input_schema: Schema,
         *,
-        cache_key_fn: Callable[[Row], Hashable] | None = None,
         negate: bool = False,
     ):
         super().__init__(f"crowd-filter({spec.name})", spec, arg_expressions)
-        self.cache_key_fn = cache_key_fn
         self.negate = negate
         self._schema = input_schema
 
@@ -54,17 +48,14 @@ class CrowdFilterOperator(PerRowCrowdOperator):
 
     def _submit(self, row: Row, args: tuple[Any, ...]) -> None:
         # Redundancy is re-resolved per task, so adaptive assignment keeps
-        # tightening mid-query.
-        if self.cache_key_fn is not None:
-            cache_key = self.cache_key_fn(row)
-        else:
-            cache_key = args if args else None
+        # tightening mid-query.  The rendered argument tuple is the cache
+        # key, so identical questions about identical values are cacheable.
         task = Task(
             kind=TaskKind.FILTER,
             spec=self.spec,
             payload=self._payload(row, args),
             callback=lambda result, row=row: self._on_result(row, result),
-            cache_key=cache_key,
+            cache_key=args if args else None,
             query_id=self.context.query_id,
             assignments_override=self.context.assignments_for(self.spec),
         )

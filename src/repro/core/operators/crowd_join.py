@@ -23,8 +23,7 @@ import enum
 from typing import Any, Callable
 
 from repro.core.operators.base import Operator
-from repro.core.tasks.batching import FixedBatching
-from repro.core.tasks.spec import JoinColumnsResponse, TaskSpec
+from repro.core.tasks.spec import TaskSpec
 from repro.core.tasks.task import Task, TaskKind, TaskResult
 from repro.storage.batch import RowBatch
 from repro.storage.row import Row
@@ -57,12 +56,10 @@ class CrowdJoinOperator(Operator):
     left_schema, right_schema:
         Schemas of the two children (left is child 0, right is child 1).
     strategy:
-        Pairwise yes/no questions or the two-column block interface.
-    pairs_per_hit:
-        For PAIRWISE: how many pairs the Task Manager batches into one HIT.
-    left_per_hit, right_per_hit:
-        For COLUMNS: block dimensions; default from the spec's JoinColumns
-        response.
+        Pairwise yes/no questions or the two-column block interface.  The
+        spec sets the batching of both: ``BatchSize`` pairs per PAIRWISE HIT,
+        :attr:`~repro.core.tasks.spec.TaskSpec.join_block` rows per COLUMNS
+        block.
     left_payload, right_payload:
         Functions mapping a row to the payload workers (and the oracle) see.
     prefilter:
@@ -79,9 +76,6 @@ class CrowdJoinOperator(Operator):
         right_schema: Schema,
         *,
         strategy: JoinStrategy = JoinStrategy.COLUMNS,
-        pairs_per_hit: int = 1,
-        left_per_hit: int | None = None,
-        right_per_hit: int | None = None,
         left_payload: PayloadFn | None = None,
         right_payload: PayloadFn | None = None,
         prefilter: PrefilterFn | None = None,
@@ -89,11 +83,6 @@ class CrowdJoinOperator(Operator):
         super().__init__(f"crowd-join({spec.name},{strategy.value})")
         self.spec = spec
         self.strategy = strategy
-        self.pairs_per_hit = max(pairs_per_hit, 1)
-        response = spec.response
-        default_block = response if isinstance(response, JoinColumnsResponse) else None
-        self.left_per_hit = left_per_hit or (default_block.left_per_hit if default_block else 3)
-        self.right_per_hit = right_per_hit or (default_block.right_per_hit if default_block else 3)
         self.left_payload = left_payload or _default_payload
         self.right_payload = right_payload or _default_payload
         self.prefilter = prefilter
@@ -125,13 +114,6 @@ class CrowdJoinOperator(Operator):
     @property
     def output_schema(self) -> Schema:
         return self._schema
-
-    def open(self, context) -> None:
-        super().open(context)
-        if self.strategy is JoinStrategy.PAIRWISE and self.pairs_per_hit > 1:
-            context.task_manager.set_batching_policy(
-                self.spec.name, TaskKind.JOIN_PAIR, FixedBatching(self.pairs_per_hit)
-            )
 
     # -- streaming input ------------------------------------------------------------
 
@@ -204,8 +186,9 @@ class CrowdJoinOperator(Operator):
     def _build_blocks(self) -> None:
         lefts = self._candidate_rows(self._left_rows, self._right_rows, side="left")
         rights = self._candidate_rows(self._right_rows, self._left_rows, side="right")
-        left_chunks = _chunks(lefts, self.left_per_hit)
-        right_chunks = _chunks(rights, self.right_per_hit)
+        left_per_hit, right_per_hit = self.spec.join_block
+        left_chunks = _chunks(lefts, left_per_hit)
+        right_chunks = _chunks(rights, right_per_hit)
         for left_chunk in left_chunks:
             for right_chunk in right_chunks:
                 self.pairs_considered += len(left_chunk) * len(right_chunk)

@@ -18,7 +18,6 @@ import enum
 from typing import Callable
 
 from repro.core.operators.base import Operator
-from repro.core.tasks.batching import FixedBatching
 from repro.core.tasks.spec import TaskSpec
 from repro.core.tasks.task import Task, TaskKind, TaskResult
 from repro.storage.batch import RowBatch
@@ -54,8 +53,6 @@ class CrowdSortOperator(Operator):
         Pairwise comparisons or per-item ratings.
     descending:
         Emit rows best-first when True (the default).
-    items_per_hit:
-        Batching: comparisons or ratings placed into one HIT.
     payload:
         Maps a row to what workers (and the oracle) see.
     """
@@ -69,14 +66,12 @@ class CrowdSortOperator(Operator):
         *,
         strategy: SortStrategy = SortStrategy.COMPARISON,
         descending: bool = True,
-        items_per_hit: int = 1,
         payload: PayloadFn | None = None,
     ):
         super().__init__(f"crowd-sort({spec.name},{strategy.value})")
         self.spec = spec
         self.strategy = strategy
         self.descending = descending
-        self.items_per_hit = max(items_per_hit, 1)
         self.payload = payload or _default_payload
         self._schema = input_schema
         self._rows: list[Row] = []
@@ -93,16 +88,6 @@ class CrowdSortOperator(Operator):
     @property
     def output_schema(self) -> Schema:
         return self._schema
-
-    def open(self, context) -> None:
-        super().open(context)
-        if self.items_per_hit > 1:
-            kind = (
-                TaskKind.COMPARE if self.strategy is SortStrategy.COMPARISON else TaskKind.RATE
-            )
-            context.task_manager.set_batching_policy(
-                self.spec.name, kind, FixedBatching(self.items_per_hit)
-            )
 
     # -- input buffering --------------------------------------------------------------
 

@@ -11,6 +11,16 @@ from repro.storage.schema import Schema
 __all__ = ["LocalSortOperator"]
 
 
+def _reversed_order(key_array):
+    """A key array whose ascending order is ``key_array``'s descending order.
+
+    Floats are negated; integers are bit-inverted (``~x == -x - 1``), since
+    negating int64's minimum wraps to itself.  Equal keys stay equal, so a
+    stable argsort keeps their arrival order.
+    """
+    return -key_array if key_array.dtype.kind == "f" else ~key_array
+
+
 class LocalSortOperator(Operator):
     """Buffers its input and emits it ordered by a locally evaluable key.
 
@@ -44,7 +54,8 @@ class LocalSortOperator(Operator):
             return
         if len(combined) >= accel.MIN_ROWS:
             # Numeric keys (NaN/NULL-free): a stable argsort on the key array
-            # (negated for DESC) is order-identical to the stable Python sort.
+            # (order-reversed for DESC) is order-identical to the stable
+            # Python sort.
             # array_kernel computes the key column without materializing any
             # Python tuples; the sortable_array fallback covers keys it
             # cannot express once the reference kernel has produced them.
@@ -53,7 +64,7 @@ class LocalSortOperator(Operator):
                 key_array.dtype.kind != "f" or not accel.np.isnan(key_array).any()
             ):
                 if not self.ascending:
-                    key_array = -key_array
+                    key_array = _reversed_order(key_array)
                 order = accel.np.argsort(key_array, kind="stable")
                 self.emit(combined._take_array(order))
                 return
@@ -62,7 +73,7 @@ class LocalSortOperator(Operator):
             key_array = accel.sortable_array(keys)
             if key_array is not None:
                 if not self.ascending:
-                    key_array = -key_array
+                    key_array = _reversed_order(key_array)
                 order = accel.np.argsort(key_array, kind="stable")
                 self.emit(combined._take_array(order))
                 return

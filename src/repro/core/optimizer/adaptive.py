@@ -217,7 +217,7 @@ class AdaptiveReplanner:
             operator.spec,
             observed,
             assignments=executor.context.assignments_for(operator.spec),
-            items_per_hit=operator.items_per_hit,
+            items_per_hit=operator.spec.batch_size,
         )
         new_strategy = (
             SortStrategy.RATING
@@ -258,14 +258,15 @@ class AdaptiveReplanner:
             or _misestimated(operator.planned_right_rows, n_right, self.MISESTIMATE_FACTOR)
         ):
             return None
+        left_per_hit, right_per_hit = operator.spec.join_block
         costs = self.optimizer.cost_model.join_strategy_costs(
             operator.spec,
             n_left,
             n_right,
             assignments=executor.context.assignments_for(operator.spec),
-            pairs_per_hit=operator.pairs_per_hit,
-            left_per_hit=operator.left_per_hit,
-            right_per_hit=operator.right_per_hit,
+            pairs_per_hit=operator.spec.batch_size,
+            left_per_hit=left_per_hit,
+            right_per_hit=right_per_hit,
         )
         new_strategy = (
             JoinStrategy.COLUMNS

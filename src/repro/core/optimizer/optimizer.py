@@ -46,8 +46,8 @@ from repro.core.optimizer.cost_model import (
     cheaper_join_strategy,
     majority_accuracy,
 )
-from repro.core.optimizer.statistics import SpecStats, StatisticsManager, blend_selectivity
-from repro.core.tasks.spec import JoinColumnsResponse, RatingResponse, TaskSpec
+from repro.core.optimizer.statistics import SpecStats, StatisticsManager
+from repro.core.tasks.spec import RatingResponse, TaskSpec
 from repro.crowd.quality import WorkerReputation
 
 __all__ = [
@@ -72,15 +72,19 @@ CANDIDATE_ASSIGNMENTS = (1, 3, 5, 7)
 #: Single-worker accuracy assumed before anything has been observed.
 DEFAULT_WORKER_ACCURACY = 0.85
 
+#: Selectivity assumed before any boolean answer arrives (uniform prior).
+DEFAULT_SELECTIVITY_PRIOR = 0.5
+
+#: Pseudo-count of prior observations in the selectivity blend, so early
+#: estimates do not swing wildly on the first few answers (Section 2).
+SELECTIVITY_PSEUDO_COUNT = 4.0
+
 
 @dataclass(frozen=True)
 class JoinChoice:
     """The optimizer's decision for one crowd join."""
 
     strategy: JoinStrategy
-    pairs_per_hit: int = 1
-    left_per_hit: int = 3
-    right_per_hit: int = 3
     estimate: CostEstimate = CostEstimate()
 
 
@@ -131,11 +135,11 @@ class CostingPass:
         """Redundancy the adaptive rule would pick for ``spec`` right now."""
         return _pick_assignments(self.worker_accuracy(spec))
 
-    def selectivity(self, name: str, *, prior: float | None = None) -> float:
-        """Blended selectivity estimate from the cached statistics snapshot."""
-        if prior is None:
-            prior = StatisticsManager.DEFAULT_SELECTIVITY_PRIOR
-        return blend_selectivity(self.spec_stats(name), prior)
+    def selectivity(self, name: str, *, prior: float = DEFAULT_SELECTIVITY_PRIOR) -> float:
+        """``prior`` blended with the snapshot's observed boolean answers."""
+        stats = self.spec_stats(name)
+        pseudo = SELECTIVITY_PSEUDO_COUNT
+        return (prior * pseudo + stats.boolean_true) / (pseudo + stats.boolean_total)
 
     def model_residual(self, spec: TaskSpec) -> float:
         """Fraction of ``spec``'s crowd cost that survives model escalation.
@@ -257,7 +261,6 @@ class QueryOptimizer:
         n_left: int,
         n_right: int,
         *,
-        pairs_per_hit: int | None = None,
         candidate_fraction: float = 1.0,
     ) -> JoinChoice:
         """Pick the cheaper of the pairwise and two-column join interfaces.
@@ -267,31 +270,19 @@ class QueryOptimizer:
         according to its ``batch_size``); only JoinColumns specs compete on
         cost.
         """
-        if pairs_per_hit is None:
-            pairs_per_hit = max(spec.batch_size, 1)
-        response = spec.response
-        block = response if isinstance(response, JoinColumnsResponse) else None
-        left_per_hit = block.left_per_hit if block else 3
-        right_per_hit = block.right_per_hit if block else 3
+        left_per_hit, right_per_hit = spec.join_block
         costs = self.cost_model.join_strategy_costs(
             spec,
             n_left,
             n_right,
             assignments=self.choose_assignments(spec),
-            pairs_per_hit=pairs_per_hit,
+            pairs_per_hit=spec.batch_size,
             left_per_hit=left_per_hit,
             right_per_hit=right_per_hit,
             candidate_fraction=candidate_fraction,
         )
         strategy = cheaper_join_strategy(costs)
-        if strategy is JoinStrategy.COLUMNS:
-            return JoinChoice(
-                strategy=strategy,
-                left_per_hit=left_per_hit,
-                right_per_hit=right_per_hit,
-                estimate=costs[strategy],
-            )
-        return JoinChoice(strategy=strategy, pairs_per_hit=pairs_per_hit, estimate=costs[strategy])
+        return JoinChoice(strategy=strategy, estimate=costs[strategy])
 
     # -- sort strategy ------------------------------------------------------------------------
 
@@ -300,7 +291,7 @@ class QueryOptimizer:
         if isinstance(spec.response, RatingResponse):
             return SortStrategy.RATING
         costs = self.cost_model.sort_strategy_costs(
-            spec, n_rows, assignments=spec.assignments, items_per_hit=1
+            spec, n_rows, assignments=spec.assignments, items_per_hit=spec.batch_size
         )
         if costs[SortStrategy.COMPARISON].dollars <= costs[SortStrategy.RATING].dollars:
             return SortStrategy.COMPARISON

@@ -4,8 +4,7 @@
 of HITs, HIT assignments, and the cost of each task" and "Query selectivities
 for HIT-based operators are not known a priori", so they are measured online.
 This module accumulates per-task-spec, per-worker and per-query statistics as
-task results stream in, and exposes the estimators the optimizer and the
-dashboard consume.
+task results stream in; the optimizer's costing and the dashboard read them.
 """
 
 from __future__ import annotations
@@ -21,25 +20,7 @@ __all__ = [
     "WorkerStats",
     "QueryStats",
     "StatisticsManager",
-    "blend_selectivity",
 ]
-
-
-#: Pseudo-count of prior observations in the selectivity blend, so early
-#: estimates do not swing wildly on the first few answers (Section 2).
-SELECTIVITY_PSEUDO_COUNT = 4.0
-
-
-def blend_selectivity(stats: "SpecStats", prior: float) -> float:
-    """Blend a selectivity prior with one spec's observed boolean answers.
-
-    The single formula shared by plan-time costing (the optimizer's
-    CostingPass works from cached snapshots) and runtime estimation
-    (:meth:`StatisticsManager.estimate_selectivity`), so the two can never
-    silently diverge.
-    """
-    pseudo = SELECTIVITY_PSEUDO_COUNT
-    return (prior * pseudo + stats.boolean_true) / (pseudo + stats.boolean_total)
 
 
 @dataclass
@@ -72,13 +53,6 @@ class SpecStats:
     def mean_agreement(self) -> float:
         """Mean worker agreement on the winning answer."""
         return self.total_agreement / self.crowd_tasks if self.crowd_tasks else 1.0
-
-    @property
-    def observed_selectivity(self) -> float | None:
-        """Fraction of boolean answers that were True (None before any data)."""
-        if not self.boolean_total:
-            return None
-        return self.boolean_true / self.boolean_total
 
 
 @dataclass
@@ -131,11 +105,6 @@ class QueryStats:
 class StatisticsManager:
     """Accumulates statistics from completed tasks and worker votes."""
 
-    #: Selectivity assumed before any observations arrive (uniform prior).
-    DEFAULT_SELECTIVITY_PRIOR = 0.5
-    #: Latency assumed before any observations (the paper: "several minutes").
-    DEFAULT_LATENCY_PRIOR = 300.0
-
     def __init__(self) -> None:
         self._specs: dict[str, SpecStats] = {}
         self._workers: dict[str, WorkerStats] = {}
@@ -154,10 +123,6 @@ class StatisticsManager:
     def query(self, query_id: str) -> QueryStats:
         """Statistics bucket for a query (created on first use)."""
         return self._queries.setdefault(query_id, QueryStats(query_id=query_id))
-
-    def worker_weights(self) -> dict[str, float]:
-        """Per-worker vote weights for :class:`~repro.core.answers.WeightedVote`."""
-        return {worker_id: stats.agreement_rate for worker_id, stats in self._workers.items()}
 
     # -- recording -----------------------------------------------------------------
 
@@ -257,28 +222,3 @@ class StatisticsManager:
         self._queries = {
             qid: QueryStats(**fields) for qid, fields in state["queries"].items()
         }
-
-    # -- estimators -----------------------------------------------------------------
-
-    def estimate_selectivity(self, spec_name: str, prior: float | None = None) -> float:
-        """Selectivity estimate blending a prior with online observations.
-
-        Uses a pseudo-count of prior observations so early estimates do not
-        swing wildly on the first few answers (adaptive behaviour, Section 2).
-        """
-        prior = self.DEFAULT_SELECTIVITY_PRIOR if prior is None else prior
-        return blend_selectivity(self.spec(spec_name), prior)
-
-    def estimate_latency(self, spec_name: str) -> float:
-        """Expected seconds for one crowd task of this spec."""
-        stats = self.spec(spec_name)
-        if stats.crowd_tasks:
-            return stats.mean_latency
-        return self.DEFAULT_LATENCY_PRIOR
-
-    def estimate_cost_per_task(self, spec_name: str, fallback: float) -> float:
-        """Expected dollars per task, falling back to a cost-model figure."""
-        stats = self.spec(spec_name)
-        if stats.crowd_tasks:
-            return stats.mean_cost
-        return fallback

@@ -285,9 +285,6 @@ class LogicalJoin(LogicalNode):
         left_binding: str = "",
         right_binding: str = "",
         strategy: JoinStrategy | None = None,
-        pairs_per_hit: int | None = None,
-        left_per_hit: int | None = None,
-        right_per_hit: int | None = None,
     ):
         super().__init__()
         self.spec = spec
@@ -296,11 +293,6 @@ class LogicalJoin(LogicalNode):
         self.left_binding = left_binding
         self.right_binding = right_binding
         self.strategy = strategy
-        response = spec.response
-        block = response if isinstance(response, JoinColumnsResponse) else None
-        self.pairs_per_hit = pairs_per_hit if pairs_per_hit is not None else max(spec.batch_size, 1)
-        self.left_per_hit = left_per_hit or (block.left_per_hit if block else 3)
-        self.right_per_hit = right_per_hit or (block.right_per_hit if block else 3)
 
     @property
     def supports_columns(self) -> bool:
@@ -311,14 +303,15 @@ class LogicalJoin(LogicalNode):
         return f"crowd-join({self.spec.name}{decided})"
 
     def estimate_cost(self, child_rows: list[float], costing) -> CostEstimate:
+        left_per_hit, right_per_hit = self.spec.join_block
         costs = costing.cost_model.join_strategy_costs(
             self.spec,
             child_rows[0] if child_rows else 0.0,
             child_rows[1] if len(child_rows) > 1 else 0.0,
             assignments=costing.assignments_for(self.spec),
-            pairs_per_hit=self.pairs_per_hit,
-            left_per_hit=self.left_per_hit,
-            right_per_hit=self.right_per_hit,
+            pairs_per_hit=self.spec.batch_size,
+            left_per_hit=left_per_hit,
+            right_per_hit=right_per_hit,
         )
         # Undecided: assume the interface enumeration will pick — the cheaper
         # one, with COLUMNS winning ties exactly as the enumerator orders them.
@@ -477,7 +470,6 @@ class LogicalSort(LogicalNode):
         key: Expression | None = None,
         ascending: bool = True,
         strategy: SortStrategy | None = None,
-        items_per_hit: int | None = None,
     ):
         super().__init__()
         if (spec is None) == (key is None):
@@ -488,7 +480,6 @@ class LogicalSort(LogicalNode):
         self.key = key
         self.ascending = ascending
         self.strategy = strategy
-        self.items_per_hit = items_per_hit or (max(spec.batch_size, 1) if spec else 1)
 
     @property
     def is_crowd(self) -> bool:
@@ -514,7 +505,7 @@ class LogicalSort(LogicalNode):
             self.spec,
             child_rows[0] if child_rows else 0.0,
             assignments=costing.assignments_for(self.spec),
-            items_per_hit=self.items_per_hit,
+            items_per_hit=self.spec.batch_size,
         )
         return costs[self.strategy if self.strategy is not None else self.preferred_strategy]
 

@@ -522,9 +522,6 @@ def make_operator(node: LogicalNode, children: list[Operator]) -> Operator:
             children[0].output_schema,
             children[1].output_schema,
             strategy=node.strategy,
-            pairs_per_hit=node.pairs_per_hit,
-            left_per_hit=node.left_per_hit,
-            right_per_hit=node.right_per_hit,
             left_payload=entry.left_payload if entry else None,
             right_payload=entry.right_payload if entry else None,
             prefilter=entry.prefilter if entry else None,
@@ -551,7 +548,6 @@ def make_operator(node: LogicalNode, children: list[Operator]) -> Operator:
             input_schema,
             strategy=node.strategy,
             descending=not node.ascending,
-            items_per_hit=node.items_per_hit,
             payload=entry.payload if entry else None,
         )
     elif isinstance(node, LogicalSort):

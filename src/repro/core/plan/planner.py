@@ -484,7 +484,6 @@ class QueryPlanner:
                         call=expression,
                         entry=entry,
                         ascending=order_item.ascending,
-                        items_per_hit=entry.spec.batch_size,
                     )
                 )
             else:

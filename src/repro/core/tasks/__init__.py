@@ -4,7 +4,6 @@ This package implements the middle boxes of Figure 1 — everything between the
 query operators and the (simulated) MTurk platform.
 """
 
-from repro.core.tasks.batching import BatchingPolicy, FixedBatching, NoBatching
 from repro.core.tasks.hit_compiler import CompiledHIT, HITCompiler
 from repro.core.tasks.spec import (
     ComparisonResponse,
@@ -53,9 +52,6 @@ __all__ = [
     "ModelStats",
     "HITCompiler",
     "CompiledHIT",
-    "BatchingPolicy",
-    "NoBatching",
-    "FixedBatching",
     "TaskManager",
     "TaskManagerStats",
 ]

@@ -222,6 +222,13 @@ class TaskSpec:
         """True when the task returns a single boolean (filters, join predicates)."""
         return not self.returns
 
+    @property
+    def join_block(self) -> tuple[int, int]:
+        """Left and right pictures per two-column join HIT (3×3 without JoinColumns)."""
+        if isinstance(self.response, JoinColumnsResponse):
+            return self.response.left_per_hit, self.response.right_per_hit
+        return 3, 3
+
     def with_overrides(
         self,
         *,

@@ -13,7 +13,13 @@ Responsibilities implemented here:
   which is what makes the engine-level scheduler's cross-query batching pay
   off (fewer, fuller HITs under concurrent load);
 * answer short-circuiting through the Task Cache and the learned Task Model;
-* batching pending tasks into HITs via per-group batching policies;
+* batching pending tasks into HITs: each group posts its spec's
+  ``BatchSize`` tasks per HIT (a join block is one HIT on its own).  Section
+  2: "The task manager can feed batches of tuples to a single operator
+  (e.g., collecting multiple tuples to sort)."  Full batches post on every
+  flush; a partial batch waits for a forced flush, which the scheduler
+  issues only once no active query can make local progress, so concurrent
+  queries get the longest window to fill shared HITs;
 * per-query budget authorisation before any HIT is posted: a shared HIT's
   cost is split across the participating queries in proportion to the tasks
   each contributed, and a query that cannot afford its share is dropped from
@@ -42,9 +48,7 @@ from repro.core.answers import (
 )
 from repro.core.optimizer.budget import BudgetLedger
 from repro.core.optimizer.statistics import StatisticsManager
-from repro.core.tasks.batching import BatchingPolicy, FixedBatching, NoBatching
 from repro.core.tasks.hit_compiler import CompiledHIT, HITCompiler
-from repro.core.tasks.spec import TaskSpec
 from repro.core.tasks.task import ResultSource, Task, TaskKind, TaskResult
 from repro.core.tasks.task_cache import TaskCache
 from repro.core.tasks.task_model import LearnedTaskModel, TaskModelRegistry
@@ -149,7 +153,6 @@ class TaskManager:
         cache: TaskCache | None = None,
         models: TaskModelRegistry | None = None,
         compiler: HITCompiler | None = None,
-        default_batching: BatchingPolicy | None = None,
         quality: QualityConfig | None = None,
         reputation: WorkerReputation | None = None,
         gold: GoldStandardPool | None = None,
@@ -164,7 +167,6 @@ class TaskManager:
         self.cache = cache if cache is not None else TaskCache()
         self.models = models if models is not None else TaskModelRegistry()
         self.compiler = compiler if compiler is not None else HITCompiler()
-        self.default_batching = default_batching if default_batching is not None else NoBatching()
         self.quality = quality
         self.reputation = reputation
         self.gold = gold
@@ -186,7 +188,6 @@ class TaskManager:
         # Groups that (may) hold a query's tasks — lazily pruned, so
         # cancellation scans only the queues the query actually used.
         self._pending_groups_by_query: dict[str, set[GroupKey]] = {}
-        self._policies: dict[tuple[str, str], BatchingPolicy] = {}
         self._inflight: dict[str, _InflightHIT] = {}
         self._progress: dict[str, _TaskProgress] = {}
         self._budget_errors: dict[str, BudgetExceededError] = {}
@@ -210,23 +211,6 @@ class TaskManager:
 
     def attach_journal(self, journal) -> None:
         self._journal = journal
-
-    # -- configuration -------------------------------------------------------------
-
-    def set_batching_policy(self, spec_name: str, kind: TaskKind, policy: BatchingPolicy) -> None:
-        """Choose how tasks of one (spec, kind) group are batched into HITs."""
-        self._policies[(spec_name, kind.value)] = policy
-
-    def policy_for(self, spec: TaskSpec, kind: TaskKind) -> BatchingPolicy:
-        """The batching policy in force for a (spec, kind) group."""
-        explicit = self._policies.get((spec.name, kind.value))
-        if explicit is not None:
-            return explicit
-        if spec.batch_size > 1 and kind is not TaskKind.JOIN_BLOCK:
-            policy = FixedBatching(spec.batch_size)
-            self._policies[(spec.name, kind.value)] = policy
-            return policy
-        return self.default_batching
 
     # -- submission ----------------------------------------------------------------
 
@@ -355,10 +339,9 @@ class TaskManager:
             queue = self._pending.get(key)
             if not queue:
                 continue
-            spec = queue[0].spec
-            kind = queue[0].kind
-            policy = self.policy_for(spec, kind)
-            while queue and policy.should_flush(len(queue), force=force):
+            head = queue[0]
+            size = 1 if head.kind is TaskKind.JOIN_BLOCK else head.spec.batch_size
+            while queue and (force or len(queue) >= size):
                 if self.breaker is not None and not self.breaker.allow_posting():
                     # The marketplace breaker is open (or out of half-open
                     # probes): stop posting, leave everything queued, and
@@ -366,8 +349,7 @@ class TaskManager:
                     self.breaker.record_blocked()
                     self._dirty.add(key)
                     return posted
-                size = min(policy.batch_size(len(queue)), len(queue))
-                batch = [self._pop_pending(key) for _ in range(size)]
+                batch = [self._pop_pending(key) for _ in range(min(size, len(queue)))]
                 posted += self._post_batch(batch)
             if not queue:
                 self._drop_group(key)
@@ -376,11 +358,6 @@ class TaskManager:
     def _post_batch(self, batch: list[Task]) -> int:
         if not batch:
             raise TaskError("cannot post an empty batch")
-        if batch[0].kind is TaskKind.JOIN_BLOCK:
-            posted = 0
-            for task in batch:
-                posted += self._post_tasks([task], needs=self._batch_needs([task]))
-            return posted
         needs = self._batch_needs(batch)
         if needs is None:
             # Single-shot posting (the default): the whole batch shares one

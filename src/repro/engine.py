@@ -48,10 +48,8 @@ from repro.core.optimizer.optimizer import QueryOptimizer
 from repro.core.optimizer.statistics import StatisticsManager
 from repro.core.plan.planner import QueryPlanner, TemplateSlot
 from repro.core.plan.registry import RegisteredTask, TaskRegistry
-from repro.core.tasks.batching import BatchingPolicy
 from repro.core.tasks.hit_compiler import HITCompiler
 from repro.core.tasks.spec import TaskSpec
-from repro.core.tasks.task import TaskKind
 from repro.core.tasks.task_cache import CachePolicy, TaskCache
 from repro.core.tasks.task_manager import TaskManager
 from repro.core.tasks.task_model import TaskModelRegistry
@@ -309,10 +307,6 @@ class QurkEngine:
         workload knows.
         """
         self.gold_pool.register(task_name, questions)
-
-    def set_batching_policy(self, task_name: str, kind: TaskKind, policy: BatchingPolicy) -> None:
-        """Override how tasks of one (task, kind) group are batched into HITs."""
-        self.task_manager.set_batching_policy(task_name, kind, policy)
 
     # -- queries ----------------------------------------------------------------------------------
 

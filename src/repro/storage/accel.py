@@ -25,8 +25,10 @@ The design follows the encode-once / answer-many shape:
 Determinism notes, load-bearing for the batch-vs-row property tests:
 ``np.bincount`` accumulates sequentially in input order, which is exactly
 the order the per-group Python ``sum`` sees, so float sums are bit-identical
-(numpy's pairwise ``np.sum`` would NOT be).  Stable ``argsort`` on a negated
-key equals Python's stable ``list.sort(reverse=True)``.  Numeric eligibility
+(numpy's pairwise ``np.sum`` would NOT be).  Stable ``argsort`` on an
+order-reversed key (negated floats, bit-inverted ``~x`` integers: negating
+int64's minimum wraps to itself) equals Python's stable
+``list.sort(reverse=True)``.  Numeric eligibility
 rejects object/string/bool dtypes, NULLs, and NaNs where ordering differs.
 """
 

@@ -6,9 +6,10 @@ index bookkeeping: every count must agree with a from-scratch recomputation
 at each lifecycle edge (submit, flush, settle, expire, cancel).
 """
 
+import dataclasses
+
 from repro.core.optimizer.budget import BudgetLedger
 from repro.core.optimizer.statistics import StatisticsManager
-from repro.core.tasks.batching import FixedBatching
 from repro.core.tasks.spec import Parameter, TaskSpec, TaskType, YesNoResponse
 from repro.core.tasks.task import Task, TaskKind
 from repro.core.tasks.task_manager import TaskManager
@@ -42,10 +43,10 @@ def build_manager():
     return clock, platform, manager
 
 
-def filter_task(sink, *, name, query_id):
+def filter_task(sink, *, name, query_id, spec=FILTER_SPEC):
     return Task(
         kind=TaskKind.FILTER,
-        spec=FILTER_SPEC,
+        spec=spec,
         payload={"args": (name,), "name": name, "is_red": True},
         callback=sink.append,
         query_id=query_id,
@@ -55,11 +56,11 @@ def filter_task(sink, *, name, query_id):
 class TestPendingCounters:
     def test_per_query_pending_counts_track_submit_flush_and_cancel(self):
         clock, _platform, manager = build_manager()
-        manager.set_batching_policy("isRed", TaskKind.FILTER, FixedBatching(4))
+        spec = dataclasses.replace(FILTER_SPEC, batch_size=4)
         results = []
         for index in range(3):
-            manager.submit(filter_task(results, name=f"a{index}", query_id="q1"))
-        manager.submit(filter_task(results, name="b0", query_id="q2"))
+            manager.submit(filter_task(results, name=f"a{index}", query_id="q1", spec=spec))
+        manager.submit(filter_task(results, name="b0", query_id="q2", spec=spec))
         assert manager.pending_tasks() == 4
         assert manager.pending_tasks("q1") == 3
         assert manager.pending_tasks("q2") == 1
@@ -73,12 +74,12 @@ class TestPendingCounters:
 
     def test_cancel_query_clears_only_its_own_tasks(self):
         _clock, _platform, manager = build_manager()
-        manager.set_batching_policy("isRed", TaskKind.FILTER, FixedBatching(10))
+        spec = dataclasses.replace(FILTER_SPEC, batch_size=10)
         results = []
         for index in range(3):
-            manager.submit(filter_task(results, name=f"a{index}", query_id="q1"))
+            manager.submit(filter_task(results, name=f"a{index}", query_id="q1", spec=spec))
         for index in range(2):
-            manager.submit(filter_task(results, name=f"b{index}", query_id="q2"))
+            manager.submit(filter_task(results, name=f"b{index}", query_id="q2", spec=spec))
         assert manager.cancel_query("q1") == 3
         assert manager.pending_tasks() == 2
         assert manager.pending_tasks("q1") == 0
@@ -101,11 +102,11 @@ class TestPendingCounters:
 class TestInflightIndexes:
     def test_inflight_count_tracks_post_and_settle(self):
         clock, _platform, manager = build_manager()
-        manager.set_batching_policy("isRed", TaskKind.FILTER, FixedBatching(2))
+        spec = dataclasses.replace(FILTER_SPEC, batch_size=2)
         results = []
-        manager.submit(filter_task(results, name="a", query_id="q1"))
-        manager.submit(filter_task(results, name="b", query_id="q2"))
-        manager.submit(filter_task(results, name="c", query_id="q1"))
+        manager.submit(filter_task(results, name="a", query_id="q1", spec=spec))
+        manager.submit(filter_task(results, name="b", query_id="q2", spec=spec))
+        manager.submit(filter_task(results, name="c", query_id="q1", spec=spec))
         assert manager.flush(force=True) == 2
         assert manager.inflight_hits() == 2  # the shared HIT and the solo one
         clock.run_until_idle()

@@ -244,6 +244,22 @@ class TestGroupByFirstArrivalOrder:
         ]
 
 
+class TestDescendingSort:
+    @pytest.mark.parametrize("n_rows", [3, 300])
+    def test_int64_extremes_order_like_python_on_both_paths(self, n_rows):
+        """300 rows take the argsort path, 3 the Python sort; both put the
+        int64 minimum last under DESC and keep equal keys in arrival order."""
+        engine = QurkEngine(seed=11, worker_pool_size=5)
+        table = engine.create_table("t", [("id", DataType.INTEGER), ("v", DataType.INTEGER)])
+        extremes = [-(2**63), 2**63 - 1, 0]
+        values = [extremes[i] if i < 3 else (i * 7919) % 13 - 6 for i in range(n_rows)]
+        table.insert_many(enumerate(values))
+        rows = engine.query("SELECT id, v FROM t ORDER BY v DESC").wait()
+        expected = sorted(enumerate(values), key=lambda row: row[1], reverse=True)
+        assert [tuple(row.values) for row in rows] == expected
+        assert rows[-1]["v"] == -(2**63)
+
+
 class TestDrainBounds:
     def test_local_only_plans_get_the_big_bound(self):
         engine = build_engine(n_rows=50)

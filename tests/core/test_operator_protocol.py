@@ -254,11 +254,10 @@ def _crowd_join(strategy):
             {"samePerson": celebrities.oracle()},
             [table_batch(celebs), table_batch(spotted)],
             lambda feeds: CrowdJoinOperator(
-                celebrities.sameperson_spec(assignments=1),
+                celebrities.sameperson_spec(assignments=1, batch_size=4),
                 feeds[0].output_schema,
                 feeds[1].output_schema,
                 strategy=strategy,
-                pairs_per_hit=4,
                 left_payload=celebrities.left_payload,
                 right_payload=celebrities.right_payload,
             ),
@@ -271,9 +270,9 @@ def _crowd_sort(strategy):
     def case():
         products = ProductsWorkload(n_products=12, seed=21)
         if strategy is SortStrategy.COMPARISON:
-            spec = products.size_compare_spec(assignments=1)
+            spec = products.size_compare_spec(assignments=1, batch_size=5)
         else:
-            spec = products.size_rating_spec(assignments=1)
+            spec = products.size_rating_spec(assignments=1, batch_size=5)
         return (
             {"biggerItem": products.oracle(), "rateSize": products.oracle()},
             [table_batch(products.build_table())],
@@ -281,7 +280,6 @@ def _crowd_sort(strategy):
                 spec,
                 feeds[0].output_schema,
                 strategy=strategy,
-                items_per_hit=5,
                 payload=lambda row: {"name": row["name"]},
             ),
         )

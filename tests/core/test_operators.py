@@ -202,11 +202,10 @@ class TestCrowdJoinOperator:
         celebs, spotted = celebrities.install(database)
         left, right = ScanOperator(celebs), ScanOperator(spotted)
         join = CrowdJoinOperator(
-            celebrities.sameperson_spec(assignments=3),
+            celebrities.sameperson_spec(assignments=3, batch_size=4),
             left.output_schema,
             right.output_schema,
             strategy=strategy,
-            pairs_per_hit=4,
             left_payload=celebrities.left_payload,
             right_payload=celebrities.right_payload,
         )
@@ -267,10 +266,9 @@ class TestCrowdSortOperator:
         table = products.install(database)
         scan = ScanOperator(table)
         sort = CrowdSortOperator(
-            products.size_compare_spec(assignments=1),
+            products.size_compare_spec(assignments=1, batch_size=10),
             scan.output_schema,
             strategy=SortStrategy.COMPARISON,
-            items_per_hit=10,
             payload=lambda row: {"name": row["name"]},
         )
         sort.add_child(scan)
@@ -286,7 +284,7 @@ class TestCrowdSortOperator:
             table = products.install(database)
             scan = ScanOperator(table)
             sort = CrowdSortOperator(
-                spec, scan.output_schema, strategy=strategy, items_per_hit=5,
+                spec, scan.output_schema, strategy=strategy,
                 payload=lambda row: {"name": row["name"]},
             )
             sort.add_child(scan)
@@ -296,8 +294,12 @@ class TestCrowdSortOperator:
             rho = products.rank_correlation(products.true_size_order(), observed)
             return rho, context.statistics.query("q1").spent
 
-        rho_rating, cost_rating = run(SortStrategy.RATING, products.size_rating_spec(assignments=3))
-        rho_compare, cost_compare = run(SortStrategy.COMPARISON, products.size_compare_spec(assignments=3))
+        rho_rating, cost_rating = run(
+            SortStrategy.RATING, products.size_rating_spec(assignments=3, batch_size=5)
+        )
+        rho_compare, cost_compare = run(
+            SortStrategy.COMPARISON, products.size_compare_spec(assignments=3, batch_size=5)
+        )
         assert cost_rating < cost_compare
         assert rho_compare >= rho_rating
 

@@ -5,6 +5,8 @@ budget attribution, admission control with a pending queue, priority-weighted
 stepping, lifecycle events on the dashboard, and stall surfacing.
 """
 
+import dataclasses
+
 import pytest
 
 from repro import QueryStatus, QurkEngine
@@ -12,7 +14,6 @@ from repro.core.exec.handle import QueryHandle
 from repro.core.operators.base import Operator
 from repro.core.optimizer.budget import BudgetLedger
 from repro.core.optimizer.statistics import StatisticsManager
-from repro.core.tasks.batching import FixedBatching
 from repro.core.tasks.spec import Parameter, TaskSpec, TaskType, YesNoResponse
 from repro.core.tasks.task import Task, TaskKind
 from repro.core.tasks.task_manager import TaskManager
@@ -51,10 +52,10 @@ def build_manager(*, budget_limits=None):
     return clock, platform, statistics, budget, manager
 
 
-def filter_task(sink, *, name, query_id):
+def filter_task(sink, *, name, query_id, spec=FILTER_SPEC):
     return Task(
         kind=TaskKind.FILTER,
-        spec=FILTER_SPEC,
+        spec=spec,
         payload={"args": (name,), "name": name, "is_red": True},
         callback=sink.append,
         query_id=query_id,
@@ -65,12 +66,12 @@ class TestCrossQueryBatching:
     def test_one_hit_carries_tasks_from_two_queries(self):
         """The acceptance-criterion unit test: a shared HIT, per-query spend."""
         clock, platform, statistics, budget, manager = build_manager()
-        manager.set_batching_policy("isRed", TaskKind.FILTER, FixedBatching(4))
+        spec = dataclasses.replace(FILTER_SPEC, batch_size=4)
         results = []
         for index in range(2):
-            manager.submit(filter_task(results, name=f"a{index}", query_id="q1"))
+            manager.submit(filter_task(results, name=f"a{index}", query_id="q1", spec=spec))
         for index in range(2):
-            manager.submit(filter_task(results, name=f"b{index}", query_id="q2"))
+            manager.submit(filter_task(results, name=f"b{index}", query_id="q2", spec=spec))
         assert manager.flush() == 1
         assert platform.stats.hits_created == 1
         assert manager.stats.cross_query_hits == 1
@@ -88,11 +89,11 @@ class TestCrossQueryBatching:
     def test_shares_are_weighted_by_each_tasks_own_cost(self):
         """A cheap low-redundancy query is not billed at its neighbour's rate."""
         clock, _platform, _statistics, budget, manager = build_manager()
-        manager.set_batching_policy("isRed", TaskKind.FILTER, FixedBatching(2))
+        spec = dataclasses.replace(FILTER_SPEC, batch_size=2)
         results = []
-        heavy = filter_task(results, name="h", query_id="heavy")
+        heavy = filter_task(results, name="h", query_id="heavy", spec=spec)
         heavy.assignments_override = 6
-        light = filter_task(results, name="l", query_id="light")
+        light = filter_task(results, name="l", query_id="light", spec=spec)
         light.assignments_override = 3
         manager.submit(heavy)
         manager.submit(light)
@@ -107,12 +108,12 @@ class TestCrossQueryBatching:
         clock, platform, _statistics, budget, manager = build_manager(
             budget_limits={"poor": 0.001}
         )
-        manager.set_batching_policy("isRed", TaskKind.FILTER, FixedBatching(4))
+        spec = dataclasses.replace(FILTER_SPEC, batch_size=4)
         results = []
-        manager.submit(filter_task(results, name="a", query_id="rich"))
-        manager.submit(filter_task(results, name="b", query_id="rich"))
-        manager.submit(filter_task(results, name="c", query_id="poor"))
-        manager.submit(filter_task(results, name="d", query_id="poor"))
+        manager.submit(filter_task(results, name="a", query_id="rich", spec=spec))
+        manager.submit(filter_task(results, name="b", query_id="rich", spec=spec))
+        manager.submit(filter_task(results, name="c", query_id="poor", spec=spec))
+        manager.submit(filter_task(results, name="d", query_id="poor", spec=spec))
         # The mixed batch never raises: the poor query is dropped, the HIT
         # posts for the rich one, and the failure is retrievable per query.
         assert manager.flush() == 1
@@ -130,11 +131,11 @@ class TestCrossQueryBatching:
         clock, platform, _statistics, budget, manager = build_manager(
             budget_limits={"tight": 0.04, "broke": 0.001}
         )
-        manager.set_batching_policy("isRed", TaskKind.FILTER, FixedBatching(4))
+        spec = dataclasses.replace(FILTER_SPEC, batch_size=4)
         results = []
         for index in range(3):
-            manager.submit(filter_task(results, name=f"t{index}", query_id="tight"))
-        manager.submit(filter_task(results, name="b", query_id="broke"))
+            manager.submit(filter_task(results, name=f"t{index}", query_id="tight", spec=spec))
+        manager.submit(filter_task(results, name="b", query_id="broke", spec=spec))
         # One HIT costs 3 * 0.015 = 0.045: "tight" affords its 3/4 slice only
         # while "broke" shares the HIT; once "broke" is dropped the whole cost
         # falls on "tight", which must then be dropped as well — not raise.

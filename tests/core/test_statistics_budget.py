@@ -4,6 +4,8 @@ import pytest
 
 from repro.core.answers import AnswerList
 from repro.core.optimizer.budget import BudgetLedger
+from repro.core.optimizer.cost_model import CostModel
+from repro.core.optimizer.optimizer import CostingPass
 from repro.core.optimizer.statistics import StatisticsManager
 from repro.core.tasks.spec import TaskSpec, TaskType, YesNoResponse
 from repro.core.tasks.task import ResultSource, Task, TaskKind, TaskResult
@@ -48,7 +50,7 @@ class TestStatisticsManager:
         assert spec.crowd_tasks == 2
         assert spec.mean_cost == pytest.approx(0.0375)
         assert spec.mean_latency == pytest.approx(90.0)
-        assert spec.observed_selectivity == pytest.approx(0.5)
+        assert (spec.boolean_true, spec.boolean_total) == (1, 2)
         query = stats.query("q1")
         assert query.spent == pytest.approx(0.075)
         assert query.tasks_completed == 2
@@ -69,32 +71,22 @@ class TestStatisticsManager:
     def test_selectivity_estimate_blends_prior_with_observations(self):
         stats = StatisticsManager()
         # No data: pure prior.
-        assert stats.estimate_selectivity("isRed") == pytest.approx(0.5)
+        costing = CostingPass(stats, CostModel())
+        assert costing.selectivity("isRed") == pytest.approx(0.5)
+        assert costing.selectivity("isRed", prior=0.1) == pytest.approx(0.1)
         for _ in range(20):
             stats.record_result(crowd_result(reduced=True))
-        estimate = stats.estimate_selectivity("isRed")
+        estimate = CostingPass(stats, CostModel()).selectivity("isRed")
         assert 0.8 < estimate <= 1.0
 
-    def test_latency_estimate_defaults_to_prior(self):
-        stats = StatisticsManager()
-        assert stats.estimate_latency("isRed") == StatisticsManager.DEFAULT_LATENCY_PRIOR
-        stats.record_result(crowd_result(latency=200.0))
-        assert stats.estimate_latency("isRed") == pytest.approx(200.0)
-
-    def test_cost_per_task_estimate_fallback(self):
-        stats = StatisticsManager()
-        assert stats.estimate_cost_per_task("isRed", fallback=0.1) == 0.1
-        stats.record_result(crowd_result(cost=0.05))
-        assert stats.estimate_cost_per_task("isRed", fallback=0.1) == pytest.approx(0.05)
-
-    def test_worker_vote_tracking_and_weights(self):
+    def test_worker_vote_tracking(self):
         stats = StatisticsManager()
         stats.record_vote("good", True)
         stats.record_vote("good", True)
         stats.record_vote("bad", False)
-        weights = stats.worker_weights()
-        assert weights["good"] == 1.0
-        assert weights["bad"] == 0.0
+        assert stats.worker("good").agreement_rate == 1.0
+        assert stats.worker("bad").agreement_rate == 0.0
+        assert stats.worker("unseen").agreement_rate == 1.0
 
     def test_result_emission_and_hit_posting_counters(self):
         stats = StatisticsManager()

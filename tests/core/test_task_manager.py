@@ -1,10 +1,11 @@
 """Unit/integration tests for the Task Manager."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.optimizer.budget import BudgetLedger
 from repro.core.optimizer.statistics import StatisticsManager
-from repro.core.tasks.batching import FixedBatching
 from repro.core.tasks.spec import (
     FormResponse,
     Parameter,
@@ -65,10 +66,12 @@ def build_manager(*, mix=None, cache=None, models=None, seed=1):
     return clock, platform, statistics, budget, manager
 
 
-def filter_task(manager_results, name="mug", is_red=True, query_id="q1", cache_key=None):
+def filter_task(
+    manager_results, name="mug", is_red=True, query_id="q1", cache_key=None, spec=FILTER_SPEC
+):
     return Task(
         kind=TaskKind.FILTER,
-        spec=FILTER_SPEC,
+        spec=spec,
         payload={"args": (name,), "name": name, "is_red": is_red},
         callback=manager_results.append,
         cache_key=cache_key,
@@ -97,12 +100,14 @@ class TestCrowdPath:
         assert statistics.query("q1").spent == pytest.approx(result.cost)
         assert not manager.has_outstanding_work()
 
-    def test_batching_policy_groups_tasks_into_one_hit(self):
+    def test_spec_batch_size_groups_tasks_into_one_hit(self):
         clock, platform, _stats, _budget, manager = build_manager()
-        manager.set_batching_policy("isRed", TaskKind.FILTER, FixedBatching(5))
+        spec = dataclasses.replace(FILTER_SPEC, batch_size=5)
         results = []
         for index in range(5):
-            manager.submit(filter_task(results, name=f"item{index}", is_red=index % 2 == 0))
+            manager.submit(
+                filter_task(results, name=f"item{index}", is_red=index % 2 == 0, spec=spec)
+            )
         assert manager.flush() == 1
         assert platform.stats.hits_created == 1
         clock.run_until_idle()
@@ -110,15 +115,23 @@ class TestCrowdPath:
         reduced = [r.reduced for r in results]
         assert reduced == [True, False, True, False, True]
 
-    def test_partial_batches_flush_only_when_forced(self):
+    @pytest.mark.parametrize(
+        "batch_size, tasks, full_hits, forced_hits",
+        [(10, 4, 0, 1), (5, 12, 2, 1), (5, 10, 2, 0), (1, 3, 3, 0)],
+    )
+    def test_partial_batches_flush_only_when_forced(
+        self, batch_size, tasks, full_hits, forced_hits
+    ):
         _clock, platform, _stats, _budget, manager = build_manager()
-        manager.set_batching_policy("isRed", TaskKind.FILTER, FixedBatching(10))
+        spec = dataclasses.replace(FILTER_SPEC, batch_size=batch_size)
         results = []
-        for index in range(4):
-            manager.submit(filter_task(results, name=f"n{index}"))
-        assert manager.flush(force=False) == 0
-        assert manager.flush(force=True) == 1
-        assert platform.stats.hits_created == 1
+        for index in range(tasks):
+            manager.submit(filter_task(results, name=f"n{index}", spec=spec))
+        assert manager.flush(force=False) == full_hits
+        assert manager.pending_tasks() == tasks - full_hits * batch_size
+        assert manager.flush(force=True) == forced_hits
+        assert manager.pending_tasks() == 0
+        assert platform.stats.hits_created == full_hits + forced_hits
 
     def test_worker_votes_recorded(self):
         clock, _platform, statistics, _budget, manager = build_manager()

@@ -155,6 +155,26 @@ class TestMixedQueries:
         assert isinstance(engine.queries[first.query_id], QueryHandle)
 
 
+class TestBatchSize:
+    def test_a_redefined_batch_size_is_the_one_the_next_query_posts(self):
+        """After a TASK is redefined, its next query batches as costing prices it."""
+        sql = "SELECT name FROM products WHERE isTargetColor(name)"
+        workload = ProductsWorkload(n_products=12, seed=42)
+        engine = QurkEngine(seed=42)
+        workload.install(engine.database)
+        engine.register_oracle("isTargetColor", workload.oracle())
+        engine.define_task(workload.color_filter_spec(batch_size=4), learnable=False)
+        first = engine.query(sql)
+        first.wait()
+        assert first.stats.hits_posted == engine.estimate_query_cost(first).hits == 3
+        engine.task_cache.invalidate("isTargetColor")
+        engine.define_task(workload.color_filter_spec(batch_size=1), learnable=False)
+        second = engine.query(sql)
+        second.wait()
+        assert second.stats.tasks_submitted == 12
+        assert second.stats.hits_posted == engine.estimate_query_cost(second).hits == 12
+
+
 class TestAdaptiveRedundancy:
     def test_adaptive_queries_use_fewer_assignments_with_reliable_workers(self):
         from repro.crowd import PopulationMix

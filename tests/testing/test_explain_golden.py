@@ -195,7 +195,6 @@ def render_adaptive(hit: bool) -> list[str]:
         old.children[0].output_schema,
         old.children[1].output_schema,
         strategy=JoinStrategy.COLUMNS,
-        pairs_per_hit=old.pairs_per_hit,
         left_payload=old.left_payload,
         right_payload=old.right_payload,
     )
