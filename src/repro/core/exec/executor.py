@@ -93,7 +93,6 @@ class QueryExecutor:
         # The record a retired executor answers from (all None while live).
         self._stats: QueryStats | None = None
         self._rows: tuple[OperatorSnapshot, ...] | None = None
-        self._apply_drain_bounds()
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -260,7 +259,6 @@ class QueryExecutor:
             new.open(self.context)
         self._operators = list(self.root.walk())
         self._finish_signalled.discard(id(old))
-        self._apply_drain_bounds()
 
     # -- helpers ---------------------------------------------------------------------
 
@@ -276,24 +274,6 @@ class QueryExecutor:
         for operator, node in zip(self.root.children[0].walk(), self.plan_tree.walk()):
             operator.node = node
         self._owns_plan_tree = True
-
-    def _apply_drain_bounds(self) -> None:
-        """Let purely local plans take big steps.
-
-        The small per-step drain bound exists so crowd plans interleave local
-        work with HIT submission and clock advances.  A plan with no crowd
-        operator anywhere has nothing to interleave with — small steps just
-        multiply scheduler passes — so every operator's bound is raised to
-        :attr:`Operator.LOCAL_MAX_ROWS_PER_STEP` and a 100k-row scan drains
-        in a dozen passes instead of thousands.  Crowd plans keep the small
-        bound, preserving HIT batching behavior exactly.
-        """
-        if any(operator.IS_CROWD for operator in self._operators):
-            bound = Operator.MAX_ROWS_PER_STEP
-        else:
-            bound = Operator.LOCAL_MAX_ROWS_PER_STEP
-        for operator in self._operators:
-            operator._max_rows_per_step = bound
 
     def _propagate_finishes(self) -> bool:
         signalled = False

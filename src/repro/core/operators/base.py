@@ -64,18 +64,12 @@ class Operator:
     """Base class for all physical operators."""
 
     #: Upper bound on rows drained from input queues per :meth:`step` call,
-    #: keeping single steps cheap so the executor can interleave operators.
-    MAX_ROWS_PER_STEP = 64
-
-    #: Drain bound for plans with no crowd operator anywhere: nothing is
-    #: waiting on simulated HIT latency, so steps may be large and cheap
-    #: instead of small and interleaved.  The executor raises each
-    #: operator's ``_max_rows_per_step`` to this for local-only plans.
-    LOCAL_MAX_ROWS_PER_STEP = 8192
-
-    #: Whether this operator submits crowd tasks.  Crowd subclasses override
-    #: this; the executor uses it to spot plans that never touch the crowd.
-    IS_CROWD = False
+    #: the same for every plan.  Small steps would buy crowd plans no
+    #: earlier HITs: the scheduler advances the simulated clock only once no
+    #: query can make local progress, so every task of a wave posts at the
+    #: same instant whatever the step size, and small steps only multiply
+    #: scheduler passes.
+    MAX_ROWS_PER_STEP = 8192
 
     def __init__(self, name: str):
         self.name = name
@@ -91,7 +85,6 @@ class Operator:
         #: (None for hand-built plans): the optimizer re-costs a running
         #: plan on its operators' nodes.
         self.node: "LogicalNode | None" = None
-        self._max_rows_per_step = self.MAX_ROWS_PER_STEP
         self._in_queues: list[deque[RowBatch]] = []
         self._inputs_done: list[bool] = []
         self._outstanding_tasks = 0
@@ -213,7 +206,7 @@ class Operator:
         drained per step are the same whatever the batch shapes.
         """
         progress = False
-        budget = self._max_rows_per_step
+        budget = self.MAX_ROWS_PER_STEP
         for slot, queue in enumerate(self._in_queues):
             while queue and budget > 0:
                 batch = queue.popleft()
@@ -272,8 +265,6 @@ class PerRowCrowdOperator(Operator):
     becomes its own crowd task, and the tasks go out in batch order through
     the subclass's :meth:`_submit`.
     """
-
-    IS_CROWD = True
 
     def __init__(self, name: str, spec: "TaskSpec", arg_expressions: list[Expression]):
         super().__init__(name)

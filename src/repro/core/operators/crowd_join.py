@@ -67,8 +67,6 @@ class CrowdJoinOperator(Operator):
         crowd; pairs failing it are assumed non-matching for free.
     """
 
-    IS_CROWD = True
-
     def __init__(
         self,
         spec: TaskSpec,

@@ -57,8 +57,6 @@ class CrowdSortOperator(Operator):
         Maps a row to what workers (and the oracle) see.
     """
 
-    IS_CROWD = True
-
     def __init__(
         self,
         spec: TaskSpec,

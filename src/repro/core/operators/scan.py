@@ -18,10 +18,12 @@ class _TableAccessOperator(Operator):
 
     Both access paths materialize their output as one column-major batch on
     the first step (the table's cached column snapshot, optionally gathered
-    through an index), then emit at most one drain bound's worth of rows per
-    step so the executor can interleave leaves with downstream crowd
-    operators — important because those start posting HITs as soon as the
-    first tuples arrive (asynchronous pipelining, Section 2).
+    through an index), then emit at most :attr:`Operator.MAX_ROWS_PER_STEP`
+    rows per step.  Downstream crowd operators still start posting HITs as
+    soon as the first tuples arrive (asynchronous pipelining, Section 2):
+    the scheduler holds the simulated clock until no query can make local
+    progress, so a whole scan's tasks post at the same instant whether it
+    is emitted in one slice or many.
     """
 
     def __init__(self, name: str, table: Table, alias: str | None = None):
@@ -48,7 +50,7 @@ class _TableAccessOperator(Operator):
             if self._batch is None:
                 self._batch = self._load_batch()
             start = self._position
-            end = min(start + self._max_rows_per_step, len(self._batch))
+            end = min(start + self.MAX_ROWS_PER_STEP, len(self._batch))
             if end > start:
                 self._position = end
                 emitted = end - start

@@ -1,9 +1,9 @@
 """The batched local data plane: hash join, drain bounds, clock compaction.
 
 These tests pin down the driver-level contract of the vectorized refactor:
-local-only plans take big steps (and still produce exactly the same rows),
-crowd plans keep the small interleaving bound, and the simulation clock
-tracks pending events in O(1) with lazy heap compaction.
+every plan, local or crowd, takes big steps (and still produces exactly the
+same rows), and the simulation clock tracks pending events in O(1) with
+lazy heap compaction.
 """
 
 import gc
@@ -261,38 +261,37 @@ class TestDescendingSort:
 
 
 class TestDrainBounds:
-    def test_local_only_plans_get_the_big_bound(self):
-        engine = build_engine(n_rows=50)
-        handle = build_local_plan(engine, query_id="bounds")
-        for operator in handle.executor.operators():
-            assert operator._max_rows_per_step == Operator.LOCAL_MAX_ROWS_PER_STEP
-
-    def test_crowd_plans_keep_the_small_bound(self):
+    def test_crowd_plan_scans_in_big_steps(self):
+        """A crowd plan drains the same bound as a local one: the scan under
+        a crowd filter emits a 2-bound table within 3 executor passes."""
+        n_rows = Operator.MAX_ROWS_PER_STEP * 2
         engine = QurkEngine(seed=5, worker_pool_size=5)
-        engine.create_table("t", [("name", DataType.STRING)], rows=[["x"], ["y"]])
+        engine.create_table("t", ["n"], rows=[[i] for i in range(n_rows)])
         engine.define_task(
-            "TASK isRed(String name) RETURNS BOOL:\n"
+            "TASK isRed(Integer n) RETURNS BOOL:\n"
             "    TaskType: Filter\n"
-            "    Text: \"Is %s red?\", name\n"
+            "    Text: \"Is %s red?\", n\n"
         )
         from repro.crowd.oracle import CallbackOracle
 
         engine.register_oracle("isRed", CallbackOracle(predicate=lambda item: True))
-        handle = engine.query("SELECT name FROM t WHERE isRed(name)")
-        for operator in handle.executor.operators():
-            assert operator._max_rows_per_step == Operator.MAX_ROWS_PER_STEP
+        handle = engine.query("SELECT n FROM t WHERE n < 2 AND isRed(n)")
+        (scan,) = [op for op in handle.executor.operators() if isinstance(op, ScanOperator)]
+        while not scan.is_done():
+            engine.scheduler.step()
+        assert handle.executor.metrics.passes <= 3
         handle.wait()
-        assert len(handle.results()) == 2
+        assert sorted(row["n"] for row in handle.results()) == [0, 1]
 
     def test_local_query_needs_few_scheduler_passes(self):
-        n_rows = Operator.LOCAL_MAX_ROWS_PER_STEP * 2
+        n_rows = Operator.MAX_ROWS_PER_STEP * 2
         engine = QurkEngine(seed=2)
         engine.create_table("big", ["n"], rows=[[i] for i in range(n_rows)])
         handle = engine.query("SELECT n FROM big")
         handle.wait()
         assert len(handle.results()) == n_rows
-        # The whole 2-bound scan finishes in a handful of passes, not
-        # thousands of 64-row steps.
+        # The whole 2-bound scan finishes in a handful of passes, not one
+        # per row.
         assert engine.scheduler.metrics.passes < 20
 
 

@@ -350,7 +350,6 @@ def run_case(case, shape):
 def small_drain_bounds(monkeypatch):
     """Drain 7 rows a step, so a few dozen rows cross many split boundaries."""
     monkeypatch.setattr(Operator, "MAX_ROWS_PER_STEP", 7)
-    monkeypatch.setattr(Operator, "LOCAL_MAX_ROWS_PER_STEP", 7)
 
 
 @pytest.mark.parametrize("case", list(CASES))

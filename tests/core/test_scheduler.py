@@ -224,9 +224,9 @@ class TestAdmissionControl:
 
 class TestPriorityWeightedStepping:
     def test_higher_priority_queries_get_more_local_steps(self):
-        # Local-only plans drain LOCAL_MAX_ROWS_PER_STEP rows per step, so
-        # the table must span several steps for priorities to differentiate.
-        n_rows = Operator.LOCAL_MAX_ROWS_PER_STEP * 6
+        # Every plan drains MAX_ROWS_PER_STEP rows per step, so the table
+        # must span several steps for priorities to differentiate.
+        n_rows = Operator.MAX_ROWS_PER_STEP * 6
         engine = QurkEngine(seed=3)
         engine.create_table("big", ["n"], rows=[[i] for i in range(n_rows)])
         fast = engine.query("SELECT n FROM big", priority=4.0)
@@ -256,6 +256,35 @@ class TestPriorityWeightedStepping:
         engine.create_table("t", ["x"], rows=[[1]])
         with pytest.raises(ExecutionError):
             engine.query("SELECT x FROM t", priority=0.0)
+
+
+class TestPostingOrder:
+    def test_concurrent_crowd_filters_post_query_by_query_in_scan_order(self):
+        """Each scan's slice spans the whole table, so one query's crowd
+        filter submits all its tasks before the next query steps: the HITs
+        of four concurrent filters come out grouped by query in admission
+        order, and each query's HITs follow the table's scan order."""
+        run = build_products_engine(n_products=1000, filter_batch=1, seed=3)
+        engine = run.engine
+        bands = (10, 30, 50, 70)
+        for lo in bands:
+            engine.query(
+                f"SELECT name FROM products WHERE price >= {lo} AND price < {lo + 4} "
+                "AND isTargetColor(name)"
+            )
+        engine.scheduler.drain()
+        scan_position = {
+            row["name"]: position
+            for position, row in enumerate(engine.database.table("products"))
+        }
+        posted = []
+        for hit in engine.platform.list_hits():
+            (item,) = hit.content.items
+            price = item.payload["row"]["products.price"]
+            (band,) = [i for i, lo in enumerate(bands) if lo <= price < lo + 4]
+            posted.append((band, scan_position[item.payload["name"]]))
+        assert len({band for band, _ in posted}) == len(bands)
+        assert posted == sorted(posted)
 
 
 class TestFairnessAtScale:
