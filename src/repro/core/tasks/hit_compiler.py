@@ -40,7 +40,6 @@ class CompiledHIT:
     """A HIT ready to post, plus the bookkeeping needed to interpret answers."""
 
     content: HITContent
-    html: str
     tasks: tuple[Task, ...]
     #: item id -> task id, for per-item interfaces.
     item_to_task: dict[str, str] = field(default_factory=dict)
@@ -51,6 +50,11 @@ class CompiledHIT:
     #: Task Manager scores them against each assignment to update worker
     #: reputations.
     gold_items: dict[str, GoldQuestion] = field(default_factory=dict)
+
+    @property
+    def html(self) -> str:
+        """The HTML form a turker would fill out, rendered from :attr:`content`."""
+        return HITCompiler().render_html(self.content)
 
     def query_ids(self) -> tuple[str, ...]:
         """Distinct query ids contributing tasks, in first-contribution order.
@@ -189,7 +193,6 @@ class HITCompiler:
         )
         return CompiledHIT(
             content=content,
-            html=self.render_html(content),
             tasks=tuple(tasks),
             item_to_task=item_to_task,
             gold_items=gold_items,
@@ -227,7 +230,6 @@ class HITCompiler:
         )
         return CompiledHIT(
             content=content,
-            html=self.render_html(content),
             tasks=(task,),
             block_positions=block_positions,
         )
