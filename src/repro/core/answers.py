@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping
+from itertools import repeat
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.errors import AggregateError
 
@@ -22,17 +23,12 @@ __all__ = [
     "Aggregate",
     "MajorityVote",
     "WeightedVote",
-    "ConfidenceWeightedVote",
-    "WeightedFieldwiseMajority",
-    "WeightedMeanRating",
     "First",
     "ListAll",
     "MeanRating",
     "MedianRating",
     "FieldwiseMajority",
-    "majority_confidence",
     "weighted_confidence",
-    "weighted_counterpart",
     "get_aggregate",
     "register_aggregate",
 ]
@@ -92,17 +88,26 @@ def _freeze(value: Any) -> Any:
 
 
 class Aggregate:
-    """Base class for user-defined aggregates over answer lists."""
+    """Base class for user-defined aggregates over answer lists.
+
+    An aggregate whose ``weighted`` flag is set (the built-in
+    :class:`MajorityVote`, :class:`FieldwiseMajority` and :class:`MeanRating`)
+    also takes optional per-answer vote weights, parallel to the answers:
+    ``aggregate(answers, weights)``.  Every other aggregate is called as
+    ``aggregate(answers)``.
+    """
 
     #: Name used by the query language (``Combiner: MajorityVote``).
     name = "Aggregate"
+    #: Whether :meth:`reduce` takes per-answer ``weights``.
+    weighted = False
 
-    def __call__(self, answers: AnswerList) -> Any:
+    def __call__(self, answers: AnswerList, weights: Sequence[float] | None = None) -> Any:
         if not isinstance(answers, AnswerList):
             answers = AnswerList.of(answers)
         if len(answers) == 0:
             raise AggregateError(f"{self.name} cannot reduce an empty answer list")
-        return self.reduce(answers)
+        return self.reduce(answers) if weights is None else self.reduce(answers, weights)
 
     def reduce(self, answers: AnswerList) -> Any:
         raise NotImplementedError
@@ -111,26 +116,37 @@ class Aggregate:
         return f"{type(self).__name__}()"
 
 
+def _vote_totals(
+    answers: AnswerList, weights: Sequence[float] | None
+) -> tuple[dict[Any, float], dict[Any, Any]]:
+    """Votes per distinct answer (counts, or summed weights) and one original each.
+
+    Both dicts keep first-seen order, so ``max`` over the totals breaks ties
+    toward the earliest answer.
+    """
+    totals: dict[Any, float] = {}
+    originals: dict[Any, Any] = {}
+    for answer, weight in zip(answers.answers, weights or repeat(1)):
+        key = _freeze(answer)
+        totals[key] = totals.get(key, 0) + weight
+        originals.setdefault(key, answer)
+    return totals, originals
+
+
 class MajorityVote(Aggregate):
-    """Return the most common answer; ties break toward the earliest answer.
+    """Return the most (heavily) voted answer; ties break toward the earliest answer.
 
     This is the default combiner for boolean predicates (filters, join
-    predicates) and categorical form fields.
+    predicates) and categorical form fields.  With ``weights`` each vote
+    counts with its worker's weight (quality control's reputation log-odds).
     """
 
     name = "MajorityVote"
+    weighted = True
 
-    def reduce(self, answers: AnswerList) -> Any:
-        counts = Counter()
-        first_seen: dict[Any, int] = {}
-        originals: dict[Any, Any] = {}
-        for position, answer in enumerate(answers):
-            key = _freeze(answer)
-            counts[key] += 1
-            first_seen.setdefault(key, position)
-            originals.setdefault(key, answer)
-        best = max(counts, key=lambda key: (counts[key], -first_seen[key]))
-        return originals[best]
+    def reduce(self, answers: AnswerList, weights: Sequence[float] | None = None) -> Any:
+        totals, originals = _vote_totals(answers, weights)
+        return originals[max(totals, key=totals.__getitem__)]
 
 
 class WeightedVote(Aggregate):
@@ -148,17 +164,8 @@ class WeightedVote(Aggregate):
         self.default_weight = default_weight
 
     def reduce(self, answers: AnswerList) -> Any:
-        if not answers.worker_ids:
-            return MajorityVote().reduce(answers)
-        totals: dict[Any, float] = {}
-        originals: dict[Any, Any] = {}
-        for answer, worker_id in zip(answers.answers, answers.worker_ids):
-            key = _freeze(answer)
-            weight = self.weights.get(worker_id, self.default_weight)
-            totals[key] = totals.get(key, 0.0) + weight
-            originals.setdefault(key, answer)
-        best = max(totals, key=lambda key: totals[key])
-        return originals[best]
+        weights = [self.weights.get(worker, self.default_weight) for worker in answers.worker_ids]
+        return MajorityVote().reduce(answers, weights or None)
 
 
 class First(Aggregate):
@@ -180,13 +187,19 @@ class ListAll(Aggregate):
 
 
 class MeanRating(Aggregate):
-    """Arithmetic mean of numeric answers (used by rating-based operators)."""
+    """Arithmetic mean of numeric answers (used by rating-based operators).
+
+    With ``weights``, the weighted mean.
+    """
 
     name = "MeanRating"
+    weighted = True
 
-    def reduce(self, answers: AnswerList) -> float:
+    def reduce(self, answers: AnswerList, weights: Sequence[float] | None = None) -> float:
         values = [self._as_number(a) for a in answers]
-        return sum(values) / len(values)
+        if weights is None:
+            return sum(values) / len(values)
+        return sum(value * weight for value, weight in zip(values, weights)) / sum(weights)
 
     @staticmethod
     def _as_number(value: Any) -> float:
@@ -208,183 +221,52 @@ class MedianRating(Aggregate):
         return (values[middle - 1] + values[middle]) / 2.0
 
 
-def _fieldwise_reduce(
-    answers: AnswerList, voter: Callable[[AnswerList], Any], *, name: str
-) -> dict[str, Any]:
-    """Split mapping answers into per-field answer lists and vote each field.
-
-    The one implementation behind :class:`FieldwiseMajority` and
-    :class:`WeightedFieldwiseMajority` — only the per-field ``voter``
-    differs, so field collection / ordering / missing-field policy can never
-    diverge between the weighted and unweighted paths.  Worker attribution
-    is preserved field-by-field (voters that ignore it see no difference).
-    """
-    if not all(isinstance(a, Mapping) for a in answers):
-        raise AggregateError(f"{name} needs mapping-valued answers")
-    worker_ids = answers.worker_ids or tuple("" for _ in answers.answers)
-    fields: set[str] = set()
-    for answer in answers:
-        fields.update(answer.keys())
-    result: dict[str, Any] = {}
-    for field_name in sorted(fields):
-        votes = [
-            (answer[field_name], worker_id)
-            for answer, worker_id in zip(answers.answers, worker_ids)
-            if field_name in answer
-        ]
-        field_answers = AnswerList.of(
-            (value for value, _ in votes),
-            (worker_id for _, worker_id in votes) if answers.worker_ids else (),
-        )
-        result[field_name] = voter(field_answers)
-    return result
-
-
 class FieldwiseMajority(Aggregate):
     """Majority vote applied independently to each field of form answers.
 
     Query 1's ``findCEO`` returns ``{"CEO": ..., "Phone": ...}`` per worker;
     reducing field-by-field tolerates a worker who got the CEO right but the
-    phone number wrong.
+    phone number wrong.  With ``weights``, each field is a weighted vote of
+    the workers who answered it.
     """
 
     name = "FieldwiseMajority"
+    weighted = True
 
-    def reduce(self, answers: AnswerList) -> dict[str, Any]:
-        return _fieldwise_reduce(answers, MajorityVote().reduce, name=self.name)
-
-
-def _resolved_weights(
-    answers: AnswerList, weights: Mapping[str, float], default_weight: float
-) -> list[float]:
-    """Per-answer vote weights, parallel to ``answers.answers``."""
-    return [weights.get(worker_id, default_weight) for worker_id in answers.worker_ids]
-
-
-class ConfidenceWeightedVote(WeightedVote):
-    """:class:`WeightedVote` specialised for reputation weights (quality control).
-
-    Each vote counts with its worker's weight (typically the log-odds of the
-    worker's posterior accuracy from
-    :class:`~repro.crowd.quality.WorkerReputation`).  The only behaviour
-    added over the base class is the uniform-weights shortcut: when every
-    resolved weight is equal the plain :class:`MajorityVote` runs directly,
-    so the degradation to majority voting is bit-exact (same winner, same
-    earliest-answer tie-break, no float scaling) — switching quality control
-    on cannot change results until reputations diverge.
-    """
-
-    name = "ConfidenceWeightedVote"
-
-    def reduce(self, answers: AnswerList) -> Any:
-        if answers.worker_ids:
-            resolved = _resolved_weights(answers, self.weights, self.default_weight)
-            if len(set(resolved)) <= 1:
-                return MajorityVote().reduce(answers)
-        return super().reduce(answers)
+    def reduce(
+        self, answers: AnswerList, weights: Sequence[float] | None = None
+    ) -> dict[str, Any]:
+        if not all(isinstance(a, Mapping) for a in answers):
+            raise AggregateError(f"{self.name} needs mapping-valued answers")
+        fields: set[str] = set()
+        for answer in answers:
+            fields.update(answer.keys())
+        result: dict[str, Any] = {}
+        for field_name in sorted(fields):
+            votes = [
+                (answer[field_name], weight)
+                for answer, weight in zip(answers.answers, weights or repeat(None))
+                if field_name in answer
+            ]
+            result[field_name] = MajorityVote().reduce(
+                AnswerList.of(value for value, _ in votes),
+                None if weights is None else [weight for _, weight in votes],
+            )
+        return result
 
 
-class WeightedFieldwiseMajority(Aggregate):
-    """Fieldwise majority with reputation-weighted votes per field.
+def weighted_confidence(answers: AnswerList, weights: Sequence[float] | None = None) -> float:
+    """The (weighted) vote share of the winning answer (1.0 if empty).
 
-    The quality-control counterpart of :class:`FieldwiseMajority`: each form
-    field is decided independently, weighting every worker's field answer by
-    their reputation.  Degrades exactly to :class:`FieldwiseMajority` under
-    uniform weights.
-    """
-
-    name = "WeightedFieldwiseMajority"
-
-    def __init__(self, weights: Mapping[str, float], default_weight: float = 1.0):
-        self.weights = dict(weights)
-        self.default_weight = default_weight
-
-    def reduce(self, answers: AnswerList) -> dict[str, Any]:
-        voter = ConfidenceWeightedVote(self.weights, self.default_weight)
-        return _fieldwise_reduce(answers, voter.reduce, name=self.name)
-
-
-class WeightedMeanRating(Aggregate):
-    """Reputation-weighted mean of numeric answers.
-
-    Degrades exactly to :class:`MeanRating` under uniform weights (the plain
-    mean is computed directly in that case, so no float drift sneaks in).
-    """
-
-    name = "WeightedMeanRating"
-
-    def __init__(self, weights: Mapping[str, float], default_weight: float = 1.0):
-        self.weights = dict(weights)
-        self.default_weight = default_weight
-
-    def reduce(self, answers: AnswerList) -> float:
-        values = [MeanRating._as_number(a) for a in answers]
-        if not answers.worker_ids:
-            return sum(values) / len(values)
-        resolved = _resolved_weights(answers, self.weights, self.default_weight)
-        if len(set(resolved)) <= 1:
-            return sum(values) / len(values)
-        total_weight = sum(resolved)
-        if total_weight <= 0:
-            return sum(values) / len(values)
-        return sum(value * weight for value, weight in zip(values, resolved)) / total_weight
-
-
-#: Plain combiner name -> factory for its reputation-weighted counterpart.
-_WEIGHTED_COUNTERPARTS: dict[str, Callable[[Mapping[str, float], float], Aggregate]] = {
-    "majorityvote": ConfidenceWeightedVote,
-    "fieldwisemajority": WeightedFieldwiseMajority,
-    "meanrating": WeightedMeanRating,
-}
-
-
-def weighted_counterpart(
-    combiner_name: str, weights: Mapping[str, float], default_weight: float = 1.0
-) -> Aggregate | None:
-    """The reputation-weighted counterpart of a plain combiner, if one exists.
-
-    Returns None for combiners with no weighted analogue (``First``,
-    ``ListAll``, ``MedianRating`` — the median is already spammer-robust);
-    callers fall back to the plain combiner in that case.
-    """
-    factory = _WEIGHTED_COUNTERPARTS.get(combiner_name.lower())
-    if factory is None:
-        return None
-    return factory(weights, default_weight)
-
-
-def majority_confidence(answers: AnswerList) -> float:
-    """Simple confidence proxy: agreement of the winning answer.
-
-    Not a calibrated probability (the paper explicitly declines to model
-    uncertainty), but useful for adaptive redundancy decisions.
-    """
-    return answers.agreement()
-
-
-def weighted_confidence(
-    answers: AnswerList, weights: Mapping[str, float], default_weight: float = 1.0
-) -> float:
-    """Reputation-weighted share of the winning answer (1.0 if empty).
-
-    The early-stopping rule of adaptive redundancy: when the weighted vote
-    share of the leading answer clears the confidence threshold, further
-    assignments are unlikely to flip the outcome and the task stops early.
-    Degrades to plain :meth:`AnswerList.agreement` under uniform weights.
+    The early-stopping rule of adaptive redundancy: when the vote share of
+    the leading answer clears the confidence threshold, further assignments
+    are unlikely to flip the outcome and the task stops early.  Without
+    ``weights`` it is :meth:`AnswerList.agreement`.
     """
     if not answers.answers:
         return 1.0
-    if not answers.worker_ids:
-        return answers.agreement()
-    resolved = _resolved_weights(answers, weights, default_weight)
-    totals: dict[Any, float] = {}
-    for answer, weight in zip(answers.answers, resolved):
-        key = _freeze(answer)
-        totals[key] = totals.get(key, 0.0) + weight
-    total = sum(totals.values())
-    if total <= 0:
-        return answers.agreement()
-    return max(totals.values()) / total
+    totals = _vote_totals(answers, weights)[0].values()
+    return max(totals) / sum(totals)
 
 
 _REGISTRY: dict[str, Callable[[], Aggregate]] = {}

@@ -40,16 +40,6 @@ class SpecStats:
     boolean_total: int = 0
 
     @property
-    def mean_latency(self) -> float:
-        """Mean seconds from task submission to completion (crowd tasks)."""
-        return self.total_latency / self.crowd_tasks if self.crowd_tasks else 0.0
-
-    @property
-    def mean_cost(self) -> float:
-        """Mean dollars per crowd task."""
-        return self.total_cost / self.crowd_tasks if self.crowd_tasks else 0.0
-
-    @property
     def mean_agreement(self) -> float:
         """Mean worker agreement on the winning answer."""
         return self.total_agreement / self.crowd_tasks if self.crowd_tasks else 1.0

@@ -1,5 +1,8 @@
 """The task layer: Task Manager, HIT Compiler, Task Cache and Task Model.
 
+The Task Manager is a façade over three parts: the queue (``task_queue``),
+the HIT ledger (``ledger``) and the answer reducer (``reducer``).
+
 This package implements the middle boxes of Figure 1 — everything between the
 query operators and the (simulated) MTurk platform.
 """

@@ -228,26 +228,3 @@ class TaskSpec:
         if isinstance(self.response, JoinColumnsResponse):
             return self.response.left_per_hit, self.response.right_per_hit
         return 3, 3
-
-    def with_overrides(
-        self,
-        *,
-        price: float | None = None,
-        assignments: int | None = None,
-        batch_size: int | None = None,
-        combiner: str | None = None,
-    ) -> "TaskSpec":
-        """Return a copy with optimizer-chosen tuning parameters applied."""
-        return TaskSpec(
-            name=self.name,
-            task_type=self.task_type,
-            text=self.text,
-            response=self.response,
-            parameters=self.parameters,
-            returns=self.returns,
-            price=price if price is not None else self.price,
-            assignments=assignments if assignments is not None else self.assignments,
-            batch_size=batch_size if batch_size is not None else self.batch_size,
-            combiner=combiner if combiner is not None else self.combiner,
-            feature_extractor=self.feature_extractor,
-        )

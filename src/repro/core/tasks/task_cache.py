@@ -117,11 +117,6 @@ class CacheStats:
     #: Hits served from an imported (answered-on-another-shard) entry.
     cross_shard_hits: int = field(default=0, metadata={"counter": "cross_shard_hits"})
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 class TaskCache:
     """An in-memory cache of reduced task answers, keyed per task name."""

@@ -15,7 +15,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.exec.handle import QueryHandle
     from repro.engine import QurkEngine
 
-__all__ = ["check_invariants"]
+__all__ = ["check_invariants", "check_task_records"]
 
 _EPSILON = 1e-6
 
@@ -36,6 +36,7 @@ def check_invariants(
     violations += _check_budget_conservation(engine, handles)
     violations += _check_hit_accounting(engine)
     violations += _check_no_stranded_work(engine, handles)
+    violations += check_task_records(engine.task_manager)
     if deliveries is not None:
         violations += _check_delivery_uniqueness(deliveries)
     return violations
@@ -126,6 +127,29 @@ def _check_no_stranded_work(engine: "QurkEngine", handles: list["QueryHandle"]) 
             f"drained (open: {', '.join(open_hits) or 'none'})"
         )
     return violations
+
+
+def check_task_records(task_manager) -> list[str]:
+    """No task record outlives its task.
+
+    Once no task is queued and no HIT is in flight, the HIT ledger holds no
+    per-task progress and no cancelled-query ids, and the queue no per-query
+    pending count.  Checked on its own for a Task Manager built without an
+    engine.
+    """
+    if task_manager.has_outstanding_work():
+        return []
+    ledger = task_manager.ledger
+    leftovers = {
+        "task progress record(s)": len(ledger.progress),
+        "cancelled-query id(s)": len(ledger.cancelled),
+        "per-query pending count(s)": len(task_manager.queue.by_query),
+    }
+    return [
+        f"task records: {count} {what} left with no work outstanding"
+        for what, count in leftovers.items()
+        if count
+    ]
 
 
 def _check_delivery_uniqueness(deliveries: Mapping[str, int]) -> list[str]:

@@ -3,8 +3,8 @@
 Covers the cache's TTL expiry against both clock substrates (simulated and
 wall), reputation-weighted admission, the model-answers-are-cached path, the
 corrected savings attribution, and the per-task record leak regression —
-the Task Manager's ``_progress`` must be empty once a workload has fully
-drained, whatever terminal path each task took.
+no task record may outlive its task once a workload has fully drained,
+whatever terminal path each task took (``check_task_records``).
 """
 
 import pytest
@@ -25,6 +25,7 @@ from repro.crowd import (
 )
 from repro.crowd.quality import WorkerReputation
 from repro.crowd.wallclock import WallClock
+from repro.testing.invariants import check_task_records
 
 FILTER_SPEC = TaskSpec(
     name="isRed",
@@ -267,7 +268,7 @@ class TestSubmittedAtBookkeeping:
                 filter_task(results, name=f"n{index}", cache_key=(f"n{index}",), query_id="q2")
             )
         assert len(results) == 8
-        assert manager._progress == {}
+        assert check_task_records(manager) == []
 
     def test_empty_after_model_answers(self):
         models = TaskModelRegistry()
@@ -297,7 +298,7 @@ class TestSubmittedAtBookkeeping:
             filter_task(results, name="new", query_id="q9", features=[1.0, 0.0])
         )
         assert results[-1].source is ResultSource.MODEL
-        assert manager._progress == {}
+        assert check_task_records(manager) == []
 
     def test_empty_after_cancellation(self):
         clock, _platform, manager = build_manager()
@@ -306,7 +307,7 @@ class TestSubmittedAtBookkeeping:
             manager.submit(filter_task(results, name=f"n{index}"))
         manager.cancel_query("q1")
         clock.run_until_idle()
-        assert manager._progress == {}
+        assert check_task_records(manager) == []
 
     def test_empty_after_over_budget_drop(self):
         clock, _platform, manager = build_manager()
@@ -318,7 +319,7 @@ class TestSubmittedAtBookkeeping:
         assert set(manager.take_budget_errors()) == {"q1"}
         clock.run_until_idle()
         assert len(results) == 1
-        assert manager._progress == {}
+        assert check_task_records(manager) == []
 
 
 class TestExportImport:

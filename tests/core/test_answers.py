@@ -14,7 +14,6 @@ from repro.core.answers import (
     MedianRating,
     WeightedVote,
     get_aggregate,
-    majority_confidence,
     register_aggregate,
 )
 from repro.errors import AggregateError
@@ -39,9 +38,6 @@ class TestAnswerList:
         assert answers[0] == 1
         assert list(answers) == [1, 2, 3]
         assert len(answers) == 3
-
-    def test_majority_confidence_helper(self):
-        assert majority_confidence(AnswerList.of([True, True, True])) == 1.0
 
 
 class TestMajorityVote:

@@ -99,7 +99,7 @@ class TestPressuredWaves:
         # One answer of a three-assignment task is enough under pressure.
         assert stats.early_stopped_tasks > 0
         assert stats.tasks_completed == stats.tasks_submitted
-        assert engine.task_manager._progress == {}
+        assert check_invariants(engine, [handle]) == []
 
 
 class TestCancelledQueryExpiry:
@@ -118,13 +118,13 @@ class TestCancelledQueryExpiry:
         manager = engine.task_manager
         hits_at_end = manager.stats.hits_posted
         assert manager.inflight_hits() > 0
-        assert manager._progress != {}
+        assert manager.ledger.progress != {}
         engine.clock.run_until_idle()
         assert engine.platform.stats.hits_expired == hits_at_end
         assert manager.stats.hits_posted == hits_at_end
         assert manager.stats.tasks_requeued == 0
         assert manager.inflight_hits() == 0
-        assert manager._progress == {}
+        assert check_invariants(engine, [handle]) == []
 
 
 # -- the property ---------------------------------------------------------------
@@ -194,7 +194,6 @@ def test_every_mix_ends_each_query_once_and_leaves_nothing_behind(mix):
     assert scheduler._pressure_watch == {}
     assert manager.pending_tasks() == 0
     assert manager.inflight_hits() == 0
-    assert manager._progress == {}
     assert check_invariants(engine, handles) == []
 
     def fingerprint(engine, handles):

@@ -75,7 +75,7 @@ class TestCrossQueryBatching:
         assert manager.flush() == 1
         assert platform.stats.hits_created == 1
         assert manager.stats.cross_query_hits == 1
-        (inflight,) = manager._inflight.values()
+        (inflight,) = manager.ledger._inflight.values()
         assert inflight.compiled.query_ids() == ("q1", "q2")
         # The committed cost is split across the two BudgetLedger entries.
         assert budget.committed("q1") == pytest.approx(inflight.cost_committed / 2)
@@ -98,7 +98,7 @@ class TestCrossQueryBatching:
         manager.submit(heavy)
         manager.submit(light)
         assert manager.flush() == 1
-        (inflight,) = manager._inflight.values()
+        (inflight,) = manager.ledger._inflight.values()
         # The HIT runs at 6 assignments; heavy carries 6/9 of the cost.
         assert budget.committed("heavy") == pytest.approx(inflight.cost_committed * 6 / 9)
         assert budget.committed("light") == pytest.approx(inflight.cost_committed * 3 / 9)

@@ -48,8 +48,8 @@ class TestStatisticsManager:
         stats.record_result(crowd_result(reduced=False, cost=0.03, latency=60.0))
         spec = stats.spec("isRed")
         assert spec.crowd_tasks == 2
-        assert spec.mean_cost == pytest.approx(0.0375)
-        assert spec.mean_latency == pytest.approx(90.0)
+        assert spec.total_cost == pytest.approx(0.075)
+        assert spec.total_latency == pytest.approx(180.0)
         assert (spec.boolean_true, spec.boolean_total) == (1, 2)
         query = stats.query("q1")
         assert query.spent == pytest.approx(0.075)

@@ -54,13 +54,6 @@ class TestTaskCache:
         assert cache.invalidate() == 1
         assert cache.stats.entries == 0
 
-    def test_hit_rate(self):
-        cache = TaskCache()
-        cache.lookup("f", ("x",))
-        cache.store("f", ("x",), True, cost=0.1, now=0.0)
-        cache.lookup("f", ("x",))
-        assert cache.stats.hit_rate == pytest.approx(0.5)
-
 
     def test_one_record_format_for_export_snapshot_and_tier(self, tmp_path):
         """``CacheEntry.record`` is the one record: the engine-snapshot state

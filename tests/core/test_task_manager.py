@@ -26,6 +26,7 @@ from repro.crowd import (
     WorkerPool,
 )
 from repro.errors import BudgetExceededError
+from repro.testing.invariants import check_invariants
 
 
 FILTER_SPEC = TaskSpec(
@@ -250,9 +251,7 @@ class TestPendingIndex:
         # dropped them; the others emptied their entries task by task.
         assert handles[0].status.value == "budget_exceeded"
         assert engine.task_manager.stats.tasks_submitted > 0
-        assert engine.task_manager._pending_by_query == {}
         assert all(engine.task_manager.pending_tasks(h.query_id) == 0 for h in handles)
         # An ended query is remembered only while one of its HITs is in
         # flight; once the marketplace is idle, nothing is kept.
-        engine.clock.run_until_idle()
-        assert engine.task_manager._cancelled_queries == set()
+        assert check_invariants(engine, handles) == []

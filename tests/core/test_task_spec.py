@@ -100,11 +100,3 @@ class TestTaskSpecHelpers:
 
     def test_return_field_names(self):
         assert question_spec().return_field_names == ("CEO",)
-
-    def test_with_overrides_changes_only_requested_fields(self):
-        spec = question_spec()
-        tuned = spec.with_overrides(assignments=5, price=0.05)
-        assert tuned.assignments == 5
-        assert tuned.price == 0.05
-        assert tuned.text == spec.text
-        assert spec.assignments == 3  # original untouched

@@ -2,30 +2,30 @@
 
 Extends the ``tests/storage/test_properties.py`` style into the crowd layer:
 
-* under *uniform* reputations, every weighted aggregate must equal its plain
-  counterpart exactly (``MajorityVote`` / ``FieldwiseMajority`` /
-  ``MeanRating``) across all workload answer kinds — booleans (filters and
-  join predicates), comparison labels, form mappings, and numeric ratings;
+* under *uniform* reputations, a weighted reduce must equal the plain one
+  exactly (``MajorityVote`` / ``FieldwiseMajority`` / ``MeanRating``) across
+  all workload answer kinds — booleans (filters and join predicates),
+  comparison labels, form mappings, and numeric ratings;
 * the adaptive redundancy rule never emits more assignments than the
   configured maximum, for any accuracy/target combination, and waves never
   request more than the remaining budget of a task.
 """
+
+from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.answers import (
     AnswerList,
-    ConfidenceWeightedVote,
     FieldwiseMajority,
     MajorityVote,
     MeanRating,
-    WeightedFieldwiseMajority,
-    WeightedMeanRating,
     weighted_confidence,
 )
 from repro.core.optimizer.optimizer import CANDIDATE_ASSIGNMENTS, _pick_assignments
-from repro.crowd.quality import WorkerReputation
+from repro.core.tasks.reducer import vote_weights
+from repro.crowd.quality import QualityConfig, WorkerReputation
 
 worker_ids = st.lists(
     st.sampled_from([f"W{i:02d}" for i in range(8)]), min_size=1, max_size=9
@@ -50,8 +50,8 @@ def answer_list(data, strategy, workers):
 @settings(max_examples=150)
 def test_weighted_vote_equals_majority_under_uniform_weights(workers, data, weight):
     answers = answer_list(data, categorical_answers, workers)
-    uniform = {worker_id: weight for worker_id in workers}
-    assert ConfidenceWeightedVote(uniform).reduce(answers) == MajorityVote().reduce(answers)
+    uniform = [weight for _ in workers]
+    assert MajorityVote()(answers, uniform) == MajorityVote()(answers)
 
 
 @given(worker_ids, st.data())
@@ -61,34 +61,36 @@ def test_weighted_vote_with_fresh_reputation_equals_majority(workers, data):
     answers = answer_list(data, categorical_answers, workers)
     reputation = WorkerReputation()
     assert reputation.is_uniform(tuple(workers))
-    weights = reputation.vote_weights(tuple(workers))
-    assert ConfidenceWeightedVote(weights).reduce(answers) == MajorityVote().reduce(answers)
+    weights = [reputation.vote_weight(worker_id) for worker_id in workers]
+    assert MajorityVote()(answers, weights) == MajorityVote()(answers)
 
 
 @given(worker_ids, st.data(), st.floats(min_value=0.1, max_value=5.0, allow_nan=False))
 @settings(max_examples=100)
 def test_weighted_fieldwise_equals_fieldwise_under_uniform_weights(workers, data, weight):
     answers = answer_list(data, form_answers, workers)
-    uniform = {worker_id: weight for worker_id in workers}
-    assert WeightedFieldwiseMajority(uniform).reduce(answers) == FieldwiseMajority().reduce(
-        answers
-    )
+    uniform = [weight for _ in workers]
+    assert FieldwiseMajority()(answers, uniform) == FieldwiseMajority()(answers)
 
 
 @given(worker_ids, st.data(), st.floats(min_value=0.1, max_value=5.0, allow_nan=False))
 @settings(max_examples=100)
 def test_weighted_mean_equals_mean_under_uniform_weights(workers, data, weight):
     answers = answer_list(data, rating_answers, workers)
-    uniform = {worker_id: weight for worker_id in workers}
-    assert WeightedMeanRating(uniform).reduce(answers) == MeanRating().reduce(answers)
+    # The reducer never hands uniform weights to an aggregate: equal weights
+    # vote as a plain count, and a weighted mean of them would drift in the
+    # last bits, so ``vote_weights`` drops them.
+    uniform = SimpleNamespace(vote_weight=lambda worker_id: weight)
+    weights = vote_weights(workers, QualityConfig(), uniform)
+    assert weights is None
+    assert MeanRating()(answers, weights) == MeanRating()(answers)
 
 
 @given(worker_ids, st.data())
 @settings(max_examples=100)
 def test_weighted_confidence_bounds_and_uniform_degradation(workers, data):
     answers = answer_list(data, categorical_answers, workers)
-    uniform = {worker_id: 1.0 for worker_id in workers}
-    confidence = weighted_confidence(answers, uniform)
+    confidence = weighted_confidence(answers, [1.0 for _ in workers])
     assert 0.0 < confidence <= 1.0
     assert confidence == answers.agreement()
 
@@ -104,9 +106,8 @@ def test_skewed_weights_follow_the_trusted_worker(workers, data):
     """With one overwhelmingly trusted worker, the vote follows them."""
     answers = answer_list(data, bool_answers, workers)
     trusted = workers[0]
-    weights = {worker_id: 0.01 for worker_id in workers}
-    weights[trusted] = 1000.0
-    reduced = ConfidenceWeightedVote(weights).reduce(answers)
+    weights = [1000.0 if worker_id == trusted else 0.01 for worker_id in workers]
+    reduced = MajorityVote()(answers, weights)
     assert reduced == answers.answers[workers.index(trusted)]
 
 
