@@ -11,7 +11,6 @@ the default for categorical answers, ``MeanRating`` for numeric ones).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -65,13 +64,7 @@ class AnswerList:
 
     def agreement(self) -> float:
         """Fraction of answers equal to the most common answer (1.0 if empty)."""
-        if not self.answers:
-            return 1.0
-        counts = Counter(self._hashable_answers())
-        return counts.most_common(1)[0][1] / len(self.answers)
-
-    def _hashable_answers(self) -> list[Any]:
-        return [_freeze(a) for a in self.answers]
+        return weighted_confidence(self)
 
     def reduce(self, aggregate: "Aggregate") -> Any:
         """Reduce this answer list with ``aggregate``."""
