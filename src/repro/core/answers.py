@@ -71,8 +71,14 @@ class AnswerList:
         return aggregate(self)
 
 
+#: Answer types that are their own vote key, checked before the ABCs.
+_SCALARS = frozenset({bool, int, float, str, type(None)})
+
+
 def _freeze(value: Any) -> Any:
     """Convert an answer into a hashable key for vote counting."""
+    if type(value) in _SCALARS:
+        return value
     if isinstance(value, Mapping):
         return tuple(sorted((k, _freeze(v)) for k, v in value.items()))
     if isinstance(value, (list, tuple, set)):

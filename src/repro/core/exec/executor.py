@@ -164,6 +164,9 @@ class QueryExecutor:
             return
         self._stats = self.stats
         self._rows = self.operator_rows()
+        # Unlink the tree so it is freed by reference counting.
+        for operator in self._operators:
+            operator.parent = None
         self.root = None
         self.context = None
         self._operators = []
@@ -181,24 +184,7 @@ class QueryExecutor:
         if self._rows is not None:
             return self._rows
         rows: list[OperatorSnapshot] = []
-
-        def visit(operator: Operator, depth: int) -> None:
-            metrics = operator.metrics
-            rows.append(
-                OperatorSnapshot(
-                    name=operator.name,
-                    depth=depth,
-                    rows_in=metrics.rows_in,
-                    rows_out=metrics.rows_out,
-                    tasks_created=metrics.tasks_created,
-                    tasks_completed=metrics.tasks_completed,
-                    outstanding_tasks=operator.outstanding_tasks,
-                )
-            )
-            for child in operator.children:
-                visit(child, depth + 1)
-
-        visit(self.root, 0)
+        _snapshot(self.root, 0, rows)
         return tuple(rows)
 
     # -- adaptive re-planning --------------------------------------------------------
@@ -289,3 +275,21 @@ class QueryExecutor:
     def operators(self) -> list[Operator]:
         """All operators in the plan, children before parents."""
         return list(self._operators)
+
+
+def _snapshot(operator: Operator, depth: int, rows: list[OperatorSnapshot]) -> None:
+    """Append ``operator``'s progress row, then its subtree's, in pre-order."""
+    metrics = operator.metrics
+    rows.append(
+        OperatorSnapshot(
+            name=operator.name,
+            depth=depth,
+            rows_in=metrics.rows_in,
+            rows_out=metrics.rows_out,
+            tasks_created=metrics.tasks_created,
+            tasks_completed=metrics.tasks_completed,
+            outstanding_tasks=operator.outstanding_tasks,
+        )
+    )
+    for child in operator.children:
+        _snapshot(child, depth + 1, rows)

@@ -248,7 +248,7 @@ class EngineScheduler:
             # A pinned no-op event guarantees the clock can always advance
             # *to* the deadline, even when the marketplace has gone silent.
             record.deadline_event = self.clock.schedule_at(
-                record.deadline_at, lambda: None, label=f"deadline:{handle.query_id}"
+                record.deadline_at, lambda: None, label="deadline"
             )
             heapq.heappush(
                 self._deadlines, (record.deadline_at, next(self._deadline_seq), handle.query_id)

@@ -65,7 +65,10 @@ class BudgetLedger:
 
     def budget(self, query_id: str) -> QueryBudget:
         """Look up (or lazily create an unlimited) budget for a query."""
-        return self._budgets.setdefault(query_id, QueryBudget(query_id=query_id))
+        budget = self._budgets.get(query_id)
+        if budget is None:
+            budget = self._budgets[query_id] = QueryBudget(query_id=query_id)
+        return budget
 
     def authorize(self, query_id: str, amount: float, *, description: str = "") -> None:
         """Commit ``amount`` for a query or raise :class:`BudgetExceededError`."""

@@ -104,15 +104,24 @@ class StatisticsManager:
 
     def spec(self, name: str) -> SpecStats:
         """Statistics bucket for a task spec (created on first use)."""
-        return self._specs.setdefault(name, SpecStats())
+        stats = self._specs.get(name)
+        if stats is None:
+            stats = self._specs[name] = SpecStats()
+        return stats
 
     def worker(self, worker_id: str) -> WorkerStats:
         """Statistics bucket for a worker (created on first use)."""
-        return self._workers.setdefault(worker_id, WorkerStats())
+        stats = self._workers.get(worker_id)
+        if stats is None:
+            stats = self._workers[worker_id] = WorkerStats()
+        return stats
 
     def query(self, query_id: str) -> QueryStats:
         """Statistics bucket for a query (created on first use)."""
-        return self._queries.setdefault(query_id, QueryStats(query_id=query_id))
+        stats = self._queries.get(query_id)
+        if stats is None:
+            stats = self._queries[query_id] = QueryStats(query_id=query_id)
+        return stats
 
     # -- recording -----------------------------------------------------------------
 

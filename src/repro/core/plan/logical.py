@@ -585,37 +585,41 @@ def annotate_plan(
     node reports that count instead of estimating one.  Returns the plan
     total.
     """
+    costs: list[CostEstimate] = []
+    _annotate(root, costing, observed or {}, costs)
     total = CostEstimate()
-    observed = observed or {}
-
-    def visit(node: LogicalNode) -> float:
-        nonlocal total
-        child_rows = [visit(child) for child in node.children]
-        cost = node.estimate_cost(child_rows, costing)
-        node.estimated_cost = cost
+    for cost in costs:
         total = total.plus(cost)
-        rows = observed.get(id(node))
-        if rows is None:
-            rows = node.estimate_output_rows(child_rows, costing)
-        node.estimated_rows = rows
-        return rows
-
-    visit(root)
     return total
+
+
+def _annotate(
+    node: LogicalNode, costing, observed: dict[int, float], costs: list[CostEstimate]
+) -> float:
+    """Annotate ``node``'s subtree, appending each node's cost in post-order."""
+    child_rows = [_annotate(child, costing, observed, costs) for child in node.children]
+    cost = node.estimate_cost(child_rows, costing)
+    node.estimated_cost = cost
+    costs.append(cost)
+    rows = observed.get(id(node))
+    if rows is None:
+        rows = node.estimate_output_rows(child_rows, costing)
+    node.estimated_rows = rows
+    return rows
 
 
 def render_tree(root: LogicalNode) -> str:
     """Indented text rendering with cardinality annotations (for EXPLAIN)."""
     lines: list[str] = []
-
-    def visit(node: LogicalNode, depth: int) -> None:
-        rows = "" if node.estimated_rows is None else f"  [~{node.estimated_rows:,.1f} rows]"
-        cost = ""
-        if node.estimated_cost is not None and node.estimated_cost.dollars > 0:
-            cost = f"  (${node.estimated_cost.dollars:,.2f}, {node.estimated_cost.hits:,.0f} HITs)"
-        lines.append("  " * depth + node.label() + rows + cost)
-        for child in node.children:
-            visit(child, depth + 1)
-
-    visit(root, 0)
+    _render(root, 0, lines)
     return "\n".join(lines)
+
+
+def _render(node: LogicalNode, depth: int, lines: list[str]) -> None:
+    rows = "" if node.estimated_rows is None else f"  [~{node.estimated_rows:,.1f} rows]"
+    cost = ""
+    if node.estimated_cost is not None and node.estimated_cost.dollars > 0:
+        cost = f"  (${node.estimated_cost.dollars:,.2f}, {node.estimated_cost.hits:,.0f} HITs)"
+    lines.append("  " * depth + node.label() + rows + cost)
+    for child in node.children:
+        _render(child, depth + 1, lines)

@@ -25,6 +25,9 @@ from repro.errors import BudgetExceededError, TaskError
 
 __all__ = ["HITLedger"]
 
+#: The worker exclusion of every first posting, shared instead of rebuilt.
+_NO_EXCLUSIONS: frozenset[str] = frozenset()
+
 
 @dataclass
 class _InflightHIT:
@@ -79,6 +82,8 @@ class HITLedger:
         self.cancelled: set[str] = set()
         self.budget_errors: dict[str, BudgetExceededError] = {}
         self._inflight: dict[str, _InflightHIT] = {}
+        #: Tasks of each query in a HIT in flight; an id leaves at zero.
+        self._inflight_tasks: dict[str, int] = {}
         self.journal = None
         platform.on_assignment_submitted(self._on_assignment_submitted)
         platform.on_hit_expired(self._on_hit_expired)
@@ -217,7 +222,7 @@ class HITLedger:
         # A re-posted (wave / fault) batch bars the workers who already
         # answered any of its tasks — redundancy assumes independent
         # judgements, so one worker must not vote twice on one task.
-        excluded: frozenset[str] = frozenset()
+        excluded = _NO_EXCLUSIONS
         if needs is not None:
             excluded = frozenset(
                 worker for task in tasks for worker in self.progress[task.task_id].workers
@@ -245,6 +250,7 @@ class HITLedger:
         self._inflight[hit.hit_id] = _InflightHIT(
             compiled=compiled, cost_committed=cost, needs=needs, shares=dict(shares)
         )
+        self._count_inflight(compiled.tasks, 1)
         if self.journal is not None:
             self.journal.crash_point("hit_posted")
         return 1
@@ -277,6 +283,7 @@ class HITLedger:
         actual spend, then ``on_settled`` decides every task.
         """
         submissions = hit.submitted_assignments
+        self._count_inflight(inflight.compiled.tasks, -1)
         if self.journal is not None:
             self.journal.crash_point("hit_settled")
         if self.breaker is not None:
@@ -344,11 +351,18 @@ class HITLedger:
         return len(self._inflight)
 
     def has_inflight_tasks(self, query_id: str) -> bool:
-        return any(
-            task.query_id == query_id
-            for inflight in self._inflight.values()
-            for task in inflight.compiled.tasks
-        )
+        """Whether a task of ``query_id`` sits in a HIT in flight (O(1))."""
+        return query_id in self._inflight_tasks
+
+    def _count_inflight(self, tasks: tuple[Task, ...], delta: int) -> None:
+        """Move each task's query count by ``delta`` as its HIT posts or settles."""
+        counts = self._inflight_tasks
+        for task in tasks:
+            count = counts.get(task.query_id, 0) + delta
+            if count:
+                counts[task.query_id] = count
+            else:
+                del counts[task.query_id]
 
 
 def _task_need(task: Task, needs: dict[str, int] | None) -> int:

@@ -38,11 +38,17 @@ class TaskQueue:
     def push(self, task: Task) -> None:
         """Queue a task for the next HIT batch, keeping every index current."""
         key: GroupKey = (task.spec.name, task.kind.value)
-        self._groups.setdefault(key, deque()).append(task)
+        queue = self._groups.get(key)
+        if queue is None:
+            queue = self._groups[key] = deque()
+        queue.append(task)
         self._dirty.add(key)
         self.total += 1
         self.by_query[task.query_id] += 1
-        self._groups_by_query.setdefault(task.query_id, set()).add(key)
+        keys = self._groups_by_query.get(task.query_id)
+        if keys is None:
+            keys = self._groups_by_query[task.query_id] = set()
+        keys.add(key)
 
     def _pop(self, key: GroupKey) -> Task:
         task = self._groups[key].popleft()

@@ -19,20 +19,21 @@ from repro.errors import CrowdError
 __all__ = ["SimulationClock", "ScheduledEvent"]
 
 
-@dataclass(order=True)
+@dataclass(eq=False, slots=True)
 class ScheduledEvent:
-    """An event scheduled on the simulation clock.
+    """An event scheduled on the simulation clock; the handle to cancel it.
 
-    Ordering is by ``(time, sequence)`` so that events scheduled for the same
-    instant fire in scheduling order (FIFO), which keeps runs deterministic.
+    Events scheduled for the same instant fire in scheduling order (FIFO),
+    which keeps runs deterministic: the clock's heap orders them by
+    ``(time, sequence)``.
     """
 
     time: float
     sequence: int
-    callback: Callable[[], Any] = field(compare=False)
-    label: str = field(compare=False, default="")
-    cancelled: bool = field(compare=False, default=False)
-    _clock: "SimulationClock | None" = field(compare=False, default=None, repr=False)
+    callback: Callable[[], Any]
+    label: str = ""
+    cancelled: bool = False
+    _clock: "SimulationClock | None" = field(default=None, repr=False)
 
     def cancel(self) -> None:
         """Prevent the event from firing when its time arrives."""
@@ -46,13 +47,16 @@ class ScheduledEvent:
 class SimulationClock:
     """A heap-based discrete-event scheduler.
 
-    The clock never moves backwards.  Callbacks may schedule further events;
-    those are honoured as long as they are not in the past.
+    The heap holds ``(time, sequence, event)`` entries: the sequence number
+    is unique, so entries order by ``(time, sequence)`` in native tuple
+    comparison and the :class:`ScheduledEvent` is never compared.  The clock
+    never moves backwards.  Callbacks may schedule further events; those are
+    honoured as long as they are not in the past.
     """
 
     def __init__(self, start: float = 0.0):
         self._now = float(start)
-        self._events: list[ScheduledEvent] = []
+        self._events: list[tuple[float, int, ScheduledEvent]] = []
         self._sequence = itertools.count()
         self._fired = 0
         #: Cancelled events still sitting in the heap.  Kept exact so
@@ -79,10 +83,10 @@ class SimulationClock:
 
     def next_event_time(self) -> float | None:
         """Time of the earliest pending event, or None if the queue is empty."""
-        while self._events and self._events[0].cancelled:
-            heapq.heappop(self._events)._clock = None
+        while self._events and self._events[0][2].cancelled:
+            heapq.heappop(self._events)[2]._clock = None
             self._cancelled_in_heap -= 1
-        return self._events[0].time if self._events else None
+        return self._events[0][0] if self._events else None
 
     # -- cancellation bookkeeping --------------------------------------------
 
@@ -109,7 +113,7 @@ class SimulationClock:
         if (
             cancelled * 2 > len(self._events) and cancelled > self.COMPACT_MIN_CANCELLED
         ) or cancelled >= self.COMPACT_MAX_CANCELLED:
-            self._events = [event for event in self._events if not event.cancelled]
+            self._events = [entry for entry in self._events if not entry[2].cancelled]
             heapq.heapify(self._events)
             self._cancelled_in_heap = 0
 
@@ -121,8 +125,9 @@ class SimulationClock:
             raise CrowdError(
                 f"cannot schedule event at {time:.3f}, clock is already at {self._now:.3f}"
             )
-        event = ScheduledEvent(time, next(self._sequence), callback, label, _clock=self)
-        heapq.heappush(self._events, event)
+        sequence = next(self._sequence)
+        event = ScheduledEvent(time, sequence, callback, label, _clock=self)
+        heapq.heappush(self._events, (time, sequence, event))
         return event
 
     def schedule_in(self, delay: float, callback: Callable[[], Any], *, label: str = "") -> ScheduledEvent:
@@ -138,14 +143,14 @@ class SimulationClock:
         if time < self._now:
             raise CrowdError(f"cannot rewind clock from {self._now:.3f} to {time:.3f}")
         fired = 0
-        while self._events and self._events[0].time <= time:
-            event = heapq.heappop(self._events)
+        while self._events and self._events[0][0] <= time:
+            due, _sequence, event = heapq.heappop(self._events)
             # Popped events are out of the heap: late cancels must not count.
             event._clock = None
             if event.cancelled:
                 self._cancelled_in_heap -= 1
                 continue
-            self._now = event.time
+            self._now = due
             event.callback()
             self._fired += 1
             fired += 1

@@ -78,15 +78,25 @@ class HITContent:
     right_label: str = ""
     choices: tuple[str, ...] = ("yes", "no")
     rating_scale: tuple[int, int] = (1, 7)
+    #: How many independent judgements the HIT asks for.  For most
+    #: interfaces this is the number of items; for the two-column join
+    #: interface it is the size of the implied cross product, which is what
+    #: actually determines worker effort and answer quality.  Derived once
+    #: here: every pick-up and every work duration reads it.
+    work_units: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.items:
             raise HITError("a HIT must contain at least one item")
         if self.interface is HITInterface.QUESTION_FORM and not self.fields:
             raise HITError("QUESTION_FORM HITs must declare at least one form field")
+        work_units = len(self.items)
         if self.interface is HITInterface.JOIN_COLUMNS:
-            if not self.left_items or not self.right_items:
+            left, right = len(self.left_items), len(self.right_items)
+            if not left or not right:
                 raise HITError("JOIN_COLUMNS HITs need items in both columns")
+            work_units = left * right
+        object.__setattr__(self, "work_units", work_units)
 
     @property
     def left_items(self) -> tuple[HITItem, ...]:
@@ -97,18 +107,6 @@ class HITContent:
     def right_items(self) -> tuple[HITItem, ...]:
         """Items displayed in the right column of a JOIN_COLUMNS interface."""
         return tuple(item for item in self.items if item.group == "right")
-
-    @property
-    def work_units(self) -> int:
-        """How many independent judgements the HIT asks for.
-
-        For most interfaces this is the number of items; for the two-column
-        join interface it is the size of the implied cross product, which is
-        what actually determines worker effort and answer quality.
-        """
-        if self.interface is HITInterface.JOIN_COLUMNS:
-            return len(self.left_items) * len(self.right_items)
-        return len(self.items)
 
 
 class HITStatus(enum.Enum):
@@ -194,6 +192,10 @@ class Assignment:
         self.status = AssignmentStatus.ABANDONED
 
 
+#: The states of an assignment whose answers the requester holds.
+_SUBMITTED = (AssignmentStatus.SUBMITTED, AssignmentStatus.APPROVED, AssignmentStatus.REJECTED)
+
+
 @dataclass
 class HIT:
     """A HIT posted on the (simulated) platform."""
@@ -226,17 +228,16 @@ class HIT:
     @property
     def submitted_assignments(self) -> list[Assignment]:
         """Assignments that have been submitted (or already reviewed)."""
-        return [
-            a
-            for a in self.assignments
-            if a.status
-            in (AssignmentStatus.SUBMITTED, AssignmentStatus.APPROVED, AssignmentStatus.REJECTED)
-        ]
+        return [a for a in self.assignments if a.status in _SUBMITTED]
 
     @property
     def is_fully_submitted(self) -> bool:
         """True when every requested assignment has been submitted."""
-        return len(self.submitted_assignments) >= self.max_assignments
+        submitted = 0
+        for assignment in self.assignments:
+            if assignment.status in _SUBMITTED:
+                submitted += 1
+        return submitted >= self.max_assignments
 
     def __repr__(self) -> str:
         return (

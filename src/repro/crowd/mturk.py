@@ -11,9 +11,9 @@ shared :class:`~repro.crowd.clock.SimulationClock`, so latency behaviour
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from repro.crowd.clock import ScheduledEvent, SimulationClock
@@ -117,9 +117,6 @@ class MTurkSimulator:
         #: Live count of assignments in the ACCEPTED state (scheduled, not
         #: yet submitted/abandoned) — the O(1) ``outstanding_assignments``.
         self._outstanding = 0
-        # Expiry-deadline heap of (expires_at, hit_id): earliest open-HIT
-        # deadline without scanning, lazily pruned as HITs settle.
-        self._expiry_heap: list[tuple[float, str]] = []
         # Plain int (not itertools.count) so a snapshot can capture and
         # restore the id sequence exactly.
         self._hit_seq = 0
@@ -182,7 +179,6 @@ class MTurkSimulator:
         )
         self._hits[hit.hit_id] = hit
         self._hits_by_status[HITStatus.OPEN][hit.hit_id] = hit
-        heapq.heappush(self._expiry_heap, (hit.expires_at, hit.hit_id))
         self.stats.hits_created += 1
         self._schedule_assignments(hit)
         if self.faults.enabled:
@@ -192,9 +188,7 @@ class MTurkSimulator:
             # (a late pick-up is skipped at scheduling time), preserving the
             # seed behaviour and its event counts exactly.
             self._expiry_events[hit.hit_id] = self.clock.schedule_at(
-                hit.expires_at,
-                lambda hit=hit: self._expire_if_incomplete(hit),
-                label=f"expire:{hit.hit_id}",
+                hit.expires_at, partial(self._expire_if_incomplete, hit), label="expire"
             )
         return hit
 
@@ -232,49 +226,51 @@ class MTurkSimulator:
         if self._fault_rng is not None:
             if self._fault_rng.random() < self.faults.abandonment_rate:
                 self.clock.schedule_at(
-                    submit_at,
-                    lambda: self._abandon(hit, assignment),
-                    label=f"abandon:{assignment.assignment_id}",
+                    submit_at, partial(self._abandon, hit, assignment), label="abandon"
                 )
                 return
             if self._fault_rng.random() < self.faults.late_rate:
                 # The submission slips past the deadline (kept if the HIT is
                 # somehow still open — e.g. a generous lifetime).
                 submit_at = max(submit_at, hit.expires_at + duration)
+        self.clock.schedule_at(
+            submit_at, partial(self._complete, hit, assignment, worker, rng), label="submit"
+        )
 
-        def _complete(hit=hit, assignment=assignment, worker=worker, rng=rng) -> None:
-            if assignment.status is not AssignmentStatus.ACCEPTED:
-                # A duplicate client retry of an already-submitted form (a
-                # duplicate stays a duplicate even once the HIT completed).
-                self.stats.duplicate_submissions_ignored += 1
-                return
-            if hit.status is not HITStatus.OPEN:
-                # The HIT expired (or was disposed) before this submission
-                # arrived; the work is dropped unpaid, like real MTurk.
-                self.stats.late_submissions_dropped += 1
-                return
-            answers = worker.answer(hit.content, self.oracle, rng)
-            assignment.submit(answers, at=self.clock.now)
-            self._outstanding -= 1
-            self.stats.assignments_submitted += 1
-            self.stats.per_worker_assignments[worker.worker_id] = (
-                self.stats.per_worker_assignments.get(worker.worker_id, 0) + 1
+    def _complete(
+        self, hit: HIT, assignment: Assignment, worker: WorkerModel, rng: random.Random
+    ) -> None:
+        """Submission event: the worker answers ``hit`` and the listeners hear of it."""
+        if assignment.status is not AssignmentStatus.ACCEPTED:
+            # A duplicate client retry of an already-submitted form (a
+            # duplicate stays a duplicate even once the HIT completed).
+            self.stats.duplicate_submissions_ignored += 1
+            return
+        if hit.status is not HITStatus.OPEN:
+            # The HIT expired (or was disposed) before this submission
+            # arrived; the work is dropped unpaid, like real MTurk.
+            self.stats.late_submissions_dropped += 1
+            return
+        answers = worker.answer(hit.content, self.oracle, rng)
+        assignment.submit(answers, at=self.clock.now)
+        self._outstanding -= 1
+        self.stats.assignments_submitted += 1
+        self.stats.per_worker_assignments[worker.worker_id] = (
+            self.stats.per_worker_assignments.get(worker.worker_id, 0) + 1
+        )
+        if self.auto_approve:
+            self._approve(hit, assignment)
+        if hit.is_fully_submitted and hit.status is HITStatus.OPEN:
+            self._set_status(hit, HITStatus.COMPLETED)
+            self._cancel_expiry(hit)
+        if self._fault_rng is not None and self._fault_rng.random() < self.faults.duplicate_rate:
+            # The worker's client re-posts the same form moments later;
+            # the guard above swallows it without paying twice.
+            self.clock.schedule_in(
+                1.0, partial(self._complete, hit, assignment, worker, rng), label="duplicate"
             )
-            if self.auto_approve:
-                self._approve(hit, assignment)
-            if hit.is_fully_submitted and hit.status is HITStatus.OPEN:
-                self._set_status(hit, HITStatus.COMPLETED)
-                self._cancel_expiry(hit)
-            if self._fault_rng is not None and self._fault_rng.random() < self.faults.duplicate_rate:
-                # The worker's client re-posts the same form moments later;
-                # the guard above swallows it without paying twice.
-                self.clock.schedule_in(
-                    1.0, _complete, label=f"duplicate:{assignment.assignment_id}"
-                )
-            for listener in self._completion_listeners:
-                listener(hit, assignment)
-
-        self.clock.schedule_at(submit_at, _complete, label=f"submit:{assignment.assignment_id}")
+        for listener in self._completion_listeners:
+            listener(hit, assignment)
 
     def _abandon(self, hit: HIT, assignment: Assignment) -> None:
         """A worker returns an accepted assignment; recruit a replacement."""
@@ -388,18 +384,6 @@ class MTurkSimulator:
     def open_hit_count(self) -> int:
         """Number of HITs still waiting for assignments, without a copy."""
         return len(self._hits_by_status[HITStatus.OPEN])
-
-    def next_expiry_at(self) -> float | None:
-        """Earliest deadline among open HITs, or None when none are open.
-
-        Served from the expiry-deadline heap (entries for HITs that settled
-        before their deadline are pruned lazily), so peeking never scans the
-        HIT archive.
-        """
-        open_hits = self._hits_by_status[HITStatus.OPEN]
-        while self._expiry_heap and self._expiry_heap[0][1] not in open_hits:
-            heapq.heappop(self._expiry_heap)
-        return self._expiry_heap[0][0] if self._expiry_heap else None
 
     def outstanding_assignments(self) -> int:
         """Number of scheduled assignments not yet submitted (live counter)."""

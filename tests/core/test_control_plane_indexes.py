@@ -7,6 +7,7 @@ at each lifecycle edge (submit, flush, settle, expire, cancel).
 """
 
 import dataclasses
+from collections import Counter
 
 from repro.core.optimizer.budget import BudgetLedger
 from repro.core.optimizer.statistics import StatisticsManager
@@ -113,20 +114,54 @@ class TestInflightIndexes:
         assert manager.inflight_hits() == 0
         assert len(results) == 3
 
+    def test_per_query_inflight_task_count_matches_scan(self):
+        clock, platform, manager = build_manager()
+        ledger = manager.ledger
+        spec = dataclasses.replace(FILTER_SPEC, batch_size=2)
+        results = []
+
+        def check():
+            scan = Counter(
+                task.query_id
+                for inflight in ledger._inflight.values()
+                for task in inflight.compiled.tasks
+            )
+            assert ledger._inflight_tasks == dict(scan)
+            for query_id in ("q1", "q2"):
+                assert ledger.has_inflight_tasks(query_id) == (query_id in scan)
+
+        manager.submit(filter_task(results, name="a", query_id="q1", spec=spec))
+        manager.submit(filter_task(results, name="b", query_id="q2", spec=spec))
+        manager.submit(filter_task(results, name="c", query_id="q1", spec=spec))
+        assert manager.flush(force=True) == 2
+        check()
+        # Expiry settles the shared HIT and requeues both of its tasks.
+        shared = next(hit for hit in platform.open_hits() if len(hit.content.items) == 2)
+        platform.expire_hit(shared.hit_id)
+        check()
+        assert manager.pending_tasks() == 2
+        assert manager.flush(force=True) == 1
+        check()
+        # A cancelled query stays marked until its last in-flight task settles.
+        manager.cancel_query("q2")
+        assert ledger.cancelled == {"q2"}
+        while clock.run_next():
+            check()
+        assert ledger._inflight_tasks == {}
+        assert ledger.cancelled == set()
+
 
 class TestPlatformIndexes:
-    def test_status_index_and_expiry_heap(self):
+    def test_status_index(self):
         clock, platform, manager = build_manager()
         results = []
         manager.submit(filter_task(results, name="a", query_id="q1"))
         manager.flush(force=True)
         (hit,) = platform.open_hits()
         assert platform.open_hit_count() == 1
-        assert platform.next_expiry_at() == hit.expires_at
         clock.run_until_idle()
         # Completed HITs leave the hot (open) index but stay in the archive.
         assert platform.open_hit_count() == 0
-        assert platform.next_expiry_at() is None
         assert platform.list_hits(HITStatus.COMPLETED) == [hit]
         assert platform.list_hits() == [hit]
         assert platform.get_hit(hit.hit_id) is hit
@@ -139,7 +174,6 @@ class TestPlatformIndexes:
         (hit,) = platform.open_hits()
         platform.expire_hit(hit.hit_id)
         assert platform.open_hit_count() == 0
-        assert platform.next_expiry_at() is None
         assert platform.list_hits(HITStatus.EXPIRED) == [hit]
         platform.dispose_hit(hit.hit_id)
         assert platform.list_hits(HITStatus.EXPIRED) == []

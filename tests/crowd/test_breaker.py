@@ -161,7 +161,7 @@ class TestStateMachine:
         # journalled, so the reopen event is gone and ``restore_time`` lands
         # past the retry point.  The first posting poll must lazily reopen
         # rather than refuse forever.
-        clock._events[0].cancel()  # the lost breaker:reopen event
+        clock._events[0][2].cancel()  # the lost breaker:reopen event
         clock.restore_time(150.0)
         assert breaker.allow_posting()
         assert breaker.state == breaker.HALF_OPEN
