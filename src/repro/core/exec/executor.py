@@ -21,7 +21,11 @@ scheduler retires the executor (:meth:`QueryExecutor.retire`): the operator
 tree, its compiled kernels and queues and the execution context are
 dropped, and what a finished query is still asked about — its statistics,
 per-operator progress rows and the logical tree the plan was built from —
-stays as a record.
+stays as a record.  The record is kept in the form CPython's cyclic
+collector can skip: the progress rows are one tuple of plain value tuples
+(which the collector stops tracking once they survive a young collection),
+built into :class:`OperatorSnapshot` rows only when read, and the logical
+tree is the plan template's, shared by every plan of the statement.
 """
 
 from __future__ import annotations
@@ -42,8 +46,9 @@ __all__ = ["ExecutorMetrics", "OperatorSnapshot", "QueryExecutor"]
 class OperatorSnapshot(NamedTuple):
     """Progress counters for one operator in the running plan.
 
-    A named tuple, not a frozen dataclass: every finished query builds one
-    per operator, and a tuple is built in about half the time.
+    Built when the rows are read (the dashboard, :meth:`QueryHandle.describe_plan`);
+    a retired executor keeps the same fields as plain tuples, which the
+    cyclic collector stops tracking, where a named tuple stays tracked.
     """
 
     name: str
@@ -80,19 +85,19 @@ class QueryExecutor:
         self.root = root
         self.context = context
         self.metrics = ExecutorMetrics()
-        self._operators: list[Operator] = list(root.walk())
+        self._operators: list[Operator] | None = list(root.walk())
         #: The logical tree the plan under the sink was built from, each node
         #: kept by its operator (None for a hand-built plan).  A plan made
         #: from a template shares the template's tree until its first swap
         #: (:meth:`replace_operator`) takes a private copy.
         self.plan_tree: LogicalNode | None = root.children[0].node if root.children else None
         self._owns_plan_tree = False
-        self._finish_signalled: set[int] = set()
+        self._finish_signalled: set[int] | None = set()
         self._opened = False
         self._closed = False
         # The record a retired executor answers from (all None while live).
         self._stats: QueryStats | None = None
-        self._rows: tuple[OperatorSnapshot, ...] | None = None
+        self._rows: tuple[tuple, ...] | None = None
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -153,24 +158,25 @@ class QueryExecutor:
     def retire(self) -> None:
         """Drop the operator tree of an ended query, keeping what is read of it.
 
-        Kept: :attr:`metrics`, the query's statistics, the operator rows and
-        :attr:`plan_tree` (re-costed on every read, so an estimate is as
-        current as the statistics).  Dropped: the operators with their
-        compiled kernels and queues, and the execution context.  The caller
-        makes sure no task of the query can still call back into the tree
-        (the scheduler asks :meth:`TaskManager.has_live_tasks`).
+        Kept: :attr:`metrics`, the query's statistics, the operator rows (as
+        plain value tuples) and :attr:`plan_tree` (re-costed on every read,
+        so an estimate is as current as the statistics).  Dropped: the
+        operators with their compiled kernels and queues, the execution
+        context and the stepping bookkeeping.  The caller makes sure no task
+        of the query can still call back into the tree (the scheduler asks
+        :meth:`TaskManager.has_live_tasks`).
         """
         if self.root is None:
             return
         self._stats = self.stats
-        self._rows = self.operator_rows()
+        self._rows = _progress_rows(self.root)
         # Unlink the tree so it is freed by reference counting.
         for operator in self._operators:
             operator.parent = None
         self.root = None
         self.context = None
-        self._operators = []
-        self._finish_signalled.clear()
+        self._operators = None
+        self._finish_signalled = None
 
     @property
     def stats(self) -> QueryStats:
@@ -181,11 +187,8 @@ class QueryExecutor:
 
     def operator_rows(self) -> tuple[OperatorSnapshot, ...]:
         """Every operator's name, depth and progress, root first (pre-order)."""
-        if self._rows is not None:
-            return self._rows
-        rows: list[OperatorSnapshot] = []
-        _snapshot(self.root, 0, rows)
-        return tuple(rows)
+        rows = self._rows if self._rows is not None else _progress_rows(self.root)
+        return tuple(map(OperatorSnapshot._make, rows))
 
     # -- adaptive re-planning --------------------------------------------------------
 
@@ -273,22 +276,29 @@ class QueryExecutor:
         return signalled
 
     def operators(self) -> list[Operator]:
-        """All operators in the plan, children before parents."""
-        return list(self._operators)
+        """All operators in the plan, children before parents (none once retired)."""
+        return list(self._operators or ())
 
 
-def _snapshot(operator: Operator, depth: int, rows: list[OperatorSnapshot]) -> None:
+def _progress_rows(root: Operator) -> tuple[tuple, ...]:
+    """Each operator's :class:`OperatorSnapshot` fields as a plain tuple, in pre-order."""
+    rows: list[tuple] = []
+    _snapshot(root, 0, rows)
+    return tuple(rows)
+
+
+def _snapshot(operator: Operator, depth: int, rows: list[tuple]) -> None:
     """Append ``operator``'s progress row, then its subtree's, in pre-order."""
     metrics = operator.metrics
     rows.append(
-        OperatorSnapshot(
-            name=operator.name,
-            depth=depth,
-            rows_in=metrics.rows_in,
-            rows_out=metrics.rows_out,
-            tasks_created=metrics.tasks_created,
-            tasks_completed=metrics.tasks_completed,
-            outstanding_tasks=operator.outstanding_tasks,
+        (
+            operator.name,
+            depth,
+            metrics.rows_in,
+            metrics.rows_out,
+            metrics.tasks_created,
+            metrics.tasks_completed,
+            operator.outstanding_tasks,
         )
     )
     for child in operator.children:

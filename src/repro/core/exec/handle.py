@@ -22,7 +22,10 @@ scheduler and none of its crowd work is in flight, its executor is retired
 (:meth:`~repro.core.exec.executor.QueryExecutor.retire`).  The handle still
 answers :attr:`stats`, :meth:`describe_plan`, :meth:`plan_history` and the
 engine's cost estimate, and ``executor.metrics`` stays; the operator tree,
-its kernels and queues and the execution context are gone.
+its kernels and queues and the execution context are gone.  What stays is
+compact: operator rows, plan history and lifecycle events are plain value
+tuples, turned into their record types when read, and the results table's
+schema is the plan template's, shared by every plan of the statement.
 """
 
 from __future__ import annotations

@@ -179,8 +179,14 @@ class EngineScheduler:
         self.overload_policy = overload_policy
         self.overload_retry_after = overload_retry_after
         self.metrics = SchedulerMetrics()
-        self.events: list[SchedulerEvent] = []
-        self._events_by_query: dict[str, list[SchedulerEvent]] = {}
+        #: Every lifecycle event, per query in recording order, as plain
+        #: ``(seq, time, query_id, event, detail)`` tuples: ``seq`` numbers
+        #: events across queries for :attr:`events`.  A query's events are
+        #: one tuple, re-made per event (a query records a handful), so a
+        #: finished query's events are invisible to the cyclic collector.
+        #: :class:`SchedulerEvent` records are built when read.
+        self._events_by_query: dict[str, tuple[tuple, ...]] = {}
+        self._event_seq = itertools.count()
         self._active: dict[str, _ScheduledQuery] = {}
         self._waiting: deque[_ScheduledQuery] = deque()
         #: Ids currently in the pending-admission queue — the O(1) duplicate /
@@ -416,12 +422,17 @@ class EngineScheduler:
 
     def events_for(self, query_id: str) -> list[SchedulerEvent]:
         """Lifecycle events recorded for one query, oldest first."""
-        return list(self._events_by_query.get(query_id, ()))
+        return [SchedulerEvent(*record[1:]) for record in self._events_by_query.get(query_id, ())]
+
+    @property
+    def events(self) -> tuple[SchedulerEvent, ...]:
+        """Every query's lifecycle events, in the order they were recorded."""
+        merged = heapq.merge(*self._events_by_query.values())
+        return tuple(SchedulerEvent(*record[1:]) for record in merged)
 
     def _record_event(self, query_id: str, event: str, detail: str = "") -> None:
-        record = SchedulerEvent(self.clock.now, query_id, event, detail)
-        self.events.append(record)
-        self._events_by_query.setdefault(query_id, []).append(record)
+        record = (next(self._event_seq), self.clock.now, query_id, event, detail)
+        self._events_by_query[query_id] = self._events_by_query.get(query_id, ()) + (record,)
         # The single choke point every lifecycle transition passes through
         # (admitted/started/completed/stalled/budget_exceeded/replanned/...),
         # so one hook makes them all crash points.

@@ -20,7 +20,12 @@ from repro.storage.row import Row
 from repro.storage.schema import Column, Schema
 from repro.storage.types import DataType
 
-__all__ = ["CrowdGenerateOperator"]
+__all__ = ["CrowdGenerateOperator", "returns_columns"]
+
+
+def returns_columns(spec: TaskSpec, prefix: str) -> tuple[Column, ...]:
+    """The columns a generate step appends: ``prefix.field`` per RETURNS field."""
+    return tuple(Column(f"{prefix}.{ret.name}", DataType.ANY) for ret in spec.returns)
 
 
 class CrowdGenerateOperator(PerRowCrowdOperator):
@@ -36,9 +41,12 @@ class CrowdGenerateOperator(PerRowCrowdOperator):
         and used as the cache key.
     input_schema:
         Schema of the child operator.
-    output_prefix:
-        Prefix for the new columns; defaults to the task name, producing
-        ``findCEO.CEO`` / ``findCEO.Phone``.
+    columns:
+        The columns to append; defaults to one per RETURNS field, prefixed
+        with the task name (``findCEO.CEO`` / ``findCEO.Phone``).  The
+        physical planner passes the ones its logical node keeps, so every
+        plan of one template extends the input schema with the same column
+        objects and :meth:`Schema.extend` returns the same schema.
     """
 
     def __init__(
@@ -47,13 +55,10 @@ class CrowdGenerateOperator(PerRowCrowdOperator):
         arg_expressions: list[Expression],
         input_schema: Schema,
         *,
-        output_prefix: str | None = None,
+        columns: tuple[Column, ...] | None = None,
     ):
         super().__init__(f"crowd-generate({spec.name})", spec, arg_expressions)
-        prefix = output_prefix or spec.name
-        self._new_columns = tuple(
-            Column(f"{prefix}.{ret.name}", DataType.ANY) for ret in spec.returns
-        )
+        self._new_columns = returns_columns(spec, spec.name) if columns is None else columns
         self._schema = input_schema.extend(*self._new_columns)
 
     @property

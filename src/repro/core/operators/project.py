@@ -24,7 +24,7 @@ from repro.storage.types import DataType
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from repro.core.exec.context import ExecutionContext
 
-__all__ = ["ProjectionItem", "ProjectOperator", "LocalFilterOperator"]
+__all__ = ["ProjectionItem", "ProjectOperator", "LocalFilterOperator", "projection_schema"]
 
 
 _MASK_OPS = {
@@ -95,6 +95,11 @@ class ProjectionItem:
     data_type: DataType = DataType.ANY
 
 
+def projection_schema(items: Sequence[ProjectionItem]) -> Schema:
+    """The output schema of a projection: one column per item, in order."""
+    return Schema.of(*[Column(item.alias, item.data_type) for item in items])
+
+
 class ProjectOperator(Operator):
     """Evaluates a list of expressions against each input batch.
 
@@ -102,12 +107,16 @@ class ProjectOperator(Operator):
     schema as column kernels: one kernel call per output column evaluates
     the whole batch, and the resulting columns bind directly into the output
     batch without ever materializing intermediate rows.
+
+    ``schema`` is the output schema when the caller already holds it: the
+    physical planner passes the one its logical node keeps, so every plan of
+    one template fills results tables of the same schema object.
     """
 
-    def __init__(self, items: list[ProjectionItem]):
+    def __init__(self, items: Sequence[ProjectionItem], schema: Schema | None = None):
         super().__init__("project")
         self.items = list(items)
-        self._schema = Schema.of(*[Column(item.alias, item.data_type) for item in self.items])
+        self._schema = projection_schema(self.items) if schema is None else schema
         # Untyped nullable outputs need no coercion, so projected columns can
         # take the trusted constructor; typed outputs keep full validation.
         self._trusted_output = all(

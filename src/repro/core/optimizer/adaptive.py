@@ -40,7 +40,7 @@ through the physical planner's
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from repro.core.operators.base import Operator
 from repro.core.operators.crowd_join import CrowdJoinOperator, JoinStrategy
@@ -88,27 +88,23 @@ class AdaptiveReplanner:
     def __init__(self, optimizer: QueryOptimizer) -> None:
         self.optimizer = optimizer
         self._seen_done: dict[str, set[int]] = {}
-        self._history: dict[str, list[PlanChange]] = {}
+        #: Each query's plan decisions as one tuple of :class:`PlanChange`
+        #: field tuples, re-made per change: plain tuples, which the cyclic
+        #: collector stops tracking, so a finished query's history costs it
+        #: nothing.  :meth:`history` builds the records when read.
+        self._history: dict[str, tuple[tuple, ...]] = {}
         self._redundancy_seen: dict[tuple[str, int], int] = {}
 
     # -- history ---------------------------------------------------------------------
 
     def history(self, query_id: str) -> list[PlanChange]:
         """Every plan decision and revision recorded for one query."""
-        return list(self._history.get(query_id, ()))
+        return [PlanChange(*fields) for fields in self._history.get(query_id, ())]
 
     def record_initial(self, query_id: str, description: str, time: float) -> None:
         """Record the initial physical plan choice as the first history entry."""
-        self._history.setdefault(query_id, []).append(
-            PlanChange(
-                time=time,
-                query_id=query_id,
-                kind="plan",
-                operator="",
-                before="",
-                after=description or "default plan",
-            )
-        )
+        initial = (time, query_id, "plan", "", "", description or "default plan", "", 0.0)
+        self._history[query_id] = self._history.get(query_id, ()) + (initial,)
 
     def release(self, query_id: str) -> None:
         """Drop a terminal query's barrier/redundancy bookkeeping.
@@ -173,7 +169,8 @@ class AdaptiveReplanner:
                 # a recycled id can never inherit it.
                 self._redundancy_seen.pop((query_id, id(operator)), None)
         if changes:
-            self._history.setdefault(query_id, []).extend(changes)
+            recorded = tuple(astuple(change) for change in changes)
+            self._history[query_id] = self._history.get(query_id, ()) + recorded
         return changes
 
     # -- per-operator reconsideration -------------------------------------------------------

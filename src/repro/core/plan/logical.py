@@ -37,11 +37,14 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
 from repro.core.operators.aggregate import AggregateSpec
+from repro.core.operators.crowd_generate import returns_columns
 from repro.core.operators.crowd_join import JoinStrategy
 from repro.core.operators.crowd_sort import SortStrategy
+from repro.core.operators.project import ProjectionItem, projection_schema
 from repro.core.optimizer.cost_model import CostEstimate, cheaper_join_strategy
 from repro.core.tasks.spec import JoinColumnsResponse, RatingResponse, TaskSpec
-from repro.storage.expressions import Expression, FunctionCall
+from repro.storage.expressions import ColumnRef, Expression, FunctionCall
+from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
@@ -425,7 +428,12 @@ class LogicalLocalJoin(LogicalNode):
 
 
 class LogicalGenerate(LogicalNode):
-    """Schema extension: run a Question task once per input tuple."""
+    """Schema extension: run a Question task once per input tuple.
+
+    :attr:`columns` are the RETURNS columns the step appends, built once per
+    node: every plan of a template extends its input with the same column
+    objects, so :meth:`Schema.extend`'s memo returns one shared schema.
+    """
 
     def __init__(
         self,
@@ -439,7 +447,7 @@ class LogicalGenerate(LogicalNode):
         self.spec = spec
         self.call = call
         self.entry = entry
-        self.output_prefix = output_prefix or spec.name
+        self.columns: tuple[Column, ...] = returns_columns(spec, output_prefix or spec.name)
 
     def label(self) -> str:
         return f"crowd-generate({self.spec.name})"
@@ -511,14 +519,43 @@ class LogicalSort(LogicalNode):
 
 
 class LogicalProject(LogicalNode):
-    """The final projection over (possibly rewritten) SELECT items."""
+    """The final projection over (possibly rewritten) SELECT items.
+
+    :attr:`projection` (the items under de-duplicated output names) and
+    :attr:`schema` are built once per node, so every plan of a template
+    shares one results schema.
+    """
 
     def __init__(self, items: "tuple[SelectItem, ...] | list[SelectItem]" = ()):
         super().__init__()
         self.items = tuple(items)
+        self.projection = _projection(self.items)
+        self.schema: Schema = projection_schema(self.projection)
 
     def label(self) -> str:
         return "project"
+
+
+def _projection(select_items: "tuple[SelectItem, ...]") -> tuple[ProjectionItem, ...]:
+    """The SELECT items under output names made unique with ``_2``, ``_3``, ..."""
+    items: list[ProjectionItem] = []
+    seen: set[str] = set()
+    for item in select_items:
+        name = item.alias or _default_output_name(item.expression)
+        base = name
+        counter = 2
+        while name in seen:
+            name = f"{base}_{counter}"
+            counter += 1
+        seen.add(name)
+        items.append(ProjectionItem(name, item.expression))
+    return tuple(items)
+
+
+def _default_output_name(expression: Expression) -> str:
+    if isinstance(expression, ColumnRef):
+        return expression.name
+    return str(expression)
 
 
 class LogicalGroupBy(LogicalNode):

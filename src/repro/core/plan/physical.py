@@ -45,7 +45,7 @@ from repro.core.operators.crowd_generate import CrowdGenerateOperator
 from repro.core.operators.crowd_join import CrowdJoinOperator, JoinStrategy
 from repro.core.operators.crowd_sort import CrowdSortOperator
 from repro.core.operators.join_local import LocalHashJoinOperator
-from repro.core.operators.project import LocalFilterOperator, ProjectOperator, ProjectionItem
+from repro.core.operators.project import LocalFilterOperator, ProjectOperator
 from repro.core.operators.scan import IndexScanOperator, ScanOperator
 from repro.core.operators.sort_local import LocalSortOperator
 from repro.core.optimizer.cost_model import CostEstimate
@@ -539,7 +539,7 @@ def make_operator(node: LogicalNode, children: list[Operator]) -> Operator:
             node.spec,
             list(node.call.args) if node.call is not None else [],
             input_schema,
-            output_prefix=node.output_prefix,
+            columns=node.columns,
         )
     elif isinstance(node, LogicalSort) and node.is_crowd:
         entry = node.entry
@@ -557,30 +557,8 @@ def make_operator(node: LogicalNode, children: list[Operator]) -> Operator:
     elif isinstance(node, LogicalLimit):
         operator = LimitOperator(node.limit, input_schema)
     elif isinstance(node, LogicalProject):
-        operator = _build_projection(node.items)
+        operator = ProjectOperator(node.projection, node.schema)
     else:
         raise PlanError(f"cannot build a physical operator for {node.label()}")
     operator.node = node
     return operator
-
-
-def _build_projection(select_items) -> ProjectOperator:
-    """The final projection, with de-duplicated output column names."""
-    items: list[ProjectionItem] = []
-    seen: set[str] = set()
-    for item in select_items:
-        name = item.alias or _default_output_name(item.expression)
-        base = name
-        counter = 2
-        while name in seen:
-            name = f"{base}_{counter}"
-            counter += 1
-        seen.add(name)
-        items.append(ProjectionItem(name, item.expression))
-    return ProjectOperator(items)
-
-
-def _default_output_name(expression: Expression) -> str:
-    if isinstance(expression, ColumnRef):
-        return expression.name
-    return str(expression)
