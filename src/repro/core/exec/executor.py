@@ -85,7 +85,7 @@ class QueryExecutor:
         self.root = root
         self.context = context
         self.metrics = ExecutorMetrics()
-        self._operators: list[Operator] | None = list(root.walk())
+        self._operators: list[Operator] | tuple[()] = list(root.walk())
         #: The logical tree the plan under the sink was built from, each node
         #: kept by its operator (None for a hand-built plan).  A plan made
         #: from a template shares the template's tree until its first swap
@@ -175,7 +175,7 @@ class QueryExecutor:
             operator.parent = None
         self.root = None
         self.context = None
-        self._operators = None
+        self._operators = ()  # the shared empty tuple: nothing for the collector
         self._finish_signalled = None
 
     @property
@@ -277,7 +277,7 @@ class QueryExecutor:
 
     def operators(self) -> list[Operator]:
         """All operators in the plan, children before parents (none once retired)."""
-        return list(self._operators or ())
+        return list(self._operators)
 
 
 def _progress_rows(root: Operator) -> tuple[tuple, ...]:

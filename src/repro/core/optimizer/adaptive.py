@@ -40,7 +40,8 @@ through the physical planner's
 from __future__ import annotations
 
 import copy
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 from repro.core.operators.base import Operator
 from repro.core.operators.crowd_join import CrowdJoinOperator, JoinStrategy
@@ -77,6 +78,10 @@ class PlanChange:
         return text
 
 
+#: A :class:`PlanChange`'s fields as a plain tuple, in declaration order.
+_change_fields = attrgetter(*(field.name for field in fields(PlanChange)))
+
+
 class AdaptiveReplanner:
     """Re-costs pending plan suffixes at barriers and swaps strategies."""
 
@@ -103,8 +108,11 @@ class AdaptiveReplanner:
 
     def record_initial(self, query_id: str, description: str, time: float) -> None:
         """Record the initial physical plan choice as the first history entry."""
-        initial = (time, query_id, "plan", "", "", description or "default plan", "", 0.0)
-        self._history[query_id] = self._history.get(query_id, ()) + (initial,)
+        initial = PlanChange(
+            time=time, query_id=query_id, kind="plan", operator="", before="",
+            after=description or "default plan",
+        )
+        self._history[query_id] = self._history.get(query_id, ()) + (_change_fields(initial),)
 
     def release(self, query_id: str) -> None:
         """Drop a terminal query's barrier/redundancy bookkeeping.
@@ -169,7 +177,7 @@ class AdaptiveReplanner:
                 # a recycled id can never inherit it.
                 self._redundancy_seen.pop((query_id, id(operator)), None)
         if changes:
-            recorded = tuple(astuple(change) for change in changes)
+            recorded = tuple(_change_fields(change) for change in changes)
             self._history[query_id] = self._history.get(query_id, ()) + recorded
         return changes
 

@@ -20,7 +20,7 @@ from repro.core.tasks.task_manager import TaskManager
 from repro.core.lang.sql_parser import parse_select
 from repro.core.plan.planner import QueryPlanner
 from repro.dashboard import QueryDashboard
-from repro.errors import ParseError
+from repro.errors import ExecutionError, ParseError
 from repro.experiments import (
     QUERY1_SQL,
     QUERY2_SQL,
@@ -118,6 +118,14 @@ class TestRetirement:
         assert [row.values for row in handle.results()] == [
             row.values for row in engine.query(sqls[0]).wait()
         ]
+
+    def test_a_retired_executor_refuses_to_replace_an_operator(self):
+        engine, sqls = warm_lookups()
+        handle = engine.query(sqls[0])
+        old = handle.executor.operators()[0]
+        handle.wait()
+        with pytest.raises(ExecutionError, match="not part of this plan"):
+            handle.executor.replace_operator(old, old)
 
     def test_a_finished_query_retains_few_tracked_objects(self):
         engine, sqls = warm_lookups()

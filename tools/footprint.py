@@ -14,13 +14,11 @@ benchmark builds its embedded workloads (fixed redundancy, no task model):
 Nothing is gated: the numbers depend on the Python version, and the probe's
 milliseconds on the host.  Usage::
 
-    PYTHONPATH=src python tools/footprint.py            # full size (~30 s)
-    PYTHONPATH=src python tools/footprint.py --quick    # small sizes (~3 s)
+    PYTHONPATH=src python tools/footprint.py    # ~7 s
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import random
 import sys
@@ -37,19 +35,17 @@ FILTER_SQL = (
     "SELECT name FROM products WHERE price >= {low} AND price < {high} AND isTargetColor(name)"
 )
 
-#: ``lookups`` are counted by the census, ``warm`` and ``window`` by the probe
+SEED = 83
+#: ``LOOKUPS`` are counted by the census, ``WARM`` and ``WINDOW`` by the probe
 #: (4,000 warm lookups, as the benchmark's ``lookup_warm`` runs before timing);
-#: a crowd wave filters ``filter_rows`` products, ``waves`` times.
-SIZES = {
-    "full": {
-        "companies": 200, "lookups": 2000, "warm": 4000, "window": 4000,
-        "products": 2400, "waves": 4, "filter_rows": 16,
-    },
-    "quick": {
-        "companies": 20, "lookups": 200, "warm": 200, "window": 400,
-        "products": 400, "waves": 1, "filter_rows": 4,
-    },
-}
+#: a crowd wave filters ``FILTER_ROWS`` of ``PRODUCTS`` products, ``WAVES`` times.
+COMPANIES = 200
+LOOKUPS = 2000
+WARM = 4000
+WINDOW = 4000
+PRODUCTS = 2400
+WAVES = 4
+FILTER_ROWS = 16
 WAVE_SIZE = 16
 TOP_TYPES = 12
 
@@ -72,13 +68,13 @@ def census(label: str, run, n_queries: int) -> None:
             print(f"  {count / n_queries:8.2f}  {name}")
 
 
-def lookup_engine(size: dict, seed: int):
+def lookup_engine():
     """A companies engine with every findCEO answer cached, and a lookup stream."""
-    run = build_companies_engine(n_companies=size["companies"], seed=seed)
+    run = build_companies_engine(n_companies=COMPANIES, seed=SEED)
     names = [record.name for record in run.workload.records]
     for name in names:
         run.engine.query(LOOKUP_SQL.format(company=name)).wait()
-    rng = random.Random(seed)
+    rng = random.Random(SEED)
     return run.engine, lambda: LOOKUP_SQL.format(company=rng.choice(names))
 
 
@@ -87,12 +83,12 @@ def lookups(engine, next_sql, count: int) -> None:
         engine.query(next_sql()).wait()
 
 
-def crowd_waves(size: dict, seed: int) -> None:
-    run = build_products_engine(n_products=size["products"], filter_batch=10, seed=seed)
+def crowd_waves() -> None:
+    run = build_products_engine(n_products=PRODUCTS, filter_batch=10, seed=SEED)
     engine = run.engine
     prices = sorted(record.price for record in run.workload.records)
-    rng = random.Random(seed)
-    width = size["filter_rows"]
+    rng = random.Random(SEED)
+    width = FILTER_ROWS
 
     def wave() -> None:
         for _ in range(WAVE_SIZE):
@@ -103,16 +99,16 @@ def crowd_waves(size: dict, seed: int) -> None:
 
     wave()
     census(
-        f"crowd filter waves ({size['products']} products)",
-        lambda: [wave() for _ in range(size["waves"])],
-        WAVE_SIZE * size["waves"],
+        f"crowd filter waves ({PRODUCTS} products)",
+        lambda: [wave() for _ in range(WAVES)],
+        WAVE_SIZE * WAVES,
     )
 
 
-def collector_probe(size: dict, seed: int) -> None:
+def collector_probe() -> None:
     """Full collections and their milliseconds over a window of cached lookups."""
-    engine, next_sql = lookup_engine(size, seed)
-    lookups(engine, next_sql, size["warm"])
+    engine, next_sql = lookup_engine()
+    lookups(engine, next_sql, WARM)
     full: list[float] = []
     started: list[float] = []
 
@@ -127,40 +123,35 @@ def collector_probe(size: dict, seed: int) -> None:
     gc.callbacks.append(on_collect)
     try:
         wall = time.perf_counter()
-        lookups(engine, next_sql, size["window"])
+        lookups(engine, next_sql, WINDOW)
         wall = time.perf_counter() - wall
     finally:
         gc.callbacks.remove(on_collect)
     spent = sum(full) * 1000
     print(
-        f"collector over {size['window']} cached lookups (after {size['warm']} warm): "
+        f"collector over {WINDOW} cached lookups (after {WARM} warm): "
         f"{len(full)} full collection(s), {spent:.0f} ms "
         f"({spent / (wall * 1000):.1%} of {wall:.2f} s wall), "
         f"{len(gc.get_objects())} tracked objects at the end"
     )
 
 
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--quick", action="store_true", help="small sizes, for a smoke run")
-    parser.add_argument("--seed", type=int, default=83)
-    args = parser.parse_args(argv)
-    size = SIZES["quick" if args.quick else "full"]
+def main() -> int:
     print(f"python {sys.version.split()[0]}, gc thresholds {gc.get_threshold()}")
     # The probe runs first: what earlier measurements leave in the heap
     # would move when its full collections fall.
-    collector_probe(size, args.seed)
-    engine, next_sql = lookup_engine(size, args.seed)
-    lookups(engine, next_sql, size["lookups"] // 2)
+    collector_probe()
+    engine, next_sql = lookup_engine()
+    lookups(engine, next_sql, LOOKUPS // 2)
     census(
-        f"cached lookups ({size['companies']} companies)",
-        lambda: lookups(engine, next_sql, size["lookups"]),
-        size["lookups"],
+        f"cached lookups ({COMPANIES} companies)",
+        lambda: lookups(engine, next_sql, LOOKUPS),
+        LOOKUPS,
     )
     del engine, next_sql
-    crowd_waves(size, args.seed)
+    crowd_waves()
     return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+    raise SystemExit(main())
