@@ -29,6 +29,7 @@ from repro.core.operators.sort_local import LocalSortOperator
 from repro.engine import QurkEngine
 from repro.experiments import print_table
 from repro.storage.expressions import Arithmetic, ColumnRef, Comparison, Literal
+from repro.storage.table import Table
 from repro.storage.types import DataType
 
 N_CATEGORIES = 100
@@ -84,7 +85,7 @@ def _build_pipeline(engine: QurkEngine, query_id: str, *, join: bool = True) -> 
         )
     group = GroupByOperator(["category"], aggregates, sort.output_schema)
     group.add_child(sort)
-    results = engine.database.create_results_table(group.output_schema, query_id=query_id)
+    results = Table(query_id, group.output_schema)
     sink = ResultSinkOperator(results)
     sink.add_child(group)
     engine.budget_ledger.register(query_id, None)

@@ -28,7 +28,6 @@ from repro.core.answers import (
     MajorityVote,
     MeanRating,
     MedianRating,
-    WeightedVote,
     get_aggregate,
 )
 from repro.core.exec.context import QueryConfig
@@ -74,7 +73,6 @@ __all__ = [
     "parse_tasks",
     "AnswerList",
     "MajorityVote",
-    "WeightedVote",
     "First",
     "ListAll",
     "MeanRating",

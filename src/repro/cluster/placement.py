@@ -81,9 +81,8 @@ class HealthAwarePlacement(Placement):
     placement.
     """
 
-    def __init__(self, n_shards: int, seed: int = 0):
+    def __init__(self, n_shards: int):
         super().__init__(n_shards)
-        self.seed = seed
         self._healthy: set[int] = set(range(n_shards))
 
     def set_healthy(self, shard_id: int, healthy: bool = True) -> None:
@@ -116,7 +115,7 @@ def make_placement(kind: str, n_shards: int, seed: int = 0) -> Placement:
     if kind == "hash":
         return HashPlacement(n_shards, seed)
     if kind == "health":
-        return HealthAwarePlacement(n_shards, seed)
+        return HealthAwarePlacement(n_shards)
     raise ClusterError(
         f"unknown placement policy {kind!r} (use 'round-robin', 'hash', or 'health')"
     )

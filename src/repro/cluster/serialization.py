@@ -1,12 +1,12 @@
 """Wire format for the shard-per-process cluster runtime.
 
 Everything the coordinator and its shard workers exchange — query
-submissions, result rows, plans, statistics — travels as UTF-8 JSON framed
-with a 4-byte big-endian length prefix.  The framing is deliberately
-transport-agnostic: :func:`frame_message` / :class:`FrameDecoder` work over
-any byte stream, so the multiprocessing pipes used today and the asyncio
-socket front end (:mod:`repro.cluster.server`) share one codec, and a plain
-TCP transport can slot in without touching the protocol.
+submissions, result rows, plans, statistics — travels as UTF-8 JSON
+(:func:`encode_message` / :func:`decode_message`).  The multiprocessing pipes
+carry those messages as they are; on a socket, :func:`frame_message` puts a
+4-byte big-endian length prefix in front of each, and the asyncio front end
+(:mod:`repro.cluster.server`) reads the frames back.  One codec serves both
+transports.
 
 JSON cannot represent every storage value directly (crowd answers include
 tuples and answer lists), so values go through the one value codec,
@@ -49,7 +49,6 @@ __all__ = [
     "encode_message",
     "decode_message",
     "frame_message",
-    "FrameDecoder",
     "encode_schema",
     "decode_schema",
     "encode_rows",
@@ -94,43 +93,6 @@ def frame_message(message: dict[str, Any]) -> bytes:
     if len(body) > MAX_FRAME_BYTES:
         raise ClusterError(f"cluster frame of {len(body)} bytes exceeds {MAX_FRAME_BYTES}")
     return _HEADER.pack(len(body)) + body
-
-
-class FrameDecoder:
-    """Incremental decoder for a stream of length-prefixed frames.
-
-    Feed it arbitrary chunks of bytes (as a socket hands them over); it
-    yields every complete message and buffers the remainder:
-
-    >>> decoder = FrameDecoder()
-    >>> decoder.feed(frame_message({"op": "ping"}))
-    [{'op': 'ping'}]
-    """
-
-    def __init__(self) -> None:
-        self._buffer = bytearray()
-
-    def feed(self, data: bytes) -> list[dict[str, Any]]:
-        """Absorb ``data`` and return every message completed by it."""
-        self._buffer.extend(data)
-        messages: list[dict[str, Any]] = []
-        while True:
-            if len(self._buffer) < _HEADER.size:
-                return messages
-            (length,) = _HEADER.unpack_from(self._buffer)
-            if length > MAX_FRAME_BYTES:
-                raise ClusterError(f"cluster frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
-            end = _HEADER.size + length
-            if len(self._buffer) < end:
-                return messages
-            body = bytes(self._buffer[_HEADER.size : end])
-            del self._buffer[:end]
-            messages.append(decode_message(body))
-
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes buffered towards the next (incomplete) frame."""
-        return len(self._buffer)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ __all__ = [
     "AnswerList",
     "Aggregate",
     "MajorityVote",
-    "WeightedVote",
     "First",
     "ListAll",
     "MeanRating",
@@ -146,25 +145,6 @@ class MajorityVote(Aggregate):
     def reduce(self, answers: AnswerList, weights: Sequence[float] | None = None) -> Any:
         totals, originals = _vote_totals(answers, weights)
         return originals[max(totals, key=totals.__getitem__)]
-
-
-class WeightedVote(Aggregate):
-    """Majority vote where each worker's vote is weighted.
-
-    Weights come from a ``{worker_id: weight}`` mapping (e.g. historical
-    accuracy from the Statistics Manager).  Unknown workers get
-    ``default_weight``.
-    """
-
-    name = "WeightedVote"
-
-    def __init__(self, weights: Mapping[str, float], default_weight: float = 1.0):
-        self.weights = dict(weights)
-        self.default_weight = default_weight
-
-    def reduce(self, answers: AnswerList) -> Any:
-        weights = [self.weights.get(worker, self.default_weight) for worker in answers.worker_ids]
-        return MajorityVote().reduce(answers, weights or None)
 
 
 class First(Aggregate):

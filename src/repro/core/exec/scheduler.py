@@ -408,10 +408,6 @@ class EngineScheduler:
         """Ids of queries waiting for an admission slot, in arrival order."""
         return [record.handle.query_id for record in self._waiting]
 
-    def runnable_queries(self) -> list[str]:
-        """Ids of queries currently in the ready queue, in admission order."""
-        return sorted(self._runnable, key=lambda query_id: self._runnable[query_id].seq)
-
     def state_of(self, query_id: str) -> str:
         """One of ``active``, ``queued`` or ``finished`` (by this scheduler)."""
         if query_id in self._active:

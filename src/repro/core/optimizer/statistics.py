@@ -53,11 +53,6 @@ class WorkerStats:
     votes: int = 0
     votes_with_majority: int = 0
 
-    @property
-    def agreement_rate(self) -> float:
-        """Fraction of this worker's votes that matched the reduced answer."""
-        return self.votes_with_majority / self.votes if self.votes else 1.0
-
 
 @dataclass
 class QueryStats:
@@ -76,13 +71,6 @@ class QueryStats:
     finished_at: float | None = None
     dollars_saved_cache: float = 0.0
     dollars_saved_model: float = 0.0
-
-    @property
-    def remaining_budget(self) -> float | None:
-        """Dollars of budget left (None when the query is unbudgeted)."""
-        if self.budget is None:
-            return None
-        return max(self.budget - self.spent, 0.0)
 
     @property
     def elapsed(self) -> float:

@@ -100,10 +100,6 @@ class PhysicalPlanner:
 
     # -- enumeration --------------------------------------------------------------------
 
-    def choose(self, plan: LogicalPlan) -> tuple[PhysicalCandidate, tuple[PhysicalCandidate, ...]]:
-        """Enumerate and cost candidates; return (winner, all candidates)."""
-        return self.pick(self.enumerate_trees(plan))
-
     def pick(
         self, trees: tuple[tuple[LogicalNode, tuple[str, ...]], ...]
     ) -> tuple[PhysicalCandidate, tuple[PhysicalCandidate, ...]]:

@@ -74,6 +74,7 @@ from repro.storage.expressions import (
     walk,
 )
 from repro.storage.schema import Schema
+from repro.storage.table import Table
 
 __all__ = ["PlanTemplate", "PlannedQuery", "QueryPlanner", "TemplateSlot"]
 
@@ -151,18 +152,16 @@ class QueryPlanner:
         query_id: str = "",
         slot: TemplateSlot | None = None,
     ) -> PlannedQuery:
-        """Plan a statement and create its results table.
+        """Plan a statement and build its results table, named ``query_id``.
 
+        The table belongs to the query alone; the catalog never sees it.
         With a ``slot``, lowering and enumeration come from its template
         while that is valid (see :meth:`template`).
         """
         template = self.template(statement, slot)
         chosen, candidates = self.physical.pick(template.trees)
         top = self.physical.build(chosen.root)
-        results_table = self.database.create_results_table(
-            top.output_schema, query_id=query_id or None
-        )
-        sink = ResultSinkOperator(results_table)
+        sink = ResultSinkOperator(Table(query_id or "results", top.output_schema))
         sink.add_child(top)
         return PlannedQuery(
             root=sink,

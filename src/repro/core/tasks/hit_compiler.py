@@ -51,11 +51,6 @@ class CompiledHIT:
     #: reputations.
     gold_items: dict[str, GoldQuestion] = field(default_factory=dict)
 
-    @property
-    def html(self) -> str:
-        """The HTML form a turker would fill out, rendered from :attr:`content`."""
-        return HITCompiler().render_html(self.content)
-
     def query_ids(self) -> tuple[str, ...]:
         """Distinct query ids contributing tasks, in first-contribution order.
 

@@ -62,10 +62,6 @@ class FormResponse(ResponseSpec):
         if not self.fields:
             raise TaskError("Form response needs at least one field")
 
-    @property
-    def field_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.fields)
-
 
 @dataclass(frozen=True)
 class YesNoResponse(ResponseSpec):
@@ -211,11 +207,6 @@ class TaskSpec:
                 f"got {len(args)}"
             )
         return self.text % args if placeholders else self.text
-
-    @property
-    def return_field_names(self) -> tuple[str, ...]:
-        """Names of the RETURNS fields (empty for BOOL-returning tasks)."""
-        return tuple(f.name for f in self.returns)
 
     @property
     def returns_bool(self) -> bool:

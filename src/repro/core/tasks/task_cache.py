@@ -217,30 +217,12 @@ class TaskCache:
             self._tier.record_store(task_name, cache_key, entry)
         return True
 
-    def invalidate(self, task_name: str | None = None) -> int:
-        """Drop entries for one task name (or everything); returns count dropped."""
-        if task_name is None:
-            dropped = len(self._entries)
-            self._entries.clear()
-            self._imported.clear()
-        else:
-            keys = [key for key in self._entries if key[0] == task_name]
-            for key in keys:
-                del self._entries[key]
-                self._imported.discard(key)
-            dropped = len(keys)
-        self.stats.entries = len(self._entries)
-        if self._tier is not None and dropped:
-            self._tier.record_invalidate(task_name)
-        return dropped
-
     # -- the durable tier ------------------------------------------------------
 
     def attach_tier(self, tier) -> None:
-        """Mirror every admitted store (and invalidation) into ``tier``.
+        """Mirror every admitted store into ``tier``.
 
-        The tier needs ``record_store(name, key, entry)`` and
-        ``record_invalidate(name)`` — see
+        The tier needs ``record_store(name, key, entry)`` — see
         :class:`~repro.storage.answer_tier.DurableAnswerTier`.
         """
         self._tier = tier
@@ -321,7 +303,7 @@ class TaskCache:
         self.stats = CacheStats(**state["stats"])
         self._entries = dict(map(CacheEntry.from_record, state["entries"]))
         # Restored entries are local again (insertion order approximates the
-        # original store order; exact for snapshots without invalidations).
+        # original store order).
         self._store_log = list(self._entries)
         self._imported = set()
 

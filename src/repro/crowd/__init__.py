@@ -33,7 +33,7 @@ from repro.crowd.hit import (
     HITStatus,
 )
 from repro.crowd.mturk import MTurkSimulator, PlatformStats
-from repro.crowd.oracle import AnswerOracle, CallbackOracle
+from repro.crowd.oracle import AnswerOracle
 from repro.crowd.pricing import CENTS, DEFAULT_PRICING, PricingPolicy
 from repro.crowd.worker_pool import PopulationMix, WorkerPool
 from repro.crowd.workers import (
@@ -63,7 +63,6 @@ __all__ = [
     "GoldQuestion",
     "GoldStandardPool",
     "AnswerOracle",
-    "CallbackOracle",
     "PricingPolicy",
     "DEFAULT_PRICING",
     "CENTS",

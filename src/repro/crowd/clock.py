@@ -58,7 +58,6 @@ class SimulationClock:
         self._now = float(start)
         self._events: list[tuple[float, int, ScheduledEvent]] = []
         self._sequence = itertools.count()
-        self._fired = 0
         #: Cancelled events still sitting in the heap.  Kept exact so
         #: :attr:`pending_events` is O(1) and the heap can be compacted
         #: lazily once cancellations dominate.
@@ -75,11 +74,6 @@ class SimulationClock:
     def pending_events(self) -> int:
         """Number of events that have not yet fired or been cancelled."""
         return len(self._events) - self._cancelled_in_heap
-
-    @property
-    def events_fired(self) -> int:
-        """Total number of callbacks executed so far."""
-        return self._fired
 
     def next_event_time(self) -> float | None:
         """Time of the earliest pending event, or None if the queue is empty."""
@@ -152,7 +146,6 @@ class SimulationClock:
                 continue
             self._now = due
             event.callback()
-            self._fired += 1
             fired += 1
         self._now = max(self._now, time)
         return fired
@@ -171,10 +164,6 @@ class SimulationClock:
         if now < self._now:
             raise CrowdError(f"cannot rewind clock from {self._now:.3f} to {now:.3f}")
         self._now = float(now)
-
-    def advance_by(self, delta: float) -> int:
-        """Advance the clock by ``delta`` seconds."""
-        return self.advance_to(self._now + delta)
 
     def run_next(self) -> bool:
         """Fire the single earliest pending event.  Returns False when idle."""

@@ -116,7 +116,6 @@ class MTurkSimulator:
         self._assignment_hits: dict[str, str] = {}
         #: Live count of assignments in the ACCEPTED state (scheduled, not
         #: yet submitted/abandoned) — the O(1) ``outstanding_assignments``.
-        self._outstanding = 0
         # Plain int (not itertools.count) so a snapshot can capture and
         # restore the id sequence exactly.
         self._hit_seq = 0
@@ -219,7 +218,6 @@ class MTurkSimulator:
         )
         hit.assignments.append(assignment)
         self._assignment_hits[assignment.assignment_id] = hit.hit_id
-        self._outstanding += 1
         rng = self.worker_pool.assignment_rng(assignment.assignment_id)
         duration = worker.work_duration(hit.content, rng)
         submit_at = accepted_at + duration
@@ -253,7 +251,6 @@ class MTurkSimulator:
             return
         answers = worker.answer(hit.content, self.oracle, rng)
         assignment.submit(answers, at=self.clock.now)
-        self._outstanding -= 1
         self.stats.assignments_submitted += 1
         self.stats.per_worker_assignments[worker.worker_id] = (
             self.stats.per_worker_assignments.get(worker.worker_id, 0) + 1
@@ -275,7 +272,6 @@ class MTurkSimulator:
     def _abandon(self, hit: HIT, assignment: Assignment) -> None:
         """A worker returns an accepted assignment; recruit a replacement."""
         assignment.abandon()
-        self._outstanding -= 1
         self.stats.assignments_abandoned += 1
         if hit.status is not HITStatus.OPEN or self.clock.now >= hit.expires_at:
             return
@@ -384,10 +380,6 @@ class MTurkSimulator:
     def open_hit_count(self) -> int:
         """Number of HITs still waiting for assignments, without a copy."""
         return len(self._hits_by_status[HITStatus.OPEN])
-
-    def outstanding_assignments(self) -> int:
-        """Number of scheduled assignments not yet submitted (live counter)."""
-        return self._outstanding
 
     def estimate_cost(self, reward: float, hit_count: int, assignments: int) -> float:
         """Requester-side estimate used by the optimizer's cost model."""

@@ -10,12 +10,10 @@ concerns matches the real system.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.crowd.hit import FormField, HITItem
 from repro.errors import WorkerError
 
-__all__ = ["AnswerOracle", "CallbackOracle"]
+__all__ = ["AnswerOracle"]
 
 
 class AnswerOracle:
@@ -49,63 +47,3 @@ class AnswerOracle:
     def plausible_wrong_form_answer(self, item: HITItem, field: FormField) -> str:
         """A wrong-but-plausible value a careless worker might type."""
         return "unknown"
-
-
-class CallbackOracle(AnswerOracle):
-    """An oracle assembled from plain callables.
-
-    Workload modules usually subclass :class:`AnswerOracle`, but tests and
-    small examples can wire up an oracle from lambdas::
-
-        oracle = CallbackOracle(predicate=lambda item: item.payload["price"] > 10)
-    """
-
-    def __init__(
-        self,
-        *,
-        form: Callable[[HITItem, FormField], str] | None = None,
-        predicate: Callable[[HITItem], bool] | None = None,
-        pair: Callable[[HITItem, HITItem], bool] | None = None,
-        comparison: Callable[[HITItem], str] | None = None,
-        rating: Callable[[HITItem], float] | None = None,
-        wrong_form: Callable[[HITItem, FormField], str] | None = None,
-    ) -> None:
-        self._form = form
-        self._predicate = predicate
-        self._pair = pair
-        self._comparison = comparison
-        self._rating = rating
-        self._wrong_form = wrong_form
-
-    def form_answer(self, item: HITItem, field: FormField) -> str:
-        if self._form is None:
-            return super().form_answer(item, field)
-        return self._form(item, field)
-
-    def predicate_answer(self, item: HITItem) -> bool:
-        if self._predicate is None:
-            return super().predicate_answer(item)
-        return bool(self._predicate(item))
-
-    def pair_matches(self, left: HITItem, right: HITItem) -> bool:
-        if self._pair is None:
-            return super().pair_matches(left, right)
-        return bool(self._pair(left, right))
-
-    def comparison_answer(self, item: HITItem) -> str:
-        if self._comparison is None:
-            return super().comparison_answer(item)
-        answer = self._comparison(item)
-        if answer not in ("left", "right"):
-            raise WorkerError(f"comparison oracle must return 'left' or 'right', got {answer!r}")
-        return answer
-
-    def rating_answer(self, item: HITItem) -> float:
-        if self._rating is None:
-            return super().rating_answer(item)
-        return float(self._rating(item))
-
-    def plausible_wrong_form_answer(self, item: HITItem, field: FormField) -> str:
-        if self._wrong_form is None:
-            return super().plausible_wrong_form_answer(item, field)
-        return self._wrong_form(item, field)

@@ -173,10 +173,6 @@ class WorkerReputation:
         p = min(max(self.accuracy(worker_id), 0.05), 0.98)
         return max(math.log(p / (1.0 - p)), 0.05)
 
-    def vote_weights(self, worker_ids: Mapping[str, Any] | list[str] | tuple[str, ...]) -> dict[str, float]:
-        """Vote weights for a set of workers (for one answer list)."""
-        return {worker_id: self.vote_weight(worker_id) for worker_id in worker_ids}
-
     def is_uniform(self, worker_ids: list[str] | tuple[str, ...] = ()) -> bool:
         """Whether the listed workers (or everyone) are still at the prior."""
         if worker_ids:

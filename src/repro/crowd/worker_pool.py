@@ -124,10 +124,6 @@ class WorkerPool:
                 return candidate
         raise WorkerError(f"unknown worker {worker_id!r}")
 
-    def expected_accuracy(self) -> float:
-        """Mean single-judgement accuracy across the population."""
-        return sum(w.accuracy for w in self._workers) / len(self._workers)
-
     # -- marketplace ---------------------------------------------------------
 
     def select_workers(self, hit: HIT, count: int) -> list[WorkerModel]:

@@ -50,7 +50,7 @@ from repro.core.plan.planner import QueryPlanner, TemplateSlot
 from repro.core.plan.registry import RegisteredTask, TaskRegistry
 from repro.core.tasks.hit_compiler import HITCompiler
 from repro.core.tasks.spec import TaskSpec
-from repro.core.tasks.task_cache import CachePolicy, TaskCache
+from repro.core.tasks.task_cache import TaskCache
 from repro.core.tasks.task_manager import TaskManager
 from repro.core.tasks.task_model import TaskModelRegistry
 from repro.crowd.breaker import BreakerConfig, BreakerStats, MarketplaceCircuitBreaker
@@ -58,7 +58,6 @@ from repro.crowd.clock import SimulationClock
 from repro.crowd.faults import FaultProfile
 from repro.crowd.mturk import MTurkSimulator
 from repro.crowd.oracle import AnswerOracle
-from repro.crowd.pricing import DEFAULT_PRICING, PricingPolicy
 from repro.crowd.quality import (
     GoldQuestion,
     GoldStandardPool,
@@ -105,17 +104,14 @@ class QurkEngine:
     seed:
         Master seed for the simulated worker population.
     worker_pool_size, population_mix:
-        Size and composition of the simulated marketplace.
-    pricing:
-        Platform fee schedule.
+        Size and composition of the simulated marketplace.  Fees follow
+        :data:`~repro.crowd.pricing.DEFAULT_PRICING`.
     enable_cache / enable_task_model:
         Toggle the Task Cache and the learned Task Model (both on by
-        default, as in the paper's dashboard discussion).
-    cache_policy:
-        Optional :class:`~repro.core.tasks.task_cache.CachePolicy` adding
-        TTL expiry and reputation-gated admission to the Task Cache.
-        ``None`` (the default) keeps the legacy never-expiring,
-        admit-everything cache byte-identical.
+        default, as in the paper's dashboard discussion).  The cache keeps
+        every answer it is given, for good, until ``task_cache.policy`` is
+        set to a :class:`~repro.core.tasks.task_cache.CachePolicy` with a
+        TTL or a confidence bar.
     default_query_config:
         The :class:`~repro.core.exec.context.QueryConfig` (budget, adaptive
         optimization, deadline) for queries that do not pass their own.
@@ -163,10 +159,8 @@ class QurkEngine:
         seed: int = 7,
         worker_pool_size: int = 150,
         population_mix: PopulationMix | None = None,
-        pricing: PricingPolicy = DEFAULT_PRICING,
         enable_cache: bool = True,
         enable_task_model: bool = True,
-        cache_policy: CachePolicy | None = None,
         default_query_config: QueryConfig | None = None,
         max_concurrent_queries: int | None = None,
         fault_profile: FaultProfile | None = None,
@@ -188,11 +182,11 @@ class QurkEngine:
         self.reputation = WorkerReputation() if quality is not None else None
         self.gold_pool = GoldStandardPool()
         self.platform = MTurkSimulator(
-            self.clock, self.worker_pool, self.oracle, pricing=pricing, faults=fault_profile
+            self.clock, self.worker_pool, self.oracle, faults=fault_profile
         )
         self.statistics = StatisticsManager()
         self.budget_ledger = BudgetLedger()
-        self.task_cache = TaskCache(enabled=enable_cache, policy=cache_policy)
+        self.task_cache = TaskCache(enabled=enable_cache)
         self.task_models = TaskModelRegistry(enabled=enable_task_model)
         self.hit_compiler = HITCompiler()
         self.breaker = (
@@ -212,7 +206,7 @@ class QurkEngine:
             gold=self.gold_pool,
             breaker=self.breaker,
         )
-        self.cost_model = CostModel(pricing)
+        self.cost_model = CostModel()
         self.optimizer = QueryOptimizer(
             self.statistics,
             self.cost_model,

@@ -28,7 +28,7 @@ from repro.storage.expressions import (
 from repro.storage.row import Row
 from repro.storage.schema import Column, Schema
 from repro.storage.table import RowsView, Table
-from repro.storage.types import DataType, coerce_value, is_null
+from repro.storage.types import DataType, coerce_value
 
 __all__ = [
     "Catalog",
@@ -41,7 +41,6 @@ __all__ = [
     "RowsView",
     "DataType",
     "coerce_value",
-    "is_null",
     "Expression",
     "Literal",
     "ColumnRef",

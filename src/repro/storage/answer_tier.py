@@ -118,6 +118,8 @@ class DurableAnswerTier:
             key, entry = CacheEntry.from_record(data)
             self._entries[key] = entry
         elif record_type == "answers_invalidated":
+            # No code path writes this record, but older logs hold it; replay
+            # applies it so that the answers it dropped stay dropped.
             name = data["name"]
             if name is None:
                 self._entries.clear()
@@ -133,11 +135,6 @@ class DurableAnswerTier:
         """Journal one admitted store (called by the attached TaskCache)."""
         self._entries[(name, cache_key)] = entry
         self.wal.append("answer_stored", entry.record(name, cache_key))
-
-    def record_invalidate(self, name: str | None) -> None:
-        """Journal an invalidation of one task name (or everything)."""
-        self._apply("answers_invalidated", {"name": name})
-        self.wal.append("answers_invalidated", {"name": name}, durable=True)
 
     # -- warming a cache -------------------------------------------------------
 

@@ -8,10 +8,7 @@ from repro.errors import CatalogError
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 
-__all__ = ["Catalog", "RESULTS_TABLE_PREFIX"]
-
-#: Name prefix of the per-query results tables the database registers here.
-RESULTS_TABLE_PREFIX = "__results_"
+__all__ = ["Catalog"]
 
 
 class Catalog:
@@ -53,15 +50,8 @@ class Catalog:
         try:
             return self._tables[name.lower()]
         except KeyError:
-            # Base tables only: a live server's results tables would make
-            # the hint grow with every query it has run.
-            base = [key for key in self._tables if not key.startswith(RESULTS_TABLE_PREFIX)]
-            known = ", ".join(sorted(base)) or "<none>"
+            known = ", ".join(sorted(self._tables)) or "<none>"
             raise CatalogError(f"unknown table {name!r}; known tables: {known}") from None
-
-    def has_table(self, name: str) -> bool:
-        """Return True when a table with this name exists."""
-        return name.lower() in self._tables
 
     def table_names(self) -> list[str]:
         """All table names, sorted."""

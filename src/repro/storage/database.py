@@ -1,15 +1,15 @@
 """Database facade bundling a catalog with convenience helpers.
 
 A :class:`Database` is the Storage Engine box of Figure 1: it owns every base
-table, the per-query results tables that the executor appends to, and the
-persistent task-cache table used across queries.
+table.  A query's results table is not registered here: the planner builds
+it, and the query's handle owns it.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable, Mapping
 
-from repro.storage.catalog import RESULTS_TABLE_PREFIX, Catalog
+from repro.storage.catalog import Catalog
 from repro.storage.row import Row
 from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
@@ -24,7 +24,6 @@ class Database:
     def __init__(self, name: str = "qurk"):
         self.name = name
         self.catalog = Catalog()
-        self._results_counter = 0
 
     # -- table management ----------------------------------------------------
 
@@ -43,10 +42,6 @@ class Database:
         """Look up a table by name."""
         return self.catalog.table(name)
 
-    def has_table(self, name: str) -> bool:
-        """Return True when the named table exists."""
-        return self.catalog.has_table(name)
-
     def drop_table(self, name: str, *, if_exists: bool = False) -> None:
         """Drop the named table."""
         self.catalog.drop_table(name, if_exists=if_exists)
@@ -61,15 +56,6 @@ class Database:
             table.insert(row)
             count += 1
         return count
-
-    # -- results tables --------------------------------------------------------
-
-    def create_results_table(self, schema: Schema, *, query_id: str | None = None) -> Table:
-        """Create a fresh results table for a query (Section 2: users poll it)."""
-        self._results_counter += 1
-        suffix = query_id or str(self._results_counter)
-        name = f"{RESULTS_TABLE_PREFIX}{suffix}"
-        return self.catalog.create_table(name, schema, if_not_exists=False)
 
     def __repr__(self) -> str:
         return f"Database({self.name!r}, tables={self.catalog.table_names()})"

@@ -37,7 +37,6 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.errors import EngineOverloadedError, RecoveryError
-from repro.storage.catalog import RESULTS_TABLE_PREFIX
 from repro.storage.codec import lower
 from repro.storage.snapshot import load_latest_snapshot
 from repro.storage.wal import WALRecord, WriteAheadLog
@@ -151,14 +150,10 @@ class EngineJournal:
 # ---------------------------------------------------------------------------
 
 
-def _base_table_counts(engine) -> dict[str, int]:
-    """Row counts for base tables (results tables are per-query artefacts)."""
-    counts: dict[str, int] = {}
-    for name in engine.database.catalog.table_names():
-        if name.startswith(RESULTS_TABLE_PREFIX):
-            continue
-        counts[name] = len(engine.database.table(name))
-    return counts
+def _table_row_counts(engine) -> dict[str, int]:
+    """Row counts of the catalog's tables, by name."""
+    database = engine.database
+    return {name: len(database.table(name)) for name in database.catalog.table_names()}
 
 
 def capture_engine_state(engine) -> dict:
@@ -198,7 +193,7 @@ def capture_engine_state(engine) -> dict:
         "task_models": engine.task_models.state_dict(),
         "reputation": None if reputation is None else reputation.state_dict(),
         "task_manager": engine.task_manager.state_dict(),
-        "catalog": _base_table_counts(engine),
+        "catalog": _table_row_counts(engine),
         "outcomes": outcomes,
     }
 
@@ -217,7 +212,7 @@ def restore_engine_state(engine, state: dict) -> None:
         raise RecoveryError(
             f"snapshot state version {version!r} is not supported (expected {STATE_VERSION})"
         )
-    rebuilt = _base_table_counts(engine)
+    rebuilt = _table_row_counts(engine)
     if rebuilt != state["catalog"]:
         raise RecoveryError(
             "rebuilt engine catalog does not match the snapshot: "

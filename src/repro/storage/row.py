@@ -116,14 +116,6 @@ class Row:
 
     # -- derivation ---------------------------------------------------------
 
-    def project(self, names: Iterable[str]) -> "Row":
-        """Return a row containing only the named columns."""
-        names = tuple(names)
-        schema = self._schema.project(names)
-        indices = self._schema.indices_of(names)
-        values = self._values
-        return Row.unchecked(schema, tuple(values[i] for i in indices))
-
     def concat(self, other: "Row") -> "Row":
         """Concatenate two rows (used by join operators)."""
         return Row.unchecked(
@@ -146,14 +138,6 @@ class Row:
             column.validate(value) for column, value in zip(new_columns, new_values)
         )
         return Row.unchecked(schema, self._values + validated)
-
-    def replaced(self, name: str, value: Any) -> "Row":
-        """Return a copy of this row with one column's value replaced."""
-        index = self._schema.index_of(name)
-        validated = self._schema.columns[index].validate(value)
-        return Row.unchecked(
-            self._schema, self._values[:index] + (validated,) + self._values[index + 1:]
-        )
 
     def with_schema(self, schema: Schema) -> "Row":
         """Rebind this row's values to a different (same-width) schema.

@@ -57,20 +57,9 @@ class Column:
         """The column name without any ``table.`` qualifier."""
         return self.name.rsplit(".", 1)[-1]
 
-    @property
-    def qualifier(self) -> str | None:
-        """The table qualifier, or None when the name is unqualified."""
-        if "." in self.name:
-            return self.name.rsplit(".", 1)[0]
-        return None
-
     def with_qualifier(self, qualifier: str) -> "Column":
         """Return a copy of this column qualified as ``qualifier.name``."""
         return Column(f"{qualifier}.{self.unqualified_name}", self.data_type, self.nullable)
-
-    def renamed(self, new_name: str) -> "Column":
-        """Return a copy of this column with a new name."""
-        return Column(new_name, self.data_type, self.nullable)
 
     def validate(self, value: Any) -> Any:
         """Validate and coerce ``value`` for storage in this column."""
@@ -207,15 +196,6 @@ class Schema:
         cached = self._derived.get(key)
         if cached is None:
             cached = Schema(tuple(c.with_qualifier(qualifier) for c in self.columns))
-            self._remember(key, cached)
-        return cached
-
-    def project(self, names: Iterable[str]) -> "Schema":
-        """Return a schema containing only the named columns, in the given order."""
-        key = ("project", tuple(names))
-        cached = self._derived.get(key)
-        if cached is None:
-            cached = Schema(tuple(self.column(name) for name in key[1]))
             self._remember(key, cached)
         return cached
 

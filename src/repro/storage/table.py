@@ -39,7 +39,7 @@ from collections.abc import Sequence
 from functools import partial
 from itertools import islice
 from operator import eq
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping
 
 from repro.errors import SchemaError, StorageError
 from repro.storage import accel
@@ -312,10 +312,6 @@ class Table:
         """The id of the most recently inserted row, or -1 when empty."""
         return self._first_id + self._length - 1 if self._length else -1
 
-    def select(self, predicate: Callable[[Row], bool]) -> list[Row]:
-        """Return rows satisfying a Python predicate (used by tests/examples)."""
-        return [row for row in self.rows() if predicate(row)]
-
     # -- indexes -------------------------------------------------------------
 
     def create_index(self, column: str, kind: str = "hash") -> None:
@@ -354,11 +350,6 @@ class Table:
             positions = [position for position, item in enumerate(held) if item == value]
         rows = self.rows()
         return [rows[position] for position in positions]
-
-    @property
-    def indexed_columns(self) -> tuple[str, ...]:
-        """Names of columns that currently have an index."""
-        return tuple(self._indexes)
 
     @property
     def indexes(self) -> tuple[HashIndex | SortedIndex, ...]:

@@ -24,7 +24,7 @@ from typing import Any
 
 from repro.errors import TypeCheckError
 
-__all__ = ["DataType", "coerce_value", "is_null", "python_type_of"]
+__all__ = ["DataType", "coerce_value"]
 
 
 class DataType(enum.Enum):
@@ -41,26 +41,6 @@ class DataType(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
-
-
-_PYTHON_TYPES: dict[DataType, tuple[type, ...]] = {
-    DataType.INTEGER: (int,),
-    DataType.FLOAT: (float, int),
-    DataType.STRING: (str,),
-    DataType.BOOLEAN: (bool,),
-    DataType.TUPLE: (tuple,),
-    DataType.ANSWER_LIST: (list, tuple),
-}
-
-
-def python_type_of(data_type: DataType) -> tuple[type, ...]:
-    """Return the Python types acceptable for ``data_type`` (empty = any)."""
-    return _PYTHON_TYPES.get(data_type, ())
-
-
-def is_null(value: Any) -> bool:
-    """Return True when ``value`` represents SQL NULL."""
-    return value is None
 
 
 def coerce_value(value: Any, data_type: DataType) -> Any:

@@ -250,7 +250,7 @@ class TestExplainOnEngine:
         text = engine.explain(MISESTIMATED_SQL)
         assert "physical candidates" in text and "(chosen)" in text
         assert len(engine.database.catalog) == tables_before
-        assert engine.total_crowd_cost == 0.0
+        assert engine.queries == {} and engine.total_crowd_cost == 0.0
 
     def test_every_query_plans_through_the_engine_planner(self, monkeypatch):
         # The engine keeps one planner and looks ``plan`` up on each query,

@@ -17,7 +17,6 @@ from repro.core.tasks.task_cache import CacheEntry, CachePolicy, TaskCache
 from repro.core.tasks.task_manager import TaskManager
 from repro.core.tasks.task_model import TaskModelRegistry
 from repro.crowd import (
-    CallbackOracle,
     MTurkSimulator,
     PopulationMix,
     SimulationClock,
@@ -26,6 +25,8 @@ from repro.crowd import (
 from repro.crowd.quality import WorkerReputation
 from repro.crowd.wallclock import WallClock
 from repro.testing.invariants import check_task_records
+
+from support import CallbackOracle
 
 FILTER_SPEC = TaskSpec(
     name="isRed",
@@ -97,7 +98,7 @@ class TestTTLExpiry:
         assert results[-1].source is ResultSource.CACHE
 
         # ...but once the (simulated) clock outruns it, the crowd pays again.
-        clock.advance_by(500.0)
+        clock.advance_to(clock.now + 500.0)
         manager.submit(filter_task(results, cache_key=("mug",), query_id="q3"))
         manager.flush()
         clock.run_until_idle()

@@ -12,10 +12,11 @@ from repro.core.answers import (
     MajorityVote,
     MeanRating,
     MedianRating,
-    WeightedVote,
     get_aggregate,
     register_aggregate,
 )
+from repro.core.tasks.reducer import vote_weights
+from repro.crowd.quality import QualityConfig, WorkerReputation
 from repro.errors import AggregateError
 
 
@@ -56,19 +57,44 @@ class TestMajorityVote:
         with pytest.raises(AggregateError):
             MajorityVote()(AnswerList.of([]))
 
-
-class TestWeightedVote:
     def test_weights_override_raw_counts(self):
         answers = AnswerList.of([True, False, False], ["expert", "spam1", "spam2"])
-        vote = WeightedVote({"expert": 5.0, "spam1": 0.1, "spam2": 0.1})
-        assert vote(answers) is True
+        assert MajorityVote().reduce(answers, [5.0, 0.1, 0.1]) is True
+
+
+class TestWeightedVote:
+    """Reputation-weighted voting, as the reducer picks its weights."""
+
+    @staticmethod
+    def reputation():
+        """An expert right on 20 gold probes; two spammers right on half of 40."""
+        reputation = WorkerReputation()
+        for _ in range(20):
+            reputation.record_gold("expert", True)
+            for spammer in ("spam1", "spam2"):
+                reputation.record_gold(spammer, True)
+                reputation.record_gold(spammer, False)
+        return reputation
+
+    def test_weights_override_raw_counts(self):
+        answers = AnswerList.of([True, False, False], ["expert", "spam1", "spam2"])
+        weights = vote_weights(list(answers.worker_ids), QualityConfig(), self.reputation())
+        assert weights[0] > weights[1] + weights[2]
+        assert MajorityVote()(answers, weights) is True
+        assert MajorityVote()(answers) is False
 
     def test_unknown_workers_use_default_weight(self):
+        reputation = self.reputation()
         answers = AnswerList.of([True, False, False], ["a", "b", "c"])
-        assert WeightedVote({})(answers) is False
+        assert reputation.vote_weight("a") == reputation.vote_weight("c")
+        # Equal weights vote as a plain count, so none are handed to the aggregate.
+        assert vote_weights(list(answers.worker_ids), QualityConfig(), reputation) is None
+        assert MajorityVote()(answers) is False
 
     def test_without_worker_ids_falls_back_to_majority(self):
-        assert WeightedVote({})(AnswerList.of([1, 1, 2])) == 1
+        answers = AnswerList.of([1, 1, 2])
+        assert vote_weights(list(answers.worker_ids), QualityConfig(), self.reputation()) is None
+        assert MajorityVote()(answers) == 1
 
 
 class TestOtherAggregates:

@@ -15,13 +15,14 @@ from repro.core.tasks.spec import Parameter, TaskSpec, TaskType, YesNoResponse
 from repro.core.tasks.task import Task, TaskKind
 from repro.core.tasks.task_manager import TaskManager
 from repro.crowd import (
-    CallbackOracle,
     HITStatus,
     MTurkSimulator,
     PopulationMix,
     SimulationClock,
     WorkerPool,
 )
+
+from support import CallbackOracle
 
 FILTER_SPEC = TaskSpec(
     name="isRed",
@@ -178,25 +179,3 @@ class TestPlatformIndexes:
         platform.dispose_hit(hit.hit_id)
         assert platform.list_hits(HITStatus.EXPIRED) == []
         assert platform.list_hits(HITStatus.DISPOSED) == [hit]
-
-    def test_outstanding_assignment_counter_matches_scan(self):
-        from repro.crowd.hit import AssignmentStatus
-
-        clock, platform, manager = build_manager()
-        results = []
-        for index in range(3):
-            manager.submit(filter_task(results, name=f"a{index}", query_id="q1"))
-        manager.flush(force=True)
-
-        def scan():
-            return sum(
-                1
-                for hit in platform.list_hits()
-                for assignment in hit.assignments
-                if assignment.status is AssignmentStatus.ACCEPTED
-            )
-
-        assert platform.outstanding_assignments() == scan() > 0
-        while clock.run_next():
-            assert platform.outstanding_assignments() == scan()
-        assert platform.outstanding_assignments() == 0

@@ -10,10 +10,12 @@ from repro.core.operators import ProjectOperator, ProjectionItem, ResultSinkOper
 from repro.core.optimizer.budget import BudgetLedger
 from repro.core.optimizer.statistics import StatisticsManager
 from repro.core.tasks.task_manager import TaskManager
-from repro.crowd import CallbackOracle, MTurkSimulator, SimulationClock, WorkerPool
+from repro.crowd import MTurkSimulator, SimulationClock, WorkerPool
 from repro.errors import ExecutionError
 from repro.experiments import QUERY1_SQL, build_companies_engine, format_table
 from repro.storage import ColumnRef, Database, DataType, Schema, Table
+
+from support import CallbackOracle
 
 
 def local_plan():
@@ -29,7 +31,7 @@ def local_plan():
     scan = ScanOperator(table)
     project = ProjectOperator([ProjectionItem("x", ColumnRef("t.x"))])
     project.add_child(scan)
-    results = database.create_results_table(project.output_schema, query_id="q1")
+    results = Table("q1", project.output_schema)
     sink = ResultSinkOperator(results)
     sink.add_child(project)
     return sink, results, context
@@ -117,6 +119,6 @@ class TestExperimentHelpers:
 
     def test_build_companies_engine_is_ready_to_run(self):
         run = build_companies_engine(n_companies=4, seed=5)
-        assert run.engine.database.has_table("companies")
+        assert "companies" in run.engine.database.catalog.table_names()
         assert "findCEO" in run.engine.registry.names()
         assert run.metadata["n_companies"] == 4

@@ -158,9 +158,9 @@ class TestHTMLRendering:
                   payload={"left_items": [{"label": "x"}], "right_items": [{"label": "y"}]}, callback=noop)],
         ]
         for tasks in cases:
-            compiled = compiler.compile(tasks)
-            assert compiled.html.startswith("<form")
-            assert "Submit HIT" in compiled.html
+            html = compiler.render_html(compiler.compile(tasks).content)
+            assert html.startswith("<form")
+            assert "Submit HIT" in html
 
     def test_html_escapes_user_content(self):
         task = Task(
@@ -169,6 +169,7 @@ class TestHTMLRendering:
             payload={"args": ("<script>alert(1)</script>",)},
             callback=noop,
         )
-        compiled = HITCompiler().compile([task])
-        assert "<script>" not in compiled.html
-        assert "&lt;script&gt;" in compiled.html
+        compiler = HITCompiler()
+        html = compiler.render_html(compiler.compile([task]).content)
+        assert "<script>" not in html
+        assert "&lt;script&gt;" in html

@@ -142,9 +142,9 @@ class TestTaskParser:
         assert spec.name == "findCEO"
         assert spec.task_type is TaskType.QUESTION
         assert isinstance(spec.response, FormResponse)
-        assert spec.response.field_names == ("CEO", "Phone")
+        assert [name for name, _ in spec.response.fields] == ["CEO", "Phone"]
         assert spec.parameters[0].name == "companyName"
-        assert spec.return_field_names == ("CEO", "Phone")
+        assert [field.name for field in spec.returns] == ["CEO", "Phone"]
         assert spec.price == pytest.approx(0.02)
         assert spec.assignments == 3
         assert spec.batch_size == 2

@@ -22,7 +22,7 @@ from repro.core.operators.sink import ResultSinkOperator
 from repro.core.operators.sort_local import LocalSortOperator
 from repro.crowd.clock import SimulationClock
 from repro.engine import QurkEngine
-from repro.storage import ColumnRef, Comparison, DataType, Literal, Row
+from repro.storage import ColumnRef, Comparison, DataType, Literal, Row, Table
 
 
 def build_engine(n_rows=500, n_groups=10):
@@ -41,7 +41,7 @@ def build_engine(n_rows=500, n_groups=10):
 
 def submit_plan(engine, query_id, top):
     """Sink ``top`` and submit the hand-built plan to the engine's scheduler."""
-    results = engine.database.create_results_table(top.output_schema, query_id=query_id)
+    results = Table(query_id, top.output_schema)
     sink = ResultSinkOperator(results)
     sink.add_child(top)
     engine.budget_ledger.register(query_id, None)
@@ -272,7 +272,7 @@ class TestDrainBounds:
             "    TaskType: Filter\n"
             "    Text: \"Is %s red?\", n\n"
         )
-        from repro.crowd.oracle import CallbackOracle
+        from support import CallbackOracle
 
         engine.register_oracle("isRed", CallbackOracle(predicate=lambda item: True))
         handle = engine.query("SELECT n FROM t WHERE n < 2 AND isRed(n)")
@@ -305,9 +305,8 @@ class TestClockCompaction:
         assert clock.pending_events == 6
         events[0].cancel()  # double-cancel is a no-op
         assert clock.pending_events == 6
-        clock.advance_to(20.0)
+        assert clock.advance_to(20.0) == 6
         assert clock.pending_events == 0
-        assert clock.events_fired == 6
 
     def test_mass_cancellation_compacts_the_heap(self):
         clock = SimulationClock()
@@ -321,8 +320,7 @@ class TestClockCompaction:
         assert len(clock._events) - clock._cancelled_in_heap == 20
         assert clock.pending_events == 20
         assert clock.next_event_time() == events[80].time
-        clock.run_until_idle()
-        assert clock.events_fired == 20
+        assert clock.run_until_idle() == 20
 
     def test_cancel_after_fire_does_not_corrupt_the_count(self):
         clock = SimulationClock()

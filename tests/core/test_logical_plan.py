@@ -48,6 +48,11 @@ def environment():
     return planner, optimizer, statistics
 
 
+def choose(planner, plan):
+    """The costed winner among ``plan``'s enumerated trees, and every candidate."""
+    return planner.physical.pick(planner.physical.enumerate_trees(plan))
+
+
 def nodes_of(root, node_type):
     return [node for node in root.walk() if isinstance(node, node_type)]
 
@@ -108,7 +113,7 @@ class TestAnnotation:
     def test_filter_applies_selectivity_prior(self, environment):
         planner, optimizer, _stats = environment
         plan = planner.lower(parse_select("SELECT name FROM products WHERE isTargetColor(name)"))
-        chosen, _candidates = planner.physical.choose(plan)
+        chosen, _candidates = choose(planner, plan)
         filters = nodes_of(chosen.root, LogicalFilter)
         assert filters[0].estimated_rows == pytest.approx(12 * 0.5)
 
@@ -120,7 +125,7 @@ class TestAnnotation:
         plan = planner.lower(
             parse_select("SELECT name FROM products WHERE NOT isTargetColor(name)")
         )
-        chosen, _ = planner.physical.choose(plan)
+        chosen, _ = choose(planner, plan)
         crowd_filter = next(n for n in nodes_of(chosen.root, LogicalFilter) if n.is_crowd)
         assert crowd_filter.negate
         assert crowd_filter.estimated_rows == pytest.approx(12 * (1 - 2 / 40))
@@ -134,7 +139,7 @@ class TestAnnotation:
                 "WHERE isTargetColor(name) GROUP BY category LIMIT 2"
             )
         )
-        chosen, _ = planner.physical.choose(plan)
+        chosen, _ = choose(planner, plan)
         group = nodes_of(chosen.root, LogicalGroupBy)[0]
         limit = nodes_of(chosen.root, LogicalLimit)[0]
         expected = 12 * 0.5
@@ -142,7 +147,7 @@ class TestAnnotation:
         assert limit.estimated_rows == pytest.approx(expected)
         # Local ORDER BY likewise passes through.
         plan = planner.lower(parse_select("SELECT name FROM products ORDER BY price ASC"))
-        chosen, _ = planner.physical.choose(plan)
+        chosen, _ = choose(planner, plan)
         local_sort = next(n for n in nodes_of(chosen.root, LogicalSort) if not n.is_crowd)
         assert local_sort.estimated_rows == pytest.approx(12)
         assert local_sort.estimated_cost.dollars == 0.0
@@ -150,7 +155,7 @@ class TestAnnotation:
     def test_render_tree_mentions_rows(self, environment):
         planner, optimizer, _stats = environment
         plan = planner.lower(parse_select("SELECT name FROM products"))
-        chosen, _ = planner.physical.choose(plan)
+        chosen, _ = choose(planner, plan)
         text = render_tree(chosen.root)
         assert "scan(products)" in text and "rows]" in text
 

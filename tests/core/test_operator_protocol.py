@@ -41,7 +41,16 @@ from repro.core.optimizer.statistics import StatisticsManager
 from repro.core.tasks.task_manager import TaskManager
 from repro.crowd import MTurkSimulator, PopulationMix, SimulationClock, WorkerPool
 from repro.errors import OperatorError
-from repro.storage import Arithmetic, ColumnRef, Comparison, Database, DataType, Literal, Schema
+from repro.storage import (
+    Arithmetic,
+    ColumnRef,
+    Comparison,
+    Database,
+    DataType,
+    Literal,
+    Schema,
+    Table,
+)
 from repro.storage.batch import RowBatch
 from repro.workloads import CelebrityWorkload, CompaniesWorkload, CompositeOracle, ProductsWorkload
 
@@ -327,7 +336,7 @@ def run_case(case, shape):
     operator = build(feeds)
     for feed in feeds:
         operator.add_child(feed)
-    results = context.database.create_results_table(operator.output_schema, query_id="q1")
+    results = Table("q1", operator.output_schema)
     sink = ResultSinkOperator(results)
     sink.add_child(operator)
 

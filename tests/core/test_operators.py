@@ -78,7 +78,7 @@ def execute(root, context):
 
 
 def sink_for(operator, database, query_id="q1"):
-    table = database.create_results_table(operator.output_schema, query_id=query_id)
+    table = Table(query_id, operator.output_schema)
     sink = ResultSinkOperator(table)
     sink.add_child(operator)
     return sink, table

@@ -154,6 +154,27 @@ class TestRetirement:
         assert aliased.results_table.schema is not first.results_table.schema
         assert aliased.results_table.schema.names[-1] == "phone"
 
+    def test_queries_leave_no_table_in_the_catalog(self):
+        """A results table belongs to its handle; the catalog holds base tables."""
+        engine, sqls = warm_lookups()
+        for sql in sqls * 5:
+            engine.query(sql).wait()
+        assert engine.database.catalog.table_names() == ["companies"]
+        assert len(engine.database.catalog) == 1
+
+    def test_each_query_has_its_own_results_table_named_by_its_id(self):
+        engine, sqls = warm_lookups(n_companies=4)
+        first, second = engine.query(sqls[0]), engine.query(sqls[0])
+        first.wait()
+        second.wait()
+        assert first.results_table is not second.results_table
+        assert (first.results_table.name, second.results_table.name) == (
+            first.query_id,
+            second.query_id,
+        )
+        assert first.query_id != second.query_id
+        assert len(first.results_table) == len(second.results_table) == 1
+
     @pytest.mark.parametrize(
         "scenario, retired",
         [

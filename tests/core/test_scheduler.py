@@ -17,11 +17,13 @@ from repro.core.optimizer.statistics import StatisticsManager
 from repro.core.tasks.spec import Parameter, TaskSpec, TaskType, YesNoResponse
 from repro.core.tasks.task import Task, TaskKind
 from repro.core.tasks.task_manager import TaskManager
-from repro.crowd import CallbackOracle, MTurkSimulator, PopulationMix, SimulationClock, WorkerPool
+from repro.crowd import MTurkSimulator, PopulationMix, SimulationClock, WorkerPool
 from repro.dashboard import QueryDashboard
 from repro.errors import ExecutionError, ExpressionError, QueryStalledError
 from repro.experiments import build_products_engine
 from repro.storage import DataType, Schema, Table
+
+from support import CallbackOracle
 
 FILTER_SQL = "SELECT name FROM products WHERE isTargetColor(name)"
 #: A query whose own predicate raises on the first row it evaluates.
@@ -321,11 +323,11 @@ class TestFairnessAtScale:
         scheduler = run.engine.scheduler
         first = run.engine.query(FILTER_SQL)
         second = run.engine.query(FILTER_SQL)
-        assert set(scheduler.runnable_queries()) == {first.query_id, second.query_id}
+        assert set(scheduler._runnable) == {first.query_id, second.query_id}
         observed_parked = False
         while not (first.is_terminal and second.is_terminal):
             scheduler.step()
-            if len(scheduler.runnable_queries()) < len(scheduler.active_queries()):
+            if len(scheduler._runnable) < len(scheduler.active_queries()):
                 # At least one admitted query is parked awaiting crowd work —
                 # the ready queue really is a subset, not a relabeling.
                 observed_parked = True

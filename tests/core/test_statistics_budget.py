@@ -84,9 +84,9 @@ class TestStatisticsManager:
         stats.record_vote("good", True)
         stats.record_vote("good", True)
         stats.record_vote("bad", False)
-        assert stats.worker("good").agreement_rate == 1.0
-        assert stats.worker("bad").agreement_rate == 0.0
-        assert stats.worker("unseen").agreement_rate == 1.0
+        assert (stats.worker("good").votes, stats.worker("good").votes_with_majority) == (2, 2)
+        assert (stats.worker("bad").votes, stats.worker("bad").votes_with_majority) == (1, 0)
+        assert stats.worker("unseen").votes == 0
 
     def test_result_emission_and_hit_posting_counters(self):
         stats = StatisticsManager()
@@ -98,12 +98,9 @@ class TestStatisticsManager:
         assert query.tasks_submitted == 1
         assert query.results_emitted == 3
 
-    def test_query_stats_budget_accessors(self):
+    def test_query_stats_elapsed(self):
         stats = StatisticsManager()
         query = stats.query("q1")
-        query.budget = 1.0
-        query.spent = 0.25
-        assert query.remaining_budget == pytest.approx(0.75)
         query.started_at = 10.0
         query.finished_at = 110.0
         assert query.elapsed == pytest.approx(100.0)

@@ -44,17 +44,6 @@ class TestTaskCache:
         assert cache.lookup("g", ("x",)) is None
         assert ("f", ("x",)) in cache
 
-    def test_invalidate(self):
-        cache = TaskCache()
-        cache.store("f", ("x",), 1, cost=0.1, now=0.0)
-        cache.store("f", ("y",), 2, cost=0.1, now=0.0)
-        cache.store("g", ("x",), 3, cost=0.1, now=0.0)
-        assert cache.invalidate("f") == 2
-        assert len(cache) == 1
-        assert cache.invalidate() == 1
-        assert cache.stats.entries == 0
-
-
     def test_one_record_format_for_export_snapshot_and_tier(self, tmp_path):
         """``CacheEntry.record`` is the one record: the engine-snapshot state
         and the durable tier's WAL carry it and pack it at their boundary,

@@ -19,7 +19,6 @@ from repro.core.tasks.task_cache import TaskCache
 from repro.core.tasks.task_manager import TaskManager
 from repro.core.tasks.task_model import TaskModelRegistry
 from repro.crowd import (
-    CallbackOracle,
     MTurkSimulator,
     PopulationMix,
     SimulationClock,
@@ -27,6 +26,8 @@ from repro.crowd import (
 )
 from repro.errors import BudgetExceededError
 from repro.testing.invariants import check_invariants
+
+from support import CallbackOracle
 
 
 FILTER_SPEC = TaskSpec(

@@ -97,6 +97,3 @@ class TestTaskSpecHelpers:
             question_spec().render_text()
         with pytest.raises(TaskError):
             question_spec(text="no placeholders").render_text("extra")
-
-    def test_return_field_names(self):
-        assert question_spec().return_field_names == ("CEO",)

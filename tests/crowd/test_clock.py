@@ -42,7 +42,7 @@ class TestScheduling:
         fired = []
         event = clock.schedule_in(5, lambda: fired.append("x"))
         event.cancel()
-        clock.advance_by(10)
+        clock.advance_to(clock.now + 10)
         assert fired == []
         assert clock.pending_events == 0
 
@@ -78,12 +78,11 @@ class TestScheduling:
         with pytest.raises(CrowdError):
             clock.run_until_idle(max_events=100)
 
-    def test_events_fired_counter(self):
+    def test_run_until_idle_counts_the_events_it_fires(self):
         clock = SimulationClock()
         clock.schedule_in(1, lambda: None)
         clock.schedule_in(2, lambda: None)
-        clock.run_until_idle()
-        assert clock.events_fired == 2
+        assert clock.run_until_idle() == 2
 
 
 class TestHeapCompaction:
@@ -108,8 +107,7 @@ class TestHeapCompaction:
         events[20].cancel()
         assert len(clock._events) == 19
         assert clock.pending_events == 19
-        clock.run_until_idle()
-        assert clock.events_fired == 19
+        assert clock.run_until_idle() == 19
 
     def test_compaction_at_absolute_floor_with_large_live_heap(self):
         # A long-lived engine: a big live heap and a minority of cancels.

@@ -4,7 +4,6 @@ import pytest
 
 from repro.crowd import (
     AssignmentStatus,
-    CallbackOracle,
     FaultProfile,
     FormField,
     HITContent,
@@ -17,6 +16,8 @@ from repro.crowd import (
     WorkerPool,
 )
 from repro.errors import CrowdError
+
+from support import CallbackOracle
 
 
 ORACLE = CallbackOracle(

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.crowd import (
-    CallbackOracle,
     DiligentWorker,
     FormField,
     HITContent,
@@ -17,6 +16,8 @@ from repro.crowd import (
     WorkerModel,
 )
 from repro.errors import WorkerError
+
+from support import CallbackOracle
 
 
 def predicate_content(n=20):

@@ -51,10 +51,11 @@ class TestDurableAnswerTier:
         assert third.entry_count == 4
         third.close()
 
-    def test_invalidate_is_durable(self, tmp_path):
+    def test_a_logged_invalidation_still_replays(self, tmp_path):
+        """Older logs hold ``answers_invalidated`` records; replay applies them."""
         tier = DurableAnswerTier(tmp_path)
-        cache = _warm_cache(tier)
-        cache.invalidate("findCEO")
+        _warm_cache(tier)
+        tier.wal.append("answers_invalidated", {"name": "findCEO"}, durable=True)
         tier.close()
         reopened = DurableAnswerTier(tmp_path)
         assert reopened.entry_count == 1
@@ -62,6 +63,21 @@ class TestDurableAnswerTier:
         reopened.load_into(fresh)
         assert fresh.lookup("findCEO", ("Acme",)) is None
         assert fresh.lookup("isRed", ("mug",)) is not None
+        reopened.close()
+
+    def test_a_logged_invalidation_of_every_name_still_replays(self, tmp_path):
+        """A nameless ``answers_invalidated`` record drops every answer before it."""
+        tier = DurableAnswerTier(tmp_path)
+        cache = _warm_cache(tier)
+        tier.wal.append("answers_invalidated", {"name": None}, durable=True)
+        cache.store("isRed", ("cup",), False, cost=0.045, now=4.0)
+        tier.close()
+        reopened = DurableAnswerTier(tmp_path)
+        assert reopened.entry_count == 1
+        fresh = TaskCache()
+        assert reopened.load_into(fresh) == 1
+        assert fresh.lookup("isRed", ("cup",)) is not None
+        assert fresh.lookup("isRed", ("mug",)) is None
         reopened.close()
 
     def test_refuses_an_engine_wal_directory(self, tmp_path):

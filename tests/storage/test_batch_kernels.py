@@ -384,7 +384,7 @@ def _run_local_pipeline(seed: int) -> list[tuple]:
     from repro.core.exec.handle import QueryHandle
     from repro.core.operators.sink import ResultSinkOperator
 
-    results = engine.database.create_results_table(group.output_schema, query_id="prop")
+    results = Table("prop", group.output_schema)
     sink = ResultSinkOperator(results)
     sink.add_child(group)
     engine.budget_ledger.register("prop", None)

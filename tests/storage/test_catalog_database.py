@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import CatalogError
+from repro.experiments import build_companies_engine
 from repro.storage import Catalog, Database, DataType, Schema, Table
 
 
@@ -11,7 +12,7 @@ class TestCatalog:
         catalog = Catalog()
         catalog.create_table("Companies", Schema.of("name"))
         assert catalog.table("companies").name == "Companies"
-        assert catalog.has_table("COMPANIES")
+        assert catalog.table("COMPANIES").name == "Companies"
 
     def test_duplicate_create_rejected(self):
         catalog = Catalog()
@@ -39,7 +40,7 @@ class TestCatalog:
         catalog = Catalog()
         catalog.create_table("t", Schema.of("a"))
         catalog.drop_table("t")
-        assert not catalog.has_table("t")
+        assert catalog.table_names() == []
         with pytest.raises(CatalogError):
             catalog.drop_table("t")
         catalog.drop_table("t", if_exists=True)
@@ -67,29 +68,24 @@ class TestDatabase:
         assert count == 2
         assert len(db.table("companies")) == 2
 
-    def test_results_tables_get_unique_names(self):
-        db = Database()
-        first = db.create_results_table(Schema.of("a"))
-        second = db.create_results_table(Schema.of("a"))
-        assert first.name != second.name
-        assert db.has_table(first.name)
-
-    def test_results_table_with_query_id(self):
-        db = Database()
-        table = db.create_results_table(Schema.of("a"), query_id="q42")
-        assert "q42" in table.name
-
-    def test_unknown_table_hint_lists_base_tables_only(self):
+    def test_unknown_table_hint_lists_the_tables(self):
         db = Database()
         db.create_table("companies", ["name"])
-        for number in range(3):
-            db.create_results_table(Schema.of("a"), query_id=f"q{number}")
         with pytest.raises(CatalogError) as excinfo:
             db.table("missing")
+        assert str(excinfo.value) == "unknown table 'missing'; known tables: companies"
+
+    def test_unknown_table_hint_lists_base_tables_only(self):
+        """Finished queries leave no results table for the hint to list."""
+        engine = build_companies_engine(n_companies=3, seed=1).engine
+        for _ in range(3):
+            engine.query("SELECT companyName FROM companies").wait()
+        with pytest.raises(CatalogError) as excinfo:
+            engine.query("SELECT companyName FROM missing")
         assert str(excinfo.value) == "unknown table 'missing'; known tables: companies"
 
     def test_drop_table(self):
         db = Database()
         db.create_table("t", ["a"])
         db.drop_table("t")
-        assert not db.has_table("t")
+        assert db.catalog.table_names() == []

@@ -14,11 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.serialization import FrameDecoder, decode_rows, encode_rows, frame_message
+from repro.cluster.serialization import decode_rows, encode_rows, frame_message
 from repro.errors import CodecError
 from repro.storage import DataType, Schema
 from repro.storage.codec import dumps, loads, lower, pack, unpack
 from repro.storage.row import Row
+
+from support import read_frames
 
 
 def _round_trip(value):
@@ -145,7 +147,7 @@ class TestWireRows:
         schema = Schema.of(("answer", DataType.ANY))
         values = [{1: "a"}, {"__tuple__": [1, 2]}, {(1, 2): "x"}]
         rows = [Row.unchecked(schema, (value,)) for value in values]
-        (message,) = FrameDecoder().feed(frame_message(encode_rows(rows)))
+        (message,) = read_frames([frame_message(encode_rows(rows))])
         decoded = decode_rows(message)
         assert [row.values[0] for row in decoded] == values
         assert all(_exact(row.values[0], value) for row, value in zip(decoded, values))

@@ -53,13 +53,6 @@ class TestUncheckedDerivationsMatchValidation:
             assert trusted == rebuilt
             assert trusted.values == rebuilt.values
 
-    def test_projection_matches_validated_projection(self, table):
-        names = table.schema.names[:2]
-        for row in table.scan():
-            fast = row.project(names)
-            slow = Row(row.schema.project(names), [row[n] for n in names])
-            assert fast == slow
-
     def test_concat_matches_validated_concat(self, table):
         left_schema = table.schema.qualified("l")
         right_schema = table.schema.qualified("r")
@@ -71,14 +64,12 @@ class TestUncheckedDerivationsMatchValidation:
             slow = Row(left_schema.concat(right_schema), left.values + right.values)
             assert fast == slow
 
-    def test_extended_and_replaced_validate_new_values_only(self, table):
+    def test_extended_validates_new_values_only(self, table):
         extra = (Column("extra_note", DataType.STRING),)
         for row in table.scan():
             extended = row.extended(extra, ["note"])
             assert extended.values == row.values + ("note",)
             assert extended.schema.names == row.schema.names + ("extra_note",)
-            replaced = extended.replaced("extra_note", "other")
-            assert replaced["extra_note"] == "other"
         with pytest.raises(Exception):
             # The new value still goes through column validation.
             next(iter(table)).extended(extra, [1234])
@@ -121,11 +112,6 @@ class TestSchemaMemoization:
         self.schema = Schema.of(
             ("t.a", DataType.INTEGER), ("t.b", DataType.STRING), ("t.c", DataType.FLOAT)
         )
-
-    def test_project_returns_same_object_for_same_shape(self):
-        assert self.schema.project(("t.a", "t.b")) is self.schema.project(("t.a", "t.b"))
-        assert self.schema.project(("b",)) is self.schema.project(("b",))
-        assert self.schema.project(("t.a",)) is not self.schema.project(("t.b",))
 
     def test_concat_returns_same_object_for_same_operand(self):
         other = Schema.of(("u.x", DataType.INTEGER))
@@ -184,19 +170,6 @@ def test_batch_roundtrip_property(schema, data):
     batch = RowBatch.from_rows(schema, rows)
     assert batch.to_rows() == rows
     assert len(batch) == len(rows)
-
-
-@given(unique_schemas(min_size=2), st.data())
-def test_unchecked_project_equals_validating_project_property(schema, data):
-    values = [data.draw(st.integers(-99, 99)) for _ in schema]
-    row = Row(schema, values)
-    subset = data.draw(
-        st.permutations(list(schema.names)).map(lambda p: p[: max(1, len(p) // 2)])
-    )
-    fast = row.project(subset)
-    slow = Row(schema.project(subset), [row[name] for name in subset])
-    assert fast == slow
-    assert fast.schema is slow.schema  # memoized: same object per shape
 
 
 class TestCompiledExpressions:

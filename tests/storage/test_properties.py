@@ -23,16 +23,6 @@ def test_row_roundtrips_through_dict(schema, data):
     assert rebuilt == row
 
 
-@given(unique_schemas(min_size=2), st.data())
-def test_projection_is_idempotent_and_order_preserving(schema, data):
-    values = [data.draw(st.integers(0, 10)) for _ in schema]
-    row = Row(schema, values)
-    subset = data.draw(st.permutations(list(schema.names)).map(lambda p: p[: max(1, len(p) // 2)]))
-    projected = row.project(subset)
-    assert projected.schema.names == tuple(subset)
-    assert projected.project(subset) == projected
-
-
 @given(unique_schemas(), st.lists(st.lists(st.integers(0, 100), min_size=0), min_size=0, max_size=30))
 @settings(max_examples=50)
 def test_table_insert_count_and_polling_invariants(schema, raw_rows):

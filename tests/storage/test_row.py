@@ -58,11 +58,6 @@ class TestRowAccess:
 
 
 class TestRowDerivation:
-    def test_project(self, schema):
-        row = Row(schema, ["Acme", 1]).project(["employees"])
-        assert row.values == (1,)
-        assert row.schema.names == ("companies.employees",)
-
     def test_concat(self, schema):
         other_schema = Schema.of(("spotted.id", DataType.INTEGER),)
         left = Row(schema, ["Acme", 1])
@@ -78,10 +73,6 @@ class TestRowDerivation:
         )
         assert row["ceo"] == "Jane Doe"
         assert len(row) == 4
-
-    def test_replaced(self, schema):
-        row = Row(schema, ["Acme", 1]).replaced("employees", 9)
-        assert row["employees"] == 9
 
     def test_rows_are_immutable_value_objects(self, schema):
         row = Row(schema, ["Acme", 1])

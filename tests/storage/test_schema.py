@@ -7,13 +7,9 @@ from repro.storage import Column, DataType, Schema
 
 
 class TestColumn:
-    def test_unqualified_and_qualifier(self):
+    def test_unqualified_name(self):
         col = Column("companies.name", DataType.STRING)
         assert col.unqualified_name == "name"
-        assert col.qualifier == "companies"
-
-    def test_unqualified_column_has_no_qualifier(self):
-        assert Column("name").qualifier is None
 
     def test_with_qualifier(self):
         col = Column("name", DataType.STRING).with_qualifier("companies")
@@ -42,9 +38,6 @@ class TestColumn:
     def test_validate_widens_int_to_float(self):
         value = Column("x", DataType.FLOAT).validate(3)
         assert value == 3.0 and isinstance(value, float)
-
-    def test_renamed(self):
-        assert Column("a", DataType.STRING).renamed("b").name == "b"
 
 
 class TestSchema:
@@ -82,10 +75,6 @@ class TestSchema:
         schema = self.make()
         assert "name" in schema
         assert "missing" not in schema
-
-    def test_project_preserves_order_given(self):
-        schema = self.make().project(["public", "name"])
-        assert schema.names == ("public", "name")
 
     def test_concat(self):
         left = Schema.of("l.a", "l.b")

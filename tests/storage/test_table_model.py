@@ -181,7 +181,7 @@ class TableModel(RuleBasedStateMachine):
                 assert index.positions_range(low=0) == [
                     p for p, row in enumerate(model) if row[1] is not None and row[1] >= 0
                 ]
-        assert [row.values for row in table.select(lambda row: row["n"] == 1)] == [
+        assert [row.values for row in table.rows() if row["n"] == 1] == [
             row for row in model if row[1] == 1
         ]
 

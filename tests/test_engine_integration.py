@@ -167,7 +167,7 @@ class TestBatchSize:
         first = engine.query(sql)
         first.wait()
         assert first.stats.hits_posted == engine.estimate_query_cost(first).hits == 3
-        engine.task_cache.invalidate("isTargetColor")
+        engine.task_cache.enabled = False  # every product goes back to the crowd
         engine.define_task(workload.color_filter_spec(batch_size=1), learnable=False)
         second = engine.query(sql)
         second.wait()

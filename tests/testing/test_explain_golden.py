@@ -22,7 +22,6 @@ import pytest
 from repro.core.exec.context import QueryConfig
 from repro.core.lang.sql_parser import parse_select
 from repro.core.operators.crowd_join import CrowdJoinOperator, JoinStrategy
-from repro.core.plan.planner import TemplateSlot
 from repro.engine import QurkEngine
 from repro.experiments import (
     QUERY1_SQL,

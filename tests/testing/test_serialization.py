@@ -5,8 +5,11 @@ The shard protocol is length-prefixed JSON, with tuples tagged
 the exactness guarantee the coordinator relies on: anything a worker encodes
 decodes back to an equal value on the other side.  The column-wise row
 encoder is checked byte for byte against a row-wise reference, and the frame
-codec is fuzzed with random frames, chunkings and bytes.
+reader the server and ``request()`` run (``_read_frame`` over an
+``asyncio.StreamReader``) is fuzzed with random frames, chunkings and bytes.
 """
+
+import asyncio
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.cluster.serialization import (
     MAX_FRAME_BYTES,
-    FrameDecoder,
     decode_message,
     decode_query,
     decode_rows,
@@ -25,11 +27,14 @@ from repro.cluster.serialization import (
     encode_schema,
     frame_message,
 )
+from repro.cluster.server import _read_frame
 from repro.core.exec.context import QueryConfig
 from repro.errors import ClusterError
 from repro.experiments import build_products_engine
 from repro.storage import DataType, Schema, Table
 from repro.storage.row import Row
+
+from support import read_frames
 
 
 class TestFraming:
@@ -37,20 +42,40 @@ class TestFraming:
         message = {"op": "submit", "sql": "SELECT 1", "nested": {"a": [1, 2.5, None, True]}}
         assert decode_message(encode_message(message)) == message
 
-    def test_frame_decoder_reassembles_byte_by_byte(self):
+    def test_frame_reader_reassembles_byte_by_byte(self):
         messages = [{"op": "ping"}, {"op": "pump", "max_passes": 3}]
         stream = b"".join(frame_message(m) for m in messages)
-        decoder = FrameDecoder()
-        received = []
-        for offset in range(len(stream)):
-            received.extend(decoder.feed(stream[offset : offset + 1]))
-        assert received == messages
-        assert decoder.pending_bytes == 0
+        assert read_frames(stream[offset : offset + 1] for offset in range(len(stream))) == messages
 
-    def test_frame_decoder_handles_many_messages_in_one_chunk(self):
+    def test_frame_reader_handles_many_messages_in_one_chunk(self):
         messages = [{"op": "status", "query_id": f"cq{i}"} for i in range(10)]
-        decoder = FrameDecoder()
-        assert decoder.feed(b"".join(frame_message(m) for m in messages)) == messages
+        assert read_frames([b"".join(frame_message(m) for m in messages)]) == messages
+
+    def test_a_stream_cut_inside_a_frame_is_incomplete(self):
+        stream = frame_message({"op": "ping"})
+        with pytest.raises(asyncio.IncompleteReadError):
+            read_frames([stream[:-1]])
+
+    def test_a_stream_cut_inside_the_length_prefix_is_incomplete(self):
+        stream = frame_message({"op": "ping"})
+        with pytest.raises(asyncio.IncompleteReadError):
+            read_frames([stream[:2]])
+
+    def test_a_clean_close_between_frames_leaves_no_partial_frame(self):
+        """How the server and ``request()`` tell a peer's close from a cut frame."""
+
+        async def read():
+            reader = asyncio.StreamReader()
+            reader.feed_data(frame_message({"op": "ping"}))
+            reader.feed_eof()
+            body = await _read_frame(reader)
+            with pytest.raises(asyncio.IncompleteReadError) as excinfo:
+                await _read_frame(reader)
+            return body, excinfo.value.partial
+
+        body, partial = asyncio.run(read())
+        assert decode_message(body) == {"op": "ping"}
+        assert partial == b""
 
     def test_junk_payload_raises_cluster_error(self):
         with pytest.raises(ClusterError, match="undecodable"):
@@ -59,10 +84,9 @@ class TestFraming:
             decode_message(b"[1, 2, 3]")
 
     def test_oversized_length_prefix_rejected(self):
-        decoder = FrameDecoder()
         huge = (MAX_FRAME_BYTES + 1).to_bytes(4, "big")
         with pytest.raises(ClusterError, match="exceeds"):
-            decoder.feed(huge)
+            read_frames([huge])
 
 
 #: JSON values that survive a round trip unchanged (NaN compares unequal).
@@ -79,30 +103,27 @@ class TestCodecFuzzing:
         st.lists(st.dictionaries(st.text(max_size=8), _JSON_VALUES, max_size=4), max_size=5),
         st.lists(st.integers(min_value=0), max_size=10),
     )
-    def test_frame_decoder_returns_exactly_the_frames_fed_in_any_chunking(self, messages, cuts):
+    def test_frame_reader_returns_exactly_the_frames_fed_in_any_chunking(self, messages, cuts):
         stream = b"".join(frame_message(message) for message in messages)
         bounds = sorted({0, len(stream), *(cut % (len(stream) + 1) for cut in cuts)})
-        decoder = FrameDecoder()
-        received = []
-        for start, end in zip(bounds, bounds[1:]):
-            received.extend(decoder.feed(stream[start:end]))
-        assert received == messages
-        assert decoder.pending_bytes == 0
+        chunks = [stream[start:end] for start, end in zip(bounds, bounds[1:])]
+        assert read_frames(chunks) == messages
 
     @settings(max_examples=200, deadline=None)
     @given(st.binary(max_size=64))
     @example(b"9" * 5000)  # an integer literal longer than int() converts
     @example(b"[" * 100_000)  # nested deeper than the parser's stack
     def test_arbitrary_bytes_raise_only_cluster_error(self, data):
+        """A stream may also end mid-frame: that is the reader's one other error."""
         framed = len(data).to_bytes(4, "big") + data
-        for decode, payload in (
-            (decode_message, data),
-            (FrameDecoder().feed, data),
-            (FrameDecoder().feed, framed),
-        ):
+        try:
+            decode_message(data)
+        except ClusterError:
+            pass
+        for stream in (data, framed):
             try:
-                decode(payload)
-            except ClusterError:
+                read_frames([stream])
+            except (ClusterError, asyncio.IncompleteReadError):
                 pass
 
 

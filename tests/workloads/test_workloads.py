@@ -85,12 +85,12 @@ class TestCompaniesWorkload:
     def test_install_registers_table(self):
         database = Database()
         CompaniesWorkload(n_companies=3, seed=6).install(database)
-        assert database.has_table("companies")
+        assert database.catalog.table_names() == ["companies"]
 
     def test_findceo_spec_matches_paper(self):
         spec = CompaniesWorkload(n_companies=2, seed=1).findceo_spec()
         assert spec.name == "findCEO"
-        assert spec.return_field_names == ("CEO", "Phone")
+        assert [field.name for field in spec.returns] == ["CEO", "Phone"]
         assert "%s" in spec.text
 
 
