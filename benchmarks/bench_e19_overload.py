@@ -59,7 +59,7 @@ FAULTS = dict(
     congestion_per_open_hit=0.1,
 )
 
-BREAKER = dict(failure_threshold=6, cooldown=300.0, seed=FAULT_SEED)
+BREAKER = dict(failure_threshold=6, cooldown=300.0)
 
 
 def _query_sql(names: list[str]) -> str:

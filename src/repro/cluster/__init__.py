@@ -9,7 +9,7 @@ today over multiprocessing pipes and over TCP by the asyncio front end
 """
 
 from repro.cluster.coordinator import ClusterQueryHandle, ClusterStats, ShardCoordinator
-from repro.cluster.placement import HashPlacement, Placement, RoundRobinPlacement, make_placement
+from repro.cluster.placement import Placement, RoundRobinPlacement, make_placement
 from repro.cluster.worker import EngineSpec, ShardWorker
 
 __all__ = [
@@ -20,6 +20,5 @@ __all__ = [
     "ShardWorker",
     "Placement",
     "RoundRobinPlacement",
-    "HashPlacement",
     "make_placement",
 ]

@@ -3,9 +3,9 @@
 A :class:`ShardCoordinator` partitions queries across ``n_shards`` worker
 processes, each running a full :class:`~repro.engine.QurkEngine` built from
 the same :class:`~repro.cluster.worker.EngineSpec` (so every shard is an
-identical, independent marketplace).  Placement is deterministic — seeded
-hash or round-robin by admission order — which is what makes N-shard
-same-seed runs fingerprint-stable.
+identical, independent marketplace).  Placement is deterministic — by
+admission order — which is what makes N-shard same-seed runs
+fingerprint-stable.
 
 Determinism contract: a 1-shard cluster is byte-identical to the in-process
 engine.  The worker's ``drain`` op is exactly the chaos harness's driving
@@ -176,11 +176,9 @@ class ShardCoordinator:
     n_shards:
         Number of worker processes.
     placement:
-        ``"round-robin"`` (default: admission order, ``i % n``) or
-        ``"hash"`` (seeded SHA-256 of the query id), or a ready-made
+        ``"round-robin"`` (default: admission order, ``i % n``),
+        ``"health"`` (round-robin over the healthy shards), or a ready-made
         :class:`~repro.cluster.placement.Placement`.
-    seed:
-        Seed for hash placement (ignored by round-robin).
     start_method:
         ``multiprocessing`` start method; ``"fork"`` is the cheap default.
     durability_root:
@@ -226,7 +224,6 @@ class ShardCoordinator:
         n_shards: int = 1,
         *,
         placement: str | Placement = "round-robin",
-        seed: int = 0,
         start_method: str = "fork",
         durability_root: str | Path | None = None,
         durability_fsync: str = "interval",
@@ -250,7 +247,7 @@ class ShardCoordinator:
         self.placement = (
             placement
             if isinstance(placement, Placement)
-            else make_placement(placement, n_shards, seed)
+            else make_placement(placement, n_shards)
         )
         if self.placement.n_shards != n_shards:
             raise ClusterError(

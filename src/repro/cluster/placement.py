@@ -8,13 +8,6 @@ fingerprints could never be stable.  Two policies are provided:
     Place by admission order: the *i*-th submitted query goes to shard
     ``i % n``.  Perfectly balanced and trivially reproducible.
 
-``hash``
-    Place by a seeded SHA-256 of the query key (its coordinator-assigned
-    id), so a query's shard is a pure function of ``(seed, key, n_shards)``
-    and does not depend on what else was submitted.  Python's builtin
-    ``hash`` is *not* used — it is salted per process, which would break
-    cross-run stability.
-
 ``health``
     Round-robin over the shards the coordinator currently considers
     healthy.  The healthy set changes only at explicit, recorded points
@@ -25,14 +18,11 @@ fingerprints could never be stable.  Two policies are provided:
 
 from __future__ import annotations
 
-import hashlib
-
 from repro.errors import ClusterError
 
 __all__ = [
     "Placement",
     "RoundRobinPlacement",
-    "HashPlacement",
     "HealthAwarePlacement",
     "make_placement",
 ]
@@ -55,18 +45,6 @@ class RoundRobinPlacement(Placement):
 
     def shard_of(self, index: int, key: str) -> int:
         return index % self.n_shards
-
-
-class HashPlacement(Placement):
-    """Seeded-hash placement: the shard is a pure function of the key."""
-
-    def __init__(self, n_shards: int, seed: int = 0):
-        super().__init__(n_shards)
-        self.seed = seed
-
-    def shard_of(self, index: int, key: str) -> int:
-        digest = hashlib.sha256(f"{self.seed}:{key}".encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "big") % self.n_shards
 
 
 class HealthAwarePlacement(Placement):
@@ -108,14 +86,10 @@ class HealthAwarePlacement(Placement):
         return pool[index % len(pool)]
 
 
-def make_placement(kind: str, n_shards: int, seed: int = 0) -> Placement:
+def make_placement(kind: str, n_shards: int) -> Placement:
     """Build the placement policy named ``kind``."""
     if kind == "round-robin":
         return RoundRobinPlacement(n_shards)
-    if kind == "hash":
-        return HashPlacement(n_shards, seed)
     if kind == "health":
         return HealthAwarePlacement(n_shards)
-    raise ClusterError(
-        f"unknown placement policy {kind!r} (use 'round-robin', 'hash', or 'health')"
-    )
+    raise ClusterError(f"unknown placement policy {kind!r} (use 'round-robin' or 'health')")

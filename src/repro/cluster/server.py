@@ -38,7 +38,6 @@ runs in the default executor under one lock — held for client requests only.
 from __future__ import annotations
 
 import asyncio
-import random
 from typing import Any
 
 from repro.cluster.coordinator import ShardCoordinator
@@ -218,8 +217,6 @@ async def request(
     *,
     attempts: int = _REQUEST_ATTEMPTS,
     backoff: float = _REQUEST_BACKOFF,
-    jitter: float = 0.0,
-    seed: int = 0,
 ) -> dict[str, Any]:
     """One-shot client: send a frame, await the reply frame.
 
@@ -234,24 +231,13 @@ async def request(
     rejections and validation failures are returned on the first attempt —
     retrying an overloaded cluster inside the retry loop would amplify the
     very load that triggered the rejection (honor ``retry_after`` instead).
-
-    ``jitter`` spreads the backoff by up to that fraction (e.g. ``0.5`` →
-    sleeps scaled by 1.0–1.5×) from a stream seeded by ``seed``, so a herd
-    of clients recovering from a server restart does not reconnect in
-    lockstep while tests still see reproducible delays.
     """
     if attempts < 1:
         raise ClusterError(f"request needs at least 1 attempt, got {attempts}")
-    if not 0.0 <= jitter <= 1.0:
-        raise ClusterError(f"jitter must be in [0, 1], got {jitter}")
-    rng = random.Random(seed) if jitter > 0.0 else None
     failures: list[str] = []
     for attempt in range(attempts):
         if attempt:
-            delay = backoff * 2 ** (attempt - 1)
-            if rng is not None:
-                delay *= 1.0 + jitter * rng.random()
-            await asyncio.sleep(delay)
+            await asyncio.sleep(backoff * 2 ** (attempt - 1))
         try:
             return await _request_once(host, port, message)
         except (ConnectionError, OSError, asyncio.IncompleteReadError) as error:

@@ -66,7 +66,16 @@ from repro.storage.table import RowsView
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.core.optimizer.adaptive import AdaptiveReplanner
 
-__all__ = ["SchedulerEvent", "SchedulerMetrics", "EngineScheduler", "check_priority"]
+__all__ = [
+    "OVERLOAD_RETRY_AFTER",
+    "SchedulerEvent",
+    "SchedulerMetrics",
+    "EngineScheduler",
+    "check_priority",
+]
+
+#: The advisory ``retry_after`` (clock seconds) an overload refusal carries.
+OVERLOAD_RETRY_AFTER = 30.0
 
 
 def check_priority(priority: float) -> None:
@@ -152,7 +161,6 @@ class EngineScheduler:
         replanner: "AdaptiveReplanner | None" = None,
         admission_queue_limit: int | None = None,
         overload_policy: str = "reject",
-        overload_retry_after: float = 30.0,
     ) -> None:
         if max_concurrent_queries is not None and max_concurrent_queries < 1:
             raise ExecutionError("max_concurrent_queries must be >= 1 (or None for unlimited)")
@@ -164,8 +172,6 @@ class EngineScheduler:
             raise ExecutionError(
                 f"overload_policy must be 'reject' or 'shed', got {overload_policy!r}"
             )
-        if overload_retry_after <= 0:
-            raise ExecutionError("overload_retry_after must be positive")
         self.clock = clock
         self.task_manager = task_manager
         self.max_concurrent_queries = max_concurrent_queries
@@ -177,7 +183,6 @@ class EngineScheduler:
         #: (``overload_policy="shed"``).
         self.admission_queue_limit = admission_queue_limit
         self.overload_policy = overload_policy
-        self.overload_retry_after = overload_retry_after
         self.metrics = SchedulerMetrics()
         #: Every lifecycle event, per query in recording order, as plain
         #: ``(seq, time, query_id, event, detail)`` tuples: ``seq`` numbers
@@ -308,8 +313,8 @@ class EngineScheduler:
         error = EngineOverloadedError(
             f"query {victim.handle.query_id} refused: the pending-admission queue is full "
             f"({queue_depth} waiting, limit {self.admission_queue_limit}); "
-            f"retry in {self.overload_retry_after:g}s",
-            retry_after=self.overload_retry_after,
+            f"retry in {OVERLOAD_RETRY_AFTER:g}s",
+            retry_after=OVERLOAD_RETRY_AFTER,
             query_id=victim.handle.query_id,
         )
         self._waiting.remove(victim)

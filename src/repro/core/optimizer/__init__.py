@@ -2,12 +2,7 @@
 
 from repro.core.optimizer.adaptive import AdaptiveReplanner, PlanChange
 from repro.core.optimizer.budget import BudgetLedger, QueryBudget
-from repro.core.optimizer.statistics import (
-    QueryStats,
-    SpecStats,
-    StatisticsManager,
-    WorkerStats,
-)
+from repro.core.optimizer.statistics import QueryStats, SpecStats, StatisticsManager
 
 __all__ = [
     "AdaptiveReplanner",
@@ -16,6 +11,5 @@ __all__ = [
     "QueryBudget",
     "StatisticsManager",
     "SpecStats",
-    "WorkerStats",
     "QueryStats",
 ]

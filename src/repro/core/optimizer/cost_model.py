@@ -17,9 +17,13 @@ from dataclasses import dataclass
 from repro.core.operators.crowd_join import JoinStrategy
 from repro.core.operators.crowd_sort import SortStrategy
 from repro.core.tasks.spec import JoinColumnsResponse, TaskSpec
-from repro.crowd.pricing import DEFAULT_PRICING, PricingPolicy
+from repro.crowd.pricing import DEFAULT_PRICING
 
 __all__ = ["CostEstimate", "CostModel", "majority_accuracy"]
+
+#: Estimated seconds for one HIT to complete; more HITs run in parallel and
+#: add only coordination and straggler time on top.
+BASE_HIT_LATENCY = 300.0
 
 
 @functools.lru_cache(maxsize=4096)
@@ -84,23 +88,18 @@ def cheaper_join_strategy(costs: dict[JoinStrategy, CostEstimate]) -> JoinStrate
 
 
 class CostModel:
-    """Translates task counts into HITs, dollars and rough latency."""
+    """Translates task counts into HITs, dollars and rough latency.
 
-    def __init__(
-        self,
-        pricing: PricingPolicy = DEFAULT_PRICING,
-        *,
-        base_hit_latency: float = 300.0,
-    ) -> None:
-        self.pricing = pricing
-        self.base_hit_latency = base_hit_latency
+    Fees follow :data:`~repro.crowd.pricing.DEFAULT_PRICING`, the fee
+    schedule the simulated marketplace charges.
+    """
 
     # -- building blocks ---------------------------------------------------------------
 
     def hit_cost(self, spec: TaskSpec, assignments: int | None = None) -> float:
         """Dollars for one HIT of ``spec`` (reward + fee, times redundancy)."""
         redundancy = assignments or spec.assignments
-        return self.pricing.assignment_cost(spec.price) * redundancy
+        return DEFAULT_PRICING.assignment_cost(spec.price) * redundancy
 
     def _estimate(self, spec: TaskSpec, tasks: float, tasks_per_hit: float, assignments: int | None) -> CostEstimate:
         tasks = max(tasks, 0.0)
@@ -110,7 +109,7 @@ class CostModel:
         dollars = hits * self.hit_cost(spec, assignments)
         # HITs run in parallel on the marketplace, so latency grows slowly
         # (coordination + stragglers) rather than linearly with HIT count.
-        latency = self.base_hit_latency * (1.0 + 0.15 * math.log1p(hits))
+        latency = BASE_HIT_LATENCY * (1.0 + 0.15 * math.log1p(hits))
         return CostEstimate(tasks=tasks, hits=float(hits), dollars=dollars, latency_seconds=latency)
 
     # -- per-operator estimates ------------------------------------------------------------
@@ -166,7 +165,7 @@ class CostModel:
             return CostEstimate()
         hits = max(blocks, 1)
         dollars = hits * self.hit_cost(spec, assignments)
-        latency = self.base_hit_latency * (1.0 + 0.15 * math.log1p(hits))
+        latency = BASE_HIT_LATENCY * (1.0 + 0.15 * math.log1p(hits))
         return CostEstimate(
             tasks=float(hits), hits=float(hits), dollars=dollars, latency_seconds=latency
         )

@@ -3,7 +3,7 @@
 "The manager takes data from the Statistics Manager to determine the number
 of HITs, HIT assignments, and the cost of each task" and "Query selectivities
 for HIT-based operators are not known a priori", so they are measured online.
-This module accumulates per-task-spec, per-worker and per-query statistics as
+This module accumulates per-task-spec and per-query statistics as
 task results stream in; the optimizer's costing and the dashboard read them.
 """
 
@@ -17,7 +17,6 @@ if TYPE_CHECKING:  # pragma: no cover - avoids a circular import with the task l
 
 __all__ = [
     "SpecStats",
-    "WorkerStats",
     "QueryStats",
     "StatisticsManager",
 ]
@@ -43,15 +42,6 @@ class SpecStats:
     def mean_agreement(self) -> float:
         """Mean worker agreement on the winning answer."""
         return self.total_agreement / self.crowd_tasks if self.crowd_tasks else 1.0
-
-
-@dataclass
-class WorkerStats:
-    """Per-worker quality statistics derived from agreement with the majority."""
-
-    assignments: int = 0
-    votes: int = 0
-    votes_with_majority: int = 0
 
 
 @dataclass
@@ -81,11 +71,10 @@ class QueryStats:
 
 
 class StatisticsManager:
-    """Accumulates statistics from completed tasks and worker votes."""
+    """Accumulates statistics from completed tasks and posted HITs."""
 
     def __init__(self) -> None:
         self._specs: dict[str, SpecStats] = {}
-        self._workers: dict[str, WorkerStats] = {}
         self._queries: dict[str, QueryStats] = {}
 
     # -- accessors ---------------------------------------------------------------
@@ -95,13 +84,6 @@ class StatisticsManager:
         stats = self._specs.get(name)
         if stats is None:
             stats = self._specs[name] = SpecStats()
-        return stats
-
-    def worker(self, worker_id: str) -> WorkerStats:
-        """Statistics bucket for a worker (created on first use)."""
-        stats = self._workers.get(worker_id)
-        if stats is None:
-            stats = self._workers[worker_id] = WorkerStats()
         return stats
 
     def query(self, query_id: str) -> QueryStats:
@@ -169,16 +151,6 @@ class StatisticsManager:
         if query_id:
             self.query(query_id).tasks_submitted += 1
 
-    def record_vote(self, worker_id: str, agreed_with_majority: bool) -> None:
-        """Record one worker vote and whether it matched the reduced answer."""
-        stats = self.worker(worker_id)
-        stats.votes += 1
-        stats.votes_with_majority += int(agreed_with_majority)
-
-    def record_worker_assignment(self, worker_id: str) -> None:
-        """Record that a worker submitted an assignment."""
-        self.worker(worker_id).assignments += 1
-
     def record_result_emitted(self, query_id: str, count: int = 1) -> None:
         """Record rows emitted into a query's results table."""
         if query_id:
@@ -197,15 +169,11 @@ class StatisticsManager:
 
         return {
             "specs": {name: asdict(stats) for name, stats in self._specs.items()},
-            "workers": {wid: asdict(stats) for wid, stats in self._workers.items()},
             "queries": {qid: asdict(stats) for qid, stats in self._queries.items()},
         }
 
     def load_state_dict(self, state: dict) -> None:
         self._specs = {name: SpecStats(**fields) for name, fields in state["specs"].items()}
-        self._workers = {
-            wid: WorkerStats(**fields) for wid, fields in state["workers"].items()
-        }
         self._queries = {
             qid: QueryStats(**fields) for qid, fields in state["queries"].items()
         }

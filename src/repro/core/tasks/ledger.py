@@ -21,6 +21,8 @@ from repro.core.tasks.hit_compiler import CompiledHIT
 from repro.core.tasks.reducer import TaskProgress
 from repro.core.tasks.task import Task, TaskKind
 from repro.crowd.hit import HIT, Assignment
+from repro.crowd.pricing import DEFAULT_PRICING
+from repro.crowd.quality import WAVE_SIZE
 from repro.errors import BudgetExceededError, TaskError
 
 __all__ = ["HITLedger"]
@@ -132,7 +134,7 @@ class HITLedger:
             self.stats.pressure_waves += 1
             return 1
         if self.quality is not None and self.quality.adaptive_redundancy:
-            return min(self.quality.wave_size, remaining)
+            return min(WAVE_SIZE, remaining)
         return remaining
 
     def _cost_shares(
@@ -150,7 +152,7 @@ class HITLedger:
         """
         reward = max(task.price for task in tasks)
         assignments = max(_task_need(task, needs) for task in tasks)
-        cost = self.platform.pricing.assignment_cost(reward) * assignments
+        cost = DEFAULT_PRICING.assignment_cost(reward) * assignments
         weights: Counter = Counter()
         for task in tasks:
             weights[task.query_id] += task.price * _task_need(task, needs)
@@ -258,10 +260,7 @@ class HITLedger:
     # -- settling -----------------------------------------------------------------
 
     def _on_assignment_submitted(self, hit: HIT, assignment: Assignment) -> None:
-        if hit.hit_id not in self._inflight:
-            return
-        self.statistics.record_worker_assignment(assignment.worker_id)
-        if hit.is_fully_submitted:
+        if hit.hit_id in self._inflight and hit.is_fully_submitted:
             self._settle(hit, self._inflight.pop(hit.hit_id), expired=False)
 
     def _on_hit_expired(self, hit: HIT) -> None:
@@ -293,7 +292,7 @@ class HITLedger:
                 self.breaker.record_failure()
             else:
                 self.breaker.record_success()
-        actual_cost = self.platform.pricing.assignment_cost(hit.reward) * len(submissions)
+        actual_cost = DEFAULT_PRICING.assignment_cost(hit.reward) * len(submissions)
         if expired:
             self._refund_unfilled_slots(inflight, actual_cost)
         self._merge_answers(inflight, submissions, actual_cost)

@@ -12,9 +12,9 @@ time a HIT carrying a task settles, the Task Manager asks
   the item): the task is re-posted, burning one attempt;
 * a :class:`Reduced` answer to deliver.
 
-The module also owns gold scoring, the reputation vote weights (the one place
-that chooses weighted over plain voting), the answer confidence cache
-admission gates on, and the join-block pair majority.
+The module also owns the attempt cap, gold scoring, the reputation vote
+weights (the one place that chooses weighted over plain voting) and the
+join-block pair majority.
 """
 
 from __future__ import annotations
@@ -25,14 +25,10 @@ from typing import Any
 
 from repro.core.answers import AnswerList, get_aggregate, weighted_confidence
 from repro.core.tasks.task import Task, TaskKind
-from repro.crowd.quality import (
-    DEFAULT_AGREEMENT_WEIGHT,
-    QualityConfig,
-    WorkerReputation,
-    agreement_signal,
-)
+from repro.crowd.quality import WAVE_SIZE, QualityConfig, WorkerReputation, agreement_signal
 
 __all__ = [
+    "MAX_ATTEMPTS",
     "REQUEUE",
     "WAVE",
     "Reduced",
@@ -47,6 +43,10 @@ __all__ = [
 WAVE = "wave"
 #: :func:`reduce_task` outcome: a fault; re-post the task, burning an attempt.
 REQUEUE = "requeue"
+#: Fault re-posts a task may burn (after its HIT expired or was abandoned)
+#: before it delivers its salvaged answers, or, with none, is abandoned and
+#: its query surfaces ``STALLED`` instead of hanging.
+MAX_ATTEMPTS = 3
 
 
 @dataclass
@@ -78,9 +78,6 @@ class Reduced:
 
     answers: AnswerList
     value: Any
-    #: Mean posterior accuracy of the workers whose answers were reduced
-    #: (1.0 without a reputation tracker): what cache admission gates on.
-    confidence: float
     #: Delivered below its redundancy target because the attempt cap was spent.
     degraded: bool = False
 
@@ -90,7 +87,6 @@ def reduce_task(
     *,
     expired: bool,
     pressured: bool,
-    max_attempts: int,
     quality: QualityConfig | None = None,
     reputation: WorkerReputation | None = None,
 ) -> Reduced | str:
@@ -104,10 +100,10 @@ def reduce_task(
     result in ``reputation``.
     """
     if progress.received and _is_final(progress, pressured, quality, reputation):
-        return _reduce(progress, quality, reputation, degraded=False)
+        return _reduce(progress, reputation, degraded=False)
     if expired or not progress.received:
-        if progress.attempts >= max_attempts and progress.received:
-            return _reduce(progress, quality, reputation, degraded=True)
+        if progress.attempts >= MAX_ATTEMPTS and progress.received:
+            return _reduce(progress, reputation, degraded=True)
         return REQUEUE
     return WAVE
 
@@ -124,23 +120,19 @@ def _is_final(
         return True
     if quality is None or not quality.adaptive_redundancy:
         return False
-    if progress.received < min(quality.wave_size, target):
+    if progress.received < min(WAVE_SIZE, target):
         return False
     answers = AnswerList.of(progress.answers)
-    weights = vote_weights(progress.workers, quality, reputation)
+    weights = vote_weights(progress.workers, reputation)
     return weighted_confidence(answers, weights) >= quality.confidence_threshold
 
 
 def _reduce(
-    progress: TaskProgress,
-    quality: QualityConfig | None,
-    reputation: WorkerReputation | None,
-    *,
-    degraded: bool,
+    progress: TaskProgress, reputation: WorkerReputation | None, *, degraded: bool
 ) -> Reduced:
     task = progress.task
     answers = AnswerList.of(progress.answers, progress.workers)
-    weights = vote_weights(progress.workers, quality, reputation)
+    weights = vote_weights(progress.workers, reputation)
     if task.kind is TaskKind.JOIN_BLOCK:
         value = majority_pairs(answers, weights)
     else:
@@ -149,28 +141,23 @@ def _reduce(
         aggregate = get_aggregate(task.spec.combiner)
         weighted = weights is not None and aggregate.weighted
         value = aggregate(answers, weights) if weighted else aggregate(answers)
-    if reputation is None or not progress.workers:
-        return Reduced(answers, value, 1.0, degraded)
-    weight = quality.agreement_weight if quality is not None else DEFAULT_AGREEMENT_WEIGHT
-    for answer, worker in zip(progress.answers, progress.workers):
-        agreed = agreement_signal(answer, value)
-        if agreed is not None:
-            reputation.record_agreement(worker, agreed, weight=weight)
-    confidence = sum(map(reputation.accuracy, progress.workers)) / len(progress.workers)
-    return Reduced(answers, value, confidence, degraded)
+    if reputation is not None:
+        for answer, worker in zip(progress.answers, progress.workers):
+            agreed = agreement_signal(answer, value)
+            if agreed is not None:
+                reputation.record_agreement(worker, agreed)
+    return Reduced(answers, value, degraded)
 
 
-def vote_weights(
-    workers: list[str], quality: QualityConfig | None, reputation: WorkerReputation | None
-) -> list[float] | None:
+def vote_weights(workers: list[str], reputation: WorkerReputation | None) -> list[float] | None:
     """Per-answer reputation vote weights, or None to vote plainly.
 
     The one place weighted voting is chosen: it needs a reputation tracker,
-    ``weighted_voting`` on, attributed answers, and weights that differ —
-    equal weights vote exactly as a plain count does, so they are dropped and
-    switching quality control on changes no result until reputations diverge.
+    attributed answers, and weights that differ — equal weights vote exactly
+    as a plain count does, so they are dropped and switching quality control
+    on changes no result until reputations diverge.
     """
-    if reputation is None or quality is None or not quality.weighted_voting or not workers:
+    if reputation is None or not workers:
         return None
     weights = [reputation.vote_weight(worker) for worker in workers]
     return weights if len(set(weights)) > 1 else None

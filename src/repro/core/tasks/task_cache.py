@@ -11,20 +11,14 @@ happened to cost.
 
 Beyond the per-run dict, the cache is the front of a tiered answer store:
 
-* a :class:`CachePolicy` adds TTL expiry (checked lazily on lookup against
-  the injected clock — sim or wall) and reputation-weighted admission (an
-  answer is only cached when the aggregate posterior accuracy of the workers
-  who produced it clears ``min_confidence``);
 * an attached durable tier (:class:`~repro.storage.answer_tier.DurableAnswerTier`)
-  is notified of every admitted store, so answers survive restarts and are
-  shared across engines;
+  is notified of every store, so answers survive restarts and are shared
+  across engines;
 * :meth:`export_since` / :meth:`import_entries` expose locally-stored entries
   for the cluster coordinator's answer directory, so a task answered on one
   shard becomes a cache hit on another.
 
-All policy defaults are inert (no TTL, no admission threshold, no tier), so
-an unconfigured cache behaves byte-identically to the plain dict it grew
-from.
+As in the paper, an answer never expires and every answer is admitted.
 """
 
 from __future__ import annotations
@@ -34,7 +28,7 @@ from typing import Any, Hashable
 
 from repro.storage.codec import pack, unpack
 
-__all__ = ["CacheEntry", "CachePolicy", "CacheStats", "TaskCache"]
+__all__ = ["CacheEntry", "CacheStats", "TaskCache"]
 
 
 @dataclass(frozen=True)
@@ -43,10 +37,6 @@ class CacheEntry:
 
     reduced: Any
     original_cost: float
-    stored_at: float
-    #: Aggregate confidence in the stored answer (mean worker posterior for
-    #: crowd answers, model confidence for escalated answers, 1.0 legacy).
-    confidence: float = 1.0
 
     def record(self, name: str, cache_key: Hashable) -> dict:
         """The entry as its one record, before any encoding.
@@ -63,41 +53,16 @@ class CacheEntry:
             "key": cache_key,
             "reduced": self.reduced,
             "original_cost": self.original_cost,
-            "stored_at": self.stored_at,
-            "confidence": self.confidence,
         }
 
     @classmethod
     def from_record(cls, item: dict) -> tuple[tuple[str, Hashable], "CacheEntry"]:
-        """``((task name, cache key), entry)`` back from :meth:`record`'s output."""
-        entry = cls(
-            reduced=item["reduced"],
-            original_cost=item["original_cost"],
-            stored_at=item["stored_at"],
-            confidence=item.get("confidence", 1.0),
-        )
-        return (item["name"], item["key"]), entry
+        """``((task name, cache key), entry)`` back from :meth:`record`'s output.
 
-
-@dataclass(frozen=True)
-class CachePolicy:
-    """Staleness and admission policy for the answer tier.
-
-    ``ttl`` is in clock seconds (the engine's injected clock, simulated or
-    wall); ``None`` means entries never expire.  ``min_confidence`` gates
-    admission: answers whose aggregate worker confidence falls below it are
-    not cached.  The defaults disable both checks, preserving the legacy
-    cache behaviour bit-for-bit.
-    """
-
-    ttl: float | None = None
-    min_confidence: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.ttl is not None and self.ttl < 0:
-            raise ValueError(f"ttl must be >= 0 or None, got {self.ttl}")
-        if not 0.0 <= self.min_confidence <= 1.0:
-            raise ValueError(f"min_confidence must be in [0, 1], got {self.min_confidence}")
+        Other fields are ignored: records written before entries lost their
+        ``stored_at`` and ``confidence`` still load.
+        """
+        return (item["name"], item["key"]), cls(item["reduced"], item["original_cost"])
 
 
 @dataclass
@@ -108,10 +73,6 @@ class CacheStats:
     misses: int = 0
     entries: int = 0
     dollars_saved: float = 0.0
-    #: Entries dropped on lookup because they outlived the policy TTL.
-    expirations: int = 0
-    #: Stores rejected because the answer's confidence missed the bar.
-    admissions_rejected: int = 0
     #: Entries received from other shards via the coordinator directory.
     entries_imported: int = 0
     #: Hits served from an imported (answered-on-another-shard) entry.
@@ -121,9 +82,8 @@ class CacheStats:
 class TaskCache:
     """An in-memory cache of reduced task answers, keyed per task name."""
 
-    def __init__(self, *, enabled: bool = True, policy: CachePolicy | None = None):
+    def __init__(self, *, enabled: bool = True):
         self.enabled = enabled
-        self.policy = policy if policy is not None else CachePolicy()
         self._entries: dict[tuple[str, Hashable], CacheEntry] = {}
         # Locally-stored keys in store order: the export cursor for the
         # cluster answer directory.  Imported entries are deliberately kept
@@ -137,27 +97,17 @@ class TaskCache:
 
     # -- the hot path ---------------------------------------------------------
 
-    def lookup(
-        self, task_name: str, cache_key: Hashable | None, *, now: float | None = None
-    ) -> CacheEntry | None:
+    def lookup(self, task_name: str, cache_key: Hashable | None) -> CacheEntry | None:
         """Return the cached entry for ``(task_name, cache_key)``, if any.
 
-        ``now`` enables TTL enforcement: an entry older than the policy's
-        ``ttl`` at lookup time is dropped and counted as an expiration plus
-        a miss.  Savings are *not* credited here — the Task Manager knows
-        what the requesting task would have spent and credits that via
+        Savings are *not* credited here — the Task Manager knows what the
+        requesting task would have spent and credits that via
         :meth:`credit_savings`.
         """
         if not self.enabled or cache_key is None:
             return None
         key = (task_name, cache_key)
         entry = self._entries.get(key)
-        if entry is not None and self._expired(entry, now):
-            del self._entries[key]
-            self._imported.discard(key)
-            self.stats.entries = len(self._entries)
-            self.stats.expirations += 1
-            entry = None
         if entry is None:
             self.stats.misses += 1
             return None
@@ -165,11 +115,6 @@ class TaskCache:
         if key in self._imported:
             self.stats.cross_shard_hits += 1
         return entry
-
-    def _expired(self, entry: CacheEntry, now: float | None) -> bool:
-        if self.policy.ttl is None or now is None:
-            return False
-        return (now - entry.stored_at) >= self.policy.ttl
 
     def credit_savings(self, amount: float) -> None:
         """Credit dollars a cache hit avoided spending (Section 4.1 line).
@@ -181,33 +126,15 @@ class TaskCache:
         self.stats.dollars_saved += amount
 
     def store(
-        self,
-        task_name: str,
-        cache_key: Hashable | None,
-        reduced: Any,
-        *,
-        cost: float,
-        now: float,
-        confidence: float = 1.0,
-    ) -> bool:
-        """Store a reduced answer; returns whether it was admitted.
-
-        No-op for uncacheable tasks (no key).  ``confidence`` is the
-        aggregate trust in the answer (mean worker posterior accuracy for
-        crowd answers); stores below the policy's ``min_confidence`` are
-        rejected so a low-reputation fluke cannot poison every future query.
-        """
+        self, task_name: str, cache_key: Hashable | None, reduced: Any, *, cost: float
+    ) -> None:
+        """Store a reduced answer; a no-op for uncacheable tasks (no key)."""
         if not self.enabled or cache_key is None:
-            return False
-        if confidence < self.policy.min_confidence:
-            self.stats.admissions_rejected += 1
-            return False
+            return
         key = (task_name, cache_key)
         if key not in self._entries:
             self.stats.entries += 1
-        entry = CacheEntry(
-            reduced=reduced, original_cost=cost, stored_at=now, confidence=confidence
-        )
+        entry = CacheEntry(reduced, cost)
         self._entries[key] = entry
         # A local store supersedes an imported copy: the entry is now ours
         # to export, and hits on it are no longer cross-shard hits.
@@ -215,12 +142,11 @@ class TaskCache:
         self._store_log.append(key)
         if self._tier is not None:
             self._tier.record_store(task_name, cache_key, entry)
-        return True
 
     # -- the durable tier ------------------------------------------------------
 
     def attach_tier(self, tier) -> None:
-        """Mirror every admitted store into ``tier``.
+        """Mirror every store into ``tier``.
 
         The tier needs ``record_store(name, key, entry)`` — see
         :class:`~repro.storage.answer_tier.DurableAnswerTier`.

@@ -27,8 +27,8 @@ each with one path:
   holds each task's progress record while the task is in the pipeline;
 * the **answer reducer** (:func:`~repro.core.tasks.reducer.reduce_task`), a
   plain function, decides what a settled task's answers amount to: another
-  redundancy wave, a fault re-post, or a reduced answer.  It owns gold
-  scoring, the reputation vote weights, answer confidence and the
+  redundancy wave, a fault re-post, or a reduced answer.  It owns the
+  attempt cap, gold scoring, the reputation vote weights and the
   join-block pair majority.
 
 The façade acts on the reducer's decision: it updates the Statistics Manager,
@@ -47,12 +47,21 @@ from repro.core.optimizer.budget import BudgetLedger
 from repro.core.optimizer.statistics import StatisticsManager
 from repro.core.tasks.hit_compiler import CompiledHIT, HITCompiler
 from repro.core.tasks.ledger import HITLedger
-from repro.core.tasks.reducer import REQUEUE, WAVE, Reduced, TaskProgress, reduce_task, score_gold
+from repro.core.tasks.reducer import (
+    MAX_ATTEMPTS,
+    REQUEUE,
+    WAVE,
+    Reduced,
+    TaskProgress,
+    reduce_task,
+    score_gold,
+)
 from repro.core.tasks.task import ResultSource, Task, TaskKind, TaskResult
 from repro.core.tasks.task_cache import TaskCache
 from repro.core.tasks.task_model import LearnedTaskModel, TaskModelRegistry
 from repro.core.tasks.task_queue import TaskQueue
 from repro.crowd.mturk import MTurkSimulator
+from repro.crowd.pricing import DEFAULT_PRICING
 from repro.crowd.quality import GoldStandardPool, QualityConfig, WorkerReputation
 from repro.errors import BudgetExceededError, TaskError
 
@@ -118,7 +127,6 @@ class TaskManager:
         self.models = models if models is not None else TaskModelRegistry()
         self.quality = quality
         self.reputation = reputation
-        self.max_attempts = quality.max_attempts if quality is not None else 3
         self.stats = TaskManagerStats()
         self.queue = TaskQueue()
         # ``breaker`` is an optional MarketplaceCircuitBreaker guarding the
@@ -163,12 +171,12 @@ class TaskManager:
         self.statistics.record_task_submitted(task.query_id)
         now = self.platform.clock.now
 
-        cached = self.cache.lookup(task.spec.name, task.cache_key, now=now)
+        cached = self.cache.lookup(task.spec.name, task.cache_key)
         if cached is not None:
             # The savings are what *this* task would have spent on the
             # crowd — reward + fee, times its redundancy — mirroring the
             # model path's attribution, not the stored answer's own cost.
-            avoided = self.platform.pricing.assignment_cost(task.price) * task.assignments
+            avoided = DEFAULT_PRICING.assignment_cost(task.price) * task.assignments
             self.cache.credit_savings(avoided)
             self.stats.cache_answers += 1
             self._deliver(
@@ -186,22 +194,15 @@ class TaskManager:
         if model is not None and task.kind in (TaskKind.FILTER, TaskKind.JOIN_PAIR):
             prediction = model.predict(task)
             if prediction is not None:
-                answer, confidence = prediction
-                avoided = self.platform.pricing.assignment_cost(task.price) * task.assignments
+                answer, _ = prediction
+                avoided = DEFAULT_PRICING.assignment_cost(task.price) * task.assignments
                 if isinstance(model, LearnedTaskModel):
                     model.record_savings(avoided)
                 self.stats.model_answers += 1
                 # Cache the escalated answer (at zero cost) so identical
                 # follow-up tasks hit the cache instead of re-running
                 # predict, and the answer survives restarts via the tier.
-                self.cache.store(
-                    task.spec.name,
-                    task.cache_key,
-                    answer,
-                    cost=0.0,
-                    now=now,
-                    confidence=confidence,
-                )
+                self.cache.store(task.spec.name, task.cache_key, answer, cost=0.0)
                 self._deliver(
                     TaskResult(
                         task=task,
@@ -251,7 +252,6 @@ class TaskManager:
                 progress,
                 expired=expired,
                 pressured=task.query_id in self._pressured,
-                max_attempts=self.max_attempts,
                 quality=self.quality,
                 reputation=self.reputation,
             )
@@ -266,8 +266,6 @@ class TaskManager:
     def _finalize(self, progress: TaskProgress, reduced: Reduced, hit_id: str, now: float) -> None:
         """Deliver a reduced answer, and feed it to statistics, model and cache."""
         task = progress.task
-        for answer, worker_id in zip(progress.answers, progress.workers):
-            self.statistics.record_vote(worker_id, answer == reduced.value)
         if reduced.degraded:
             self.stats.tasks_degraded += 1
         elif progress.received < task.assignments:
@@ -281,14 +279,7 @@ class TaskManager:
             latency=now - progress.submitted_at,
             hit_id=hit_id,
         )
-        self.cache.store(
-            task.spec.name,
-            task.cache_key,
-            reduced.value,
-            cost=progress.cost,
-            now=now,
-            confidence=reduced.confidence,
-        )
+        self.cache.store(task.spec.name, task.cache_key, reduced.value, cost=progress.cost)
         model = self.models.model_for(task.spec.name)
         if model is not None and task.kind in (TaskKind.FILTER, TaskKind.JOIN_PAIR):
             model.observe(task, reduced.value)
@@ -299,7 +290,7 @@ class TaskManager:
         """Put a task back on the pending queue for another HIT.
 
         ``count_attempt`` marks fault re-posts (expired / unanswered HITs);
-        once a task burns through :attr:`max_attempts` of those it is
+        once a task burns through :data:`MAX_ATTEMPTS` of those it is
         abandoned and the owning query surfaces ``STALLED`` via
         :meth:`take_exhausted_errors` instead of hanging forever.
         """
@@ -314,7 +305,7 @@ class TaskManager:
             progress.attempts += 1
             # Pressure mode lowers the fault re-post cap to a single attempt:
             # hammering a degraded market cannot beat the deadline anyway.
-            cap = 1 if task.query_id in self._pressured else self.max_attempts
+            cap = 1 if task.query_id in self._pressured else MAX_ATTEMPTS
             if progress.attempts > cap:
                 self.stats.tasks_exhausted += 1
                 del self.ledger.progress[task.task_id]

@@ -14,24 +14,37 @@ closed → open → half-open state machine:
   a clock event at its retry time so the engine's event loop keeps moving —
   without it a fully-expired marketplace would leave the scheduler with no
   events at all and a "stuck" diagnosis instead of a cooldown.
-* **half-open** — after the cooldown, up to ``half_open_probes`` probe HITs
+* **half-open** — after the cooldown, :data:`HALF_OPEN_PROBES` probe HIT
   may post.  A probe that completes closes the breaker (and resets the
-  cooldown); a probe that expires re-trips it with the cooldown doubled
-  (exponential backoff, capped at ``max_cooldown``).
+  cooldown); a probe that expires re-trips it with the cooldown multiplied
+  by :data:`BACKOFF` (exponential backoff, capped at :data:`MAX_COOLDOWN`).
 
-Everything runs on the engine clock (simulated or wall) and the optional
-cooldown jitter draws from a dedicated seeded stream, so protected runs are
-bit-for-bit reproducible.
+Everything runs on the engine clock (simulated or wall) and draws nothing at
+random, so protected runs are bit-for-bit reproducible.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from repro.errors import CrowdError
 
-__all__ = ["BreakerConfig", "BreakerStats", "MarketplaceCircuitBreaker"]
+__all__ = [
+    "BACKOFF",
+    "HALF_OPEN_PROBES",
+    "MAX_COOLDOWN",
+    "BreakerConfig",
+    "BreakerStats",
+    "MarketplaceCircuitBreaker",
+]
+
+#: Multiplier applied to the cooldown after every failed probe, so a
+#: persistently dead market is retried ever more rarely.
+BACKOFF = 2.0
+#: Ceiling on the backed-off cooldown, in clock seconds.
+MAX_COOLDOWN = 4 * 3600.0
+#: HITs the half-open state may post before waiting on their outcome.
+HALF_OPEN_PROBES = 1
 
 
 @dataclass(frozen=True)
@@ -45,43 +58,19 @@ class BreakerConfig:
         breaker open.
     cooldown:
         Initial open-state duration in clock seconds before a half-open
-        probe is allowed.
-    backoff:
-        Multiplier applied to the cooldown after every failed probe, so a
-        persistently dead market is retried ever more rarely.
-    max_cooldown:
-        Ceiling on the backed-off cooldown.
-    half_open_probes:
-        HITs the half-open state may post before waiting on their outcome.
-    jitter:
-        Fraction of the cooldown randomised (±) from a seeded stream, so a
-        fleet of engines does not retry a shared market in lockstep.  Zero
-        (the default) keeps cooldowns exact.
-    seed:
-        Seed of the jitter stream.
+        probe is allowed; at most :data:`MAX_COOLDOWN`.
     """
 
     failure_threshold: int = 5
     cooldown: float = 300.0
-    backoff: float = 2.0
-    max_cooldown: float = 4 * 3600.0
-    half_open_probes: int = 1
-    jitter: float = 0.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.failure_threshold < 1:
             raise CrowdError(f"failure_threshold must be >= 1, got {self.failure_threshold}")
         if self.cooldown <= 0:
             raise CrowdError(f"cooldown must be positive, got {self.cooldown}")
-        if self.backoff < 1.0:
-            raise CrowdError(f"backoff must be >= 1, got {self.backoff}")
-        if self.max_cooldown < self.cooldown:
-            raise CrowdError("max_cooldown must be >= cooldown")
-        if self.half_open_probes < 1:
-            raise CrowdError(f"half_open_probes must be >= 1, got {self.half_open_probes}")
-        if not 0.0 <= self.jitter < 1.0:
-            raise CrowdError(f"jitter must be in [0, 1), got {self.jitter}")
+        if self.cooldown > MAX_COOLDOWN:
+            raise CrowdError(f"cooldown must be <= {MAX_COOLDOWN:g}s, got {self.cooldown}")
 
 
 @dataclass
@@ -99,7 +88,7 @@ class BreakerStats:
 
 
 class MarketplaceCircuitBreaker:
-    """Seeded, clock-driven circuit breaker around HIT posting."""
+    """Clock-driven circuit breaker around HIT posting."""
 
     CLOSED = "closed"
     OPEN = "open"
@@ -114,7 +103,6 @@ class MarketplaceCircuitBreaker:
         self._current_cooldown = self.config.cooldown
         self._retry_at: float | None = None
         self._probes_in_flight = 0
-        self._rng = random.Random(self.config.seed)
 
     # -- posting decisions ----------------------------------------------------
 
@@ -128,7 +116,7 @@ class MarketplaceCircuitBreaker:
         if self.state == self.CLOSED:
             return True
         if self.state == self.HALF_OPEN:
-            return self._probes_in_flight < self.config.half_open_probes
+            return self._probes_in_flight < HALF_OPEN_PROBES
         return False
 
     def record_post(self) -> None:
@@ -173,19 +161,14 @@ class MarketplaceCircuitBreaker:
 
     def _trip(self, *, backoff: bool) -> None:
         if backoff:
-            self._current_cooldown = min(
-                self._current_cooldown * self.config.backoff, self.config.max_cooldown
-            )
+            self._current_cooldown = min(self._current_cooldown * BACKOFF, MAX_COOLDOWN)
         self.state = self.OPEN
         self.stats.trips += 1
         self._consecutive_failures = 0
         self._probes_in_flight = 0
-        cooldown = self._current_cooldown
-        if self.config.jitter > 0.0:
-            cooldown *= 1.0 + self.config.jitter * (2.0 * self._rng.random() - 1.0)
         if self.clock is None:
             raise CrowdError("circuit breaker tripped before a clock was bound")
-        self._retry_at = self.clock.now + cooldown
+        self._retry_at = self.clock.now + self._current_cooldown
         # The event keeps the engine's event loop alive while posting is
         # paused: when every outstanding HIT has already expired, this is the
         # only scheduled event, and firing it advances time to the retry

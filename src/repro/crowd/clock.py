@@ -166,7 +166,10 @@ class SimulationClock:
         self._now = float(now)
 
     def run_next(self) -> bool:
-        """Fire the single earliest pending event.  Returns False when idle."""
+        """Fire every event due at the earliest pending instant.
+
+        Returns False when idle.
+        """
         when = self.next_event_time()
         if when is None:
             return False
@@ -176,8 +179,9 @@ class SimulationClock:
     def run_until_idle(self, *, max_events: int = 1_000_000) -> int:
         """Fire events until none remain.  Returns the number fired."""
         fired = 0
-        while self.run_next():
-            fired += 1
+        while (when := self.next_event_time()) is not None:
+            # A wall clock may already be past ``when``; never ask to rewind.
+            fired += self.advance_to(max(when, self.now))
             if fired >= max_events:
                 raise CrowdError(f"simulation did not quiesce after {max_events} events")
         return fired

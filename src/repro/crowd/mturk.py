@@ -26,7 +26,7 @@ from repro.crowd.hit import (
     HITStatus,
 )
 from repro.crowd.oracle import AnswerOracle
-from repro.crowd.pricing import DEFAULT_PRICING, PricingPolicy
+from repro.crowd.pricing import DEFAULT_PRICING
 from repro.crowd.worker_pool import WorkerPool
 from repro.crowd.workers import WorkerModel
 from repro.errors import CrowdError, HITError
@@ -72,8 +72,7 @@ class MTurkSimulator:
         The simulated worker population answering HITs.
     oracle:
         Ground-truth oracle the workers consult (supplied by the workload).
-    pricing:
-        Platform fee schedule.
+        Fees follow :data:`~repro.crowd.pricing.DEFAULT_PRICING`.
     auto_approve:
         When True (the default, matching common requester practice for small
         HITs), submitted assignments are approved and paid immediately.
@@ -91,14 +90,12 @@ class MTurkSimulator:
         worker_pool: WorkerPool,
         oracle: AnswerOracle,
         *,
-        pricing: PricingPolicy = DEFAULT_PRICING,
         auto_approve: bool = True,
         faults: FaultProfile | None = None,
     ) -> None:
         self.clock = clock
         self.worker_pool = worker_pool
         self.oracle = oracle
-        self.pricing = pricing
         self.auto_approve = auto_approve
         self.faults = faults if faults is not None else FaultProfile()
         self.stats = PlatformStats()
@@ -159,7 +156,7 @@ class MTurkSimulator:
         :meth:`submitted_assignments` or via :meth:`on_assignment_submitted`.
         ``lifetime`` defaults to the fault profile's override, then 24 h.
         """
-        self.pricing.validate_reward(reward)
+        DEFAULT_PRICING.validate_reward(reward)
         if lifetime is None:
             if self.faults.enabled and self.faults.hit_lifetime is not None:
                 lifetime = self.faults.hit_lifetime
@@ -300,7 +297,7 @@ class MTurkSimulator:
         assignment.approve()
         self.stats.assignments_approved += 1
         self.stats.total_rewards_paid += hit.reward
-        self.stats.total_fees_paid += self.pricing.fee(hit.reward)
+        self.stats.total_fees_paid += DEFAULT_PRICING.fee(hit.reward)
 
     # -- requester API -----------------------------------------------------------
 
@@ -383,7 +380,7 @@ class MTurkSimulator:
 
     def estimate_cost(self, reward: float, hit_count: int, assignments: int) -> float:
         """Requester-side estimate used by the optimizer's cost model."""
-        return self.pricing.assignment_cost(reward) * hit_count * assignments
+        return DEFAULT_PRICING.assignment_cost(reward) * hit_count * assignments
 
     # -- durability -----------------------------------------------------------
 

@@ -33,91 +33,75 @@ __all__ = [
     "GoldStandardPool",
     "agreement_signal",
     "DEFAULT_AGREEMENT_WEIGHT",
+    "WAVE_SIZE",
 ]
 
 #: Weight of one agreement-with-majority observation relative to one gold
-#: observation (the majority itself can be wrong).  The single default
-#: shared by :class:`QualityConfig` and the Task Manager's no-config path.
+#: observation (gold is ground truth; agreement is a proxy, and the majority
+#: itself can be wrong).
 DEFAULT_AGREEMENT_WEIGHT = 0.25
+
+#: Assignments bought per redundancy wave under adaptive redundancy.
+WAVE_SIZE = 3
 
 
 @dataclass(frozen=True)
 class QualityConfig:
     """Engine-level quality-control knobs (attach via ``QurkEngine(quality=...)``).
 
+    With a config attached, answers are reduced with reputation-weighted
+    votes once reputations diverge (the spec's plain combiner while they
+    are uniform), and each worker's agreement with the reduced answer feeds
+    their reputation with weight :data:`DEFAULT_AGREEMENT_WEIGHT`.
+
     Parameters
     ----------
     gold_frequency:
         Fraction of posted HITs that carry one gold probe item (0 disables
         probing).
-    weighted_voting:
-        Reduce answer lists with reputation-weighted votes once reputations
-        diverge; degrades to the spec's plain combiner while they are
-        uniform.
     adaptive_redundancy:
-        Post assignments in waves of ``wave_size`` and stop early once the
-        weighted agreement of the accumulated answers clears
-        ``confidence_threshold`` — easy tasks cost ``wave_size`` assignments
-        instead of the spec's full redundancy.
-    wave_size:
-        Assignments per wave.
+        Post assignments in waves of :data:`WAVE_SIZE` and stop early once
+        the weighted agreement of the accumulated answers clears
+        ``confidence_threshold`` — easy tasks cost one wave instead of the
+        spec's full redundancy.
     confidence_threshold:
         Weighted agreement needed to stop before the full redundancy target.
-    max_attempts:
-        How many times a task may be re-posted after its HIT expired or was
-        abandoned before the task is abandoned too (the owning query then
-        surfaces ``STALLED`` instead of hanging).
-    agreement_weight:
-        Weight of one agreement-with-majority observation relative to one
-        gold observation (gold is ground truth; agreement is a proxy).
     seed:
         Seed of the quality-control random stream (gold probe placement).
     """
 
     gold_frequency: float = 0.25
-    weighted_voting: bool = True
     adaptive_redundancy: bool = True
-    wave_size: int = 3
     confidence_threshold: float = 0.85
-    max_attempts: int = 3
-    agreement_weight: float = DEFAULT_AGREEMENT_WEIGHT
     seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.gold_frequency <= 1.0:
             raise CrowdError(f"gold_frequency must be in [0, 1], got {self.gold_frequency}")
-        if self.wave_size < 1:
-            raise CrowdError(f"wave_size must be >= 1, got {self.wave_size}")
         if not 0.0 < self.confidence_threshold <= 1.0:
             raise CrowdError(
                 f"confidence_threshold must be in (0, 1], got {self.confidence_threshold}"
             )
-        if self.max_attempts < 1:
-            raise CrowdError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.agreement_weight < 0:
-            raise CrowdError(f"agreement_weight must be >= 0, got {self.agreement_weight}")
 
 
 class WorkerReputation:
     """Per-worker accuracy posteriors learned from gold answers and agreement.
 
-    Each worker carries a Beta(``prior_alpha``, ``prior_beta``) posterior over
-    their single-judgement accuracy.  Gold-standard observations update it
-    with weight 1; agreement-with-majority observations update it with the
-    (smaller) weight the caller passes, since the majority itself can be
-    wrong.  The prior mean is 0.8 by default; it is independent of the
-    optimizer's 0.85 prior for a spec with no observations
-    (:data:`~repro.core.optimizer.optimizer.DEFAULT_WORKER_ACCURACY`).
+    Each worker carries a Beta(:attr:`PRIOR_ALPHA`, :attr:`PRIOR_BETA`)
+    posterior over their single-judgement accuracy.  Gold-standard
+    observations update it with weight 1; agreement-with-majority
+    observations with the smaller :data:`DEFAULT_AGREEMENT_WEIGHT`, since
+    the majority itself can be wrong.  The prior mean is 0.8; it is
+    independent of the optimizer's 0.85 prior for a spec with no
+    observations (:data:`~repro.core.optimizer.optimizer.DEFAULT_WORKER_ACCURACY`).
     """
 
     #: Workers whose posterior mean falls below this are flagged as spammers.
     FLAG_THRESHOLD = 0.65
+    PRIOR_ALPHA = 4.0
+    PRIOR_BETA = 1.0
 
-    def __init__(self, *, prior_alpha: float = 4.0, prior_beta: float = 1.0) -> None:
-        if prior_alpha <= 0 or prior_beta <= 0:
-            raise CrowdError("reputation priors must be positive")
-        self.prior_alpha = prior_alpha
-        self.prior_beta = prior_beta
+    def __init__(self) -> None:
         self._alpha: dict[str, float] = {}
         self._beta: dict[str, float] = {}
         self._gold_observations: dict[str, int] = {}
@@ -129,18 +113,14 @@ class WorkerReputation:
 
     # -- recording -----------------------------------------------------------
 
-    def record_gold(self, worker_id: str, correct: bool, *, weight: float = 1.0) -> None:
+    def record_gold(self, worker_id: str, correct: bool) -> None:
         """Fold one gold-probe outcome (ground truth) into the posterior."""
-        self._observe(worker_id, correct, weight)
+        self._observe(worker_id, correct, 1.0)
         self._gold_observations[worker_id] = self._gold_observations.get(worker_id, 0) + 1
 
-    def record_agreement(
-        self, worker_id: str, agreed: bool, *, weight: float = DEFAULT_AGREEMENT_WEIGHT
-    ) -> None:
+    def record_agreement(self, worker_id: str, agreed: bool) -> None:
         """Fold one agreement-with-majority observation into the posterior."""
-        if weight <= 0:
-            return
-        self._observe(worker_id, agreed, weight)
+        self._observe(worker_id, agreed, DEFAULT_AGREEMENT_WEIGHT)
 
     def _observe(self, worker_id: str, correct: bool, weight: float) -> None:
         if correct:
@@ -153,8 +133,8 @@ class WorkerReputation:
 
     def accuracy(self, worker_id: str) -> float:
         """Posterior mean accuracy of one worker (prior mean when unseen)."""
-        alpha = self.prior_alpha + self._alpha.get(worker_id, 0.0)
-        beta = self.prior_beta + self._beta.get(worker_id, 0.0)
+        alpha = self.PRIOR_ALPHA + self._alpha.get(worker_id, 0.0)
+        beta = self.PRIOR_BETA + self._beta.get(worker_id, 0.0)
         return alpha / (alpha + beta)
 
     def observations(self, worker_id: str) -> float:
@@ -223,7 +203,7 @@ class WorkerReputation:
     # -- durability -----------------------------------------------------------
 
     def state_dict(self) -> dict[str, Any]:
-        """The learned posteriors, for a snapshot (priors come from config)."""
+        """The learned posteriors, for a snapshot (the priors are constants)."""
         return {
             "alpha": dict(self._alpha),
             "beta": dict(self._beta),

@@ -91,7 +91,7 @@ class WallClock(SimulationClock):
         return super().advance_to(max(time, self._time_source() - self._epoch))
 
     def run_next(self) -> bool:
-        """Sleep until the earliest pending event is due, then fire it."""
+        """Sleep until the earliest pending event is due, then fire every due event."""
         when = self.next_event_time()
         if when is None:
             return False

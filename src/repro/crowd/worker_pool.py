@@ -25,6 +25,12 @@ from repro.errors import WorkerError
 
 __all__ = ["PopulationMix", "WorkerPool"]
 
+#: Mean time for a HIT paying :data:`REFERENCE_REWARD` to be accepted.
+BASE_PICKUP_SECONDS = 180.0
+#: How strongly higher rewards shorten pick-up time.
+REWARD_ELASTICITY = 0.5
+REFERENCE_REWARD = 0.01
+
 
 @dataclass(frozen=True)
 class PopulationMix:
@@ -40,7 +46,6 @@ class PopulationMix:
     noisy: float = 0.30
     lazy: float = 0.10
     spammer: float = 0.05
-    noisy_accuracy: float = 0.85
 
     def __post_init__(self) -> None:
         fractions = (self.diligent, self.noisy, self.lazy, self.spammer)
@@ -74,18 +79,11 @@ class WorkerPool:
         Seed for the pool's private random stream (worker creation, pick-up
         times, worker selection).  Answer noise uses per-assignment streams
         derived from this seed so that runs are reproducible.
-    base_pickup_seconds:
-        Mean time for a $0.01 HIT to be accepted by some worker.
-    reward_elasticity:
-        How strongly higher rewards shorten pick-up time.
     """
 
     size: int = 100
     mix: PopulationMix = field(default_factory=PopulationMix)
     seed: int = 7
-    base_pickup_seconds: float = 180.0
-    reward_elasticity: float = 0.5
-    reference_reward: float = 0.01
 
     def __post_init__(self) -> None:
         if self.size < 1:
@@ -105,7 +103,7 @@ class WorkerPool:
             if draw < diligent:
                 workers.append(DiligentWorker(worker_id))
             elif draw < diligent + noisy:
-                workers.append(NoisyWorker(worker_id, accuracy=self.mix.noisy_accuracy))
+                workers.append(NoisyWorker(worker_id))
             elif draw < diligent + noisy + lazy:
                 workers.append(LazyWorker(worker_id))
             else:
@@ -116,13 +114,6 @@ class WorkerPool:
     def workers(self) -> list[WorkerModel]:
         """The full population (stable order)."""
         return list(self._workers)
-
-    def worker(self, worker_id: str) -> WorkerModel:
-        """Look up one worker by id."""
-        for candidate in self._workers:
-            if candidate.worker_id == worker_id:
-                return candidate
-        raise WorkerError(f"unknown worker {worker_id!r}")
 
     # -- marketplace ---------------------------------------------------------
 
@@ -178,13 +169,13 @@ class WorkerPool:
         """Sample the time until some worker accepts an assignment of ``hit``.
 
         Mean delay shrinks with the offered reward (diminishing returns via
-        ``reward_elasticity``) and grows slightly with the amount of work in
-        the HIT, since workers preview HITs before accepting long ones.
+        :data:`REWARD_ELASTICITY`) and grows slightly with the amount of work
+        in the HIT, since workers preview HITs before accepting long ones.
         """
-        reward_ratio = max(hit.reward, 1e-4) / self.reference_reward
-        mean = self.base_pickup_seconds / (reward_ratio ** self.reward_elasticity)
+        reward_ratio = max(hit.reward, 1e-4) / REFERENCE_REWARD
+        mean = BASE_PICKUP_SECONDS / (reward_ratio**REWARD_ELASTICITY)
         mean *= 1.0 + 0.02 * max(hit.content.work_units - 1, 0)
-        return self._rng.expovariate(1.0 / mean) if mean > 0 else 0.0
+        return self._rng.expovariate(1.0 / mean)
 
     def assignment_rng(self, assignment_id: str) -> random.Random:
         """A private random stream for one assignment's answer noise.

@@ -118,11 +118,7 @@ class QueryDashboard:
             f" | classifier: ${snapshot.model_savings:,.2f} ({snapshot.model_answers} answers)"
         )
         if engine["cache_entries"] or engine["trusted_models"] or engine["cross_shard_hits"]:
-            tier = (
-                f"answer tier (engine-wide): {engine['cache_entries']} entries"
-                f" | expired {engine['cache_expirations']}"
-                f" | rejected {engine['cache_admissions_rejected']}"
-            )
+            tier = f"answer tier (engine-wide): {engine['cache_entries']} entries"
             if engine["cache_entries_imported"] or engine["cross_shard_hits"]:
                 tier += (
                     f" | imported {engine['cache_entries_imported']}"

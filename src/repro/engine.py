@@ -109,9 +109,7 @@ class QurkEngine:
     enable_cache / enable_task_model:
         Toggle the Task Cache and the learned Task Model (both on by
         default, as in the paper's dashboard discussion).  The cache keeps
-        every answer it is given, for good, until ``task_cache.policy`` is
-        set to a :class:`~repro.core.tasks.task_cache.CachePolicy` with a
-        TTL or a confidence bar.
+        every answer it is given, for good.
     default_query_config:
         The :class:`~repro.core.exec.context.QueryConfig` (budget, adaptive
         optimization, deadline) for queries that do not pass their own.
@@ -137,11 +135,12 @@ class QurkEngine:
         :class:`~repro.crowd.clock.SimulationClock`; pass a
         :class:`~repro.crowd.wallclock.WallClock` to make simulated delays
         take real time (live-traffic mode behind the cluster front end).
-    admission_queue_limit, overload_policy, overload_retry_after:
+    admission_queue_limit, overload_policy:
         Admission backpressure: bound the pending-admission queue at
         ``admission_queue_limit`` waiting queries.  Past it, a submission is
         refused with :class:`~repro.errors.EngineOverloadedError` carrying
-        ``retry_after`` seconds (``overload_policy="reject"``), or the
+        :data:`~repro.core.exec.scheduler.OVERLOAD_RETRY_AFTER` seconds as
+        ``retry_after`` (``overload_policy="reject"``), or the
         lowest-priority waiting query is shed to make room when the
         newcomer outranks it (``overload_policy="shed"``).  ``None`` (the
         default) keeps the queue unbounded.
@@ -168,7 +167,6 @@ class QurkEngine:
         clock: SimulationClock | None = None,
         admission_queue_limit: int | None = None,
         overload_policy: str = "reject",
-        overload_retry_after: float = 30.0,
         circuit_breaker: BreakerConfig | None = None,
     ) -> None:
         self.database = Database()
@@ -221,7 +219,6 @@ class QurkEngine:
             replanner=self.replanner,
             admission_queue_limit=admission_queue_limit,
             overload_policy=overload_policy,
-            overload_retry_after=overload_retry_after,
         )
         self.registry = TaskRegistry()
         self.planner = QueryPlanner(self.database, self.registry, self.optimizer)
@@ -512,7 +509,7 @@ class QurkEngine:
 
         Opens (or creates) a :class:`~repro.storage.answer_tier.DurableAnswerTier`,
         warms the cache with every answer it holds, and mirrors all future
-        admitted stores into its WAL — so cached answers survive restarts
+        stores into its WAL — so cached answers survive restarts
         and can be shared by the next engine pointed at the same directory.
         The tier wants its own directory, separate from ``enable_durability``'s
         (their snapshot files would collide).

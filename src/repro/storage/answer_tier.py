@@ -4,7 +4,7 @@ Section 3 reuses cached results "even possibly in different queries"; at
 traffic scale the repetition worth amortizing spans *engines and restarts*,
 not just queries.  This module backs the in-memory
 :class:`~repro.core.tasks.task_cache.TaskCache` with the PR 8 storage layer:
-every admitted store appends an ``answer_stored`` record to an append-only
+every store appends an ``answer_stored`` record to an append-only
 WAL (``answers.log``), and :meth:`DurableAnswerTier.checkpoint` compacts the
 log into a CRC-checked snapshot via :mod:`repro.storage.snapshot`.
 
@@ -132,7 +132,7 @@ class DurableAnswerTier:
     # -- the TaskCache listener protocol ---------------------------------------
 
     def record_store(self, name: str, cache_key: Hashable, entry: CacheEntry) -> None:
-        """Journal one admitted store (called by the attached TaskCache)."""
+        """Journal one store (called by the attached TaskCache)."""
         self._entries[(name, cache_key)] = entry
         self.wal.append("answer_stored", entry.record(name, cache_key))
 

@@ -55,8 +55,9 @@ __all__ = [
 WAL_FILENAME = "wal.log"
 
 #: Snapshot-state schema version (independent of the on-disk envelope
-#: version in :mod:`repro.storage.snapshot`).
-STATE_VERSION = 1
+#: version in :mod:`repro.storage.snapshot`).  Version 2 dropped the cache's
+#: expiry and admission counters and the per-worker vote statistics.
+STATE_VERSION = 2
 
 
 @dataclass(frozen=True)

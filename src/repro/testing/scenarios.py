@@ -172,9 +172,7 @@ def breaker_recovery_scenario() -> ChaosScenario:
                 congestion_per_open_hit=0.05,
             ),
             engine_kwargs={
-                "circuit_breaker": BreakerConfig(
-                    failure_threshold=4, cooldown=600.0, seed=16
-                )
+                "circuit_breaker": BreakerConfig(failure_threshold=4, cooldown=600.0)
             },
         ),
         queries=(PRODUCTS_SQL,),

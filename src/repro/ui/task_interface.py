@@ -15,6 +15,7 @@ from typing import Any
 
 from repro.crowd.hit import Assignment, AssignmentStatus, HIT, HITInterface, HITStatus
 from repro.crowd.mturk import MTurkSimulator
+from repro.crowd.pricing import DEFAULT_PRICING
 from repro.errors import HITError
 
 __all__ = ["TaskCompletionInterface"]
@@ -108,7 +109,7 @@ class TaskCompletionInterface:
             assignment.approve()
             self.platform.stats.assignments_approved += 1
             self.platform.stats.total_rewards_paid += hit.reward
-            self.platform.stats.total_fees_paid += self.platform.pricing.fee(hit.reward)
+            self.platform.stats.total_fees_paid += DEFAULT_PRICING.fee(hit.reward)
         if hit.is_fully_submitted and hit.status is HITStatus.OPEN:
             hit.status = HITStatus.COMPLETED
         for listener in self.platform._completion_listeners:

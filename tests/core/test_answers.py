@@ -16,7 +16,7 @@ from repro.core.answers import (
     register_aggregate,
 )
 from repro.core.tasks.reducer import vote_weights
-from repro.crowd.quality import QualityConfig, WorkerReputation
+from repro.crowd.quality import WorkerReputation
 from repro.errors import AggregateError
 
 
@@ -78,7 +78,7 @@ class TestWeightedVote:
 
     def test_weights_override_raw_counts(self):
         answers = AnswerList.of([True, False, False], ["expert", "spam1", "spam2"])
-        weights = vote_weights(list(answers.worker_ids), QualityConfig(), self.reputation())
+        weights = vote_weights(list(answers.worker_ids), self.reputation())
         assert weights[0] > weights[1] + weights[2]
         assert MajorityVote()(answers, weights) is True
         assert MajorityVote()(answers) is False
@@ -88,12 +88,12 @@ class TestWeightedVote:
         answers = AnswerList.of([True, False, False], ["a", "b", "c"])
         assert reputation.vote_weight("a") == reputation.vote_weight("c")
         # Equal weights vote as a plain count, so none are handed to the aggregate.
-        assert vote_weights(list(answers.worker_ids), QualityConfig(), reputation) is None
+        assert vote_weights(list(answers.worker_ids), reputation) is None
         assert MajorityVote()(answers) is False
 
     def test_without_worker_ids_falls_back_to_majority(self):
         answers = AnswerList.of([1, 1, 2])
-        assert vote_weights(list(answers.worker_ids), QualityConfig(), self.reputation()) is None
+        assert vote_weights(list(answers.worker_ids), self.reputation()) is None
         assert MajorityVote()(answers) == 1
 
 

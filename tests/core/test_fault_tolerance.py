@@ -10,6 +10,7 @@ partially submitted HITs.
 import pytest
 
 from repro.core.exec.handle import QueryStatus
+from repro.core.tasks.reducer import MAX_ATTEMPTS
 from repro.crowd import FaultProfile
 from repro.errors import QueryStalledError
 from repro.experiments.harness import build_products_engine
@@ -109,21 +110,16 @@ class TestDegradedDelivery:
         """Paid-for partial answers become a below-target result, not a stall."""
         from repro.crowd import QualityConfig
 
-        # Pickup slow enough that HITs usually expire with partial
-        # submissions; attempt cap of 1 so the second expiry must settle.
-        faults = FaultProfile(seed=26, hit_lifetime=1500.0, pickup_slowdown=5.0)
+        # Pickup slow and HIT lifetime short enough that HITs keep expiring
+        # with partial submissions until tasks spend all MAX_ATTEMPTS.
+        faults = FaultProfile(seed=26, hit_lifetime=600.0, pickup_slowdown=5.0)
         run = build_products_engine(
             n_products=10,
             assignments=3,
             filter_batch=5,
             seed=97,
             fault_profile=faults,
-            quality=QualityConfig(
-                gold_frequency=0.0,
-                weighted_voting=False,
-                adaptive_redundancy=False,
-                max_attempts=1,
-            ),
+            quality=QualityConfig(gold_frequency=0.0, adaptive_redundancy=False),
         )
         handle = run.engine.query(PRODUCTS_SQL)
         try:
@@ -153,8 +149,8 @@ class TestAttemptExhaustion:
         assert handle.status is QueryStatus.STALLED
         assert isinstance(handle.error, QueryStalledError)
         assert run.engine.task_manager.stats.tasks_exhausted >= 1
-        # 1 initial post + max_attempts re-posts per task, then surrender.
-        per_task_cap = 1 + run.engine.task_manager.max_attempts
+        # 1 initial post + MAX_ATTEMPTS re-posts per task, then surrender.
+        per_task_cap = 1 + MAX_ATTEMPTS
         assert run.engine.platform.stats.hits_created <= 4 * per_task_cap
 
     def test_stall_is_reported_on_the_scheduler_events(self):

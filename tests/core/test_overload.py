@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro.core.exec.context import QueryConfig
 from repro.core.exec.handle import QueryStatus
+from repro.core.exec.scheduler import OVERLOAD_RETRY_AFTER
 from repro.errors import EngineOverloadedError, ExecutionError, QueryDeadlineError
 from repro.experiments.harness import build_companies_engine, build_products_engine
 
@@ -143,7 +144,6 @@ def bounded_engine(**overrides):
     kwargs = {
         "max_concurrent_queries": 1,
         "admission_queue_limit": 1,
-        "overload_retry_after": 45.0,
     }
     kwargs.update(overrides)
     return build_products_engine(n_products=4, seed=5, engine_kwargs=kwargs).engine
@@ -158,7 +158,7 @@ class TestAdmissionBackpressure:
         assert engine.scheduler.state_of(queued.query_id) == "queued"
         with pytest.raises(EngineOverloadedError) as excinfo:
             engine.query(FILTER_SQL)
-        assert excinfo.value.retry_after == 45.0
+        assert excinfo.value.retry_after == OVERLOAD_RETRY_AFTER
         assert engine.scheduler.metrics.queries_rejected == 1
         # The survivors are untouched and still complete.
         assert active.wait() is not None
@@ -204,7 +204,6 @@ class TestAdmissionBackpressure:
         [
             {"admission_queue_limit": -1},
             {"overload_policy": "panic"},
-            {"overload_retry_after": 0.0},
         ],
         ids=lambda kwargs: next(iter(kwargs)),
     )

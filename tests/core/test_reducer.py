@@ -9,6 +9,7 @@ import dataclasses
 
 from repro.core.answers import AnswerList
 from repro.core.tasks.reducer import (
+    MAX_ATTEMPTS,
     REQUEUE,
     WAVE,
     Reduced,
@@ -64,7 +65,6 @@ def decide(record, *, expired=False, pressured=False, quality=None, reputation=N
         record,
         expired=expired,
         pressured=pressured,
-        max_attempts=3,
         quality=quality,
         reputation=reputation,
     )
@@ -95,7 +95,7 @@ class TestMajorityPairs:
         reputation = WorkerReputation()
         for worker in workers:  # every worker diverges from the prior alike
             reputation.record_gold(worker, True)
-        weights = vote_weights(workers, QualityConfig(), reputation)
+        weights = vote_weights(workers, reputation)
         assert weights is None
         record = progress(JOIN_SPEC, TaskKind.JOIN_BLOCK, answers, workers)
         reduced = decide(record, quality=QualityConfig(), reputation=reputation)
@@ -103,7 +103,7 @@ class TestMajorityPairs:
 
     def test_skewed_weights_let_the_trusted_worker_carry_a_pair(self):
         answers = AnswerList.of([[(0, 0)], [], []])
-        weights = vote_weights(["w0", "w1", "w2"], QualityConfig(), skewed_reputation())
+        weights = vote_weights(["w0", "w1", "w2"], skewed_reputation())
         assert majority_pairs(answers) == []
         assert majority_pairs(answers, weights) == [(0, 0)]
 
@@ -115,21 +115,30 @@ class TestOutcomes:
         assert decide(progress(FILTER_SPEC, TaskKind.FILTER, [])) is REQUEUE
         # A spent attempt cap delivers the salvaged answers; with nothing to
         # salvage it is still a fault.
-        salvaged = decide(progress(FILTER_SPEC, TaskKind.FILTER, [False], attempts=3), expired=True)
+        spent = progress(FILTER_SPEC, TaskKind.FILTER, [False], attempts=MAX_ATTEMPTS - 1)
+        assert decide(spent, expired=True) is REQUEUE
+        spent.attempts = MAX_ATTEMPTS
+        salvaged = decide(spent, expired=True)
         assert isinstance(salvaged, Reduced)
         assert salvaged.degraded and salvaged.value is False
-        assert decide(progress(FILTER_SPEC, TaskKind.FILTER, [], attempts=3)) is REQUEUE
+        assert decide(progress(FILTER_SPEC, TaskKind.FILTER, [], attempts=MAX_ATTEMPTS)) is REQUEUE
+
+
+    def test_under_pressure_any_answer_is_final(self):
+        record = progress(FILTER_SPEC, TaskKind.FILTER, [True])
+        reduced = decide(record, pressured=True)
+        assert isinstance(reduced, Reduced)
+        assert reduced.value is True and not reduced.degraded
 
 
 class TestVoteWeights:
-    def test_plain_voting_unless_weighted_voting_has_differing_weights(self):
+    def test_plain_voting_unless_weights_differ(self):
         workers = ["w0", "w1", "w2"]
         skewed = skewed_reputation()
-        assert vote_weights(workers, None, skewed) is None
-        assert vote_weights(workers, QualityConfig(weighted_voting=False), skewed) is None
-        assert vote_weights(workers, QualityConfig(), WorkerReputation()) is None
-        assert vote_weights([], QualityConfig(), skewed) is None
-        weights = vote_weights(workers, QualityConfig(), skewed)
+        assert vote_weights(workers, None) is None
+        assert vote_weights(workers, WorkerReputation()) is None
+        assert vote_weights([], skewed) is None
+        weights = vote_weights(workers, skewed)
         assert weights[0] > weights[1] == weights[2]
 
     def test_weights_reach_the_built_in_combiners_only(self):
@@ -143,10 +152,16 @@ class TestVoteWeights:
         first = progress(first_spec, TaskKind.FILTER, [False, True, True])
         assert decide(first, quality=QualityConfig(), reputation=reputation).value is False
 
-    def test_reducing_records_agreement_and_reports_confidence(self):
+    def test_reducing_records_agreement(self):
         reputation = WorkerReputation()
         record = progress(FILTER_SPEC, TaskKind.FILTER, [True, True, False])
-        reduced = decide(record, quality=QualityConfig(), reputation=reputation)
+        decide(record, quality=QualityConfig(), reputation=reputation)
         assert reputation.accuracy("w0") > reputation.accuracy("w2")
-        expected = sum(reputation.accuracy(worker) for worker in record.workers) / 3
-        assert reduced.confidence == expected
+
+    def test_answers_without_an_agreement_signal_leave_reputations_alone(self):
+        # A JOIN_BLOCK answer is a pair list: agreement with the majority
+        # has no per-answer meaning there, so nothing is recorded.
+        reputation = WorkerReputation()
+        record = progress(JOIN_SPEC, TaskKind.JOIN_BLOCK, [[(0, 0)], [(0, 0)], [(0, 0)], []])
+        assert decide(record, quality=QualityConfig(), reputation=reputation).value == [(0, 0)]
+        assert reputation.tracked_workers() == []

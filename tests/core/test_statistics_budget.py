@@ -79,15 +79,6 @@ class TestStatisticsManager:
         estimate = CostingPass(stats, CostModel()).selectivity("isRed")
         assert 0.8 < estimate <= 1.0
 
-    def test_worker_vote_tracking(self):
-        stats = StatisticsManager()
-        stats.record_vote("good", True)
-        stats.record_vote("good", True)
-        stats.record_vote("bad", False)
-        assert (stats.worker("good").votes, stats.worker("good").votes_with_majority) == (2, 2)
-        assert (stats.worker("bad").votes, stats.worker("bad").votes_with_majority) == (1, 0)
-        assert stats.worker("unseen").votes == 0
-
     def test_result_emission_and_hit_posting_counters(self):
         stats = StatisticsManager()
         stats.record_hit_posted("isRed", "q1")

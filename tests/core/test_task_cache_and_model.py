@@ -15,7 +15,7 @@ class TestTaskCache:
     def test_miss_then_hit_tracks_savings(self):
         cache = TaskCache()
         assert cache.lookup("findCEO", ("Acme",)) is None
-        cache.store("findCEO", ("Acme",), {"CEO": "Jane"}, cost=0.075, now=10.0)
+        cache.store("findCEO", ("Acme",), {"CEO": "Jane"}, cost=0.075)
         entry = cache.lookup("findCEO", ("Acme",))
         assert entry.reduced == {"CEO": "Jane"}
         assert cache.stats.hits == 1
@@ -28,19 +28,19 @@ class TestTaskCache:
 
     def test_disabled_cache_never_hits(self):
         cache = TaskCache(enabled=False)
-        cache.store("f", ("x",), True, cost=0.1, now=0.0)
+        cache.store("f", ("x",), True, cost=0.1)
         assert cache.lookup("f", ("x",)) is None
         assert len(cache) == 0
 
     def test_none_key_is_not_cacheable(self):
         cache = TaskCache()
-        cache.store("f", None, True, cost=0.1, now=0.0)
+        cache.store("f", None, True, cost=0.1)
         assert cache.lookup("f", None) is None
         assert cache.stats.entries == 0
 
     def test_keys_are_scoped_by_task_name(self):
         cache = TaskCache()
-        cache.store("f", ("x",), True, cost=0.1, now=0.0)
+        cache.store("f", ("x",), True, cost=0.1)
         assert cache.lookup("g", ("x",)) is None
         assert ("f", ("x",)) in cache
 
@@ -57,11 +57,11 @@ class TestTaskCache:
         cache.attach_tier(tier)
         key = (("a", 1), ("b", 2))  # JOIN_BLOCK-style nested tuples
         reduced = [(1, 2), (3, 4)]
-        cache.store("samePerson", key, reduced, cost=0.3, now=12.5, confidence=0.8)
+        cache.store("samePerson", key, reduced, cost=0.3)
         entry = cache.lookup("samePerson", key)
 
         record = entry.record("samePerson", key)
-        assert list(record) == ["name", "key", "reduced", "original_cost", "stored_at", "confidence"]
+        assert list(record) == ["name", "key", "reduced", "original_cost"]
         assert CacheEntry.from_record(record) == (("samePerson", key), entry)
         item = pack(record)
         assert CacheEntry.from_record(unpack(loads(dumps(item)))) == (("samePerson", key), entry)

@@ -18,7 +18,9 @@ from repro.core.tasks.task import ResultSource, Task, TaskKind
 from repro.core.tasks.task_cache import TaskCache
 from repro.core.tasks.task_manager import TaskManager
 from repro.core.tasks.task_model import TaskModelRegistry
+from repro.core.tasks.reducer import MAX_ATTEMPTS
 from repro.crowd import (
+    FaultProfile,
     MTurkSimulator,
     PopulationMix,
     SimulationClock,
@@ -135,13 +137,34 @@ class TestCrowdPath:
         assert manager.pending_tasks() == 0
         assert platform.stats.hits_created == full_hits + forced_hits
 
-    def test_worker_votes_recorded(self):
-        clock, _platform, statistics, _budget, manager = build_manager()
+
+class TestAttemptCap:
+    """A dead market: nobody picks work up, so every HIT expires unanswered."""
+
+    def run_dead_market(self, *, pressured):
+        clock = SimulationClock()
+        faults = FaultProfile(seed=23, hit_lifetime=60.0, pickup_slowdown=50.0)
+        platform = MTurkSimulator(clock, WorkerPool(size=50, seed=1), ORACLE, faults=faults)
+        manager = TaskManager(platform, StatisticsManager(), BudgetLedger())
+        if pressured:
+            manager.set_pressure("q1")
         results = []
         manager.submit(filter_task(results))
-        manager.flush()
-        clock.run_until_idle()
-        assert sum(stats.votes for stats in statistics._workers.values()) == 3
+        while True:
+            manager.flush(force=True)
+            if not clock.run_next():
+                break
+        assert results == []
+        assert manager.stats.tasks_exhausted == 1
+        assert set(manager.take_exhausted_errors()) == {"q1"}
+        assert not manager.has_outstanding_work()
+        return platform.stats.hits_created
+
+    def test_a_task_is_posted_once_plus_max_attempts_reposts(self):
+        assert self.run_dead_market(pressured=False) == 1 + MAX_ATTEMPTS
+
+    def test_pressure_allows_a_single_repost(self):
+        assert self.run_dead_market(pressured=True) == 2
 
 
 class TestCachePath:

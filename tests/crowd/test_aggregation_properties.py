@@ -25,7 +25,7 @@ from repro.core.answers import (
 )
 from repro.core.optimizer.optimizer import CANDIDATE_ASSIGNMENTS, _pick_assignments
 from repro.core.tasks.reducer import vote_weights
-from repro.crowd.quality import QualityConfig, WorkerReputation
+from repro.crowd.quality import WorkerReputation
 
 worker_ids = st.lists(
     st.sampled_from([f"W{i:02d}" for i in range(8)]), min_size=1, max_size=9
@@ -81,7 +81,7 @@ def test_weighted_mean_equals_mean_under_uniform_weights(workers, data, weight):
     # vote as a plain count, and a weighted mean of them would drift in the
     # last bits, so ``vote_weights`` drops them.
     uniform = SimpleNamespace(vote_weight=lambda worker_id: weight)
-    weights = vote_weights(workers, QualityConfig(), uniform)
+    weights = vote_weights(workers, uniform)
     assert weights is None
     assert MeanRating()(answers, weights) == MeanRating()(answers)
 

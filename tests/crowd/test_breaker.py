@@ -9,7 +9,13 @@ covered by the ``breaker-recovery`` chaos scenario and the e19 benchmark.
 
 import pytest
 
-from repro.crowd.breaker import BreakerConfig, BreakerStats, MarketplaceCircuitBreaker
+from repro.crowd.breaker import (
+    BACKOFF,
+    MAX_COOLDOWN,
+    BreakerConfig,
+    BreakerStats,
+    MarketplaceCircuitBreaker,
+)
 from repro.crowd.clock import SimulationClock
 from repro.errors import CrowdError
 
@@ -17,7 +23,7 @@ pytestmark = pytest.mark.overload
 
 
 def make_breaker(clock=None, **overrides) -> MarketplaceCircuitBreaker:
-    defaults = dict(failure_threshold=3, cooldown=100.0, backoff=2.0, max_cooldown=400.0)
+    defaults = dict(failure_threshold=3, cooldown=100.0)
     defaults.update(overrides)
     return MarketplaceCircuitBreaker(
         BreakerConfig(**defaults), clock=clock if clock is not None else SimulationClock()
@@ -31,11 +37,7 @@ class TestConfigValidation:
             {"failure_threshold": 0},
             {"cooldown": 0.0},
             {"cooldown": -5.0},
-            {"backoff": 0.5},
-            {"cooldown": 100.0, "max_cooldown": 50.0},
-            {"half_open_probes": 0},
-            {"jitter": -0.1},
-            {"jitter": 1.0},
+            {"cooldown": MAX_COOLDOWN + 1.0},
         ],
         ids=lambda kwargs: next(iter(kwargs)),
     )
@@ -46,7 +48,7 @@ class TestConfigValidation:
     def test_defaults_are_valid(self):
         config = BreakerConfig()
         assert config.failure_threshold == 5
-        assert config.jitter == 0.0
+        assert config.cooldown == 300.0
 
 
 class TestStateMachine:
@@ -101,9 +103,9 @@ class TestStateMachine:
         assert breaker.state == breaker.HALF_OPEN
         assert breaker.stats.reopens == 1
 
-    def test_half_open_admits_only_the_configured_probes(self):
+    def test_half_open_admits_a_single_probe(self):
         clock = SimulationClock()
-        breaker = make_breaker(clock, half_open_probes=1)
+        breaker = make_breaker(clock)
         for _ in range(3):
             breaker.record_failure()
         clock.run_until_idle()
@@ -138,18 +140,30 @@ class TestStateMachine:
         breaker.record_failure()  # the probe died
         assert breaker.state == breaker.OPEN
         assert breaker.stats.trips == 2
-        assert breaker.retry_at == clock.now + 200.0  # 100 * backoff 2.0
+        assert breaker.retry_at == clock.now + 100.0 * BACKOFF
 
     def test_backoff_is_capped_at_max_cooldown(self):
         clock = SimulationClock()
-        breaker = make_breaker(clock)  # 100 -> 200 -> 400 (cap) -> 400 ...
+        # MAX/3 -> 2 MAX/3 -> MAX (capped) -> MAX ...
+        breaker = make_breaker(clock, cooldown=MAX_COOLDOWN / 3)
         for _ in range(3):
             breaker.record_failure()
         for _ in range(4):  # four failed probes in a row
             clock.run_until_idle()
             breaker.record_post()
             breaker.record_failure()
-        assert breaker.retry_at == clock.now + 400.0
+        assert breaker.retry_at == clock.now + MAX_COOLDOWN
+
+    def test_a_cooldown_at_the_ceiling_backs_off_no_further(self):
+        clock = SimulationClock()
+        breaker = make_breaker(clock, cooldown=MAX_COOLDOWN)
+        for _ in range(3):
+            breaker.record_failure()
+        assert breaker.retry_at == clock.now + MAX_COOLDOWN
+        clock.run_until_idle()
+        breaker.record_post()
+        breaker.record_failure()  # the probe died
+        assert breaker.retry_at == clock.now + MAX_COOLDOWN
 
     def test_lazy_reopen_when_polled_past_the_retry_time(self):
         clock = SimulationClock()
@@ -170,34 +184,6 @@ class TestStateMachine:
         breaker = MarketplaceCircuitBreaker(BreakerConfig(failure_threshold=1), clock=None)
         with pytest.raises(CrowdError):
             breaker.record_failure()
-
-
-class TestJitterDeterminism:
-    def test_same_seed_same_jittered_cooldowns(self):
-        def retry_times(seed: int) -> list[float]:
-            clock = SimulationClock()
-            breaker = make_breaker(clock, jitter=0.5, seed=seed)
-            times = []
-            for _ in range(3):
-                breaker.record_failure()
-                breaker.record_failure()
-                breaker.record_failure()
-                times.append(breaker.retry_at)
-                clock.run_until_idle()
-                breaker.record_post()
-                breaker.record_success()
-            return times
-
-        assert retry_times(7) == retry_times(7)
-        assert retry_times(7) != retry_times(8)
-
-    def test_jitter_stays_within_the_configured_band(self):
-        clock = SimulationClock()
-        breaker = make_breaker(clock, jitter=0.25, seed=3)
-        for _ in range(3):
-            breaker.record_failure()
-        cooldown = breaker.retry_at - clock.now
-        assert 75.0 <= cooldown <= 125.0
 
 
 class TestBookkeeping:

@@ -3,7 +3,21 @@
 import pytest
 
 from repro.crowd import SimulationClock
+from repro.crowd.wallclock import WallClock
 from repro.errors import CrowdError
+
+
+def _wall_clock() -> WallClock:
+    """A wall clock on an injected time source whose sleep advances it."""
+    now = [0.0]
+
+    def sleep(seconds: float) -> None:
+        now[0] += seconds
+
+    return WallClock(time_source=lambda: now[0], sleep=sleep)
+
+
+CLOCKS = pytest.mark.parametrize("make_clock", [SimulationClock, _wall_clock], ids=["sim", "wall"])
 
 
 class TestScheduling:
@@ -83,6 +97,41 @@ class TestScheduling:
         clock.schedule_in(1, lambda: None)
         clock.schedule_in(2, lambda: None)
         assert clock.run_until_idle() == 2
+
+    @CLOCKS
+    def test_run_next_fires_every_event_at_the_earliest_instant(self, make_clock):
+        clock = make_clock()
+        fired = []
+        for when in (5, 5, 6):
+            clock.schedule_at(when, lambda when=when: fired.append(when))
+        assert clock.run_next() is True
+        assert fired == [5, 5]
+        assert clock.pending_events == 1
+
+    @CLOCKS
+    def test_run_until_idle_counts_events_not_instants(self, make_clock):
+        clock = make_clock()
+        for when in (5, 5, 6):
+            clock.schedule_at(when, lambda: None)
+        assert clock.run_until_idle() == 3
+
+    @CLOCKS
+    def test_max_events_guard_counts_events(self, make_clock):
+        clock = make_clock()
+        fired = []
+
+        def pair():
+            # Two events per instant, forever.
+            fired.append(clock.now)
+            if len(fired) % 2:
+                clock.schedule_in(1, pair)
+                clock.schedule_in(1, pair)
+
+        clock.schedule_in(1, pair)
+        clock.schedule_in(1, pair)
+        with pytest.raises(CrowdError):
+            clock.run_until_idle(max_events=10)
+        assert len(fired) == 10
 
 
 class TestHeapCompaction:

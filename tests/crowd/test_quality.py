@@ -9,6 +9,7 @@ from repro.crowd import (
     QualityConfig,
     WorkerReputation,
 )
+from repro.crowd.quality import DEFAULT_AGREEMENT_WEIGHT
 from repro.errors import CrowdError
 from repro.experiments.harness import build_products_engine
 
@@ -18,18 +19,14 @@ PRODUCTS_SQL = "SELECT name FROM products WHERE isTargetColor(name)"
 class TestQualityConfig:
     def test_defaults_validate(self):
         config = QualityConfig()
-        assert config.wave_size == 3
+        assert config.confidence_threshold == 0.85
         assert config.adaptive_redundancy
 
     def test_validation(self):
         with pytest.raises(CrowdError):
             QualityConfig(gold_frequency=2.0)
         with pytest.raises(CrowdError):
-            QualityConfig(wave_size=0)
-        with pytest.raises(CrowdError):
             QualityConfig(confidence_threshold=0.0)
-        with pytest.raises(CrowdError):
-            QualityConfig(max_attempts=0)
 
 
 class TestWorkerReputation:
@@ -53,8 +50,16 @@ class TestWorkerReputation:
     def test_agreement_weighs_less_than_gold(self):
         by_gold, by_agreement = WorkerReputation(), WorkerReputation()
         by_gold.record_gold("w", False)
-        by_agreement.record_agreement("w", False, weight=0.25)
+        by_agreement.record_agreement("w", False)
         assert by_gold.accuracy("w") < by_agreement.accuracy("w")
+
+    def test_one_agreement_counts_the_default_agreement_weight(self):
+        reputation = WorkerReputation()
+        reputation.record_agreement("w", True)
+        assert reputation.observations("w") == DEFAULT_AGREEMENT_WEIGHT
+        alpha = WorkerReputation.PRIOR_ALPHA + DEFAULT_AGREEMENT_WEIGHT
+        beta = WorkerReputation.PRIOR_BETA
+        assert reputation.accuracy("w") == pytest.approx(alpha / (alpha + beta))
 
     def test_vote_weight_orders_by_accuracy(self):
         reputation = WorkerReputation()
@@ -145,7 +150,7 @@ class TestQualityControlEndToEnd:
             filter_batch=5,
             seed=78,
             population_mix=reliable,
-            quality=QualityConfig(gold_frequency=0.0, wave_size=3, seed=5),
+            quality=QualityConfig(gold_frequency=0.0, seed=5),
         )
         handle = run.engine.query(PRODUCTS_SQL)
         handle.wait()
@@ -164,7 +169,7 @@ class TestQualityControlEndToEnd:
             filter_batch=4,
             seed=79,
             population_mix=spammy,
-            quality=QualityConfig(gold_frequency=0.5, wave_size=3, seed=5),
+            quality=QualityConfig(gold_frequency=0.5, seed=5),
         )
         handle = run.engine.query(PRODUCTS_SQL)
         handle.wait()
@@ -184,7 +189,7 @@ class TestQualityControlEndToEnd:
             filter_batch=4,
             seed=83,
             population_mix=spammy,
-            quality=QualityConfig(gold_frequency=0.0, wave_size=3, seed=5),
+            quality=QualityConfig(gold_frequency=0.0, seed=5),
         )
         engine = run.engine
         per_task_workers: dict[str, list[str]] = {}
@@ -215,20 +220,7 @@ class TestQualityControlEndToEnd:
         # A fully diligent population rating consistently must not be flagged.
         assert reputation.flagged_workers() == []
 
-    def test_max_attempts_comes_from_the_quality_config(self):
-        from repro.core.tasks.task_manager import TaskManager
-
-        run = build_products_engine(n_products=4, seed=82)
-        engine = run.engine
-        manager = TaskManager(
-            engine.platform,
-            engine.statistics,
-            engine.budget_ledger,
-            quality=QualityConfig(max_attempts=4),
-        )
-        assert manager.max_attempts == 4
-
-    def test_quality_off_is_byte_identical_to_seed_behaviour(self):
+    def test_without_probes_or_waves_quality_buys_the_same_hits(self):
         def fingerprint(quality):
             run = build_products_engine(
                 n_products=10, assignments=3, filter_batch=2, seed=80, quality=quality
@@ -242,9 +234,8 @@ class TestQualityControlEndToEnd:
                 round(handle.total_cost, 12),
             )
 
-        # weighted_voting + gold off, adaptive_redundancy off -> the quality
-        # plumbing is inert and must reproduce the legacy run exactly.
-        inert = QualityConfig(
-            gold_frequency=0.0, weighted_voting=False, adaptive_redundancy=False
-        )
-        assert fingerprint(None) == fingerprint(inert)
+        # With gold probes and adaptive redundancy off, quality control only
+        # reweights votes: the HITs bought and the dollars spent are the
+        # unmanaged run's.  Here the reweighted votes flip no answer either.
+        no_probes_no_waves = QualityConfig(gold_frequency=0.0, adaptive_redundancy=False)
+        assert fingerprint(None) == fingerprint(no_probes_no_waves)

@@ -119,6 +119,14 @@ class TestAdvancing:
         assert fired == ["b", "a", "c"]
 
 
+    def test_run_until_idle_fires_events_the_wall_already_passed(self):
+        clock, fake = make_clock()
+        clock.schedule_at(1.0, lambda: None)
+        fake.now += 5.0  # the wall moved on without anyone advancing
+        assert clock.run_until_idle() == 1
+        assert clock.now == 5.0
+
+
 class TestSimulationParity:
     def test_same_event_sequence_as_simulation_clock(self):
         """Inherited scheduling semantics: the firing order is identical."""

@@ -7,10 +7,12 @@ from repro.crowd import (
     HITContent,
     HITInterface,
     HITItem,
+    NoisyWorker,
     PopulationMix,
     SpammerWorker,
     WorkerPool,
 )
+from repro.crowd.worker_pool import REFERENCE_REWARD, REWARD_ELASTICITY
 from repro.errors import WorkerError
 
 
@@ -65,16 +67,14 @@ class TestWorkerPool:
         assert all(isinstance(w, SpammerWorker) for w in pool.workers)
         assert mean_accuracy(pool) == pytest.approx(0.5)
 
+    def test_noisy_workers_take_the_archetype_accuracy(self):
+        pool = WorkerPool(size=20, mix=PopulationMix(diligent=0, noisy=1, lazy=0, spammer=0))
+        assert all(isinstance(w, NoisyWorker) for w in pool.workers)
+        assert {w.accuracy for w in pool.workers} == {NoisyWorker.accuracy}
+
     def test_mean_accuracy_of_default_mix_is_high_but_imperfect(self):
         pool = WorkerPool(size=500, seed=11)
         assert 0.8 < mean_accuracy(pool) < 0.99
-
-    def test_worker_lookup(self):
-        pool = WorkerPool(size=5, seed=0)
-        worker = pool.workers[2]
-        assert pool.worker(worker.worker_id) is worker
-        with pytest.raises(WorkerError):
-            pool.worker("missing")
 
     def test_select_workers_without_replacement(self):
         pool = WorkerPool(size=30, seed=0)
@@ -97,6 +97,17 @@ class TestWorkerPool:
         pool2 = WorkerPool(size=50, seed=9)
         generous = [pool2.pickup_delay(simple_hit(reward=0.25)) for _ in range(300)]
         assert sum(generous) / len(generous) < sum(cheap) / len(cheap)
+
+    def test_mean_pickup_follows_the_reward_elasticity(self):
+        # Same seed, same exponential draws: only the mean differs, by
+        # (reward ratio) ** REWARD_ELASTICITY.
+        ratio = 4.0
+        pool = WorkerPool(size=50, seed=9)
+        base = [pool.pickup_delay(simple_hit(reward=REFERENCE_REWARD)) for _ in range(50)]
+        pool2 = WorkerPool(size=50, seed=9)
+        richer = [pool2.pickup_delay(simple_hit(reward=REFERENCE_REWARD * ratio)) for _ in range(50)]
+        for slow, fast in zip(base, richer):
+            assert slow / fast == pytest.approx(ratio**REWARD_ELASTICITY)
 
     def test_bigger_hits_take_longer_to_get_picked_up(self):
         pool = WorkerPool(size=50, seed=9)

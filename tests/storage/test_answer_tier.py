@@ -2,18 +2,19 @@
 
 import pytest
 
-from repro.core.tasks.task_cache import CachePolicy, TaskCache
+from repro.core.tasks.task_cache import TaskCache
 from repro.errors import StorageError
-from repro.storage.answer_tier import ANSWERS_WAL_FILENAME, DurableAnswerTier
+from repro.storage.answer_tier import ANSWERS_LOG_SPEC, ANSWERS_WAL_FILENAME, DurableAnswerTier
+from repro.storage.snapshot import write_snapshot
 from repro.storage.wal import WriteAheadLog
 
 
 def _warm_cache(tier):
     cache = TaskCache()
     cache.attach_tier(tier)
-    cache.store("findCEO", ("Acme",), {"CEO": "Jane"}, cost=0.075, now=1.0)
-    cache.store("findCEO", ("Bolt",), {"CEO": "Ana"}, cost=0.075, now=2.0)
-    cache.store("isRed", ("mug",), True, cost=0.045, now=3.0, confidence=0.95)
+    cache.store("findCEO", ("Acme",), {"CEO": "Jane"}, cost=0.075)
+    cache.store("findCEO", ("Bolt",), {"CEO": "Ana"}, cost=0.075)
+    cache.store("isRed", ("mug",), True, cost=0.045)
     return cache
 
 
@@ -29,7 +30,7 @@ class TestDurableAnswerTier:
         assert reopened.load_into(fresh) == 3
         entry = fresh.lookup("findCEO", ("Acme",))
         assert entry is not None and entry.reduced == {"CEO": "Jane"}
-        assert fresh.lookup("isRed", ("mug",)).confidence == pytest.approx(0.95)
+        assert fresh.lookup("isRed", ("mug",)).reduced is True
         reopened.close()
 
     def test_checkpoint_compacts_and_survives(self, tmp_path):
@@ -45,7 +46,7 @@ class TestDurableAnswerTier:
         cache = TaskCache()
         reopened.load_into(cache)
         cache.attach_tier(reopened)
-        cache.store("isRed", ("cup",), False, cost=0.045, now=4.0)
+        cache.store("isRed", ("cup",), False, cost=0.045)
         reopened.close()
         third = DurableAnswerTier(tmp_path)
         assert third.entry_count == 4
@@ -70,7 +71,7 @@ class TestDurableAnswerTier:
         tier = DurableAnswerTier(tmp_path)
         cache = _warm_cache(tier)
         tier.wal.append("answers_invalidated", {"name": None}, durable=True)
-        cache.store("isRed", ("cup",), False, cost=0.045, now=4.0)
+        cache.store("isRed", ("cup",), False, cost=0.045)
         tier.close()
         reopened = DurableAnswerTier(tmp_path)
         assert reopened.entry_count == 1
@@ -78,6 +79,22 @@ class TestDurableAnswerTier:
         assert reopened.load_into(fresh) == 1
         assert fresh.lookup("isRed", ("cup",)) is not None
         assert fresh.lookup("isRed", ("mug",)) is None
+        reopened.close()
+
+    def test_imported_entries_are_journaled(self, tmp_path):
+        """An answer another shard produced survives this engine's restart."""
+        source = TaskCache()
+        source.store("findCEO", ("Acme",), {"CEO": "Jane"}, cost=0.075)
+        _, items = source.export_since(0)
+        tier = DurableAnswerTier(tmp_path)
+        cache = TaskCache()
+        cache.attach_tier(tier)
+        assert cache.import_entries(items) == 1
+        tier.close()
+        reopened = DurableAnswerTier(tmp_path)
+        warmed = TaskCache()
+        assert reopened.load_into(warmed) == 1
+        assert warmed.lookup("findCEO", ("Acme",)).reduced == {"CEO": "Jane"}
         reopened.close()
 
     def test_refuses_an_engine_wal_directory(self, tmp_path):
@@ -116,16 +133,6 @@ class TestDurableAnswerTier:
         stored = [r for r in info.records if r.type == "answer_stored"]
         assert len(stored) == 3  # the original stores only, no replay echo
 
-    def test_rejected_admissions_are_not_journaled(self, tmp_path):
-        tier = DurableAnswerTier(tmp_path)
-        cache = TaskCache(policy=CachePolicy(min_confidence=0.9))
-        cache.attach_tier(tier)
-        assert not cache.store("f", ("x",), True, cost=0.1, now=0.0, confidence=0.2)
-        tier.close()
-        reopened = DurableAnswerTier(tmp_path)
-        assert reopened.entry_count == 0
-        reopened.close()
-
 
 class TestAnswerLogVersion:
     def test_version_1_log_is_refused_by_version(self, tmp_path):
@@ -148,6 +155,31 @@ class TestAnswerLogVersion:
         with pytest.raises(StorageError, match="'version': 1"):
             DurableAnswerTier(tmp_path)
 
+    def test_version_2_records_with_stored_at_and_confidence_still_load(self, tmp_path):
+        """Entries once also carried ``stored_at`` and ``confidence``; a log
+        and a snapshot holding such records load, and the fields are dropped."""
+        record = {
+            "name": "findCEO",
+            "key": ("Acme",),
+            "reduced": {"CEO": "Jane"},
+            "original_cost": 0.075,
+            "stored_at": 1.0,
+            "confidence": 0.95,
+        }
+        with WriteAheadLog.create(tmp_path / ANSWERS_WAL_FILENAME, spec=ANSWERS_LOG_SPEC) as wal:
+            wal.append("answer_stored", record)
+        write_snapshot(
+            tmp_path, {"layer": "answer-tier", "entries": [dict(record, key=("Bolt",))]}, lsn=0
+        )
+        tier = DurableAnswerTier(tmp_path)
+        cache = TaskCache()
+        assert tier.load_into(cache) == 2
+        tier.close()
+        for key in (("Acme",), ("Bolt",)):
+            entry = cache.lookup("findCEO", key)
+            assert (entry.reduced, entry.original_cost) == ({"CEO": "Jane"}, 0.075)
+            assert list(entry.record("findCEO", key)) == ["name", "key", "reduced", "original_cost"]
+
     def test_a_log_of_another_layer_is_refused(self, tmp_path):
         WriteAheadLog.create(tmp_path / ANSWERS_WAL_FILENAME, spec={"factory": "m:f"}).close()
         with pytest.raises(StorageError, match="'factory'"):
@@ -157,9 +189,9 @@ class TestAnswerLogVersion:
         tier = DurableAnswerTier(tmp_path)
         cache = TaskCache()
         cache.attach_tier(tier)
-        cache.store("samePerson", (("a", 1), ("b", 2)), [(1, 2)], cost=0.3, now=1.0)
+        cache.store("samePerson", (("a", 1), ("b", 2)), [(1, 2)], cost=0.3)
         tier.checkpoint()
-        cache.store("samePerson", (("c", 3),), [(3, 4)], cost=0.3, now=2.0)
+        cache.store("samePerson", (("c", 3),), [(3, 4)], cost=0.3)
         tier.close()
         warmed, reopened = TaskCache(), DurableAnswerTier(tmp_path)
         assert reopened.load_into(warmed) == 2

@@ -162,6 +162,24 @@ class TestEngineCheckpoint:
         statuses = {qid: handle.status.value for qid, handle in result.engine.queries.items()}
         assert statuses == {"q1": "completed", "q2": "failed"}
 
+    def test_a_version_1_state_is_refused_not_misloaded(self, tmp_path):
+        """Version 1 engine state still carried the cache's expiry and
+        admission counters and the per-worker vote statistics."""
+        scenario, engine = _durable_engine(tmp_path, snapshot_every=None)
+        engine.query(scenario.phases[0][0]["sql"])
+        engine.scheduler.drain()
+        engine.clock.run_until_idle()
+        engine.checkpoint()
+        engine.journal.wal.simulate_crash()
+        lsn, state = load_latest_snapshot(tmp_path)
+        state["state_version"] = 1
+        state["task_cache"]["stats"].update(expirations=0, admissions_rejected=0)
+        state["statistics"]["workers"] = {"W0001": {"assignments": 1, "votes": 1,
+                                                    "votes_with_majority": 1}}
+        write_snapshot(tmp_path, state, lsn=lsn)
+        with pytest.raises(RecoveryError, match="state version 1 is not supported"):
+            QurkEngine.recover(tmp_path)
+
     def test_recover_without_wal_raises(self, tmp_path):
         with pytest.raises(RecoveryError):
             QurkEngine.recover(tmp_path)

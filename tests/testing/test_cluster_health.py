@@ -16,6 +16,7 @@ import pytest
 
 from repro.cluster import EngineSpec, ShardCoordinator
 from repro.cluster.placement import HealthAwarePlacement, make_placement
+from repro.core.exec.scheduler import OVERLOAD_RETRY_AFTER
 from repro.dashboard.cluster import render_cluster
 from repro.errors import ClusterError, EngineOverloadedError
 
@@ -57,10 +58,10 @@ class TestHealthAwarePlacement:
             placement.set_healthy(2, False)
 
     def test_make_placement_knows_health(self):
-        placement = make_placement("health", 4, 0)
+        placement = make_placement("health", 4)
         assert isinstance(placement, HealthAwarePlacement)
         with pytest.raises(ClusterError, match="health"):
-            make_placement("nope", 4, 0)
+            make_placement("nope", 4)
 
 
 class TestHealthRouting:
@@ -193,12 +194,11 @@ class TestClusterBackpressure:
             spec(
                 max_concurrent_queries=1,
                 admission_queue_limit=0,
-                overload_retry_after=7.5,
             ),
             1,
         ) as cluster:
             cluster.submit(FILTER_SQL)
             with pytest.raises(EngineOverloadedError) as excinfo:
                 cluster.submit(FILTER_SQL)
-            assert excinfo.value.retry_after == 7.5
+            assert excinfo.value.retry_after == OVERLOAD_RETRY_AFTER
             assert cluster.drain()["cq1"] == "completed"
