@@ -177,13 +177,17 @@ class SimulationClock:
         return True
 
     def run_until_idle(self, *, max_events: int = 1_000_000) -> int:
-        """Fire events until none remain.  Returns the number fired."""
+        """Fire events until none remain.  Returns the number fired.
+
+        Raises when events remain after ``max_events`` have fired: a run
+        that ends with exactly ``max_events`` fired did quiesce.
+        """
         fired = 0
         while (when := self.next_event_time()) is not None:
-            # A wall clock may already be past ``when``; never ask to rewind.
-            fired += self.advance_to(max(when, self.now))
             if fired >= max_events:
                 raise CrowdError(f"simulation did not quiesce after {max_events} events")
+            # A wall clock may already be past ``when``; never ask to rewind.
+            fired += self.advance_to(max(when, self.now))
         return fired
 
     def __repr__(self) -> str:

@@ -133,6 +133,14 @@ class TestScheduling:
             clock.run_until_idle(max_events=10)
         assert len(fired) == 10
 
+    @CLOCKS
+    def test_a_run_that_fires_exactly_max_events_quiesced(self, make_clock):
+        clock = make_clock()
+        for when in (1, 2, 3):
+            clock.schedule_at(when, lambda: None)
+        assert clock.run_until_idle(max_events=3) == 3
+        assert clock.pending_events == 0
+
 
 class TestHeapCompaction:
     """Pin the lazy heap-compaction triggers (fraction + absolute floor)."""
