@@ -180,6 +180,16 @@ class TestStateMachine:
         assert breaker.allow_posting()
         assert breaker.state == breaker.HALF_OPEN
 
+    def test_lazy_reopen_when_polled_at_exactly_the_retry_time(self):
+        clock = SimulationClock()
+        breaker = make_breaker(clock)
+        for _ in range(3):
+            breaker.record_failure()
+        clock._events[0][2].cancel()  # the lost breaker:reopen event
+        clock.restore_time(breaker.retry_at)
+        assert breaker.allow_posting()
+        assert breaker.state == breaker.HALF_OPEN
+
     def test_trip_without_a_clock_is_a_hard_error(self):
         breaker = MarketplaceCircuitBreaker(BreakerConfig(failure_threshold=1), clock=None)
         with pytest.raises(CrowdError):
@@ -202,6 +212,16 @@ class TestBookkeeping:
         assert "state open" in text
         assert "retry at" in text
         assert "1 post(s) blocked" in text
+
+    def test_describe_gives_no_retry_time_once_half_open(self):
+        clock = SimulationClock()
+        breaker = make_breaker(clock)
+        for _ in range(3):
+            breaker.record_failure()
+        clock.run_until_idle()
+        # Half-open keeps ``_retry_at`` until a probe succeeds; it is not shown.
+        assert breaker.state == breaker.HALF_OPEN and breaker._retry_at is not None
+        assert "retry at" not in breaker.describe()
 
     def test_stats_start_zeroed(self):
         assert MarketplaceCircuitBreaker().stats == BreakerStats()
