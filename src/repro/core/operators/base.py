@@ -6,9 +6,9 @@ in contrast to the pull based iterator model, results are automatically
 emitted from the top-most operator and inserted into a results table."
 
 Each operator owns one input queue per child.  The engine scheduler's pass
-over a query calls :meth:`Operator.step` on every operator, which drains a
-bounded amount of queued input, possibly submits crowd tasks, and pushes
-produced rows into its parent's queue.  Crowd operators keep a count of
+over a query calls :meth:`Operator.step` on every operator, which drains
+everything queued, possibly submits crowd tasks, and pushes produced rows
+into its parent's queue.  Crowd operators keep a count of
 outstanding tasks; an operator is *done* only when its inputs are finished,
 its queues are drained, it has no outstanding tasks, and it has flushed any
 internal buffers.
@@ -23,10 +23,12 @@ only where a consumer genuinely needs them: crowd-operator task emission and
 HIT compilation inside a plan, and the user reading results off the handle
 (the results sink lands batches as columns).
 
-The drain budget is counted in *rows* regardless of batch shape, and a batch
-larger than the remaining budget is split at the boundary, so per-step row
-counts — and therefore HIT batching and the determinism fingerprints — are
-independent of how emitters grouped their output.
+A step drains whole queues, so the rows a step sees — and therefore HIT
+batching and the determinism fingerprints — are independent of how emitters
+grouped their output.  There is no drain bound: the scheduler advances the
+simulated clock only once no query can make local progress, so every task
+of a wave posts at the same instant whatever the step size, and smaller
+steps would buy crowd plans no earlier HITs, only more scheduler passes.
 """
 
 from __future__ import annotations
@@ -62,14 +64,6 @@ class OperatorMetrics:
 
 class Operator:
     """Base class for all physical operators."""
-
-    #: Upper bound on rows drained from input queues per :meth:`step` call,
-    #: the same for every plan.  Small steps would buy crowd plans no
-    #: earlier HITs: the scheduler advances the simulated clock only once no
-    #: query can make local progress, so every task of a wave posts at the
-    #: same instant whatever the step size, and small steps only multiply
-    #: scheduler passes.
-    MAX_ROWS_PER_STEP = 8192
 
     def __init__(self, name: str):
         self.name = name
@@ -197,30 +191,19 @@ class Operator:
     # -- stepping ---------------------------------------------------------------------------
 
     def step(self) -> bool:
-        """Perform a bounded amount of work.  Returns True when progress was made.
+        """Drain everything queued.  Returns True when progress was made.
 
-        Input queues hold column-major batches, drained one batch per
-        :meth:`_process` call.  The drain budget counts *rows* and is shared
-        across slots; a batch straddling the budget boundary is split there
-        (the remainder goes back to the front of its queue), so the rows
-        drained per step are the same whatever the batch shapes.
+        Input queues hold column-major batches, drained slot by slot, one
+        whole batch per :meth:`_process` call, so a step sees every queued
+        row whatever the batch shapes.
         """
         progress = False
-        budget = self.MAX_ROWS_PER_STEP
         for slot, queue in enumerate(self._in_queues):
-            while queue and budget > 0:
+            while queue:
                 batch = queue.popleft()
-                size = len(batch)
-                if size > budget:
-                    queue.appendleft(batch.slice(budget, size))
-                    batch = batch.slice(0, budget)
-                    size = budget
-                self.metrics.rows_in += size
-                budget -= size
+                self.metrics.rows_in += len(batch)
                 self._process(batch, slot)
                 progress = True
-            if budget <= 0:
-                break
         if not self._finalized and self.inputs_finished() and self.queued_rows() == 0:
             self._finalized = True
             self._on_inputs_finished()

@@ -14,16 +14,15 @@ __all__ = ["ScanOperator", "IndexScanOperator"]
 
 
 class _TableAccessOperator(Operator):
-    """Shared leaf machinery: emit a precomputed batch in drain-bound slices.
+    """Shared leaf machinery: emit a precomputed batch in one step.
 
     Both access paths materialize their output as one column-major batch on
     the first step (the table's cached column snapshot, optionally gathered
-    through an index), then emit at most :attr:`Operator.MAX_ROWS_PER_STEP`
-    rows per step.  Downstream crowd operators still start posting HITs as
-    soon as the first tuples arrive (asynchronous pipelining, Section 2):
-    the scheduler holds the simulated clock until no query can make local
-    progress, so a whole scan's tasks post at the same instant whether it
-    is emitted in one slice or many.
+    through an index) and emit it whole.  Downstream crowd operators still
+    start posting HITs as soon as the tuples arrive (asynchronous
+    pipelining, Section 2): the scheduler holds the simulated clock until no
+    query can make local progress, so a whole scan's tasks post at the same
+    instant however many steps the scan would be cut into.
     """
 
     def __init__(self, name: str, table: Table, alias: str | None = None):
@@ -32,9 +31,6 @@ class _TableAccessOperator(Operator):
         self.table = table
         self.alias = alias
         self._schema = table.schema.qualified(alias)
-        self._batch: RowBatch | None = None
-        self._position = 0
-        self._exhausted = False
 
     @property
     def output_schema(self) -> Schema:
@@ -45,25 +41,11 @@ class _TableAccessOperator(Operator):
         raise NotImplementedError
 
     def step(self) -> bool:
-        emitted = 0
-        if not self._exhausted:
-            if self._batch is None:
-                self._batch = self._load_batch()
-            start = self._position
-            end = min(start + self.MAX_ROWS_PER_STEP, len(self._batch))
-            if end > start:
-                self._position = end
-                emitted = end - start
-                self.metrics.rows_in += emitted
-                self.emit(self._batch.slice(start, end))
-            if self._position >= len(self._batch):
-                self._exhausted = True
-        # Let the base class run the finalisation hook once exhausted.
-        base_progress = super().step() if self._exhausted else False
-        return emitted > 0 or base_progress
-
-    def is_done(self) -> bool:
-        return self._exhausted and super().is_done()
+        if not self._finalized:  # the first step: the base class finalizes after it
+            batch = self._load_batch()
+            self.metrics.rows_in += len(batch)
+            self.emit(batch)
+        return super().step()
 
 
 class ScanOperator(_TableAccessOperator):

@@ -1,9 +1,9 @@
 """Column-major row batches — the unit of exchange of the local data plane.
 
 A :class:`RowBatch` holds the values of many rows over one shared schema as a
-tuple of columns (one value-tuple per column).  Since the columnar execution
-PR, operator input queues carry ``RowBatch`` objects end-to-end: scans emit
-slices of a table's cached column snapshot, filters apply selection vectors
+tuple of columns (one value-tuple per column).  Operator input queues
+carry ``RowBatch`` objects end-to-end: scans emit a table's cached column
+snapshot, filters apply selection vectors
 (:meth:`compress`), joins and sorts gather columns by index (:meth:`take`),
 the results sink extends the results table's columns with the batch's own,
 and rows are materialized only at the boundaries that genuinely need
@@ -76,7 +76,7 @@ class _LazyGather:
 class RowBatch:
     """An immutable, column-major block of rows sharing one schema."""
 
-    __slots__ = ("_schema", "_columns", "_length", "_accel", "_origin")
+    __slots__ = ("_schema", "_columns", "_length", "_accel")
 
     def __init__(self, schema: Schema, columns: Sequence[Sequence[Any]]):
         columns = tuple(tuple(column) for column in columns)
@@ -91,8 +91,6 @@ class RowBatch:
         self._columns = columns
         self._length = lengths.pop() if lengths else 0
         self._accel: dict | None = None
-        #: Set by :meth:`slice`: ``(columns sliced from, offset into them)``.
-        self._origin: tuple[tuple, int] | None = None
 
     # -- construction -------------------------------------------------------
 
@@ -112,7 +110,6 @@ class RowBatch:
         batch._columns = columns
         batch._length = length
         batch._accel = None
-        batch._origin = None
         return batch
 
     @classmethod
@@ -167,7 +164,10 @@ class RowBatch:
                 )
         length = sum(batch._length for batch in batches)
         if length >= accel.MIN_ROWS:
-            columns = tuple(cls._stack_column(batches, i) for i in range(width))
+            columns = tuple(
+                accel.np.concatenate([batch._obj_array(i) for batch in batches])
+                for i in range(width)
+            )
         else:
             columns = tuple(
                 tuple(chain.from_iterable(batch._materialized(i) for batch in batches))
@@ -177,33 +177,15 @@ class RowBatch:
         stacked._stack_accel(batches, width)
         return stacked
 
-    @staticmethod
-    def _stack_column(batches: Sequence["RowBatch"], i: int):
-        """One vstacked column as a lazy ndarray (see :class:`_LazyGather`).
-
-        Parts that are lazy gathers off the *same* source array — the usual
-        case for the per-step slices of one filtered scan, whose gathers are
-        rebased onto the snapshot's own arrays (see :meth:`_take_array`) —
-        stay lazy with their index arrays concatenated; anything else
-        concatenates the parts' object ndarrays.
-        """
-        parts = [batch._columns[i] for batch in batches]
-        if all(type(part) is _LazyGather for part in parts):
-            if len({id(part.source) for part in parts}) == 1:
-                return _LazyGather(
-                    parts[0].source,
-                    accel.np.concatenate([part.indices for part in parts]),
-                )
-        return accel.np.concatenate(
-            [batch._obj_array(i) for batch in batches]
-        )
-
     def _stack_accel(self, batches: Sequence["RowBatch"], width: int) -> None:
         """Concatenate per-column accel caches carried by *every* part.
 
-        Scans emit per-step slices of one snapshot, each carrying array
-        views; re-joining them here keeps codes/numeric caches flowing into
-        blocking operators without ever rebuilding from Python tuples.
+        A scan emits its snapshot whole, so a blocking operator fed by local
+        operators stacks one part, and the rows crowd operators emit one at
+        a time carry no caches.  This merges when an input arrives cut into
+        parts that each carry caches, as the batch-shape tests
+        (``tests/core/test_operator_protocol.py``) cut the inputs of the
+        crowd join and the crowd sort.
         """
         parts = [batch._accel for batch in batches]
         if any(part is None for part in parts):
@@ -316,16 +298,16 @@ class RowBatch:
     # -- derivation ---------------------------------------------------------
 
     def slice(self, start: int, stop: int) -> "RowBatch":
-        """Rows ``start:stop`` as a new batch (one tuple slice per column)."""
+        """Rows ``start:stop`` as a new batch: one slice per column and per cache.
+
+        The slice keeps no tie to the batch it was cut from; :meth:`take`
+        on it indexes its own rows.
+        """
         if start == 0 and stop >= self._length:
             return self
         columns = tuple(column[start:stop] for column in self._columns)
         length = len(columns[0]) if columns else max(min(stop, self._length) - start, 0)
         sliced = RowBatch.of_columns(self._schema, columns, length)
-        origin = self._origin
-        sliced._origin = (
-            (self._columns, start) if origin is None else (origin[0], origin[1] + start)
-        )
         if self._accel:
             sliced._accel = {
                 key: (
@@ -345,14 +327,11 @@ class RowBatch:
         """
         if self._length >= accel.MIN_ROWS and len(indices) >= accel.MIN_ROWS:
             index_array = accel.np.asarray(indices, dtype=accel.np.intp)
-            # _take_array gathers a slice's rows from the snapshot it was
-            # sliced from, so an index must be checked and wrapped here.
+            # _take_array defers the object gather, so an index outside the
+            # batch is refused here, where a tuple's gather would raise.
             n = self._length
-            low, high = index_array.min(), index_array.max()
-            if low < -n or high >= n:
+            if index_array.min() < -n or index_array.max() >= n:
                 raise IndexError(f"row index out of range for a batch of {n} rows")
-            if low < 0:
-                index_array = accel.np.where(index_array < 0, index_array + n, index_array)
             return self._take_array(index_array)
         columns = tuple(
             tuple(map(column.__getitem__, indices)) for column in self._columns
@@ -364,23 +343,14 @@ class RowBatch:
 
         Gathered columns stay as object ndarrays (lazy — see
         :meth:`_materialized`), so a batch that flows straight into another
-        accelerated operator never round-trips through Python tuples.  A
-        slice gathers from the arrays it was sliced *from*, indices shifted
-        by its offset: every per-step slice of one snapshot then shares the
-        snapshot's arrays as its source and :meth:`vstack` can keep the
-        stacked column lazy.
+        accelerated operator never round-trips through Python tuples.
         """
         columns = []
         taken_accel: dict = {}
-        origin = self._origin
-        if origin is not None:
-            origin_columns, origin_indices = origin[0], index_array + origin[1]
         for i in range(len(self._columns)):
             column = self._columns[i]
             if type(column) is _LazyGather:  # compose index arrays, no gather
                 columns.append(_LazyGather(column.source, column.indices[index_array]))
-            elif origin is not None and type(origin_columns[i]) is accel.np.ndarray:
-                columns.append(_LazyGather(origin_columns[i], origin_indices))
             else:
                 columns.append(_LazyGather(self._obj_array(i), index_array))
             entry = self._accel.get(("num", i)) if self._accel else None
@@ -431,7 +401,6 @@ class RowBatch:
         if schema is self._schema or schema.same_shape_as(self._schema):
             rebound = RowBatch.of_columns(schema, self._columns, self._length)
             rebound._accel = self._accel
-            rebound._origin = self._origin
             return rebound
         return RowBatch.from_rows(
             schema, [Row(schema, values) for values in zip(*self._columns)]

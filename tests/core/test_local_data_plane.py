@@ -1,9 +1,9 @@
-"""The batched local data plane: hash join, drain bounds, clock compaction.
+"""The batched local data plane: hash join, whole-queue steps, clock compaction.
 
 These tests pin down the driver-level contract of the vectorized refactor:
-every plan, local or crowd, takes big steps (and still produces exactly the
-same rows), and the simulation clock tracks pending events in O(1) with
-lazy heap compaction.
+every step, local or crowd, drains everything queued (and still produces
+exactly the same rows), and the simulation clock tracks pending events in
+O(1) with lazy heap compaction.
 """
 
 import gc
@@ -14,7 +14,6 @@ from repro.core.exec.context import ExecutionContext, QueryConfig
 from repro.core.exec.executor import QueryExecutor
 from repro.core.exec.handle import QueryHandle
 from repro.core.operators.aggregate import AggregateSpec, GroupByOperator
-from repro.core.operators.base import Operator
 from repro.core.operators.join_local import LocalHashJoinOperator
 from repro.core.operators.project import LocalFilterOperator
 from repro.core.operators.scan import ScanOperator
@@ -260,11 +259,11 @@ class TestDescendingSort:
         assert rows[-1]["v"] == -(2**63)
 
 
-class TestDrainBounds:
-    def test_crowd_plan_scans_in_big_steps(self):
-        """A crowd plan drains the same bound as a local one: the scan under
-        a crowd filter emits a 2-bound table within 3 executor passes."""
-        n_rows = Operator.MAX_ROWS_PER_STEP * 2
+class TestStepsDrainEverything:
+    def test_crowd_plan_scans_its_table_in_one_pass(self):
+        """A scan under a crowd filter emits a 16,384-row table, twice the
+        old 8192-row drain bound, in the query's first executor pass."""
+        n_rows = 16_384
         engine = QurkEngine(seed=5, worker_pool_size=5)
         engine.create_table("t", ["n"], rows=[[i] for i in range(n_rows)])
         engine.define_task(
@@ -279,20 +278,22 @@ class TestDrainBounds:
         (scan,) = [op for op in handle.executor.operators() if isinstance(op, ScanOperator)]
         while not scan.is_done():
             engine.scheduler.step()
-        assert handle.executor.metrics.passes <= 3
+        assert handle.executor.metrics.passes == 1
+        assert scan.metrics.rows_out == n_rows
         handle.wait()
         assert sorted(row["n"] for row in handle.results()) == [0, 1]
 
-    def test_local_query_needs_few_scheduler_passes(self):
-        n_rows = Operator.MAX_ROWS_PER_STEP * 2
+    @staticmethod
+    def scheduler_passes(n_rows):
         engine = QurkEngine(seed=2)
         engine.create_table("big", ["n"], rows=[[i] for i in range(n_rows)])
         handle = engine.query("SELECT n FROM big")
         handle.wait()
         assert len(handle.results()) == n_rows
-        # The whole 2-bound scan finishes in a handful of passes, not one
-        # per row.
-        assert engine.scheduler.metrics.passes < 20
+        return engine.scheduler.metrics.passes
+
+    def test_scheduler_passes_do_not_grow_with_the_table(self):
+        assert self.scheduler_passes(50_000) == self.scheduler_passes(10)
 
 
 class TestClockCompaction:

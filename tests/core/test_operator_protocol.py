@@ -1,6 +1,6 @@
 """The one operator protocol: its shape, and that batch *shape* is invisible.
 
-``repro.core.operators.base`` promises that the drain budget counts rows
+``repro.core.operators.base`` promises that a step drains every queued row
 whatever the batch shapes, so how an emitter grouped its output can never
 change per-step row counts, HIT batching or the determinism fingerprints.
 These tests hold every operator to that promise, and hold the protocol
@@ -355,14 +355,8 @@ def run_case(case, shape):
     return [row.values for row in rows], submitted
 
 
-@pytest.fixture
-def small_drain_bounds(monkeypatch):
-    """Drain 7 rows a step, so a few dozen rows cross many split boundaries."""
-    monkeypatch.setattr(Operator, "MAX_ROWS_PER_STEP", 7)
-
-
 @pytest.mark.parametrize("case", list(CASES))
-def test_batch_shape_is_invisible(case, small_drain_bounds):
+def test_batch_shape_is_invisible(case):
     rows, submitted = run_case(case, "whole")
     assert rows, "the case must produce output for the comparison to mean anything"
     assert bool(submitted) is case.startswith("crowd-")

@@ -11,7 +11,6 @@ import pytest
 
 from repro import QueryStatus, QurkEngine
 from repro.core.exec.handle import QueryHandle
-from repro.core.operators.base import Operator
 from repro.core.optimizer.budget import BudgetLedger
 from repro.core.optimizer.statistics import StatisticsManager
 from repro.core.tasks.spec import Parameter, TaskSpec, TaskType, YesNoResponse
@@ -226,19 +225,18 @@ class TestAdmissionControl:
 
 class TestPriorityWeightedStepping:
     def test_higher_priority_queries_get_more_local_steps(self):
-        # Every plan drains MAX_ROWS_PER_STEP rows per step, so the table
-        # must span several steps for priorities to differentiate.
-        n_rows = Operator.MAX_ROWS_PER_STEP * 6
+        # A step drains everything queued, so the plan needs enough operators
+        # (scan, sort, sink) to take several progressing steps.
+        n_rows = 50
         engine = QurkEngine(seed=3)
-        engine.create_table("big", ["n"], rows=[[i] for i in range(n_rows)])
-        fast = engine.query("SELECT n FROM big", priority=4.0)
-        slow = engine.query("SELECT n FROM big", priority=1.0)
+        engine.create_table("t", ["n"], rows=[[(i * 7) % n_rows] for i in range(n_rows)])
+        fast = engine.query("SELECT n FROM t ORDER BY n ASC", priority=4.0)
+        slow = engine.query("SELECT n FROM t ORDER BY n ASC", priority=1.0)
         for _ in range(2):
             engine.scheduler.step()
-        assert fast.executor.metrics.passes > slow.executor.metrics.passes
-        fast.wait()
-        slow.wait()
-        assert len(fast.results()) == len(slow.results()) == n_rows
+        assert (fast.executor.metrics.passes, slow.executor.metrics.passes) == (4, 2)
+        assert [row["n"] for row in fast.wait()] == [row["n"] for row in slow.wait()]
+        assert [row["n"] for row in fast.results()] == list(range(n_rows))
 
     def test_sub_unit_priorities_are_not_starved(self):
         """A priority < 1 accrues credit over passes; it must never be parked

@@ -33,7 +33,6 @@ from repro.core.operators.scan import IndexScanOperator, ScanOperator
 from repro.core.operators.project import _comparison_mask
 from repro.errors import ExpressionError
 from repro.storage import DataType, RowBatch, Schema, Table, accel
-from repro.storage.batch import _LazyGather
 from repro.storage.expressions import (
     Arithmetic,
     BooleanOp,
@@ -233,6 +232,45 @@ class TestAccelPaths:
             if isinstance(e, float):
                 assert identical(g, e), f"{g!r} != {e!r} for {expression}"
 
+    @given(
+        rows_strategy(),
+        st.lists(st.integers(0, 4 * ACCEL_ROWS), max_size=6),
+        st.lists(st.booleans(), min_size=1, max_size=7),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_vstacked_filtered_parts_equal_filtering_the_whole_batch(
+        self, rows, cuts, pattern
+    ):
+        """A blocking operator vstacks the filtered parts its input arrived
+        in: the stack equals filtering the whole batch, values and the
+        codes and numeric caches that ride along."""
+        np = accel.np
+        n_rows = 4 * ACCEL_ROWS
+        batch = build_batch(rows, n_rows)
+        for i in range(len(SCHEMA)):
+            batch._num_array(i)  # seed the numeric caches the parts carry
+        mask = np.resize(np.asarray(pattern, dtype=bool), n_rows)
+        bounds = sorted({0, n_rows, *cuts})
+        parts = [
+            batch.slice(low, high)._compress_array(mask[low:high])
+            for low, high in zip(bounds, bounds[1:])
+        ]
+        stacked = RowBatch.vstack(batch.schema, parts)
+        whole = batch._compress_array(mask)
+        assert [r.values for r in stacked.to_rows()] == [r.values for r in whole.to_rows()]
+        assert [r.values for r in whole.to_rows()] == [
+            r.values for r, keep in zip(batch.to_rows(), mask) if keep
+        ]
+        for i in range(len(SCHEMA) if len(stacked) else 0):
+            assert (stacked._codes(i) is None) == (whole._codes(i) is None)
+            if whole._codes(i) is not None:
+                assert np.array_equal(stacked._codes(i)[0], whole._codes(i)[0])
+                assert stacked._codes(i)[1] is whole._codes(i)[1]
+            num, whole_num = stacked._accel.get(("num", i)), whole._accel.get(("num", i))
+            assert (num is None) == (whole_num is None)
+            if whole_num is not None:
+                assert np.array_equal(num, whole_num)
+
     @given(st.integers(0, 2**16))
     @settings(max_examples=8, deadline=None)
     def test_local_pipeline_identical_with_accel_disabled(self, seed):
@@ -254,54 +292,6 @@ class TestAccelPaths:
                 ), f"{left} != {right}"
             # Aggregates must in fact be bit-identical, not merely close.
             assert left == right and list(map(type, left)) == list(map(type, right))
-
-
-class TestSlicedScanStaysLazy:
-    N_ROWS = 4 * ACCEL_ROWS
-
-    @given(
-        rows_strategy(),
-        st.integers(1, N_ROWS),
-        st.integers(0, N_ROWS),
-        st.lists(st.booleans(), min_size=1, max_size=7),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_filtered_slices_of_one_snapshot_stack_into_one_lazy_gather(
-        self, rows, step, split, pattern
-    ):
-        """A scan hands a filter one slice per step; the blocking operator
-        above vstacks the survivors.  Every slice remembers the snapshot it
-        was cut from, so the stack is ONE lazy gather over the snapshot's own
-        arrays — equal to filtering the whole snapshot, with no object column
-        realized on the way (the lazy vstack never fired before: each slice
-        gathered from its own fresh view).
-        """
-        np = accel.np
-        snapshot = build_batch(rows, self.N_ROWS).with_schema(SCHEMA.qualified("scan"))
-        mask = np.resize(np.asarray(pattern, dtype=bool), self.N_ROWS)
-        parts = []
-        for start in range(0, self.N_ROWS, step):
-            piece = snapshot.slice(start, start + step)
-            cuts = sorted({0, min(split, len(piece)), len(piece)})
-            for low, high in zip(cuts, cuts[1:]):  # a slice of a slice: the budget split
-                kept = mask[start + low : start + high]
-                parts.append(piece.slice(low, high)._compress_array(kept))
-        stacked = RowBatch.vstack(snapshot.schema, parts)
-        whole = snapshot._compress_array(mask)
-
-        if len(stacked) >= accel.MIN_ROWS and sum(1 for part in parts if len(part)) > 1:
-            for i, column in enumerate(stacked._columns):
-                assert type(column) is _LazyGather
-                assert column.source is snapshot._columns[i]
-        for i in range(len(SCHEMA) if len(stacked) else 0):  # accel caches ride along
-            assert (stacked._codes(i) is None) == (whole._codes(i) is None)
-            if whole._codes(i) is not None:
-                assert np.array_equal(stacked._codes(i)[0], whole._codes(i)[0])
-                assert stacked._codes(i)[1] is whole._codes(i)[1]
-        assert [r.values for r in stacked.to_rows()] == [r.values for r in whole.to_rows()]
-        assert [r.values for r in whole.to_rows()] == [
-            r.values for r, keep in zip(snapshot.to_rows(), mask) if keep
-        ]
 
 
 class TestTakeOnASlice:
