@@ -261,8 +261,8 @@ class TestDescendingSort:
 
 class TestStepsDrainEverything:
     def test_crowd_plan_scans_its_table_in_one_pass(self):
-        """A scan under a crowd filter emits a 16,384-row table, twice the
-        old 8192-row drain bound, in the query's first executor pass."""
+        """A scan under a crowd filter emits a 16,384-row table in the
+        query's first executor pass."""
         n_rows = 16_384
         engine = QurkEngine(seed=5, worker_pool_size=5)
         engine.create_table("t", ["n"], rows=[[i] for i in range(n_rows)])
