@@ -9,7 +9,6 @@ today over multiprocessing pipes and over TCP by the asyncio front end
 """
 
 from repro.cluster.coordinator import ClusterQueryHandle, ClusterStats, ShardCoordinator
-from repro.cluster.placement import Placement, RoundRobinPlacement, make_placement
 from repro.cluster.worker import EngineSpec, ShardWorker
 
 __all__ = [
@@ -18,7 +17,4 @@ __all__ = [
     "ClusterStats",
     "EngineSpec",
     "ShardWorker",
-    "Placement",
-    "RoundRobinPlacement",
-    "make_placement",
 ]

@@ -3,9 +3,9 @@
 A :class:`ShardCoordinator` partitions queries across ``n_shards`` worker
 processes, each running a full :class:`~repro.engine.QurkEngine` built from
 the same :class:`~repro.cluster.worker.EngineSpec` (so every shard is an
-identical, independent marketplace).  Placement is deterministic — by
-admission order — which is what makes N-shard same-seed runs
-fingerprint-stable.
+identical, independent marketplace).  Placement is round-robin by
+admission order — the *i*-th submitted query goes to shard ``i % n`` —
+which is what makes N-shard same-seed runs fingerprint-stable.
 
 Determinism contract: a 1-shard cluster is byte-identical to the in-process
 engine.  The worker's ``drain`` op is exactly the chaos harness's driving
@@ -40,7 +40,6 @@ from pathlib import Path
 from typing import Any
 
 from repro.cluster.messages import PipeTransport, raise_for_reply
-from repro.cluster.placement import HealthAwarePlacement, Placement, make_placement
 from repro.cluster.serialization import WireRows, decode_rows, encode_query
 from repro.cluster.worker import EngineSpec, worker_main
 from repro.core.exec.context import QueryConfig
@@ -61,10 +60,7 @@ class ShardHealth:
     Everything here is observed on the coordinator's side of the pipe —
     op round-trip latency (EWMA), crash/heal count, last-reply heartbeat,
     and the queue depth the shard last reported — so health costs no extra
-    protocol traffic.  ``marked_unhealthy`` is the routing verdict; it flips
-    only at explicit points (a manual mark, or the crash count crossing the
-    coordinator's threshold), never from timing noise, which is what keeps
-    health-aware placement deterministic.
+    protocol traffic.  It is telemetry only: placement never reads it.
     """
 
     shard_id: int
@@ -73,11 +69,6 @@ class ShardHealth:
     crashes: int = 0
     queue_depth: int = 0
     last_heartbeat: float | None = None
-    marked_unhealthy: bool = False
-
-    @property
-    def healthy(self) -> bool:
-        return not self.marked_unhealthy
 
     def observe(self, latency: float, now: float) -> None:
         """Fold one successful op round-trip into the record."""
@@ -98,7 +89,6 @@ class ShardHealth:
         """JSON-safe summary for merged stats and the cluster dashboard."""
         return {
             "shard": self.shard_id,
-            "healthy": self.healthy,
             "latency_ewma": self.latency_ewma,
             "samples": self.samples,
             "crashes": self.crashes,
@@ -152,8 +142,6 @@ class ClusterStats:
     answers_pushed: int = 0
     #: Per-shard health reports (heartbeat age, latency EWMA, crashes).
     health: list[dict[str, Any]] = field(default_factory=list)
-    #: Queries moved off unhealthy shards by :meth:`rebalance_pending`.
-    rebalanced: int = 0
 
 
 class _Shard:
@@ -176,11 +164,10 @@ class ShardCoordinator:
     n_shards:
         Number of worker processes.
     placement:
-        ``"round-robin"`` (default: admission order, ``i % n``),
-        ``"health"`` (round-robin over the healthy shards), or a ready-made
-        :class:`~repro.cluster.placement.Placement`.
-    start_method:
-        ``multiprocessing`` start method; ``"fork"`` is the cheap default.
+        Only ``"round-robin"`` (admission order, ``i % n``) is accepted;
+        anything else raises :class:`~repro.errors.ClusterError`.  The
+        keyword survives only because ``benchmarks/e2e/serve.py`` passes
+        it: once that script stops, the keyword can go.
     durability_root:
         Directory for per-shard durability state (``<root>/shard-<i>`` each
         holds that worker's WAL).  With this set, a worker that dies is
@@ -190,23 +177,6 @@ class ShardCoordinator:
         raises :class:`~repro.errors.ShardCrashedError` instead.
     durability_fsync, durability_fsync_every:
         WAL fsync policy the workers journal under.
-    call_timeout:
-        Seconds the coordinator waits for one op reply before declaring the
-        worker hung.  Liveness is checked every ``poll_interval`` seconds
-        regardless, so a *dead* worker is detected within a poll slice, not
-        the timeout.
-    poll_interval:
-        Seconds per liveness-poll slice while waiting on a reply (default
-        0.1).  Lower values detect worker deaths faster at the cost of more
-        ``is_alive()`` checks; it also bounds how stale a shard's
-        last-heartbeat age can be while an op is in flight.
-    unhealthy_crash_threshold:
-        With an integer N, a shard whose crash/heal count reaches N is
-        automatically marked unhealthy: a ``"health"`` placement stops
-        routing new queries to it and :meth:`rebalance_pending` can move its
-        never-started queries elsewhere.  ``None`` (the default) never
-        auto-marks, keeping existing cluster behaviour untouched; manual
-        verdicts via :meth:`mark_shard_unhealthy` work either way.
     share_answers:
         With ``True`` the coordinator keeps an answer directory: around
         every drain it pulls each shard's fresh cache stores
@@ -216,52 +186,43 @@ class ShardCoordinator:
         other; the coordinator mediates, which keeps the protocol
         pull/push over the existing pipes.  Off by default: a non-sharing
         cluster is byte-identical to the pre-directory behaviour.
+
+    The two reply timings, :attr:`call_timeout` and :attr:`poll_interval`,
+    are class attributes rather than keywords; a test that needs shorter
+    ones sets them on its instance.
     """
+
+    #: Seconds the coordinator waits for one op reply before declaring the
+    #: worker hung.  Liveness is checked every :attr:`poll_interval` seconds
+    #: regardless, so a *dead* worker is detected within a poll slice, not
+    #: the timeout.
+    call_timeout: float = 300.0
+    #: Seconds per liveness-poll slice while waiting on a reply.  It also
+    #: bounds how stale a shard's last-heartbeat age can be while an op is
+    #: in flight.
+    poll_interval: float = 0.1
 
     def __init__(
         self,
         spec: EngineSpec,
         n_shards: int = 1,
         *,
-        placement: str | Placement = "round-robin",
-        start_method: str = "fork",
+        placement: str = "round-robin",
         durability_root: str | Path | None = None,
         durability_fsync: str = "interval",
         durability_fsync_every: int = 256,
-        call_timeout: float = 300.0,
-        poll_interval: float = 0.1,
-        unhealthy_crash_threshold: int | None = None,
         share_answers: bool = False,
     ):
         if n_shards < 1:
             raise ClusterError(f"a cluster needs at least 1 shard, got {n_shards}")
-        if poll_interval <= 0:
-            raise ClusterError(f"poll_interval must be positive, got {poll_interval}")
-        if unhealthy_crash_threshold is not None and unhealthy_crash_threshold < 1:
-            raise ClusterError(
-                "unhealthy_crash_threshold must be >= 1 or None, "
-                f"got {unhealthy_crash_threshold}"
-            )
+        if placement != "round-robin":
+            raise ClusterError(f"unknown placement policy {placement!r} (only 'round-robin')")
         self.spec = spec
         self.n_shards = n_shards
-        self.placement = (
-            placement
-            if isinstance(placement, Placement)
-            else make_placement(placement, n_shards)
-        )
-        if self.placement.n_shards != n_shards:
-            raise ClusterError(
-                f"placement covers {self.placement.n_shards} shards, cluster has {n_shards}"
-            )
-        self._start_method = start_method
         self.durability_root = Path(durability_root) if durability_root is not None else None
         self._durability_fsync = durability_fsync
         self._durability_fsync_every = durability_fsync_every
-        self.call_timeout = call_timeout
-        self.poll_interval = poll_interval
-        self.unhealthy_crash_threshold = unhealthy_crash_threshold
         self.health: list[ShardHealth] = [ShardHealth(i) for i in range(n_shards)]
-        self.rebalanced: int = 0
         self.heals: int = 0
         self.share_answers = share_answers
         # The answer directory: every entry any shard has exported, merged
@@ -291,7 +252,7 @@ class ShardCoordinator:
                 fsync_every=self._durability_fsync_every,
                 snapshot_every=None,
             )
-        context = multiprocessing.get_context(self._start_method)
+        context = multiprocessing.get_context("fork")
         parent_end, child_end = context.Pipe()
         process = context.Process(
             target=worker_main,
@@ -410,13 +371,7 @@ class ShardCoordinator:
         old.process.join(timeout=5)
         self._shards[shard_id] = self._spawn(shard_id)
         self.heals += 1
-        health = self.health[shard_id]
-        health.crashes += 1
-        if (
-            self.unhealthy_crash_threshold is not None
-            and health.crashes >= self.unhealthy_crash_threshold
-        ):
-            self.mark_shard_unhealthy(shard_id)
+        self.health[shard_id].crashes += 1
         # The healed worker replayed its WAL, which deterministically
         # rebuilt its *local* store log — but imported entries were never
         # journalled there.  Restart this shard's sharing from scratch:
@@ -516,68 +471,10 @@ class ShardCoordinator:
 
     # -- shard health ------------------------------------------------------
 
-    def mark_shard_unhealthy(self, shard_id: int) -> None:
-        """Route new queries away from this shard until it is re-marked.
-
-        The verdict is recorded in the shard's health and, when the cluster
-        uses a ``"health"`` placement, removed from the routing pool.  The
-        shard itself keeps running — admitted queries finish where they are.
-        """
-        if not 0 <= shard_id < self.n_shards:
-            raise ClusterError(f"no shard {shard_id} in a {self.n_shards}-shard cluster")
-        self.health[shard_id].marked_unhealthy = True
-        if isinstance(self.placement, HealthAwarePlacement):
-            self.placement.set_healthy(shard_id, False)
-
-    def mark_shard_healthy(self, shard_id: int) -> None:
-        """Return a recovered shard to the routing pool."""
-        if not 0 <= shard_id < self.n_shards:
-            raise ClusterError(f"no shard {shard_id} in a {self.n_shards}-shard cluster")
-        self.health[shard_id].marked_unhealthy = False
-        if isinstance(self.placement, HealthAwarePlacement):
-            self.placement.set_healthy(shard_id, True)
-
-    def healthy_shards(self) -> list[int]:
-        """Shard ids currently considered healthy (all, if none are marked)."""
-        healthy = [record.shard_id for record in self.health if record.healthy]
-        return healthy or list(range(self.n_shards))
-
     def shard_health(self) -> list[dict[str, Any]]:
         """Per-shard health reports (latency EWMA, crashes, heartbeat age)."""
         now = time.monotonic()
         return [record.report(now) for record in self.health]
-
-    def rebalance_pending(self, shard_id: int) -> int:
-        """Move a shard's never-started queries onto the healthy shards.
-
-        Asks the worker to withdraw every submission its scheduler has not
-        yet admitted, then replays the original payloads — same cluster ids,
-        budgets, priorities, configs — round-robin across the healthy shards
-        (excluding the source), updating the routing table.  Admitted
-        queries stay put: their operators may hold in-flight crowd work that
-        cannot move between marketplaces.  Returns the number of queries
-        moved; deterministic because both the withdraw order (the shard's
-        admission order) and the target rotation are fixed.
-        """
-        reply = self._call(shard_id, {"op": "withdraw_pending"})
-        payloads = reply["queries"]
-        if not payloads:
-            return 0
-        targets = [sid for sid in self.healthy_shards() if sid != shard_id]
-        if not targets:
-            raise ClusterError(
-                f"cannot rebalance shard {shard_id}: no other healthy shard"
-            )
-        by_shard: dict[int, list[dict[str, Any]]] = {}
-        for index, payload in enumerate(payloads):
-            target = targets[index % len(targets)]
-            by_shard.setdefault(target, []).append(payload)
-        for target in sorted(by_shard):
-            self._call(target, {"op": "submit_many", "queries": by_shard[target]})
-            for payload in by_shard[target]:
-                self._routes[payload["query_id"]] = target
-        self.rebalanced += len(payloads)
-        return len(payloads)
 
     # -- submission --------------------------------------------------------
 
@@ -615,7 +512,7 @@ class ShardCoordinator:
                 priority=entry.get("priority", 1.0),
                 config=entry.get("config"),
             )
-            placed.append((self.placement.shard_of(first + position, query_id), query_id, payload))
+            placed.append(((first + position) % self.n_shards, query_id, payload))
 
         by_shard: dict[int, list[int]] = {}
         for position, (shard_id, _, _) in enumerate(placed):
@@ -774,7 +671,6 @@ class ShardCoordinator:
         merged.answer_directory_entries = len(self._answer_directory)
         merged.answers_pushed = self.answers_pushed
         merged.health = self.shard_health()
-        merged.rebalanced = self.rebalanced
         return merged
 
     def dashboard(self) -> str:

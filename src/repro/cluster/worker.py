@@ -13,8 +13,7 @@ WAL recovery uses: the factory may return either a ``QurkEngine`` or an
 (or recovers) under exactly that config.
 
 The worker keeps one ordered map from cluster query id to the shard's
-handle and the submission payload it came from; every op that lists
-queries reads it in submission order.
+handle; every op that lists queries reads it in submission order.
 
 :class:`ShardWorker` is deliberately usable in-process: ``handle(message)``
 is a pure dict→dict dispatch, which is what the determinism tests use to
@@ -85,9 +84,9 @@ class ShardWorker:
     """One shard: a full engine plus the op dispatch the coordinator speaks.
 
     Coordinator-assigned query ids (``cq1``, ``cq2``, ...) map, in
-    submission order, to the shard's own handle and the submission payload
-    it came from; every op addresses queries by the coordinator id, so the
-    coordinator never needs to know shard-local ids.  :meth:`handle` serves
+    submission order, to the shard's own handle; every op addresses queries
+    by the coordinator id, so the coordinator never needs to know
+    shard-local ids.  :meth:`handle` serves
     one message and never steps the scheduler on its own; :meth:`serve` is
     the loop that, once the ``live`` op turned it on, also advances the
     scheduler between messages.
@@ -103,11 +102,8 @@ class ShardWorker:
         self.spec = spec
         self.shard_id = shard_id
         self.durability = durability
-        # Cluster id → (handle, submission payload), in submission order.
-        # The payload lets the coordinator withdraw a still-pending query
-        # and replay it verbatim on another shard; a query recovered from
-        # the WAL has none and stays where it is.
-        self._queries: dict[str, tuple[Any, dict[str, Any] | None]] = {}
+        # Cluster id → handle, in submission order.
+        self._queries: dict[str, Any] = {}
         # Whether :meth:`serve` advances the scheduler between messages.
         self._live = False
         if durability is None:
@@ -138,7 +134,7 @@ class ShardWorker:
                 engine_id = record.data["query_id"]
                 if cluster_id in self._queries or engine_id not in self.engine.queries:
                     continue
-                self._queries[cluster_id] = (self.engine.queries[engine_id], None)
+                self._queries[cluster_id] = self.engine.queries[engine_id]
         else:
             self.engine = spec.build()
             Path(durability.directory).mkdir(parents=True, exist_ok=True)
@@ -159,7 +155,7 @@ class ShardWorker:
 
     def _handle_of(self, query_id: str):
         try:
-            return self._queries[query_id][0]
+            return self._queries[query_id]
         except KeyError:
             raise ClusterError(f"shard {self.shard_id} does not own query {query_id!r}")
 
@@ -191,7 +187,7 @@ class ShardWorker:
                 return {"entry": position, "error": f"{type(error).__name__}: {error}"}
         return None
 
-    def _submit_one(self, submission: dict[str, Any], payload: dict[str, Any]) -> str:
+    def _submit_one(self, submission: dict[str, Any]) -> str:
         query_id = submission["query_id"]
         if query_id in self._queries:
             if self.durability is not None:
@@ -224,7 +220,7 @@ class ShardWorker:
             priority=submission["priority"],
             config=submission["config"],
         )
-        self._queries[query_id] = (handle, dict(payload))
+        self._queries[query_id] = handle
         return query_id
 
     def _flush_journal(self) -> None:
@@ -252,12 +248,11 @@ class ShardWorker:
         A refusal is an ``ok`` reply carrying ``refused`` (see
         :meth:`_refusal`), so the coordinator can name the batch entry.
         """
-        payloads = message["queries"]
-        submissions = [decode_query(payload) for payload in payloads]
+        submissions = [decode_query(payload) for payload in message["queries"]]
         refused = self._refusal(submissions)
         if refused is not None:
             return reply_ok(refused=refused)
-        accepted = [self._submit_one(*pair) for pair in zip(submissions, payloads)]
+        accepted = [self._submit_one(submission) for submission in submissions]
         self._flush_journal()
         return reply_ok(query_ids=accepted)
 
@@ -303,35 +298,15 @@ class ShardWorker:
                 self.engine.clock.run_until_idle()
         return reply_ok(progressed=progressed, has_work=self.engine.scheduler.has_work())
 
-    def _op_withdraw_pending(self, message: dict[str, Any]) -> dict[str, Any]:
-        """Hand back every still-pending (never admitted) submission.
-
-        The coordinator calls this on a shard it has judged unhealthy: each
-        query the scheduler can still :meth:`~EngineScheduler.withdraw` is
-        forgotten here and its original submission payload returned, so the
-        coordinator can replay it verbatim on a healthy shard under the same
-        cluster id.  Admitted queries (which may hold in-flight crowd work)
-        stay put.  Only submissions this process has seen are eligible — a
-        WAL-recovered worker keeps its recovered queries, which are durable
-        where they are.
-        """
-        withdrawn: list[dict[str, Any]] = []
-        for cluster_id, (handle, payload) in list(self._queries.items()):
-            if payload is None or not self.engine.scheduler.withdraw(handle.query_id):
-                continue
-            withdrawn.append(payload)
-            del self._queries[cluster_id]
-        return reply_ok(shard=self.shard_id, queries=withdrawn)
-
     def _op_drain(self, message: dict[str, Any]) -> dict[str, Any]:
         finished = self.engine.scheduler.drain()
         self.engine.clock.run_until_idle()
-        statuses = {qid: handle.status.value for qid, (handle, _) in self._queries.items()}
+        statuses = {qid: handle.status.value for qid, handle in self._queries.items()}
         return reply_ok(finished=finished, statuses=statuses)
 
     def _op_stats(self, message: dict[str, Any]) -> dict[str, Any]:
         queries = {}
-        for qid, (handle, _) in self._queries.items():
+        for qid, handle in self._queries.items():
             stats = handle.stats
             queries[qid] = {
                 "status": handle.status.value,
@@ -380,7 +355,7 @@ class ShardWorker:
         return reply_ok(shard=self.shard_id, text=dashboard.render_all())
 
     def _op_fingerprint(self, message: dict[str, Any]) -> dict[str, Any]:
-        handles = [handle for handle, _ in self._queries.values()]
+        handles = list(self._queries.values())
         statuses = [handle.status.value for handle in handles]
         rows = [[row.to_dict() for row in handle.results()] for handle in handles]
         return reply_ok(

@@ -335,26 +335,6 @@ class EngineScheduler:
             error=error,
         )
 
-    def withdraw(self, query_id: str) -> bool:
-        """Pull a never-admitted query back out of the pending queue.
-
-        The cluster coordinator uses this to rebalance pending (unstarted)
-        queries off an unhealthy shard: the handle stays ``PENDING`` and is
-        simply forgotten by this scheduler, so the caller can resubmit the
-        same statement elsewhere.  Admitted queries cannot be withdrawn —
-        their operators may already hold in-flight crowd work.
-        """
-        if query_id not in self._waiting_ids:
-            return False
-        for index, record in enumerate(self._waiting):
-            if record.handle.query_id == query_id:
-                del self._waiting[index]
-                self._waiting_ids.discard(query_id)
-                self._forget_overload_state(query_id)
-                self._record_event(query_id, "withdrawn", "rebalanced off this engine")
-                return True
-        return False
-
     def _forget_overload_state(self, query_id: str) -> None:
         """Drop a query's deadline/pressure bookkeeping (idempotent)."""
         record = self._deadline_records.pop(query_id, None)
@@ -391,8 +371,8 @@ class EngineScheduler:
         of the number of tasks cancelled — and retires the query: it leaves
         the ready queue and its deadline/pressure bookkeeping and is queued
         for :meth:`_reap`.  A query that was never admitted (shed, rejected,
-        withdrawn, or expired while waiting) is queued too; the reap skips
-        it.
+        expired while waiting, or never submitted here at all) is queued
+        too; the reap skips it.
         """
         query_id = handle.query_id
         handle.status = status
@@ -840,7 +820,7 @@ class EngineScheduler:
         while not handle.is_terminal:
             if not self.step():
                 # step() only says "no progress" once nothing is admitted,
-                # so this handle never was (e.g. it was withdrawn).
+                # so this handle was never submitted here.
                 error = QueryStalledError(
                     f"query {handle.query_id} stalled after emitting "
                     f"{len(handle.results_table)} row(s): the scheduler ran out of work"

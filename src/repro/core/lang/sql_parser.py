@@ -167,6 +167,12 @@ class _Parser(TokenCursor):
         return items
 
     def _order_item(self) -> OrderItem:
+        """One ``ORDER BY`` item: an expression and an optional direction.
+
+        With no ``ASC`` or ``DESC`` the item sorts **descending**, unlike
+        standard SQL's ascending default.  Every stored fingerprint was made
+        under this default, so it is documented here rather than changed.
+        """
         expression = self._expression()
         ascending = False
         if self._accept_keyword("ASC"):

@@ -64,21 +64,19 @@ def render_cluster(stats: "ClusterStats", panels: list[dict[str, Any]]) -> str:
         + totals["queries_degraded"]
         + totals["breaker_trips"]
     )
-    if overload or stats.rebalanced:
+    if overload:
         lines.append(
             f"overload: rejected {totals['queries_rejected']}, "
             f"shed {totals['queries_shed']}, "
             f"deadline misses {totals['deadline_misses']}, "
             f"degraded {totals['queries_degraded']}, "
-            f"breaker trips {totals['breaker_trips']}, "
-            f"rebalanced {stats.rebalanced}"
+            f"breaker trips {totals['breaker_trips']}"
         )
     for record in stats.health:
         age = record.get("heartbeat_age")
         age_text = "never" if age is None else f"{age:.1f}s ago"
         lines.append(
             f"health shard {record['shard']}: "
-            f"{'ok' if record.get('healthy', True) else 'DEGRADED'}, "
             f"heartbeat {age_text}, "
             f"op latency {record.get('latency_ewma', 0.0) * 1000:.1f}ms, "
             f"{record.get('crashes', 0)} crash(es), "

@@ -12,8 +12,9 @@ The design follows the encode-once / answer-many shape:
 - **Column arrays are built once and reused.**  A batch caches, per column,
   the object ndarray (for gathers), the numeric ndarray (for masks, argsort
   and aggregation), and the dictionary codes (below).  Derivations — slice,
-  take, compress, vstack — propagate these caches with O(selected) ndarray
-  ops instead of rebuilding from the Python tuples.
+  take, compress — propagate these caches with O(selected) ndarray ops
+  instead of rebuilding from the Python tuples; a vstacked batch starts
+  without caches and rebuilds any it is asked for.
 - **String columns are dictionary-encoded on first scan.**
   :class:`ColumnEncoding` assigns each distinct value a small integer code
   the first time a snapshot (or a statistic) needs the column, and only the

@@ -173,38 +173,7 @@ class RowBatch:
                 tuple(chain.from_iterable(batch._materialized(i) for batch in batches))
                 for i in range(width)
             )
-        stacked = cls.of_columns(schema, columns, length)
-        stacked._stack_accel(batches, width)
-        return stacked
-
-    def _stack_accel(self, batches: Sequence["RowBatch"], width: int) -> None:
-        """Concatenate per-column accel caches carried by *every* part.
-
-        A scan emits its snapshot whole, so a blocking operator fed by local
-        operators stacks one part, and the rows crowd operators emit one at
-        a time carry no caches.  This merges when an input arrives cut into
-        parts that each carry caches, as the batch-shape tests
-        (``tests/core/test_operator_protocol.py``) cut the inputs of the
-        crowd join and the crowd sort.
-        """
-        parts = [batch._accel for batch in batches]
-        if any(part is None for part in parts):
-            return
-        merged: dict = {}
-        for i in range(width):
-            codes = [part.get(("codes", i)) for part in parts]
-            if all(entry is not None for entry in codes):
-                encodings = {id(entry[1]) for entry in codes}
-                if len(encodings) == 1:
-                    merged[("codes", i)] = (
-                        accel.np.concatenate([entry[0] for entry in codes]),
-                        codes[0][1],
-                    )
-            nums = [part.get(("num", i)) for part in parts]
-            if all(entry is not None and entry is not False for entry in nums):
-                merged[("num", i)] = accel.np.concatenate(nums)
-        if merged:
-            self._accel = merged
+        return cls.of_columns(schema, columns, length)
 
     # -- accel cache (see repro.storage.accel) ------------------------------
 

@@ -11,7 +11,7 @@ Three families of tests:
   more money.
 * **Admission backpressure** — a bounded pending queue rejects overflow with
   a structured retry-after, or sheds the lowest-priority waiting query under
-  ``overload_policy="shed"``; withdrawn queries leave cleanly.
+  ``overload_policy="shed"``.
 * **Pressure shedding** — queries that opt in via ``shed_under_pressure``
   drop to single-assignment waves once half the deadline has elapsed or 80%
   of the budget is committed.
@@ -186,18 +186,6 @@ class TestAdmissionBackpressure:
         assert engine.scheduler.metrics.queries_rejected == 1
         assert engine.scheduler.metrics.queries_shed == 0
         assert survivor.status is QueryStatus.PENDING
-
-    def test_withdraw_forgets_a_pending_query_but_not_an_admitted_one(self):
-        engine = bounded_engine()
-        active = engine.query(FILTER_SQL)
-        queued = engine.query(FILTER_SQL)
-        assert engine.scheduler.withdraw(queued.query_id) is True
-        # The handle survives untouched for resubmission elsewhere.
-        assert queued.status is QueryStatus.PENDING
-        assert engine.scheduler.state_of(queued.query_id) == "finished"
-        assert engine.scheduler.withdraw(active.query_id) is False
-        assert engine.scheduler.withdraw("no-such-query") is False
-        assert active.wait() is not None
 
     @pytest.mark.parametrize(
         "kwargs",

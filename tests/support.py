@@ -9,6 +9,7 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Callable, Iterable
 
+from repro.cluster import EngineSpec, ShardCoordinator
 from repro.cluster.serialization import decode_message
 from repro.cluster.server import _read_frame
 from repro.crowd.hit import FormField, HITItem
@@ -110,3 +111,16 @@ class CallbackOracle(AnswerOracle):
         if self._wrong_form is None:
             return super().plausible_wrong_form_answer(item, field)
         return self._wrong_form(item, field)
+
+
+def bounded_cluster(
+    spec: EngineSpec, n_shards: int = 1, *, call_timeout: float = 20.0, **kwargs: Any
+) -> ShardCoordinator:
+    """A coordinator that gives up on an op reply after ``call_timeout`` s.
+
+    The class default (300 s) would let a worker that stops answering hold
+    a test for five minutes.
+    """
+    cluster = ShardCoordinator(spec, n_shards, **kwargs)
+    cluster.call_timeout = call_timeout
+    return cluster

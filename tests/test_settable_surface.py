@@ -8,6 +8,7 @@ shows in review.
 import dataclasses
 import inspect
 
+from repro.cluster import ShardCoordinator
 from repro.crowd.breaker import BreakerConfig
 from repro.crowd.quality import QualityConfig
 from repro.crowd.worker_pool import PopulationMix, WorkerPool
@@ -30,6 +31,17 @@ def test_engine_keywords():
         "admission_queue_limit",
         "overload_policy",
         "circuit_breaker",
+    ]
+
+
+def test_coordinator_keywords():
+    parameters = inspect.signature(ShardCoordinator.__init__).parameters.values()
+    assert [p.name for p in parameters if p.kind is p.KEYWORD_ONLY] == [
+        "placement",
+        "durability_root",
+        "durability_fsync",
+        "durability_fsync_every",
+        "share_answers",
     ]
 
 

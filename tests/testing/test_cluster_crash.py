@@ -20,6 +20,8 @@ from repro.cluster import EngineSpec, ShardCoordinator
 from repro.cluster.server import request
 from repro.errors import ClusterError, ShardCrashedError
 
+from support import bounded_cluster
+
 FILTER_SQL = "SELECT name FROM products WHERE isTargetColor(name)"
 N_QUERIES = 4
 SPEC = EngineSpec(
@@ -134,7 +136,7 @@ class TestLiveHeal:
     def test_killed_live_worker_heals_and_finishes_unpumped(self, tmp_path):
         # Every coordinator call is bounded by call_timeout and the wait by a
         # deadline, so a worker that stops advancing fails here in a minute.
-        with ShardCoordinator(SPEC, 2, durability_root=tmp_path, call_timeout=20) as cluster:
+        with bounded_cluster(SPEC, 2, durability_root=tmp_path) as cluster:
             cluster.set_live(True)
             handles = cluster.submit_many([{"sql": FILTER_SQL} for _ in range(N_QUERIES)])
             _kill_shard(cluster, 0)

@@ -16,13 +16,7 @@ compare equal across the process boundary.
 
 import pytest
 
-from repro.cluster import (
-    EngineSpec,
-    RoundRobinPlacement,
-    ShardCoordinator,
-    ShardWorker,
-    make_placement,
-)
+from repro.cluster import EngineSpec, ShardCoordinator, ShardWorker
 from repro.cluster.serialization import encode_query
 from repro.errors import ClusterError
 from repro.experiments import build_products_engine
@@ -101,12 +95,13 @@ class TestNShardStability:
 
 class TestPlacement:
     def test_round_robin_is_admission_order(self):
-        placement = RoundRobinPlacement(3)
-        assert [placement.shard_of(i, f"cq{i + 1}") for i in range(6)] == [0, 1, 2, 0, 1, 2]
+        with ShardCoordinator(SPEC, 3) as cluster:
+            handles = cluster.submit_many([{"sql": FILTER_SQL} for _ in range(6)])
+            assert [handle.shard for handle in handles] == [0, 1, 2, 0, 1, 2]
 
-    def test_make_placement_rejects_unknown_kind(self):
-        with pytest.raises(ClusterError):
-            make_placement("hash", 2)
+    def test_unknown_placement_is_refused(self):
+        with pytest.raises(ClusterError, match="hash"):
+            ShardCoordinator(SPEC, 2, placement="hash")
 
 
 class TestRefusedBatch:
@@ -152,7 +147,7 @@ class TestRefusedBatch:
         worker.engine.journal.close()
 
         recovered = ShardWorker(SPEC, shard_id=0, durability=durability)
-        assert {cid: handle.query_id for cid, (handle, _) in recovered._queries.items()} == {
+        assert {cid: handle.query_id for cid, handle in recovered._queries.items()} == {
             "cq4": "q1"
         }
         recovered.engine.journal.close()

@@ -18,6 +18,8 @@ from repro.cluster.server import ClusterServer, raise_for_reply, request
 from repro.errors import ClusterError, EngineOverloadedError
 from repro.storage.row import Row
 
+from support import bounded_cluster
+
 FILTER_SQL = "SELECT name FROM products WHERE isTargetColor(name)"
 SPEC = EngineSpec(
     factory="repro.experiments.harness:build_products_engine",
@@ -40,7 +42,7 @@ def _record_ops(cluster: ShardCoordinator) -> list[str]:
 
 
 async def _exercise_server() -> None:
-    with ShardCoordinator(SPEC, 1, call_timeout=20) as cluster:
+    with bounded_cluster(SPEC) as cluster:
         ops = _record_ops(cluster)
         async with ClusterServer(cluster) as server:
             assert server.port != 0  # bound to a real ephemeral port
@@ -113,7 +115,7 @@ def test_server_forwards_result_rows_without_building_one(monkeypatch):
         init(self, schema, values)
 
     async def exercise() -> dict:
-        with ShardCoordinator(spec, 1, call_timeout=60) as cluster:
+        with bounded_cluster(spec, call_timeout=60) as cluster:
             # Patched after the fork: only this process's rows are counted.
             monkeypatch.setattr(Row, "unchecked", classmethod(counting_unchecked))
             monkeypatch.setattr(Row, "__init__", counting_init)
@@ -137,7 +139,7 @@ def test_nan_priority_or_budget_is_refused_and_the_shard_keeps_serving(field):
     """stdlib ``json`` parses ``NaN``; the shard refuses it before scheduling it."""
 
     async def exercise() -> tuple[dict, dict]:
-        with ShardCoordinator(SPEC, 1, call_timeout=20) as cluster:
+        with bounded_cluster(SPEC) as cluster:
             async with ClusterServer(cluster) as server:
                 ask = lambda message: request(server.host, server.port, message)  # noqa: E731
                 query_id = (await ask({"op": "submit", "sql": FILTER_SQL}))["query_id"]
@@ -152,7 +154,7 @@ def test_nan_priority_or_budget_is_refused_and_the_shard_keeps_serving(field):
 
 def test_batch_coordinator_sends_no_live_op():
     """Never set live, a coordinator puts exactly today's frames on the pipe."""
-    with ShardCoordinator(SPEC, 1, call_timeout=20) as cluster:
+    with bounded_cluster(SPEC) as cluster:
         ops = _record_ops(cluster)
         cluster.submit(FILTER_SQL)
         cluster.pump(max_passes=2)

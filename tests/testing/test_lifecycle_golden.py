@@ -2,7 +2,7 @@
 
 Each seeded, in-process scenario drives queries into one terminal state —
 completed, over budget, stalled (attempts exhausted, a global stall, a
-withdrawn handle), a missed deadline in both degradation modes, a pressured
+handle that was never submitted), a missed deadline in both degradation modes, a pressured
 query hitting its deadline, a deadline that cancels queued work, and
 admission overflow under both policies — and records, per query, the
 status, the error, every lifecycle event, and then the scheduler's and Task
@@ -89,12 +89,15 @@ def global_stall():
     return engine, [handle], []
 
 
-def withdrawn_wait():
+def never_submitted_wait():
     engine = _bounded_engine()
     active = engine.query(FILTER_SQL)
-    withdrawn = engine.query(FILTER_SQL)
-    engine.scheduler.withdraw(withdrawn.query_id)
-    return engine, [withdrawn, active], []
+    table = Table("never", Schema.of(("x", DataType.INTEGER)))
+    never = QueryHandle("never-1", "SELECT ...", _StuckExecutor(), table)
+    # Bound to the scheduler but never submitted to it: waiting drives the
+    # admitted query to its end, then the scheduler runs out of work.
+    never.scheduler = engine.scheduler
+    return engine, [never, active], []
 
 
 def deadline_error():
@@ -143,7 +146,7 @@ SCENARIOS = {
     "budget 0.05": over_budget,
     "attempt exhaustion": attempts_exhausted,
     "global stall": global_stall,
-    "wait on a withdrawn handle": withdrawn_wait,
+    "wait on a never-submitted handle": never_submitted_wait,
     "deadline 100s error": deadline_error,
     "deadline 200s partial": deadline_partial,
     "deadline 300s shed under pressure": pressure_then_deadline,

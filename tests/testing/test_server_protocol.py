@@ -20,9 +20,11 @@ import struct
 
 import pytest
 
-from repro.cluster import EngineSpec, ShardCoordinator
+from repro.cluster import EngineSpec
 from repro.cluster.serialization import MAX_FRAME_BYTES, decode_message, frame_message
 from repro.cluster.server import ClusterServer, request
+
+from support import bounded_cluster
 
 HOST = "127.0.0.1"
 FILTER_SQL = "SELECT name FROM products WHERE isTargetColor(name)"
@@ -157,7 +159,7 @@ CASES = [
 async def run_sequence(seed: int) -> None:
     order = list(CASES)
     random.Random(seed).shuffle(order)
-    with ShardCoordinator(SPEC, 1, call_timeout=20) as cluster:
+    with bounded_cluster(SPEC) as cluster:
         async with ClusterServer(cluster) as server:
             for case in order:
                 await case(server.port)
@@ -204,7 +206,7 @@ def test_malformed_request_is_answered_on_the_first_attempt(monkeypatch):
     monkeypatch.setattr(server_module, "_request_once", counted)
 
     async def scenario():
-        with ShardCoordinator(SPEC, 1, call_timeout=20) as cluster:
+        with bounded_cluster(SPEC) as cluster:
             async with ClusterServer(cluster) as server:
                 return await request(HOST, server.port, {"op": "status"}, backoff=0.01)
 

@@ -7,6 +7,12 @@ benchmark builds its embedded workloads (fixed redundancy, no task model):
   by type: ``gc.collect()``, count ``gc.get_objects()`` by type, run the
   queries, collect again and divide the growth by the query count.  Run for
   cached ``findCEO`` point lookups and for waves of 16 cold crowd filters.
+* **Shard worker census.**  The same count for an in-process
+  :class:`~repro.cluster.ShardWorker` fed cached lookups through
+  ``handle()`` — ``submit_many`` and ``drain`` messages, as the coordinator
+  sends them, with no process started — plus the bytes ``tracemalloc`` sees
+  retained per query, which also counts objects the collector does not
+  track (a dict holding only strings and numbers, say).
 * **Collector probe.**  Full (generation-2) collections and the
   milliseconds they took over a fixed window of cached lookups, timed with
   ``gc.callbacks``; the collector runs as it would in any program.
@@ -14,7 +20,7 @@ benchmark builds its embedded workloads (fixed redundancy, no task model):
 Nothing is gated: the numbers depend on the Python version, and the probe's
 milliseconds on the host.  Usage::
 
-    PYTHONPATH=src python tools/footprint.py    # ~7 s
+    PYTHONPATH=src python tools/footprint.py    # ~10 s
 """
 
 from __future__ import annotations
@@ -23,9 +29,14 @@ import gc
 import random
 import sys
 import time
+import tracemalloc
 from collections import Counter
+from itertools import count
 
+from repro.cluster import EngineSpec, ShardWorker
+from repro.cluster.serialization import encode_query
 from repro.experiments import build_companies_engine, build_products_engine
+from repro.workloads.companies import CompaniesWorkload
 
 LOOKUP_SQL = (
     "SELECT companyName, findCEO(companyName).CEO, findCEO(companyName).Phone "
@@ -47,6 +58,10 @@ PRODUCTS = 2400
 WAVES = 4
 FILTER_ROWS = 16
 WAVE_SIZE = 16
+#: The shard worker census submits ``WORKER_BATCHES`` batches of
+#: ``WORKER_BATCH`` cached lookups, draining after each.
+WORKER_BATCHES = 50
+WORKER_BATCH = 20
 TOP_TYPES = 12
 
 
@@ -105,6 +120,43 @@ def crowd_waves() -> None:
     )
 
 
+def shard_worker_census() -> None:
+    """The census for an in-process shard worker, plus traced bytes per query."""
+    spec = EngineSpec(
+        "repro.experiments.harness:build_companies_engine",
+        {"n_companies": COMPANIES, "seed": SEED},
+    )
+    worker = ShardWorker(spec)
+    names = [record.name for record in CompaniesWorkload(COMPANIES, seed=SEED).records]
+    cluster_ids = count(1)
+    rng = random.Random(SEED)
+
+    def submit_and_drain(companies: list[str]) -> None:
+        queries = [
+            encode_query(LOOKUP_SQL.format(company=name), query_id=f"cq{next(cluster_ids)}")
+            for name in companies
+        ]
+        worker.handle({"op": "submit_many", "queries": queries})
+        worker.handle({"op": "drain"})
+
+    def batches() -> None:
+        for _ in range(WORKER_BATCHES):
+            submit_and_drain([rng.choice(names) for _ in range(WORKER_BATCH)])
+
+    submit_and_drain(names)  # every findCEO answer is cached from here on
+    n_queries = WORKER_BATCHES * WORKER_BATCH
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        census(f"shard worker, cached lookups ({COMPANIES} companies)", batches, n_queries)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    print(f"  {retained / n_queries:8.0f}  bytes retained per query (tracemalloc)")
+
+
 def collector_probe() -> None:
     """Full collections and their milliseconds over a window of cached lookups."""
     engine, next_sql = lookup_engine()
@@ -150,6 +202,7 @@ def main() -> int:
     )
     del engine, next_sql
     crowd_waves()
+    shard_worker_census()
     return 0
 
 
