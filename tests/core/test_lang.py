@@ -86,6 +86,10 @@ class TestSQLParser:
         assert isinstance(where, BooleanOp) and where.op == "and"
         assert isinstance(where.right, Not)
 
+    def test_order_by_without_a_direction_sorts_descending(self):
+        statement = parse_select("SELECT name FROM products ORDER BY price, name ASC")
+        assert [item.ascending for item in statement.order_by] == [False, True]
+
     def test_expression_precedence_and_literals(self):
         statement = parse_select("SELECT a FROM t WHERE a + 2 * 3 = 7 OR b = TRUE AND c = NULL")
         where = statement.where

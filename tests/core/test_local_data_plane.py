@@ -258,6 +258,13 @@ class TestDescendingSort:
         assert [tuple(row.values) for row in rows] == expected
         assert rows[-1]["v"] == -(2**63)
 
+    def test_order_by_without_a_direction_is_descending(self):
+        engine = QurkEngine(seed=11, worker_pool_size=5)
+        table = engine.create_table("t", [("id", DataType.INTEGER), ("v", DataType.INTEGER)])
+        table.insert_many(enumerate([4, -1, 9, 0]))
+        rows = engine.query("SELECT id, v FROM t ORDER BY v").wait()
+        assert [row["v"] for row in rows] == [9, 4, 0, -1]
+
 
 class TestStepsDrainEverything:
     def test_crowd_plan_scans_its_table_in_one_pass(self):

@@ -395,6 +395,17 @@ class TestStallSurfacing:
             handle.wait()
         assert handle.step() is False
 
+    def test_waiting_on_a_never_submitted_handle_stalls_it(self):
+        from repro.core.exec.scheduler import EngineScheduler
+
+        clock, _platform, _statistics, _budget, manager = build_manager()
+        scheduler = EngineScheduler(clock, manager)
+        table = Table("r", Schema.of(("x", DataType.INTEGER)))
+        handle = QueryHandle("never", "SELECT ...", self._StuckExecutor(), table)
+        with pytest.raises(QueryStalledError, match="never stalled .*ran out of work"):
+            scheduler.wait(handle)
+        assert handle.status is QueryStatus.STALLED
+
 
 class TestFailingQuery:
     def test_a_failing_query_takes_down_only_itself(self):

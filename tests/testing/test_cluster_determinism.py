@@ -18,11 +18,14 @@ import pytest
 
 from repro.cluster import EngineSpec, ShardCoordinator, ShardWorker
 from repro.cluster.serialization import encode_query
+from repro.core.exec.handle import QueryHandle
 from repro.errors import ClusterError
 from repro.experiments import build_products_engine
 from repro.storage.durability import DurabilityConfig
 from repro.storage.wal import WriteAheadLog
 from repro.testing.chaos import fingerprint_engine
+
+from support import bounded_cluster
 
 FILTER_SQL = "SELECT name FROM products WHERE isTargetColor(name)"
 N_QUERIES = 6
@@ -102,6 +105,44 @@ class TestPlacement:
     def test_unknown_placement_is_refused(self):
         with pytest.raises(ClusterError, match="hash"):
             ShardCoordinator(SPEC, 2, placement="hash")
+
+    def test_placement_continues_across_submissions(self):
+        with ShardCoordinator(SPEC, 3) as cluster:
+            shards = [cluster.submit(FILTER_SQL).shard]
+            shards += [handle.shard for handle in cluster.submit_many([{"sql": FILTER_SQL}] * 3)]
+            shards.append(cluster.submit(FILTER_SQL).shard)
+            assert shards == [0, 1, 2, 0, 1]
+
+    def test_health_placement_is_refused(self):
+        with pytest.raises(ClusterError, match="only 'round-robin'"):
+            ShardCoordinator(SPEC, 2, placement="health")
+
+    def test_a_cluster_needs_a_shard(self):
+        with pytest.raises(ClusterError, match="at least 1 shard"):
+            ShardCoordinator(SPEC, 0)
+
+    def test_reply_timings_are_class_defaults_an_instance_may_shorten(self):
+        cluster = bounded_cluster(SPEC, call_timeout=5.0)
+        assert cluster.call_timeout == 5.0
+        assert ShardCoordinator.call_timeout == 300.0
+        assert ShardCoordinator(SPEC).call_timeout == 300.0
+        assert ShardCoordinator.poll_interval == 0.1
+
+
+class TestWorkerQueries:
+    def test_the_worker_maps_cluster_ids_to_engine_handles(self):
+        worker = ShardWorker(SPEC, shard_id=0)
+        queries = [encode_query(FILTER_SQL, query_id=f"cq{i}") for i in (1, 3)]
+        assert worker.handle({"op": "submit_many", "queries": queries})["ok"]
+        assert list(worker._queries) == ["cq1", "cq3"]
+        assert all(isinstance(handle, QueryHandle) for handle in worker._queries.values())
+        assert [handle.query_id for handle in worker._queries.values()] == ["q1", "q2"]
+
+    def test_the_worker_refuses_a_withdraw_op(self):
+        worker = ShardWorker(SPEC, shard_id=0)
+        reply = worker.handle({"op": "withdraw_pending", "query_ids": ["cq1"]})
+        assert not reply["ok"]
+        assert "unknown cluster op 'withdraw_pending'" in reply["error"]
 
 
 class TestRefusedBatch:
