@@ -9,11 +9,10 @@ so the cache tracks the spend it avoided — credited by the Task Manager with
 what the *requesting* task would have paid, not what the stored answer
 happened to cost.
 
-Beyond the per-run dict, the cache is the front of a tiered answer store:
+Beyond the per-run dict, answers reach past one process in two ways:
 
-* an attached durable tier (:class:`~repro.storage.answer_tier.DurableAnswerTier`)
-  is notified of every store, so answers survive restarts and are shared
-  across engines;
+* a durable engine's snapshot carries :meth:`TaskCache.state_dict`, so
+  answers survive a checkpoint and ``QurkEngine.recover``;
 * :meth:`export_since` / :meth:`import_entries` expose locally-stored entries
   for the cluster coordinator's answer directory, so a task answered on one
   shard becomes a cache hit on another.
@@ -41,8 +40,7 @@ class CacheEntry:
     def record(self, name: str, cache_key: Hashable) -> dict:
         """The entry as its one record, before any encoding.
 
-        The same record is an ``answer_stored`` WAL record and snapshot
-        entry of the durable tier, an engine-snapshot entry and, packed by
+        The same record is an engine-snapshot entry and, packed by
         :func:`repro.storage.codec.pack`, a cross-shard export.  Keys and
         reduced answers contain tuples (JOIN_BLOCK reductions are lists of
         id pairs) that the codec round-trips exactly; each boundary packs
@@ -92,7 +90,6 @@ class TaskCache:
         # Keys that arrived via import_entries — hits on them are the
         # cross-shard hits the cluster benchmark measures.
         self._imported: set[tuple[str, Hashable]] = set()
-        self._tier = None
         self.stats = CacheStats()
 
     # -- the hot path ---------------------------------------------------------
@@ -134,41 +131,11 @@ class TaskCache:
         key = (task_name, cache_key)
         if key not in self._entries:
             self.stats.entries += 1
-        entry = CacheEntry(reduced, cost)
-        self._entries[key] = entry
+        self._entries[key] = CacheEntry(reduced, cost)
         # A local store supersedes an imported copy: the entry is now ours
         # to export, and hits on it are no longer cross-shard hits.
         self._imported.discard(key)
         self._store_log.append(key)
-        if self._tier is not None:
-            self._tier.record_store(task_name, cache_key, entry)
-
-    # -- the durable tier ------------------------------------------------------
-
-    def attach_tier(self, tier) -> None:
-        """Mirror every store into ``tier``.
-
-        The tier needs ``record_store(name, key, entry)`` — see
-        :class:`~repro.storage.answer_tier.DurableAnswerTier`.
-        """
-        self._tier = tier
-
-    def preload(self, task_name: str, cache_key: Hashable, entry: CacheEntry) -> bool:
-        """Seed one entry from a durable tier without re-journaling it.
-
-        Used when warming a fresh cache from disk: no store-log append (the
-        entry is not this engine's to export), no tier notification (it came
-        *from* the tier), no stats churn beyond the entry count.  Existing
-        entries win — a live answer is never clobbered by an older stored one.
-        """
-        if not self.enabled:
-            return False
-        key = (task_name, cache_key)
-        if key in self._entries:
-            return False
-        self._entries[key] = entry
-        self.stats.entries = len(self._entries)
-        return True
 
     # -- cross-shard sharing ---------------------------------------------------
 
@@ -209,8 +176,6 @@ class TaskCache:
             self._entries[key] = entry
             self._imported.add(key)
             imported += 1
-            if self._tier is not None:
-                self._tier.record_store(key[0], key[1], entry)
         if imported:
             self.stats.entries = len(self._entries)
             self.stats.entries_imported += imported

@@ -233,8 +233,6 @@ class QurkEngine:
         # Durability is opt-in via enable_durability()/recover().
         self.durability: DurabilityConfig | None = None
         self.journal: EngineJournal | None = None
-        # The durable answer tier is opt-in via attach_answer_tier().
-        self.answer_tier = None
         # Outcomes (status + rows) of queries that finished before the
         # snapshot this engine was recovered from; their query_submitted
         # records were truncated out of the WAL, so these are the only
@@ -497,36 +495,6 @@ class QurkEngine:
         self.task_manager.attach_journal(self.journal)
         self.scheduler.attach_journal(self.journal, checkpoint_hook=self._maybe_checkpoint)
         return self.journal
-
-    def attach_answer_tier(
-        self,
-        directory: str | Path,
-        *,
-        fsync: str = "interval",
-        fsync_every: int = 64,
-    ):
-        """Back the Task Cache with a durable answer tier at ``directory``.
-
-        Opens (or creates) a :class:`~repro.storage.answer_tier.DurableAnswerTier`,
-        warms the cache with every answer it holds, and mirrors all future
-        stores into its WAL — so cached answers survive restarts
-        and can be shared by the next engine pointed at the same directory.
-        The tier wants its own directory, separate from ``enable_durability``'s
-        (their snapshot files would collide).
-
-        Warming the cache changes which tasks reach the crowd, so attach a
-        *non-empty* tier only when cross-run reuse is wanted; a fresh
-        (empty) tier keeps the run byte-identical while recording answers.
-        """
-        from repro.storage.answer_tier import DurableAnswerTier
-
-        if self.answer_tier is not None:
-            raise QurkError("an answer tier is already attached to this engine")
-        tier = DurableAnswerTier(directory, fsync=fsync, fsync_every=fsync_every)
-        tier.load_into(self.task_cache)
-        self.task_cache.attach_tier(tier)
-        self.answer_tier = tier
-        return tier
 
     def checkpoint(self) -> Path:
         """Snapshot the engine and truncate the WAL up to the snapshot LSN.

@@ -1,9 +1,8 @@
 """The one value codec: how every value crosses a process or disk boundary.
 
 Shard pipes and TCP frames (:mod:`repro.cluster.serialization`), WAL
-records (:mod:`repro.storage.wal`), snapshots (:mod:`repro.storage.snapshot`)
-and the durable answer tier's ``answers.log`` all encode values here, one
-way:
+records (:mod:`repro.storage.wal`) and snapshots
+(:mod:`repro.storage.snapshot`) all encode values here, one way:
 
 :func:`pack` / :func:`unpack`
     An exact round trip through JSON.  Scalars (``None``, ``bool``, ``int``

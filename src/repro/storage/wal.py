@@ -111,9 +111,9 @@ class WALRecoveryInfo:
         return self.records[-1].lsn if self.records else self.base_lsn
 
 
-#: ``'{"lsn":%d,"type":%s,"data":%s}'`` assembled by hand on the append hot
-#: path: the answer tier logs every admitted crowd answer, so one encode of
-#: just the data dict (keys in deterministic insertion order) beats encoding a
+#: ``'{"lsn":%d,"type":%s,"data":%s}'`` assembled by hand on the append path:
+#: the engine journals every submitted query, so one encode of just the data
+#: dict (keys in deterministic insertion order) beats encoding a
 #: freshly-built wrapper dict.
 _RECORD_TEMPLATE = b'{"lsn":%d,"type":%s,"data":%s}'
 
@@ -166,13 +166,11 @@ class WriteAheadLog:
         path: str | Path,
         *,
         spec: dict[str, Any] | None = None,
-        base_lsn: int = 0,
         fsync: str = "interval",
         fsync_every: int = 256,
     ) -> "WriteAheadLog":
         """Start a fresh log at ``path`` (truncating any existing file)."""
         wal = cls(path, fsync=fsync, fsync_every=fsync_every)
-        wal._base_lsn = wal._last_lsn = base_lsn
         wal.spec = spec
         wal.path.parent.mkdir(parents=True, exist_ok=True)
         handle = open(wal.path, "wb")

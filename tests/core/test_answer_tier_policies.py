@@ -1,4 +1,4 @@
-"""Answer-tier and Task Manager bookkeeping regressions.
+"""Task Cache and Task Manager bookkeeping regressions.
 
 Covers that every answer is kept for good, the model-answers-are-cached
 path, the corrected savings attribution, cross-shard export/import, and the
@@ -316,11 +316,3 @@ class TestExportImport:
         cursor, items = cache.export_since(cursor)
         assert [item["name"] for item in items] == ["f"]
         assert len(items) == 1
-
-    def test_preload_respects_live_entries(self):
-        cache = TaskCache()
-        cache.store("f", ("x",), "live", cost=0.1)
-        stale = CacheEntry(reduced="stale", original_cost=0.1)
-        assert not cache.preload("f", ("x",), stale)
-        assert cache.preload("f", ("y",), stale)
-        assert cache.lookup("f", ("x",)).reduced == "live"

@@ -44,17 +44,13 @@ class TestTaskCache:
         assert cache.lookup("g", ("x",)) is None
         assert ("f", ("x",)) in cache
 
-    def test_one_record_format_for_export_snapshot_and_tier(self, tmp_path):
+    def test_one_record_format_for_export_and_snapshot(self):
         """``CacheEntry.record`` is the one record: the engine-snapshot state
-        and the durable tier's WAL carry it and pack it at their boundary,
-        the cross-shard export carries it packed, and it round-trips tuples
-        exactly."""
-        from repro.storage.answer_tier import DurableAnswerTier
+        carries it and packs it at its boundary, the cross-shard export
+        carries it packed, and it round-trips tuples exactly."""
         from repro.storage.codec import dumps, loads, pack, unpack
 
         cache = TaskCache()
-        tier = DurableAnswerTier(tmp_path)
-        cache.attach_tier(tier)
         key = (("a", 1), ("b", 2))  # JOIN_BLOCK-style nested tuples
         reduced = [(1, 2), (3, 4)]
         cache.store("samePerson", key, reduced, cost=0.3)
@@ -67,12 +63,6 @@ class TestTaskCache:
         assert CacheEntry.from_record(unpack(loads(dumps(item)))) == (("samePerson", key), entry)
         assert cache.export_since(0) == (1, [item])
         assert cache.state_dict()["entries"] == [record]
-        tier.close()
-        reopened = DurableAnswerTier(tmp_path)
-        warmed = TaskCache()
-        assert reopened.load_into(warmed) == 1
-        assert warmed.lookup("samePerson", key) == entry
-        reopened.close()
 
         restored = TaskCache()
         restored.load_state_dict(cache.state_dict())

@@ -128,6 +128,43 @@ class TestEngineCheckpoint:
         assert result.replayed_query_ids == []  # everything was snapshotted
         assert recovered_query_count(result) == 1
 
+    def test_a_recovered_engine_answers_a_repeated_query_from_its_cache(self, tmp_path):
+        """The engine snapshot carries the Task Cache across a restart: the
+        same query again reuses every crowd answer and spends nothing."""
+        from repro.storage.durability import build_engine_from_payload
+
+        spec = {
+            "factory": "repro.experiments.harness:build_companies_engine",
+            "kwargs": {"n_companies": 5, "seed": 11},
+        }
+        sql = (
+            "SELECT companyName, findCEO(companyName).CEO, findCEO(companyName).Phone "
+            "FROM companies"
+        )
+
+        def run(engine):
+            handle = engine.query(sql)
+            engine.scheduler.drain()
+            engine.clock.run_until_idle()
+            assert handle.status.value == "completed"
+
+        engine = build_engine_from_payload(spec)
+        engine.enable_durability(
+            DurabilityConfig(directory=str(tmp_path), snapshot_every=None), spec=spec
+        )
+        run(engine)
+        first_cost = engine.total_crowd_cost
+        assert first_cost > 0
+        assert engine.task_manager.stats.cache_answers == 0
+        engine.checkpoint()
+        engine.journal.close()
+
+        recovered = QurkEngine.recover(tmp_path).engine
+        answers_before = recovered.task_manager.stats.cache_answers
+        run(recovered)
+        assert recovered.total_crowd_cost == first_cost
+        assert recovered.task_manager.stats.cache_answers - answers_before == 5
+
     def test_auto_checkpoint_fires_at_drain_quiescence(self, tmp_path):
         scenario, engine = _durable_engine(tmp_path, snapshot_every=5)
         for _ in range(5):  # the journal counts replay records: 5 submissions
