@@ -135,7 +135,8 @@ class ClusterStats:
 
     totals: dict[str, float] = field(default_factory=dict)
     per_shard: list[dict[str, Any]] = field(default_factory=list)
-    queries: dict[str, dict[str, Any]] = field(default_factory=dict)
+    #: Query count by status, summed across shards.
+    statuses: dict[str, int] = field(default_factory=dict)
     peak_rss_kb_sum: int = 0
     peak_rss_kb_max: int = 0
     answer_directory_entries: int = 0
@@ -658,7 +659,8 @@ class ShardCoordinator:
                 "peak_rss_kb": reply["peak_rss_kb"],
             }
             merged.per_shard.append(shard_report)
-            merged.queries.update(reply["queries"])
+            for status, count in reply["statuses"].items():
+                merged.statuses[status] = merged.statuses.get(status, 0) + count
             for key, value in reply["totals"].items():
                 if not isinstance(value, (int, float)):
                     continue  # per-engine descriptions (breaker state, fault profile)

@@ -18,13 +18,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle: coordinator imports us
 __all__ = ["render_cluster"]
 
 
-def _count_statuses(queries: dict[str, dict[str, Any]]) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for report in queries.values():
-        counts[report["status"]] = counts.get(report["status"], 0) + 1
-    return counts
-
-
 def render_cluster(stats: "ClusterStats", panels: list[dict[str, Any]]) -> str:
     """One text dashboard for the whole cluster.
 
@@ -34,9 +27,8 @@ def render_cluster(stats: "ClusterStats", panels: list[dict[str, Any]]) -> str:
     ``dashboard`` op replies (``{"shard", "text"}``).
     """
     totals = stats.totals
-    statuses = _count_statuses(stats.queries)
     status_line = (
-        ", ".join(f"{count} {status}" for status, count in sorted(statuses.items()))
+        ", ".join(f"{count} {status}" for status, count in sorted(stats.statuses.items()))
         or "none"
     )
     lines = [

@@ -145,6 +145,35 @@ class TestWorkerQueries:
         assert "unknown cluster op 'withdraw_pending'" in reply["error"]
 
 
+    def test_the_stats_reply_does_not_grow_with_finished_queries(self):
+        """``stats`` counts queries by status; it keeps no report per query."""
+        from repro.storage.codec import dumps
+        from repro.workloads.companies import CompaniesWorkload
+
+        spec = EngineSpec(
+            "repro.experiments.harness:build_companies_engine",
+            {"n_companies": 5, "seed": 11},
+        )
+        worker = ShardWorker(spec, shard_id=0)
+        names = [record.name for record in CompaniesWorkload(5, seed=11).records]
+        sql = "SELECT findCEO(companyName).CEO FROM companies WHERE companyName = '{}'"
+        sizes = {}
+        submitted = 0
+        for total in (50, 500):
+            queries = [
+                encode_query(sql.format(names[i % len(names)]), query_id=f"cq{i + 1}")
+                for i in range(submitted, total)
+            ]
+            assert worker.handle({"op": "submit_many", "queries": queries})["ok"]
+            assert worker.handle({"op": "drain"})["ok"]
+            submitted = total
+            reply = worker.handle({"op": "stats"})
+            assert reply["statuses"] == {"completed": total}
+            assert "queries" not in reply
+            sizes[total] = len(dumps(reply))
+        assert abs(sizes[500] - sizes[50]) <= 200, sizes
+
+
 class TestRefusedBatch:
     """A batch holding an entry its shard cannot plan is admitted nowhere."""
 
