@@ -4,7 +4,7 @@ The paper's Task Cache reuses an answer "even possibly in different queries"
 (Section 3).  This experiment measures what that buys under realistic
 traffic: a zipfian-overlap trace of point queries (many requesters keep
 asking about the same popular companies) replayed cold (cache off) and warm
-(cache on), recording the dollars and HITs the answer tier avoids.
+(cache on), recording the dollars and HITs the cache avoids.
 
 Two scales:
 
