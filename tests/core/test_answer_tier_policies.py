@@ -1,8 +1,8 @@
 """Task Cache and Task Manager bookkeeping regressions.
 
 Covers that every answer is kept for good, the model-answers-are-cached
-path, the corrected savings attribution, cross-shard export/import, and the
-per-task record leak regression —
+path, the corrected savings attribution, cross-shard export/import, the
+restore of a snapshotted cache, and the per-task record leak regression —
 no task record may outlive its task once a workload has fully drained,
 whatever terminal path each task took (``check_task_records``).
 """
@@ -316,3 +316,79 @@ class TestExportImport:
         cursor, items = cache.export_since(cursor)
         assert [item["name"] for item in items] == ["f"]
         assert len(items) == 1
+
+
+class TestStateRestore:
+    """``state_dict`` / ``load_state_dict``: what an engine snapshot keeps of the cache."""
+
+    def test_restore_replaces_entries_and_counters(self):
+        source = TaskCache()
+        source.store("f", ("x",), 1, cost=0.1)
+        source.lookup("f", ("x",))
+        target = TaskCache()
+        target.store("g", ("y",), 2, cost=0.2)
+        target.lookup("g", ("z",))
+        target.load_state_dict(source.state_dict())
+        assert ("g", ("y",)) not in target
+        assert target.lookup("f", ("x",)) == CacheEntry(1, 0.1)
+        assert (target.stats.hits, target.stats.misses, target.stats.entries) == (2, 0, 1)
+
+    def test_restored_entries_export_as_local_in_store_order(self):
+        source = TaskCache()
+        for name in ("a", "b", "c"):
+            source.store("f", (name,), name, cost=0.1)
+        restored = TaskCache()
+        restored.load_state_dict(source.state_dict())
+        cursor, items = restored.export_since(0)
+        assert cursor == 3
+        assert [item["reduced"] for item in items] == ["a", "b", "c"]
+
+    def test_a_key_stored_twice_is_restored_and_exported_once(self):
+        source = TaskCache()
+        source.store("f", ("x",), "old", cost=0.1)
+        source.store("f", ("x",), "new", cost=0.1)
+        assert source.export_since(0)[0] == 2
+        restored = TaskCache()
+        restored.load_state_dict(source.state_dict())
+        cursor, items = restored.export_since(0)
+        assert cursor == 1
+        assert [item["reduced"] for item in items] == ["new"]
+
+    def test_restored_imports_hit_as_local_answers(self):
+        """A snapshot does not remember which entries another shard sent."""
+        producer = TaskCache()
+        producer.store("f", ("x",), "theirs", cost=0.1)
+        _, items = producer.export_since(0)
+        sink = TaskCache()
+        sink.import_entries(items)
+        restored = TaskCache()
+        restored.load_state_dict(sink.state_dict())
+        assert restored.lookup("f", ("x",)).reduced == "theirs"
+        assert restored.stats.cross_shard_hits == 0
+        assert restored.stats.entries_imported == 1  # the counter itself is kept
+
+    def test_a_restored_entry_wins_over_a_later_import(self):
+        source = TaskCache()
+        source.store("f", ("x",), "restored", cost=0.1)
+        restored = TaskCache()
+        restored.load_state_dict(source.state_dict())
+        other = TaskCache()
+        other.store("f", ("x",), "imported", cost=0.1)
+        assert restored.import_entries(other.export_since(0)[1]) == 0
+        assert restored.lookup("f", ("x",)).reduced == "restored"
+
+    def test_state_with_stored_at_and_confidence_records_loads(self, tmp_path):
+        """Snapshot records once also carried ``stored_at`` and ``confidence``;
+        they load through the snapshot file, and the fields are dropped."""
+        from repro.storage.snapshot import load_latest_snapshot, write_snapshot
+
+        cache = TaskCache()
+        cache.store("samePerson", (("a", 1), ("b", 2)), [(1, 2)], cost=0.3)
+        state = cache.state_dict()
+        state["entries"][0].update(stored_at=2.0, confidence=0.9)
+        write_snapshot(tmp_path, {"task_cache": state}, lsn=0)
+        _, loaded = load_latest_snapshot(tmp_path)
+        restored = TaskCache()
+        restored.load_state_dict(loaded["task_cache"])
+        assert restored.state_dict()["entries"] == cache.state_dict()["entries"]
+        assert restored.lookup("samePerson", (("a", 1), ("b", 2))) == CacheEntry([(1, 2)], 0.3)

@@ -85,6 +85,33 @@ def _durable_engine(tmp_path, **config):
     return scenario, engine
 
 
+COMPANIES_SPEC = {
+    "factory": "repro.experiments.harness:build_companies_engine",
+    "kwargs": {"n_companies": 5, "seed": 11},
+}
+FIND_CEO_SQL = (
+    "SELECT companyName, findCEO(companyName).CEO, findCEO(companyName).Phone FROM companies"
+)
+
+
+def _companies_engine(tmp_path, spec=COMPANIES_SPEC, **config):
+    """A durable companies engine (5 ``findCEO`` answers to buy)."""
+    from repro.storage.durability import build_engine_from_payload
+
+    engine = build_engine_from_payload(spec)
+    config.setdefault("snapshot_every", None)
+    engine.enable_durability(DurabilityConfig(directory=str(tmp_path), **config), spec=spec)
+    return engine
+
+
+def _run_find_ceo(engine):
+    handle = engine.query(FIND_CEO_SQL)
+    engine.scheduler.drain()
+    engine.clock.run_until_idle()
+    assert handle.status.value == "completed"
+    return handle
+
+
 class TestEngineCheckpoint:
     def test_checkpoint_requires_durability(self):
         engine = QurkEngine(seed=1)
@@ -127,43 +154,6 @@ class TestEngineCheckpoint:
         assert result.snapshot_lsn == pre_truncate
         assert result.replayed_query_ids == []  # everything was snapshotted
         assert recovered_query_count(result) == 1
-
-    def test_a_recovered_engine_answers_a_repeated_query_from_its_cache(self, tmp_path):
-        """The engine snapshot carries the Task Cache across a restart: the
-        same query again reuses every crowd answer and spends nothing."""
-        from repro.storage.durability import build_engine_from_payload
-
-        spec = {
-            "factory": "repro.experiments.harness:build_companies_engine",
-            "kwargs": {"n_companies": 5, "seed": 11},
-        }
-        sql = (
-            "SELECT companyName, findCEO(companyName).CEO, findCEO(companyName).Phone "
-            "FROM companies"
-        )
-
-        def run(engine):
-            handle = engine.query(sql)
-            engine.scheduler.drain()
-            engine.clock.run_until_idle()
-            assert handle.status.value == "completed"
-
-        engine = build_engine_from_payload(spec)
-        engine.enable_durability(
-            DurabilityConfig(directory=str(tmp_path), snapshot_every=None), spec=spec
-        )
-        run(engine)
-        first_cost = engine.total_crowd_cost
-        assert first_cost > 0
-        assert engine.task_manager.stats.cache_answers == 0
-        engine.checkpoint()
-        engine.journal.close()
-
-        recovered = QurkEngine.recover(tmp_path).engine
-        answers_before = recovered.task_manager.stats.cache_answers
-        run(recovered)
-        assert recovered.total_crowd_cost == first_cost
-        assert recovered.task_manager.stats.cache_answers - answers_before == 5
 
     def test_auto_checkpoint_fires_at_drain_quiescence(self, tmp_path):
         scenario, engine = _durable_engine(tmp_path, snapshot_every=5)
@@ -246,3 +236,167 @@ class TestRecoveredStateFidelity:
         engine.clock.run_until_idle()
         assert handle.status.value == "completed"
         assert len(handle.results()) > 0
+
+
+class TestTaskCacheAcrossRecovery:
+    """The engine's own journal and snapshot are the one durable home of
+    cached crowd answers: what a run bought comes back after ``recover``."""
+
+    def test_a_recovered_engine_answers_a_repeated_query_from_its_cache(self, tmp_path):
+        """The engine snapshot carries the Task Cache across a restart: the
+        same query again reuses every crowd answer and spends nothing."""
+        engine = _companies_engine(tmp_path)
+        _run_find_ceo(engine)
+        first_cost = engine.total_crowd_cost
+        assert first_cost > 0
+        assert engine.task_manager.stats.cache_answers == 0
+        engine.checkpoint()
+        engine.journal.close()
+
+        recovered = QurkEngine.recover(tmp_path).engine
+        answers_before = recovered.task_manager.stats.cache_answers
+        _run_find_ceo(recovered)
+        assert recovered.total_crowd_cost == first_cost
+        assert recovered.task_manager.stats.cache_answers - answers_before == 5
+
+    def test_the_snapshot_holds_one_record_per_cached_answer(self, tmp_path):
+        engine = _companies_engine(tmp_path)
+        _run_find_ceo(engine)
+        engine.checkpoint()
+        engine.journal.close()
+        _, state = load_latest_snapshot(tmp_path)
+        entries = state["task_cache"]["entries"]
+        assert len(entries) == len(engine.task_cache) == 5
+        assert {entry["name"] for entry in entries} == {"findCEO"}
+        for entry in entries:
+            assert list(entry) == ["name", "key", "reduced", "original_cost"]
+            assert isinstance(entry["key"], tuple)
+            assert entry["original_cost"] > 0
+
+    def test_the_recovered_cache_equals_the_checkpointed_one(self, tmp_path):
+        """Entries, store order and every counter come back exactly."""
+        engine = _companies_engine(tmp_path)
+        _run_find_ceo(engine)
+        _run_find_ceo(engine)  # a second run adds hits and savings to the counters
+        assert engine.task_cache.stats.hits == 5
+        engine.checkpoint()
+        engine.journal.close()
+
+        recovered = QurkEngine.recover(tmp_path).engine
+        assert recovered.task_cache.state_dict() == engine.task_cache.state_dict()
+
+    def test_replay_without_a_checkpoint_rebuilds_the_cache(self, tmp_path):
+        """With no snapshot at all, replaying the logged query buys the same
+        answers again on the simulated crowd, so the cache is whole."""
+        engine = _companies_engine(tmp_path, fsync="always")
+        _run_find_ceo(engine)
+        first_cost = engine.total_crowd_cost
+        engine.journal.wal.simulate_crash()
+
+        result = QurkEngine.recover(tmp_path)
+        assert result.snapshot_lsn is None
+        recovered = result.engine
+        assert recovered.task_cache.state_dict() == engine.task_cache.state_dict()
+        _run_find_ceo(recovered)
+        assert recovered.total_crowd_cost == first_cost
+
+    @pytest.mark.parametrize("fsync", ["interval", "off"])
+    def test_a_drained_query_rebuilds_the_cache_under_every_fsync_policy(self, tmp_path, fsync):
+        """The drain barrier forces the submission to disk, so a crash after
+        the run loses no cached answer whatever the fsync policy."""
+        engine = _companies_engine(tmp_path, fsync=fsync)
+        _run_find_ceo(engine)
+        engine.journal.wal.simulate_crash()
+
+        recovered = QurkEngine.recover(tmp_path).engine
+        assert len(recovered.task_cache) == 5
+        assert recovered.task_cache.state_dict() == engine.task_cache.state_dict()
+
+    def test_answers_bought_after_a_checkpoint_come_back_through_replay(self, tmp_path):
+        engine = _companies_engine(tmp_path, fsync="always")
+        engine.checkpoint()  # an empty cache is snapshotted
+        _run_find_ceo(engine)
+        engine.journal.wal.simulate_crash()
+
+        result = QurkEngine.recover(tmp_path)
+        _, state = load_latest_snapshot(tmp_path)
+        assert state["task_cache"]["entries"] == []
+        assert result.snapshot_lsn is not None
+        assert len(result.engine.task_cache) == 5
+        assert result.engine.task_cache.state_dict() == engine.task_cache.state_dict()
+
+    def test_imported_answers_survive_a_checkpoint_as_local_answers(self, tmp_path):
+        """Answers another shard bought, imported before a checkpoint, are
+        reused after ``recover``; restored entries count as this engine's own."""
+        from repro.storage.durability import build_engine_from_payload
+
+        other = build_engine_from_payload(COMPANIES_SPEC)
+        _run_find_ceo(other)
+        _, items = other.task_cache.export_since(0)
+
+        engine = _companies_engine(tmp_path)
+        assert engine.task_cache.import_entries(items) == 5
+        engine.checkpoint()
+        engine.journal.close()
+
+        recovered = QurkEngine.recover(tmp_path).engine
+        _run_find_ceo(recovered)
+        assert recovered.total_crowd_cost == 0
+        assert recovered.task_manager.stats.cache_answers == 5
+        assert recovered.task_cache.stats.cross_shard_hits == 0
+        cursor, exported = recovered.task_cache.export_since(0)
+        assert cursor == 5 and sorted(map(str, exported)) == sorted(map(str, items))
+
+    def test_a_repeat_after_recovery_credits_what_it_saved(self, tmp_path):
+        engine = _companies_engine(tmp_path)
+        _run_find_ceo(engine)
+        first_cost = engine.total_crowd_cost
+        engine.checkpoint()
+        engine.journal.close()
+
+        recovered = QurkEngine.recover(tmp_path).engine
+        saved_before = recovered.task_cache.stats.dollars_saved
+        hits_before = recovered.task_cache.stats.hits
+        _run_find_ceo(recovered)
+        assert recovered.task_cache.stats.hits - hits_before == 5
+        assert recovered.task_cache.stats.dollars_saved - saved_before == pytest.approx(
+            first_cost
+        )
+
+    def test_a_disabled_cache_carries_no_answers_across_recovery(self, tmp_path):
+        spec = {
+            "factory": COMPANIES_SPEC["factory"],
+            "kwargs": dict(COMPANIES_SPEC["kwargs"], enable_cache=False),
+        }
+        engine = _companies_engine(tmp_path, spec=spec)
+        _run_find_ceo(engine)
+        first_cost = engine.total_crowd_cost
+        engine.checkpoint()
+        engine.journal.close()
+        _, state = load_latest_snapshot(tmp_path)
+        assert state["task_cache"]["entries"] == []
+
+        recovered = QurkEngine.recover(tmp_path).engine
+        _run_find_ceo(recovered)
+        assert recovered.total_crowd_cost == pytest.approx(2 * first_cost)
+        assert recovered.task_manager.stats.cache_answers == 0
+
+    def test_snapshot_entries_with_stored_at_and_confidence_still_recover(self, tmp_path):
+        """Cache records once also carried ``stored_at`` and ``confidence``;
+        a snapshot holding such records recovers, and the fields are dropped."""
+        engine = _companies_engine(tmp_path)
+        _run_find_ceo(engine)
+        first_cost = engine.total_crowd_cost
+        engine.checkpoint()
+        engine.journal.close()
+        lsn, state = load_latest_snapshot(tmp_path)
+        for entry in state["task_cache"]["entries"]:
+            entry.update(stored_at=1.0, confidence=0.95)
+        write_snapshot(tmp_path, state, lsn=lsn)
+
+        recovered = QurkEngine.recover(tmp_path).engine
+        records = recovered.task_cache.state_dict()["entries"]
+        assert len(records) == 5
+        assert all(list(record) == ["name", "key", "reduced", "original_cost"] for record in records)
+        _run_find_ceo(recovered)
+        assert recovered.total_crowd_cost == first_cost
