@@ -9,7 +9,10 @@ that shape: **one Python list per column**, nothing per row.
 - **Inserts extend columns.**  :meth:`insert_batch` extends each list
   straight from the batch's columns; the row-shaped entry points
   (:meth:`insert`, :meth:`insert_many`, :meth:`append_rows`) transpose once
-  and do the same.
+  and do the same.  A bulk load of plain tuples or lists checks each
+  column's set of value types once and extends from the transposed rows;
+  only a load that check refuses validates row by row, which stores the
+  same values and raises the same errors.
 - **Row ids are positions.**  Tables only append and truncate, so the id of
   the row at ``position`` is ``first_id + position`` and :meth:`truncate`
   advances ``first_id``; :meth:`rows_since` is a slice, not a scan.
@@ -39,6 +42,7 @@ from collections.abc import Sequence
 from functools import partial
 from itertools import islice
 from operator import eq
+from types import NoneType
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping
 
 from repro.errors import SchemaError, StorageError
@@ -52,6 +56,21 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import (cycle guard)
     from repro.storage.batch import RowBatch
 
 __all__ = ["RowsView", "Table"]
+
+#: Per column type, the value types :func:`~repro.storage.types.coerce_value`
+#: stores unchanged; None admits every type.  Not ``bool`` for INTEGER nor
+#: ``int`` for FLOAT (refused and widened), and nothing for ANSWER_LIST,
+#: whose values are copied into a new list.
+_KEPT_TYPES: dict[DataType, frozenset[type] | None] = {
+    DataType.INTEGER: frozenset({int}),
+    DataType.FLOAT: frozenset({float}),
+    DataType.STRING: frozenset({str}),
+    DataType.BOOLEAN: frozenset({bool}),
+    DataType.TUPLE: frozenset({tuple}),
+    DataType.ANSWER_LIST: frozenset(),
+    DataType.IMAGE: None,
+    DataType.ANY: None,
+}
 
 
 class RowsView(Sequence):
@@ -172,11 +191,19 @@ class Table:
         """Insert several rows, returning their row ids.
 
         The rows are validated first and land together with one transpose;
-        a row that fails validation leaves the table unchanged.
+        a row that fails validation leaves the table unchanged.  When every
+        row is a plain tuple or list of the schema's width, the rows are
+        transposed once and each column's value types are checked as a set
+        (see :meth:`_kept_columns`); anything else, and any load that check
+        refuses, is validated row by row, which diagnoses the first bad
+        value in row-major order.
         """
-        values = [self._validated(row) for row in rows]
-        first = self._first_id + self._extend(list(zip(*values)), len(values))
-        return list(range(first, first + len(values)))
+        rows = rows if isinstance(rows, (list, tuple)) else list(rows)
+        columns = self._kept_columns(rows)
+        if columns is None:
+            columns = list(zip(*[self._validated(row) for row in rows]))
+        first = self._first_id + self._extend(columns, len(rows))
+        return list(range(first, first + len(rows)))
 
     def append_rows(self, rows: Iterable[Row]) -> int:
         """Append rows in bulk, returning the count.
@@ -189,7 +216,8 @@ class Table:
 
     def insert_batch(self, batch: "RowBatch") -> int:
         """Insert a column-major batch; validated when schemas differ."""
-        if batch.schema.names != self.schema.names:
+        schema = batch.schema
+        if schema.names != self.schema.names or not schema.same_shape_as(self.schema):
             return len(self.insert_many(batch.to_rows()))
         count = len(batch)
         self._extend(batch.columns, count)
@@ -207,10 +235,32 @@ class Table:
                 index.add_many(columns[self.schema.index_of(name)], start)
         return start
 
+    def _kept_columns(self, rows: Sequence[Any]) -> list[tuple[Any, ...]] | None:
+        """``rows`` as columns when validation would store every value as given.
+
+        That holds when each row is a plain tuple or list of the schema's
+        width and each column's value types are ones :func:`coerce_value`
+        keeps unchanged (see :data:`_KEPT_TYPES`), with ``None`` only where
+        the column is nullable.  Otherwise None: the caller validates row
+        by row.  Every check here runs in C, over the whole load at once.
+        """
+        if set(map(type, rows)) - {tuple, list} or set(map(len, rows)) - {len(self.schema)}:
+            return None
+        columns = list(zip(*rows))
+        for column, values in zip(self.schema.columns, columns):
+            types = set(map(type, values))
+            if column.nullable:
+                types.discard(NoneType)
+            kept = _KEPT_TYPES[column.data_type]
+            if (NoneType in types) if kept is None else not types <= kept:
+                return None
+        return columns
+
     def _validated(self, row: Row | Mapping[str, Any] | Iterable[Any]) -> tuple[Any, ...]:
         """The values of ``row`` coerced to this table's schema."""
         if isinstance(row, Row):
-            if row.schema.names == self.schema.names:
+            schema = row.schema
+            if schema.names == self.schema.names and schema.same_shape_as(self.schema):
                 return row.values
             # Re-validate against our schema (allows unqualified inserts).
             return Row(self.schema, row.values).values

@@ -129,11 +129,9 @@ class CelebrityWorkload:
     def build_tables(self) -> tuple[Table, Table]:
         """Materialise the ``celebrities`` and ``spottedstars`` tables."""
         celebrities = Table("celebrities", self.celebrities_schema())
-        for name, image in self.celebrity_images:
-            celebrities.insert([name, image])
+        celebrities.insert_many(self.celebrity_images)
         spotted = Table("spottedstars", self.spotted_schema())
-        for spot_id, image in self.spotted_images:
-            spotted.insert([spot_id, image])
+        spotted.insert_many(self.spotted_images)
         return celebrities, spotted
 
     def install(self, database: Database) -> tuple[Table, Table]:

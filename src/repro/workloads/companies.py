@@ -147,8 +147,9 @@ class CompaniesWorkload:
     def build_table(self, name: str = "companies") -> Table:
         """Materialise the companies base table."""
         table = Table(name, self.schema())
-        for record in self.records:
-            table.insert([record.name, record.industry, record.employees])
+        table.insert_many(
+            [(record.name, record.industry, record.employees) for record in self.records]
+        )
         return table
 
     def install(self, database: Database, name: str = "companies") -> Table:

@@ -127,8 +127,7 @@ class ProductsWorkload:
     def build_table(self, name: str = "products") -> Table:
         """Materialise the products base table (colour/size stay ground truth only)."""
         table = Table(name, self.schema())
-        for record in self.records:
-            table.insert([record.name, record.category, record.price])
+        table.insert_many([(record.name, record.category, record.price) for record in self.records])
         return table
 
     def install(self, database: Database, name: str = "products") -> Table:

@@ -16,11 +16,15 @@ benchmark builds its embedded workloads (fixed redundancy, no task model):
 * **Collector probe.**  Full (generation-2) collections and the
   milliseconds they took over a fixed window of cached lookups, timed with
   ``gc.callbacks``; the collector runs as it would in any program.
+* **Bulk load.**  Rows per second, and ``tracemalloc``'s peak bytes per
+  row, of one ``Table.insert_many`` of ``LOAD_ROWS`` plain 4-column tuples
+  handed over as a ``zip``, the way the benchmark's factory loads ``items``.
+  The peak is what a load adds to a process's peak RSS.
 
 Nothing is gated: the numbers depend on the Python version, and the probe's
 milliseconds on the host.  Usage::
 
-    PYTHONPATH=src python tools/footprint.py    # ~10 s
+    PYTHONPATH=src python tools/footprint.py    # ~12 s
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from itertools import count
 from repro.cluster import EngineSpec, ShardWorker
 from repro.cluster.serialization import encode_query
 from repro.experiments import build_companies_engine, build_products_engine
+from repro.storage import DataType, Schema, Table
 from repro.workloads.companies import CompaniesWorkload
 
 LOOKUP_SQL = (
@@ -63,6 +68,8 @@ WAVE_SIZE = 16
 WORKER_BATCHES = 50
 WORKER_BATCH = 20
 TOP_TYPES = 12
+#: The bulk load's size: the benchmark's ``items`` table.
+LOAD_ROWS = 200_000
 
 
 def tracked_by_type() -> Counter:
@@ -188,6 +195,41 @@ def collector_probe() -> None:
     )
 
 
+def bulk_load() -> None:
+    """Rows per second and peak traced bytes per row of one bulk load."""
+    schema = Schema.of(
+        ("id", DataType.INTEGER),
+        ("category", DataType.STRING),
+        ("price", DataType.INTEGER),
+        ("score", DataType.FLOAT),
+    )
+    rng = random.Random(SEED)
+    ids = list(range(LOAD_ROWS))
+    categories = [f"c{rng.randrange(64)}" for _ in ids]
+    prices = [rng.randrange(1000) for _ in ids]
+    scores = [i / LOAD_ROWS for i in ids]
+
+    def load() -> Table:
+        table = Table("items", schema)
+        table.insert_many(zip(ids, categories, prices, scores))
+        return table
+
+    wall = time.perf_counter()
+    load()
+    wall = time.perf_counter() - wall
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        load()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    print(
+        f"bulk load of {LOAD_ROWS} 4-column rows: {LOAD_ROWS / wall:,.0f} rows/s, "
+        f"{peak / LOAD_ROWS:.0f} peak bytes per row (tracemalloc)"
+    )
+
+
 def main() -> int:
     print(f"python {sys.version.split()[0]}, gc thresholds {gc.get_threshold()}")
     # The probe runs first: what earlier measurements leave in the heap
@@ -203,6 +245,7 @@ def main() -> int:
     del engine, next_sql
     crowd_waves()
     shard_worker_census()
+    bulk_load()
     return 0
 
 
