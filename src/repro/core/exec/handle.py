@@ -132,7 +132,11 @@ class QueryHandle:
         return self.scheduler.step()
 
     def run_until(self, simulated_time: float) -> None:
-        """Run the query until the simulated clock reaches ``simulated_time``."""
+        """Run until the simulated clock reaches ``simulated_time`` or this query ends.
+
+        Raises for no ending, this query's or a neighbour's: every ending is
+        recorded on its own handle.
+        """
         self.scheduler.run_until(simulated_time, watch=self)
 
     def wait(self) -> RowsView:
@@ -141,7 +145,9 @@ class QueryHandle:
         Ending ``STALLED``, ``DEADLINE_EXCEEDED``, ``SHED`` or ``FAILED``
         raises the handle's error rather than silently returning partial
         results; ``BUDGET_EXCEEDED`` and ``DEGRADED`` return the rows that
-        landed, partial results being their contract.
+        landed, partial results being their contract.  Only this handle's
+        own error is raised: a neighbour's stall ends the neighbour, and
+        this query runs on.
         """
         return self.scheduler.wait(self)
 

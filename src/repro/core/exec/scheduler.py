@@ -40,6 +40,12 @@ active query on one simulated marketplace:
   query for the reap.  Terminal queries are reaped from that event-fed
   list, not by scanning the active set every pass, and the reap retires
   each one's operator tree, leaving the handle a record.
+* **One driving loop** — :meth:`EngineScheduler._run` is the only caller of
+  :meth:`EngineScheduler.step`; ``pump``, ``drain``, ``run_until`` and
+  ``wait`` are its stop conditions.  It has one stall policy: a global stall
+  has already ended every stuck query ``STALLED`` on its own handle, so the
+  loop absorbs it and the rest run on.  Of the four, only ``wait`` raises
+  for an ending, and only for its own handle's.
 """
 
 from __future__ import annotations
@@ -739,6 +745,25 @@ class EngineScheduler:
         """Whether any admitted or queued query is not yet terminal."""
         return bool(self._active) or bool(self._waiting)
 
+    def _run(self, done: Callable[[], bool], *, until: float | None = None) -> bool:
+        """The one driving loop: call :meth:`step` until ``done()`` or nothing is admitted.
+
+        Every public driver is a stop condition over this loop, with one
+        stall policy: a global stall is absorbed, because :meth:`step` has
+        already ended every stuck query ``STALLED`` on its own handle, and the
+        remaining queries run on.  ``until`` bounds each pass's clock advance.
+        Returns whether any pass ran.
+        """
+        ran = False
+        while not done():
+            try:
+                if not self.step(until=until):
+                    break
+            except QueryStalledError:
+                pass
+            ran = True
+        return ran
+
     def pump(self, *, max_passes: int = 1) -> bool:
         """Run up to ``max_passes`` scheduling passes without blocking policy.
 
@@ -746,33 +771,23 @@ class EngineScheduler:
         pass at a time, whenever no message is waiting for it
         (:meth:`repro.cluster.worker.ShardWorker.serve`), so queries progress
         incrementally instead of monopolising the worker until completion.
-        Global stalls are absorbed — :meth:`step` has already ended every
-        stuck query ``STALLED`` before raising — and a query whose plan
-        raises ends ``FAILED`` without leaving the pass, so a server surfaces
-        every ending per query through handle status and error, never an
-        exception out of its loop.  Returns True when any pass made progress.
+        Stops when no work is left or ``max(max_passes, 1)`` passes have run;
+        a stalled pass counts as one.  Raises for no ending: a global stall
+        and a failed plan end their queries on their handles, so a server
+        surfaces every ending per query through handle status and error,
+        never an exception out of its loop.  Returns True when any pass ran.
         """
-        progressed = False
-        for _ in range(max(max_passes, 1)):
-            if not self.has_work():
-                break
-            try:
-                if not self.step():
-                    break
-            except QueryStalledError:
-                progressed = True
-                break
-            progressed = True
-        return progressed
+        stop_at = self.metrics.passes + max(max_passes, 1)
+        return self._run(lambda: not self.has_work() or self.metrics.passes >= stop_at)
 
     def drain(self) -> int:
         """Drive every admitted and queued query to a terminal state.
 
-        Exactly the pass sequence of calling :meth:`wait` on each handle in
-        turn — :meth:`step` is global, so the stepping order is independent
-        of which handle is watched — but nothing is raised: every ending,
-        global stalls and failed plans included, is recorded on its handle
-        and the remaining queries run on.  Returns the number of queries
+        Stops when no work is left.  Exactly the pass sequence of calling
+        :meth:`wait` on each handle in turn — :meth:`step` is global, so the
+        stepping order is independent of which handle is watched — but
+        nothing is raised: every ending, global stalls and failed plans
+        included, is recorded on its handle.  Returns the number of queries
         that reached a terminal state.
         """
         if self._journal is not None:
@@ -782,12 +797,7 @@ class EngineScheduler:
             # the drain to completion when it reaches this LSN.
             self._journal.record("drain", {}, durable=True)
         finished_before = self.metrics.queries_finished
-        while self.has_work():
-            try:
-                if not self.step():
-                    break
-            except QueryStalledError:
-                continue  # the stalled queries have ended; keep driving the rest
+        self._run(lambda: not self.has_work())
         if self._checkpoint_hook is not None:
             # A completed drain is the engine's natural quiescent point;
             # the hook snapshots (and truncates the WAL) when one is due.
@@ -799,33 +809,36 @@ class EngineScheduler:
 
         When ``watch`` is given, also stop as soon as that query reaches a
         terminal state — concurrent queries keep whatever progress they made
-        along the way and resume on the next call.
+        along the way and resume on the next call.  Raises for no ending,
+        like :meth:`drain` and :meth:`pump`: every ending is recorded on its
+        handle.
         """
-        while self.clock.now < simulated_time:
-            if watch is not None and watch.is_terminal:
-                return
-            if not self.step(until=simulated_time):
-                return
+        self._run(
+            lambda: self.clock.now >= simulated_time or (watch is not None and watch.is_terminal),
+            until=simulated_time,
+        )
 
     def wait(self, handle: QueryHandle) -> RowsView:
         """Drive the run loop until ``handle`` finishes; return a view of its rows.
 
-        Every scheduling pass also progresses the other active queries, so
-        waiting on one handle naturally advances the whole marketplace.
-        ``STALLED``, ``DEADLINE_EXCEEDED``, ``SHED`` and ``FAILED`` raise the
-        handle's error rather than silently returning an incomplete result
-        set; ``BUDGET_EXCEEDED`` and ``DEGRADED`` return the partial rows —
-        partial results are their contract.
+        Stops when the handle is terminal.  Every scheduling pass also
+        progresses the other active queries, so waiting on one handle
+        naturally advances the whole marketplace, and a neighbour's ending
+        (a global stall included) never stops it.  Only this handle's own
+        error is raised: ``STALLED``, ``DEADLINE_EXCEEDED``, ``SHED`` and
+        ``FAILED`` raise it rather than silently returning an incomplete
+        result set; ``BUDGET_EXCEEDED`` and ``DEGRADED`` return the partial
+        rows — partial results are their contract.
         """
-        while not handle.is_terminal:
-            if not self.step():
-                # step() only says "no progress" once nothing is admitted,
-                # so this handle was never submitted here.
-                error = QueryStalledError(
-                    f"query {handle.query_id} stalled after emitting "
-                    f"{len(handle.results_table)} row(s): the scheduler ran out of work"
-                )
-                self._end(handle, QueryStatus.STALLED, "stalled", error=error)
+        self._run(lambda: handle.is_terminal)
+        if not handle.is_terminal:
+            # The loop only runs out of work before the handle ends when
+            # nothing is admitted, so this handle was never submitted here.
+            error = QueryStalledError(
+                f"query {handle.query_id} stalled after emitting "
+                f"{len(handle.results_table)} row(s): the scheduler ran out of work"
+            )
+            self._end(handle, QueryStatus.STALLED, "stalled", error=error)
         if handle.status in (
             QueryStatus.STALLED,
             QueryStatus.DEADLINE_EXCEEDED,
