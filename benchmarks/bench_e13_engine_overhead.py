@@ -127,8 +127,7 @@ def run_concurrent_overhead_experiment(n_queries: int = 16, n_rows: int = 20_000
         scheduler.submit(_build_pipeline(engine, f"bench-e13-q{q}", join=False))
         for q in range(n_queries)
     ]
-    while scheduler.step():
-        pass
+    scheduler.drain()
     if not all(handle.is_complete for handle in handles):
         raise AssertionError("not every concurrent query completed")
     return [

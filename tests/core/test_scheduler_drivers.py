@@ -14,34 +14,12 @@ from repro.core.exec.context import QueryConfig
 from repro.core.exec.handle import QueryHandle, QueryStatus
 from repro.errors import QueryStalledError
 from repro.experiments.harness import build_products_engine
-from repro.storage import DataType, Schema, Table
 from repro.testing.chaos import fingerprint_engine
 
-FILTER_SQL = "SELECT name FROM products WHERE isTargetColor(name)"
-FILTER_SORT_SQL = (
-    "SELECT name FROM products WHERE isTargetColor(name) ORDER BY biggerItem(name) LIMIT 3"
-)
+from test_lifecycle_transitions import FAILING_SQL, FILTER_SORT_SQL, FILTER_SQL, _stuck_handle
+
 SORT_SQL = "SELECT name FROM products ORDER BY biggerItem(name) LIMIT 4"
-FAILING_SQL = "SELECT name FROM products WHERE price / 0 > 1"
 LOCAL_SQL = "SELECT name, price FROM products WHERE price > 20"
-
-
-class _StuckExecutor:
-    """An executor whose step never progresses and never completes."""
-
-    def step_local(self):
-        return False
-
-    def is_complete(self):
-        return False
-
-    def retire(self):
-        pass
-
-
-def _stuck_handle(query_id: str) -> QueryHandle:
-    table = Table(query_id, Schema.of(("x", DataType.INTEGER)))
-    return QueryHandle(query_id, "SELECT ...", _StuckExecutor(), table)
 
 
 def _engine_with_a_stuck_query_running():
@@ -55,21 +33,18 @@ def _engine_with_a_stuck_query_running():
 
 
 class TestANeighboursStallDoesNotEscape:
-    def test_wait_returns_the_queued_querys_rows(self):
+    """``drain`` past the same stall is pinned in ``test_lifecycle_transitions``."""
+
+    @pytest.mark.parametrize(
+        "drive", [QueryHandle.wait, lambda handle: handle.run_until(1e9)], ids=["wait", "run_until"]
+    )
+    def test_the_queued_query_runs_to_completion(self, drive):
         engine, stuck = _engine_with_a_stuck_query_running()
         queued = engine.query(FILTER_SQL)
         assert queued.status is QueryStatus.PENDING
-        rows = queued.wait()
+        drive(queued)
         assert queued.status is QueryStatus.COMPLETED
         assert queued.error is None
-        assert len(rows) > 0
-        assert stuck.status is QueryStatus.STALLED
-
-    def test_run_until_runs_the_queued_query_to_completion(self):
-        engine, stuck = _engine_with_a_stuck_query_running()
-        queued = engine.query(FILTER_SQL)
-        queued.run_until(1e9)
-        assert queued.status is QueryStatus.COMPLETED
         assert len(queued.results()) > 0
         assert stuck.status is QueryStatus.STALLED
 

@@ -12,9 +12,10 @@ listed test path are copied once, the mutated module is written into the
 copy (``ast.unparse``, so comments are gone), and ``pytest -x`` runs the listed
 tests there with bytecode caching off.  The copy is checked first with the
 module unparsed but unmutated; if those tests do not pass, nothing is
-reported.  A mutant that the tests fail on, or that runs past ``--timeout``,
-is killed.  The survivors are printed as ``module:line old → new``, then a
-count line.  Report only: the exit status is 0 whatever survives.
+reported.  A mutant that the tests fail on, or that runs more than five times
+as long as the unmutated copy (ten seconds at least), is killed.  The
+survivors are printed as ``module:line old → new``, then a count line.
+Report only: the exit status is 0 whatever survives.
 
 Usage::
 
@@ -195,7 +196,6 @@ def run(
     *,
     functions: set[str] | None = None,
     root: Path = ROOT,
-    timeout: float | None = None,
 ) -> tuple[list[Mutant], int]:
     """Run every mutant of ``module``; return the survivors and the mutant count."""
     source = (root / module).read_text()
@@ -209,8 +209,7 @@ def run(
         started = time.perf_counter()
         if not _tests_pass(project, tests, None):
             raise SystemExit(f"the tests fail on the unmutated copy of {module}")
-        if timeout is None:
-            timeout = max(10.0, 5 * (time.perf_counter() - started))
+        timeout = max(10.0, 5 * (time.perf_counter() - started))
         for mutant in mutants:
             target.write_text(mutate(source, mutant, functions))
             if _tests_pass(project, tests, timeout):
@@ -224,12 +223,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--tests", nargs="+", required=True, help="test files, relative to --root")
     parser.add_argument("--functions", nargs="+", help="mutate only inside these functions")
     parser.add_argument("--root", type=Path, default=ROOT, help="the project root")
-    parser.add_argument("--timeout", type=float, help="seconds per mutant's test run")
     args = parser.parse_args(argv)
     functions = set(args.functions) if args.functions else None
-    survivors, total = run(
-        args.module, args.tests, functions=functions, root=args.root, timeout=args.timeout
-    )
+    survivors, total = run(args.module, args.tests, functions=functions, root=args.root)
     for mutant in survivors:
         print(f"{args.module}:{mutant.line} {mutant.old} → {mutant.new}")
     print(f"{total} mutants: {total - len(survivors)} killed, {len(survivors)} survived")
